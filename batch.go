@@ -1,12 +1,8 @@
 package spasm
 
 import (
-	"errors"
-
 	"spasm/internal/app"
-	"spasm/internal/apps"
 	"spasm/internal/exp"
-	"spasm/internal/probe"
 	"spasm/internal/runpool"
 )
 
@@ -38,30 +34,10 @@ func RunMany(opt Options, points []BatchPoint) ([]*RunStats, error) {
 	return exp.RunMany(opt, points)
 }
 
-// RunOn is Run on a pooled context: the simulation engine, address
-// space, and machine are drawn from pool and reset in place instead of
-// constructed, so repeated runs of one configuration amortize setup.
-// The returned Result's Stats and Phases are freshly allocated and safe
-// to keep; its Machine and Space reference pooled state and are only
-// readable until the pool reuses the context.  A nil pool behaves like
-// Run.
-func RunOn(appName string, scale Scale, seed int64, cfg Config, pool *RunPool) (*Result, error) {
-	prog, err := apps.New(appName, scale, seed)
-	if err != nil {
-		var extErr error
-		prog, extErr = apps.NewExtended(appName, scale, seed)
-		if extErr != nil {
-			return nil, err
-		}
-	}
-	return app.RunPooled(prog, cfg, pool)
-}
-
-// RunSpecOn is RunSpec on a pooled context, with RunOn's reuse and
-// lifetime semantics.  It is the path the spasmd workers use, so the
-// service amortizes construction across the jobs it executes.
+// RunSpecOn is RunSpec on a pooled context (RunOptions.Pool); a nil
+// pool behaves like RunSpec.
 func RunSpecOn(spec Spec, pool *RunPool) (*Result, error) {
-	return RunSpecControlled(spec, pool, RunControl{})
+	return resultOf(Execute(spec, RunOptions{Pool: pool}))
 }
 
 // RunControl carries the failure-containment knobs of one run: a
@@ -78,64 +54,3 @@ var (
 	// ErrRunCanceled marks a run aborted by RunControl.Cancel.
 	ErrRunCanceled = app.ErrRunCanceled
 )
-
-// RunSpecControlled is RunSpecOn bounded by ctl.  An aborted or failed
-// run discards its pooled context instead of returning it to the
-// freelist — half-finished simulation state never re-enters the pool —
-// so the only cost of an abort is one fresh construction on the next
-// run of that configuration.
-func RunSpecControlled(spec Spec, pool *RunPool, ctl RunControl) (*Result, error) {
-	spec = spec.Canonical()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if ctl.Workers == 0 {
-		// The spec's Workers knob reaches the engine through RunControl;
-		// an explicit ctl.Workers wins over the spec's.
-		ctl.Workers = spec.Workers
-	}
-	if spec.Adaptive {
-		return runAdaptive(spec, pool, ctl)
-	}
-	prog, err := newProgram(spec)
-	if err != nil {
-		return nil, err
-	}
-	return app.RunPooledControlled(prog, spec.Config(), pool, ctl)
-}
-
-// ErrAdaptiveProfiled marks a profiled-controlled run rejected because
-// the spec is adaptive: adaptive runs resolve their network tier by
-// re-running, so a single live profile cannot describe them.  Resolve
-// the tier first (RunSpecProfiled does) or pin the machine explicitly.
-var ErrAdaptiveProfiled = errors.New("spasm: adaptive spec cannot be live-profiled; pin the machine tier")
-
-// RunSpecProfiledControlled is RunSpecControlled with a telemetry
-// profiler attached — the worker path behind spasmd's live run
-// streaming: pc.OnEpoch fires for each profile epoch as it closes
-// during the run.  Profiling inherits RunSpec's determinism and does
-// not perturb the simulated execution, but it does hook the engine
-// clock, which forces the sequential kernel even when ctl.Workers > 1.
-// Adaptive specs are rejected with ErrAdaptiveProfiled.
-func RunSpecProfiledControlled(spec Spec, pool *RunPool, ctl RunControl, pc ProfileConfig) (*Result, *Profile, error) {
-	spec = spec.Canonical()
-	if err := spec.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if spec.Adaptive {
-		return nil, nil, ErrAdaptiveProfiled
-	}
-	if ctl.Workers == 0 {
-		ctl.Workers = spec.Workers
-	}
-	prog, err := newProgram(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	pr := probe.New(pc)
-	res, err := app.RunPooledInstrumented(prog, spec.Config(), pool, ctl, pr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, pr.Profile(), nil
-}

@@ -270,7 +270,7 @@ func BenchmarkLargeP(b *testing.B) {
 			b.ReportAllocs()
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				res, err := RunExtended("uniform", Tiny, 1, Config{
+				res, err := Run("uniform", Tiny, 1, Config{
 					Kind: c.kind, Topology: c.topo, P: c.p,
 				})
 				if err != nil {

@@ -165,8 +165,9 @@ func emit(fr *spasm.FigureResult, formats map[string]bool, outDir string) {
 // attached and prints its per-epoch table; with -out set it also writes
 // the CSV time series next to the figure CSVs.
 func emitProfile(app, topo string, p int, sc spasm.Scale, seed int64, outDir string) error {
-	cfg := spasm.Config{Kind: spasm.Target, Topology: topo, P: p}
-	_, prof, err := spasm.RunProfiled(app, sc, seed, cfg)
+	_, prof, err := spasm.Execute(
+		spasm.Spec{App: app, Scale: sc, Seed: seed, Machine: spasm.Target, Topology: topo, P: p},
+		spasm.RunOptions{Profile: &spasm.ProfileConfig{}})
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		appName = flag.String("app", "fft", "application: cg, cholesky, ep, fft, is (or extended: mg, uniform)")
+		appName = flag.String("app", "fft", "application: cg, cholesky, ep, fft, is, or the extension workloads mg, uniform")
 		machStr = flag.String("machine", "target", "machine: ideal, flow, logp, clogp, target")
 		topo    = flag.String("topo", "full", "topology: full, cube, mesh, ring, torus")
 		p       = flag.Int("p", 8, "processors (power of two; up to 1024 on the coherent machines, more on the abstract tiers)")
@@ -49,45 +49,21 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfg := spasm.Config{Kind: kind, Topology: *topo, P: *p}
+	spec := spasm.Spec{App: *appName, Scale: sc, Seed: *seed, Machine: kind,
+		Topology: *topo, P: *p, Workers: *workers}
 	if *perCls {
-		cfg.PortMode = spasm.PerClassGap
+		spec.PortMode = spasm.PerClassGap
 	}
-
-	var res *spasm.Result
-	var prof *spasm.Profile
 	if *adapt {
-		spec := spasm.Spec{App: *appName, Scale: sc, Seed: *seed, Machine: spasm.Flow,
-			Topology: *topo, P: *p, PortMode: cfg.PortMode,
-			Adaptive: true, EscalatePct: *escPct, Workers: *workers}
-		if *profile != "" {
-			res, prof, err = spasm.RunSpecProfiled(spec)
-		} else {
-			res, err = spasm.RunSpec(spec)
-		}
-	} else if *profile != "" {
-		// Profiling attaches an engine tick hook, which the parallel mode
-		// declines (recorded as a "tick-hook" fallback); no point asking.
-		res, prof, err = spasm.RunProfiled(*appName, sc, *seed, cfg)
-	} else if *workers > 1 {
-		spec := spasm.Spec{App: *appName, Scale: sc, Seed: *seed, Machine: kind,
-			Topology: *topo, P: *p, PortMode: cfg.PortMode, Workers: *workers}
-		res, err = spasm.RunSpec(spec)
-	} else {
-		res, err = spasm.Run(*appName, sc, *seed, cfg)
-		if err != nil {
-			// Fall back to the extension workloads (e.g. mg, uniform).
-			// For a name the extension registry knows, its error is the
-			// one worth reporting (a P-limit rejection, say), not the
-			// core suite's "unknown application".
-			for _, name := range spasm.ExtendedApps() {
-				if name == *appName {
-					res, err = spasm.RunExtended(*appName, sc, *seed, cfg)
-					break
-				}
-			}
-		}
+		spec.Machine, spec.Adaptive, spec.EscalatePct = spasm.Flow, true, *escPct
 	}
+	var opt spasm.RunOptions
+	if *profile != "" {
+		// Profiling hooks the engine clock, which the parallel mode
+		// declines: -workers then reports a "tick-hook" fallback.
+		opt.Profile = &spasm.ProfileConfig{}
+	}
+	res, prof, err := spasm.Execute(spec, opt)
 	if err != nil {
 		fail(err)
 	}

@@ -69,7 +69,7 @@ func TestPooledRunsBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatalf("fresh %s on %v/%s: %v", app, kind, topo, err)
 					}
-					pooled, err := RunOn(app, Tiny, 1, cfg, pool)
+					pooled, err := RunSpecOn(Spec{App: app, Scale: Tiny, Machine: kind, Topology: topo, P: 8}, pool)
 					if err != nil {
 						t.Fatalf("pooled %s on %v/%s: %v", app, kind, topo, err)
 					}

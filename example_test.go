@@ -30,12 +30,14 @@ func ExampleRun() {
 
 // Profiling a run over simulated time and locating the epoch where
 // network contention peaked.
-func ExampleRunProfiled() {
-	_, prof, err := spasm.RunProfiled("ep", spasm.Tiny, 1, spasm.Config{
-		Kind:     spasm.Target,
+func ExampleExecute() {
+	_, prof, err := spasm.Execute(spasm.Spec{
+		App:      "ep",
+		Scale:    spasm.Tiny,
+		Machine:  spasm.Target,
 		Topology: "mesh",
 		P:        4,
-	})
+	}, spasm.RunOptions{Profile: &spasm.ProfileConfig{}})
 	if err != nil {
 		panic(err)
 	}

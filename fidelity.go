@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"spasm/internal/app"
+	"spasm/internal/apps"
 	"spasm/internal/flow"
 	"spasm/internal/machine"
 	"spasm/internal/sim"
@@ -77,14 +78,15 @@ func (mon *escalationMonitor) Finish(res *app.Result) {}
 // over escalation — a run aborted by its RunControl reports that error
 // even if the threshold also fired.  Both the escalated and the
 // untripped case record the decision on Result.Escalation.
-func runAdaptive(spec Spec, pool *RunPool, ctl RunControl) (*Result, error) {
-	spec = spec.Canonical()
-	prog, err := newProgram(spec)
+func runAdaptive(spec Spec, run app.Options) (*Result, error) {
+	prog, err := apps.Lookup(spec.App, spec.Scale, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	mon := &escalationMonitor{threshold: spec.EscalatePct}
-	res, err := app.RunPooledInstrumented(prog, spec.Config(), pool, ctl, mon)
+	watched := run
+	watched.Instrument = mon
+	res, err := app.Execute(prog, spec.Config(), watched)
 	if err != nil {
 		if errors.Is(err, ErrRunTimeout) || errors.Is(err, ErrRunCanceled) || !mon.tripped {
 			return nil, err
@@ -92,33 +94,24 @@ func runAdaptive(spec Spec, pool *RunPool, ctl RunControl) (*Result, error) {
 		// The abort is the monitor's own interrupt: fall through to the
 		// detailed run.
 	}
+	esc := &Escalation{From: Flow, To: Flow, ThresholdPct: spec.EscalatePct}
 	if !mon.tripped {
-		res.Escalation = &Escalation{
-			From:         Flow,
-			To:           Flow,
-			ThresholdPct: spec.EscalatePct,
-		}
+		res.Escalation = esc
 		return res, nil
 	}
 	// Escalate: rebuild the program (the flow attempt consumed the first
 	// instance's host-memory state) and rerun on the target machine.
-	prog, err = newProgram(spec)
+	prog, err = apps.Lookup(spec.App, spec.Scale, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	cfg := spec.Config()
 	cfg.Kind = machine.Target
-	res, err = app.RunPooledControlled(prog, cfg, pool, ctl)
+	res, err = app.Execute(prog, cfg, run)
 	if err != nil {
 		return nil, err
 	}
-	res.Escalation = &Escalation{
-		From:         Flow,
-		To:           Target,
-		ThresholdPct: spec.EscalatePct,
-		Tripped:      true,
-		At:           mon.at,
-		Share:        mon.share,
-	}
+	esc.To, esc.Tripped, esc.At, esc.Share = Target, true, mon.at, mon.share
+	res.Escalation = esc
 	return res, nil
 }

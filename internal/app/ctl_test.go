@@ -47,7 +47,7 @@ func settleGoroutines(t *testing.T, base int) {
 func TestRunControlledTimeout(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := machine.Config{Kind: machine.Ideal, P: 4}
-	_, err := RunControlled(spinnerProg(), cfg, RunControl{Timeout: 2 * time.Millisecond})
+	_, err := Execute(spinnerProg(), cfg, Options{Control: RunControl{Timeout: 2 * time.Millisecond}})
 	if !errors.Is(err, ErrRunTimeout) {
 		t.Fatalf("want ErrRunTimeout, got %v", err)
 	}
@@ -62,7 +62,7 @@ func TestRunControlledCancel(t *testing.T) {
 		close(cancel)
 	}()
 	cfg := machine.Config{Kind: machine.Ideal, P: 4}
-	_, err := RunControlled(spinnerProg(), cfg, RunControl{Cancel: cancel})
+	_, err := Execute(spinnerProg(), cfg, Options{Control: RunControl{Cancel: cancel}})
 	if !errors.Is(err, ErrRunCanceled) {
 		t.Fatalf("want ErrRunCanceled, got %v", err)
 	}
@@ -72,7 +72,7 @@ func TestRunControlledCancel(t *testing.T) {
 func TestRunControlledZeroValueCompletes(t *testing.T) {
 	cfg := machine.Config{Kind: machine.Target, Topology: "full", P: 2}
 	prog := &testProg{name: "ok", setup: func(*Ctx) {}, body: func(p *Proc) { p.Compute(50) }}
-	res, err := RunControlled(prog, cfg, RunControl{})
+	res, err := Execute(prog, cfg, Options{})
 	if err != nil || res == nil {
 		t.Fatalf("zero-control run failed: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestRunControlledGenerousTimeoutCompletes(t *testing.T) {
 	cfg := machine.Config{Kind: machine.Ideal, P: 2}
 	prog := &testProg{name: "quick", setup: func(*Ctx) {}, body: func(p *Proc) { p.Compute(10) }}
 	for i := 0; i < 20; i++ {
-		if _, err := RunControlled(prog, cfg, RunControl{Timeout: time.Minute}); err != nil {
+		if _, err := Execute(prog, cfg, Options{Control: RunControl{Timeout: time.Minute}}); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestRunControlledGenerousTimeoutCompletes(t *testing.T) {
 func TestPooledDiscardOnAbort(t *testing.T) {
 	pool := runpool.New(4)
 	cfg := machine.Config{Kind: machine.Ideal, P: 4}
-	_, err := RunPooledControlled(spinnerProg(), cfg, pool, RunControl{Timeout: 2 * time.Millisecond})
+	_, err := Execute(spinnerProg(), cfg, Options{Pool: pool, Control: RunControl{Timeout: 2 * time.Millisecond}})
 	if !errors.Is(err, ErrRunTimeout) {
 		t.Fatalf("want ErrRunTimeout, got %v", err)
 	}
@@ -107,7 +107,7 @@ func TestPooledDiscardOnAbort(t *testing.T) {
 	}
 
 	prog := &testProg{name: "clean", setup: func(*Ctx) {}, body: func(p *Proc) { p.Compute(10) }}
-	if _, err := RunPooledControlled(prog, cfg, pool, RunControl{Timeout: time.Minute}); err != nil {
+	if _, err := Execute(prog, cfg, Options{Pool: pool, Control: RunControl{Timeout: time.Minute}}); err != nil {
 		t.Fatalf("clean run after discard: %v", err)
 	}
 	st = pool.Stats()
@@ -127,7 +127,7 @@ func TestPooledDiscardOnFailure(t *testing.T) {
 		body:  func(p *Proc) { p.Compute(10) },
 		check: func() error { return errors.New("wrong answer") },
 	}
-	if _, err := RunPooledControlled(bad, cfg, pool, RunControl{}); err == nil {
+	if _, err := Execute(bad, cfg, Options{Pool: pool}); err == nil {
 		t.Fatal("check failure not propagated")
 	}
 	if st := pool.Stats(); st.Discarded != 1 || st.Live != 0 {
@@ -138,12 +138,12 @@ func TestPooledDiscardOnFailure(t *testing.T) {
 // TestPooledControlledNilPool falls back to unpooled controlled runs.
 func TestPooledControlledNilPool(t *testing.T) {
 	cfg := machine.Config{Kind: machine.Ideal, P: 2}
-	_, err := RunPooledControlled(spinnerProg(), cfg, nil, RunControl{Timeout: 2 * time.Millisecond})
+	_, err := Execute(spinnerProg(), cfg, Options{Control: RunControl{Timeout: 2 * time.Millisecond}})
 	if !errors.Is(err, ErrRunTimeout) {
 		t.Fatalf("want ErrRunTimeout, got %v", err)
 	}
 	prog := &testProg{name: "ok", setup: func(*Ctx) {}, body: func(p *Proc) { p.Compute(10) }}
-	if _, err := RunPooledControlled(prog, cfg, nil, RunControl{}); err != nil {
+	if _, err := Execute(prog, cfg, Options{}); err != nil {
 		t.Fatalf("nil-pool zero-control run: %v", err)
 	}
 }

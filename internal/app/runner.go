@@ -137,84 +137,46 @@ type Instrument interface {
 	Finish(res *Result)
 }
 
+// Options selects how Execute runs a program.  The zero value is a
+// fresh, unbounded, undecorated run — exactly Run.
+type Options struct {
+	// Pool, when non-nil, supplies the engine, address space and machine
+	// (reset in place) instead of constructing them, so a sweep pays
+	// machine construction once per configuration.  The Result's Machine
+	// and Space then reference pooled state, readable only until the pool
+	// hands the context to another run; Stats and Phases are freshly
+	// allocated and safe to keep.  A context whose run did not complete
+	// cleanly — aborted, panicked, deadlocked, or failed its result check
+	// — is Discarded rather than returned to the freelist: the pool's
+	// reset invariants (docs/INTERNALS.md §9) only hold for state a run
+	// finished with.
+	Pool *runpool.Pool
+	// Control bounds the run (timeout, cancellation) and carries the
+	// parallel-execution request.
+	Control RunControl
+	// Wrap, when non-nil, receives the configured machine and returns
+	// the machine the program actually drives — the hook used by trace
+	// recording and fault injection.
+	Wrap func(machine.Machine) machine.Machine
+	// Instrument, when non-nil, observes the run from the inside.  It
+	// sees the *underlying* machine (before Wrap), so a decorator like
+	// the trace recorder does not hide the network from it.
+	Instrument Instrument
+}
+
 // Run executes prog on a machine built from cfg with cfg.P processors
 // and returns the accumulated statistics.  The simulation is
 // deterministic: identical programs and configurations produce identical
 // results.
 func Run(prog Program, cfg machine.Config) (*Result, error) {
-	return RunInstrumented(prog, cfg, nil, nil)
+	return Execute(prog, cfg, Options{})
 }
 
-// RunWrapped is Run with a machine decorator: wrap (if non-nil) receives
-// the configured machine and returns the machine the program actually
-// drives — the hook used by trace recording and other instrumentation.
-func RunWrapped(prog Program, cfg machine.Config, wrap func(machine.Machine) machine.Machine) (*Result, error) {
-	return RunInstrumented(prog, cfg, wrap, nil)
-}
-
-// RunInstrumented is RunWrapped with an attached Instrument.  The
-// instrument observes the *underlying* machine (before wrap), so a
-// decorator like the trace recorder does not hide the network from it.
-func RunInstrumented(prog Program, cfg machine.Config, wrap func(machine.Machine) machine.Machine, inst Instrument) (*Result, error) {
-	if cfg.P < 1 {
-		return nil, fmt.Errorf("app: run with P=%d", cfg.P)
-	}
-	blockBytes := cfg.Cache.BlockBytes
-	if blockBytes == 0 {
-		blockBytes = mem.DefaultBlockBytes
-	}
-	space := mem.NewSpace(cfg.P, blockBytes)
-	eng := sim.NewEngine()
-	bind := func() (machine.Machine, error) { return machine.New(cfg, space) }
-	return runOn(prog, cfg, space, eng, bind, wrap, inst, RunControl{})
-}
-
-// RunControlled is Run bounded by ctl: the watchdog interrupts the
-// engine on timeout or cancellation, and the run fails with
-// ErrRunTimeout or ErrRunCanceled (wrapped with the run's identity).
-func RunControlled(prog Program, cfg machine.Config, ctl RunControl) (*Result, error) {
-	if cfg.P < 1 {
-		return nil, fmt.Errorf("app: run with P=%d", cfg.P)
-	}
-	blockBytes := cfg.Cache.BlockBytes
-	if blockBytes == 0 {
-		blockBytes = mem.DefaultBlockBytes
-	}
-	space := mem.NewSpace(cfg.P, blockBytes)
-	eng := sim.NewEngine()
-	bind := func() (machine.Machine, error) { return machine.New(cfg, space) }
-	return runOn(prog, cfg, space, eng, bind, nil, nil, ctl)
-}
-
-// RunPooled is Run on a pooled context: the engine, address space, and
-// machine come from pool (reset in place) instead of being constructed,
-// so a sweep pays machine construction once per configuration.  Results
-// are bit-for-bit identical to Run's.  The returned Result's Machine and
-// Space reference pooled state: they stay readable only until the pool
-// hands the same context to another run, while Result.Stats and
-// Result.Phases are freshly allocated and safe to keep.  A nil pool
-// falls back to Run.
-func RunPooled(prog Program, cfg machine.Config, pool *runpool.Pool) (*Result, error) {
-	return RunPooledControlled(prog, cfg, pool, RunControl{})
-}
-
-// RunPooledControlled is RunPooled bounded by ctl.  Its pool discipline
-// differs from RunPooled's on failure: a context whose run did not
-// complete cleanly — aborted, panicked, deadlocked, or failed its result
-// check — is Discarded rather than returned to the freelist, because the
-// reset invariants the pool relies on (docs/INTERNALS.md §9) are only
-// established for state a run finished with.  Successful runs Put their
-// context back as usual.
-func RunPooledControlled(prog Program, cfg machine.Config, pool *runpool.Pool, ctl RunControl) (*Result, error) {
-	return RunPooledInstrumented(prog, cfg, pool, ctl, nil)
-}
-
-// RunPooledInstrumented is RunPooledControlled with an attached
-// Instrument (the hook the adaptive-fidelity runner uses to watch the
-// flow tier's contention from inside a pooled run).  A nil pool falls
-// back to a fresh, unpooled run with the same instrument and control.
-func RunPooledInstrumented(prog Program, cfg machine.Config, pool *runpool.Pool, ctl RunControl, inst Instrument) (*Result, error) {
-	if pool == nil {
+// Execute is the one run entrypoint: Run with every optional behaviour
+// selected by opt.  Pooled, controlled, wrapped and instrumented runs
+// are bit-for-bit identical to plain ones.
+func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
+	if opt.Pool == nil {
 		if cfg.P < 1 {
 			return nil, fmt.Errorf("app: run with P=%d", cfg.P)
 		}
@@ -223,20 +185,19 @@ func RunPooledInstrumented(prog Program, cfg machine.Config, pool *runpool.Pool,
 			blockBytes = mem.DefaultBlockBytes
 		}
 		space := mem.NewSpace(cfg.P, blockBytes)
-		eng := sim.NewEngine()
 		bind := func() (machine.Machine, error) { return machine.New(cfg, space) }
-		return runOn(prog, cfg, space, eng, bind, nil, inst, ctl)
+		return runOn(prog, cfg, space, sim.NewEngine(), bind, opt)
 	}
-	ctx, err := pool.Get(cfg)
+	ctx, err := opt.Pool.Get(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := runOn(prog, cfg, ctx.Space, ctx.Eng, ctx.Bind, nil, inst, ctl)
+	res, err := runOn(prog, cfg, ctx.Space, ctx.Eng, ctx.Bind, opt)
 	if err != nil {
-		pool.Discard(ctx)
+		opt.Pool.Discard(ctx)
 		return nil, err
 	}
-	pool.Put(ctx)
+	opt.Pool.Put(ctx)
 	return res, nil
 }
 
@@ -253,8 +214,8 @@ func RunPooledInstrumented(prog Program, cfg machine.Config, pool *runpool.Pool,
 // late Interrupt can never poison a subsequent run on the same (pooled)
 // engine.
 func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
-	bind func() (machine.Machine, error),
-	wrap func(machine.Machine) machine.Machine, inst Instrument, ctl RunControl) (*Result, error) {
+	bind func() (machine.Machine, error), opt Options) (*Result, error) {
+	wrap, inst, ctl := opt.Wrap, opt.Instrument, opt.Control
 	run := stats.NewRun(cfg.P)
 	ctx := &Ctx{P: cfg.P, Space: space, Run: run, Eng: eng, Phases: newPhaseProfile()}
 

@@ -141,6 +141,25 @@ func NewExtended(name string, scale Scale, seed int64) (app.Program, error) {
 	return b(scale, seed), nil
 }
 
+// Lookup builds a workload by name from either registry (their names are
+// disjoint); a name neither knows gets the paper suite's error.  It is
+// the one name resolver behind every run entrypoint; New and NewExtended
+// remain for callers that mean exactly one registry (suite-wide
+// experiments, the extension study).
+func Lookup(name string, scale Scale, seed int64) (app.Program, error) {
+	if b, ok := extended[name]; ok {
+		return b(scale, seed), nil
+	}
+	return New(name, scale, seed)
+}
+
+// Known reports whether Lookup can build name.
+func Known(name string) bool {
+	_, suite := registry[name]
+	_, ext := extended[name]
+	return suite || ext
+}
+
 // ExtendedNames lists the extension workloads.
 func ExtendedNames() []string {
 	names := make([]string, 0, len(extended))

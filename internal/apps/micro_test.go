@@ -59,12 +59,12 @@ func TestMicroNeighborIsLocalised(t *testing.T) {
 	meanHops := func(pattern Pattern) float64 {
 		prog := NewMicro(pattern, 200, 50, 1)
 		var rec *trace.Recorder
-		res, err := app.RunWrapped(prog, machine.Config{
+		res, err := app.Execute(prog, machine.Config{
 			Kind: machine.CLogP, Topology: "mesh", P: 16,
-		}, func(m machine.Machine) machine.Machine {
+		}, app.Options{Wrap: func(m machine.Machine) machine.Machine {
 			rec = trace.NewRecorder(m)
 			return rec
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,12 +72,12 @@ func TraceDrivenStudy(scale apps.Scale, seed int64, topo string, p int) ([]Trace
 			return nil, err
 		}
 		var rec *trace.Recorder
-		recRes, err := app.RunWrapped(prog, machine.Config{
+		recRes, err := app.Execute(prog, machine.Config{
 			Kind: machine.CLogP, Topology: topo, P: p,
-		}, func(m machine.Machine) machine.Machine {
+		}, app.Options{Wrap: func(m machine.Machine) machine.Machine {
 			rec = trace.NewRecorder(m)
 			return rec
-		})
+		}})
 		if err != nil {
 			return nil, err
 		}
@@ -480,14 +480,14 @@ func DegradedLinkStudy(appName string, scale apps.Scale, seed int64, p int, fact
 			return nil, err
 		}
 		factor := factor
-		res, err := app.RunWrapped(prog, machine.Config{
+		res, err := app.Execute(prog, machine.Config{
 			Kind: machine.Target, Topology: "mesh", P: p,
-		}, func(m machine.Machine) machine.Machine {
+		}, app.Options{Wrap: func(m machine.Machine) machine.Machine {
 			if factor > 1 {
 				m.(machine.Networked).Fabric().Degrade(victim, factor)
 			}
 			return m
-		})
+		}})
 		if err != nil {
 			return nil, err
 		}

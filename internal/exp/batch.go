@@ -131,21 +131,17 @@ func (s *Session) simulate(appName, topo string, kind machine.Kind, p int, pool 
 	if s.opt.Runner != nil {
 		return s.opt.Runner(appName, topo, kind, p)
 	}
-	prog, err := apps.New(appName, s.opt.Scale, s.opt.Seed)
+	// Ad-hoc figures may sweep the extension workloads too.
+	prog, err := apps.Lookup(appName, s.opt.Scale, s.opt.Seed)
 	if err != nil {
-		// Ad-hoc figures may sweep the extension workloads too.
-		var extErr error
-		prog, extErr = apps.NewExtended(appName, s.opt.Scale, s.opt.Seed)
-		if extErr != nil {
-			return nil, err
-		}
+		return nil, err
 	}
-	res, err := app.RunPooledControlled(prog, machine.Config{
+	res, err := app.Execute(prog, machine.Config{
 		Kind:     kind,
 		Topology: topo,
 		P:        p,
 		PortMode: s.opt.PortMode,
-	}, pool, app.RunControl{Timeout: s.opt.RunTimeout, Workers: s.opt.RunWorkers})
+	}, app.Options{Pool: pool, Control: app.RunControl{Timeout: s.opt.RunTimeout, Workers: s.opt.RunWorkers}})
 	if err != nil {
 		return nil, err
 	}

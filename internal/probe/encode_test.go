@@ -12,8 +12,16 @@ import (
 )
 
 // goldenSpec is the fixed run behind the golden profile encoding.
-func goldenSpec() (string, spasm.Scale, int64, spasm.Config) {
-	return "ep", spasm.Tiny, 1, spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 4}
+func goldenSpec() spasm.Spec {
+	return spasm.Spec{App: "ep", Scale: spasm.Tiny, Seed: 1, Machine: spasm.Target, Topology: "mesh", P: 4}
+}
+
+// runProfiled runs app at Tiny scale on cfg's machine with a profiler
+// configured by pc attached.
+func runProfiled(app string, cfg spasm.Config, pc spasm.ProfileConfig) (*spasm.Result, *spasm.Profile, error) {
+	return spasm.Execute(
+		spasm.Spec{App: app, Scale: spasm.Tiny, Machine: cfg.Kind, Topology: cfg.Topology, P: cfg.P},
+		spasm.RunOptions{Profile: &pc})
 }
 
 func encodeProfile(t *testing.T, p *probe.Profile) []byte {
@@ -32,12 +40,11 @@ func encodeProfile(t *testing.T, p *probe.Profile) []byte {
 // TestEncodeDeterministic runs the same spec twice, independently, and
 // requires byte-identical encoded profiles.
 func TestEncodeDeterministic(t *testing.T) {
-	app, sc, seed, cfg := goldenSpec()
-	_, p1, err := spasm.RunProfiled(app, sc, seed, cfg)
+	_, p1, err := spasm.RunSpecProfiled(goldenSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p2, err := spasm.RunProfiled(app, sc, seed, cfg)
+	_, p2, err := spasm.RunSpecProfiled(goldenSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +57,7 @@ func TestEncodeDeterministic(t *testing.T) {
 // TestEncodeRoundTrip checks that Encode → Decode → Encode is lossless,
 // both structurally and byte-for-byte.
 func TestEncodeRoundTrip(t *testing.T) {
-	app, sc, seed, cfg := goldenSpec()
-	_, p, err := spasm.RunProfiled(app, sc, seed, cfg)
+	_, p, err := spasm.RunSpecProfiled(goldenSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +80,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 var update = os.Getenv("UPDATE_GOLDEN") != ""
 
 func TestEncodeGolden(t *testing.T) {
-	app, sc, seed, cfg := goldenSpec()
-	_, p, err := spasm.RunProfiled(app, sc, seed, cfg)
+	_, p, err := spasm.RunSpecProfiled(goldenSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

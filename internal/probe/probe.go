@@ -363,8 +363,8 @@ func (e *epochAcc) merge(o *epochAcc, budget, ovfID int) {
 	}
 }
 
-// Profiler samples one run.  Create with New, pass to
-// app.RunInstrumented (or use the spasm.RunProfiled façade), then read
+// Profiler samples one run.  Create with New, pass to app.Execute as
+// Options.Instrument (or use the spasm.Execute façade), then read
 // Profile.  A Profiler must not be reused across runs without calling
 // Reset between them.
 type Profiler struct {

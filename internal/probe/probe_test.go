@@ -30,7 +30,7 @@ func TestEpochAccounting(t *testing.T) {
 	for _, tc := range profiledCases {
 		t.Run(tc.app+"/"+tc.kind.String(), func(t *testing.T) {
 			cfg := spasm.Config{Kind: tc.kind, Topology: tc.topo, P: tc.p}
-			res, prof, err := spasm.RunProfiled(tc.app, spasm.Tiny, 1, cfg)
+			res, prof, err := runProfiled(tc.app, cfg, spasm.ProfileConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestProfilingDoesNotPerturb(t *testing.T) {
 	for _, tc := range profiledCases {
 		t.Run(tc.app+"/"+tc.kind.String(), func(t *testing.T) {
 			cfg := spasm.Config{Kind: tc.kind, Topology: tc.topo, P: tc.p}
-			profiled, _, err := spasm.RunProfiled(tc.app, spasm.Tiny, 1, cfg)
+			profiled, _, err := runProfiled(tc.app, cfg, spasm.ProfileConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,8 +117,7 @@ func TestProfilingDoesNotPerturb(t *testing.T) {
 // bounded by the epoch length, link ids are valid and sorted, and the
 // per-epoch histograms account for every fabric transmission.
 func TestLinkOccupancy(t *testing.T) {
-	res, prof, err := spasm.RunProfiled("fft", spasm.Tiny, 1,
-		spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8})
+	res, prof, err := runProfiled("fft", spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8}, spasm.ProfileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestLinkOccupancy(t *testing.T) {
 func BenchmarkProfiledRun(b *testing.B) {
 	cfg := spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := spasm.RunProfiled("fft", spasm.Tiny, 1, cfg); err != nil {
+		if _, _, err := runProfiled("fft", cfg, spasm.ProfileConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,11 +161,11 @@ func BenchmarkProfiledRun(b *testing.B) {
 // forces pairwise merges, and the merged profile still reconciles.
 func TestResolutionCoarsening(t *testing.T) {
 	cfg := spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8}
-	res, fine, err := spasm.RunProfiled("fft", spasm.Tiny, 1, cfg)
+	res, fine, err := runProfiled("fft", cfg, spasm.ProfileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, coarse, err := spasm.RunProfiledConfig("fft", spasm.Tiny, 1, cfg,
+	_, coarse, err := runProfiled("fft", cfg,
 		spasm.ProfileConfig{MaxEpochs: 8})
 	if err != nil {
 		t.Fatal(err)

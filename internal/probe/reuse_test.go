@@ -33,7 +33,7 @@ func TestProfilerReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := machine.Config{Kind: tc.kind, Topology: tc.topo, P: tc.p}
-		if _, err := app.RunInstrumented(prog, cfg, nil, pr); err != nil {
+		if _, err := app.Execute(prog, cfg, app.Options{Instrument: pr}); err != nil {
 			t.Fatal(err)
 		}
 		return pr.Profile()

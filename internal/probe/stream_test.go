@@ -15,13 +15,13 @@ import (
 func TestOnEpochStreamsLiveEvents(t *testing.T) {
 	cfg := spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8}
 
-	_, plain, err := spasm.RunProfiledConfig("fft", spasm.Tiny, 1, cfg, spasm.ProfileConfig{})
+	_, plain, err := runProfiled("fft", cfg, spasm.ProfileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var events []spasm.ProfileEpochEvent
-	_, hooked, err := spasm.RunProfiledConfig("fft", spasm.Tiny, 1, cfg,
+	_, hooked, err := runProfiled("fft", cfg,
 		spasm.ProfileConfig{OnEpoch: func(ev spasm.ProfileEpochEvent) {
 			events = append(events, ev)
 		}})
@@ -77,8 +77,7 @@ func TestOnEpochStreamsLiveEvents(t *testing.T) {
 // on the profile's final epoch.
 func TestOnEpochSurvivesRescale(t *testing.T) {
 	var events []spasm.ProfileEpochEvent
-	_, prof, err := spasm.RunProfiledConfig("fft", spasm.Tiny, 1,
-		spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8},
+	_, prof, err := runProfiled("fft", spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8},
 		spasm.ProfileConfig{MaxEpochs: 8, OnEpoch: func(ev spasm.ProfileEpochEvent) {
 			events = append(events, ev)
 		}})

@@ -108,14 +108,7 @@ type RunStatus struct {
 
 // statusFromEntry renders a completed cache entry as a job status.
 func statusFromEntry(e *entry, cached bool) RunStatus {
-	st := RunStatus{ID: e.id, State: StateDone, Spec: e.req, Cached: cached, Error: e.err, Result: e.doc}
-	switch {
-	case e.canceled:
-		st.State = StateCanceled
-	case e.err != "":
-		st.State = StateFailed
-	}
-	return st
+	return RunStatus{ID: e.id, State: e.state(), Spec: e.req, Cached: cached, Error: e.err, Result: e.doc}
 }
 
 // Health is the wire form of GET /healthz.

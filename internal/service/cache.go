@@ -19,7 +19,8 @@ import (
 // GET /v1/runs/{id}/profile re-executes the spec with the probe
 // attached (profiles are deterministic, so this is safe) and memoizes
 // the decoded profile plus its canonical encoding here, where it ages
-// out together with the result it belongs to.
+// out together with the result it belongs to.  A published entry is
+// never mutated: the memo replaces it with a copy (resultTier.memoize).
 type entry struct {
 	id    string
 	req   RunRequest
@@ -35,9 +36,20 @@ type entry struct {
 	profBytes []byte
 }
 
+// state is the terminal job state the entry records.
+func (e *entry) state() State {
+	switch {
+	case e.canceled:
+		return StateCanceled
+	case e.err != "":
+		return StateFailed
+	}
+	return StateDone
+}
+
 // lru is a fixed-capacity least-recently-used cache of entries keyed by
 // content address.  It is not self-locking: every method must be called
-// with the owning Server's mutex held.
+// with the owning resultTier's mutex held.
 type lru struct {
 	max  int
 	ll   *list.List // front = most recently used; values are *entry
@@ -100,11 +112,11 @@ func (c *lru) counters() (hits, misses, evictions uint64, entries int) {
 // run timeout under a deadline the operator later raises) must not be
 // remembered forever.  Hence: a small separate capacity and an expiry.
 // Like lru it is not self-locking; every method runs under the owning
-// Server's mutex.
+// resultTier's mutex.
 type negCache struct {
-	max int
-	ttl time.Duration
-	ll  *list.List // front = newest; values are *negEntry
+	max  int
+	ttl  time.Duration
+	ll   *list.List // front = newest; values are *negEntry
 	byID map[string]*list.Element
 
 	hits uint64

@@ -298,6 +298,55 @@ func TestChaosMarshalFailure(t *testing.T) {
 	}
 }
 
+// TestChaosProfileDerivation: the /profile re-derivation is a simulation
+// like any other, so it runs where the workers' runs do — behind the
+// RunExec fault point and on the server's context pool (and therefore
+// under RunTimeout).  It used to call the façade bare on the HTTP
+// handler goroutine, outside all three.
+func TestChaosProfileDerivation(t *testing.T) {
+	defer faults.Reset()
+	svc := service.New(service.Config{Workers: 1, RunTimeout: time.Minute})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	j, _, err := svc.Submit(cheapSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := svc.Wait(ctx, j); err != nil || st.State != service.StateDone {
+		t.Fatalf("seeding run: %v / %+v", err, st)
+	}
+	poolRuns := func() float64 {
+		return chaosMetric(t, svc, "spasmd_pool_hits_total") + chaosMetric(t, svc, "spasmd_pool_misses_total")
+	}
+	before := poolRuns()
+
+	restore := faults.Set(faults.RunExec, func() error { return fmt.Errorf("injected profile fault") })
+	if _, _, err := svc.Profile(j.ID()); err == nil || !strings.Contains(err.Error(), "injected profile fault") {
+		t.Fatalf("profile derivation bypassed the RunExec fault point: err = %v", err)
+	}
+	restore()
+
+	// The server keeps serving, the failure was not memoized, and the
+	// derivation draws its context from the pool.
+	if _, raw, err := svc.Profile(j.ID()); err != nil || len(raw) == 0 {
+		t.Fatalf("profile after restore: %d bytes, %v", len(raw), err)
+	}
+	if got := poolRuns(); got != before+1 {
+		t.Fatalf("pool hits+misses went %v -> %v across one profile derivation, want +1", before, got)
+	}
+	j2, _, err := svc.Submit(cheapSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := svc.Wait(ctx, j2); err != nil || st.State != service.StateDone {
+		t.Fatalf("post-fault run: %v / %+v", err, st)
+	}
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShutdownSubmitRace hammers Submit from many goroutines while
 // Shutdown closes the queue, pinning the invariant that the queue send
 // happens under the same mutex that guards close(s.queue): a regression

@@ -91,9 +91,6 @@ func TestCoalescingUnderConcurrency(t *testing.T) {
 		t.Fatalf("each spec should simulate exactly once: queued %d, done %d, want %d",
 			queued, done, len(specs))
 	}
-	if alias := metricValue(t, page, "spasmd_jobs_coalesced_total"); alias != coalesced {
-		t.Fatalf("jobs_coalesced alias %d != runs_coalesced %d", alias, coalesced)
-	}
 	// The worker ran on the context pool; its counters are exported.
 	if metricValue(t, page, "spasmd_pool_misses_total")+metricValue(t, page, "spasmd_pool_hits_total") != done {
 		t.Fatalf("pool hit+miss should equal runs executed:\n%s", page)

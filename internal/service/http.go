@@ -85,7 +85,7 @@ func writeUnavailable(w http.ResponseWriter, err error) {
 }
 
 // submitStatus maps a submission outcome to its HTTP form.
-func (s *Server) submitStatus(w http.ResponseWriter, j *Job, hit bool, err error) {
+func (s *Server) submitStatus(w http.ResponseWriter, j *Job, err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
@@ -101,10 +101,9 @@ func (s *Server) submitStatus(w http.ResponseWriter, j *Job, hit bool, err error
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	// j.cached covers both cache flavours: positive hits (hit=true) and
-	// remembered failures served from the negative cache (hit=false but
-	// the job is already failed) — both are answered outright with 200.
-	if hit || j.cached {
+	// j.cached covers both cache flavours, stored successes and
+	// remembered failures — both are answered outright with 200.
+	if j.cached {
 		writeJSON(w, http.StatusOK, statusFromEntry(j.entry, true))
 		return
 	}
@@ -169,7 +168,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		opt.stream = true
 		j, _, release, err := s.submitWaited(spec, opt)
 		if err != nil {
-			s.submitStatus(w, nil, false, err)
+			s.submitStatus(w, nil, err)
 			return
 		}
 		defer release()
@@ -177,8 +176,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opt.pin = true
-	j, hit, err := s.submit(spec, opt)
-	s.submitStatus(w, j, hit, err)
+	j, _, err := s.submit(spec, opt)
+	s.submitStatus(w, j, err)
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {

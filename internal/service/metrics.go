@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"spasm"
 )
 
 // latencyBounds are the per-endpoint histogram bucket upper bounds, in
@@ -207,9 +209,9 @@ func (m *Metrics) observe(path string, d time.Duration) {
 }
 
 // render writes the metrics in the Prometheus text exposition format.
-// Cache, queue, and pool figures are passed in by the Server, which owns
-// them.
-func (m *Metrics) render(b *strings.Builder, queueDepth int, hits, misses, evictions uint64, entries int, negHits uint64, negEntries int, pool poolStats, poolKinds map[string]poolStats, st storeCounters, tenantQueued []tenantDepth) {
+// Result-tier, queue, and pool figures are passed in by the Server,
+// which owns them.
+func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, pool spasm.PoolStats, poolKinds map[string]spasm.PoolStats, tenantQueued []tenantDepth) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fmt.Fprintf(b, "spasmd_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
@@ -217,10 +219,7 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, hits, misses, evict
 	fmt.Fprintf(b, "spasmd_workers_busy %d\n", m.busy)
 	fmt.Fprintf(b, "spasmd_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(b, "spasmd_jobs_submitted_total %d\n", m.submitted)
-	// runs_coalesced is the canonical name; jobs_coalesced is kept as an
-	// alias of the same counter for dashboards built against PR 1.
 	fmt.Fprintf(b, "spasmd_runs_coalesced_total %d\n", m.coalesced)
-	fmt.Fprintf(b, "spasmd_jobs_coalesced_total %d\n", m.coalesced)
 	fmt.Fprintf(b, "spasmd_jobs_done_total %d\n", m.done)
 	fmt.Fprintf(b, "spasmd_jobs_failed_total %d\n", m.failed)
 	fmt.Fprintf(b, "spasmd_jobs_canceled_total %d\n", m.canceled)
@@ -237,15 +236,15 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, hits, misses, evict
 	fmt.Fprintf(b, "spasmd_profile_cache_hits_total %d\n", m.profHits)
 	fmt.Fprintf(b, "spasmd_profile_cache_misses_total %d\n", m.profMiss)
 	fmt.Fprintf(b, "spasmd_profiles_coalesced_total %d\n", m.profCoalesced)
-	fmt.Fprintf(b, "spasmd_cache_hits_total %d\n", hits)
-	fmt.Fprintf(b, "spasmd_cache_misses_total %d\n", misses)
-	fmt.Fprintf(b, "spasmd_cache_evictions_total %d\n", evictions)
-	fmt.Fprintf(b, "spasmd_cache_entries %d\n", entries)
+	fmt.Fprintf(b, "spasmd_cache_hits_total %d\n", tier.hits)
+	fmt.Fprintf(b, "spasmd_cache_misses_total %d\n", tier.misses)
+	fmt.Fprintf(b, "spasmd_cache_evictions_total %d\n", tier.evictions)
+	fmt.Fprintf(b, "spasmd_cache_entries %d\n", tier.entries)
 	// negative_hits counts submissions answered a remembered failure —
 	// distinct from cache_hits, which stays a successes-only counter.
-	fmt.Fprintf(b, "spasmd_cache_negative_hits_total %d\n", negHits)
-	fmt.Fprintf(b, "spasmd_cache_negative_entries %d\n", negEntries)
-	if st.Enabled {
+	fmt.Fprintf(b, "spasmd_cache_negative_hits_total %d\n", tier.negHits)
+	fmt.Fprintf(b, "spasmd_cache_negative_entries %d\n", tier.negEntries)
+	if st := tier.store; st != nil {
 		// Durable result store: disk tier below the in-memory LRU.
 		fmt.Fprintf(b, "spasmd_store_hits_total %d\n", st.Hits)
 		fmt.Fprintf(b, "spasmd_store_misses_total %d\n", st.Misses)
@@ -307,45 +306,14 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, hits, misses, evict
 	}
 }
 
-// poolStats mirrors the run-context pool's counters for rendering
-// without importing the pool type here.
-type poolStats struct {
-	Hits, Misses    uint64
-	Live, Discarded int
-}
-
-// storeCounters mirrors the durable store's counters for rendering
-// without importing the store type here.  Enabled is false when the
-// daemon runs memory-only, which suppresses the store lines entirely.
-type storeCounters struct {
-	Enabled                      bool
-	Hits, Misses, Writes, Errors uint64
-	Entries                      int
-	Bytes                        int64
-}
-
 // Render returns the full metrics page; the Server method gathers the
-// cache, queue, and pool numbers under the locks that own them.
+// result-tier, queue, and pool numbers under the locks that own them.
 func (s *Server) RenderMetrics() string {
 	s.mu.Lock()
-	hits, misses, evictions, entries := s.cache.counters()
-	negHits, negEntries := s.neg.counters()
 	tenantQueued := s.fq.queuedByTenant()
 	s.mu.Unlock()
-	ps := s.pool.Stats()
-	byKind := make(map[string]poolStats)
-	for k, ks := range s.pool.StatsByKind() {
-		byKind[k] = poolStats{Hits: ks.Hits, Misses: ks.Misses, Live: ks.Live, Discarded: ks.Discarded}
-	}
-	var st storeCounters
-	if s.store != nil {
-		ss := s.store.Stats()
-		st = storeCounters{Enabled: true, Hits: ss.Hits, Misses: ss.Misses,
-			Writes: ss.Writes, Errors: ss.Errors, Entries: ss.Entries, Bytes: ss.Bytes}
-	}
 	var b strings.Builder
-	s.metrics.render(&b, s.QueueDepth(), hits, misses, evictions, entries, negHits, negEntries,
-		poolStats{Hits: ps.Hits, Misses: ps.Misses, Live: ps.Live, Discarded: ps.Discarded}, byKind,
-		st, tenantQueued)
+	s.metrics.render(&b, s.QueueDepth(), s.results.counters(),
+		s.pool.Stats(), s.pool.StatsByKind(), tenantQueued)
 	return b.String()
 }

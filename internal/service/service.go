@@ -204,18 +204,17 @@ var closedChan = func() chan struct{} {
 	return ch
 }()
 
-// Server owns the job queue, the worker pool, and the result cache.
-// Create one with New, expose it with Handler, stop it with Shutdown.
+// Server owns the job queue, the worker pool, and admission; finished
+// runs live in its resultTier.  Create one with New, expose it with
+// Handler, stop it with Shutdown.
 type Server struct {
 	cfg     Config
 	metrics *Metrics
-	store   *store.Store // nil without a durable tier
+	results *resultTier // finished runs: LRU, durable store, negative cache
 
 	mu         sync.Mutex
 	cond       *sync.Cond      // signals workers on fq.push and on drain
 	active     map[string]*Job // pending + running jobs by ID
-	cache      *lru            // completed successes (also guarded by mu)
-	neg        *negCache       // completed failures, bounded + TTL'd (also guarded by mu)
 	fq         *fairQueue      // pending jobs, weighted-fair across tenants
 	draining   bool
 	profFlight map[string]*profFlight // in-flight profile computations by ID
@@ -249,10 +248,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		metrics:    newMetrics(time.Now(), cfg.Workers),
-		store:      cfg.Store,
+		results:    newResultTier(cfg),
 		active:     make(map[string]*Job),
-		cache:      newLRU(cfg.CacheSize),
-		neg:        newNegCache(cfg.NegativeCacheSize, cfg.NegativeTTL),
 		fq:         newFairQueue(cfg),
 		profFlight: make(map[string]*profFlight),
 		pool:       spasm.NewRunPool(idle),
@@ -340,26 +337,11 @@ func (s *Server) submit(spec spasm.Spec, opt submitOpts) (job *Job, hit bool, er
 		s.metrics.jobCoalesced()
 		return j, false, nil
 	}
-	if e, ok := s.cache.get(id, true); ok {
+	if e, ok := s.results.lookup(id, true); ok {
+		// Already finished, by this process or an earlier one: no worker
+		// is burned.
 		s.mu.Unlock()
-		j := &Job{id: id, spec: spec, req: RequestFromSpec(spec), entry: e, done: closedChan, cached: true}
-		j.state = StateDone
-		return j, true, nil
-	}
-	if e, ok := s.storeLookupLocked(id); ok {
-		// Durable tier hit: the run was computed by an earlier process.
-		// The promoted entry serves exactly the bytes that process wrote,
-		// and no worker is burned.
-		s.mu.Unlock()
-		j := &Job{id: id, spec: spec, req: RequestFromSpec(spec), entry: e, done: closedChan, cached: true}
-		j.state = StateDone
-		return j, true, nil
-	}
-	if e, ok := s.neg.get(id, time.Now(), true); ok {
-		s.mu.Unlock()
-		j := &Job{id: id, spec: spec, req: RequestFromSpec(spec), entry: e, done: closedChan, cached: true}
-		j.state = StateFailed
-		return j, false, nil
+		return cachedJob(e), e.err == "", nil
 	}
 	if s.draining {
 		s.mu.Unlock()
@@ -393,58 +375,9 @@ func (s *Server) submit(spec spasm.Spec, opt submitOpts) (job *Job, hit bool, er
 	return j, false, nil
 }
 
-// storeLookupLocked reads id through the durable store, promoting a hit
-// into the in-memory LRU.  Must be called with s.mu held (the disk read
-// is one small file; simulations dwarf it).
-func (s *Server) storeLookupLocked(id string) (*entry, bool) {
-	if s.store == nil {
-		return nil, false
-	}
-	rec, ok := s.store.Get(id)
-	if !ok {
-		return nil, false
-	}
-	var req RunRequest
-	if err := json.Unmarshal(rec.Spec, &req); err != nil {
-		return nil, false
-	}
-	e := &entry{id: id, req: req, doc: rec.Doc}
-	if len(rec.Stats) > 0 {
-		var st stats.Run
-		if err := json.Unmarshal(rec.Stats, &st); err == nil {
-			e.stats = &st
-		}
-	}
-	s.cache.add(e)
-	return e, true
-}
-
-// storeWrite persists a successful run record (and its profile, when
-// one was materialized).  Runs on the worker goroutine, outside the
-// server mutex — fsync is the slow part.  Store failures never fail the
-// job: the result stays served from memory and the store's own error
-// counter records the miss of durability.
-func (s *Server) storeWrite(e *entry) {
-	if s.store == nil || e.err != "" || len(e.doc) == 0 {
-		return
-	}
-	rec := store.Record{ID: e.id, Doc: e.doc}
-	if specJSON, err := json.Marshal(e.req); err == nil {
-		rec.Spec = specJSON
-	}
-	if e.stats != nil {
-		// Wall is host wall-clock — the one non-deterministic field — so
-		// it is zeroed in the durable record to keep it spec-pure.
-		st := *e.stats
-		st.Wall = 0
-		if stJSON, err := json.Marshal(&st); err == nil {
-			rec.Stats = stJSON
-		}
-	}
-	s.store.Put(rec)
-	if len(e.profBytes) > 0 {
-		s.store.PutProfile(e.id, e.profBytes)
-	}
+// cachedJob wraps a finished run as an already-completed job.
+func cachedJob(e *entry) *Job {
+	return &Job{id: e.id, req: e.req, state: e.state(), entry: e, done: closedChan, cached: true}
 }
 
 // releaseWaiter detaches one SubmitWaited (or stream) registration from
@@ -519,32 +452,26 @@ func (s *Server) execute(job *Job) {
 	}
 
 	e := &entry{id: job.id, req: job.req}
-	var res *spasm.Result
-	var prof *probe.Profile
-	var err error
+	var live *spasm.ProfileConfig
 	if hub != nil && !job.spec.Adaptive {
-		res, prof, err = runSpecProfiledSafely(job.spec, s.pool, s.cfg.RunTimeout,
-			func(ev probe.EpochEvent) {
-				hub.publish(eventEpoch, streamEpoch(ev))
-				s.metrics.streamEventEmitted()
-			})
-	} else {
-		res, err = runSpecSafely(job.spec, s.pool, s.cfg.RunTimeout)
+		live = &spasm.ProfileConfig{OnEpoch: func(ev probe.EpochEvent) {
+			hub.publish(eventEpoch, streamEpoch(ev))
+			s.metrics.streamEventEmitted()
+		}}
 	}
-	if err == nil && res.Escalation != nil && res.Escalation.Tripped {
-		s.metrics.runEscalated()
-	}
-	if err == nil && res.Par != nil {
-		s.metrics.runParallelOutcome(res.Par.Parallel)
+	res, prof, err := s.runSafely(job.spec, live)
+	if err == nil {
+		if res.Escalation != nil && res.Escalation.Tripped {
+			s.metrics.runEscalated()
+		}
+		if res.Par != nil {
+			s.metrics.runParallelOutcome(res.Par.Parallel)
+		}
+		err = faults.Fire(faults.Marshal)
 	}
 	if err == nil {
-		if err = faults.Fire(faults.Marshal); err == nil {
-			var doc []byte
-			doc, err = json.Marshal(report.RunJSON(res))
-			if err == nil {
-				e.doc = doc
-				e.stats = res.Stats
-			}
+		if e.doc, err = json.Marshal(report.RunJSON(res)); err == nil {
+			e.stats = res.Stats
 		}
 	}
 	if err == nil && prof != nil {
@@ -557,40 +484,22 @@ func (s *Server) execute(job *Job) {
 	if err != nil {
 		e.err = err.Error()
 	}
-	// Persist before publishing: once a client has seen "done", the
-	// record survives an immediate restart.
-	s.storeWrite(e)
 	s.finish(job, e, timedOut)
 }
 
-// runSpecSafely shields the daemon from panicking simulations: invalid
-// topology/processor combinations (and any future simulator bug) fail
-// the one job — deterministically, so the failure is cacheable — rather
-// than killing the server.  Runs execute on the server's context pool
-// under the configured wall-clock deadline; pooled runs are bit-identical
-// to fresh ones, and the RunDoc the worker stores is derived from the
-// result's freshly allocated statistics, so nothing cached aliases
-// pooled state.  A run that fails — aborted, panicked, or otherwise —
-// discards its pooled context instead of returning it (half-finished
-// simulation state never re-enters the pool).
-func runSpecSafely(spec spasm.Spec, pool *spasm.RunPool, timeout time.Duration) (res *spasm.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("run panicked: %v", r)
-		}
-	}()
-	if err := faults.Fire(faults.RunExec); err != nil {
-		return nil, err
-	}
-	return spasm.RunSpecControlled(spec, pool, spasm.RunControl{Timeout: timeout})
-}
-
-// runSpecProfiledSafely is runSpecSafely on the instrumented path: the
-// probe attaches to the run and onEpoch fires live as epochs close.
-// Profiled results are bit-identical to plain ones (profiling does not
-// perturb), so the cached RunDoc is the same either way.
-func runSpecProfiledSafely(spec spasm.Spec, pool *spasm.RunPool, timeout time.Duration,
-	onEpoch func(probe.EpochEvent)) (res *spasm.Result, prof *probe.Profile, err error) {
+// runSafely is the one guarded way the daemon simulates: on the
+// server's context pool, under the configured wall-clock deadline, behind
+// the RunExec fault point, with panics converted to errors.  Invalid
+// topology/processor combinations (and any future simulator bug) thus
+// fail the one request — deterministically, so the failure is cacheable
+// — rather than killing the server, and no simulation a client can
+// start escapes the operator's RunTimeout.  Pooled runs are
+// bit-identical to fresh ones, and a run that fails — aborted, panicked,
+// or otherwise — discards its pooled context instead of returning it.
+// A non-nil profile attaches the probe (its OnEpoch fires live as epochs
+// close); profiling does not perturb results, so the RunDoc is the same
+// either way.
+func (s *Server) runSafely(spec spasm.Spec, profile *spasm.ProfileConfig) (res *spasm.Result, prof *probe.Profile, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, prof, err = nil, nil, fmt.Errorf("run panicked: %v", r)
@@ -599,24 +508,21 @@ func runSpecProfiledSafely(spec spasm.Spec, pool *spasm.RunPool, timeout time.Du
 	if err := faults.Fire(faults.RunExec); err != nil {
 		return nil, nil, err
 	}
-	return spasm.RunSpecProfiledControlled(spec, pool,
-		spasm.RunControl{Timeout: timeout}, spasm.ProfileConfig{OnEpoch: onEpoch})
+	return spasm.Execute(spec, spasm.RunOptions{
+		Pool:    s.pool,
+		Control: spasm.RunControl{Timeout: s.cfg.RunTimeout},
+		Profile: profile,
+	})
 }
 
-// finish publishes a job's result: successes into the result cache,
-// failures into the bounded negative cache, the job out of the active
-// set and its tenant's run quota, and the outcome to anyone blocked on
-// Done or subscribed to the stream.
+// finish publishes a job's result: the entry into the result tier, the
+// job out of the active set and its tenant's run quota, and the outcome
+// to anyone blocked on Done or subscribed to the stream.
 func (s *Server) finish(job *Job, e *entry, timedOut bool) {
+	s.results.publish(e)
 	s.mu.Lock()
 	job.entry = e
-	if e.err != "" {
-		job.state = StateFailed
-		s.neg.add(e, time.Now())
-	} else {
-		job.state = StateDone
-		s.cache.add(e)
-	}
+	job.state = e.state()
 	s.fq.jobDone(job)
 	delete(s.active, job.id)
 	s.mu.Unlock()
@@ -640,21 +546,14 @@ func (s *Server) Wait(ctx context.Context, j *Job) (RunStatus, error) {
 }
 
 // Status reports a job by ID: an active (pending/running) job, or a
-// completed one still in the result cache (successes), the negative
-// cache (unexpired failures), or the durable store.
+// finished one the result tier still holds.
 func (s *Server) Status(id string) (RunStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.active[id]; ok {
 		return RunStatus{ID: j.id, State: j.state, Spec: j.req}, true
 	}
-	if e, ok := s.cache.get(id, false); ok {
-		return statusFromEntry(e, false), true
-	}
-	if e, ok := s.neg.get(id, time.Now(), false); ok {
-		return statusFromEntry(e, false), true
-	}
-	if e, ok := s.storeLookupLocked(id); ok {
+	if e, ok := s.results.lookup(id, false); ok {
 		return statusFromEntry(e, false), true
 	}
 	return RunStatus{}, false
@@ -714,71 +613,45 @@ func (s *Server) Profile(id string) (*probe.Profile, []byte, error) {
 		<-fl.done
 		return fl.prof, fl.raw, fl.err
 	}
-	e, ok := s.cache.get(id, false)
-	if !ok {
-		e, ok = s.storeLookupLocked(id)
+	e, ok := s.results.profile(id)
+	var fl *profFlight
+	if ok && e.err == "" && e.prof == nil {
+		fl = &profFlight{done: make(chan struct{})}
+		s.profFlight[id] = fl
 	}
-	if ok && e.err == "" && e.prof == nil && s.store != nil {
-		// The store may also hold the run's encoded profile (written by a
-		// past process, or by this one before an eviction); decoding it
-		// here turns the request into a cache hit instead of a re-run.
-		if raw, hit := s.store.GetProfile(id); hit {
-			if prof, err := probe.Decode(bytes.NewReader(raw)); err == nil {
-				e.prof, e.profBytes = prof, raw
-			}
-		}
-	}
-	if !ok {
-		if ne, negOK := s.neg.get(id, time.Now(), false); negOK {
-			s.mu.Unlock()
-			return nil, nil, fmt.Errorf("service: run %s failed: %s", id[:12], ne.err)
-		}
-		s.mu.Unlock()
-		return nil, nil, ErrUnknownRun
-	}
-	if e.err != "" {
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("service: run %s failed: %s", id[:12], e.err)
-	}
-	if e.prof != nil {
-		prof, raw := e.prof, e.profBytes
-		s.mu.Unlock()
-		s.metrics.profileServed(true)
-		return prof, raw, nil
-	}
-	fl := &profFlight{done: make(chan struct{})}
-	s.profFlight[id] = fl
-	req := e.req
 	s.mu.Unlock()
+	switch {
+	case !ok:
+		return nil, nil, ErrUnknownRun
+	case e.err != "":
+		return nil, nil, fmt.Errorf("service: run %s failed: %s", id[:12], e.err)
+	case e.prof != nil:
+		s.metrics.profileServed(true)
+		return e.prof, e.profBytes, nil
+	}
 	s.metrics.profileServed(false)
 
-	fl.prof, fl.raw, fl.err = computeProfile(req)
-	if fl.err == nil && s.store != nil {
-		s.store.PutProfile(id, fl.raw)
+	fl.prof, fl.raw, fl.err = s.deriveProfile(e.req)
+	if fl.err == nil {
+		s.results.memoize(id, fl.prof, fl.raw)
 	}
 
-	// Memoize on the entry if it is still cached, then release the
-	// flight so waiters can read the result.
+	// Release the flight so waiters can read the result.
 	s.mu.Lock()
-	if fl.err == nil {
-		if e, ok := s.cache.get(id, false); ok && e.prof == nil {
-			e.prof, e.profBytes = fl.prof, fl.raw
-		}
-	}
 	delete(s.profFlight, id)
 	s.mu.Unlock()
 	close(fl.done)
 	return fl.prof, fl.raw, fl.err
 }
 
-// computeProfile derives a run's profile from its request: re-run the
-// spec instrumented, then encode the profile canonically.
-func computeProfile(req RunRequest) (*probe.Profile, []byte, error) {
+// deriveProfile re-runs a finished run's request with the probe attached
+// and encodes the profile canonically.
+func (s *Server) deriveProfile(req RunRequest) (*probe.Profile, []byte, error) {
 	spec, err := req.Spec()
 	if err != nil {
 		return nil, nil, err
 	}
-	prof, err := profileSpecSafely(spec)
+	_, prof, err := s.runSafely(spec, &spasm.ProfileConfig{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -787,18 +660,6 @@ func computeProfile(req RunRequest) (*probe.Profile, []byte, error) {
 		return nil, nil, err
 	}
 	return prof, buf.Bytes(), nil
-}
-
-// profileSpecSafely shields the daemon from panicking instrumented runs,
-// exactly like runSpecSafely does for plain runs.
-func profileSpecSafely(spec spasm.Spec) (prof *probe.Profile, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			prof, err = nil, fmt.Errorf("profiled run panicked: %v", r)
-		}
-	}()
-	_, prof, err = spasm.RunSpecProfiled(spec)
-	return prof, err
 }
 
 // QueueDepth reports the number of jobs waiting for a worker.

@@ -163,20 +163,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.serveStream(w, r, j)
 		return
 	}
-	e, ok := s.cache.get(id, false)
-	if !ok {
-		e, ok = s.neg.get(id, time.Now(), false)
-	}
-	if !ok {
-		e, ok = s.storeLookupLocked(id)
-	}
+	e, ok := s.results.lookup(id, false)
 	s.mu.Unlock()
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such run %q", id))
 		return
 	}
-	j := &Job{id: e.id, req: e.req, entry: e, done: closedChan, state: StateDone, cached: true}
-	s.serveStream(w, r, j)
+	s.serveStream(w, r, cachedJob(e))
 }
 
 // serveStream writes the SSE feed for j until the run completes or the

@@ -155,12 +155,9 @@ func TestProfileFlightSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-evict.Done()
-	svc.mu.Lock()
-	if _, stillCached := svc.cache.get(id, false); stillCached {
-		svc.mu.Unlock()
+	if _, stillCached := svc.results.lookup(id, false); stillCached {
 		t.Fatal("entry not evicted; test setup needs a smaller cache")
 	}
-	svc.mu.Unlock()
 
 	got := make(chan error, 1)
 	var gotRaw []byte

@@ -302,9 +302,6 @@ func (e *Engine) schedule(at Time, p *Proc) {
 		e.nowQ = append(e.nowQ, ev)
 	} else {
 		e.q.push(ev)
-		if e.q == &e.heap && e.heap.len() >= ladderPending {
-			e.escalate() // backlog outgrew the heap mid-run
-		}
 	}
 }
 

@@ -12,19 +12,18 @@ import (
 // never the order itself — so the selection is invisible to results.
 //
 // Selection: Run picks the ladder up front when the run spawns at least
-// ladderProcs processes; schedule escalates mid-run when the heap
-// backlog exceeds ladderPending events.  Both thresholds are deliberate
-// underestimates of where the heap's O(log n) starts to matter: the
-// ladder is never worse than the heap by more than a small constant, so
-// a premature escalation costs little, while a missed one costs log n
-// per event across tens of thousands of events.
+// ladderProcs processes, and the choice holds for the whole run (each
+// process has at most one live pending event, so the process count is
+// what sizes the backlog).  The threshold is a deliberate underestimate
+// of where the heap's O(log n) starts to matter: the ladder is never
+// worse than the heap by more than a small constant, so a premature
+// selection costs little, while a missed one costs log n per event
+// across tens of thousands of events.
 const (
 	// ladderProcs: a run with at least this many processes selects the
 	// ladder queue at Run (per domain-local queue in parallel mode:
 	// procs/domains).
 	ladderProcs = 256
-	// ladderPending: a heap backlog beyond this escalates mid-run.
-	ladderPending = 4096
 	// ladderSpread: buckets at most this large are sorted straight into
 	// the bottom run instead of spawning another rung.
 	ladderSpread = 64

@@ -20,11 +20,11 @@ func record(t *testing.T, appName string, kind machine.Kind, p int) (*Trace, *ap
 		t.Fatal(err)
 	}
 	var rec *Recorder
-	res, err := app.RunWrapped(prog, machine.Config{Kind: kind, Topology: "full", P: p},
-		func(m machine.Machine) machine.Machine {
+	res, err := app.Execute(prog, machine.Config{Kind: kind, Topology: "full", P: p},
+		app.Options{Wrap: func(m machine.Machine) machine.Machine {
 			rec = NewRecorder(m)
 			return rec
-		})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestFlow1024Procs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-processor run")
 	}
-	res, err := RunExtended("uniform", Tiny, 1, Config{Kind: Flow, Topology: "torus", P: 1024})
+	res, err := Run("uniform", Tiny, 1, Config{Kind: Flow, Topology: "torus", P: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTarget256Procs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor coherent run")
 	}
-	res, err := RunExtended("uniform", Tiny, 1, Config{Kind: Target, Topology: "mesh", P: 256})
+	res, err := Run("uniform", Tiny, 1, Config{Kind: Target, Topology: "mesh", P: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFlow1024PooledIdentical(t *testing.T) {
 		t.Skip("three 1024-processor runs")
 	}
 	cfg := Config{Kind: Flow, Topology: "torus", P: 1024}
-	fresh, err := RunExtended("uniform", Tiny, 1, cfg)
+	fresh, err := Run("uniform", Tiny, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFlow1024PooledIdentical(t *testing.T) {
 	}
 	pool := NewRunPool(0)
 	for pass := 0; pass < 2; pass++ {
-		pooled, err := RunOn("uniform", Tiny, 1, cfg, pool)
+		pooled, err := RunSpecOn(Spec{App: "uniform", Scale: Tiny, Machine: cfg.Kind, Topology: cfg.Topology, P: cfg.P}, pool)
 		if err != nil {
 			t.Fatalf("pooled pass %d: %v", pass, err)
 		}

@@ -53,7 +53,7 @@ func TestParallelRunsBitIdentical(t *testing.T) {
 	for _, app := range Apps() {
 		for _, c := range parallelCombos() {
 			spec := Spec{App: app, Scale: Tiny, Machine: c.kind, Topology: c.topo, P: 8}
-			seq, err := RunSpecControlled(spec, pool, RunControl{})
+			seq, err := RunSpecOn(spec, pool)
 			if err != nil {
 				t.Fatalf("sequential %s on %v/%s: %v", app, c.kind, c.topo, err)
 			}
@@ -64,7 +64,7 @@ func TestParallelRunsBitIdentical(t *testing.T) {
 			for _, workers := range []int{2, 4} {
 				pspec := spec
 				pspec.Workers = workers
-				par, err := RunSpecControlled(pspec, pool, RunControl{})
+				par, err := RunSpecOn(pspec, pool)
 				if err != nil {
 					t.Fatalf("parallel(%d) %s on %v/%s: %v", workers, app, c.kind, c.topo, err)
 				}
@@ -98,13 +98,13 @@ func TestParallelFallbackBitIdentical(t *testing.T) {
 	for _, app := range Apps() {
 		for _, kind := range []Kind{Target, CLogP} {
 			spec := Spec{App: app, Scale: Tiny, Machine: kind, P: 8}
-			seq, err := RunSpecControlled(spec, pool, RunControl{})
+			seq, err := RunSpecOn(spec, pool)
 			if err != nil {
 				t.Fatalf("sequential %s on %v: %v", app, kind, err)
 			}
 			pspec := spec
 			pspec.Workers = 4
-			par, err := RunSpecControlled(pspec, pool, RunControl{})
+			par, err := RunSpecOn(pspec, pool)
 			if err != nil {
 				t.Fatalf("workers=4 %s on %v: %v", app, kind, err)
 			}
@@ -175,7 +175,7 @@ func TestParallelAbortChaos(t *testing.T) {
 		50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond,
 		5 * time.Millisecond, 20 * time.Millisecond,
 	} {
-		_, err := RunSpecControlled(spec, pool, RunControl{Timeout: d})
+		_, _, err := Execute(spec, RunOptions{Pool: pool, Control: RunControl{Timeout: d}})
 		switch {
 		case err == nil: // deadline landed after completion
 		case errors.Is(err, ErrRunTimeout):
@@ -196,7 +196,7 @@ func TestParallelAbortChaos(t *testing.T) {
 			time.Sleep(delay)
 			close(cancel)
 		}(time.Duration(i) * 500 * time.Microsecond)
-		_, err := RunSpecControlled(spec, pool, RunControl{Cancel: cancel})
+		_, _, err := Execute(spec, RunOptions{Pool: pool, Control: RunControl{Cancel: cancel}})
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrRunCanceled):
@@ -214,11 +214,11 @@ func TestParallelAbortChaos(t *testing.T) {
 	// The pool must still serve clean, bit-identical runs after the abuse.
 	seq := spec
 	seq.Workers = 0
-	want, err := RunSpecControlled(seq, nil, RunControl{})
+	want, err := RunSpecOn(seq, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSpecControlled(spec, pool, RunControl{})
+	got, err := RunSpecOn(spec, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

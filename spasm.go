@@ -44,10 +44,11 @@
 // API (Compute, Read, Write, locks, flags, barriers); see
 // examples/custom_app.
 //
-// Long-running or abandoned simulations can be contained with
-// RunSpecControlled and RunControl: a wall-clock Timeout or a Cancel
-// channel cooperatively aborts the run (ErrRunTimeout, ErrRunCanceled),
-// unwinding every simulated-process goroutine before returning.
+// Runs described by a Spec go through Execute, whose RunOptions select
+// pooled contexts, a telemetry profile, and failure containment: a
+// RunControl Timeout or Cancel channel cooperatively aborts the run
+// (ErrRunTimeout, ErrRunCanceled), unwinding every simulated-process
+// goroutine before returning.
 package spasm
 
 import (
@@ -185,15 +186,6 @@ func Apps() []string { return apps.Names() }
 // (currently "mg", a hierarchical multigrid solver).
 func ExtendedApps() []string { return apps.ExtendedNames() }
 
-// RunExtended builds and simulates a named extension workload.
-func RunExtended(appName string, scale Scale, seed int64, cfg Config) (*Result, error) {
-	prog, err := apps.NewExtended(appName, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	return app.Run(prog, cfg)
-}
-
 // Machines lists the machine characterizations in comparison order.
 func Machines() []Kind { return machine.Kinds() }
 
@@ -206,10 +198,12 @@ func FigureByNumber(n int) (Figure, error) { return exp.ByNumber(n) }
 // ParseMetric converts "latency", "contention" or "exec" to a Metric.
 func ParseMetric(name string) (Metric, error) { return exp.ParseMetric(name) }
 
-// Run builds the named application at the given scale and seed and
-// simulates it on the configured machine.
+// Run builds the named application (paper suite or extension workload)
+// at the given scale and seed and simulates it on the configured
+// machine.  Unlike a Spec, a Config can carry cache geometry, cost and
+// L/g overrides.
 func Run(appName string, scale Scale, seed int64, cfg Config) (*Result, error) {
-	prog, err := apps.New(appName, scale, seed)
+	prog, err := apps.Lookup(appName, scale, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -426,33 +420,6 @@ type (
 	ProfileEpochEvent = probe.EpochEvent
 )
 
-// RunProfiled runs the named application like Run with a telemetry
-// profiler attached, returning the run result and its profile.  The
-// profile is deterministic: identical specs yield byte-identical
-// encodings (Profile.Encode).  Profiling does not perturb the simulated
-// execution — the result is identical to an unprofiled run's.
-func RunProfiled(appName string, scale Scale, seed int64, cfg Config) (*Result, *Profile, error) {
-	return RunProfiledConfig(appName, scale, seed, cfg, ProfileConfig{})
-}
-
-// RunProfiledConfig is RunProfiled with explicit profiler parameters.
-func RunProfiledConfig(appName string, scale Scale, seed int64, cfg Config, pc ProfileConfig) (*Result, *Profile, error) {
-	prog, err := apps.New(appName, scale, seed)
-	if err != nil {
-		var extErr error
-		prog, extErr = apps.NewExtended(appName, scale, seed)
-		if extErr != nil {
-			return nil, nil, err
-		}
-	}
-	pr := probe.New(pc)
-	res, err := app.RunInstrumented(prog, cfg, nil, pr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, pr.Profile(), nil
-}
-
 // DecodeProfile reads a profile serialized with Profile.Encode.
 func DecodeProfile(r io.Reader) (*Profile, error) { return probe.Decode(r) }
 
@@ -474,10 +441,10 @@ func RecordTrace(appName string, scale Scale, seed int64, cfg Config) (*Trace, *
 		return nil, nil, err
 	}
 	var rec *trace.Recorder
-	res, err := app.RunWrapped(prog, cfg, func(m machine.Machine) machine.Machine {
+	res, err := app.Execute(prog, cfg, app.Options{Wrap: func(m machine.Machine) machine.Machine {
 		rec = trace.NewRecorder(m)
 		return rec
-	})
+	}})
 	if err != nil {
 		return nil, nil, err
 	}

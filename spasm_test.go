@@ -102,14 +102,14 @@ func TestFacadeExtendedApps(t *testing.T) {
 	if got := ExtendedApps(); len(got) != 2 || got[0] != "mg" || got[1] != "uniform" {
 		t.Errorf("ExtendedApps() = %v, want [mg uniform]", got)
 	}
-	res, err := RunExtended("mg", Tiny, 1, Config{Kind: CLogP, Topology: "cube", P: 4})
+	res, err := Run("mg", Tiny, 1, Config{Kind: CLogP, Topology: "cube", P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Total <= 0 {
 		t.Error("empty mg run")
 	}
-	if _, err := RunExtended("nope", Tiny, 1, Config{Kind: Ideal, P: 2}); err == nil {
+	if _, err := Run("nope", Tiny, 1, Config{Kind: Ideal, P: 2}); err == nil {
 		t.Error("unknown extended workload accepted")
 	}
 }

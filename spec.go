@@ -3,6 +3,7 @@ package spasm
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 
 	"spasm/internal/app"
@@ -95,7 +96,7 @@ func (s Spec) Validate() error {
 	if s.App == "" {
 		return fmt.Errorf("spasm: spec has no application (have %v + %v)", Apps(), ExtendedApps())
 	}
-	if !knownApp(s.App) {
+	if !apps.Known(s.App) {
 		return fmt.Errorf("spasm: unknown application %q (have %v + %v)", s.App, Apps(), ExtendedApps())
 	}
 	if s.Scale < Tiny || s.Scale > Medium {
@@ -156,20 +157,6 @@ func knownTopology(name string) bool {
 	return false
 }
 
-func knownApp(name string) bool {
-	for _, n := range apps.Names() {
-		if n == name {
-			return true
-		}
-	}
-	for _, n := range apps.ExtendedNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Key returns the spec's canonical string form: a fixed field order with
 // all defaults made explicit, so any two semantically identical specs —
 // however they were constructed — yield byte-identical keys.  It is
@@ -201,89 +188,97 @@ func (s Spec) Config() Config {
 	}
 }
 
-// RunSpec builds and simulates the run a canonical spec describes.  It
-// is equivalent to Run (or RunExtended, for extension workloads) with
-// the spec's fields, and exists so that everything content-addressed by
-// Spec.Key — the spasmd result cache above all — executes runs through
-// one canonical path.
-func RunSpec(spec Spec) (*Result, error) {
-	return RunSpecControlled(spec, nil, RunControl{})
+// RunOptions selects how Execute runs a spec.  The zero value is a
+// fresh, unbounded, unprofiled run.
+type RunOptions struct {
+	// Pool, when non-nil, supplies reusable run contexts (engine, address
+	// space, machine — reset in place instead of constructed), so repeated
+	// runs of one configuration amortize setup.  The Result's Stats and
+	// Phases are safe to keep; its Machine and Space reference pooled
+	// state, readable only until the pool reuses the context.  A failed
+	// or aborted run discards its context.
+	Pool *RunPool
+	// Control bounds the run (Timeout, Cancel).  An explicit
+	// Control.Workers wins over the spec's Workers.
+	Control RunControl
+	// Profile, when non-nil, attaches a telemetry profiler with these
+	// parameters.  Profiling does not perturb the simulated execution,
+	// but it hooks the engine clock, which forces the sequential kernel
+	// even when Workers > 1.
+	Profile *ProfileConfig
 }
 
-// newProgram builds the program a spec names, trying the paper suite
-// first and the extension workloads second.
-func newProgram(spec Spec) (app.Program, error) {
-	prog, err := apps.New(spec.App, spec.Scale, spec.Seed)
-	if err != nil {
-		var extErr error
-		prog, extErr = apps.NewExtended(spec.App, spec.Scale, spec.Seed)
-		if extErr != nil {
-			return nil, err
-		}
-	}
-	return prog, nil
-}
+// ErrAdaptiveProfiled marks a live-profiled run rejected because the
+// spec is adaptive: adaptive runs resolve their network tier by
+// re-running, so a single live epoch stream cannot describe them.  Drop
+// ProfileConfig.OnEpoch (Execute then resolves the tier first) or pin
+// the machine explicitly.
+var ErrAdaptiveProfiled = errors.New("spasm: adaptive spec cannot be live-profiled; pin the machine tier")
 
-// RunSpecProfiled is RunSpec with a telemetry profiler attached; it is
-// the canonical path behind the spasmd /v1/runs/{id}/profile endpoint.
-// Profiles inherit RunSpec's determinism: the same spec always yields a
-// byte-identical encoded profile.  An adaptive spec resolves its network
-// tier first (the flow attempt, escalating on the contention threshold
-// exactly as RunSpec does) and the resolved tier's run is the one
-// profiled, so the profile always describes the run whose statistics
-// are returned.
-func RunSpecProfiled(spec Spec) (*Result, *Profile, error) {
+// Execute builds and simulates the run a spec describes.  It is the one
+// spec-running implementation — everything content-addressed by Spec.Key,
+// the spasmd workers above all, runs through it — and owns the whole
+// path: canonicalise, validate, hand Workers to the engine, resolve an
+// adaptive spec's network tier, attach the optional profiler
+// (docs/INTERNALS.md §14).  The Profile is nil unless opt.Profile is set.
+//
+// Results and profiles are deterministic: the same spec always yields
+// identical statistics and a byte-identical encoded profile, pooled or
+// not, profiled or not.  An adaptive spec with a profile resolves its
+// tier first and the resolved tier's run is the one profiled, so the
+// profile always describes the run whose statistics are returned; with
+// a live OnEpoch hook it is rejected with ErrAdaptiveProfiled instead.
+func Execute(spec Spec, opt RunOptions) (*Result, *Profile, error) {
 	spec = spec.Canonical()
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
+	run := app.Options{Pool: opt.Pool, Control: opt.Control}
+	if run.Control.Workers == 0 {
+		// The spec's Workers knob reaches the engine through RunControl.
+		run.Control.Workers = spec.Workers
+	}
+	var esc *Escalation
 	if spec.Adaptive {
-		res, err := RunSpec(spec)
-		if err != nil {
-			return nil, nil, err
+		if opt.Profile != nil && opt.Profile.OnEpoch != nil {
+			return nil, nil, ErrAdaptiveProfiled
 		}
-		resolved := spec
-		resolved.Adaptive = false
-		resolved.EscalatePct = 0
-		resolved.Machine = res.Config.Kind
-		prof, err := profileSpec(resolved)
-		if err != nil {
-			return nil, nil, err
+		res, err := runAdaptive(spec, run)
+		if err != nil || opt.Profile == nil {
+			return res, nil, err
 		}
-		// Identical specs yield identical runs, so the profiled rerun's
-		// statistics match the adaptive run's; the escalation record is
-		// carried over onto the profiled result.
-		prof.res.Escalation = res.Escalation
-		return prof.res, prof.profile, nil
+		// Identical specs yield identical runs, so the profiled rerun of
+		// the resolved tier matches the adaptive run's statistics; the
+		// escalation record is carried over onto the profiled result.
+		esc = res.Escalation
+		spec.Adaptive, spec.EscalatePct, spec.Machine = false, 0, res.Config.Kind
 	}
-	prog, err := newProgram(spec)
+	prog, err := apps.Lookup(spec.App, spec.Scale, spec.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	pr := probe.New(probe.Config{})
-	res, err := app.RunInstrumented(prog, spec.Config(), nil, pr)
-	if err != nil {
-		return nil, nil, err
+	var pr *probe.Profiler
+	if opt.Profile != nil {
+		pr = probe.New(*opt.Profile)
+		run.Instrument = pr
 	}
+	res, err := app.Execute(prog, spec.Config(), run)
+	if err != nil || pr == nil {
+		return res, nil, err
+	}
+	res.Escalation = esc
 	return res, pr.Profile(), nil
 }
 
-// profiledRun pairs a run with its telemetry profile.
-type profiledRun struct {
-	res     *Result
-	profile *Profile
+// resultOf drops Execute's profile for the unprofiled wrappers.
+func resultOf(res *Result, _ *Profile, err error) (*Result, error) { return res, err }
+
+// RunSpec is Execute with no options: a fresh, unbounded run.
+func RunSpec(spec Spec) (*Result, error) {
+	return resultOf(Execute(spec, RunOptions{}))
 }
 
-// profileSpec runs a non-adaptive spec with a profiler attached.
-func profileSpec(spec Spec) (profiledRun, error) {
-	prog, err := newProgram(spec)
-	if err != nil {
-		return profiledRun{}, err
-	}
-	pr := probe.New(probe.Config{})
-	res, err := app.RunInstrumented(prog, spec.Config(), nil, pr)
-	if err != nil {
-		return profiledRun{}, err
-	}
-	return profiledRun{res, pr.Profile()}, nil
+// RunSpecProfiled is Execute with a default-configured profiler.
+func RunSpecProfiled(spec Spec) (*Result, *Profile, error) {
+	return Execute(spec, RunOptions{Profile: &ProfileConfig{}})
 }

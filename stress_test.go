@@ -43,7 +43,7 @@ func TestTinyStress(t *testing.T) {
 // TestRunBatchStress hammers the batch scheduler under -race: several
 // goroutines run overlapping batches — full of duplicate points — on
 // sessions with multi-worker pools, while a shared RunPool serves
-// concurrent RunOn calls for the same configurations.  Every result must
+// concurrent RunSpecOn calls for the same configurations.  Every result must
 // match the sequential fresh-context reference exactly.
 func TestRunBatchStress(t *testing.T) {
 	if testing.Short() {
@@ -103,7 +103,7 @@ func TestRunBatchStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				pt := points[(g+i)%len(points)]
-				res, err := RunOn(pt.App, Tiny, 1, Config{Kind: pt.Kind, Topology: pt.Topology, P: pt.P}, shared)
+				res, err := RunSpecOn(Spec{App: pt.App, Scale: Tiny, Machine: pt.Kind, Topology: pt.Topology, P: pt.P}, shared)
 				if err != nil {
 					errs <- err
 					return

@@ -21,7 +21,7 @@ const uniformGoldenPath = "testdata/uniform_tiny.golden.json"
 func TestUniformRunDocsBitIdentical(t *testing.T) {
 	var docs []report.RunDoc
 	add := func(kind Kind, topo string, p int) {
-		res, err := RunExtended("uniform", Tiny, 1, Config{Kind: kind, Topology: topo, P: p})
+		res, err := Run("uniform", Tiny, 1, Config{Kind: kind, Topology: topo, P: p})
 		if err != nil {
 			t.Fatalf("uniform on %v/%s p=%d: %v", kind, topo, p, err)
 		}
