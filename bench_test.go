@@ -8,7 +8,7 @@ package spasm
 // and the g-discipline ablation from section 7 have their own benchmarks.
 //
 // Benchmarks run at Tiny scale with a short sweep so `go test -bench=.`
-// completes quickly; `cmd/experiments` regenerates the figures at the
+// completes quickly; `spasm figures` regenerates the figures at the
 // paper's full sweep.
 
 import (
@@ -16,6 +16,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"spasm/internal/exp"
 )
 
 // benchProcs is the sweep used by the figure benchmarks.
@@ -132,7 +134,7 @@ func BenchmarkSimulationCost(b *testing.B) {
 // routes are longest and the per-hop tier works hardest.
 func BenchmarkFidelitySweep(b *testing.B) {
 	const p = 64
-	var rows []FidelityRow
+	var rows []exp.FidelityRow
 	for i := 0; i < b.N; i++ {
 		s := NewSession(Options{Scale: Small})
 		var err error
@@ -323,10 +325,10 @@ func BenchmarkProtocolComparison(b *testing.B) {
 
 // BenchmarkTopologyStudy runs the five-topology accuracy comparison.
 func BenchmarkTopologyStudy(b *testing.B) {
-	var rows []TopologyRow
+	var rows []exp.TopologyRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = TopologyStudy("is", Tiny, 1, 8)
+		rows, err = exp.TopologyStudy("is", Tiny, 1, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

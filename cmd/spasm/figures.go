@@ -1,0 +1,174 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+
+	"spasm"
+	"spasm/internal/report"
+)
+
+// figures is "spasm figures": the paper's evaluation — every numbered
+// figure (1-20) as a table, chart and/or CSV, an ad-hoc figure for any
+// -app/-topo/-metric, and the textual experiments (-speed, -ablation,
+// -gtable, -fidelity, -accuracy).
+//
+// The underlying simulations run -jobs at a time on the batch scheduler
+// with pooled run contexts.  Each simulation is deterministic, so
+// neither the job count nor context reuse changes a simulated number.
+func (c *cli) figures(args []string) error {
+	fs := c.flags("figures")
+	var f simFlags
+	f.addSweep(fs, "2,4,8,16,32,64")
+	f.addWorkers(fs)
+	fs.StringVar(&f.app, "app", "", "ad-hoc figure: application (with -topo and -metric)")
+	fs.StringVar(&f.topo, "topo", "mesh", "ad-hoc figure and -fidelity: topology")
+	var (
+		figNum   = fs.Int("fig", 0, "figure number (0 = all)")
+		format   = fs.String("format", "table,chart", "comma list of table, chart, csv")
+		outDir   = fs.String("out", "", "write per-figure files to this directory")
+		speed    = fs.Bool("speed", false, "run the simulation-cost comparison (S1)")
+		fidelity = fs.Bool("fidelity", false, "run the network-fidelity comparison (flow vs logp vs detailed, S4)")
+		ablation = fs.Bool("ablation", false, "run the g-discipline ablation (S2)")
+		gtable   = fs.Bool("gtable", false, "print the g-parameter table (S3)")
+		onlyText = fs.Bool("no-figures", false, "skip the numbered figures")
+		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulations (results are identical regardless of job count)")
+		accuracy = fs.Bool("accuracy", false, "print the abstraction-accuracy dashboard")
+		metric   = fs.String("metric", "contention", "ad-hoc figure: latency, contention or exec")
+		profiled = fs.Bool("profile", false, "with -app: profile one target-machine run (largest -procs) instead of sweeping")
+	)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	opt, err := f.options()
+	if err != nil {
+		return err
+	}
+	opt.Parallel = *jobs
+	s := spasm.NewSession(opt)
+	last := opt.Procs[len(opt.Procs)-1]
+
+	if f.app != "" {
+		if *profiled {
+			return c.emitProfile(spasm.Spec{App: f.app, Scale: opt.Scale, Seed: opt.Seed,
+				Machine: spasm.Target, Topology: f.topo, P: last}, *outDir)
+		}
+		m, err := spasm.ParseMetric(*metric)
+		if err != nil {
+			return err
+		}
+		fr, err := s.CustomFigure(f.app, f.topo, m)
+		if err != nil {
+			return err
+		}
+		return c.emitFigure(fr, *format, *outDir)
+	}
+
+	if !*onlyText {
+		frs, err := regenerate(s, *figNum)
+		if err != nil {
+			return err
+		}
+		for _, fr := range frs {
+			if err := c.emitFigure(fr, *format, *outDir); err != nil {
+				return err
+			}
+		}
+		if *accuracy {
+			rows := spasm.Accuracy(frs)
+			fmt.Fprintln(c.out, report.AccuracyTable(rows))
+			fmt.Fprintln(c.out, report.AccuracySummaryTable(spasm.Summarize(rows)))
+		}
+	}
+
+	if *gtable {
+		fmt.Fprintln(c.out, report.GapParamTable(spasm.GapTable(opt.Procs)))
+	}
+	if *ablation {
+		rows, err := spasm.GapAblation(opt.Scale, opt.Seed, opt.Procs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(c.out, report.AblationTable(rows))
+	}
+	if *speed {
+		rows, err := s.SimulationCost("full", last)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(c.out, report.CostTable(last, rows))
+	}
+	if *fidelity {
+		rows, err := s.FidelityStudy(f.topo, last)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(c.out, report.FidelityTable(f.topo, last, rows))
+	}
+	return nil
+}
+
+// regenerate returns paper figure num, or all twenty when num is 0.
+func regenerate(s *spasm.Session, num int) ([]*spasm.FigureResult, error) {
+	if num == 0 {
+		return s.AllFigures()
+	}
+	fig, err := spasm.FigureByNumber(num)
+	if err != nil {
+		return nil, err
+	}
+	fr, err := s.Figure(fig)
+	return []*spasm.FigureResult{fr}, err
+}
+
+// emitFigure prints one regenerated figure in each requested format;
+// with an output directory the CSV goes to <dir>/<figure id>.csv.
+func (c *cli) emitFigure(fr *spasm.FigureResult, formats, outDir string) error {
+	for _, format := range strings.Split(formats, ",") {
+		switch strings.TrimSpace(format) {
+		case "table":
+			fmt.Fprintln(c.out, report.FigureTable(fr))
+		case "chart":
+			fmt.Fprintln(c.out, report.Chart(fr, 78, 22))
+		case "csv":
+			if outDir == "" {
+				fmt.Fprint(c.out, report.FigureCSV(fr))
+				continue
+			}
+			if err := c.writeFile(filepath.Join(outDir, fr.Figure.ID()+".csv"), report.FigureCSV(fr)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// emitProfile runs one simulation with the probe attached and prints
+// its per-epoch table; with an output directory it also writes the CSV
+// time series next to the figure CSVs.
+func (c *cli) emitProfile(spec spasm.Spec, outDir string) error {
+	_, prof, err := spasm.RunSpecProfiled(spec)
+	if err != nil {
+		return err
+	}
+	csvPath := ""
+	if outDir != "" {
+		csvPath = filepath.Join(outDir, fmt.Sprintf("profile_%s_%s_p%d.csv", spec.App, spec.Topology, spec.P))
+	}
+	return c.printProfile(prof, true, csvPath)
+}
+
+// writeFile writes content to path, creating its directory if needed.
+func (c *cli) writeFile(path, content string) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintln(c.out, "wrote", path)
+	return nil
+}

@@ -1,0 +1,169 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"spasm/internal/report"
+	"spasm/internal/service"
+	"spasm/internal/service/client"
+)
+
+// The files under testdata/ were recorded from the five binaries this
+// one replaced (experiments, sweep, trace, spasm at the commit before
+// the merge), at tiny scale.  The subcommands must keep printing the
+// same titles, headers and values; only padding and the rule under each
+// header may differ.
+
+// spasmRun invokes the dispatcher and fails the test on a non-zero exit.
+func spasmRun(t *testing.T, args ...string) string {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("spasm %v: exit %d\n%s", args, code, errb.String())
+	}
+	return out.String()
+}
+
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// cells reduces output to its whitespace-separated cells, one string
+// per non-blank line, dropping table rules and any line skip matches.
+func cells(s string, skip func(line string) bool) []string {
+	var out []string
+	for _, line := range strings.Split(s, "\n") {
+		if strings.Trim(line, "- ") == "" || (skip != nil && skip(line)) {
+			continue
+		}
+		out = append(out, strings.Join(strings.Fields(line), " "))
+	}
+	return out
+}
+
+func sameCells(t *testing.T, got, want string, skip func(string) bool) {
+	t.Helper()
+	g, w := cells(got, skip), cells(want, skip)
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("line %d:\n got  %q\n want %q", i, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Fatalf("%d lines, want %d\n%s", len(g), len(w), got)
+	}
+}
+
+func TestFiguresCSVByteIdentical(t *testing.T) {
+	got := spasmRun(t, "figures", "-scale", "tiny", "-procs", "2,4", "-format", "csv")
+	if want := golden(t, "figures.csv"); got != want {
+		t.Errorf("per-figure CSV drifted from the recorded experiments output:\n%s", got)
+	}
+}
+
+func TestSubcommandsMatchRecordedOutput(t *testing.T) {
+	wallClock := func(line string) bool { return strings.Contains(line, "simulation     :") }
+	for _, tc := range []struct {
+		file string
+		skip func(string) bool
+		args []string
+	}{
+		{"textual.txt", nil, []string{"figures", "-no-figures", "-gtable", "-ablation", "-fidelity", "-scale", "tiny", "-procs", "2,4"}},
+		{"accuracy.txt", nil, []string{"figures", "-accuracy", "-format", "", "-scale", "tiny", "-procs", "2,4"}},
+		{"batch.txt", nil, []string{"study", "batch", "-scale", "tiny", "-procs", "2", "-points", "fft:mesh:target:4,ep:full:logp:2"}},
+		{"run.txt", wallClock, []string{"-app", "fft", "-machine", "target", "-topo", "mesh", "-p", "4", "-scale", "tiny", "-v", "-phases"}},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			sameCells(t, spasmRun(t, tc.args...), golden(t, tc.file), tc.skip)
+		})
+	}
+}
+
+// TestStudyAllMatchesSweep: every study the old sweep binary printed
+// comes out of the registry loop with the same cells, in the same order;
+// the registry's one addition (speedup) follows them.
+func TestStudyAllMatchesSweep(t *testing.T) {
+	got := spasmRun(t, "study", "all", "-scale", "tiny", "-p", "4", "-procs", "2,4")
+	i := strings.Index(got, "scalability —")
+	if i < 0 {
+		t.Fatalf("no speedup study in:\n%s", got)
+	}
+	sameCells(t, got[:i], golden(t, "study_all.txt"), nil)
+
+	one := spasmRun(t, "study", "fault", "-scale", "tiny", "-p", "4")
+	if !strings.Contains(got, one) {
+		t.Errorf("\"study fault\" is not a slice of \"study all\":\n%s", one)
+	}
+}
+
+func TestTraceRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fft.trace")
+	unpath := func(s string) string { return strings.ReplaceAll(s, path, "fft.trace") }
+
+	rec := spasmRun(t, "trace", "record", "-app", "fft", "-machine", "clogp", "-topo", "full", "-p", "4", "-scale", "tiny", "-o", path)
+	sameCells(t, unpath(rec), golden(t, "trace_record.txt"), nil)
+	sameCells(t, unpath(spasmRun(t, "trace", "info", path)), golden(t, "trace_info.txt"), nil)
+	sameCells(t, spasmRun(t, "trace", "replay", "-machine", "target", "-topo", "mesh", path), golden(t, "trace_replay.txt"), nil)
+}
+
+// TestRunJSONIsTheServiceDocument: "run -json" emits the document spasmd
+// serves (so client.DecodeResult reads it) plus the host block.
+func TestRunJSONIsTheServiceDocument(t *testing.T) {
+	out := spasmRun(t, "run", "-app", "fft", "-machine", "logp", "-topo", "mesh", "-p", "4", "-scale", "tiny", "-workers", "2", "-json")
+	doc, err := client.DecodeResult(&service.RunStatus{State: service.StateDone, Result: []byte(out)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Program != "fft" || doc.Machine != "logp" || doc.Topology != "mesh" || doc.P != 4 || len(doc.Procs) != 4 {
+		t.Errorf("run document: %+v", doc)
+	}
+	if doc.TotalUS <= 0 || doc.Messages == 0 {
+		t.Errorf("empty statistics: %+v", doc)
+	}
+	if doc.Host == nil || doc.Host.Workers != 2 {
+		t.Errorf("host block: %+v", doc.Host)
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	var studies []string
+	for _, s := range report.Studies() {
+		studies = append(studies, s.Name)
+	}
+	for _, tc := range []struct {
+		args  []string
+		code  int
+		names []string // each must appear in the error text
+	}{
+		{[]string{"bogus"}, 2, []string{`unknown command "bogus"`, "run", "figures", "study", "trace"}},
+		{[]string{"study"}, 2, append([]string{"all", "batch"}, studies...)},
+		{[]string{"study", "nope", "-scale", "tiny"}, 2, append([]string{`unknown study "nope"`}, studies...)},
+		{[]string{"trace"}, 2, []string{"record", "info", "replay"}},
+		{[]string{"trace", "info"}, 2, []string{"one file"}},
+		{[]string{"run", "-no-such-flag"}, 2, []string{"no-such-flag"}},
+		{[]string{"-machine", "abacus"}, 1, []string{"abacus"}},
+		{[]string{"figures", "-fig", "21", "-scale", "tiny", "-procs", "2"}, 1, []string{"21"}},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != tc.code {
+			t.Errorf("spasm %v: exit %d, want %d\n%s", tc.args, code, tc.code, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("spasm %v: wrote to stdout: %s", tc.args, out.String())
+		}
+		for _, name := range tc.names {
+			if !strings.Contains(errb.String(), name) {
+				t.Errorf("spasm %v: error text does not mention %q:\n%s", tc.args, name, errb.String())
+			}
+		}
+	}
+}

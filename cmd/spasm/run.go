@@ -1,0 +1,124 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+
+	"spasm"
+	"spasm/internal/report"
+)
+
+// runOne is "spasm run": one application on one simulated machine,
+// printed as the SPASM-style separation of overheads.  With -adaptive
+// the run starts on the flow tier and escalates to the detailed target
+// machine when a flow's occupancy reaches -escalate percent.
+func (c *cli) runOne(args []string) error {
+	fs := c.flags("run")
+	var f simFlags
+	f.addPoint(fs, "target", "small")
+	f.addWorkers(fs)
+	var (
+		perCls  = fs.Bool("perclass", false, "use per-event-class g gap (LogP machines)")
+		adapt   = fs.Bool("adaptive", false, "adaptive fidelity: start on the flow tier, escalate to target on contention (implies -machine flow)")
+		escPct  = fs.Int("escalate", 50, "with -adaptive: occupancy percent that trips escalation (0-100)")
+		verbose = fs.Bool("v", false, "per-processor breakdown")
+		phases  = fs.Bool("phases", false, "per-phase overhead breakdown")
+		asJSON  = fs.Bool("json", false, "machine-readable output: the spasmd run document plus a host block")
+		profile = fs.String("profile", "", "time-resolved profile: '-' prints a per-epoch table, anything else is a CSV output path")
+	)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	spec, err := f.spec()
+	if err != nil {
+		return err
+	}
+	if *perCls {
+		spec.PortMode = spasm.PerClassGap
+	}
+	if *adapt {
+		spec.Machine, spec.Adaptive, spec.EscalatePct = spasm.Flow, true, *escPct
+	}
+	var opt spasm.RunOptions
+	if *profile != "" {
+		// Profiling hooks the engine clock, which the parallel mode
+		// declines: -workers then reports a "tick-hook" fallback.
+		opt.Profile = &spasm.ProfileConfig{}
+	}
+	res, prof, err := spasm.Execute(spec, opt)
+	if err != nil {
+		return err
+	}
+	if *asJSON {
+		doc := report.RunJSON(res)
+		report.AttachHost(&doc, res)
+		enc := json.NewEncoder(c.out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	}
+	c.printRun(res)
+	if *verbose {
+		fmt.Fprintf(c.out, "\n%s", report.ProcTable(res.Stats))
+	}
+	if *phases {
+		fmt.Fprintf(c.out, "\n%s", spasm.PhaseReport(res))
+	}
+	if prof == nil {
+		return nil
+	}
+	if *profile == "-" {
+		return c.printProfile(prof, true, "")
+	}
+	return c.printProfile(prof, false, *profile)
+}
+
+// printProfile surfaces a time-resolved run profile: a peak-pressure
+// summary, then the per-epoch table if asked for and a CSV file if given
+// a path.
+func (c *cli) printProfile(prof *spasm.Profile, table bool, csvPath string) error {
+	epoch, total := prof.Peak(spasm.Contention)
+	fmt.Fprintf(c.out, "\nprofile        : %d epochs of %v\n", len(prof.Epochs), prof.EpochLen)
+	fmt.Fprintf(c.out, "peak contention: epoch %d (t=%v), %v summed over procs\n",
+		epoch, prof.EpochStart(epoch), total)
+	if table {
+		fmt.Fprintf(c.out, "\n%s", spasm.ProfileTable(prof))
+	}
+	if csvPath == "" {
+		return nil
+	}
+	return c.writeFile(csvPath, spasm.ProfileCSV(prof))
+}
+
+func (c *cli) printRun(res *spasm.Result) {
+	r, doc := res.Stats, report.RunJSON(res)
+	fmt.Fprintf(c.out, "%s on %v/%s, p=%d\n", res.Program, res.Config.Kind, res.Config.Topology, r.P())
+	fmt.Fprintf(c.out, "  execution time : %12.1f us\n", r.Total.Micros())
+	for _, b := range []spasm.Bucket{spasm.Compute, spasm.Memory, spasm.Latency, spasm.Contention, spasm.Sync} {
+		fmt.Fprintf(c.out, "  %-10s sum : %12.1f us   (mean %.1f us/proc)\n",
+			b, r.Sum(b).Micros(), r.Mean(b).Micros())
+	}
+	fmt.Fprintf(c.out, "  references     : %d reads, %d writes\n", doc.Reads, doc.Writes)
+	fmt.Fprintf(c.out, "  cache          : %d hits, %d misses\n", doc.Hits, doc.Misses)
+	fmt.Fprintf(c.out, "  network        : %d messages, %d bytes, %d accesses\n",
+		doc.Messages, doc.NetBytes, r.NetAccesses())
+	fmt.Fprintf(c.out, "  simulation     : %d events in %v (%.0f events/s)\n",
+		r.SimEvents, r.Wall, r.EventsPerSec())
+	if par := res.Par; par != nil {
+		if par.Parallel {
+			fmt.Fprintf(c.out, "  parallel       : %d workers, %d domains, %d windows, %d releases (peak %d in flight)\n",
+				par.Requested, par.Domains, par.Windows, par.Releases, par.Peak)
+		} else {
+			fmt.Fprintf(c.out, "  parallel       : requested %d workers, fell back to sequential (%s)\n",
+				par.Requested, par.Fallback)
+		}
+	}
+	if esc := res.Escalation; esc != nil {
+		if esc.Tripped {
+			fmt.Fprintf(c.out, "  fidelity       : escalated %v -> %v at t=%.1f us (share %d, threshold %d%%)\n",
+				esc.From, esc.To, esc.At.Micros(), esc.Share, esc.ThresholdPct)
+		} else {
+			fmt.Fprintf(c.out, "  fidelity       : stayed on %v (threshold %d%% never reached)\n",
+				esc.From, esc.ThresholdPct)
+		}
+	}
+}

@@ -191,18 +191,6 @@ func TestGapAblationShape(t *testing.T) {
 	}
 }
 
-func TestMessageCounts(t *testing.T) {
-	s := tinySession()
-	counts, err := s.MessageCounts("fft", "full", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[machine.LogP] <= counts[machine.CLogP] {
-		t.Errorf("LogP messages %d not above CLogP %d (no locality abstraction?)",
-			counts[machine.LogP], counts[machine.CLogP])
-	}
-}
-
 func TestPortModePlumbing(t *testing.T) {
 	com := NewSession(Options{Scale: apps.Tiny, Procs: []int{4},
 		Machines: []machine.Kind{machine.LogP}, PortMode: logp.Combined})

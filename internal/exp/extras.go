@@ -8,7 +8,6 @@ import (
 	"spasm/internal/machine"
 	"spasm/internal/network"
 	"spasm/internal/sim"
-	"spasm/internal/stats"
 )
 
 // This file implements the paper's experiments that are reported in the
@@ -177,21 +176,6 @@ func (s *Session) Speedup(appName, topo string, kind machine.Kind, procs []int) 
 			row.AlgorithmicSpeedup = t1 / row.IdealExec
 		}
 		out = append(out, row)
-	}
-	return out, nil
-}
-
-// MessageCounts extracts per-machine message totals for a given
-// application/topology/P — the "latency overhead is an indication of the
-// number of messages" cross-check used in the locality analysis.
-func (s *Session) MessageCounts(appName, topo string, p int) (map[machine.Kind]uint64, error) {
-	out := map[machine.Kind]uint64{}
-	for _, kind := range s.opt.Machines {
-		r, err := s.Run(appName, topo, kind, p)
-		if err != nil {
-			return nil, err
-		}
-		out[kind] = r.Count(func(q *stats.Proc) uint64 { return q.Messages })
 	}
 	return out, nil
 }

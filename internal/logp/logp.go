@@ -21,7 +21,6 @@ package logp
 
 import (
 	"fmt"
-	"sync"
 
 	"spasm/internal/network"
 	"spasm/internal/sim"
@@ -114,91 +113,22 @@ func New(p int, l, g sim.Time, mode PortMode) *Net {
 	}
 	n := &Net{L: l, G: g, Mode: mode, p: p, gen: 1}
 	if mode == Combined {
-		n.last = acquirePorts(p)
+		n.last = make([]sim.Time, p)
 	} else {
-		n.lastSend = acquirePorts(p)
-		n.lastRecv = acquirePorts(p)
+		n.lastSend = make([]sim.Time, p)
+		n.lastRecv = make([]sim.Time, p)
 	}
-	n.stamp = acquireStamps(p)
+	// Zero never equals a live generation (gen starts at 1 and skips 0
+	// on wrap), so the zeroed stamps mark every node's ports
+	// uninitialized.
+	n.stamp = make([]uint32, p)
 	return n
 }
 
-// portFree recycles the large per-node arrays across Net lifetimes: a
-// pooled run context that is discarded (idle-cap overflow, failed run)
-// hands its arrays back through Release, and the replacement context's
-// New picks them up instead of allocating p (or 2p) fresh slots.  The
-// freelists are bounded; arrays that do not fit are left to the GC.
-var portFree struct {
-	sync.Mutex
-	ports  [][]sim.Time
-	stamps [][]uint32
-}
-
-// portFreeCap bounds each freelist: enough for a few discarded contexts
-// in flight (a PerClass net holds two port arrays) without pinning
-// arbitrarily many large arrays.
-const portFreeCap = 8
-
-// acquirePorts returns an uninitialized length-p port array, recycled
-// when one large enough is available.  Contents are arbitrary: port
-// slots are only read after gate's lazy re-stamp writes them.
-func acquirePorts(p int) []sim.Time {
-	portFree.Lock()
-	for i := len(portFree.ports) - 1; i >= 0; i-- {
-		if s := portFree.ports[i]; cap(s) >= p {
-			last := len(portFree.ports) - 1
-			portFree.ports[i] = portFree.ports[last]
-			portFree.ports[last] = nil
-			portFree.ports = portFree.ports[:last]
-			portFree.Unlock()
-			return s[:p]
-		}
-	}
-	portFree.Unlock()
-	return make([]sim.Time, p)
-}
-
-// acquireStamps returns a zeroed length-p stamp array.  Zero never
-// equals a live generation (gen starts at 1 and skips 0 on wrap), so a
-// cleared stamp marks every node's ports uninitialized.
-func acquireStamps(p int) []uint32 {
-	portFree.Lock()
-	for i := len(portFree.stamps) - 1; i >= 0; i-- {
-		if s := portFree.stamps[i]; cap(s) >= p {
-			last := len(portFree.stamps) - 1
-			portFree.stamps[i] = portFree.stamps[last]
-			portFree.stamps[last] = nil
-			portFree.stamps = portFree.stamps[:last]
-			portFree.Unlock()
-			s = s[:p]
-			for j := range s {
-				s[j] = 0
-			}
-			return s
-		}
-	}
-	portFree.Unlock()
-	return make([]uint32, p)
-}
-
-// Release returns the net's per-node arrays to the package freelist and
-// detaches them.  Call it when the net is being discarded for good (a
-// dropped pool context); the traffic counters stay readable, but any
-// further Message or Reset panics.  Release is idempotent.
+// Release drops the net's per-node arrays so a discarded net does not
+// pin them.  The traffic counters stay readable, but any further Message
+// or Reset panics.
 func (n *Net) Release() {
-	if n.stamp == nil {
-		return
-	}
-	portFree.Lock()
-	for _, s := range [][]sim.Time{n.last, n.lastSend, n.lastRecv} {
-		if s != nil && len(portFree.ports) < portFreeCap {
-			portFree.ports = append(portFree.ports, s)
-		}
-	}
-	if len(portFree.stamps) < portFreeCap {
-		portFree.stamps = append(portFree.stamps, n.stamp)
-	}
-	portFree.Unlock()
 	n.last, n.lastSend, n.lastRecv, n.stamp = nil, nil, nil, nil
 }
 

@@ -283,32 +283,3 @@ func TestResetGenerationWraparound(t *testing.T) {
 		}
 	}
 }
-
-// TestReleaseRecycles: arrays released by one net must be picked up by
-// the next New of compatible size, and the recycled net must behave
-// exactly like one over fresh arrays despite the arbitrary contents the
-// freelist hands back.
-func TestReleaseRecycles(t *testing.T) {
-	const p = 64
-	fresh := New(p, DefaultL, sim.Micros(1.6), PerClass)
-	want := traffic(fresh)
-
-	donor := New(p, DefaultL, sim.Micros(1.6), PerClass)
-	traffic(donor) // dirty the arrays
-	donor.Release()
-	if donor.last != nil || donor.lastSend != nil || donor.lastRecv != nil || donor.stamp != nil {
-		t.Fatal("Release left arrays attached")
-	}
-	donor.Release() // idempotent
-
-	reborn := New(p, DefaultL, sim.Micros(1.6), PerClass)
-	if cap(reborn.lastSend) < p || cap(reborn.stamp) < p {
-		t.Fatal("recycled net under-sized")
-	}
-	got := traffic(reborn)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("recycled net message %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}

@@ -105,20 +105,6 @@ func TestLargePConformance(t *testing.T) {
 	}
 }
 
-// TestNetworkTierByName: the registry resolves every registered name
-// and rejects unknown ones with the valid list.
-func TestNetworkTierByName(t *testing.T) {
-	for _, tier := range NetworkTiers() {
-		got, err := NetworkTierByName(tier.Name)
-		if err != nil || got.Name != tier.Name {
-			t.Fatalf("NetworkTierByName(%q) = %v, %v", tier.Name, got.Name, err)
-		}
-	}
-	if _, err := NetworkTierByName("carrier-pigeon"); err == nil {
-		t.Fatal("unknown tier accepted")
-	}
-}
-
 // TestFlowRebindClearsState: rebinding a pooled flow machine must clear
 // the active-flow table — a leaked flow from the previous run would
 // alias into the next run's bandwidth allocation.  The same access

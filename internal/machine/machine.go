@@ -246,10 +246,6 @@ func (m *logpMachine) P() int     { return m.net.P() }
 // Net exposes the abstract network (for parameter inspection in tools).
 func (m *logpMachine) Net() *logp.Net { return m.net }
 
-// ReleaseResources hands the LogP port arrays back to their package
-// freelist when the machine is dropped for good (see Reusable.Release).
-func (m *logpMachine) ReleaseResources() { m.net.Release() }
-
 func (m *logpMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
 	home := m.space.Home(addr)
 	if home == node {
@@ -410,14 +406,6 @@ func (m *cachedMachine) Fabric() *network.Fabric { return m.fab }
 
 // Net exposes the abstract network of a CLogP machine (nil otherwise).
 func (m *cachedMachine) Net() *logp.Net { return m.net }
-
-// ReleaseResources hands a CLogP machine's port arrays back to their
-// package freelist when the machine is dropped for good.
-func (m *cachedMachine) ReleaseResources() {
-	if m.net != nil {
-		m.net.Release()
-	}
-}
 
 func (m *cachedMachine) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
 	m.eng.Read(p, st, node, addr)

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"spasm/internal/flow"
 	"spasm/internal/logp"
 	"spasm/internal/network"
@@ -161,18 +159,4 @@ func NetworkTiers() []NetworkTier {
 			return fabricNet{fab: network.NewFabric(t)}, nil
 		}},
 	}
-}
-
-// NetworkTierByName returns the named registered tier.
-func NetworkTierByName(name string) (NetworkTier, error) {
-	for _, t := range NetworkTiers() {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	var names []string
-	for _, t := range NetworkTiers() {
-		names = append(names, t.Name)
-	}
-	return NetworkTier{}, fmt.Errorf("machine: unknown network tier %q (have %v)", name, names)
 }

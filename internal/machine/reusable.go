@@ -18,10 +18,9 @@ import (
 // whole life.  It is not safe for concurrent use; a pool hands each
 // context to one worker at a time.
 type Reusable struct {
-	cfg      Config
-	p        int // node count fixed by the first Bind
-	m        Machine
-	released bool
+	cfg Config
+	p   int // node count fixed by the first Bind
+	m   Machine
 }
 
 // NewReusable returns a reusable machine for the given configuration.
@@ -43,9 +42,6 @@ func (r *Reusable) Config() Config { return r.cfg }
 // frees all links and ports, and the coherence engine re-stamps every
 // directory entry, zeroes every block lock, and clears every cache.
 func (r *Reusable) Bind(space *mem.Space) (Machine, error) {
-	if r.released {
-		return nil, fmt.Errorf("machine: Bind after Release")
-	}
 	if r.m == nil {
 		m, err := New(r.cfg, space)
 		if err != nil {
@@ -80,21 +76,4 @@ func (r *Reusable) Bind(space *mem.Space) (Machine, error) {
 		return nil, fmt.Errorf("machine: cannot rebind %T", r.m)
 	}
 	return r.m, nil
-}
-
-// Release declares the machine permanently dropped and lets components
-// that recycle large allocations hand them back (today the LogP-based
-// machines return their per-node port arrays to a package freelist, so
-// a replacement context's construction picks them up instead of
-// allocating afresh).  Call it only when the Reusable will never Bind
-// again — a pooled context leaving the pool for good.  Results computed
-// by past runs stay readable; Release is idempotent.
-func (r *Reusable) Release() {
-	if r.released {
-		return
-	}
-	r.released = true
-	if m, ok := r.m.(interface{ ReleaseResources() }); ok {
-		m.ReleaseResources()
-	}
 }

@@ -202,11 +202,3 @@ func (f *Fabric) Reserve(now sim.Time, src, dst, bytes int) Xmit {
 	}
 	return x
 }
-
-// Send transmits a message on behalf of process p, blocking it until the
-// last byte arrives, and returns the transmission schedule.
-func (f *Fabric) Send(p *sim.Proc, src, dst, bytes int) Xmit {
-	x := f.Reserve(p.Now(), src, dst, bytes)
-	p.HoldUntil(x.End)
-	return x
-}

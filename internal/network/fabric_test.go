@@ -107,20 +107,6 @@ func TestFabricCounters(t *testing.T) {
 	}
 }
 
-func TestSendBlocksProcess(t *testing.T) {
-	e := sim.NewEngine()
-	f := NewFabric(NewFull(4))
-	e.Spawn("sender", func(p *sim.Proc) {
-		x := f.Send(p, 0, 1, 32)
-		if p.Now() != x.End {
-			t.Errorf("process at %v after send ending %v", p.Now(), x.End)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDegradedLinkSlowsCircuit(t *testing.T) {
 	m := NewMesh(16)
 	f := NewFabric(m)

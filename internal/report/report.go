@@ -16,6 +16,8 @@ type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
+	// Note, when set, is printed on its own line under the rows.
+	Note string
 }
 
 // Add appends a row; values are formatted with %v.
@@ -66,6 +68,9 @@ func (t *Table) String() string {
 	b.WriteString(strings.Repeat("-", total-2) + "\n")
 	for _, row := range t.Rows {
 		line(row)
+	}
+	if t.Note != "" {
+		fmt.Fprintf(&b, "%s\n", t.Note)
 	}
 	return b.String()
 }

@@ -180,10 +180,6 @@ func (p *Pool) Put(c *Ctx) {
 		ks := p.kindStats(c.cfg.Kind.String())
 		ks.Discarded++
 		ks.Live--
-		// The context is leaving the pool for good: let the machine hand
-		// recyclable allocations (LogP port arrays) back to their
-		// freelists so the next construction of this kind reuses them.
-		c.reusable.Release()
 		return
 	}
 	p.free[c.cfg] = append(p.free[c.cfg], c)
@@ -208,10 +204,6 @@ func (p *Pool) Discard(c *Ctx) {
 	ks.Discarded++
 	ks.Live--
 	p.mu.Unlock()
-	// Port-array contents are arbitrary on reacquisition (lazy re-stamp
-	// covers them), so even a machine abandoned mid-flight may donate its
-	// arrays back to the freelist.
-	c.reusable.Release()
 }
 
 // Stats returns a snapshot of the pool's reuse counters.

@@ -129,56 +129,6 @@ func TestDiscard(t *testing.T) {
 	p.Discard(nil) // harmless
 }
 
-// TestDiscardReleasesMachine: a context leaving the pool for good — by
-// explicit Discard or by idle-cap overflow on Put — must release its
-// machine's recyclable resources, after which the machine can never be
-// rebound (the context is gone; a rebind would observe freed arrays).
-func TestDiscardReleasesMachine(t *testing.T) {
-	cfg := machine.Config{Kind: machine.LogP, Topology: "full", P: 4}
-	bindOnce := func(c *Ctx) {
-		t.Helper()
-		if _, err := c.Bind(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	p := New(1)
-	c1, err := p.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bindOnce(c1)
-	p.Discard(c1)
-	if _, err := c1.Bind(); err == nil {
-		t.Fatal("Bind succeeded on a discarded context's machine")
-	}
-
-	// Idle-cap overflow on Put is the other exit path.
-	c2, err := p.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3, err := p.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bindOnce(c2)
-	bindOnce(c3)
-	p.Put(c2) // retained (cap 1)
-	p.Put(c3) // overflow: dropped and released
-	if _, err := c3.Bind(); err == nil {
-		t.Fatal("Bind succeeded on an overflow-dropped context's machine")
-	}
-	c4, err := p.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c4 != c2 {
-		t.Fatal("retained context was not the one handed back")
-	}
-	bindOnce(c4) // the retained context must still bind fine
-}
-
 // TestStatsByKind: a pool serving two machine kinds reports their
 // populations apart, and the per-kind counters reconcile with the
 // aggregate.

@@ -180,10 +180,11 @@ func TestChaosRunTimeouts(t *testing.T) {
 	settle(t, base+2)
 }
 
-// TestChaosMassCancellation: with the only worker wedged, a pile of
-// waited jobs whose waiters all leave is canceled wholesale — no
-// simulation ever runs for them, nothing is cached, and the canceled
-// carcasses left in the queue are skipped once the worker recovers.
+// TestChaosMassCancellation: with the only worker wedged on a
+// sacrificial job, a pile of waited jobs whose waiters all leave is
+// canceled wholesale — no simulation ever runs for them, nothing is
+// cached, and once the worker recovers only the sacrificial job and the
+// follow-up run execute.
 func TestChaosMassCancellation(t *testing.T) {
 	defer faults.Reset()
 	base := runtime.NumGoroutine()
@@ -191,11 +192,28 @@ func TestChaosMassCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
+	// WorkerStall fires after the worker has dequeued a job and marked
+	// it running.  The hook reports the first firing, so the test knows
+	// the lone worker is parked on the sacrificial job — and can pick up
+	// nothing else — before it submits the jobs it will cancel.
 	gate := make(chan struct{})
-	var gateOnce sync.Once
-	faults.Set(faults.WorkerStall, func() error { <-gate; return nil })
-	// Wedge the worker on a sacrificial job (it too will be canceled,
-	// then skipped).
+	parked := make(chan struct{})
+	var parkOnce sync.Once
+	faults.Set(faults.WorkerStall, func() error {
+		parkOnce.Do(func() { close(parked) })
+		<-gate
+		return nil
+	})
+	sacrificial, _, err := svc.Submit(cheapSpec(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-ctx.Done():
+		t.Fatal("worker never picked up the sacrificial job")
+	}
+
 	const jobs = 8
 	type waited struct {
 		j       *service.Job
@@ -232,8 +250,12 @@ func TestChaosMassCancellation(t *testing.T) {
 		t.Fatalf("jobs_canceled_total = %v, want %d", v, jobs)
 	}
 
-	// Unwedge: the worker drains the carcasses without running anything.
-	gateOnce.Do(func() { close(gate) })
+	// Unwedge: the sacrificial job was already running, so it completes;
+	// the canceled jobs left the queue and never execute.
+	close(gate)
+	if st, err := svc.Wait(ctx, sacrificial); err != nil || st.State != service.StateDone {
+		t.Fatalf("sacrificial job: %v / %+v", err, st)
+	}
 	j, _, err := svc.Submit(cheapSpec(999))
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +263,11 @@ func TestChaosMassCancellation(t *testing.T) {
 	if st, err := svc.Wait(ctx, j); err != nil || st.State != service.StateDone {
 		t.Fatalf("post-cancellation run: %v / %+v", err, st)
 	}
-	if done := chaosMetric(t, svc, "spasmd_jobs_done_total"); done != 1 {
-		t.Fatalf("jobs_done_total = %v, want 1 (canceled jobs must not execute)", done)
+	if done := chaosMetric(t, svc, "spasmd_jobs_done_total"); done != 2 {
+		t.Fatalf("jobs_done_total = %v, want 2 (canceled jobs must not execute)", done)
 	}
-	if sims := chaosMetric(t, svc, "spasmd_pool_hits_total") + chaosMetric(t, svc, "spasmd_pool_misses_total"); sims != 1 {
-		t.Fatalf("pool gets = %v, want 1 (one real simulation)", sims)
+	if sims := chaosMetric(t, svc, "spasmd_pool_hits_total") + chaosMetric(t, svc, "spasmd_pool_misses_total"); sims != 2 {
+		t.Fatalf("pool gets = %v, want 2 (the sacrificial job and the follow-up)", sims)
 	}
 	// A canceled spec resubmitted runs fresh — cancellation is not cached.
 	j2, hit, err := svc.Submit(cheapSpec(1))

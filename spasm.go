@@ -292,36 +292,12 @@ const (
 	UpdateProtocol = coherence.Update
 )
 
-// Extension studies (each grounded in a paper claim or proposal; see
-// the exp package documentation).
+// Extension studies.  The façade keeps the ones library callers use;
+// the full set lives in internal/exp and is listed, run and rendered by
+// "spasm study" (internal/report.Studies).
 type (
 	// ProtocolRow compares Berkeley and MSI execution for one app.
 	ProtocolRow = exp.ProtocolRow
-	// CacheRow is one point of the cache-size sweep.
-	CacheRow = exp.CacheRow
-	// AdaptiveRow is one point of the adaptive-g study.
-	AdaptiveRow = exp.AdaptiveRow
-	// LRow is one point of the effective-L study.
-	LRow = exp.LRow
-	// TraceRow compares trace-driven and execution-driven simulation.
-	TraceRow = exp.TraceRow
-	// SpeedupRow is one point of a scalability curve.
-	SpeedupRow = exp.SpeedupRow
-	// BandwidthRow characterizes one application's bandwidth demand.
-	BandwidthRow = exp.BandwidthRow
-	// TechRow is one point of the technology-scaling study.
-	TechRow = exp.TechRow
-	// FaultRow is one point of the degraded-link study.
-	FaultRow = exp.FaultRow
-	// TopologyRow is one point of the extended-topology comparison.
-	TopologyRow = exp.TopologyRow
-	// PlacementRow is one point of the data-placement study.
-	PlacementRow = exp.PlacementRow
-	// ExtendedAppRow is one point of the out-of-suite validation.
-	ExtendedAppRow = exp.ExtendedAppRow
-	// FidelityRow compares the flow, LogP and detailed network tiers
-	// for one application (Session.FidelityStudy).
-	FidelityRow = exp.FidelityRow
 	// AccuracyRow summarizes one figure's abstraction error.
 	AccuracyRow = exp.AccuracyRow
 	// AccuracySummary aggregates abstraction error by metric.
@@ -332,67 +308,6 @@ type (
 // (section 7's protocol-insensitivity claim).
 func ProtocolComparison(scale Scale, seed int64, topo string, p int) ([]ProtocolRow, error) {
 	return exp.ProtocolComparison(scale, seed, topo, p)
-}
-
-// CacheSweep sweeps the target machine's cache size for one application
-// (the 64 KB working-set claim the paper cites).
-func CacheSweep(appName string, scale Scale, seed int64, topo string, p int, sizesKB []int) ([]CacheRow, error) {
-	return exp.CacheSweep(appName, scale, seed, topo, p, sizesKB)
-}
-
-// AdaptiveGapStudy evaluates the paper's proposed history-based g
-// estimation (section 7 future work).
-func AdaptiveGapStudy(appName string, scale Scale, seed int64, topo string, procs []int) ([]AdaptiveRow, error) {
-	return exp.AdaptiveGapStudy(appName, scale, seed, topo, procs)
-}
-
-// EffectiveLStudy re-derives L from measured mean message size,
-// separating the L parameter's two counteracting inaccuracies
-// (section 6.1).
-func EffectiveLStudy(appName string, scale Scale, seed int64, topo string, procs []int) ([]LRow, error) {
-	return exp.EffectiveLStudy(appName, scale, seed, topo, procs)
-}
-
-// TraceDrivenStudy contrasts trace-driven against execution-driven
-// simulation across the application suite.
-func TraceDrivenStudy(scale Scale, seed int64, topo string, p int) ([]TraceRow, error) {
-	return exp.TraceDrivenStudy(scale, seed, topo, p)
-}
-
-// BandwidthStudy measures each application's per-processor communication
-// demand (the authors' bandwidth-characterization companion study).
-func BandwidthStudy(scale Scale, seed int64, topo string, p int) ([]BandwidthRow, error) {
-	return exp.BandwidthStudy(scale, seed, topo, p)
-}
-
-// TechnologyStudy scales the link bandwidth (with L and g re-derived)
-// and tracks how the ideal-cache abstraction's accuracy moves.
-func TechnologyStudy(appName string, scale Scale, seed int64, topo string, p int, mbps []float64) ([]TechRow, error) {
-	return exp.TechnologyStudy(appName, scale, seed, topo, p, mbps)
-}
-
-// DegradedLinkStudy injects a slow mesh link and contrasts the detailed
-// network (which sees it) against the L/g abstraction (which cannot).
-func DegradedLinkStudy(appName string, scale Scale, seed int64, p int, factors []int) ([]FaultRow, error) {
-	return exp.DegradedLinkStudy(appName, scale, seed, p, factors)
-}
-
-// TopologyStudy compares the abstraction's accuracy across all five
-// topologies, including the extension ring and torus.
-func TopologyStudy(appName string, scale Scale, seed int64, p int) ([]TopologyRow, error) {
-	return exp.TopologyStudy(appName, scale, seed, p)
-}
-
-// PlacementStudy contrasts blocked against interleaved data placement
-// for CG on the target machine.
-func PlacementStudy(scale Scale, seed int64, topo string, p int) ([]PlacementRow, error) {
-	return exp.PlacementStudy(scale, seed, topo, p)
-}
-
-// ExtendedAppStudy runs an extension workload through the paper's
-// machine comparison — an out-of-sample test of the abstractions.
-func ExtendedAppStudy(appName string, scale Scale, seed int64, topo string, procs []int) ([]ExtendedAppRow, error) {
-	return exp.ExtendedAppStudy(appName, scale, seed, topo, procs)
 }
 
 // Accuracy summarizes each figure's abstraction error (the geometric

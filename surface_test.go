@@ -5,10 +5,14 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"spasm/internal/report"
 )
 
 // TestRunSurface locks the exported run entrypoints of the façade and of
@@ -47,6 +51,104 @@ func TestRunSurface(t *testing.T) {
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s exports run entrypoints %v, want exactly %v", tc.dir, got, tc.want)
+		}
+	}
+}
+
+// TestCommandSurface locks the binary count: the experiment CLI is one
+// binary with subcommands (cmd/spasm), beside the daemon and the bench
+// gate.  A new experiment is a subcommand or a report.Studies entry, not
+// a fourth main package.
+func TestCommandSurface(t *testing.T) {
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if want := []string{"benchdiff", "spasm", "spasmd"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("cmd/ holds %v, want exactly %v", got, want)
+	}
+}
+
+// TestStudyRegistry: "spasm study" selects by name and prints Name and
+// Claim as its usage text, so names must be unique and both set; README's
+// study table is the one prose listing and must name each.
+func TestStudyRegistry(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{"all": true, "batch": true} // reserved by the CLI
+	for _, s := range report.Studies() {
+		if !strings.Contains(string(readme), "| `"+s.Name+"` |") {
+			t.Errorf("study %q is missing from README.md's study table", s.Name)
+		}
+		if s.Name == "" || s.Claim == "" {
+			t.Errorf("study %+v: Name and Claim are both required", s)
+		}
+		if seen[s.Name] {
+			t.Errorf("study name %q is taken", s.Name)
+		}
+		seen[s.Name] = true
+	}
+}
+
+// TestNoDeadRenderers: every exported *Table constructor in
+// internal/report is called from non-test code somewhere in the module.
+// A renderer only its own test calls is a second copy of some table
+// waiting to drift; delete it or give a subcommand a reason to print it.
+func TestNoDeadRenderers(t *testing.T) {
+	fset := token.NewFileSet()
+	called := map[string]bool{}
+	var renderers []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if filepath.Dir(path) == filepath.Join("internal", "report") && n.Recv == nil &&
+					n.Name.IsExported() && strings.HasSuffix(n.Name.Name, "Table") {
+					renderers = append(renderers, n.Name.Name)
+				}
+			case *ast.CallExpr:
+				switch fn := n.Fun.(type) {
+				case *ast.Ident:
+					called[fn.Name] = true
+				case *ast.SelectorExpr:
+					called[fn.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(renderers) == 0 {
+		t.Fatal("found no report.*Table constructors; has the package moved?")
+	}
+	for _, name := range renderers {
+		if !called[name] {
+			t.Errorf("report.%s has no non-test caller", name)
 		}
 	}
 }
