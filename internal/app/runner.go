@@ -27,6 +27,16 @@ var (
 // RunControl carries the failure-containment knobs of one run.  The
 // zero value means "run to completion" and costs nothing — the watchdog
 // goroutine only exists when a knob is set.
+//
+// Abort latency: a deadline already past, or a Cancel already closed,
+// when the event loop is about to start aborts the run before its first
+// event.  One that lands mid-run is noticed by the watchdog goroutine,
+// which needs a P: with an idle P that is immediate, but the event loop
+// never enters the Go scheduler, so at GOMAXPROCS 1 the watchdog runs at
+// the runtime's next forced preemption (every 10 ms of a goroutine's
+// running).  The engine then aborts at its next event and unwinds every
+// process, O(P): at p4096 on LogP the run returns 4-19 ms after the
+// deadline or the close, and TestAbortLatency holds that under 250 ms.
 type RunControl struct {
 	// Timeout bounds the run's wall-clock execution; past it the engine
 	// is interrupted and the run fails with ErrRunTimeout.
@@ -237,9 +247,10 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	}
 	ctx.M = m
 
+	prefix := prog.Name() + "/p"
 	for i := 0; i < cfg.P; i++ {
 		i := i
-		eng.Spawn(fmt.Sprintf("%s/p%d", prog.Name(), i), func(sp *sim.Proc) {
+		eng.SpawnIndexed(prefix, func(sp *sim.Proc) {
 			p := &Proc{ID: i, S: sp, M: m, St: &run.Procs[i], Ctx: ctx}
 			prog.Body(p)
 			p.closePhase()
@@ -273,6 +284,7 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	if ctl.enabled() {
 		watch := make(chan struct{})
 		watchDone := make(chan struct{})
+		armed := time.Now()
 		var timer <-chan time.Time
 		var stop func() bool
 		if ctl.Timeout > 0 {
@@ -280,15 +292,17 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 			timer = tm.C
 			stop = tm.Stop
 		}
+		abort := func(why *atomic.Bool) {
+			why.Store(true)
+			eng.Interrupt()
+		}
 		go func() {
 			defer close(watchDone)
 			select {
 			case <-timer:
-				timedOut.Store(true)
-				eng.Interrupt()
+				abort(&timedOut)
 			case <-ctl.Cancel:
-				wasCanceled.Store(true)
-				eng.Interrupt()
+				abort(&wasCanceled)
 			case <-watch:
 			}
 		}()
@@ -299,6 +313,16 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 				stop()
 			}
 		}()
+		// The watchdog gets no CPU from the event loop itself (see
+		// RunControl), so settle what is already due synchronously.
+		select {
+		case <-ctl.Cancel:
+			abort(&wasCanceled)
+		default:
+			if ctl.Timeout > 0 && time.Since(armed) >= ctl.Timeout {
+				abort(&timedOut)
+			}
+		}
 	}
 
 	t0 := time.Now()

@@ -117,7 +117,7 @@ func (l *SpinLock) Unlock(p *Proc) {
 		l.owner = -1
 	})
 	if bad {
-		panic("app: Unlock of lock not held by " + p.S.Name)
+		panic("app: Unlock of lock not held by " + p.S.Name())
 	}
 	p.Write(l.addr)
 	p.S.Ordered(func() { l.q.WakeAll() })

@@ -519,6 +519,10 @@ func (s *Server) runSafely(spec spasm.Spec, profile *spasm.ProfileConfig) (res *
 // job out of the active set and its tenant's run quota, and the outcome
 // to anyone blocked on Done or subscribed to the stream.
 func (s *Server) finish(job *Job, e *entry, timedOut bool) {
+	// Count before anything announces the outcome (the result tier, the
+	// done channel, the stream hub): a client that learns of the result
+	// and then reads /metrics must find it already counted.
+	s.metrics.jobFinished(e.err == "", timedOut)
 	s.results.publish(e)
 	s.mu.Lock()
 	job.entry = e
@@ -531,7 +535,6 @@ func (s *Server) finish(job *Job, e *entry, timedOut bool) {
 		job.hub.publish(eventResult, statusFromEntry(e, false))
 		job.hub.finish()
 	}
-	s.metrics.jobFinished(e.err == "", timedOut)
 }
 
 // Wait blocks until the job completes or ctx is cancelled, then returns

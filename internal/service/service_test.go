@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -432,5 +434,86 @@ func TestParallelRunOverWire(t *testing.T) {
 	bad := service.RunRequest{App: "fft", Scale: "tiny", P: 8, Workers: spasm.MaxWorkers + 1}
 	if _, err := cl.Run(ctx, bad); err == nil {
 		t.Fatal("service accepted workers beyond the limit")
+	}
+}
+
+// TestFinishCountsBeforeAnnouncing: a client that has seen a job finish
+// and then reads the metrics finds the job counted.  finish used to
+// close the job's done channel first and count afterwards, so a waiter
+// woken on another P could read done + failed one short of what it had
+// itself watched complete.
+func TestFinishCountsBeforeAnnouncing(t *testing.T) {
+	svc, _ := newTestService(t, service.Config{Workers: 2})
+	ctx := context.Background()
+	for i := 1; i <= 300; i++ {
+		j, _, err := svc.Submit(spasm.Spec{App: "ep", Scale: spasm.Tiny, Seed: int64(i), Machine: spasm.LogP, P: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := svc.Wait(ctx, j); err != nil || st.State != service.StateDone {
+			t.Fatalf("job %d: %v / %+v", i, err, st)
+		}
+		if v, _ := client.MetricValue(svc.RenderMetrics(), "spasmd_jobs_done_total"); v != float64(i) {
+			t.Fatalf("after waiting for job %d, spasmd_jobs_done_total = %v", i, v)
+		}
+	}
+}
+
+// TestHandlersAnswerDuringRun: with one worker on the only P and a long
+// run in flight, liveness probes and cached-result reads are still
+// answered promptly.  The simulation kernel switches between processes
+// without entering the Go scheduler, so the HTTP goroutines get the P
+// at the runtime's forced-preemption ticks rather than at every event;
+// a request crosses a few goroutines and so a few ticks.  The bound
+// keeps a later change from starving the HTTP side silently.
+func TestHandlersAnswerDuringRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4096-processor run")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	svc, cl := newTestService(t, service.Config{Workers: 1})
+	ctx := context.Background()
+
+	cached, err := cl.Run(ctx, service.RunRequest{App: "ep", Scale: "tiny", Machine: "logp", P: 2})
+	if err != nil || cached.State != service.StateDone {
+		t.Fatalf("warm-up run: %v / %+v", err, cached)
+	}
+	long, _, err := svc.Submit(spasm.Spec{App: "uniform", Scale: spasm.Tiny, Seed: 1, Machine: spasm.LogP, Topology: "cube", P: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var took []time.Duration // of the probes that competed with the run
+	for state := service.StatePending; state == service.StatePending || state == service.StateRunning; {
+		t0 := time.Now()
+		if _, err := cl.Healthz(ctx); err != nil {
+			t.Fatal(err)
+		}
+		health := time.Since(t0)
+		t0 = time.Now()
+		got, err := cl.GetRun(ctx, cached.ID)
+		if err != nil || !bytes.Equal(got.Result, cached.Result) {
+			t.Fatalf("cached read: %v", err)
+		}
+		read := time.Since(t0)
+		st, _ := svc.Status(long.ID())
+		if state = st.State; state == service.StateRunning {
+			took = append(took, health, read)
+		}
+	}
+	if st, err := svc.Wait(ctx, long); err != nil || st.State != service.StateDone {
+		t.Fatalf("long run: %v / %+v", err, st)
+	}
+	if len(took) == 0 {
+		t.Skip("the run finished before a probe could compete with it")
+	}
+	// Every probe waits for the same few ticks (40 ms here, to the
+	// millisecond), so starvation moves the median; the maximum also
+	// carries whatever else the host was doing, and is only logged.
+	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+	median, max := took[len(took)/2], took[len(took)-1]
+	t.Logf("%d requests answered while the run was in flight: median %v, max %v", len(took), median, max)
+	if bound := 100 * time.Millisecond; median > bound {
+		t.Errorf("with a run in flight, /healthz and cached GETs took %v (median); bound %v", median, bound)
 	}
 }

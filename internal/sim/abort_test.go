@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -18,7 +20,8 @@ func allTerminated(e *Engine) bool {
 }
 
 // settleGoroutines waits for the goroutine count to come back to (near)
-// base — process goroutines exit asynchronously after Run returns, so
+// base.  Process coroutines are gone when Run returns, but a parallel
+// run's carriers are joined at their last statement, not their exit, so
 // leak checks must allow the scheduler a moment.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
@@ -90,49 +93,6 @@ func TestInterruptConcurrentWithRun(t *testing.T) {
 		t.Fatal("interrupted run left live processes")
 	}
 	settleGoroutines(t, base+1) // the interrupter itself may still be exiting
-}
-
-// TestDeadlockUnwindsGoroutines: a deadlocked run still reports
-// *DeadlockError with the blocked-process list captured at detection,
-// but its goroutines no longer stay parked forever.
-func TestDeadlockUnwindsGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e := NewEngine()
-	var q Queue
-	e.Spawn("stuck-a", func(p *Proc) { q.Wait(p) })
-	e.Spawn("stuck-b", func(p *Proc) { q.Wait(p) })
-	err := e.Run()
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("want DeadlockError, got %v", err)
-	}
-	if len(dl.Procs) != 2 {
-		t.Fatalf("deadlock procs = %v, want both", dl.Procs)
-	}
-	if !allTerminated(e) {
-		t.Fatal("deadlocked run left live processes")
-	}
-	settleGoroutines(t, base)
-}
-
-// TestPanicUnwindsGoroutines: a process panic fails the run with the
-// panic error, and the surviving processes (parked and scheduled) are
-// unwound rather than abandoned.
-func TestPanicUnwindsGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e := NewEngine()
-	var q Queue
-	e.Spawn("parked", func(p *Proc) { q.Wait(p) })
-	e.Spawn("sleeper", func(p *Proc) { p.Hold(1e6) })
-	e.Spawn("boom", func(p *Proc) {
-		p.Hold(10)
-		panic("kaboom")
-	})
-	err := e.Run()
-	if err == nil || !allTerminated(e) {
-		t.Fatalf("err=%v terminated=%v, want panic error with all processes unwound", err, allTerminated(e))
-	}
-	settleGoroutines(t, base)
 }
 
 // TestMaxTimeUnwindsGoroutines: the simulated-time watchdog keeps its
@@ -238,5 +198,85 @@ func TestInterruptAfterRunIsHarmless(t *testing.T) {
 	e.Spawn("next", func(p *Proc) { ok = true })
 	if err := e.Run(); err != nil || !ok {
 		t.Fatalf("run after late interrupt: err=%v ok=%v", err, ok)
+	}
+}
+
+// TestVehicleLeavesNoGoroutines: whatever ends a run — a panicking body,
+// a deadlock, an interrupt that finds processes mid-Hold, or plain
+// completion with a process spawned mid-run — every coroutine has
+// finished and, in parallel mode, every carrier has exited by the time
+// Run returns: the goroutine count is back at its baseline.
+func TestVehicleLeavesNoGoroutines(t *testing.T) {
+	var dl *DeadlockError
+	var ab *AbortError
+	cases := []struct {
+		name  string
+		build func(e *Engine)
+		check func(err error) bool
+	}{
+		{"panic", func(e *Engine) {
+			var q Queue
+			e.Spawn("parked", func(p *Proc) { q.Wait(p) })
+			e.Spawn("sleeper", func(p *Proc) { p.Hold(1e6) })
+			e.Spawn("boom", func(p *Proc) {
+				p.Hold(10)
+				panic("kaboom")
+			})
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }},
+		{"deadlock", func(e *Engine) {
+			var q Queue
+			for i := 0; i < 3; i++ {
+				e.Spawn("stuck", func(p *Proc) {
+					p.Hold(Time(p.ID + 1))
+					q.Wait(p)
+				})
+			}
+		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 3 }},
+		{"interrupt-mid-hold", func(e *Engine) {
+			for i := 0; i < 4; i++ {
+				e.Spawn("spinner", func(p *Proc) {
+					for {
+						p.Hold(7)
+					}
+				})
+			}
+			e.Spawn("killer", func(p *Proc) {
+				p.Hold(100)
+				e.Interrupt()
+				p.Hold(1e6)
+			})
+		}, func(err error) bool { return errors.As(err, &ab) }},
+		{"mid-run-spawn", func(e *Engine) {
+			for i := 0; i < 2; i++ {
+				e.Spawn("root", func(p *Proc) {
+					p.Hold(Time(5 * (p.ID + 1)))
+					p.Ordered(func() {
+						e.Spawn("child", func(c *Proc) { c.Hold(7) })
+					})
+					p.Hold(30)
+				})
+			}
+		}, func(err error) bool { return err == nil }},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				e := NewEngine()
+				c.build(e)
+				e.SetParallel(workers, 10, func(id int) int { return id % 2 })
+				err := e.Run()
+				if !c.check(err) {
+					t.Fatalf("run returned %v", err)
+				}
+				if got := e.ParReport().Parallel; got != (workers > 1) {
+					t.Fatalf("parallel = %v with %d workers", got, workers)
+				}
+				if !allTerminated(e) {
+					t.Fatal("run left live processes")
+				}
+				settleGoroutines(t, base)
+			})
+		}
 	}
 }

@@ -21,7 +21,7 @@ type event struct {
 // eventHeap is a concrete-typed min-heap of events ordered by (at, seq).
 // Compared with container/heap it avoids the interface{} boxing
 // allocation on every push and pop, and it clears popped slots so a
-// drained queue does not pin *Proc values (and their goroutine stacks)
+// drained queue does not pin *Proc values (and their coroutine stacks)
 // in memory.
 type eventHeap struct {
 	s []event
@@ -108,9 +108,10 @@ type Engine struct {
 	nowQ    []event
 	nowHead int
 
-	done    chan error // buffered(1): run result, signalled once
-	nLive   int        // spawned but not yet terminated processes
-	procs   []*Proc
+	nLive int // spawned but not yet terminated processes
+	procs []*Proc
+	// running is the process whose event advance dispatched last: the one
+	// Run's loop resumes next, nil once the run is over.
 	running *Proc
 	failure error // first process panic, converted to a run error
 
@@ -122,8 +123,8 @@ type Engine struct {
 	// aborting marks the unwind phase: the run's outcome is decided and
 	// every remaining process is being resumed one final time so it can
 	// unwind (panic with abortSignal) and terminate.  Unwinding instead
-	// of abandoning parked goroutines is what makes failed runs — panics,
-	// deadlocks, time limits, aborts — leak no goroutines.
+	// of abandoning suspended coroutines is what makes failed runs —
+	// panics, deadlocks, time limits, aborts — leak no goroutines.
 	aborting bool
 	abortErr error // the run result recorded when the unwind began
 
@@ -161,10 +162,10 @@ type Engine struct {
 	parRan  bool
 	pfall   string // why a requested parallel run executed sequentially
 	parDoms int
-	parWin  uint64
-	parRel  uint64
-	parSec  uint64
-	parPeak int
+	parWin  uint64 // release batches that released at least one span
+	parRel  uint64 // spans released
+	parSec  uint64 // gate grants (spans that entered a global section)
+	parPeak int    // most spans incomplete at once
 
 	// Per-domain event queues of the parallel mode (see parallel.go):
 	// domain-local scheduling mutates only pq[dom], and window release
@@ -181,7 +182,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{done: make(chan error, 1)}
+	e := &Engine{}
 	e.q = &e.heap
 	e.lad.topStart = minTime
 	return e
@@ -190,14 +191,14 @@ func NewEngine() *Engine {
 // Reset returns the engine to its post-NewEngine state while keeping the
 // backing arrays of the event heap, the same-timestamp FIFO, and the
 // process table, so a pooled engine re-runs without reallocating them.
-// All retained slots are cleared so no *Proc (and hence no goroutine
+// All retained slots are cleared so no *Proc (and hence no coroutine
 // stack) from the previous run stays reachable.  The per-run hooks
 // (Tick, MaxTime) are cleared too: they are configuration of one run,
 // not of the engine.
 //
 // Reset must not be called while Run is in flight.  A failed run
 // (deadlock, panic, time limit, Interrupt) unwinds every process
-// goroutine before Run returns, so nothing from the old run survives —
+// coroutine before Run returns, so nothing from the old run survives —
 // but its mid-flight machine and address-space state may, which is why
 // pooled contexts whose run did not complete cleanly are discarded
 // rather than reset (see internal/runpool.Pool.Discard).
@@ -252,18 +253,15 @@ func (e *Engine) Reset() {
 	if e.parHeads != nil {
 		e.parHeads.Reset()
 	}
-	// The done channel may hold an unread result if the previous run was
-	// abandoned; a fresh channel is cheaper than reasoning about drains.
-	e.done = make(chan error, 1)
 }
 
 // Interrupt requests a cooperative abort of the in-flight Run.  It is
 // the only Engine method safe to call from another goroutine while Run
 // executes: it sets an atomic flag the dispatch loop polls, so the run
 // aborts at the next event.  The engine then wakes every remaining
-// process once so its goroutine can unwind and terminate — an aborted
-// Run returns an *AbortError only after all process goroutines have
-// exited, leaking none.  Interrupting an engine whose Run has already
+// process once so its coroutine can unwind and terminate — an aborted
+// Run returns an *AbortError only after all process coroutines have
+// finished, leaking none.  Interrupting an engine whose Run has already
 // returned is a harmless no-op (Reset clears the flag).
 func (e *Engine) Interrupt() { e.stop.Store(true) }
 
@@ -329,14 +327,15 @@ func (e *Engine) next() (event, bool) {
 	return event{}, false
 }
 
-// advance dispatches the next runnable event.  It is called by the
-// goroutine that currently holds the run token — a process that has just
-// scheduled its own resumption, parked, or terminated (or Run itself to
-// prime the first dispatch) — so engine state is only ever touched by
-// one goroutine at a time.  It returns true when the dispatched event
-// belongs to cur, in which case control simply stays on the calling
-// goroutine with no channel handoff at all; otherwise it either resumes
-// the target process (one channel send) or ends the run.
+// advance dispatches the next runnable event and records its owner in
+// e.running (nil when the run is over).  It is called by whoever holds
+// control — a process that has just scheduled its own resumption or
+// parked, or Run's loop to prime the first dispatch and after a process
+// terminates — so engine state is only ever touched by one coroutine at
+// a time.  It returns true when the dispatched event belongs to cur, in
+// which case control simply stays on the calling process with no switch
+// at all; otherwise the caller yields (or is Run's loop already), and
+// the loop resumes e.running.
 func (e *Engine) advance(cur *Proc) bool {
 	if !e.aborting && e.stop.Load() {
 		e.beginAbort(&AbortError{At: e.now})
@@ -346,11 +345,11 @@ func (e *Engine) advance(cur *Proc) bool {
 		if !ok {
 			if !e.aborting && e.nLive > 0 {
 				// Deadlock: record it, then unwind the blocked processes
-				// instead of abandoning their goroutines.
+				// instead of abandoning their coroutines.
 				e.beginAbort(e.deadlock())
 				continue
 			}
-			e.endRun(e.runResult())
+			e.running = nil
 			return false
 		}
 		if ev.gen != ev.p.gen {
@@ -366,20 +365,15 @@ func (e *Engine) advance(cur *Proc) bool {
 			}
 		}
 		e.Events++
-		p := ev.p
-		p.parked = false
-		e.running = p
-		if p == cur {
-			return true // same-process dispatch: no handoff
-		}
-		p.resume <- struct{}{}
-		return false
+		ev.p.parked = false
+		e.running = ev.p
+		return ev.p == cur
 	}
 }
 
 // beginAbort starts the unwind phase: the run's outcome (reason, or the
 // first process failure) is fixed, and every parked process is scheduled
-// one last wakeup so its goroutine can unwind.  Processes waiting on
+// one last wakeup so its coroutine can unwind.  Processes waiting on
 // their own queued events need no help — dispatch reaches them — and
 // once aborting is set, any resumed process panics with abortSignal
 // inside block() before it can touch application state again.  The run
@@ -394,14 +388,6 @@ func (e *Engine) beginAbort(reason error) {
 			e.schedule(e.now, p)
 		}
 	}
-}
-
-// endRun publishes the run result.  The done channel is buffered so the
-// publisher (possibly Run's own goroutine, when no process was ever
-// spawned) never blocks.
-func (e *Engine) endRun(err error) {
-	e.running = nil
-	e.done <- err
 }
 
 // runResult classifies a finished run: the first process failure wins,
@@ -424,104 +410,112 @@ func (e *Engine) runResult() error {
 // at the current simulation time.  It may be called before Run or from
 // inside a running process.  The returned Proc is also passed to fn.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		Name: name,
-		eng:  e,
-		// resume is buffered: in parallel mode a retiring span can
-		// release its own next event (or a peer's) before the owning
-		// goroutine reaches its receive, and the sender must not block
-		// under the gate mutex.  The generation discipline guarantees at
-		// most one live token per process in either mode.
-		resume: make(chan struct{}, 1),
-		gate:   make(chan struct{}, 1),
-	}
-	if e.par != nil {
-		// Mid-run spawn from a granted section: serialize the table
-		// bookkeeping with the gate (parSignalLocked indexes e.procs).
+	p := &Proc{name: name, eng: e}
+	p.launch(fn)
+	// A mid-run spawn in parallel mode comes from a granted section:
+	// serialize the table bookkeeping with the gate (parSignalLocked
+	// indexes e.procs).
+	par := e.par != nil
+	if par {
 		e.parMu.Lock()
-		p.ID = len(e.procs)
-		if p.dom = e.pdomOf(p.ID); p.dom < 0 || p.dom >= e.parDoms {
-			p.dom = 0
-		}
-		e.procs = append(e.procs, p)
-		e.nLive++
-		e.parMu.Unlock()
-	} else {
-		p.ID = len(e.procs)
-		e.procs = append(e.procs, p)
-		e.nLive++
 	}
-	go func() {
-		<-p.resume // wait for the engine to dispatch our start event
-		defer func() {
-			r := recover()
-			// e.par is stable here: it can only transition to nil while
-			// no span is incomplete, and this process's current span is.
-			// (On the abortSignal unwind path e.par is already nil, with
-			// the transition ordered before our final resumption.)
-			if e.par != nil {
-				e.parTerminate(p, r)
-				return
-			}
-			if r != nil {
-				// Panics raised after the abort began are collateral of
-				// the unwind (cleanup defers running against torn-down
-				// state), not independent failures: recording them would
-				// mask the abort's own error.
-				if _, unwind := r.(abortSignal); !unwind && !e.aborting && e.failure == nil {
-					e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name, e.now, r)
-				}
-			}
-			p.terminated = true
-			p.gen++ // any still-queued wakeup for p is now stale
-			e.nLive--
-			if e.failure != nil && !e.aborting {
-				// A panic fails the run, but the remaining processes are
-				// unwound — not abandoned — before Run reports it.
-				e.beginAbort(nil)
-			}
-			e.advance(p) // pass the run token on; goroutine exits
-		}()
-		if !e.aborting {
-			fn(p)
+	p.ID = len(e.procs)
+	e.procs = append(e.procs, p)
+	e.nLive++
+	if par {
+		e.parAdopt(p)
+		if p.px.dom >= e.parDoms {
+			p.px.dom = 0
 		}
-	}()
+		e.parMu.Unlock()
+	}
 	// In parallel mode the caller is a granted section, so e.now is
 	// stable and schedule serializes the heap push through the gate.
 	e.schedule(e.now, p)
 	return p
 }
 
+// SpawnIndexed is Spawn for the members of a process array: the process
+// is named prefix followed by its ID, formatted only if something asks
+// (an error message), so spawning P processes formats no strings.
+func (e *Engine) SpawnIndexed(prefix string, fn func(*Proc)) *Proc {
+	p := e.Spawn(prefix, fn)
+	p.indexed = true
+	return p
+}
+
+// run is the body of p's coroutine: fn, then the termination
+// bookkeeping.  Dispatching the successor is left to Run's loop.
+func (p *Proc) run(fn func(*Proc)) {
+	e := p.eng
+	defer func() {
+		r := recover()
+		// e.par is stable here: it can only transition to nil while no
+		// span is incomplete, and this process's current span is.  (On
+		// the abortSignal unwind path e.par is already nil, with the
+		// transition ordered before our final resumption.)
+		if e.par != nil {
+			e.parTerminate(p, r)
+			return
+		}
+		if r != nil {
+			// Panics raised after the abort began are collateral of the
+			// unwind (cleanup defers running against torn-down state),
+			// not independent failures: recording them would mask the
+			// abort's own error.
+			if _, unwind := r.(abortSignal); !unwind && !e.aborting && e.failure == nil {
+				e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name(), e.now, r)
+			}
+		}
+		p.terminated = true
+		p.gen++ // any still-queued wakeup for p is now stale
+		e.nLive--
+		if e.failure != nil && !e.aborting {
+			// A panic fails the run, but the remaining processes are
+			// unwound — not abandoned — before Run reports it.
+			e.beginAbort(nil)
+		}
+	}()
+	if !e.aborting {
+		fn(p)
+	}
+}
+
 // Run dispatches events until none remain.  It returns a *DeadlockError
 // if processes are still alive (parked forever) when the event queue
 // drains, and nil when every process has terminated.
 //
-// Run itself only primes the first dispatch and waits for the result:
-// after the first handoff, dispatching happens on the process goroutines
-// themselves — the goroutine that blocks or terminates picks the next
-// event and resumes its owner directly, so each engine event costs at
-// most one channel handoff (zero when a process's next event is its
-// own).
+// Run's loop is the only driver of the process coroutines: it resumes
+// the owner of the dispatched event and gets control back when that
+// process yields — having dispatched its own successor (see advance) —
+// or finishes.  An event therefore costs two coroutine switches, process
+// to Run and Run to owner, neither of which enters the Go scheduler.
 func (e *Engine) Run() error {
 	if e.pworkers > 1 {
 		if why := e.parFallback(); why != "" {
 			e.pfall = why // requested but incompatible: run sequentially
 		} else {
-			return e.runParallel()
+			e.runParallel() // returns drained: the loop below finishes or unwinds
 		}
 	}
 	if e.q == &e.heap && len(e.procs) >= ladderProcs {
 		e.escalate() // large-P run: start on the ladder queue
 	}
 	e.advance(nil)
-	return <-e.done
+	for p := e.running; p != nil; p = e.running {
+		p.next()
+		if p.terminated {
+			e.advance(nil) // a finished process dispatches no successor
+		}
+	}
+	return e.runResult()
 }
 
 func (e *Engine) deadlock() *DeadlockError {
 	var stuck []string
 	for _, p := range e.procs {
 		if !p.terminated {
-			stuck = append(stuck, p.Name)
+			stuck = append(stuck, p.Name())
 		}
 	}
 	sort.Strings(stuck)
@@ -552,8 +546,8 @@ func (t *TimeLimitError) Error() string {
 
 // AbortError reports that the run was aborted by Interrupt — the
 // cooperative cancellation path used for wall-clock run timeouts and
-// abandoned jobs.  By the time Run returns it, every process goroutine
-// has unwound and exited.
+// abandoned jobs.  By the time Run returns it, every process coroutine
+// has unwound and finished.
 type AbortError struct {
 	// At is the simulated time at which the abort was observed.
 	At Time
@@ -563,7 +557,7 @@ func (a *AbortError) Error() string {
 	return fmt.Sprintf("sim: run aborted at %v", a.At)
 }
 
-// abortSignal is the panic value used to unwind process goroutines once
-// a run is aborting.  It is recovered (and recognized) by Spawn's
+// abortSignal is the panic value used to unwind process coroutines once
+// a run is aborting.  It is recovered (and recognized) by the process's
 // termination handler and never escapes the engine.
 type abortSignal struct{}

@@ -32,16 +32,19 @@ package sim
 // span may sit.  The lookahead is a performance knob, not a correctness
 // condition: correctness comes from the gate alone.
 //
-// Degeneration: when the run is interrupted, a process panics, the event
-// supply drains, or the program deadlocks, the window closes — once no
-// span is incomplete the engine clears parallel mode and hands the run
-// token to the sequential dispatch loop, which drains, unwinds, and
+// Vehicle and degeneration: processes are the same coroutines the
+// sequential kernel drives; a parallel run adds one carrier goroutine per
+// process (carry), which lends its thread to the coroutine for one span
+// per release token.  When the run is interrupted, a process panics, the
+// event supply drains, or the program deadlocks, the window closes — once
+// no span is incomplete the engine clears parallel mode, the carriers are
+// dismissed and joined, and Run's ordinary loop drains, unwinds, and
 // terminates through the exact same abort machinery a sequential run
-// uses.  That reuse is what makes mid-window Interrupts leak zero
-// goroutines.
+// uses.  That reuse is what makes mid-window Interrupts leak nothing.
 
 import (
 	"fmt"
+	"sync"
 
 	"spasm/internal/par"
 )
@@ -56,16 +59,30 @@ type parGate struct {
 	clocks   *par.Clocks
 	pol      par.Policy
 	stopping bool // no further releases: drain toward sequential mode
-
-	// Telemetry (reported via ParReport after the run).
-	windows  uint64 // release batches that released at least one span
-	releases uint64 // spans released
-	sections uint64 // gate grants (spans that entered a global section)
-	peak     int    // most spans incomplete at once
+	carriers sync.WaitGroup
 }
 
 // mu lives on the Engine rather than the gate so the schedule path can
 // lock it without loading e.par twice; it is only used while par != nil.
+
+// parProc is a process's parallel-mode state, allocated when a parallel
+// run adopts the process so that sequential runs carry none of it.
+// at/spanSeq are the (at, seq) release key of the current span; dom is
+// the clock-vector domain; release carries release tokens to the carrier
+// and gate the grant handoffs, both buffered so the sender never blocks
+// under the gate mutex (the generation discipline allows at most one
+// live token per process); granted/wantGate implement the gate's handoff
+// protocol; drained marks the process whose span ended the parallel phase.
+type parProc struct {
+	at       Time
+	spanSeq  uint64
+	dom      int
+	release  chan struct{}
+	gate     chan struct{}
+	granted  bool
+	wantGate bool
+	drained  bool
+}
 
 // ParReport describes the outcome of the last Run's parallel mode.
 type ParReport struct {
@@ -141,29 +158,23 @@ func (e *Engine) ParReport() ParReport {
 	}
 }
 
-// runParallel executes the run in windowed parallel mode.  It releases
-// the initial window and then waits for the result; after that, all
-// dispatching happens on the process goroutines themselves, exactly as in
-// the sequential kernel — the last retiring span either releases the next
-// window or drains the engine back to sequential mode, which publishes
-// the result through the same done channel.
-func (e *Engine) runParallel() error {
+// runParallel executes the windowed parallel phase of a run: it adopts
+// every process, releases the initial window and joins the carriers,
+// which dispatch among themselves — a retiring span releases the next
+// window — until the last one drains the engine back to sequential mode.
+// It returns with e.par nil; what is left (nothing, a deadlock, an
+// unwind) is the business of Run's loop.
+func (e *Engine) runParallel() {
+	g := &parGate{pol: par.Policy{Workers: e.pworkers, Lookahead: int64(e.plook)}}
+	e.par = g
 	d := 1
 	for _, p := range e.procs {
-		p.dom = e.pdomOf(p.ID)
-		if p.dom < 0 {
-			p.dom = 0
-		}
-		if p.dom >= d {
-			d = p.dom + 1
-		}
+		e.parAdopt(p)
+		d = max(d, p.px.dom+1)
 	}
 	e.parRan = true
 	e.parDoms = d
-	e.par = &parGate{
-		clocks: par.NewClocks(d),
-		pol:    par.Policy{Workers: e.pworkers, Lookahead: int64(e.plook)},
-	}
+	g.clocks = par.NewClocks(d)
 	e.parSetupQueues(d)
 	// Events scheduled before Run (process starts) sit in the sequential
 	// same-timestamp FIFO; parallel mode releases from the per-domain
@@ -171,7 +182,7 @@ func (e *Engine) runParallel() error {
 	// seq order — the FIFO order — so dispatch order is unchanged.
 	for i := e.nowHead; i < len(e.nowQ); i++ {
 		ev := e.nowQ[i]
-		e.pq[ev.p.dom].push(ev)
+		e.pq[ev.p.px.dom].push(ev)
 		e.pqn++
 		e.nowQ[i] = event{}
 	}
@@ -183,7 +194,40 @@ func (e *Engine) runParallel() error {
 	e.parMu.Lock()
 	e.parReleaseLocked()
 	e.parMu.Unlock()
-	return <-e.done
+	g.carriers.Wait()
+}
+
+// parAdopt gives p its parallel-mode state and starts its carrier.
+// Mid-run callers (Spawn) hold parMu.
+func (e *Engine) parAdopt(p *Proc) {
+	p.px = &parProc{
+		dom:     max(e.pdomOf(p.ID), 0),
+		release: make(chan struct{}, 1),
+		gate:    make(chan struct{}, 1),
+	}
+	e.par.carriers.Add(1)
+	go e.carry(p, e.par)
+}
+
+// carry is p's carrier: for each release token it resumes p's coroutine,
+// which runs one span and yields back from parRetire (or finishes).  It
+// exits when p has terminated or the release channel is closed — by the
+// carrier of the span that drained the run: with no span incomplete no
+// token is in flight and no process is running, so e.procs is stable and
+// each channel is closed exactly once.
+func (e *Engine) carry(p *Proc, g *parGate) {
+	defer g.carriers.Done()
+	for range p.px.release {
+		p.next()
+		if p.px.drained {
+			for _, q := range e.procs {
+				close(q.px.release)
+			}
+		}
+		if p.terminated || p.px.drained {
+			return
+		}
+	}
 }
 
 // parSetupQueues (re)builds the per-domain pending-event queues for a
@@ -249,7 +293,7 @@ func (e *Engine) parHeadRefresh(dom int) {
 }
 
 // key is p's current span key.
-func (p *Proc) key() par.Key { return par.Key{At: int64(p.at), Seq: p.spanSeq} }
+func (p *Proc) key() par.Key { return par.Key{At: int64(p.px.at), Seq: p.px.spanSeq} }
 
 // parScheduleLocked is schedule's core under the gate mutex: same
 // generation discipline as the sequential path, but always through the
@@ -265,12 +309,12 @@ func (e *Engine) parScheduleLocked(at Time, p *Proc) {
 	}
 	e.seq++
 	p.gen++
-	e.pq[p.dom].push(event{at: at, seq: e.seq, gen: p.gen, p: p})
+	e.pq[p.px.dom].push(event{at: at, seq: e.seq, gen: p.gen, p: p})
 	e.pqn++
 	// The push may have created a new head, and p's superseded earlier
 	// event — now stale — may have been the old one; one refresh covers
-	// both (p's events all live in p.dom's queue).
-	e.parHeadRefresh(p.dom)
+	// both (p's events all live in its domain's queue).
+	e.parHeadRefresh(p.px.dom)
 }
 
 // parReleaseLocked releases pending events into the window while the
@@ -279,7 +323,7 @@ func (e *Engine) parScheduleLocked(at Time, p *Proc) {
 // minimum over heads is the same event a shared heap's top would be),
 // stale events are retired unseen (as in sequential dispatch, they do
 // not count), and each released event becomes an incomplete span with a
-// clock-vector entry and a resume token.  Events are counted here, at
+// clock-vector entry and a release token for its carrier.  Events are counted here, at
 // release — the same non-stale set the sequential kernel counts at
 // dispatch.
 func (e *Engine) parReleaseLocked() {
@@ -308,18 +352,18 @@ func (e *Engine) parReleaseLocked() {
 		e.Events++
 		q := ev.p
 		q.parked = false
-		q.at = ev.at
-		q.spanSeq = ev.seq
-		g.clocks.Insert(q.dom, par.Key{At: int64(ev.at), Seq: ev.seq}, q.ID)
-		g.releases++
-		if n := g.clocks.Size(); n > g.peak {
-			g.peak = n
+		q.px.at = ev.at
+		q.px.spanSeq = ev.seq
+		g.clocks.Insert(q.px.dom, par.Key{At: int64(ev.at), Seq: ev.seq}, q.ID)
+		e.parRel++
+		if n := g.clocks.Size(); n > e.parPeak {
+			e.parPeak = n
 		}
 		released = true
-		q.resume <- struct{}{} // buffered: the span may not be receiving yet
+		q.px.release <- struct{}{} // buffered: the carrier may not be receiving yet
 	}
 	if released {
-		g.windows++
+		e.parWin++
 	}
 }
 
@@ -355,11 +399,11 @@ func (e *Engine) parSignalLocked() {
 		return
 	}
 	p := e.procs[id]
-	if !p.wantGate || !e.parGrantable(p) {
+	if !p.px.wantGate || !e.parGrantable(p) {
 		return
 	}
-	p.wantGate = false
-	p.gate <- struct{}{} // buffered(1); at most one token outstanding
+	p.px.wantGate = false
+	p.px.gate <- struct{}{} // buffered(1); at most one token outstanding
 }
 
 // enterGate acquires the commit grant for p's current span.  The first
@@ -368,12 +412,11 @@ func (e *Engine) parSignalLocked() {
 // span (all its sections, through retirement), so a multi-section span is
 // atomic with respect to other spans — see the package comment.
 func (p *Proc) enterGate() {
-	if p.granted {
+	if p.px.granted {
 		return
 	}
 	e := p.eng
 	e.parMu.Lock()
-	g := e.par
 	for {
 		// Force out any heap event older than us (rule 1 of the release
 		// policy); its span must retire before our grant.
@@ -384,93 +427,84 @@ func (p *Proc) enterGate() {
 		// Popping stale events above may have unblocked a different
 		// waiter even though we are still obstructed.
 		e.parSignalLocked()
-		p.wantGate = true
+		p.px.wantGate = true
 		e.parMu.Unlock()
-		<-p.gate
+		<-p.px.gate
 		e.parMu.Lock()
 	}
-	p.granted = true
-	g.sections++
-	if p.at > e.now {
+	p.px.granted = true
+	e.parSec++
+	if p.px.at > e.now {
 		// The oldest incomplete span's dispatch time is the sequential
 		// kernel's clock; it advances monotonically across grants.
-		e.now = p.at
+		e.now = p.px.at
 	}
 	e.parMu.Unlock()
 }
 
 // parEnd retires p's current span after its final state transition has
-// committed.  It returns true when the run is still in parallel mode (the
-// caller's goroutine waits for its next release or exits), and false when
-// this retirement drained the engine back to sequential mode — the caller
-// then re-enters the sequential dispatch loop, which ends the run or
-// unwinds it through the ordinary abort machinery.
-func (p *Proc) parEnd() bool {
+// committed.  Usually the run stays in parallel mode and the retirement
+// releases the next window; when it was the last incomplete span of a
+// stopping or exhausted run, it drains the engine back to sequential
+// mode instead and flags p, whose carrier then dismisses the others.
+func (p *Proc) parEnd() {
 	e := p.eng
 	e.parMu.Lock()
+	defer e.parMu.Unlock()
 	g := e.par
-	p.granted = false
-	g.clocks.RemoveMin(p.dom)
+	p.px.granted = false
+	g.clocks.RemoveMin(p.px.dom)
 	if e.stop.Load() {
 		g.stopping = true // Interrupt mid-window: stop releasing, drain
 	}
 	e.parReleaseLocked()
-	if g.clocks.Size() == 0 && (g.stopping || e.pqn == 0) {
-		stopped := g.stopping
-		e.parWin = g.windows
-		e.parRel = g.releases
-		e.parSec = g.sections
-		e.parPeak = g.peak
-		if stopped {
-			e.pfall = "drained-mid-flight"
-		}
-		// Merge any per-domain leftovers (an interrupted window's future
-		// events, stale entries included — sequential dispatch skips
-		// those by generation) into the sequential queue the drain loop
-		// pops from.
-		for dom := range e.pq {
-			for e.pq[dom].len() > 0 {
-				e.q.push(e.pq[dom].pop())
-			}
-		}
-		e.pqn = 0
-		e.parHeads.Reset()
-		e.par = nil // sequential mode from here on
-		e.parMu.Unlock()
-		if stopped && !e.aborting {
-			if e.failure != nil {
-				e.beginAbort(nil) // the failure itself is the result
-			} else {
-				e.beginAbort(&AbortError{At: e.now})
-			}
-		}
-		return false
+	if g.clocks.Size() > 0 || (!g.stopping && e.pqn > 0) {
+		e.parSignalLocked()
+		return
 	}
-	e.parSignalLocked()
-	e.parMu.Unlock()
-	return true
+	// Merge any per-domain leftovers (an interrupted window's future
+	// events, stale entries included — sequential dispatch skips those by
+	// generation) into the sequential queue Run's loop pops from.
+	for dom := range e.pq {
+		for e.pq[dom].len() > 0 {
+			e.q.push(e.pq[dom].pop())
+		}
+	}
+	e.pqn = 0
+	e.parHeads.Reset()
+	e.par = nil // sequential mode from here on
+	p.px.drained = true
+	if g.stopping {
+		e.pfall = "drained-mid-flight"
+		if e.failure != nil {
+			e.beginAbort(nil) // the failure itself is the result
+		} else {
+			e.beginAbort(&AbortError{At: e.now})
+		}
+	}
 }
 
-// parHold completes the current span: p's next resumption is scheduled at
-// `at`, the span retires, and the goroutine waits for its next release.
-// Mirrors the schedule+block sequence of the sequential Hold family.
+// parRetire ends the current span and suspends p until its carrier
+// resumes it on the next release — or, if the run has drained out of
+// parallel mode meanwhile, Run's loop does, typically to unwind.
+func (p *Proc) parRetire() {
+	p.parEnd()
+	p.yield(struct{}{})
+	if p.eng.aborting {
+		panic(abortSignal{})
+	}
+}
+
+// parHold completes the current span with p's next resumption scheduled
+// at `at`.  Mirrors the schedule+block sequence of the sequential Hold
+// family.
 func (p *Proc) parHold(at Time) {
 	e := p.eng
 	p.enterGate() // scheduling mutates the shared heap: a global section
 	e.parMu.Lock()
 	e.parScheduleLocked(at, p)
 	e.parMu.Unlock()
-	if p.parEnd() {
-		<-p.resume
-		if e.aborting {
-			panic(abortSignal{})
-		}
-		return
-	}
-	// Retiring this span drained the run out of parallel mode (it was
-	// interrupted); our own event is still queued, so rejoin the
-	// sequential dispatch loop, which will unwind us.
-	p.block()
+	p.parRetire()
 }
 
 // parFail records a real process panic observed in parallel mode and
@@ -479,18 +513,19 @@ func (p *Proc) parHold(at Time) {
 func (e *Engine) parFail(p *Proc, r any) {
 	e.parMu.Lock()
 	if e.failure == nil {
-		// p.at is the span's dispatch time — exactly the sequential
-		// kernel's clock when the same panic unwinds there.
-		e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name, p.at, r)
+		// The span's dispatch time is exactly the sequential kernel's
+		// clock when the same panic unwinds there.
+		e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name(), p.px.at, r)
 	}
 	e.par.stopping = true
 	e.parMu.Unlock()
 }
 
-// parTerminate is the parallel-mode counterpart of Spawn's sequential
+// parTerminate is the parallel-mode counterpart of run's sequential
 // termination handler: the process's body has returned (or panicked), and
 // its final span retires through the gate so termination bookkeeping
-// lands in sequential order.
+// lands in sequential order.  The coroutine then finishes; its carrier
+// sees p.terminated (or the drain flag) and exits.
 func (e *Engine) parTerminate(p *Proc, r any) {
 	if r != nil {
 		e.parFail(p, r)
@@ -501,12 +536,7 @@ func (e *Engine) parTerminate(p *Proc, r any) {
 	p.gen++ // any still-queued wakeup for p is now stale
 	e.nLive--
 	e.parMu.Unlock()
-	if p.parEnd() {
-		return // other spans drive the run on; this goroutine exits
-	}
-	// Drained out of parallel mode: end the run, report a deadlock, or
-	// unwind the remaining processes — all via the sequential loop.
-	e.advance(p)
+	p.parEnd()
 }
 
 // Ordered runs f as a global section of the calling process's current

@@ -19,7 +19,7 @@ type trace struct {
 
 func (t *trace) add(p *Proc, format string, args ...any) {
 	p.Ordered(func() {
-		t.log = append(t.log, fmt.Sprintf("%s@%v: %s", p.Name, p.Now(), fmt.Sprintf(format, args...)))
+		t.log = append(t.log, fmt.Sprintf("%s@%v: %s", p.Name(), p.Now(), fmt.Sprintf(format, args...)))
 	})
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Proc is a simulated process.  Its methods must be called only from
 // within the process's own function (the engine guarantees one process
@@ -14,31 +17,36 @@ import "fmt"
 // clock, so timing is unaffected; only the number of engine events (and
 // hence the cost of simulation) changes.
 type Proc struct {
-	ID   int
-	Name string
+	ID int
 
-	eng        *Engine
-	resume     chan struct{}
+	name string
+	eng  *Engine
+	// The process body runs as a coroutine (see launch): next resumes it
+	// and returns when it yields or finishes; yield suspends it back to
+	// whoever called next — Run's loop, or in a parallel run the
+	// process's carrier.  Neither switch enters the Go scheduler.
+	next       func() (struct{}, bool)
+	yield      func(struct{}) bool
+	indexed    bool // spawned by SpawnIndexed: the name is name + ID
 	parked     bool
 	terminated bool
 	gen        uint64 // generation counter; events with an older gen are stale
 	lag        Time   // local clock advance not yet materialized
 	sched      Time   // latest scheduled resumption (see Horizon)
 
-	// Parallel-mode span state (see parallel.go).  at/spanSeq are the
-	// (at, seq) release key of the process's current span; dom is its
-	// clock-vector domain; gate carries grant handoffs; granted/wantGate
-	// implement the ordered commit gate's handoff protocol.
-	at       Time
-	spanSeq  uint64
-	dom      int
-	gate     chan struct{}
-	granted  bool
-	wantGate bool
+	px *parProc // parallel-mode span state; nil outside a parallel run
 }
 
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
+
+// Name reports the name the process was spawned under.
+func (p *Proc) Name() string {
+	if p.indexed {
+		return p.name + strconv.Itoa(p.ID)
+	}
+	return p.name
+}
 
 // Now reports the process's local simulated time (the global event time
 // plus any deferred local work).  In parallel mode the span's dispatch
@@ -46,7 +54,7 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // kernel's clock reads while this process runs.
 func (p *Proc) Now() Time {
 	if p.eng.par != nil {
-		return p.at + p.lag
+		return p.px.at + p.lag
 	}
 	return p.eng.now + p.lag
 }
@@ -64,23 +72,19 @@ func (p *Proc) Horizon() Time {
 	return p.sched
 }
 
-// block dispatches the next event and waits to be resumed.  When the
-// next event belongs to p itself, advance returns with the run token
-// still here and block returns immediately — no goroutine handoff.
+// block dispatches the next event and suspends until p's own comes up.
+// When the next event belongs to p itself, advance returns with control
+// still here and block returns immediately — no coroutine switch.
 //
 // If the run began aborting while p was blocked, the resumption is the
-// process's last: block panics with abortSignal so the goroutine
-// unwinds out of the application code and terminates (Spawn's handler
+// process's last: block panics with abortSignal so the coroutine
+// unwinds out of the application code and terminates (run's handler
 // recognizes the signal), instead of running on inside a dead
 // simulation.
 func (p *Proc) block() {
-	if p.eng.advance(p) {
-		if p.eng.aborting {
-			panic(abortSignal{})
-		}
-		return
+	if !p.eng.advance(p) {
+		p.yield(struct{}{})
 	}
-	<-p.resume
 	if p.eng.aborting {
 		panic(abortSignal{})
 	}
@@ -108,7 +112,7 @@ func (p *Proc) FlushLag() {
 		d := p.lag
 		p.lag = 0
 		if p.eng.par != nil {
-			p.parHold(p.at + d)
+			p.parHold(p.px.at + d)
 			return
 		}
 		p.eng.schedule(p.eng.now+d, p)
@@ -128,7 +132,7 @@ func (p *Proc) Hold(d Time) {
 		return
 	}
 	if p.eng.par != nil {
-		at := p.at + p.lag + d
+		at := p.px.at + p.lag + d
 		p.lag = 0
 		p.parHold(at)
 		return
@@ -166,17 +170,7 @@ func (p *Proc) Park() {
 		e.parMu.Lock()
 		p.parked = true
 		e.parMu.Unlock()
-		if p.parEnd() {
-			<-p.resume
-			if e.aborting {
-				panic(abortSignal{})
-			}
-			return
-		}
-		// Retiring this span drained the run out of parallel mode
-		// (interrupt, or a deadlock about to be diagnosed); rejoin the
-		// sequential dispatch loop, which unwinds or ends the run.
-		p.block()
+		p.parRetire()
 		return
 	}
 	p.parked = true
@@ -201,7 +195,7 @@ func (p *Proc) Wake() {
 		e.parMu.Lock()
 		if !p.parked {
 			e.parMu.Unlock()
-			panic(fmt.Sprintf("sim: Wake of non-parked process %q", p.Name))
+			panic(fmt.Sprintf("sim: Wake of non-parked process %q", p.Name()))
 		}
 		e.parScheduleLocked(e.now, p)
 		e.parMu.Unlock()
@@ -211,7 +205,7 @@ func (p *Proc) Wake() {
 		return
 	}
 	if !p.parked {
-		panic(fmt.Sprintf("sim: Wake of non-parked process %q", p.Name))
+		panic(fmt.Sprintf("sim: Wake of non-parked process %q", p.Name()))
 	}
 	e.schedule(e.now, p)
 }
@@ -220,7 +214,7 @@ func (p *Proc) Wake() {
 // other process already scheduled there, giving them a chance to run.
 func (p *Proc) Yield() {
 	if p.eng.par != nil {
-		at := p.at + p.lag
+		at := p.px.at + p.lag
 		p.lag = 0
 		p.parHold(at)
 		return

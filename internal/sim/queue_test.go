@@ -32,7 +32,7 @@ func differentialStream(t *testing.T, rng *rand.Rand, h *eventHeap, l *ladderQue
 	)
 	procs := make([]*Proc, len(gens))
 	for i := range procs {
-		procs[i] = &Proc{Name: fmt.Sprintf("q%d", i)}
+		procs[i] = &Proc{name: fmt.Sprintf("q%d", i)}
 	}
 	push := func(at Time) {
 		seq++
@@ -70,7 +70,7 @@ func differentialStream(t *testing.T, rng *rand.Rand, h *eventHeap, l *ladderQue
 			a, b := h.pop(), l.pop()
 			if a != b {
 				t.Fatalf("step %d: pop diverged: heap (at=%v seq=%d gen=%d %s), ladder (at=%v seq=%d gen=%d %s)",
-					i, a.at, a.seq, a.gen, a.p.Name, b.at, b.seq, b.gen, b.p.Name)
+					i, a.at, a.seq, a.gen, a.p.Name(), b.at, b.seq, b.gen, b.p.Name())
 			}
 			if a.at < now {
 				t.Fatalf("step %d: pop went backwards: %v < %v", i, a.at, now)
@@ -139,7 +139,7 @@ func TestLadderOrderProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			var l ladderQueue
 			l.topStart = minTime
-			p := &Proc{Name: "x"}
+			p := &Proc{name: "x"}
 			var now Time
 			var seq uint64
 			pending := 0

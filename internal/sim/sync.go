@@ -99,7 +99,7 @@ func (l *Lock) Acquire(p *Proc) Time {
 		}
 	})
 	if recursive {
-		panic("sim: recursive Lock.Acquire by " + p.Name)
+		panic("sim: recursive Lock.Acquire by " + p.Name())
 	}
 	if taken {
 		return 0
@@ -142,7 +142,7 @@ func (l *Lock) Release(p *Proc) {
 		next.Wake()
 	})
 	if bad {
-		panic("sim: Lock.Release by non-holder " + p.Name)
+		panic("sim: Lock.Release by non-holder " + p.Name())
 	}
 }
 

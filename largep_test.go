@@ -11,7 +11,10 @@ package spasm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"spasm/internal/report"
 	"spasm/internal/stats"
@@ -109,5 +112,64 @@ func TestFlow256ProcsParallelIdentical(t *testing.T) {
 	if seq.Stats.Total != par.Stats.Total || seq.Stats.Messages() != par.Stats.Messages() {
 		t.Fatalf("parallel run diverged: %v/%d vs %v/%d",
 			par.Stats.Total, par.Stats.Messages(), seq.Stats.Total, seq.Stats.Messages())
+	}
+}
+
+// TestAbortLatency bounds how long a timeout or a cancellation that
+// lands mid-run takes to end a 4096-processor LogP run when the event
+// loop owns the only P.  The coroutine kernel never enters the Go
+// scheduler, so the watchdog goroutine runs at the runtime's next forced
+// preemption rather than at the next event (RunControl states the
+// bound); then 4096 coroutines unwind.  None may leak.
+func TestAbortLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4096-processor runs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := runtime.NumGoroutine()
+	spec := Spec{App: "uniform", Scale: Tiny, Machine: LogP, Topology: "cube", P: 4096}
+	const land, bound = 100 * time.Millisecond, 250 * time.Millisecond
+
+	// A cancellation already in force aborts before the first event:
+	// that run's duration is set-up plus unwinding, the part of the runs
+	// below the watchdog has no say in.
+	closed := make(chan struct{})
+	close(closed)
+	t0 := time.Now()
+	if _, _, err := Execute(spec, RunOptions{Control: RunControl{Cancel: closed}}); !errors.Is(err, ErrRunCanceled) {
+		t.Fatalf("pre-canceled run: %v", err)
+	}
+	fixed := time.Since(t0)
+
+	cancel := make(chan struct{})
+	for _, c := range []struct {
+		name string
+		ctl  RunControl
+		want error
+	}{
+		{"timeout", RunControl{Timeout: land}, ErrRunTimeout}, // the clock starts after set-up
+		{"cancel", RunControl{Cancel: cancel}, ErrRunCanceled},
+	} {
+		if c.ctl.Cancel != nil {
+			time.AfterFunc(fixed+land, func() { close(cancel) })
+		}
+		t0 := time.Now()
+		_, _, err := Execute(spec, RunOptions{Control: c.ctl})
+		late := time.Since(t0) - fixed - land
+		if err == nil {
+			t.Skipf("%s: the run finished inside %v; host too fast to abort mid-run", c.name, land)
+		}
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		t.Logf("%s landing mid-run: aborted %v late (set-up and unwind %v)", c.name, late, fixed)
+		if late > bound {
+			t.Errorf("%s: aborted %v after it landed, bound %v", c.name, late, bound)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines live, %d before the runs", runtime.NumGoroutine(), base)
+		}
 	}
 }
