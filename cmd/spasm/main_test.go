@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,8 +130,17 @@ func TestRunJSONIsTheServiceDocument(t *testing.T) {
 	if doc.TotalUS <= 0 || doc.Messages == 0 {
 		t.Errorf("empty statistics: %+v", doc)
 	}
-	if doc.Host == nil || doc.Host.Workers != 2 {
-		t.Errorf("host block: %+v", doc.Host)
+	h := doc.Host
+	if h == nil || h.Workers != 2 || h.WallMS <= 0 || h.RefsPerSec <= 0 || h.MsgsPerSec <= 0 {
+		t.Fatalf("host block: %+v", h)
+	}
+	// The rates are the benchmark's: references and messages over one
+	// wall clock, so their ratio is the document's own.
+	if got, want := h.RefsPerSec/h.MsgsPerSec, float64(doc.Reads+doc.Writes)/float64(doc.Messages); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("refs_per_sec / msgs_per_sec = %v, document says %v", got, want)
+	}
+	if strings.Contains(out, "events_per_sec") {
+		t.Errorf("host block still reports engine events per second:\n%s", out)
 	}
 }
 

@@ -49,14 +49,14 @@ func (c *cli) runOne(args []string) error {
 	if err != nil {
 		return err
 	}
+	doc := report.RunJSON(res)
+	report.AttachHost(&doc, res)
 	if *asJSON {
-		doc := report.RunJSON(res)
-		report.AttachHost(&doc, res)
 		enc := json.NewEncoder(c.out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
-	c.printRun(res)
+	c.printRun(res, doc)
 	if *verbose {
 		fmt.Fprintf(c.out, "\n%s", report.ProcTable(res.Stats))
 	}
@@ -89,8 +89,8 @@ func (c *cli) printProfile(prof *spasm.Profile, table bool, csvPath string) erro
 	return c.writeFile(csvPath, spasm.ProfileCSV(prof))
 }
 
-func (c *cli) printRun(res *spasm.Result) {
-	r, doc := res.Stats, report.RunJSON(res)
+func (c *cli) printRun(res *spasm.Result, doc report.RunDoc) {
+	r := res.Stats
 	fmt.Fprintf(c.out, "%s on %v/%s, p=%d\n", res.Program, res.Config.Kind, res.Config.Topology, r.P())
 	fmt.Fprintf(c.out, "  execution time : %12.1f us\n", r.Total.Micros())
 	for _, b := range []spasm.Bucket{spasm.Compute, spasm.Memory, spasm.Latency, spasm.Contention, spasm.Sync} {
@@ -101,8 +101,8 @@ func (c *cli) printRun(res *spasm.Result) {
 	fmt.Fprintf(c.out, "  cache          : %d hits, %d misses\n", doc.Hits, doc.Misses)
 	fmt.Fprintf(c.out, "  network        : %d messages, %d bytes, %d accesses\n",
 		doc.Messages, doc.NetBytes, r.NetAccesses())
-	fmt.Fprintf(c.out, "  simulation     : %d events in %v (%.0f events/s)\n",
-		r.SimEvents, r.Wall, r.EventsPerSec())
+	fmt.Fprintf(c.out, "  simulation     : %d events in %v (%.0f refs/s, %.0f msgs/s)\n",
+		r.SimEvents, r.Wall, doc.Host.RefsPerSec, doc.Host.MsgsPerSec)
 	if par := res.Par; par != nil {
 		if par.Parallel {
 			fmt.Fprintf(c.out, "  parallel       : %d workers, %d domains, %d windows, %d releases (peak %d in flight)\n",

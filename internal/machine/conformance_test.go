@@ -70,7 +70,7 @@ func TestNetworkTiersConform(t *testing.T) {
 
 // TestLargePConformance re-runs the conformance battery at P=256 — past
 // the precomputed-route-table limit, so the coherent machines exercise
-// the route cache and the sparse directory's overflow representation,
+// on-demand routing and the sparse directory's overflow representation,
 // and each abstract tier its large-P port/flow state.  The mesh keeps
 // the detailed fabric's link count linear in P.
 func TestLargePConformance(t *testing.T) {

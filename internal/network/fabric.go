@@ -37,11 +37,6 @@ type Fabric struct {
 	// zero) merely clear twice.
 	touched []int32
 
-	// rc caches hot full routes above RouteTableMaxP, where the
-	// topology serves Route from a shared scratch buffer instead of a
-	// precomputed table (see routecache.go).  nil for table-backed p.
-	rc *routeCache
-
 	// slow holds the per-link slowdown factor for degraded links (fault
 	// injection: a link that transmits N times slower than nominal).
 	// It stays nil until the first Degrade call, keeping the factor scan
@@ -71,26 +66,13 @@ type Fabric struct {
 // NewFabric returns a fabric over the given topology with the paper's
 // link parameters (20 MB/s serial links, zero switching delay).
 func NewFabric(t Topology) *Fabric {
-	f := &Fabric{
+	return &Fabric{
 		topo:     t,
 		ByteTime: sim.SerialByte,
 		linkFree: make([]sim.Time, t.NumLinks()),
 		injFree:  make([]sim.Time, t.P()),
 		ejFree:   make([]sim.Time, t.P()),
 	}
-	if t.P() > RouteTableMaxP {
-		f.rc = newRouteCache(t)
-	}
-	return f
-}
-
-// routeFor returns the route Reserve prices: table-backed topologies
-// answer directly; larger ones go through the fabric's route cache.
-func (f *Fabric) routeFor(src, dst int) []int {
-	if f.rc != nil {
-		return f.rc.route(src, dst)
-	}
-	return f.topo.Route(src, dst)
 }
 
 // Topology returns the underlying topology.
@@ -159,7 +141,7 @@ func (f *Fabric) Reserve(now sim.Time, src, dst, bytes int) Xmit {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("network: message of %d bytes", bytes))
 	}
-	route := f.routeFor(src, dst)
+	route := f.topo.Route(src, dst)
 	dur := sim.Time(bytes)*f.ByteTime + sim.Time(len(route))*f.SwitchDelay
 	if f.slow != nil {
 		// A circuit is only as fast as its slowest link.

@@ -11,9 +11,8 @@ package network
 // memory, so construction instead preallocates a diameter-sized scratch
 // buffer per topology and Route computes each route on demand into it —
 // still zero allocations per call, at the price of the returned slice
-// being valid only until the next Route call (see Topology.Route).  The
-// detailed fabric additionally keeps a small set-associative cache of
-// hot full routes (routecache.go) in front of this path.
+// being valid only until the next Route call (see Topology.Route); the
+// detailed fabric consumes each route within one Reserve call.
 
 // RouteTableMaxP bounds precomputation: tables exist only for p values
 // up to this limit (128 leaves headroom for scaling studies while

@@ -146,17 +146,6 @@ func TestLinkOccupancy(t *testing.T) {
 	}
 }
 
-// BenchmarkProfiledRun measures the probe's overhead on a full
-// instrumented run (compare BenchmarkRun in the root package).
-func BenchmarkProfiledRun(b *testing.B) {
-	cfg := spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8}
-	for i := 0; i < b.N; i++ {
-		if _, _, err := runProfiled("fft", cfg, spasm.ProfileConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestResolutionCoarsening checks the epoch budget: a tight MaxEpochs
 // forces pairwise merges, and the merged profile still reconciles.
 func TestResolutionCoarsening(t *testing.T) {

@@ -52,11 +52,16 @@ type RunDoc struct {
 
 // HostDoc is the host-side measurement block of a RunDoc: wall-clock
 // cost and simulation rate, plus the parallel-execution outcome when the
-// run requested one.  Everything here varies run to run; it is excluded
-// from cached and golden documents by construction (see RunDoc.Host).
+// run requested one.  The rates are simulated references (reads +
+// writes) and messages per host second — the benchmark's refs_per_s and
+// msgs_per_s, units that mean the same on every tier (engine events do
+// not: the flow tier dispatches P per run).  Everything here varies run
+// to run; it is excluded from cached and golden documents by
+// construction (see RunDoc.Host).
 type HostDoc struct {
-	WallMS       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	WallMS     float64 `json:"wall_ms"`
+	RefsPerSec float64 `json:"refs_per_sec"`
+	MsgsPerSec float64 `json:"msgs_per_sec"`
 	// Workers is the requested parallel worker count (0 when the run
 	// never asked for parallel execution).
 	Workers int `json:"workers,omitempty"`
@@ -69,9 +74,10 @@ type HostDoc struct {
 
 // AttachHost fills doc.Host from the result's host-side measurements.
 func AttachHost(doc *RunDoc, res *app.Result) {
-	h := &HostDoc{
-		WallMS:       float64(res.Stats.Wall.Microseconds()) / 1e3,
-		EventsPerSec: res.Stats.EventsPerSec(),
+	h := &HostDoc{WallMS: float64(res.Stats.Wall.Microseconds()) / 1e3}
+	if wall := res.Stats.Wall.Seconds(); wall > 0 {
+		h.RefsPerSec = float64(doc.Reads+doc.Writes) / wall
+		h.MsgsPerSec = float64(doc.Messages) / wall
 	}
 	if par := res.Par; par != nil {
 		h.Workers = par.Requested

@@ -112,16 +112,6 @@ type Run struct {
 	Wall time.Duration
 }
 
-// EventsPerSec returns the host-side simulation rate — dispatched engine
-// events per wall-clock second — or 0 when no wall time was recorded.
-// It is the throughput axis parallel execution is measured on.
-func (r *Run) EventsPerSec() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.SimEvents) / r.Wall.Seconds()
-}
-
 // NewRun returns a Run with p processor slots.
 func NewRun(p int) *Run {
 	r := &Run{Procs: make([]Proc, p)}

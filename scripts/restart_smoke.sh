@@ -11,7 +11,7 @@ WORK=$(mktemp -d)
 STORE="$WORK/store"
 ADDR=127.0.0.1:8399
 BASE="http://$ADDR"
-SPEC='{"app":"uniform","scale":"tiny","machine":"flow","topology":"torus","p":256}'
+SPEC='{"app":"uniform","scale":"tiny","machine":"logp","topology":"torus","p":256}'
 PID=""
 
 cleanup() {

@@ -56,9 +56,9 @@ func TestRunSurface(t *testing.T) {
 }
 
 // TestCommandSurface locks the binary count: the experiment CLI is one
-// binary with subcommands (cmd/spasm), beside the daemon and the bench
-// gate.  A new experiment is a subcommand or a report.Studies entry, not
-// a fourth main package.
+// binary with subcommands (cmd/spasm), beside the daemon.  A new
+// experiment is a subcommand or a report.Studies entry, not a third main
+// package.
 func TestCommandSurface(t *testing.T) {
 	entries, err := os.ReadDir("cmd")
 	if err != nil {
@@ -68,8 +68,61 @@ func TestCommandSurface(t *testing.T) {
 	for _, e := range entries {
 		got = append(got, e.Name())
 	}
-	if want := []string{"benchdiff", "spasm", "spasmd"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"spasm", "spasmd"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("cmd/ holds %v, want exactly %v", got, want)
+	}
+}
+
+// TestOneBenchmarkSystem: the repo is measured by bench/ (BENCHMARK.json,
+// README "Measuring") and gated by tier-1 budgets such as run1024's.
+// Outside bench/ there is no recorded go-test baseline and no Benchmark
+// function except the two kernel fast paths no layer metric reaches.  A
+// new measurement is a layer metric in a [benchmark] PR, not a second
+// `go test -bench` suite.
+func TestOneBenchmarkSystem(t *testing.T) {
+	allowed := map[string]bool{
+		"internal/sim.BenchmarkEventDispatch": true, // self-dispatch: no coroutine switch
+		"internal/sim.BenchmarkDefer":         true, // lazy clock: no event
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if name != "BENCHMARK.json" && strings.HasPrefix(name, "BENCH") && strings.HasSuffix(name, ".json") {
+			t.Errorf("%s: recorded baselines belong to bench/ (--record / --compare)", path)
+		}
+		if !strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				continue
+			}
+			id := filepath.ToSlash(filepath.Dir(path)) + "." + fn.Name.Name
+			if !allowed[id] {
+				t.Errorf("%s declares %s: make it a bench/ layer metric", path, fn.Name.Name)
+			}
+			delete(allowed, id)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range allowed {
+		t.Errorf("%s is gone: drop it from the allow-list", id)
 	}
 }
 
