@@ -16,25 +16,26 @@ package apps
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
 
 	"spasm/internal/app"
+	"spasm/internal/mem"
 )
 
-// rngPool recycles PRNG state across reference streams.  A rand.Rand
-// over the default source carries ~5 KB of generator state; apps draw
-// two per processor per run (Body and the Check replay), which at large
-// P dominated whole-run allocation — ~10 MB per 1024-processor run —
-// before pooling.  Seeding fully determines the source state, so a
-// pooled generator re-seeded with the same seed emits the identical
-// stream a fresh one would: results are unaffected.
+// rngPool recycles the ~5 KB math/rand generators behind the paper
+// applications' inputs: one per run in the Setup of IS, FFT and MG, two
+// per processor in EP (Body's tally and Check's).  Seeding fully
+// determines the source state, so a pooled generator re-seeded with the
+// same seed emits the stream a fresh one would.  The synthetic workloads,
+// drawing between coroutine switches at thousands of processors, use refGen.
 var rngPool = sync.Pool{
 	New: func() any { return rand.New(rand.NewSource(0)) },
 }
 
-// newRng returns a deterministic PRNG for synthetic input generation.
+// newRng returns a deterministic PRNG for input generation.
 // Pass it to putRng when the stream is done (a defer is fine: the
 // generator carries no run state, so returning it mid-unwind is safe).
 func newRng(seed int64) *rand.Rand {
@@ -45,6 +46,55 @@ func newRng(seed int64) *rand.Rand {
 
 // putRng returns a generator to the pool.
 func putRng(rng *rand.Rand) { rngPool.Put(rng) }
+
+// refGen generates one processor's synthetic reference stream: SplitMix64,
+// one word held by value in the stream's frame.  At large P every draw
+// falls between two coroutine switches and finds what it touches cold, so
+// generator, count and checksum all live on the process's own stack.
+type refGen uint64
+
+// newRefGen seeds processor id's stream of run seed in O(1), hashing first
+// the one and then the other through the generator itself: both are small
+// consecutive integers, and neighbours must land far apart.
+func newRefGen(seed int64, id int) refGen {
+	g := refGen(seed)
+	g = refGen(g.word() + uint64(id))
+	return refGen(g.word())
+}
+
+func (g *refGen) word() uint64 {
+	*g += 0x9e3779b97f4a7c15
+	z := uint64(*g)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// below draws uniformly from [0, n), redrawing the words scale rejects.
+func (g *refGen) below(n int) int {
+	for {
+		if v, ok := scale(g.word(), uint64(n)); ok {
+			return int(v)
+		}
+	}
+}
+
+// scale maps a uniform word onto [0, n) by multiply-shift, rejecting the
+// 2^64 mod n words whose low product is below that remainder: every value
+// keeps exactly ⌊2^64/n⌋ words, so no n is biased.
+func scale(x, n uint64) (v uint64, ok bool) {
+	hi, lo := bits.Mul64(x, n)
+	return hi, lo >= n || lo >= -n%n
+}
+
+// refSum is one reference's term of the address-and-kind checksum a
+// synthetic Body accumulates and its Check replays.
+func refSum(addr mem.Addr, write bool) uint64 {
+	if write {
+		return uint64(addr)*2 + 1
+	}
+	return uint64(addr) * 2
+}
 
 // Instruction-cost model (cycles on the 33 MHz baseline processor).
 const (

@@ -64,6 +64,7 @@ type Micro struct {
 	arr    *mem.Array
 	hot    *mem.Array
 	issued []int
+	sums   []uint64
 }
 
 // NewMicro returns a microbenchmark at a reasonable default size.
@@ -89,39 +90,54 @@ func (m *Micro) Setup(c *app.Ctx) {
 	m.arr = c.Space.Alloc("micro.data", c.P*2048, 8, mem.Blocked)
 	m.hot = c.Space.AllocAt("micro.hot", 4, 8, 0)
 	m.issued = make([]int, c.P)
+	m.sums = make([]uint64, c.P)
+}
+
+// stream replays processor id's deterministic reference stream, calling
+// visit for every (address, isWrite) pair; Body and Check share it.
+func (m *Micro) stream(id int, visit func(addr mem.Addr, write bool)) {
+	g := newRefGen(m.Seed, id)
+	for i := 0; i < m.Refs; i++ {
+		var addr mem.Addr
+		switch {
+		case m.Pattern == HotSpotPattern && g.below(100) < m.HotPct:
+			addr = m.hot.At(g.below(m.hot.N))
+		case m.Pattern == NeighborPattern:
+			lo, hi := m.arr.OwnerRange((id + 1) % len(m.issued))
+			addr = m.arr.At(lo + g.below(hi-lo))
+		default:
+			addr = m.arr.At(g.below(m.arr.N))
+		}
+		visit(addr, g.below(100) < m.WritePct)
+	}
 }
 
 // Body implements app.Program.
 func (m *Micro) Body(p *app.Proc) {
-	rng := newRng(m.Seed*1000 + int64(p.ID))
-	defer putRng(rng)
-	P := p.Ctx.P
-	for i := 0; i < m.Refs; i++ {
+	issued, sum := 0, uint64(0)
+	m.stream(p.ID, func(addr mem.Addr, write bool) {
 		p.Compute(m.Think)
-		var addr mem.Addr
-		switch {
-		case m.Pattern == HotSpotPattern && rng.Intn(100) < m.HotPct:
-			addr = m.hot.At(rng.Intn(m.hot.N))
-		case m.Pattern == NeighborPattern:
-			lo, hi := m.arr.OwnerRange((p.ID + 1) % P)
-			addr = m.arr.At(lo + rng.Intn(hi-lo))
-		default:
-			addr = m.arr.At(rng.Intn(m.arr.N))
-		}
-		if rng.Intn(100) < m.WritePct {
+		if write {
 			p.Write(addr)
 		} else {
 			p.Read(addr)
 		}
-		m.issued[p.ID]++
-	}
+		issued++
+		sum += refSum(addr, write)
+	})
+	m.issued[p.ID], m.sums[p.ID] = issued, sum
 }
 
-// Check verifies every processor issued its quota.
+// Check verifies every processor issued exactly its stream.
 func (m *Micro) Check() error {
 	for id, n := range m.issued {
 		if n != m.Refs {
 			return fmt.Errorf("micro: processor %d issued %d of %d references", id, n, m.Refs)
+		}
+		var want uint64
+		m.stream(id, func(addr mem.Addr, write bool) { want += refSum(addr, write) })
+		if m.sums[id] != want {
+			return fmt.Errorf("micro: processor %d reference checksum %#x, want %#x", id, m.sums[id], want)
 		}
 	}
 	return nil

@@ -120,3 +120,19 @@ func TestMicroPatternString(t *testing.T) {
 		t.Errorf("name = %q", prog.Name())
 	}
 }
+
+// TestMicroChecksumCatchesDivergence: like Uniform, a Micro run whose
+// traffic left its schedule fails Check, on every pattern's branch of
+// the stream — a right count of wrong references is not a pass.
+func TestMicroChecksumCatchesDivergence(t *testing.T) {
+	for _, pat := range []Pattern{UniformPattern, HotSpotPattern, NeighborPattern} {
+		m := NewMicro(pat, 200, 50, 1)
+		if _, err := app.Run(m, machine.Config{Kind: machine.Ideal, P: 4}); err != nil {
+			t.Fatalf("%v: %v", pat, err)
+		}
+		m.sums[2]++ // corrupt one processor's observed stream
+		if err := m.Check(); err == nil {
+			t.Errorf("%v: corrupted checksum passed verification", pat)
+		}
+	}
+}

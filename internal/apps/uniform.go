@@ -19,7 +19,7 @@ import (
 // even a 1024-processor instance sets up in a few megabytes.
 //
 // The reference stream is a pure function of (Seed, P, array size):
-// Check replays each processor's PRNG stream on the host and compares
+// Check replays each processor's stream on the host and compares
 // an address-and-kind checksum, so a run whose traffic diverged from
 // the deterministic schedule fails verification rather than merely
 // producing different timing.
@@ -73,17 +73,15 @@ func (u *Uniform) Setup(c *app.Ctx) {
 // visit for every (element index, isWrite) pair.  Body and Check use
 // the same generator, which is what makes the run verifiable.
 func (u *Uniform) stream(id int, visit func(elem int, write bool)) {
-	rng := newRng(u.Seed*1000 + int64(id))
-	defer putRng(rng)
+	g := newRefGen(u.Seed, id)
 	for i := 0; i < u.Refs; i++ {
-		elem := rng.Intn(u.arr.N)
-		write := rng.Intn(100) < u.WritePct
-		visit(elem, write)
+		visit(g.below(u.arr.N), g.below(100) < u.WritePct)
 	}
 }
 
 // Body implements app.Program.
 func (u *Uniform) Body(p *app.Proc) {
+	issued, sum := 0, uint64(0)
 	u.stream(p.ID, func(elem int, write bool) {
 		p.Compute(u.Think)
 		addr := u.arr.At(elem)
@@ -92,16 +90,10 @@ func (u *Uniform) Body(p *app.Proc) {
 		} else {
 			p.Read(addr)
 		}
-		u.issued[p.ID]++
-		u.sums[p.ID] += uint64(addr)*2 + b2u(write)
+		issued++
+		sum += refSum(addr, write)
 	})
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+	u.issued[p.ID], u.sums[p.ID] = issued, sum
 }
 
 // Check verifies every processor issued exactly its deterministic
@@ -112,9 +104,7 @@ func (u *Uniform) Check() error {
 			return fmt.Errorf("uniform: processor %d issued %d of %d references", id, u.issued[id], u.Refs)
 		}
 		var want uint64
-		u.stream(id, func(elem int, write bool) {
-			want += uint64(u.arr.At(elem))*2 + b2u(write)
-		})
+		u.stream(id, func(elem int, write bool) { want += refSum(u.arr.At(elem), write) })
 		if u.sums[id] != want {
 			return fmt.Errorf("uniform: processor %d reference checksum %#x, want %#x", id, u.sums[id], want)
 		}

@@ -33,9 +33,10 @@ import (
 	"sync"
 )
 
-// envelopeVersion is bumped on any breaking change to the record
-// layout; records carrying any other version are treated as misses.
-const envelopeVersion = 1
+// envelopeVersion is bumped when the record layout *or any simulated
+// result* changes (ids are spec hashes: nothing else retires a result of
+// an older model); records of any other version are plain misses.
+const envelopeVersion = 2
 
 // suffixes of the two files a record may own.
 const (
@@ -177,9 +178,10 @@ func (s *Store) Put(rec Record) error {
 }
 
 // Get returns the record for id.  Any failure — missing file, torn or
-// corrupt envelope, id mismatch — reads as a miss; corruption is
-// additionally counted on the error counter and the damaged file is
-// removed so the next Put rewrites it cleanly.
+// corrupt envelope, id mismatch, another version — reads as a miss and
+// removes the record with its profile, which describes the removed run,
+// not the one the next Put writes.  Only corruption counts as an error:
+// a well-formed record of another version is an upgrade.
 func (s *Store) Get(id string) (Record, bool) {
 	if !validID(id) {
 		return Record{}, false
@@ -192,7 +194,8 @@ func (s *Store) Get(id string) (Record, bool) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil || env.V != envelopeVersion || env.ID != id || len(env.Doc) == 0 {
 		os.Remove(s.path(id, runSuffix))
-		s.miss(true)
+		os.Remove(s.path(id, profSuffix))
+		s.miss(err != nil || env.V == envelopeVersion) // corrupt, unless merely of another version
 		return Record{}, false
 	}
 	s.mu.Lock()

@@ -110,6 +110,43 @@ func TestCorruptRecordIsAMiss(t *testing.T) {
 	}
 }
 
+// A record written under another envelope version is a result of an
+// older (or newer) model: a plain miss, not corruption, and its profile
+// goes with it — left behind, it would be served beside the recomputed
+// record it does not describe.
+func TestOtherVersionIsAMissAndDropsProfile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(envelope{V: envelopeVersion - 1, Record: testRecord(testID)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, testID[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(testID, runSuffix), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutProfile(testID, []byte("SPRF-of-the-old-model")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(testID); ok {
+		t.Fatal("record of another version served as a hit")
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Errors != 0 {
+		t.Fatalf("counters %+v, want misses=1 errors=0: an upgrade is not corruption", st)
+	}
+	if raw, ok := s.GetProfile(testID); ok {
+		t.Fatalf("profile %q outlived the record it was derived from", raw)
+	}
+	if _, err := os.Stat(s.path(testID, runSuffix)); !os.IsNotExist(err) {
+		t.Fatalf("stale record not removed: %v", err)
+	}
+}
+
 func TestIDMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +14,23 @@ import (
 	"spasm"
 	"spasm/internal/service/store"
 )
+
+// bootOn starts a one-worker server — a fresh process, as far as the
+// result tier can tell — on the durable store in dir.
+func bootOn(t *testing.T, dir string) *Server {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 1, Store: st})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		svc.Shutdown(ctx)
+	})
+	return svc
+}
 
 // TestTierPrecedenceUniform seeds one id into both the durable store (a
 // success persisted by an earlier process) and the negative cache (a
@@ -24,17 +44,7 @@ func TestTierPrecedenceUniform(t *testing.T) {
 	spec := spasm.Spec{App: "ep", Scale: spasm.Tiny, Machine: spasm.LogP, P: 2}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	boot := func(t *testing.T) *Server {
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc := New(Config{Workers: 1, Store: st})
-		t.Cleanup(func() { svc.Shutdown(ctx) })
-		return svc
-	}
-
-	j, _, err := boot(t).Submit(spec)
+	j, _, err := bootOn(t, dir).Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +101,84 @@ func TestTierPrecedenceUniform(t *testing.T) {
 		t.Run(ep.name, func(t *testing.T) {
 			// A fresh process per endpoint: a store hit promotes into the
 			// LRU, which would hide the ordering from the next endpoint.
-			svc := boot(t)
+			svc := bootOn(t, dir)
 			svc.results.publish(&entry{id: id, req: RequestFromSpec(spec), err: "run exceeded its wall-clock timeout"})
 			if got := ep.state(t, svc); got != StateDone {
 				t.Fatalf("%s answered %q; the persisted success must outrank the remembered failure", ep.name, got)
 			}
 		})
+	}
+}
+
+// TestTierRetiresOlderModel leaves on disk what a daemon of the previous
+// model would have: a version-1 record and, beside it, a profile that
+// decodes but describes another run.  The upgraded process must miss,
+// recompute, and serve the profile it re-derives — not the stale file.
+func TestTierRetiresOlderModel(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// run computes spec and its profile, returning the id, the encoded
+	// profile, and whether the submission was answered from a cache.
+	run := func(svc *Server, spec spasm.Spec) (string, []byte, bool) {
+		j, cached, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := svc.Wait(ctx, j); err != nil || st.State != StateDone {
+			t.Fatalf("run %+v: state %v, err %v", spec, st.State, err)
+		}
+		_, raw, err := svc.Profile(j.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.ID(), raw, cached
+	}
+	spec := spasm.Spec{App: "ep", Scale: spasm.Tiny, Machine: spasm.LogP, P: 2}
+	other := spec
+	other.P = 4
+
+	first := bootOn(t, dir)
+	id, want, _ := run(first, spec)
+	otherID, stale, _ := run(first, other)
+	if bytes.Equal(want, stale) {
+		t.Fatal("the two specs encode the same profile; the test cannot tell them apart")
+	}
+	file := func(id, suffix string) string { return filepath.Join(dir, id[:2], id+suffix) }
+	rec, err := os.ReadFile(file(id, ".run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(rec, &env); err != nil {
+		t.Fatal(err)
+	}
+	env["v"] = json.RawMessage("1")
+	if rec, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file(id, ".run"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file(id, ".prof"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := bootOn(t, dir)
+	if _, ok := svc.results.lookup(id, false); ok {
+		t.Fatal("a version-1 record answered a lookup")
+	}
+	if _, ok := svc.results.lookup(otherID, false); !ok {
+		t.Fatal("the current-version record beside it was lost")
+	}
+	gotID, got, cached := run(svc, spec)
+	if gotID != id || cached {
+		t.Fatalf("resubmission: id %s cached=%v, want a recomputation of %s", gotID, cached, id)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("profile served after the recomputation is the older record's file, not the re-derived one")
+	}
+	if st := svc.results.counters().store; st.Errors != 0 {
+		t.Fatalf("store counted %d errors; an older version is a miss, not corruption", st.Errors)
 	}
 }

@@ -9,6 +9,7 @@ package spasm
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,5 +55,56 @@ func TestUniformRunDocsBitIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("uniform RunDoc JSON diverged from golden %s (%d vs %d bytes)",
 			uniformGoldenPath, len(got), len(want))
+	}
+}
+
+// What uniform/tiny seed 1 measured on the 256-processor torus while its
+// streams still came from math/rand.  The golden above was re-recorded
+// once, when an 8-byte generator seeded in O(1) took over (apps.refGen):
+// a new realisation of the same distribution, so identity to the old
+// bytes gives way to what stays exact — the reference count, and Check's
+// replay inside every Run — plus TestUniformStillTheWorkload's bounds.
+var mathRandUniformP256 = []struct {
+	kind                 Kind
+	execUS, contentionUS float64
+	messages             uint64
+}{
+	{LogP, 7837.04, 1804502, 65284},
+	{Target, 11048.46, 2730502, 85954},
+}
+
+func TestUniformStillTheWorkload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-processor runs")
+	}
+	const P, refs, writePct = 256, 128, 20
+	for _, was := range mathRandUniformP256 {
+		kind := was.kind
+		res, err := Run("uniform", Tiny, 1, Config{Kind: kind, Topology: "torus", P: P})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := report.RunJSON(res)
+		if doc.Reads+doc.Writes != P*refs {
+			t.Errorf("%v: %d references, want exactly %d", kind, doc.Reads+doc.Writes, P*refs)
+		}
+		if share := 100 * float64(doc.Writes) / (P * refs); math.Abs(share-writePct) > 1 {
+			t.Errorf("%v: write share %.2f %%, want %d ± 1", kind, share, writePct)
+		}
+		for _, m := range []struct {
+			name     string
+			got, was float64
+			boundPct float64
+		}{
+			{"exec us", doc.TotalUS, was.execUS, 3},
+			{"messages", float64(doc.Messages), float64(was.messages), 1},
+			{"contention us", doc.ContentionUS, was.contentionUS, 5},
+		} {
+			dev := 100 * (m.got - m.was) / m.was
+			t.Logf("%v %s: %.2f, was %.2f (%+.2f %%, bound ±%g %%)", kind, m.name, m.got, m.was, dev, m.boundPct)
+			if math.Abs(dev) > m.boundPct {
+				t.Errorf("%v %s moved %+.2f %% from the math/rand stream's %.2f; bound ±%g %%", kind, m.name, dev, m.was, m.boundPct)
+			}
+		}
 	}
 }
