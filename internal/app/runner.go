@@ -34,8 +34,9 @@ var (
 // which needs a P: with an idle P that is immediate, but the event loop
 // never enters the Go scheduler, so at GOMAXPROCS 1 the watchdog runs at
 // the runtime's next forced preemption (every 10 ms of a goroutine's
-// running).  The engine then aborts at its next event and unwinds every
-// process, O(P): at p4096 on LogP the run returns 4-19 ms after the
+// running).  The engine then aborts at its next event and ends every
+// process, O(P) — a coroutine unwinds; a stackless process (see runOn)
+// has nothing to: at p4096 on LogP the run returns 3-19 ms after the
 // deadline or the close, and TestAbortLatency holds that under 250 ms.
 type RunControl struct {
 	// Timeout bounds the run's wall-clock execution; past it the engine
@@ -68,6 +69,8 @@ type Ctx struct {
 	// Phases holds the per-phase overhead profile, populated when the
 	// program marks phase boundaries with Proc.Phase.
 	Phases *PhaseProfile
+	// Issued is what each processor issued of a Stream (nil otherwise).
+	Issued []Tally
 }
 
 // Program is a parallel application.  Setup runs once (unsimulated) to
@@ -217,6 +220,12 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // sized from the space footprint), spawn one process per node, and drive
 // the event loop to completion.
 //
+// A process is a coroutine running Body, except where the run shows it
+// need not be: a Stream, on a machine that as the program will drive it
+// (decorators included) prices a reference at issue, with no parallel mode
+// requested, gets stackless processes running the loop Drive runs — the
+// same engine calls in the same order, so no result shows which one ran.
+//
 // When ctl is enabled, a watchdog goroutine interrupts the engine on
 // timeout or cancellation; the resulting cooperative abort unwinds every
 // process goroutine and the run fails with ErrRunTimeout or
@@ -228,6 +237,10 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	wrap, inst, ctl := opt.Wrap, opt.Instrument, opt.Control
 	run := stats.NewRun(cfg.P)
 	ctx := &Ctx{P: cfg.P, Space: space, Run: run, Eng: eng, Phases: newPhaseProfile()}
+	stream, _ := prog.(Stream)
+	if stream != nil {
+		ctx.Issued = make([]Tally, cfg.P)
+	}
 
 	if err := setupSafely(prog, ctx); err != nil {
 		return nil, err
@@ -248,8 +261,15 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	ctx.M = m
 
 	prefix := prog.Name() + "/p"
+	at, _ := m.(machine.PricedAtIssue)
+	stackless := stream != nil && at != nil && ctl.Workers <= 1
 	for i := 0; i < cfg.P; i++ {
 		i := i
+		if stackless {
+			f := &feed{Proc: Proc{ID: i, M: m, St: &run.Procs[i], Ctx: ctx}, refs: stream.StreamOf(i), at: at}
+			f.S = eng.SpawnStep(prefix, f)
+			continue
+		}
 		eng.SpawnIndexed(prefix, func(sp *sim.Proc) {
 			p := &Proc{ID: i, S: sp, M: m, St: &run.Procs[i], Ctx: ctx}
 			prog.Body(p)

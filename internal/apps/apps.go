@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"spasm/internal/app"
-	"spasm/internal/mem"
 )
 
 // rngPool recycles the ~5 KB math/rand generators behind the paper
@@ -48,9 +47,8 @@ func newRng(seed int64) *rand.Rand {
 func putRng(rng *rand.Rand) { rngPool.Put(rng) }
 
 // refGen generates one processor's synthetic reference stream: SplitMix64,
-// one word held by value in the stream's frame.  At large P every draw
-// falls between two coroutine switches and finds what it touches cold, so
-// generator, count and checksum all live on the process's own stack.
+// one word held by value in the stream object.  At large P every draw
+// finds what it touches cold, so generator and quota share a cache line.
 type refGen uint64
 
 // newRefGen seeds processor id's stream of run seed in O(1), hashing first
@@ -85,15 +83,6 @@ func (g *refGen) below(n int) int {
 func scale(x, n uint64) (v uint64, ok bool) {
 	hi, lo := bits.Mul64(x, n)
 	return hi, lo >= n || lo >= -n%n
-}
-
-// refSum is one reference's term of the address-and-kind checksum a
-// synthetic Body accumulates and its Check replays.
-func refSum(addr mem.Addr, write bool) uint64 {
-	if write {
-		return uint64(addr)*2 + 1
-	}
-	return uint64(addr) * 2
 }
 
 // Instruction-cost model (cycles on the 33 MHz baseline processor).

@@ -5,6 +5,7 @@ import (
 
 	"spasm/internal/app"
 	"spasm/internal/mem"
+	"spasm/internal/sim"
 )
 
 // Synthetic microbenchmark workloads with precisely controllable
@@ -57,14 +58,11 @@ type Micro struct {
 	// HotPct is the percentage of references hitting the hot block
 	// (HotSpotPattern only).
 	HotPct int
-	// Stride spaces consecutive targets (block units) so each
-	// reference misses; 0 means random (pattern-dependent).
-	Seed int64
+	Seed   int64
 
-	arr    *mem.Array
-	hot    *mem.Array
-	issued []int
-	sums   []uint64
+	arr *mem.Array
+	hot *mem.Array
+	ctx *app.Ctx
 }
 
 // NewMicro returns a microbenchmark at a reasonable default size.
@@ -89,56 +87,45 @@ func (m *Micro) Setup(c *app.Ctx) {
 	// random references rarely hit in a 64 KB cache.
 	m.arr = c.Space.Alloc("micro.data", c.P*2048, 8, mem.Blocked)
 	m.hot = c.Space.AllocAt("micro.hot", 4, 8, 0)
-	m.issued = make([]int, c.P)
-	m.sums = make([]uint64, c.P)
+	m.ctx = c
 }
 
-// stream replays processor id's deterministic reference stream, calling
-// visit for every (address, isWrite) pair; Body and Check share it.
-func (m *Micro) stream(id int, visit func(addr mem.Addr, write bool)) {
-	g := newRefGen(m.Seed, id)
-	for i := 0; i < m.Refs; i++ {
-		var addr mem.Addr
-		switch {
-		case m.Pattern == HotSpotPattern && g.below(100) < m.HotPct:
-			addr = m.hot.At(g.below(m.hot.N))
-		case m.Pattern == NeighborPattern:
-			lo, hi := m.arr.OwnerRange((id + 1) % len(m.issued))
-			addr = m.arr.At(lo + g.below(hi-lo))
-		default:
-			addr = m.arr.At(g.below(m.arr.N))
-		}
-		visit(addr, g.below(100) < m.WritePct)
+// microRefs is one processor's stream.
+type microRefs struct {
+	m     *Micro
+	g     refGen
+	left  int
+	think sim.Time
+	// lo, n: the ID-adjacent processor's partition (NeighborPattern).
+	lo, n int
+}
+
+// StreamOf implements app.Stream: the stream the run and Check both draw.
+func (m *Micro) StreamOf(id int) app.RefStream {
+	lo, hi := m.arr.OwnerRange((id + 1) % m.ctx.P)
+	return &microRefs{m: m, g: newRefGen(m.Seed, id), left: m.Refs, think: sim.Cycles(m.Think), lo: lo, n: hi - lo}
+}
+
+func (s *microRefs) Next() (app.Ref, bool) {
+	if s.left <= 0 {
+		return app.Ref{}, false
 	}
+	s.left--
+	m, g := s.m, &s.g
+	var addr mem.Addr
+	switch {
+	case m.Pattern == HotSpotPattern && g.below(100) < m.HotPct:
+		addr = m.hot.At(g.below(m.hot.N))
+	case m.Pattern == NeighborPattern:
+		addr = m.arr.At(s.lo + g.below(s.n))
+	default:
+		addr = m.arr.At(g.below(m.arr.N))
+	}
+	return app.Ref{Think: s.think, Addr: addr, Write: g.below(100) < m.WritePct}, true
 }
 
 // Body implements app.Program.
-func (m *Micro) Body(p *app.Proc) {
-	issued, sum := 0, uint64(0)
-	m.stream(p.ID, func(addr mem.Addr, write bool) {
-		p.Compute(m.Think)
-		if write {
-			p.Write(addr)
-		} else {
-			p.Read(addr)
-		}
-		issued++
-		sum += refSum(addr, write)
-	})
-	m.issued[p.ID], m.sums[p.ID] = issued, sum
-}
+func (m *Micro) Body(p *app.Proc) { app.Drive(m, p) }
 
 // Check verifies every processor issued exactly its stream.
-func (m *Micro) Check() error {
-	for id, n := range m.issued {
-		if n != m.Refs {
-			return fmt.Errorf("micro: processor %d issued %d of %d references", id, n, m.Refs)
-		}
-		var want uint64
-		m.stream(id, func(addr mem.Addr, write bool) { want += refSum(addr, write) })
-		if m.sums[id] != want {
-			return fmt.Errorf("micro: processor %d reference checksum %#x, want %#x", id, m.sums[id], want)
-		}
-	}
-	return nil
-}
+func (m *Micro) Check() error { return m.ctx.CheckStreams(m) }

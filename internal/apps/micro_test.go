@@ -130,7 +130,7 @@ func TestMicroChecksumCatchesDivergence(t *testing.T) {
 		if _, err := app.Run(m, machine.Config{Kind: machine.Ideal, P: 4}); err != nil {
 			t.Fatalf("%v: %v", pat, err)
 		}
-		m.sums[2]++ // corrupt one processor's observed stream
+		m.ctx.Issued[2].Sum++ // corrupt one processor's observed stream
 		if err := m.Check(); err == nil {
 			t.Errorf("%v: corrupted checksum passed verification", pat)
 		}

@@ -38,13 +38,17 @@ func TestUniformStreamIsUniform(t *testing.T) {
 	homes := make([]int, P)
 	refs, writes := 0, 0
 	for id := 0; id < P; id++ {
-		u.stream(id, func(elem int, write bool) {
-			homes[u.arr.HomeOf(elem)]++
+		for s := u.StreamOf(id); ; {
+			r, ok := s.Next()
+			if !ok {
+				break
+			}
+			homes[u.ctx.Space.Home(r.Addr)]++
 			refs++
-			if write {
+			if r.Write {
 				writes++
 			}
-		})
+		}
 	}
 	if refs != P*u.Refs {
 		t.Fatalf("%d references, want %d", refs, P*u.Refs)

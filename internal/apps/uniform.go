@@ -1,10 +1,9 @@
 package apps
 
 import (
-	"fmt"
-
 	"spasm/internal/app"
 	"spasm/internal/mem"
+	"spasm/internal/sim"
 )
 
 // Uniform is the uniform-random synthetic traffic workload: every
@@ -32,9 +31,8 @@ type Uniform struct {
 	WritePct int
 	Seed     int64
 
-	arr    *mem.Array
-	issued []int
-	sums   []uint64
+	arr *mem.Array
+	ctx *app.Ctx
 }
 
 // uniformElemsPerNode fixes the shared-array footprint at 256 elements
@@ -65,49 +63,34 @@ func (u *Uniform) Name() string { return "uniform" }
 // home node is uniform over the machine.
 func (u *Uniform) Setup(c *app.Ctx) {
 	u.arr = c.Space.Alloc("uniform.data", c.P*uniformElemsPerNode, 8, mem.Blocked)
-	u.issued = make([]int, c.P)
-	u.sums = make([]uint64, c.P)
+	u.ctx = c
 }
 
-// stream replays processor id's deterministic reference stream, calling
-// visit for every (element index, isWrite) pair.  Body and Check use
-// the same generator, which is what makes the run verifiable.
-func (u *Uniform) stream(id int, visit func(elem int, write bool)) {
-	g := newRefGen(u.Seed, id)
-	for i := 0; i < u.Refs; i++ {
-		visit(g.below(u.arr.N), g.below(100) < u.WritePct)
+// uniformRefs is one processor's stream: generator and quota, 40 bytes.
+type uniformRefs struct {
+	u     *Uniform
+	g     refGen
+	left  int
+	think sim.Time
+}
+
+// StreamOf implements app.Stream: processor id's deterministic stream,
+// the same for the run and for Check, which makes the run verifiable.
+func (u *Uniform) StreamOf(id int) app.RefStream {
+	return &uniformRefs{u: u, g: newRefGen(u.Seed, id), left: u.Refs, think: sim.Cycles(u.Think)}
+}
+
+func (s *uniformRefs) Next() (app.Ref, bool) {
+	if s.left <= 0 {
+		return app.Ref{}, false
 	}
+	s.left--
+	addr := s.u.arr.At(s.g.below(s.u.arr.N))
+	return app.Ref{Think: s.think, Addr: addr, Write: s.g.below(100) < s.u.WritePct}, true
 }
 
 // Body implements app.Program.
-func (u *Uniform) Body(p *app.Proc) {
-	issued, sum := 0, uint64(0)
-	u.stream(p.ID, func(elem int, write bool) {
-		p.Compute(u.Think)
-		addr := u.arr.At(elem)
-		if write {
-			p.Write(addr)
-		} else {
-			p.Read(addr)
-		}
-		issued++
-		sum += refSum(addr, write)
-	})
-	u.issued[p.ID], u.sums[p.ID] = issued, sum
-}
+func (u *Uniform) Body(p *app.Proc) { app.Drive(u, p) }
 
-// Check verifies every processor issued exactly its deterministic
-// reference stream.
-func (u *Uniform) Check() error {
-	for id := range u.issued {
-		if u.issued[id] != u.Refs {
-			return fmt.Errorf("uniform: processor %d issued %d of %d references", id, u.issued[id], u.Refs)
-		}
-		var want uint64
-		u.stream(id, func(elem int, write bool) { want += refSum(u.arr.At(elem), write) })
-		if u.sums[id] != want {
-			return fmt.Errorf("uniform: processor %d reference checksum %#x, want %#x", id, u.sums[id], want)
-		}
-	}
-	return nil
-}
+// Check verifies every processor issued exactly its stream.
+func (u *Uniform) Check() error { return u.ctx.CheckStreams(u) }

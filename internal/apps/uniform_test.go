@@ -65,7 +65,7 @@ func TestUniformChecksumCatchesDivergence(t *testing.T) {
 	if _, err := app.Run(u, machine.Config{Kind: machine.Ideal, P: 4}); err != nil {
 		t.Fatal(err)
 	}
-	u.sums[2]++ // corrupt one processor's observed stream
+	u.ctx.Issued[2].Sum++ // corrupt one processor's observed stream
 	if err := u.Check(); err == nil {
 		t.Error("corrupted checksum passed verification")
 	}

@@ -85,6 +85,21 @@ type Machine interface {
 	Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr)
 }
 
+// PricedAtIssue is implemented by machines that price a whole reference
+// from the state of the model when it is issued — the LogP machine, a
+// closed form of L, g and the port calendars — so nothing has to wait
+// inside them, and a processor whose references are known without running
+// it (app.Stream) needs no coroutine.  Decorators (trace recording, fault
+// injection) hide it: a wrapped machine is driven through Read and Write.
+type PricedAtIssue interface {
+	Machine
+	// Issue prices a read or write of addr issued by node at its local
+	// time now, without blocking: it books the reference's messages,
+	// accounts it into st, and returns when it completes and whether it
+	// left the node.
+	Issue(st *stats.Proc, now sim.Time, node int, addr mem.Addr, write bool) (done sim.Time, remote bool)
+}
+
 // Config selects and parameterizes a machine.
 type Config struct {
 	Kind     Kind
@@ -246,10 +261,38 @@ func (m *logpMachine) P() int     { return m.net.P() }
 // Net exposes the abstract network (for parameter inspection in tools).
 func (m *logpMachine) Net() *logp.Net { return m.net }
 
+// roundTrip books and accounts the request/reply pair of a remote
+// reference — the LogP machine's whole model, written down once — and
+// returns when the reply is delivered.
+func (m *logpMachine) roundTrip(st *stats.Proc, now sim.Time, node, home int) sim.Time {
+	req := m.net.Message(now, node, home)
+	rep := m.net.Message(req.Deliver+m.costs.Mem, home, node)
+	st.Messages += 2
+	st.NetBytes += uint64(m.costs.CtrlBytes + m.costs.DataBytes)
+	st.NetAccesses++
+	st.Add(stats.Latency, req.Latency+rep.Latency)
+	st.Add(stats.Contention, req.Wait+rep.Wait)
+	return rep.Deliver
+}
+
+// Issue implements PricedAtIssue.
+func (m *logpMachine) Issue(st *stats.Proc, now sim.Time, node int, addr mem.Addr, write bool) (sim.Time, bool) {
+	if write {
+		st.Writes++
+	} else {
+		st.Reads++
+	}
+	st.Add(stats.Memory, m.costs.Mem)
+	if home := m.space.Home(addr); home != node {
+		return m.roundTrip(st, now, node, home), true
+	}
+	return now + m.costs.Mem, false
+}
+
 func (m *logpMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
+	st.Add(stats.Memory, m.costs.Mem)
 	home := m.space.Home(addr)
 	if home == node {
-		st.Add(stats.Memory, m.costs.Mem)
 		p.Defer(m.costs.Mem)
 		return
 	}
@@ -257,18 +300,9 @@ func (m *logpMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Add
 	// The abstract network's port calendars are shared state: book the
 	// round trip inside an ordered section so parallel runs issue
 	// messages in exactly the sequential dispatch order.
-	var req, rep logp.Xmit
-	p.Ordered(func() {
-		req = m.net.Message(now, node, home)
-		rep = m.net.Message(req.Deliver+m.costs.Mem, home, node)
-	})
-	st.Messages += 2
-	st.NetBytes += uint64(m.costs.CtrlBytes + m.costs.DataBytes)
-	st.NetAccesses++
-	st.Add(stats.Latency, req.Latency+rep.Latency)
-	st.Add(stats.Contention, req.Wait+rep.Wait)
-	st.Add(stats.Memory, m.costs.Mem)
-	p.HoldUntil(rep.Deliver)
+	var done sim.Time
+	p.Ordered(func() { done = m.roundTrip(st, now, node, home) })
+	p.HoldUntil(done)
 }
 
 func (m *logpMachine) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {

@@ -188,14 +188,14 @@ func (s *Store) Get(id string) (Record, bool) {
 	}
 	data, err := os.ReadFile(s.path(id, runSuffix))
 	if err != nil {
-		s.miss(false)
+		s.miss(false, false)
 		return Record{}, false
 	}
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil || env.V != envelopeVersion || env.ID != id || len(env.Doc) == 0 {
-		os.Remove(s.path(id, runSuffix))
+		dropped := os.Remove(s.path(id, runSuffix)) == nil
 		os.Remove(s.path(id, profSuffix))
-		s.miss(err != nil || env.V == envelopeVersion) // corrupt, unless merely of another version
+		s.miss(err != nil || env.V == envelopeVersion, dropped) // corrupt, unless merely of another version
 		return Record{}, false
 	}
 	s.mu.Lock()
@@ -243,11 +243,16 @@ func (s *Store) Stats() Stats {
 		Errors: s.errors, Entries: s.entries, Bytes: s.bytes}
 }
 
-func (s *Store) miss(corrupt bool) {
+// miss counts a Get that found no valid record; dropped, that it removed
+// an invalid one, which the Put that rewrites it will count again.
+func (s *Store) miss(corrupt, dropped bool) {
 	s.mu.Lock()
 	s.misses++
 	if corrupt {
 		s.errors++
+	}
+	if dropped {
+		s.entries--
 	}
 	s.mu.Unlock()
 }

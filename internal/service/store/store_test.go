@@ -95,8 +95,8 @@ func TestCorruptRecordIsAMiss(t *testing.T) {
 	if _, ok := s.Get(testID); ok {
 		t.Fatal("corrupt record served as a hit")
 	}
-	if st := s.Stats(); st.Errors == 0 {
-		t.Fatalf("corruption not counted: %+v", st)
+	if st := s.Stats(); st.Errors == 0 || st.Entries != 0 {
+		t.Fatalf("corruption not counted, or the dropped record still is: %+v", st)
 	}
 	// The damaged file is removed so a rewrite heals it.
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -108,6 +108,9 @@ func TestCorruptRecordIsAMiss(t *testing.T) {
 	if _, ok := s.Get(testID); !ok {
 		t.Fatal("rewrite after corruption missed")
 	}
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("%d entries after the rewrite, want 1", st.Entries)
+	}
 }
 
 // A record written under another envelope version is a result of an
@@ -116,10 +119,6 @@ func TestCorruptRecordIsAMiss(t *testing.T) {
 // record it does not describe.
 func TestOtherVersionIsAMissAndDropsProfile(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	old, err := json.Marshal(envelope{V: envelopeVersion - 1, Record: testRecord(testID)})
 	if err != nil {
 		t.Fatal(err)
@@ -127,23 +126,42 @@ func TestOtherVersionIsAMissAndDropsProfile(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, testID[:2]), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(testID, runSuffix), old, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, testID[:2], testID+runSuffix), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The upgraded daemon opens a directory the old one wrote.
+	s, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutProfile(testID, []byte("SPRF-of-the-old-model")); err != nil {
 		t.Fatal(err)
 	}
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("%d entries after opening a directory of one record, want 1", st.Entries)
+	}
 	if _, ok := s.Get(testID); ok {
 		t.Fatal("record of another version served as a hit")
 	}
-	if st := s.Stats(); st.Misses != 1 || st.Errors != 0 {
-		t.Fatalf("counters %+v, want misses=1 errors=0: an upgrade is not corruption", st)
+	if st := s.Stats(); st.Misses != 1 || st.Errors != 0 || st.Entries != 0 {
+		t.Fatalf("counters %+v, want misses=1 errors=0 entries=0: an upgrade is not corruption, and the record is gone", st)
 	}
 	if raw, ok := s.GetProfile(testID); ok {
 		t.Fatalf("profile %q outlived the record it was derived from", raw)
 	}
 	if _, err := os.Stat(s.path(testID, runSuffix)); !os.IsNotExist(err) {
 		t.Fatalf("stale record not removed: %v", err)
+	}
+	// The recomputed result replaces it: one record on disk, one counted,
+	// here and by the next process to scan the directory.
+	if err := s.Put(testRecord(testID)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("%d entries after the re-Put, want 1", st.Entries)
+	}
+	if reopened, err := Open(dir); err != nil || reopened.Stats().Entries != 1 {
+		t.Fatalf("reopened store: %v, %+v", err, reopened.Stats())
 	}
 }
 

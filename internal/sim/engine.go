@@ -412,6 +412,43 @@ func (e *Engine) runResult() error {
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{name: name, eng: e}
 	p.launch(fn)
+	return e.admit(p)
+}
+
+// SpawnIndexed is Spawn for the members of a process array: the process
+// is named prefix followed by its ID, formatted only if something asks
+// (an error message), so spawning P processes formats no strings.
+func (e *Engine) SpawnIndexed(prefix string, fn func(*Proc)) *Proc {
+	p := e.Spawn(prefix, fn)
+	p.indexed = true
+	return p
+}
+
+// Stepper is the body of a stackless process: one whose control flow
+// never depends on simulated time, so it needs no stack to suspend.
+// Run's loop calls Step at each of the process's events; Step does local
+// work (Defer) and returns when the process resumes — its local clock, if
+// that is later — or done, which terminates it.  It must not block: Hold,
+// HoldUntil, FlushLag, Park, Yield and all that is built on them panic.
+type Stepper interface {
+	Step(p *Proc) (wake Time, done bool)
+}
+
+// SpawnStep is SpawnIndexed for a stackless process: no coroutine, no
+// goroutine, no switch — an event is two indirect calls on Run's stack.
+// The parallel mode's carriers cannot drive one, so the run is sequential.
+func (e *Engine) SpawnStep(prefix string, body Stepper) *Proc {
+	p := &Proc{name: prefix, eng: e, indexed: true}
+	p.next = func() (struct{}, bool) {
+		p.steps(body)
+		return struct{}{}, false
+	}
+	e.pforce = "stackless-process"
+	return e.admit(p)
+}
+
+// admit enters a new process in the table and schedules its first event.
+func (e *Engine) admit(p *Proc) *Proc {
 	// A mid-run spawn in parallel mode comes from a granted section:
 	// serialize the table bookkeeping with the gate (parSignalLocked
 	// indexes e.procs).
@@ -435,49 +472,69 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// SpawnIndexed is Spawn for the members of a process array: the process
-// is named prefix followed by its ID, formatted only if something asks
-// (an error message), so spawning P processes formats no strings.
-func (e *Engine) SpawnIndexed(prefix string, fn func(*Proc)) *Proc {
-	p := e.Spawn(prefix, fn)
-	p.indexed = true
-	return p
-}
-
 // run is the body of p's coroutine: fn, then the termination
 // bookkeeping.  Dispatching the successor is left to Run's loop.
 func (p *Proc) run(fn func(*Proc)) {
+	defer func() { p.exit(recover()) }()
+	if !p.eng.aborting {
+		fn(p)
+	}
+}
+
+// steps runs a stackless process from one of its events.  It makes the
+// engine calls a coroutine looping over HoldUntil would — schedule, then
+// advance — so seq, gen, Events and the dispatch order evolve identically,
+// and like block it stays in place while the next event is p's own.  An
+// abort ends the process at its next event: there is nothing to unwind.
+func (p *Proc) steps(body Stepper) {
 	e := p.eng
 	defer func() {
-		r := recover()
-		// e.par is stable here: it can only transition to nil while no
-		// span is incomplete, and this process's current span is.  (On
-		// the abortSignal unwind path e.par is already nil, with the
-		// transition ordered before our final resumption.)
-		if e.par != nil {
-			e.parTerminate(p, r)
-			return
-		}
-		if r != nil {
-			// Panics raised after the abort began are collateral of the
-			// unwind (cleanup defers running against torn-down state),
-			// not independent failures: recording them would mask the
-			// abort's own error.
-			if _, unwind := r.(abortSignal); !unwind && !e.aborting && e.failure == nil {
-				e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name(), e.now, r)
-			}
-		}
-		p.terminated = true
-		p.gen++ // any still-queued wakeup for p is now stale
-		e.nLive--
-		if e.failure != nil && !e.aborting {
-			// A panic fails the run, but the remaining processes are
-			// unwound — not abandoned — before Run reports it.
-			e.beginAbort(nil)
+		if r := recover(); r != nil {
+			p.exit(r)
 		}
 	}()
-	if !e.aborting {
-		fn(p)
+	for !e.aborting {
+		wake, done := body.Step(p)
+		if done {
+			break
+		}
+		wake = max(wake, p.Now())
+		p.lag = 0
+		e.schedule(wake, p)
+		if !e.advance(p) {
+			return
+		}
+	}
+	p.exit(nil)
+}
+
+// exit terminates a process whose body returned, or panicked with r.
+func (p *Proc) exit(r any) {
+	e := p.eng
+	// e.par is stable here: it can only transition to nil while no
+	// span is incomplete, and this process's current span is.  (On
+	// the abortSignal unwind path e.par is already nil, with the
+	// transition ordered before our final resumption.)
+	if e.par != nil {
+		e.parTerminate(p, r)
+		return
+	}
+	if r != nil {
+		// Panics raised after the abort began are collateral of the
+		// unwind (cleanup defers running against torn-down state),
+		// not independent failures: recording them would mask the
+		// abort's own error.
+		if _, unwind := r.(abortSignal); !unwind && !e.aborting && e.failure == nil {
+			e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name(), e.now, r)
+		}
+	}
+	p.terminated = true
+	p.gen++ // any still-queued wakeup for p is now stale
+	e.nLive--
+	if e.failure != nil && !e.aborting {
+		// A panic fails the run, but the remaining processes are
+		// unwound — not abandoned — before Run reports it.
+		e.beginAbort(nil)
 	}
 }
 

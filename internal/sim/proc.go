@@ -24,7 +24,8 @@ type Proc struct {
 	// The process body runs as a coroutine (see launch): next resumes it
 	// and returns when it yields or finishes; yield suspends it back to
 	// whoever called next — Run's loop, or in a parallel run the
-	// process's carrier.  Neither switch enters the Go scheduler.
+	// process's carrier.  Neither switch enters the Go scheduler.  A
+	// stackless process (SpawnStep) steps inside next; its yield is nil.
 	next       func() (struct{}, bool)
 	yield      func(struct{}) bool
 	indexed    bool // spawned by SpawnIndexed: the name is name + ID
@@ -81,7 +82,11 @@ func (p *Proc) Horizon() Time {
 // unwinds out of the application code and terminates (run's handler
 // recognizes the signal), instead of running on inside a dead
 // simulation.
-func (p *Proc) block() {
+// A stackless process has nothing to suspend: the panic names the call.
+func (p *Proc) block(call string) {
+	if p.yield == nil {
+		panic(fmt.Sprintf("sim: stackless process %q called %s: a step function cannot block", p.Name(), call))
+	}
 	if !p.eng.advance(p) {
 		p.yield(struct{}{})
 	}
@@ -116,7 +121,7 @@ func (p *Proc) FlushLag() {
 			return
 		}
 		p.eng.schedule(p.eng.now+d, p)
-		p.block()
+		p.block("FlushLag")
 	}
 }
 
@@ -140,7 +145,7 @@ func (p *Proc) Hold(d Time) {
 	at := p.eng.now + p.lag + d
 	p.lag = 0
 	p.eng.schedule(at, p)
-	p.block()
+	p.block("Hold")
 }
 
 // HoldUntil sleeps until absolute local time t (no-op if t <= Now()).
@@ -154,7 +159,7 @@ func (p *Proc) HoldUntil(t Time) {
 		return
 	}
 	p.eng.schedule(t, p)
-	p.block()
+	p.block("HoldUntil")
 }
 
 // Park blocks the process indefinitely; some other process must Wake it.
@@ -174,7 +179,7 @@ func (p *Proc) Park() {
 		return
 	}
 	p.parked = true
-	p.block()
+	p.block("Park")
 }
 
 // Wake schedules a parked process to resume at the current simulated
@@ -222,5 +227,5 @@ func (p *Proc) Yield() {
 	at := p.eng.now + p.lag
 	p.lag = 0
 	p.eng.schedule(at, p)
-	p.block()
+	p.block("Yield")
 }

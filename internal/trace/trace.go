@@ -253,7 +253,7 @@ func Decode(r io.Reader) (*Trace, error) {
 type replayProgram struct {
 	t      *Trace
 	perPrc [][]Event
-	issued []int
+	ctx    *app.Ctx
 	setupE error
 }
 
@@ -269,6 +269,7 @@ func (r *replayProgram) Name() string { return "trace-replay" }
 // placement policies, same bases — so every replayed reference has the
 // same home node it had when recorded.
 func (r *replayProgram) Setup(c *app.Ctx) {
+	r.ctx = c
 	if c.P != r.t.P {
 		r.setupE = fmt.Errorf("trace: replaying a %d-processor trace on %d processors", r.t.P, c.P)
 		return
@@ -286,42 +287,42 @@ func (r *replayProgram) Setup(c *app.Ctx) {
 			return
 		}
 	}
-	r.issued = make([]int, c.P)
+}
+
+// replayRefs is one processor's recorded subsequence being re-issued.
+type replayRefs struct {
+	events []Event
+	last   sim.Time // completion time of the previous event
+}
+
+// StreamOf implements app.Stream; a replay whose Setup failed issues nothing.
+func (r *replayProgram) StreamOf(id int) app.RefStream {
+	if r.setupE != nil || id >= len(r.perPrc) {
+		return &replayRefs{}
+	}
+	return &replayRefs{events: r.perPrc[id]}
+}
+
+func (s *replayRefs) Next() (app.Ref, bool) {
+	if len(s.events) == 0 {
+		return app.Ref{}, false
+	}
+	e := s.events[0]
+	s.events = s.events[1:]
+	// Re-insert only the pure-compute gap; the access itself is
+	// re-priced by the machine the trace is replayed on.
+	gap := e.At - s.last
+	s.last = e.Done
+	return app.Ref{Think: gap, Addr: e.Addr, Write: e.Write}, true
 }
 
 // Body implements app.Program.
-func (r *replayProgram) Body(p *app.Proc) {
-	if r.setupE != nil || p.ID >= len(r.perPrc) {
-		return
-	}
-	last := sim.Time(0)
-	for _, e := range r.perPrc[p.ID] {
-		// Re-insert only the pure-compute gap; the access itself is
-		// re-priced by the machine the trace is replayed on.
-		if gap := e.At - last; gap > 0 {
-			p.ComputeTime(gap)
-		}
-		last = e.Done
-		if e.Write {
-			p.Write(e.Addr)
-		} else {
-			p.Read(e.Addr)
-		}
-		r.issued[p.ID]++
-	}
-}
+func (r *replayProgram) Body(p *app.Proc) { app.Drive(r, p) }
 
 // Check verifies every recorded event was re-issued.
 func (r *replayProgram) Check() error {
 	if r.setupE != nil {
 		return r.setupE
 	}
-	total := 0
-	for _, n := range r.issued {
-		total += n
-	}
-	if total != len(r.t.Events) {
-		return fmt.Errorf("trace: replayed %d of %d events", total, len(r.t.Events))
-	}
-	return nil
+	return r.ctx.CheckStreams(r)
 }

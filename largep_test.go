@@ -23,14 +23,18 @@ import (
 // run1024 makes one fresh 1024-processor uniform run on the torus and
 // holds the whole run, set-up included, to an allocation budget of 1.1x
 // its measured cost (logged below).  The measurement is repeatable to
-// 0.3 % once the runtime has 1024 dead goroutine descriptors on hand and
-// about 1,000 objects and 0.5 MB higher as the first test of a process;
-// the budgets are 1.1x that first-run figure: flow 24,487 objects /
-// 7.01 MB, logp 17,569 / 2.89 MB.  One heap object per message is +262k
-// objects, an O(P²) table +8 MB, a kilobyte of state per processor +1 MB
-// — each fails here, in tier-1, at the size that shows it.  Not
-// meaningful under -race, whose instrumented build allocates some 4,000
-// more objects on the flow run (iter.Pull: ten a coroutine, not six).
+// 0.3 % and highest as the first test of a process — on flow, whose
+// processors are coroutines, by about 1,000 objects and 0.5 MB, until the
+// runtime has 1024 dead goroutine descriptors on hand.  The first-run
+// figures: flow 26,603 objects / 7.05 MB (budgeted when it was 24,487 /
+// 7.01 MB; a stream is now an object, drawn once by the driver and once
+// by Check), logp 6,295 / 2.10 MB.  The LogP run is stackless: a
+// coroutine per processor coming back is +6,144 objects and fails here.
+// So does one heap object per message (+262k objects), an O(P²) table
+// (+8 MB) or a kilobyte of state per processor (+1 MB) — in tier-1, at
+// the size that shows it.  The flow budget is not meaningful under -race,
+// whose instrumented build allocates some 4,000 more objects (iter.Pull:
+// ten a coroutine, not six).
 func run1024(t *testing.T, kind Kind, maxObjects, maxBytes uint64) {
 	if testing.Short() {
 		t.Skip("1024-processor run")
@@ -61,7 +65,7 @@ func run1024(t *testing.T, kind Kind, maxObjects, maxBytes uint64) {
 }
 
 func TestFlow1024Procs(t *testing.T) { run1024(t, Flow, 27000, 7740e3) }
-func TestLogP1024Procs(t *testing.T) { run1024(t, LogP, 19300, 3170e3) }
+func TestLogP1024Procs(t *testing.T) { run1024(t, LogP, 6930, 2310e3) }
 
 func TestTarget256Procs(t *testing.T) {
 	if testing.Short() {
@@ -141,17 +145,21 @@ func TestFlow256ProcsParallelIdentical(t *testing.T) {
 
 // TestAbortLatency bounds how long a timeout or a cancellation that
 // lands mid-run takes to end a 4096-processor LogP run when the event
-// loop owns the only P.  The coroutine kernel never enters the Go
-// scheduler, so the watchdog goroutine runs at the runtime's next forced
-// preemption rather than at the next event (RunControl states the
-// bound); then 4096 coroutines unwind.  None may leak.
+// loop owns the only P.  The kernel never enters the Go scheduler, so the
+// watchdog goroutine runs at the runtime's next forced preemption rather
+// than at the next event (RunControl states the bound); then each of the
+// 4096 processes — stackless, since uniform is a stream and LogP prices
+// at issue — ends at its next event, and the goroutine count must be
+// back where it was: there never was one per processor.
 func TestAbortLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4096-processor runs")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	base := runtime.NumGoroutine()
-	spec := Spec{App: "uniform", Scale: Tiny, Machine: LogP, Topology: "cube", P: 4096}
+	// Small, not Tiny: the stackless run of the tiny quota is over in
+	// 150 ms on the recording host, too close to where the aborts land.
+	spec := Spec{App: "uniform", Scale: Small, Machine: LogP, Topology: "cube", P: 4096}
 	const land, bound = 100 * time.Millisecond, 250 * time.Millisecond
 
 	// A cancellation already in force aborts before the first event:

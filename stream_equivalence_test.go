@@ -1,0 +1,99 @@
+package spasm
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"spasm/internal/app"
+	"spasm/internal/apps"
+	"spasm/internal/machine"
+	"spasm/internal/probe"
+	"spasm/internal/report"
+)
+
+// TestStreamDriversSameBytes: a reference stream on LogP runs on one of
+// two drivers — stackless step functions, or the same generator behind
+// blocking Read/Write on a coroutine per processor — chosen by the runner
+// from the run's own shape.  Whichever runs, the result document and the
+// encoded profile are the same bytes.  Here every stream program runs all
+// three ways a run can be shaped: plain (stackless), behind an identity
+// machine decorator (blocking), and with two workers requested (blocking,
+// in the parallel mode unless profiled).  A driver that drifts fails this
+// by a byte.
+func TestStreamDriversSameBytes(t *testing.T) {
+	shapes := []struct {
+		topo string
+		p    int
+	}{{"full", 8}, {"torus", 256}, {"cube", 1024}}
+	if testing.Short() {
+		shapes = shapes[:2]
+	}
+	type program struct {
+		name string
+		new  func() app.Program
+	}
+	progs := []program{{"uniform", func() app.Program { return apps.NewUniform(Tiny, 1) }}}
+	for _, pat := range []apps.Pattern{apps.UniformPattern, apps.HotSpotPattern, apps.NeighborPattern} {
+		progs = append(progs, program{"micro-" + pat.String(), func() app.Program { return apps.NewMicro(pat, 32, 12, 1) }})
+	}
+	identity := func(m machine.Machine) machine.Machine { return struct{ machine.Machine }{m} }
+	drivers := []struct {
+		name string
+		opt  app.Options
+	}{
+		{"stackless", app.Options{}},
+		{"decorated", app.Options{Wrap: identity}},
+		{"two workers", app.Options{Control: app.RunControl{Workers: 2}}},
+	}
+	for _, prog := range progs {
+		for _, shape := range shapes {
+			for _, ports := range []PortMode{CombinedGap, PerClassGap} {
+				cfg := Config{Kind: LogP, Topology: shape.topo, P: shape.p, PortMode: ports}
+				at := fmt.Sprintf("%s on logp/%s p%d %v", prog.name, shape.topo, shape.p, ports)
+				var wantDoc, wantProfile []byte
+				for _, d := range drivers {
+					for _, profiled := range []bool{false, true} {
+						opt := d.opt
+						var pr *probe.Profiler
+						if profiled {
+							pr = probe.New(probe.Config{})
+							opt.Instrument = pr
+						}
+						res, err := app.Execute(prog.new(), cfg, opt)
+						if err != nil {
+							t.Fatalf("%s, %s: %v", at, d.name, err)
+						}
+						if d.opt.Control.Workers > 1 && !profiled && !res.Par.Parallel {
+							t.Errorf("%s: the requested parallel run executed sequentially (%+v)", at, res.Par)
+						}
+						doc, err := json.Marshal(report.RunJSON(res))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if wantDoc == nil {
+							wantDoc = doc
+						}
+						if !bytes.Equal(doc, wantDoc) {
+							t.Errorf("%s: the %s run's document differs from the stackless run's\n got %s\nwant %s", at, d.name, doc, wantDoc)
+						}
+						if !profiled {
+							continue
+						}
+						var enc bytes.Buffer
+						if _, err := pr.Profile().Encode(&enc); err != nil {
+							t.Fatal(err)
+						}
+						if wantProfile == nil {
+							wantProfile = enc.Bytes()
+						}
+						if !bytes.Equal(enc.Bytes(), wantProfile) {
+							t.Errorf("%s: the %s run's encoded profile differs from the stackless run's (%d vs %d bytes)", at, d.name, enc.Len(), len(wantProfile))
+						}
+					}
+				}
+			}
+		}
+	}
+}
