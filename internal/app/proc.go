@@ -55,12 +55,16 @@ func (p *Proc) Compute(n int64) {
 // ComputeTime charges an exact simulated duration of local computation
 // (used by trace replay, where inter-reference gaps are recorded as
 // durations rather than cycle counts).
-func (p *Proc) ComputeTime(d sim.Time) {
+func (p *Proc) ComputeTime(d sim.Time) { computeTime(p.St, p.S, d) }
+
+// computeTime is ComputeTime on the parts of the handle it uses (a feed
+// carries no handle).
+func computeTime(st *stats.Proc, sp *sim.Proc, d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	p.St.Add(stats.Compute, d)
-	p.S.Defer(d)
+	st.Add(stats.Compute, d)
+	sp.Defer(d)
 }
 
 // spin burns n cycles charged to synchronization overhead (busy-wait

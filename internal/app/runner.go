@@ -71,6 +71,9 @@ type Ctx struct {
 	Phases *PhaseProfile
 	// Issued is what each processor issued of a Stream (nil otherwise).
 	Issued []Tally
+	// at is M priced at issue when the run's processes are stackless (see
+	// runOn), nil when a Stream's references go through M.Read and M.Write.
+	at machine.PricedAtIssue
 }
 
 // Program is a parallel application.  Setup runs once (unsimulated) to
@@ -223,8 +226,9 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // A process is a coroutine running Body, except where the run shows it
 // need not be: a Stream, on a machine that as the program will drive it
 // (decorators included) prices a reference at issue, with no parallel mode
-// requested, gets stackless processes running the loop Drive runs — the
-// same engine calls in the same order, so no result shows which one ran.
+// requested, gets stackless processes — their bodies one []feed, a cache
+// line each — running the loop Drive runs: the same engine calls in the
+// same order, so no result shows which one ran.
 //
 // When ctl is enabled, a watchdog goroutine interrupts the engine on
 // timeout or cancellation; the resulting cooperative abort unwinds every
@@ -261,13 +265,17 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	ctx.M = m
 
 	prefix := prog.Name() + "/p"
-	at, _ := m.(machine.PricedAtIssue)
-	stackless := stream != nil && at != nil && ctl.Workers <= 1
+	var feeds []feed
+	if at, ok := m.(machine.PricedAtIssue); ok && stream != nil && ctl.Workers <= 1 {
+		ctx.at = at
+		feeds = make([]feed, cfg.P)
+	}
 	for i := 0; i < cfg.P; i++ {
 		i := i
-		if stackless {
-			f := &feed{Proc: Proc{ID: i, M: m, St: &run.Procs[i], Ctx: ctx}, refs: stream.StreamOf(i), at: at}
-			f.S = eng.SpawnStep(prefix, f)
+		if feeds != nil {
+			f := &feeds[i]
+			*f = feed{refs: stream.StreamOf(i), st: &run.Procs[i], ctx: ctx, id: i}
+			f.sp = eng.SpawnStep(prefix, f)
 			continue
 		}
 		eng.SpawnIndexed(prefix, func(sp *sim.Proc) {

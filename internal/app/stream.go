@@ -3,9 +3,9 @@ package app
 import (
 	"fmt"
 
-	"spasm/internal/machine"
 	"spasm/internal/mem"
 	"spasm/internal/sim"
+	"spasm/internal/stats"
 )
 
 // Stream is a Program whose processors never look at simulated time — a
@@ -45,41 +45,46 @@ func (t *Tally) add(r Ref) {
 	}
 }
 
-// feed is one processor's stream in flight, Proc included: a stackless
-// process's events find both in adjacent cache lines.
+// feed is one processor's stream in flight: 64 bytes, one host cache line
+// of a run's []feed (TestFeedFitsOneLine), so an event of a stackless
+// process finds its driver state in one place.  What all feeds of a run
+// share — the machine, where the tallies go — is behind ctx.
 type feed struct {
-	Proc
 	refs  RefStream
-	at    machine.PricedAtIssue // nil: issue through p's blocking Read and Write
 	tally Tally
+	st    *stats.Proc
+	sp    *sim.Proc
+	ctx   *Ctx
+	id    int
 }
 
 // run is the one compute/issue/checksum loop.  On a machine priced at
-// issue it makes the clock calls Read or Write would, and returns at the
-// first reference to leave the node, to be resumed when its reply lands.
-// Otherwise the references block inside the machine: it returns once, done.
+// issue (ctx.at) it makes the clock calls Read or Write would, and returns
+// at the first reference to leave the node, to be resumed when its reply
+// lands.  Otherwise the references block inside the machine: it returns
+// once, done.
 func (f *feed) run() (wake sim.Time, done bool) {
-	p := &f.Proc
+	c, sp, st := f.ctx, f.sp, f.st
 	for {
 		r, ok := f.refs.Next()
 		if !ok {
-			p.Ctx.Issued[p.ID] = f.tally
+			c.Issued[f.id] = f.tally
 			return 0, true
 		}
-		p.ComputeTime(r.Think)
+		computeTime(st, sp, r.Think)
 		f.tally.add(r)
 		switch {
-		case f.at != nil:
-			now := p.Now()
-			end, remote := f.at.Issue(p.St, now, p.ID, r.Addr, r.Write)
+		case c.at != nil:
+			now := sp.Now()
+			end, remote := c.at.Issue(st, now, f.id, r.Addr, r.Write)
 			if remote && end > now {
 				return end, false
 			}
-			p.S.Defer(end - now)
+			sp.Defer(end - now)
 		case r.Write:
-			p.Write(r.Addr)
+			c.M.Write(sp, st, f.id, r.Addr)
 		default:
-			p.Read(r.Addr)
+			c.M.Read(sp, st, f.id, r.Addr)
 		}
 	}
 }
@@ -88,14 +93,14 @@ func (f *feed) run() (wake sim.Time, done bool) {
 func (f *feed) Step(sp *sim.Proc) (sim.Time, bool) {
 	wake, done := f.run()
 	if done {
-		f.Ctx.Run.Finish(f.ID, sp.Now())
+		f.ctx.Run.Finish(f.id, sp.Now())
 	}
 	return wake, done
 }
 
 // Drive is the Body of a Stream: p's references through Read and Write.
 func Drive(s Stream, p *Proc) {
-	f := feed{Proc: *p, refs: s.StreamOf(p.ID)} // a copy of the handle: a stream marks no phase
+	f := feed{refs: s.StreamOf(p.ID), st: p.St, sp: p.S, ctx: p.Ctx, id: p.ID}
 	f.run()
 }
 

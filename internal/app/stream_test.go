@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"spasm/internal/machine"
 	"spasm/internal/mem"
@@ -177,5 +178,15 @@ func TestStreamPooledReuse(t *testing.T) {
 	}
 	if again := run(); again.Stats.Total != total || !reflect.DeepEqual(again.Stats.Procs, procs) {
 		t.Error("run after a discarded abort differs from the first run")
+	}
+}
+
+// TestFeedFitsOneLine: a stackless processor's driver state is one host
+// cache line of the run's []feed.  (With the Proc handle embedded — phase
+// state a stream never marks, the machine a second time — it was 160
+// bytes, an object each.)
+func TestFeedFitsOneLine(t *testing.T) {
+	if size := unsafe.Sizeof(feed{}); size > 64 {
+		t.Errorf("feed is %d bytes, more than a 64-byte cache line", size)
 	}
 }

@@ -76,30 +76,30 @@ type Net struct {
 	// topology g was derived from.
 	Crosses func(src, dst int) bool
 
-	// Port state, allocated by Mode: Combined uses the single last
-	// array, PerClass the send/receive pair.  Allocating only what the
-	// mode gates keeps the per-node footprint flat at large P (one port
-	// array at 1024 nodes instead of three).
+	// Port state: when each node last sent and last received.  Combined
+	// mode has one port a node, so there recv is the same array as send
+	// and every event gaps against the node's last of either class;
+	// allocating only what the mode gates keeps the per-node footprint flat
+	// at large P (one port array at 1024 nodes instead of three).
 	//
 	// Slots are initialized lazily: a node's ports are valid only while
 	// stamp[node] == gen.  gate re-stamps a node to -g on first touch
 	// after a Reset, which makes Reset O(1) instead of O(p) — at large P
 	// a pooled net is reset far more often than most nodes communicate.
-	p        int
-	last     []sim.Time // Combined: last network event per node
-	lastSend []sim.Time // PerClass ports
-	lastRecv []sim.Time
-	stamp    []uint32 // port-validity generation per node
-	gen      uint32   // current generation (never 0 while live)
+	p     int
+	send  []sim.Time
+	recv  []sim.Time
+	stamp []uint32 // port-validity generation per node
+	gen   uint32   // current generation (never 0 while live)
 
 	// Messages counts every message carried; Crossing counts those
 	// that crossed the bisection (adaptive mode only).
 	Messages uint64
 	Crossing uint64
 
-	// Observer, when non-nil, is invoked from Message for every message
-	// the abstract network carries, with the requested departure time
-	// and the resulting schedule.
+	// Observer, when non-nil, is invoked for every message the abstract
+	// network carries (Message or Deliver), with the requested departure
+	// time and the resulting schedule.
 	Observer func(now sim.Time, x Xmit, src, dst int)
 }
 
@@ -112,11 +112,10 @@ func New(p int, l, g sim.Time, mode PortMode) *Net {
 		panic("logp: negative L or g")
 	}
 	n := &Net{L: l, G: g, Mode: mode, p: p, gen: 1}
-	if mode == Combined {
-		n.last = make([]sim.Time, p)
-	} else {
-		n.lastSend = make([]sim.Time, p)
-		n.lastRecv = make([]sim.Time, p)
+	n.send = make([]sim.Time, p)
+	n.recv = n.send
+	if mode == PerClass {
+		n.recv = make([]sim.Time, p)
 	}
 	// Zero never equals a live generation (gen starts at 1 and skips 0
 	// on wrap), so the zeroed stamps mark every node's ports
@@ -129,7 +128,7 @@ func New(p int, l, g sim.Time, mode PortMode) *Net {
 // pin them.  The traffic counters stay readable, but any further Message
 // or Reset panics.
 func (n *Net) Release() {
-	n.last, n.lastSend, n.lastRecv, n.stamp = nil, nil, nil, nil
+	n.send, n.recv, n.stamp = nil, nil, nil
 }
 
 // P returns the number of nodes.
@@ -173,36 +172,25 @@ func (n *Net) effectiveG() sim.Time {
 	return sim.Time(uint64(n.G) * n.Crossing / n.Messages)
 }
 
-// gate returns the earliest time >= at that node may perform an event of
-// the given class, and records the event.  A node whose stamp predates
-// the current generation has its ports initialized here to -g (the
-// static G, as New stamped them), so its first event may happen at time
-// zero.
-func (n *Net) gate(node int, send bool, at, g sim.Time) sim.Time {
+// gate returns the earliest time >= at that node may perform an event on
+// the port whose calendar is ports (n.send or n.recv), and records the
+// event.  Small enough to inline: a message is one call, book.
+func (n *Net) gate(ports []sim.Time, node int, at, g sim.Time) sim.Time {
 	if n.stamp[node] != n.gen {
-		n.stamp[node] = n.gen
-		if n.Mode == Combined {
-			n.last[node] = -n.G
-		} else {
-			n.lastSend[node] = -n.G
-			n.lastRecv[node] = -n.G
-		}
+		n.open(node)
 	}
-	var slot *sim.Time
-	switch {
-	case n.Mode == Combined:
-		slot = &n.last[node]
-	case send:
-		slot = &n.lastSend[node]
-	default:
-		slot = &n.lastRecv[node]
-	}
-	ready := *slot + g
-	if at > ready {
-		ready = at
-	}
-	*slot = ready
+	ready := max(ports[node]+g, at)
+	ports[node] = ready
 	return ready
+}
+
+// open initializes the ports of a node whose stamp predates the current
+// generation to -g (the static G, as New stamped them), so its first event
+// may happen at time zero.
+func (n *Net) open(node int) {
+	n.stamp[node] = n.gen
+	n.send[node] = -n.G
+	n.recv[node] = -n.G
 }
 
 // Xmit describes one message on the abstract network.
@@ -221,26 +209,46 @@ type Xmit struct {
 // than now, and returns its schedule.  It does not block any process;
 // callers advance their process to Deliver (or compose further legs).
 func (n *Net) Message(now sim.Time, src, dst int) Xmit {
+	sendAt, deliver := n.book(now, src, dst)
+	return n.xmit(now, sendAt, deliver)
+}
+
+// Deliver is Message for a caller that needs only when the message is
+// delivered and how long the gap held it up (Xmit.Deliver, Xmit.Wait): the
+// same booking, and no 40-byte schedule written out to be read back for
+// two words of it.
+func (n *Net) Deliver(now sim.Time, src, dst int) (deliver, wait sim.Time) {
+	_, deliver = n.book(now, src, dst)
+	return deliver, deliver - now - n.L
+}
+
+// book carries one message: it gates it through both endpoints' ports,
+// counts it and shows it to the Observer — all there is to the model.
+func (n *Net) book(now sim.Time, src, dst int) (sendAt, deliver sim.Time) {
 	if src == dst {
 		panic(fmt.Sprintf("logp: message to self at node %d", src))
 	}
 	g := n.effectiveG()
-	sendAt := n.gate(src, true, now, g)
-	arrive := sendAt + n.L
-	deliver := n.gate(dst, false, arrive, g)
+	sendAt = n.gate(n.send, src, now, g)
+	deliver = n.gate(n.recv, dst, sendAt+n.L, g)
 	n.Messages++
 	if n.Crosses != nil && n.Crosses(src, dst) {
 		n.Crossing++
 	}
-	x := Xmit{
+	if n.Observer != nil {
+		n.Observer(now, n.xmit(now, sendAt, deliver), src, dst)
+	}
+	return sendAt, deliver
+}
+
+// xmit writes out the schedule of a message booked at now.
+func (n *Net) xmit(now, sendAt, deliver sim.Time) Xmit {
+	arrive := sendAt + n.L
+	return Xmit{
 		SendAt:  sendAt,
 		Arrive:  arrive,
 		Deliver: deliver,
 		Latency: n.L,
 		Wait:    (sendAt - now) + (deliver - arrive),
 	}
-	if n.Observer != nil {
-		n.Observer(now, x, src, dst)
-	}
-	return x
 }

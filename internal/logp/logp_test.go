@@ -1,6 +1,8 @@
 package logp
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -282,4 +284,73 @@ func TestResetGenerationWraparound(t *testing.T) {
 			t.Fatalf("message %d after wraparound: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// TestDeliverIsMessage: Deliver is Message without the schedule written
+// out.  Twin nets carry the same seeded traffic, one through each call,
+// in both port modes, with the adaptive g off and on, an Observer attached:
+// every delivery time and wait, the Messages and Crossing counters after
+// every message, and every Observer call are the same.
+func TestDeliverIsMessage(t *testing.T) {
+	type seen struct {
+		now      sim.Time
+		x        Xmit
+		src, dst int
+	}
+	const p = 16
+	for _, mode := range []PortMode{Combined, PerClass} {
+		for _, adaptive := range []bool{false, true} {
+			for seed := int64(1); seed <= 20; seed++ {
+				var calls [2][]seen
+				var nets [2]*Net
+				for i := range nets {
+					n := New(p, DefaultL, sim.Micros(1.6), mode)
+					if adaptive {
+						n.Crosses = func(src, dst int) bool { return src < p/2 != (dst < p/2) }
+					}
+					n.Observer = func(now sim.Time, x Xmit, src, dst int) {
+						calls[i] = append(calls[i], seen{now, x, src, dst})
+					}
+					nets[i] = n
+				}
+				rng := rand.New(rand.NewSource(seed))
+				now := sim.Time(0)
+				for k := 0; k < 400; k++ {
+					src := rng.Intn(p)
+					dst := (src + 1 + rng.Intn(p-1)) % p
+					if rng.Intn(4) == 0 {
+						dst = (src + 1) % p // a hot pair: the gap bites
+					}
+					x := nets[0].Message(now, src, dst)
+					deliver, wait := nets[1].Deliver(now, src, dst)
+					if deliver != x.Deliver || wait != x.Wait {
+						t.Fatalf("%v adaptive=%v seed %d message %d: Deliver = (%v, %v), Message = %+v",
+							mode, adaptive, seed, k, deliver, wait, x)
+					}
+					if nets[0].Messages != nets[1].Messages || nets[0].Crossing != nets[1].Crossing {
+						t.Fatalf("%v adaptive=%v seed %d message %d: counters %d/%d vs %d/%d", mode, adaptive, seed, k,
+							nets[1].Messages, nets[1].Crossing, nets[0].Messages, nets[0].Crossing)
+					}
+					// Issue times wander both ways: the machines book a
+					// reply at a time ahead of the next request's.
+					now = max(0, now+sim.Time(rng.Intn(3000))-1000)
+				}
+				if len(calls[1]) != 400 || !slices.Equal(calls[0], calls[1]) {
+					t.Fatalf("%v adaptive=%v seed %d: the Observer saw %d messages through Deliver, %d through Message, or not the same ones",
+						mode, adaptive, seed, len(calls[1]), len(calls[0]))
+				}
+				if adaptive && (nets[1].Crossing == 0 || nets[1].Crossing == nets[1].Messages) {
+					t.Fatalf("%v seed %d: %d of %d messages crossed; the adaptive gap was not exercised", mode, seed, nets[1].Crossing, nets[1].Messages)
+				}
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "logp: message to self at node 3" {
+				t.Errorf("Deliver to self panicked with %v", r)
+			}
+		}()
+		New(p, DefaultL, 0, Combined).Deliver(0, 3, 3)
+	}()
 }

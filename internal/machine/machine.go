@@ -265,14 +265,14 @@ func (m *logpMachine) Net() *logp.Net { return m.net }
 // reference — the LogP machine's whole model, written down once — and
 // returns when the reply is delivered.
 func (m *logpMachine) roundTrip(st *stats.Proc, now sim.Time, node, home int) sim.Time {
-	req := m.net.Message(now, node, home)
-	rep := m.net.Message(req.Deliver+m.costs.Mem, home, node)
+	asked, reqWait := m.net.Deliver(now, node, home)
+	done, repWait := m.net.Deliver(asked+m.costs.Mem, home, node)
 	st.Messages += 2
 	st.NetBytes += uint64(m.costs.CtrlBytes + m.costs.DataBytes)
 	st.NetAccesses++
-	st.Add(stats.Latency, req.Latency+rep.Latency)
-	st.Add(stats.Contention, req.Wait+rep.Wait)
-	return rep.Deliver
+	st.Add(stats.Latency, 2*m.net.L)
+	st.Add(stats.Contention, reqWait+repWait)
+	return done
 }
 
 // Issue implements PricedAtIssue.

@@ -62,13 +62,19 @@ type Space struct {
 	blockShift uint
 	next       Addr
 	regions    []*Array
+	// single is the space's region while it holds exactly one (the
+	// synthetic workloads): Home then is that array's own arithmetic — no
+	// search to take off the hot path, and at large P a division costs
+	// less than a load from a memo that has long left the cache.
+	single *Array
 
 	// homes memoizes the home node per block (-1: not yet computed).
 	// Every block belongs to exactly one home — arrays are block-aligned
 	// and Blocked chunks are padded to block boundaries — so the memo is
 	// sound, and it takes the binary search over regions off the
-	// per-reference hot path of the cache-less machine models.
-	homes []int16
+	// per-reference hot path of the cache-less machine models.  An entry
+	// holds any node of the largest machine (65536 nodes: int16 did not).
+	homes []int32
 }
 
 // NewSpace returns an empty address space distributed over p nodes with
@@ -113,6 +119,7 @@ func (s *Space) Reset(p, blockBytes int) {
 		s.regions[i] = nil
 	}
 	s.regions = s.regions[:0]
+	s.single = nil
 	for i := range s.homes {
 		s.homes[i] = -1
 	}
@@ -177,6 +184,10 @@ func (s *Space) alloc(name string, n, elemSize int, policy Policy, node int) *Ar
 	a.Bytes = s.roundUp(bytes)
 	s.next += a.Bytes
 	s.regions = append(s.regions, a)
+	s.single = nil
+	if len(s.regions) == 1 {
+		s.single = a
+	}
 	return a
 }
 
@@ -187,9 +198,12 @@ func (s *Space) roundUp(b Addr) Addr {
 
 // Home returns the home node of addr.  It panics on an address outside
 // any allocated region: referencing unallocated memory is always an
-// application bug.  Results are memoized per block, so repeated
-// references resolve with a single array load.
+// application bug.  In a space of several regions results are memoized per
+// block, so repeated references resolve with a single array load.
 func (s *Space) Home(a Addr) int {
+	if r := s.single; r != nil && a-r.Base < r.Bytes {
+		return r.home(a)
+	}
 	b := int(a >> s.blockShift)
 	if b < len(s.homes) {
 		if h := s.homes[b]; h >= 0 {
@@ -197,7 +211,7 @@ func (s *Space) Home(a Addr) int {
 		}
 	} else if a < s.next {
 		// The memo table lags allocation; grow it to cover the space.
-		grown := make([]int16, int(s.next>>s.blockShift)+1)
+		grown := make([]int32, int(s.next>>s.blockShift)+1)
 		copy(grown, s.homes)
 		for i := len(s.homes); i < len(grown); i++ {
 			grown[i] = -1
@@ -209,8 +223,8 @@ func (s *Space) Home(a Addr) int {
 		panic(fmt.Sprintf("mem: Home of unallocated address %#x", uint64(a)))
 	}
 	h := r.home(a)
-	if b < len(s.homes) && h <= 0x7fff {
-		s.homes[b] = int16(h)
+	if b < len(s.homes) {
+		s.homes[b] = int32(h)
 	}
 	return h
 }
@@ -220,9 +234,10 @@ func (s *Space) Home(a Addr) int {
 // writes for in-range addresses, making concurrent Home lookups safe —
 // the parallel execution mode calls it once before releasing spans, since
 // address-to-home resolution happens in span bodies outside any ordered
-// section.
+// section.  A space of one region has no memo to fill: its Home never
+// writes.
 func (s *Space) FreezeHomes() {
-	if s.next == 0 {
+	if s.next == 0 || s.single != nil {
 		return
 	}
 	// One probe grows the memo table to cover the whole space.

@@ -110,6 +110,13 @@ type Engine struct {
 
 	nLive int // spawned but not yet terminated processes
 	procs []*Proc
+	// slabs backs the Procs of stackless processes (SpawnStep): one array
+	// for many instead of an object each, every new one doubling the
+	// total, kept across Reset.  free is the unused tail of
+	// slabs[slabNext-1].
+	slabs    [][]Proc
+	slabNext int
+	free     []Proc
 	// running is the process whose event advance dispatched last: the one
 	// Run's loop resumes next, nil once the run is over.
 	running *Proc
@@ -189,10 +196,12 @@ func NewEngine() *Engine {
 }
 
 // Reset returns the engine to its post-NewEngine state while keeping the
-// backing arrays of the event heap, the same-timestamp FIFO, and the
-// process table, so a pooled engine re-runs without reallocating them.
-// All retained slots are cleared so no *Proc (and hence no coroutine
-// stack) from the previous run stays reachable.  The per-run hooks
+// backing arrays of the event heap, the same-timestamp FIFO, the process
+// table and the slabs of stackless Procs, so a pooled engine re-runs
+// without reallocating them.  All retained slots are cleared so no *Proc
+// (and hence no coroutine stack, no Stepper) from the previous run stays
+// reachable; a slab's Procs are handed out again, so a *Proc of a
+// stackless process is dead once its engine is Reset.  The per-run hooks
 // (Tick, MaxTime) are cleared too: they are configuration of one run,
 // not of the engine.
 //
@@ -215,6 +224,10 @@ func (e *Engine) Reset() {
 		e.procs[i] = nil
 	}
 	e.procs = e.procs[:0]
+	for _, slab := range e.slabs[:e.slabNext] {
+		clear(slab)
+	}
+	e.slabNext, e.free = 0, nil
 	e.now = 0
 	e.seq = 0
 	e.nLive = 0
@@ -435,17 +448,30 @@ type Stepper interface {
 }
 
 // SpawnStep is SpawnIndexed for a stackless process: no coroutine, no
-// goroutine, no switch — an event is two indirect calls on Run's stack.
-// The parallel mode's carriers cannot drive one, so the run is sequential.
+// goroutine, no switch, no object of its own — an event is one indirect
+// call on Run's stack.  The parallel mode's carriers cannot drive one, so
+// the run is sequential.
 func (e *Engine) SpawnStep(prefix string, body Stepper) *Proc {
-	p := &Proc{name: prefix, eng: e, indexed: true}
-	p.next = func() (struct{}, bool) {
-		p.steps(body)
-		return struct{}{}, false
+	if len(e.free) == 0 {
+		if e.slabNext == len(e.slabs) {
+			n := 0
+			for _, slab := range e.slabs {
+				n += len(slab)
+			}
+			e.slabs = append(e.slabs, make([]Proc, max(minSlab, n)))
+		}
+		e.free = e.slabs[e.slabNext]
+		e.slabNext++
 	}
+	p := &e.free[0]
+	e.free = e.free[1:]
+	*p = Proc{name: prefix, eng: e, indexed: true, step: body}
 	e.pforce = "stackless-process"
 	return e.admit(p)
 }
+
+// minSlab is the length of an engine's first slab of stackless Procs.
+const minSlab = 64
 
 // admit enters a new process in the table and schedules its first event.
 func (e *Engine) admit(p *Proc) *Proc {
@@ -486,7 +512,7 @@ func (p *Proc) run(fn func(*Proc)) {
 // advance — so seq, gen, Events and the dispatch order evolve identically,
 // and like block it stays in place while the next event is p's own.  An
 // abort ends the process at its next event: there is nothing to unwind.
-func (p *Proc) steps(body Stepper) {
+func (p *Proc) steps() {
 	e := p.eng
 	defer func() {
 		if r := recover(); r != nil {
@@ -494,7 +520,7 @@ func (p *Proc) steps(body Stepper) {
 		}
 	}()
 	for !e.aborting {
-		wake, done := body.Step(p)
+		wake, done := p.step.Step(p)
 		if done {
 			break
 		}
@@ -546,7 +572,10 @@ func (p *Proc) exit(r any) {
 // the owner of the dispatched event and gets control back when that
 // process yields — having dispatched its own successor (see advance) —
 // or finishes.  An event therefore costs two coroutine switches, process
-// to Run and Run to owner, neither of which enters the Go scheduler.
+// to Run and Run to owner, neither of which enters the Go scheduler.  The
+// loop tells the two process bodies apart: a stackless owner it steps in
+// place, reading its Stepper out of the Proc — no switch, and no closure
+// per process to call through.
 func (e *Engine) Run() error {
 	if e.pworkers > 1 {
 		if why := e.parFallback(); why != "" {
@@ -560,7 +589,11 @@ func (e *Engine) Run() error {
 	}
 	e.advance(nil)
 	for p := e.running; p != nil; p = e.running {
-		p.next()
+		if p.step != nil {
+			p.steps()
+		} else {
+			p.next()
+		}
 		if p.terminated {
 			e.advance(nil) // a finished process dispatches no successor
 		}

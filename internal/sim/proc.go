@@ -17,23 +17,30 @@ import (
 // clock, so timing is unaffected; only the number of engine events (and
 // hence the cost of simulation) changes.
 type Proc struct {
-	ID int
-
-	name string
-	eng  *Engine
-	// The process body runs as a coroutine (see launch): next resumes it
-	// and returns when it yields or finishes; yield suspends it back to
-	// whoever called next — Run's loop, or in a parallel run the
-	// process's carrier.  Neither switch enters the Go scheduler.  A
-	// stackless process (SpawnStep) steps inside next; its yield is nil.
-	next       func() (struct{}, bool)
-	yield      func(struct{}) bool
-	indexed    bool // spawned by SpawnIndexed: the name is name + ID
-	parked     bool
-	terminated bool
+	// What an event reads and writes comes first, in 64 bytes — a host
+	// cache line's worth, and all of the Proc an event of a stackless
+	// process touches (TestProcHotFieldsFitOneLine).
+	eng *Engine
+	// step is the body of a stackless process (SpawnStep): Run's loop
+	// steps it in place.  nil for a coroutine.
+	step       Stepper
 	gen        uint64 // generation counter; events with an older gen are stale
 	lag        Time   // local clock advance not yet materialized
 	sched      Time   // latest scheduled resumption (see Horizon)
+	indexed    bool   // spawned by SpawnIndexed: the name is name + ID
+	parked     bool
+	terminated bool
+
+	ID int
+
+	name string
+	// The body of any other process runs as a coroutine (see launch): next
+	// resumes it and returns when it yields or finishes; yield suspends it
+	// back to whoever called next — Run's loop, or in a parallel run the
+	// process's carrier.  Neither switch enters the Go scheduler.  Both
+	// are nil for a stackless process.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	px *parProc // parallel-mode span state; nil outside a parallel run
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // stepFunc adapts a function to Stepper.
@@ -229,5 +230,57 @@ func TestStepRunsSequentially(t *testing.T) {
 	}
 	if rep := e.ParReport(); rep.Parallel || rep.Fallback != "stackless-process" {
 		t.Errorf("report %+v, want a sequential run with fallback stackless-process", rep)
+	}
+}
+
+// TestProcHotFieldsFitOneLine: what an event of a stackless process reads
+// and writes in its Proc — the engine, the body, the generation, the two
+// clocks, the flags — lies in the first 64 bytes, one host cache line's
+// worth, and the Procs of SpawnStep come out of the engine's slab next to
+// one another, not one object each.
+func TestProcHotFieldsFitOneLine(t *testing.T) {
+	var p Proc
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"eng", unsafe.Offsetof(p.eng), unsafe.Sizeof(p.eng)},
+		{"step", unsafe.Offsetof(p.step), unsafe.Sizeof(p.step)},
+		{"gen", unsafe.Offsetof(p.gen), unsafe.Sizeof(p.gen)},
+		{"lag", unsafe.Offsetof(p.lag), unsafe.Sizeof(p.lag)},
+		{"sched", unsafe.Offsetof(p.sched), unsafe.Sizeof(p.sched)},
+		{"parked", unsafe.Offsetof(p.parked), unsafe.Sizeof(p.parked)},
+		{"terminated", unsafe.Offsetof(p.terminated), unsafe.Sizeof(p.terminated)},
+	} {
+		if f.off+f.size > 64 {
+			t.Errorf("Proc.%s ends at byte %d, past the first 64", f.name, f.off+f.size)
+		}
+	}
+
+	e := NewEngine()
+	quit := stepFunc(func(*Proc) (Time, bool) { return 0, true })
+	procs := make([]*Proc, 3*minSlab)
+	for i := range procs {
+		procs[i] = e.SpawnStep("s", quit)
+	}
+	for i := 1; i < minSlab; i++ {
+		if got := uintptr(unsafe.Pointer(procs[i])) - uintptr(unsafe.Pointer(procs[i-1])); got != unsafe.Sizeof(p) {
+			t.Fatalf("stackless Procs %d and %d lie %d bytes apart, want %d: not from one slab", i-1, i, got, unsafe.Sizeof(p))
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// A pooled engine hands the same slots out again, zeroed.
+	e.Reset()
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := range procs {
+			if p := e.SpawnStep("s", quit); p != procs[i] || p.gen != 1 || p.terminated {
+				t.Fatalf("after Reset, stackless Proc %d is %p (gen %d), was %p", i, p, p.gen, procs[i])
+			}
+		}
+		e.Reset()
+	}); allocs != 0 {
+		t.Errorf("respawning %d stackless processes on a reset engine allocated %v objects", len(procs), allocs)
 	}
 }
