@@ -238,5 +238,6 @@ func (h *Cholesky) Check() error {
 	if total != h.N {
 		return fmt.Errorf("cholesky: per-processor counts sum to %d", total)
 	}
-	return h.sym.CheckFactor(h.a, h.vals, 1e-6)
+	_, err := h.sym.CheckFactor(h.a, h.vals, 1e-6)
+	return err
 }

@@ -34,13 +34,30 @@ type EP struct {
 	flags []*app.Flag
 	bar   *app.Barrier
 
-	// Host-side results.
-	bins    [10]int64 // accumulated through the simulated merge
-	sx, sy  float64
-	wantBin [10]int64 // independently computed oracle
-	wantSx  float64
-	wantSy  float64
-	checked int // processors that scanned the final sums
+	// Host-side results.  The deviates never influence a simulated
+	// timestamp, so each processor's share is drawn once, in Setup;
+	// what Check tests is that merging the shares under the simulated
+	// lock loses none of them.
+	part    []epTally // each processor's share
+	merged  epTally   // accumulated through the simulated merge
+	want    epTally   // the shares summed sequentially: the oracle
+	checked int       // processors that scanned the final sums
+	tallies int       // calls of tally: one a processor
+}
+
+// epTally is one share of the result: ten annulus counts and the two
+// coordinate sums.
+type epTally struct {
+	bins   [10]int64
+	sx, sy float64
+}
+
+func (t *epTally) add(o *epTally) {
+	for b := range o.bins {
+		t.bins[b] += o.bins[b]
+	}
+	t.sx += o.sx
+	t.sy += o.sy
 }
 
 // NewEP returns an EP instance at the given scale.
@@ -76,22 +93,19 @@ func (e *EP) Setup(c *app.Ctx) {
 	}
 	e.bar = c.NewBarrier("ep.bar", c.P, 0)
 
-	// Oracle: the whole computation, sequentially.
-	for p := 0; p < c.P; p++ {
+	e.part = make([]epTally, c.P)
+	for p := range e.part {
 		lo, hi := share(e.Pairs, c.P, p)
-		bins, sx, sy := e.tally(p, hi-lo)
-		for b := range bins {
-			e.wantBin[b] += bins[b]
-		}
-		e.wantSx += sx
-		e.wantSy += sy
+		e.part[p] = e.tally(p, hi-lo)
+		e.want.add(&e.part[p])
 	}
 }
 
 // tally generates n Gaussian pairs for processor id and returns its bin
 // counts and coordinate sums.  Each processor uses an independent seeded
 // stream, as NAS EP prescribes.
-func (e *EP) tally(id, n int) (bins [10]int64, sx, sy float64) {
+func (e *EP) tally(id, n int) (out epTally) {
+	e.tallies++
 	rng := newRng(e.Seed*1000 + int64(id))
 	defer putRng(rng)
 	for k := 0; k < n; k++ {
@@ -103,22 +117,23 @@ func (e *EP) tally(id, n int) (bins [10]int64, sx, sy float64) {
 		}
 		f := math.Sqrt(-2 * math.Log(t) / t)
 		gx, gy := x*f, y*f
-		sx += gx
-		sy += gy
+		out.sx += gx
+		out.sy += gy
 		l := int(math.Max(math.Abs(gx), math.Abs(gy)))
 		if l > 9 {
 			l = 9
 		}
-		bins[l]++
+		out.bins[l]++
 	}
-	return bins, sx, sy
+	return out
 }
 
 // Body implements app.Program.
 func (e *EP) Body(p *app.Proc) {
 	lo, hi := share(e.Pairs, p.Ctx.P, p.ID)
 
-	// Generation phase: pure computation on private data.
+	// Generation phase: pure computation on private data (the
+	// deviates themselves were drawn in Setup).
 	p.Phase("generate")
 	n := hi - lo
 	const batch = 64
@@ -126,7 +141,6 @@ func (e *EP) Body(p *app.Proc) {
 		b := min(batch, n-done)
 		p.Compute(int64(b) * e.PairCycles)
 	}
-	bins, sx, sy := e.tally(p.ID, n)
 
 	// Merge phase: lock-guarded read-modify-write of the 12 global
 	// words.
@@ -137,11 +151,7 @@ func (e *EP) Body(p *app.Proc) {
 		p.Compute(IntOpCycles)
 		p.WriteElem(e.gsums, i)
 	}
-	for b := range bins {
-		e.bins[b] += bins[b]
-	}
-	e.sx += sx
-	e.sy += sy
+	e.merged.add(&e.part[p.ID])
 	e.lock.Unlock(p)
 
 	// Verification chain: processor i waits for its predecessor's
@@ -165,11 +175,12 @@ func (e *EP) Body(p *app.Proc) {
 
 // Check verifies the merged tallies against the sequential oracle.
 func (e *EP) Check() error {
-	if e.bins != e.wantBin {
-		return fmt.Errorf("ep: bins %v != oracle %v", e.bins, e.wantBin)
+	got, want := &e.merged, &e.want
+	if got.bins != want.bins {
+		return fmt.Errorf("ep: bins %v != oracle %v", got.bins, want.bins)
 	}
-	if math.Abs(e.sx-e.wantSx) > 1e-9 || math.Abs(e.sy-e.wantSy) > 1e-9 {
-		return fmt.Errorf("ep: sums (%g,%g) != oracle (%g,%g)", e.sx, e.sy, e.wantSx, e.wantSy)
+	if math.Abs(got.sx-want.sx) > 1e-9 || math.Abs(got.sy-want.sy) > 1e-9 {
+		return fmt.Errorf("ep: sums (%g,%g) != oracle (%g,%g)", got.sx, got.sy, want.sx, want.sy)
 	}
 	if want := len(e.flags) - 1; e.checked != want && len(e.flags) > 1 {
 		return fmt.Errorf("ep: %d processors scanned, want %d", e.checked, want)

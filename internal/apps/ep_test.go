@@ -30,7 +30,7 @@ func TestEPTallyMatchesOracleOnEveryMachine(t *testing.T) {
 func TestEPBinsSumToAcceptedPairs(t *testing.T) {
 	ep, _ := runEP(t, machine.Ideal, 4, 2048)
 	var total int64
-	for _, b := range ep.bins {
+	for _, b := range ep.merged.bins {
 		total += b
 	}
 	// Polar method acceptance rate is pi/4 ~ 78.5%.
@@ -88,5 +88,43 @@ func TestEPWorkBalanced(t *testing.T) {
 	}
 	if maxC > minC*11/10 {
 		t.Errorf("compute imbalance: %v vs %v", minC, maxC)
+	}
+}
+
+// lossyEP corrupts one processor's share between Setup and the run, the
+// host-side image of a merge that lost or doubled an update.
+type lossyEP struct {
+	*EP
+	corrupt func(*epTally)
+}
+
+func (l lossyEP) Setup(c *app.Ctx) {
+	l.EP.Setup(c)
+	l.corrupt(&l.EP.part[c.P/2])
+}
+
+// The oracle is the sequential sum of the shares Setup drew; Body merges
+// the same shares under the simulated lock.  A share that reaches the
+// merge changed must still fail Check.
+func TestEPOracleStillBites(t *testing.T) {
+	for name, corrupt := range map[string]func(*epTally){
+		"bin":  func(s *epTally) { s.bins[0]++ },
+		"sum":  func(s *epTally) { s.sx += 1e-6 },
+		"lost": func(s *epTally) { *s = epTally{} },
+	} {
+		ep := &EP{Pairs: 2048, PairCycles: 120, Seed: 1}
+		_, err := app.Run(lossyEP{ep, corrupt}, machine.Config{Kind: machine.Target, Topology: "full", P: 4})
+		if err == nil {
+			t.Errorf("%s: Check accepted a corrupted merge", name)
+		}
+	}
+}
+
+func TestEPTalliesOncePerProcessor(t *testing.T) {
+	for _, p := range []int{2, 4, 16} {
+		ep, _ := runEP(t, machine.Target, p, 2048)
+		if ep.tallies != p {
+			t.Errorf("p=%d: tally ran %d times, want %d", p, ep.tallies, p)
+		}
 	}
 }

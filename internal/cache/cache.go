@@ -73,6 +73,9 @@ func (c Config) validate() {
 	if c.SizeBytes <= 0 || c.BlockBytes <= 0 || c.Assoc <= 0 {
 		panic(fmt.Sprintf("cache: non-positive geometry %+v", c))
 	}
+	if c.Assoc > maxAssoc {
+		panic(fmt.Sprintf("cache: %d-way sets exceed the %d ways a line's rank field orders", c.Assoc, maxAssoc))
+	}
 	sets := c.Sets()
 	if sets*c.BlockBytes*c.Assoc != c.SizeBytes {
 		panic(fmt.Sprintf("cache: size %d not divisible into %d-way sets of %d-byte blocks",
@@ -83,11 +86,35 @@ func (c Config) validate() {
 	}
 }
 
-type line struct {
-	block mem.Block
-	state State
-	used  uint64 // LRU timestamp
-}
+// A line is one word: the block number above an eight-bit tail holding the
+// Berkeley state (bits 6-7) and the line's LRU rank within its set (bits
+// 0-5; 0 is the most recently used).  The ranks of a set's valid lines are
+// always a permutation of 0..valid-1, so the order they encode is exactly
+// the order of last use and the all-valid set's victim is the line of rank
+// Assoc-1.  An invalid line is the zero word.  At the paper's geometry a
+// set is 16 bytes: four sets share a 64-byte host line and a lookup
+// touches one.
+type line uint64
+
+const (
+	rankBits   = 6
+	stateShift = rankBits
+	blockShift = 8
+	rankMask   = 1<<rankBits - 1
+	stateMask  = 3 << stateShift
+	firstValid = 1 << stateShift // smallest tail of a valid line
+	tailSpan   = 1 << blockShift
+
+	maxAssoc = 1 << rankBits                     // ways the rank field can order
+	maxBlock = mem.Block(1)<<(64-blockShift) - 1 // 2^61 bytes of 32-byte blocks
+)
+
+func pack(b mem.Block, s State) line { return line(b)<<blockShift | line(s)<<stateShift }
+
+func (l line) block() mem.Block { return mem.Block(l >> blockShift) }
+func (l line) state() State     { return State(l >> stateShift & 3) }
+func (l line) rank() line       { return l & rankMask }
+func (l line) valid() bool      { return l&stateMask != 0 }
 
 // Cache is one node's private cache.  Lines are stored as one flat array
 // in set-major order: set s occupies lines[s*assoc : (s+1)*assoc].  The
@@ -99,7 +126,6 @@ type Cache struct {
 	lines   []line
 	assoc   uint64
 	setMask uint64
-	clock   uint64
 
 	// Statistics.
 	Hits      uint64
@@ -120,17 +146,13 @@ func New(cfg Config) *Cache {
 }
 
 // Reset returns the cache to its post-New state in place: every line
-// Invalid with a zero tag and LRU stamp, the LRU clock and all statistics
-// at zero.  The flat line array — the bulk of a machine's construction
-// cost — is kept and cleared rather than reallocated, and a cleared line
-// is indistinguishable from a freshly made one, so a reset cache replays
-// a reference stream with the exact hit/miss/eviction sequence of a
-// fresh cache.
+// Invalid and all statistics at zero.  The flat line array — the bulk of
+// a machine's construction cost — is kept and cleared rather than
+// reallocated, and a cleared line is indistinguishable from a freshly
+// made one, so a reset cache replays a reference stream with the exact
+// hit/miss/eviction sequence of a fresh cache.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.clock = 0
+	clear(c.lines)
 	c.Hits = 0
 	c.Misses = 0
 	c.Evictions = 0
@@ -144,10 +166,13 @@ func (c *Cache) set(b mem.Block) []line {
 	return c.lines[i : i+c.assoc]
 }
 
-func (c *Cache) find(b mem.Block) *line {
-	set := c.set(b)
-	for i := range set {
-		if set[i].state != Invalid && set[i].block == b {
+// find returns the valid line of set holding b, or nil.  A line matches
+// when it differs from b's packed word only in the tail and that tail is
+// a valid line's: one subtraction and one compare.
+func find(set []line, b mem.Block) *line {
+	key := line(b) << blockShift
+	for i, l := range set {
+		if (l^key)-firstValid < tailSpan-firstValid {
 			return &set[i]
 		}
 	}
@@ -157,8 +182,8 @@ func (c *Cache) find(b mem.Block) *line {
 // State returns the state of block b (Invalid if not cached).  It does
 // not touch LRU state.
 func (c *Cache) State(b mem.Block) State {
-	if l := c.find(b); l != nil {
-		return l.state
+	if l := find(c.set(b), b); l != nil {
+		return l.state()
 	}
 	return Invalid
 }
@@ -166,14 +191,25 @@ func (c *Cache) State(b mem.Block) State {
 // Access looks up block b for a reference, updating LRU order and
 // hit/miss statistics.  It returns the current state (Invalid on a miss).
 func (c *Cache) Access(b mem.Block) State {
-	if l := c.find(b); l != nil {
-		c.clock++
-		l.used = c.clock
-		c.Hits++
-		return l.state
+	set := c.set(b)
+	l := find(set, b)
+	if l == nil {
+		c.Misses++
+		return Invalid
 	}
-	c.Misses++
-	return Invalid
+	c.Hits++
+	hit := *l
+	if r := hit.rank(); r != 0 {
+		// Every line used more recently ages by one; the hit line
+		// becomes the most recent.
+		for j, o := range set {
+			if o.valid() && o.rank() < r {
+				set[j] = o + 1
+			}
+		}
+		*l = hit &^ rankMask
+	}
+	return hit.state()
 }
 
 // Victim describes a block displaced by Insert.
@@ -190,30 +226,35 @@ func (c *Cache) Insert(b mem.Block, s State) (victim Victim, evicted bool) {
 	if s == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	if c.find(b) != nil {
-		panic(fmt.Sprintf("cache: Insert of resident block %d", b))
+	if b > maxBlock {
+		panic(fmt.Sprintf("cache: block %d does not fit a line", b))
 	}
+	// One pass notes the first invalid slot and ages the valid lines,
+	// bar the one of rank Assoc-1: only a full set has it, and it leaves.
 	set := c.set(b)
-	slot := -1
-	for i := range set {
-		if set[i].state == Invalid {
-			slot = i
-			break
+	slot, lruSlot := -1, 0
+	lru := line(len(set) - 1)
+	for i, l := range set {
+		switch {
+		case !l.valid():
+			if slot < 0 {
+				slot = i
+			}
+		case l.block() == b:
+			panic(fmt.Sprintf("cache: Insert of resident block %d", b))
+		case l.rank() == lru:
+			lruSlot = i
+		default:
+			set[i] = l + 1
 		}
 	}
 	if slot < 0 {
-		slot = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].used < set[slot].used {
-				slot = i
-			}
-		}
-		victim = Victim{Block: set[slot].block, State: set[slot].state}
+		slot = lruSlot
+		victim = Victim{Block: set[slot].block(), State: set[slot].state()}
 		evicted = true
 		c.Evictions++
 	}
-	c.clock++
-	set[slot] = line{block: b, state: s, used: c.clock}
+	set[slot] = pack(b, s)
 	return victim, evicted
 }
 
@@ -223,31 +264,39 @@ func (c *Cache) SetState(b mem.Block, s State) {
 	if s == Invalid {
 		panic("cache: SetState to Invalid; use Invalidate")
 	}
-	l := c.find(b)
+	l := find(c.set(b), b)
 	if l == nil {
 		panic(fmt.Sprintf("cache: SetState of absent block %d", b))
 	}
-	l.state = s
+	*l = *l&^stateMask | line(s)<<stateShift
 }
 
 // Invalidate removes block b, returning its previous state (Invalid if
 // it was not resident — invalidations of already-evicted blocks are
 // normal under a directory with stale sharer bits).
 func (c *Cache) Invalidate(b mem.Block) State {
-	l := c.find(b)
+	set := c.set(b)
+	l := find(set, b)
 	if l == nil {
 		return Invalid
 	}
-	s := l.state
-	l.state = Invalid
-	return s
+	gone := *l
+	*l = 0
+	// Close the gap in the ranks: every line used less recently than
+	// the one removed moves up one.
+	for j, o := range set {
+		if o.rank() > gone.rank() {
+			set[j] = o - 1
+		}
+	}
+	return gone.state()
 }
 
 // ForEach calls fn for every valid line, in set order.
 func (c *Cache) ForEach(fn func(b mem.Block, s State)) {
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
-			fn(c.lines[i].block, c.lines[i].state)
+	for _, l := range c.lines {
+		if l.valid() {
+			fn(l.block(), l.state())
 		}
 	}
 }

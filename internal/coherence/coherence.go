@@ -133,11 +133,11 @@ func DefaultCosts() Costs {
 // earlier generation are logically pristine and re-initialized lazily
 // by dirAt, which is what makes Engine.Reset O(1) in directory size.
 type entry struct {
-	owner int32                // cache owning the block (-1: memory is current)
-	home  int32                // memoized home node of the block (-1: not yet computed)
-	ovf   int32                // overflow bitset slot in Engine.ovfBits (-1: inline)
-	gen   uint32               // engine generation this entry is valid for
-	nsh   int16                // inline sharer count, or nshOverflow
+	owner  int32                // cache owning the block (-1: memory is current)
+	home   int32                // memoized home node of the block (-1: not yet computed)
+	ovf    int32                // overflow bitset slot in Engine.ovfBits (-1: inline)
+	gen    uint32               // engine generation this entry is valid for
+	nsh    int16                // inline sharer count, or nshOverflow
 	inline [inlineSharers]int16 // inline sharer ids, ascending
 }
 

@@ -63,9 +63,8 @@ func GapFor(t network.Topology, msgBytes int, byteTime sim.Time) sim.Time {
 
 // Net is a LogP-abstracted network over P nodes.
 type Net struct {
-	L    sim.Time
-	G    sim.Time
-	Mode PortMode
+	L sim.Time
+	G sim.Time
 
 	// Crosses, when non-nil, enables the history-based adaptive g the
 	// paper proposes in section 7: g is derived from bisection
@@ -111,7 +110,7 @@ func New(p int, l, g sim.Time, mode PortMode) *Net {
 	if l < 0 || g < 0 {
 		panic("logp: negative L or g")
 	}
-	n := &Net{L: l, G: g, Mode: mode, p: p, gen: 1}
+	n := &Net{L: l, G: g, p: p, gen: 1}
 	n.send = make([]sim.Time, p)
 	n.recv = n.send
 	if mode == PerClass {
@@ -136,9 +135,10 @@ func (n *Net) P() int { return n.p }
 
 // Reset returns the net to its post-New state in place: every node's
 // ports again admit their first event at time zero, traffic counters are
-// zeroed, and the Observer is dropped.  L, G, Mode, and the Crosses
-// predicate are configuration — derived from the machine and topology
-// the pooled context is keyed by — and are left alone.
+// zeroed, and the Observer is dropped.  L, G, the port mode (whether recv
+// is send's array) and the Crosses predicate are configuration — derived
+// from the machine and topology the pooled context is keyed by — and are
+// left alone.
 //
 // Reset is O(1): it bumps the port-validity generation, invalidating
 // every stamp at once; gate lazily re-initializes a node's slots on its

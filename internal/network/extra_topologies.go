@@ -47,14 +47,21 @@ func (r *Ring) check(src, dst int) {
 
 // AppendRoute takes the shorter direction around the ring.
 func (r *Ring) AppendRoute(buf []int, src, dst int) []int {
-	fwd := (dst - src + r.p) % r.p
-	if fwd <= r.p-fwd { // clockwise (ties clockwise)
-		for n := src; n != dst; n = (n + 1) % r.p {
-			buf = append(buf, n*2+cw)
+	step, dist := shorter(src, dst, r.p)
+	id, last := src*2, r.p*2-2
+	if step > 0 { // clockwise (ties clockwise)
+		for ; dist > 0; dist-- {
+			buf = append(buf, id+cw)
+			if id += 2; id > last {
+				id = 0
+			}
 		}
 	} else {
-		for n := src; n != dst; n = (n - 1 + r.p) % r.p {
-			buf = append(buf, n*2+ccw)
+		for ; dist > 0; dist-- {
+			buf = append(buf, id+ccw)
+			if id -= 2; id < 0 {
+				id = last
+			}
 		}
 	}
 	return buf
@@ -81,11 +88,8 @@ func (r *Ring) LinkEnds(id int) (from, to int) {
 
 func (r *Ring) Hops(src, dst int) int {
 	r.check(src, dst)
-	fwd := (dst - src + r.p) % r.p
-	if fwd <= r.p-fwd {
-		return fwd
-	}
-	return r.p - fwd
+	_, dist := shorter(src, dst, r.p)
+	return dist
 }
 
 func (r *Ring) Diameter() int { return r.p / 2 }
@@ -143,37 +147,53 @@ func (t *Torus) check(src, dst int) {
 // shorter returns the signed step (+1/-1) and distance for the shorter
 // way from a to b modulo n (ties positive).
 func shorter(a, b, n int) (step, dist int) {
-	fwd := (b - a + n) % n
+	fwd := b - a
+	if fwd < 0 {
+		fwd += n
+	}
 	if fwd <= n-fwd {
 		return 1, fwd
 	}
 	return -1, n - fwd
 }
 
-// AppendRoute is X-first dimension-ordered with wraparound.
+// AppendRoute is X-first dimension-ordered with wraparound.  A link id is
+// node*4+direction, so a hop along a row moves the id by 4 and a hop
+// along a column by a row of them; stepping off an edge jumps back by a
+// whole row, or by the whole torus.
 func (t *Torus) AppendRoute(buf []int, src, dst int) []int {
 	sr, sc := t.coords(src)
 	dr, dc := t.coords(dst)
-	r, c := sr, sc
-	if step, dist := shorter(sc, dc, t.cols); dist > 0 {
-		for i := 0; i < dist; i++ {
-			if step > 0 {
-				buf = append(buf, t.node(r, c)*4+east)
-				c = (c + 1) % t.cols
-			} else {
-				buf = append(buf, t.node(r, c)*4+west)
-				c = (c - 1 + t.cols) % t.cols
+	id, row, all := src*4, t.cols*4, t.p*4
+	if step, dist := shorter(sc, dc, t.cols); step > 0 {
+		for c := sc; dist > 0; dist-- {
+			buf = append(buf, id+east)
+			id += 4
+			if c++; c == t.cols {
+				c, id = 0, id-row
+			}
+		}
+	} else {
+		for c := sc; dist > 0; dist-- {
+			buf = append(buf, id+west)
+			id -= 4
+			if c--; c < 0 {
+				c, id = t.cols-1, id+row
 			}
 		}
 	}
-	if step, dist := shorter(sr, dr, t.rows); dist > 0 {
-		for i := 0; i < dist; i++ {
-			if step > 0 {
-				buf = append(buf, t.node(r, c)*4+south)
-				r = (r + 1) % t.rows
-			} else {
-				buf = append(buf, t.node(r, c)*4+north)
-				r = (r - 1 + t.rows) % t.rows
+	if step, dist := shorter(sr, dr, t.rows); step > 0 {
+		for ; dist > 0; dist-- {
+			buf = append(buf, id+south)
+			if id += row; id >= all {
+				id -= all
+			}
+		}
+	} else {
+		for ; dist > 0; dist-- {
+			buf = append(buf, id+north)
+			if id -= row; id < 0 {
+				id += all
 			}
 		}
 	}

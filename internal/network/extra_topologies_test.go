@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -181,5 +182,118 @@ func TestExtraRouteBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The route generators as they were before the link id was stepped
+// incrementally — a modulo and a node(r, c) multiply per hop — kept as the
+// reference the stepped ones must reproduce.
+func refRingRoute(r *Ring, buf []int, src, dst int) []int {
+	fwd := (dst - src + r.p) % r.p
+	if fwd <= r.p-fwd { // clockwise (ties clockwise)
+		for n := src; n != dst; n = (n + 1) % r.p {
+			buf = append(buf, n*2+cw)
+		}
+	} else {
+		for n := src; n != dst; n = (n - 1 + r.p) % r.p {
+			buf = append(buf, n*2+ccw)
+		}
+	}
+	return buf
+}
+
+func refShorter(a, b, n int) (step, dist int) {
+	fwd := (b - a + n) % n
+	if fwd <= n-fwd {
+		return 1, fwd
+	}
+	return -1, n - fwd
+}
+
+func refTorusRoute(t *Torus, buf []int, src, dst int) []int {
+	sr, sc := t.coords(src)
+	dr, dc := t.coords(dst)
+	r, c := sr, sc
+	if step, dist := refShorter(sc, dc, t.cols); dist > 0 {
+		for i := 0; i < dist; i++ {
+			if step > 0 {
+				buf = append(buf, t.node(r, c)*4+east)
+				c = (c + 1) % t.cols
+			} else {
+				buf = append(buf, t.node(r, c)*4+west)
+				c = (c - 1 + t.cols) % t.cols
+			}
+		}
+	}
+	if step, dist := refShorter(sr, dr, t.rows); dist > 0 {
+		for i := 0; i < dist; i++ {
+			if step > 0 {
+				buf = append(buf, t.node(r, c)*4+south)
+				r = (r + 1) % t.rows
+			} else {
+				buf = append(buf, t.node(r, c)*4+north)
+				r = (r - 1 + t.rows) % t.rows
+			}
+		}
+	}
+	return buf
+}
+
+func refMeshRoute(m *Mesh, buf []int, src, dst int) []int {
+	sr, sc := m.coords(src)
+	dr, dc := m.coords(dst)
+	r, c := sr, sc
+	for c < dc {
+		buf = append(buf, m.node(r, c)*4+east)
+		c++
+	}
+	for c > dc {
+		buf = append(buf, m.node(r, c)*4+west)
+		c--
+	}
+	for r < dr {
+		buf = append(buf, m.node(r, c)*4+south)
+		r++
+	}
+	for r > dr {
+		buf = append(buf, m.node(r, c)*4+north)
+		r--
+	}
+	return buf
+}
+
+// TestSteppedRoutesMatchReference compares every (src, dst) route of the
+// ring, the torus and the mesh against the reference generators, at a
+// square shape, a two-to-one shape and the first P served by
+// AppendRoute instead of the route table (the ring, whose routes are
+// hundreds of hops there, from every 93rd source).
+func TestSteppedRoutesMatchReference(t *testing.T) {
+	for _, p := range []int{2, 8, 16, 64, 1024} {
+		ring, torus, mesh := NewRing(p), NewTorus(p), NewMesh(p)
+		for _, tc := range []struct {
+			name      string
+			got, want func(buf []int, src, dst int) []int
+		}{
+			{"ring", ring.AppendRoute, func(b []int, s, d int) []int { return refRingRoute(ring, b, s, d) }},
+			{"torus", torus.AppendRoute, func(b []int, s, d int) []int { return refTorusRoute(torus, b, s, d) }},
+			{"mesh", mesh.AppendRoute, func(b []int, s, d int) []int { return refMeshRoute(mesh, b, s, d) }},
+		} {
+			stride := 1
+			if tc.name == "ring" && p > 64 {
+				stride = 93
+			}
+			var got, want []int
+			for src := 0; src < p; src += stride {
+				for dst := 0; dst < p; dst++ {
+					if src == dst {
+						continue
+					}
+					got, want = tc.got(got[:0], src, dst), tc.want(want[:0], src, dst)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s(%d) %d->%d: route %v, reference %v", tc.name, p, src, dst, got, want)
+					}
+				}
+			}
+		}
 	}
 }

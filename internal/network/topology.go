@@ -251,26 +251,28 @@ func (m *Mesh) node(r, c int) int       { return r*m.cols + c }
 func (m *Mesh) coords(n int) (r, c int) { return n / m.cols, n % m.cols }
 
 // AppendRoute is X-first dimension-ordered: travel east/west to the
-// target column, then north/south to the target row.
+// target column, then north/south to the target row.  A link id is
+// node*4+direction, so a hop along a row moves the id by 4 and a hop
+// along a column by a row of them.
 func (m *Mesh) AppendRoute(buf []int, src, dst int) []int {
 	sr, sc := m.coords(src)
 	dr, dc := m.coords(dst)
-	r, c := sr, sc
-	for c < dc {
-		buf = append(buf, m.node(r, c)*4+east)
-		c++
+	id, row := src*4, m.cols*4
+	for ; sc < dc; sc++ {
+		buf = append(buf, id+east)
+		id += 4
 	}
-	for c > dc {
-		buf = append(buf, m.node(r, c)*4+west)
-		c--
+	for ; sc > dc; sc-- {
+		buf = append(buf, id+west)
+		id -= 4
 	}
-	for r < dr {
-		buf = append(buf, m.node(r, c)*4+south)
-		r++
+	for ; sr < dr; sr++ {
+		buf = append(buf, id+south)
+		id += row
 	}
-	for r > dr {
-		buf = append(buf, m.node(r, c)*4+north)
-		r--
+	for ; sr > dr; sr-- {
+		buf = append(buf, id+north)
+		id -= row
 	}
 	return buf
 }

@@ -143,55 +143,70 @@ func (s *Symbolic) LoadLower(a *CSR) []float64 {
 }
 
 // CheckFactor verifies that vals (a factor over s's structure) satisfies
-// L Lᵀ = A within tol, returning the worst absolute deviation.
-func (s *Symbolic) CheckFactor(a *CSR, vals []float64, tol float64) error {
+// L Lᵀ = A within tol at every position of the structure — fill positions
+// included, where A is zero — and that A's lower triangle lies inside it.
+// It returns the worst absolute deviation seen, up to and including the
+// first one beyond tol.
+func (s *Symbolic) CheckFactor(a *CSR, vals []float64, tol float64) (worst float64, err error) {
+	// Transpose the packed columns into packed rows.  Row i holds
+	// Deps[i] entries left of its diagonal, and walking the columns in
+	// order fills every row in ascending column order, so (L Lᵀ)[i][j] is
+	// a merge-join of rows i and j, summed in one fixed order.
 	n := s.N
-	// Reconstruct A' = L Lᵀ densely per row pair touched by A's pattern
-	// plus the factor pattern (both must match A, fill included).
-	l := make([]map[int]float64, n) // l[i][j] = L[i][j]
-	for i := range l {
-		l[i] = map[int]float64{}
+	rowPtr := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] = rowPtr[i] + s.Deps[i] + 1
 	}
+	col := make([]int, rowPtr[n])
+	val := make([]float64, rowPtr[n])
+	next := append([]int(nil), rowPtr[:n]...)
 	for j := 0; j < n; j++ {
 		for k, i := range s.Struct[j] {
-			l[i][j] = vals[s.ColPtr[j]+k]
+			col[next[i]], val[next[i]] = j, vals[s.ColPtr[j]+k]
+			next[i]++
 		}
 	}
 	dot := func(i, j int) float64 {
+		x, xe := rowPtr[i], rowPtr[i+1]
+		y, ye := rowPtr[j], rowPtr[j+1]
 		var sum float64
-		for k, v := range l[i] {
-			if w, ok := l[j][k]; ok {
-				sum += v * w
+		for x < xe && y < ye {
+			switch cx, cy := col[x], col[y]; {
+			case cx < cy:
+				x++
+			case cx > cy:
+				y++
+			default:
+				sum += val[x] * val[y]
+				x++
+				y++
 			}
 		}
 		return sum
 	}
-	var worst float64
-	check := func(i, j int) error {
-		d := math.Abs(dot(i, j) - a.At(i, j))
-		if d > worst {
-			worst = d
-		}
-		if d > tol {
-			return fmt.Errorf("sparse: |(LLᵀ - A)[%d][%d]| = %g > %g", i, j, d, tol)
-		}
-		return nil
-	}
 	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if j <= i {
-				if err := check(i, j); err != nil {
-					return err
+		// Row i of L ends at the diagonal, so walking it beside row i
+		// of A meets every A[i][j] with j <= i or steps over it.
+		acols, avals := a.Row(i)
+		y := 0
+		for x := rowPtr[i]; x < rowPtr[i+1]; x++ {
+			j := col[x]
+			var aij float64
+			if y < len(acols) && acols[y] <= j {
+				if acols[y] < j {
+					return worst, fmt.Errorf("sparse: A[%d][%d] lies outside the factor's structure", i, acols[y])
 				}
+				aij = avals[y]
+				y++
 			}
-		}
-		// Fill positions must also reproduce A (i.e. zero).
-		for j := range l[i] {
-			if err := check(i, j); err != nil {
-				return err
+			d := math.Abs(dot(i, j) - aij)
+			if d > worst {
+				worst = d
+			}
+			if d > tol {
+				return worst, fmt.Errorf("sparse: |(LLᵀ - A)[%d][%d]| = %g > %g", i, j, d, tol)
 			}
 		}
 	}
-	return nil
+	return worst, nil
 }

@@ -131,7 +131,7 @@ func TestFactorizeReproducesMatrix(t *testing.T) {
 		if err := s.Factorize(vals); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.CheckFactor(m, vals, 1e-8); err != nil {
+		if _, err := s.CheckFactor(m, vals, 1e-8); err != nil {
 			t.Errorf("n=%d: %v", n, err)
 		}
 	}
@@ -191,9 +191,62 @@ func TestFactorizationProperty(t *testing.T) {
 		if err := s.Factorize(vals); err != nil {
 			return false
 		}
-		return s.CheckFactor(m, vals, 1e-6) == nil
+		_, err := s.CheckFactor(m, vals, 1e-6)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// CheckFactor must reject a wrong value anywhere in the structure — at a
+// position A stores and at a fill position, where A is zero — and a
+// matrix entry the structure does not cover, and must sum in a fixed
+// order: two calls return the same bits.
+func TestCheckFactorRejectsAndRepeats(t *testing.T) {
+	m := RandomSPD(40, 3, 11)
+	s := SymbolicFactor(m)
+	factor := s.LoadLower(m)
+	if err := s.Factorize(factor); err != nil {
+		t.Fatal(err)
+	}
+	worst, err := s.CheckFactor(m, factor, 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if again, _ := s.CheckFactor(m, factor, 1e-8); math.Float64bits(again) != math.Float64bits(worst) {
+			t.Fatalf("worst deviation %x then %x", math.Float64bits(worst), math.Float64bits(again))
+		}
+	}
+
+	stored, fill := -1, -1 // packed indices of one off-diagonal entry of each kind
+	for j := 0; j < s.N; j++ {
+		for k, i := range s.Struct[j] {
+			switch {
+			case i == j:
+			case m.At(i, j) != 0:
+				stored = s.ColPtr[j] + k
+			default:
+				fill = s.ColPtr[j] + k
+			}
+		}
+	}
+	if stored < 0 || fill < 0 {
+		t.Fatal("matrix has no stored off-diagonal or no fill entry")
+	}
+	for name, at := range map[string]int{"stored": stored, "fill": fill, "diagonal": 0} {
+		bad := append([]float64(nil), factor...)
+		bad[at] += 1e-3
+		if _, err := s.CheckFactor(m, bad, 1e-8); err == nil {
+			t.Errorf("perturbed %s entry accepted", name)
+		}
+	}
+
+	// A structure computed for a sparser matrix does not cover m, which
+	// no tolerance excuses.
+	band := SymbolicFactor(RandomSPD(40, 0, 11))
+	if _, err := band.CheckFactor(m, make([]float64, band.NNZ()), math.Inf(1)); err == nil {
+		t.Error("matrix entry outside the structure accepted")
 	}
 }

@@ -1,7 +1,7 @@
 package spasm
 
-// The acceptance runs for the large-P work: 1024-processor flow-tier and
-// LogP runs and a 256-processor coherent Target run must complete
+// The acceptance runs for the large-P work: 1024-processor runs on every
+// networked tier and a 256-processor Target run on the mesh must complete
 // cleanly — no directory panic, no route-table cliff, no per-message
 // allocation blow-up — and produce self-consistent statistics.  The
 // uniform synthetic-traffic workload drives them: its cost is linear in
@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"spasm/internal/machine"
 	"spasm/internal/report"
 	"spasm/internal/stats"
 )
@@ -23,21 +24,29 @@ import (
 // run1024 makes one fresh 1024-processor uniform run on the torus and
 // holds the whole run, set-up included, to an allocation budget of 1.1x
 // its measured cost (logged below).  The measurement is repeatable to
-// 0.3 % and highest as the first test of a process — on flow, whose
-// processors are coroutines, by about 1,000 objects and 0.5 MB, until the
-// runtime has 1024 dead goroutine descriptors on hand.  The first-run
-// figures: flow 26,603 objects / 6.92 MB (budgeted when it was 24,487 /
-// 7.01 MB; a stream is now an object, drawn once by the driver and once
-// by Check), logp 3,232 / 1.84 MB.  The LogP run is stackless, its
-// processes' kernel and driver state two arrays (the engine's slab of
-// sim.Proc, the run's []feed): an object each for either coming back is
-// +1,024 objects and fails here, as does a coroutine per processor (the
-// run cost 17.6 k objects when it had them).
-// So does one heap object per message (+262k objects), an O(P²) table
-// (+8 MB) or a kilobyte of state per processor (+1 MB) — in tier-1, at
-// the size that shows it.  The flow budget is not meaningful under -race,
-// whose instrumented build allocates some 4,000 more objects (iter.Pull:
-// ten a coroutine, not six).
+// 0.3 % and highest as the first test of a process — where processors are
+// coroutines (every tier but LogP), by about 1,000 objects and 0.5 MB,
+// until the runtime has 1024 dead goroutine descriptors on hand.  The
+// first-run figures:
+//
+//	flow   26,603 objects   6.92 MB  (budgeted at 24,487 / 7.01 MB; a stream is
+//	                                  now an object, drawn by the driver and by Check)
+//	logp    3,232           1.84 MB
+//	clogp  25,096          23.98 MB
+//	target 24,392          23.26 MB
+//
+// The LogP run is stackless, its processes' kernel and driver state two
+// arrays (the engine's slab of sim.Proc, the run's []feed): an object
+// each for either coming back is +1,024 objects and fails here, as does a
+// coroutine per processor (the run cost 17.6 k objects when it had them).
+// The coherent tiers' bytes are their caches — 16 MB of tag store, 16 KB a
+// node at one 8-byte word a line; the 24-byte line that preceded it is
+// +32 MB and fails here — and their run must leave directory and caches
+// consistent.  On any tier, so does one heap object per message (+262k
+// objects), an O(P²) table (+8 MB) or a kilobyte of state per processor
+// (+1 MB) — in tier-1, at the size that shows it.  The coroutine tiers'
+// budgets are not meaningful under -race, whose instrumented build
+// allocates some 4,000 more objects (iter.Pull: ten a coroutine, not six).
 func run1024(t *testing.T, kind Kind, maxObjects, maxBytes uint64) {
 	if testing.Short() {
 		t.Skip("1024-processor run")
@@ -59,6 +68,11 @@ func run1024(t *testing.T, kind Kind, maxObjects, maxBytes uint64) {
 	if got := len(res.Stats.Procs); got != 1024 {
 		t.Fatalf("statistics cover %d processors, want 1024", got)
 	}
+	if c, ok := res.Machine.(machine.Coherent); ok {
+		if err := c.Engine().CheckInvariants(); err != nil {
+			t.Errorf("%v/p1024: %v", kind, err)
+		}
+	}
 	objects, size := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	t.Logf("%v/p1024: %d messages, %d objects, %d bytes allocated", kind, res.Stats.Messages(), objects, size)
 	if objects > maxObjects || size > maxBytes {
@@ -67,8 +81,10 @@ func run1024(t *testing.T, kind Kind, maxObjects, maxBytes uint64) {
 	}
 }
 
-func TestFlow1024Procs(t *testing.T) { run1024(t, Flow, 27000, 7740e3) }
-func TestLogP1024Procs(t *testing.T) { run1024(t, LogP, 3560, 2030e3) }
+func TestFlow1024Procs(t *testing.T)   { run1024(t, Flow, 27000, 7740e3) }
+func TestLogP1024Procs(t *testing.T)   { run1024(t, LogP, 3560, 2030e3) }
+func TestCLogP1024Procs(t *testing.T)  { run1024(t, CLogP, 27600, 26400e3) }
+func TestTarget1024Procs(t *testing.T) { run1024(t, Target, 26800, 25600e3) }
 
 func TestTarget256Procs(t *testing.T) {
 	if testing.Short() {
