@@ -14,7 +14,7 @@ import (
 // figures is "spasm figures": the paper's evaluation — every numbered
 // figure (1-20) as a table, chart and/or CSV, an ad-hoc figure for any
 // -app/-topo/-metric, and the textual experiments (-speed, -ablation,
-// -gtable, -fidelity, -accuracy).
+// -gtable, -accuracy).
 //
 // The underlying simulations run -jobs at a time on the batch scheduler
 // with pooled run contexts.  Each simulation is deterministic, so
@@ -25,13 +25,12 @@ func (c *cli) figures(args []string) error {
 	f.addSweep(fs, "2,4,8,16,32,64")
 	f.addWorkers(fs)
 	fs.StringVar(&f.app, "app", "", "ad-hoc figure: application (with -topo and -metric)")
-	fs.StringVar(&f.topo, "topo", "mesh", "ad-hoc figure and -fidelity: topology")
+	fs.StringVar(&f.topo, "topo", "mesh", "ad-hoc figure: topology")
 	var (
 		figNum   = fs.Int("fig", 0, "figure number (0 = all)")
 		format   = fs.String("format", "table,chart", "comma list of table, chart, csv")
 		outDir   = fs.String("out", "", "write per-figure files to this directory")
 		speed    = fs.Bool("speed", false, "run the simulation-cost comparison (S1)")
-		fidelity = fs.Bool("fidelity", false, "run the network-fidelity comparison (flow vs logp vs detailed, S4)")
 		ablation = fs.Bool("ablation", false, "run the g-discipline ablation (S2)")
 		gtable   = fs.Bool("gtable", false, "print the g-parameter table (S3)")
 		onlyText = fs.Bool("no-figures", false, "skip the numbered figures")
@@ -100,13 +99,6 @@ func (c *cli) figures(args []string) error {
 			return err
 		}
 		fmt.Fprintln(c.out, report.CostTable(last, rows))
-	}
-	if *fidelity {
-		rows, err := s.FidelityStudy(f.topo, last)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(c.out, report.FidelityTable(f.topo, last, rows))
 	}
 	return nil
 }

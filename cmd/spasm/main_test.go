@@ -78,7 +78,7 @@ func TestSubcommandsMatchRecordedOutput(t *testing.T) {
 		skip func(string) bool
 		args []string
 	}{
-		{"textual.txt", nil, []string{"figures", "-no-figures", "-gtable", "-ablation", "-fidelity", "-scale", "tiny", "-procs", "2,4"}},
+		{"textual.txt", nil, []string{"figures", "-no-figures", "-gtable", "-ablation", "-scale", "tiny", "-procs", "2,4"}},
 		{"accuracy.txt", nil, []string{"figures", "-accuracy", "-format", "", "-scale", "tiny", "-procs", "2,4"}},
 		{"batch.txt", nil, []string{"study", "batch", "-scale", "tiny", "-procs", "2", "-points", "fft:mesh:target:4,ep:full:logp:2"}},
 		{"run.txt", wallClock, []string{"-app", "fft", "-machine", "target", "-topo", "mesh", "-p", "4", "-scale", "tiny", "-v", "-phases"}},

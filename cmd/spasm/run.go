@@ -9,9 +9,7 @@ import (
 )
 
 // runOne is "spasm run": one application on one simulated machine,
-// printed as the SPASM-style separation of overheads.  With -adaptive
-// the run starts on the flow tier and escalates to the detailed target
-// machine when a flow's occupancy reaches -escalate percent.
+// printed as the SPASM-style separation of overheads.
 func (c *cli) runOne(args []string) error {
 	fs := c.flags("run")
 	var f simFlags
@@ -19,8 +17,6 @@ func (c *cli) runOne(args []string) error {
 	f.addWorkers(fs)
 	var (
 		perCls  = fs.Bool("perclass", false, "use per-event-class g gap (LogP machines)")
-		adapt   = fs.Bool("adaptive", false, "adaptive fidelity: start on the flow tier, escalate to target on contention (implies -machine flow)")
-		escPct  = fs.Int("escalate", 50, "with -adaptive: occupancy percent that trips escalation (0-100)")
 		verbose = fs.Bool("v", false, "per-processor breakdown")
 		phases  = fs.Bool("phases", false, "per-phase overhead breakdown")
 		asJSON  = fs.Bool("json", false, "machine-readable output: the spasmd run document plus a host block")
@@ -35,9 +31,6 @@ func (c *cli) runOne(args []string) error {
 	}
 	if *perCls {
 		spec.PortMode = spasm.PerClassGap
-	}
-	if *adapt {
-		spec.Machine, spec.Adaptive, spec.EscalatePct = spasm.Flow, true, *escPct
 	}
 	var opt spasm.RunOptions
 	if *profile != "" {
@@ -110,15 +103,6 @@ func (c *cli) printRun(res *spasm.Result, doc report.RunDoc) {
 		} else {
 			fmt.Fprintf(c.out, "  parallel       : requested %d workers, fell back to sequential (%s)\n",
 				par.Requested, par.Fallback)
-		}
-	}
-	if esc := res.Escalation; esc != nil {
-		if esc.Tripped {
-			fmt.Fprintf(c.out, "  fidelity       : escalated %v -> %v at t=%.1f us (share %d, threshold %d%%)\n",
-				esc.From, esc.To, esc.At.Micros(), esc.Share, esc.ThresholdPct)
-		} else {
-			fmt.Fprintf(c.out, "  fidelity       : stayed on %v (threshold %d%% never reached)\n",
-				esc.From, esc.ThresholdPct)
 		}
 	}
 }

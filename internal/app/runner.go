@@ -106,39 +106,11 @@ type Result struct {
 	// Phases is the per-phase overhead profile (empty unless the
 	// program marks phases).
 	Phases *PhaseProfile
-	// Escalation records an adaptive-fidelity decision, when the run was
-	// made through an adaptive runner (nil otherwise): which network tier
-	// the run started on, whether the contention threshold tripped, and
-	// which tier produced the statistics this Result carries.
-	Escalation *Escalation
 	// Par reports the parallel-execution outcome when RunControl.Workers
 	// requested it (nil otherwise): whether the run actually executed in
 	// windowed parallel mode, or why it fell back to the sequential
 	// kernel.  Either way the statistics are identical.
 	Par *sim.ParReport
-}
-
-// Escalation is the record of one adaptive-fidelity decision.  A run
-// that starts on the flow tier watches the bottleneck occupancy of every
-// flow it admits; when the occupancy reaches ThresholdPct the run is
-// abandoned and redone on the detailed target machine, so the cheap
-// model is trusted exactly while it sees no contention worth modeling
-// per hop.
-type Escalation struct {
-	// From and To are the network tiers the run started and finished on;
-	// they are equal when the threshold never tripped.
-	From, To machine.Kind
-	// ThresholdPct is the bottleneck-occupancy percentage that arms the
-	// escalation: 0 trips on the first flow admitted, 100 never trips
-	// (flow occupancy is strictly below 100).
-	ThresholdPct int
-	// Tripped reports whether the threshold fired.
-	Tripped bool
-	// At is the simulated time of the first threshold crossing (0 when
-	// the run never tripped).
-	At sim.Time
-	// Share is the bottleneck share count that crossed the threshold.
-	Share int
 }
 
 // Instrument observes one run from the inside.  Attach is called after

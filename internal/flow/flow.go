@@ -66,17 +66,6 @@ type Xmit struct {
 	Bottleneck int
 }
 
-// Occupancy returns the fraction of the bottleneck's nominal bandwidth
-// claimed by competitors at admission, as an integer percentage in
-// [0, 100): 0 for an uncontended flow, (k-1)*100/k for k-way sharing.
-// It is the quantity adaptive-fidelity escalation thresholds on.
-func (x Xmit) Occupancy() int {
-	if x.Share <= 1 {
-		return 0
-	}
-	return (x.Share - 1) * 100 / x.Share
-}
-
 // flowRec is one active flow: its occupancy window and the resources it
 // crosses.  The links slice is owned by the record and recycled.
 type flowRec struct {

@@ -334,7 +334,7 @@ type flowMachine struct {
 func (m *flowMachine) Kind() Kind { return Flow }
 func (m *flowMachine) P() int     { return m.net.P() }
 
-// FlowNet exposes the flow network (for telemetry and escalation).
+// FlowNet exposes the flow network (for telemetry).
 func (m *flowMachine) FlowNet() *flow.Net { return m.net }
 
 func (m *flowMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
@@ -396,8 +396,7 @@ type Abstracted interface {
 }
 
 // Flowed is implemented by the Flow machine, exposing its
-// bandwidth-sharing network for telemetry and adaptive-fidelity
-// escalation.
+// bandwidth-sharing network for telemetry.
 type Flowed interface {
 	FlowNet() *flow.Net
 }
@@ -470,6 +469,6 @@ func (t *clogpTransport) Message(now sim.Time, src, dst, bytes int, class cohere
 	if !class.MovesData() {
 		return coherence.Delivery{At: now}
 	}
-	x := t.net.Message(now, src, dst)
-	return coherence.Delivery{At: x.Deliver, Latency: x.Latency, Wait: x.Wait, Sent: true}
+	at, wait := t.net.Deliver(now, src, dst)
+	return coherence.Delivery{At: at, Latency: t.net.L, Wait: wait, Sent: true}
 }

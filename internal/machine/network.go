@@ -53,8 +53,7 @@ type NetStats struct {
 	// resource reservations on the detailed fabric (len(route)+2 per
 	// message), endpoint port gatings on the LogP net (2 per message),
 	// and allocation recomputations on the flow tier (none for
-	// uncontended flows).  It is the event-count axis of the fidelity
-	// comparison.
+	// uncontended flows).
 	ModelEvents uint64
 }
 
@@ -87,9 +86,9 @@ func (a *logpNet) Reset()               { a.net.Reset(); a.bytes = 0 }
 func (a *logpNet) Settle(upTo sim.Time) {}
 
 func (a *logpNet) Xfer(now sim.Time, src, dst, bytes int) NetDelivery {
-	x := a.net.Message(now, src, dst)
+	at, wait := a.net.Deliver(now, src, dst)
 	a.bytes += uint64(bytes)
-	return NetDelivery{At: x.Deliver, Latency: x.Latency, Wait: x.Wait}
+	return NetDelivery{At: at, Latency: a.net.L, Wait: wait}
 }
 
 func (a *logpNet) Stats() NetStats {

@@ -37,10 +37,6 @@ type RunDoc struct {
 	// recomputations (flow).
 	NetModelEvents uint64 `json:"net_model_events"`
 
-	// Escalation records the adaptive-fidelity decision of a run made
-	// through an adaptive spec; absent otherwise.
-	Escalation *EscalationDoc `json:"escalation,omitempty"`
-
 	// Host carries the run's host-side (non-deterministic) measurements.
 	// RunJSON never sets it — the spasmd result cache and the determinism
 	// goldens stay byte-identical — callers that want it (cmd/spasm
@@ -87,16 +83,6 @@ func AttachHost(doc *RunDoc, res *app.Result) {
 	doc.Host = h
 }
 
-// EscalationDoc is the JSON form of one adaptive-fidelity decision.
-type EscalationDoc struct {
-	From         string  `json:"from"`
-	To           string  `json:"to"`
-	ThresholdPct int     `json:"threshold_pct"`
-	Tripped      bool    `json:"tripped"`
-	AtUS         float64 `json:"at_us"`
-	Share        int     `json:"share"`
-}
-
 // ProcDoc is one processor's summary within a RunDoc.
 type ProcDoc struct {
 	ID       int     `json:"id"`
@@ -130,16 +116,6 @@ func RunJSON(res *app.Result) RunDoc {
 		NetBytes:       r.Count(func(p *stats.Proc) uint64 { return p.NetBytes }),
 		SimEvents:      r.SimEvents,
 		NetModelEvents: r.NetEvents,
-	}
-	if esc := res.Escalation; esc != nil {
-		doc.Escalation = &EscalationDoc{
-			From:         esc.From.String(),
-			To:           esc.To.String(),
-			ThresholdPct: esc.ThresholdPct,
-			Tripped:      esc.Tripped,
-			AtUS:         esc.At.Micros(),
-			Share:        esc.Share,
-		}
 	}
 	for i := range r.Procs {
 		p := &r.Procs[i]

@@ -74,21 +74,6 @@ func GapParamTable(rows []exp.GapRow) *Table {
 	return t
 }
 
-// FidelityTable renders the network-fidelity comparison (S4): each
-// abstraction's execution-time error against the detailed machine and
-// the flow tier's model-event reduction.
-func FidelityTable(topo string, p int, rows []exp.FidelityRow) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("network fidelity — flow vs logp vs detailed on %s at p=%d:", topo, p),
-		Headers: []string{"app", "target_us", "flow_us", "logp_us", "flow_err", "logp_err", "evt_ratio"},
-	}
-	for _, r := range rows {
-		t.Add(r.App, r.TargetUS, r.FlowUS, r.LogPUS,
-			fixed(r.FlowErrPct, 1)+"%", fixed(r.LogPErrPct, 1)+"%", fixed(r.EventRatio, 1)+"x")
-	}
-	return t
-}
-
 // AccuracyTable renders the per-figure half of the abstraction-accuracy
 // dashboard.
 func AccuracyTable(rows []exp.AccuracyRow) *Table {

@@ -71,15 +71,6 @@ func TestAblationAndGapTables(t *testing.T) {
 		"mesh", "16", "3.200")
 }
 
-func TestFidelityTable(t *testing.T) {
-	tb := FidelityTable("mesh", 4, []exp.FidelityRow{{App: "is", TargetUS: 430.6, FlowUS: 948.6, LogPUS: 3535,
-		FlowErrPct: 120.3, LogPErrPct: 721, EventRatio: 5.72}})
-	wantRow(t, tb, "is", "430.6", "948.6", "3535.0", "120.3%", "721.0%", "5.7x")
-	if !strings.Contains(tb.Title, "on mesh at p=4") {
-		t.Errorf("title %q", tb.Title)
-	}
-}
-
 func TestAccuracyTables(t *testing.T) {
 	fig, _ := exp.ByNumber(7)
 	rows := []exp.AccuracyRow{{Figure: fig, CLogPRatio: 3.41, LogPRatio: 21.149, CLogPTrend: true}}

@@ -88,12 +88,6 @@ type Pool struct {
 	misses    uint64
 	created   int
 	discarded int
-
-	// byKind breaks the counters down by machine kind (the canonical
-	// configuration's Kind string), so a pool serving both flow-tier and
-	// detailed contexts can report them apart (the spasmd /metrics pool
-	// gauges).
-	byKind map[string]*Stats
 }
 
 // New returns a pool retaining at most maxIdle idle contexts
@@ -105,19 +99,7 @@ func New(maxIdle int) *Pool {
 	return &Pool{
 		free:    make(map[machine.Config][]*Ctx),
 		maxIdle: maxIdle,
-		byKind:  make(map[string]*Stats),
 	}
-}
-
-// kindStats returns the per-kind counter block, creating it on first
-// use.  Callers must hold p.mu.
-func (p *Pool) kindStats(kind string) *Stats {
-	s := p.byKind[kind]
-	if s == nil {
-		s = &Stats{}
-		p.byKind[kind] = s
-	}
-	return s
 }
 
 // Get returns a context for cfg, reusing an idle one when available.  A
@@ -130,7 +112,6 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 		return nil, fmt.Errorf("runpool: Get with P=%d", cfg.P)
 	}
 	key := cfg.Canonical()
-	kind := key.Kind.String()
 	p.mu.Lock()
 	if l := p.free[key]; len(l) > 0 {
 		ctx := l[len(l)-1]
@@ -138,8 +119,6 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 		p.free[key] = l[:len(l)-1]
 		p.idle--
 		p.hits++
-		ks := p.kindStats(kind)
-		ks.Hits++
 		p.mu.Unlock()
 		ctx.Eng.Reset()
 		ctx.Space.Reset(key.P, ctx.blockBytes)
@@ -147,9 +126,6 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 	}
 	p.misses++
 	p.created++
-	ks := p.kindStats(kind)
-	ks.Misses++
-	ks.Live++
 	p.mu.Unlock()
 	bb := key.Cache.BlockBytes
 	if bb == 0 {
@@ -177,9 +153,6 @@ func (p *Pool) Put(c *Ctx) {
 	defer p.mu.Unlock()
 	if p.idle >= p.maxIdle {
 		p.discarded++
-		ks := p.kindStats(c.cfg.Kind.String())
-		ks.Discarded++
-		ks.Live--
 		return
 	}
 	p.free[c.cfg] = append(p.free[c.cfg], c)
@@ -200,9 +173,6 @@ func (p *Pool) Discard(c *Ctx) {
 	}
 	p.mu.Lock()
 	p.discarded++
-	ks := p.kindStats(c.cfg.Kind.String())
-	ks.Discarded++
-	ks.Live--
 	p.mu.Unlock()
 }
 
@@ -211,19 +181,4 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return Stats{Hits: p.hits, Misses: p.misses, Live: p.created - p.discarded, Discarded: p.discarded}
-}
-
-// StatsByKind returns per-machine-kind snapshots of the pool's counters,
-// keyed by the canonical configuration's kind string ("flow", "target",
-// ...).  A pool serving an adaptive-fidelity workload holds both
-// flow-tier and detailed contexts; this is how monitoring tells their
-// populations apart.
-func (p *Pool) StatsByKind() map[string]Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]Stats, len(p.byKind))
-	for k, s := range p.byKind {
-		out[k] = *s
-	}
-	return out
 }

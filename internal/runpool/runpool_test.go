@@ -128,48 +128,3 @@ func TestDiscard(t *testing.T) {
 	p.Put(c2)
 	p.Discard(nil) // harmless
 }
-
-// TestStatsByKind: a pool serving two machine kinds reports their
-// populations apart, and the per-kind counters reconcile with the
-// aggregate.
-func TestStatsByKind(t *testing.T) {
-	p := New(0)
-	flow := machine.Config{Kind: machine.Flow, Topology: "mesh", P: 4}
-	target := machine.Config{Kind: machine.Target, Topology: "mesh", P: 4}
-	cf, err := p.Get(flow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := p.Get(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Put(cf)
-	p.Discard(ct)
-	cf2, err := p.Get(flow) // hit
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Put(cf2)
-
-	by := p.StatsByKind()
-	fs, ts := by[machine.Flow.String()], by[machine.Target.String()]
-	if fs.Hits != 1 || fs.Misses != 1 || fs.Live != 1 || fs.Discarded != 0 {
-		t.Fatalf("flow kind stats %+v, want hits 1, misses 1, live 1", fs)
-	}
-	if ts.Hits != 0 || ts.Misses != 1 || ts.Live != 0 || ts.Discarded != 1 {
-		t.Fatalf("target kind stats %+v, want misses 1, discarded 1", ts)
-	}
-	agg := p.Stats()
-	var hits, misses uint64
-	var live, disc int
-	for _, s := range by {
-		hits += s.Hits
-		misses += s.Misses
-		live += s.Live
-		disc += s.Discarded
-	}
-	if hits != agg.Hits || misses != agg.Misses || live != agg.Live || disc != agg.Discarded {
-		t.Fatalf("per-kind stats %v do not reconcile with aggregate %+v", by, agg)
-	}
-}

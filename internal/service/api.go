@@ -23,13 +23,6 @@ type RunRequest struct {
 	PortMode string `json:"port_mode,omitempty"`
 	Protocol string `json:"protocol,omitempty"`
 
-	// Adaptive requests the adaptive-fidelity protocol: machine must be
-	// "flow", and the run escalates to the detailed tier when a flow's
-	// occupancy reaches EscalatePct percent.  The result's "escalation"
-	// field records the decision either way.
-	Adaptive    bool `json:"adaptive,omitempty"`
-	EscalatePct int  `json:"escalate_pct,omitempty"`
-
 	// Workers requests conservative parallel host execution of the run
 	// (bounded by spasm.MaxWorkers; 0 or 1 means sequential).  Results
 	// are bit-identical either way, so Workers does not change the run's
@@ -40,8 +33,7 @@ type RunRequest struct {
 
 // Spec converts the wire request to a canonical run spec.
 func (r RunRequest) Spec() (spasm.Spec, error) {
-	spec := spasm.Spec{App: r.App, Seed: r.Seed, P: r.P, Topology: r.Topology,
-		Adaptive: r.Adaptive, EscalatePct: r.EscalatePct, Workers: r.Workers}
+	spec := spasm.Spec{App: r.App, Seed: r.Seed, P: r.P, Topology: r.Topology, Workers: r.Workers}
 	var err error
 	if r.Scale == "" {
 		spec.Scale = spasm.Small
@@ -69,17 +61,15 @@ func (r RunRequest) Spec() (spasm.Spec, error) {
 func RequestFromSpec(s spasm.Spec) RunRequest {
 	c := s.Canonical()
 	return RunRequest{
-		App:         c.App,
-		Scale:       c.Scale.String(),
-		Seed:        c.Seed,
-		Machine:     c.Machine.String(),
-		Topology:    c.Topology,
-		P:           c.P,
-		PortMode:    c.PortMode.String(),
-		Protocol:    c.Protocol.String(),
-		Adaptive:    c.Adaptive,
-		EscalatePct: c.EscalatePct,
-		Workers:     c.Workers,
+		App:      c.App,
+		Scale:    c.Scale.String(),
+		Seed:     c.Seed,
+		Machine:  c.Machine.String(),
+		Topology: c.Topology,
+		P:        c.P,
+		PortMode: c.PortMode.String(),
+		Protocol: c.Protocol.String(),
+		Workers:  c.Workers,
 	}
 }
 

@@ -3,6 +3,8 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
@@ -109,5 +111,71 @@ func TestStoreStatusAfterRestart(t *testing.T) {
 	}
 	if got.State != service.StateDone || !bytes.Equal(got.Result, first.Result) {
 		t.Fatalf("poll after restart: state=%s, result match=%v", got.State, bytes.Equal(got.Result, first.Result))
+	}
+}
+
+// TestStoreRecordsFromBeforeFidelityRemoval: a store directory written
+// by a process that still had the adaptive-fidelity fields keeps
+// working.  A plain spec's record is found under the same content
+// address and served as a store hit; an adaptive run's record can no
+// longer be resubmitted, but whoever holds its ID still gets the stored
+// bytes.
+func TestStoreRecordsFromBeforeFidelityRemoval(t *testing.T) {
+	ctx := context.Background()
+	// (a) ID and spec bytes as the parent commit's Spec.Hash and
+	// RequestFromSpec produced them (the store does not look inside a doc).
+	req := service.RunRequest{App: "fft", Scale: "tiny", Machine: "target", Topology: "mesh", P: 4}
+	plain := store.Record{
+		ID:   "6251edb7b5620ea473a808ba1f10f64355855b835188167c92eb70e2bd7d4dc0",
+		Spec: []byte(`{"app":"fft","scale":"tiny","seed":1,"machine":"target","topology":"mesh","p":4,"port_mode":"combined","protocol":"berkeley"}`),
+		Doc:  []byte(`{"program":"fft","machine":"target","topology":"mesh","p":4,"total_us":1,"procs":[]}`),
+	}
+	// (b) An escalated adaptive run, addressed by the key it had then.
+	key := "app=fft scale=tiny seed=1 machine=flow topo=mesh p=8 port=combined proto=berkeley adaptive=true esc=0"
+	legacy := store.Record{
+		ID:   fmt.Sprintf("%x", sha256.Sum256([]byte(key))),
+		Spec: []byte(`{"app":"fft","scale":"tiny","seed":1,"machine":"flow","topology":"mesh","p":8,"port_mode":"combined","protocol":"berkeley","adaptive":true,"escalate_pct":0}`),
+		Doc: []byte(`{"program":"fft","machine":"target","topology":"mesh","p":8,"total_us":1,` +
+			`"escalation":{"from":"flow","to":"target","threshold_pct":0,"tripped":true,"at_us":0,"share":1},"procs":[]}`),
+	}
+
+	dir := t.TempDir()
+	old, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []store.Record{plain, legacy} {
+		if err := old.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Stats().Entries; n != 2 {
+		t.Fatalf("warm start counted %d records, want 2", n)
+	}
+	svc, cl := newTestService(t, service.Config{Workers: 1, Store: st})
+
+	hit, err := cl.SubmitRun(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.ID != plain.ID || hit.State != service.StateDone || !hit.Cached || !bytes.Equal(hit.Result, plain.Doc) {
+		t.Fatalf("resubmission of a stored plain spec: id=%s state=%s cached=%v, result match=%v",
+			hit.ID, hit.State, hit.Cached, bytes.Equal(hit.Result, plain.Doc))
+	}
+	if v, ok := client.MetricValue(svc.RenderMetrics(), "spasmd_jobs_submitted_total"); !ok || v != 0 {
+		t.Fatalf("spasmd_jobs_submitted_total = %v, want 0 (the store answered)", v)
+	}
+
+	got, err := cl.GetRun(ctx, legacy.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != service.StateDone || !bytes.Equal(got.Result, legacy.Doc) {
+		t.Fatalf("legacy record: state=%s result %s, want the stored bytes", got.State, got.Result)
 	}
 }

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"spasm"
@@ -137,6 +139,29 @@ func tenantOf(r *http.Request) string {
 	return name
 }
 
+// decodeRunRequest parses a submission body strictly: one JSON object,
+// nothing after it, and no field RunRequest does not declare — a
+// misspelt or retired field would otherwise be dropped silently and the
+// run cached under a spec the client did not ask for.
+func decodeRunRequest(body []byte) (RunRequest, error) {
+	var req RunRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		// encoding/json reports an undeclared field only as text.
+		switch field, _ := strings.CutPrefix(err.Error(), "json: unknown field "); field {
+		case `"adaptive"`, `"escalate_pct"`:
+			return req, fmt.Errorf(`field %s: the adaptive-fidelity protocol was removed; `+
+				`submit "machine":"target" for the detailed run`, field)
+		}
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("data after the request object")
+	}
+	return req, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -150,8 +175,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	var req RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeRunRequest(body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

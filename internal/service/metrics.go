@@ -46,7 +46,6 @@ type Metrics struct {
 	done          uint64
 	failed        uint64
 	canceled      uint64 // jobs dropped before execution (all waiters gone)
-	escalated     uint64 // adaptive runs that tripped onto the detailed tier
 	runsParallel  uint64 // runs executed on the windowed parallel kernel
 	parFallbacks  uint64 // runs that requested parallel but fell back to sequential
 	timeouts      uint64 // failed jobs whose failure was the run deadline
@@ -104,12 +103,6 @@ func (m *Metrics) jobFinished(ok, timedOut bool) {
 func (m *Metrics) jobCanceled() {
 	m.mu.Lock()
 	m.canceled++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) runEscalated() {
-	m.mu.Lock()
-	m.escalated++
 	m.mu.Unlock()
 }
 
@@ -211,7 +204,7 @@ func (m *Metrics) observe(path string, d time.Duration) {
 // render writes the metrics in the Prometheus text exposition format.
 // Result-tier, queue, and pool figures are passed in by the Server,
 // which owns them.
-func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, pool spasm.PoolStats, poolKinds map[string]spasm.PoolStats, tenantQueued []tenantDepth) {
+func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, pool spasm.PoolStats, tenantQueued []tenantDepth) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fmt.Fprintf(b, "spasmd_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
@@ -225,9 +218,6 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, 
 	fmt.Fprintf(b, "spasmd_jobs_canceled_total %d\n", m.canceled)
 	fmt.Fprintf(b, "spasmd_jobs_timeout_total %d\n", m.timeouts)
 	fmt.Fprintf(b, "spasmd_jobs_rejected_total %d\n", m.rejected)
-	// Adaptive-fidelity runs that tripped their escalation threshold and
-	// were rerun on the detailed tier.
-	fmt.Fprintf(b, "spasmd_runs_escalated_total %d\n", m.escalated)
 	// Parallel-execution outcomes: runs that asked for workers > 1 and ran
 	// on the windowed kernel, vs ones that fell back to the sequential
 	// kernel (no lookahead, probes attached, ...).
@@ -274,21 +264,6 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, 
 	fmt.Fprintf(b, "spasmd_pool_misses_total %d\n", pool.Misses)
 	fmt.Fprintf(b, "spasmd_pool_contexts_live %d\n", pool.Live)
 	fmt.Fprintf(b, "spasmd_pool_contexts_discarded_total %d\n", pool.Discarded)
-	// Per-machine-kind breakdown of the same counters, so a pool serving
-	// an adaptive workload shows its flow-tier and detailed populations
-	// apart.
-	kinds := make([]string, 0, len(poolKinds))
-	for k := range poolKinds {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		ks := poolKinds[k]
-		fmt.Fprintf(b, "spasmd_pool_hits_total{kind=%q} %d\n", k, ks.Hits)
-		fmt.Fprintf(b, "spasmd_pool_misses_total{kind=%q} %d\n", k, ks.Misses)
-		fmt.Fprintf(b, "spasmd_pool_contexts_live{kind=%q} %d\n", k, ks.Live)
-		fmt.Fprintf(b, "spasmd_pool_contexts_discarded_total{kind=%q} %d\n", k, ks.Discarded)
-	}
 
 	paths := make([]string, 0, len(m.byPath))
 	for p := range m.byPath {
@@ -314,6 +289,6 @@ func (s *Server) RenderMetrics() string {
 	s.mu.Unlock()
 	var b strings.Builder
 	s.metrics.render(&b, s.QueueDepth(), s.results.counters(),
-		s.pool.Stats(), s.pool.StatsByKind(), tenantQueued)
+		s.pool.Stats(), tenantQueued)
 	return b.String()
 }

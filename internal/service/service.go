@@ -441,10 +441,10 @@ func (s *Server) worker() {
 }
 
 // execute runs one dispatched job to completion.  Jobs with a live
-// stream hub (and a non-adaptive spec) run the instrumented path: the
-// probe's epoch emissions feed the hub as the simulation executes, and
-// the finished profile is memoized so the first /profile request after
-// a streamed run is free.  Everything else runs the plain path.
+// stream hub run the instrumented path: the probe's epoch emissions feed
+// the hub as the simulation executes, and the finished profile is
+// memoized so the first /profile request after a streamed run is free.
+// Everything else runs the plain path.
 func (s *Server) execute(job *Job) {
 	hub := job.hub
 	if hub != nil {
@@ -453,7 +453,7 @@ func (s *Server) execute(job *Job) {
 
 	e := &entry{id: job.id, req: job.req}
 	var live *spasm.ProfileConfig
-	if hub != nil && !job.spec.Adaptive {
+	if hub != nil {
 		live = &spasm.ProfileConfig{OnEpoch: func(ev probe.EpochEvent) {
 			hub.publish(eventEpoch, streamEpoch(ev))
 			s.metrics.streamEventEmitted()
@@ -461,9 +461,6 @@ func (s *Server) execute(job *Job) {
 	}
 	res, prof, err := s.runSafely(job.spec, live)
 	if err == nil {
-		if res.Escalation != nil && res.Escalation.Tripped {
-			s.metrics.runEscalated()
-		}
 		if res.Par != nil {
 			s.metrics.runParallelOutcome(res.Par.Parallel)
 		}

@@ -138,10 +138,9 @@ func streamEpoch(ev probe.EpochEvent) streamEpochDoc {
 // feed of the run's lifecycle.  For a job that streams from the start
 // (submitted with ?stream=1, or attached to while still pending) the
 // feed carries live "epoch" events as the probe closes epochs; a feed
-// attached to an already-running job, or to an adaptive run, skips the
-// epochs and delivers the terminal "result" only.  Completed runs —
-// cached in memory or on disk — answer with their single "result"
-// event immediately.
+// attached to an already-running job skips the epochs and delivers the
+// terminal "result" only.  Completed runs — cached in memory or on disk
+// — answer with their single "result" event immediately.
 //
 // The subscription counts as a waiter: a pending, unpinned job whose
 // streaming clients all disconnect is canceled before it burns a

@@ -104,8 +104,7 @@ type Run struct {
 	// the machine's network backend: per-hop resource reservations on
 	// the detailed fabric, per-message port gatings on the LogP tiers,
 	// bandwidth-allocation recomputations on the flow tier.  Zero on
-	// machines without a network backend.  It is the axis the fidelity
-	// comparison's event-reduction claim is measured on.
+	// machines without a network backend.
 	NetEvents uint64
 	// Wall is the host wall-clock duration of the simulation, the
 	// paper's "speed of simulation" metric.

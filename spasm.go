@@ -13,8 +13,7 @@
 //   - LogP+Cache (CLogP): the LogP network plus an ideal coherent cache
 //     whose coherence actions cost nothing;
 //   - Flow: no caches, the network abstracted as bandwidth-sharing
-//     flows with max-min fair allocation (the coarsest network tier;
-//     the starting point of adaptive fidelity escalation);
+//     flows with max-min fair allocation (the coarsest network tier);
 //   - Ideal: a PRAM-like machine for the ideal-time metric.
 //
 // SPASM-style overhead separation (compute / memory / latency /

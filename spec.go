@@ -3,7 +3,6 @@ package spasm
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 
 	"spasm/internal/app"
@@ -43,16 +42,6 @@ type Spec struct {
 	PortMode PortMode
 	// Protocol selects the coherence protocol (default Berkeley).
 	Protocol Protocol
-	// Adaptive arms fidelity escalation: the run starts on the flow
-	// network tier (Machine must be Flow) and is redone on the detailed
-	// target machine if any flow's bottleneck occupancy reaches
-	// EscalatePct.  The decision is recorded on the Result (and in the
-	// spasmd RunDoc).
-	Adaptive bool
-	// EscalatePct is the bottleneck-occupancy percentage (0-100) that
-	// triggers escalation: 0 escalates on the first flow admitted, 100
-	// never escalates.  Meaningful only with Adaptive.
-	EscalatePct int
 	// Workers requests conservative parallel host execution: the
 	// simulation runs its processes on up to Workers OS threads behind an
 	// ordered commit gate that keeps results bit-identical to the
@@ -75,11 +64,6 @@ func (s Spec) Canonical() Spec {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if !s.Adaptive {
-		// EscalatePct is meaningless without Adaptive; zeroing it keeps
-		// semantically identical specs on one key.
-		s.EscalatePct = 0
 	}
 	if s.Workers < 0 {
 		// Negative worker counts mean the same thing as 0: sequential.
@@ -121,13 +105,6 @@ func (s Spec) Validate() error {
 	if s.Protocol < BerkeleyProtocol || s.Protocol > UpdateProtocol {
 		return fmt.Errorf("spasm: unknown protocol %v (have berkeley, msi, update)", s.Protocol)
 	}
-	if s.EscalatePct < 0 || s.EscalatePct > 100 {
-		return fmt.Errorf("spasm: escalation threshold %d%% outside 0-100", s.EscalatePct)
-	}
-	if s.Adaptive && s.Machine != Flow {
-		return fmt.Errorf("spasm: adaptive fidelity starts on the flow tier; spec has machine %v (want %v)",
-			s.Machine, Flow)
-	}
 	if s.Workers > MaxWorkers {
 		return fmt.Errorf("spasm: %d workers exceeds the limit of %d", s.Workers, MaxWorkers)
 	}
@@ -161,12 +138,13 @@ func knownTopology(name string) bool {
 // all defaults made explicit, so any two semantically identical specs —
 // however they were constructed — yield byte-identical keys.  It is
 // stable across processes and releases of this package, making it safe
-// to persist (result caches, trace archives, replay manifests).
+// to persist (result caches, trace archives, replay manifests).  The
+// constant tail stands where two retired fields printed their zero
+// values; dropping it would re-address every stored result.
 func (s Spec) Key() string {
 	c := s.Canonical()
-	return fmt.Sprintf("app=%s scale=%v seed=%d machine=%v topo=%s p=%d port=%v proto=%v adaptive=%t esc=%d",
-		c.App, c.Scale, c.Seed, c.Machine, c.Topology, c.P, c.PortMode, c.Protocol,
-		c.Adaptive, c.EscalatePct)
+	return fmt.Sprintf("app=%s scale=%v seed=%d machine=%v topo=%s p=%d port=%v proto=%v adaptive=false esc=0",
+		c.App, c.Scale, c.Seed, c.Machine, c.Topology, c.P, c.PortMode, c.Protocol)
 }
 
 // Hash returns the hex SHA-256 of Key — the spec's content address.
@@ -208,26 +186,16 @@ type RunOptions struct {
 	Profile *ProfileConfig
 }
 
-// ErrAdaptiveProfiled marks a live-profiled run rejected because the
-// spec is adaptive: adaptive runs resolve their network tier by
-// re-running, so a single live epoch stream cannot describe them.  Drop
-// ProfileConfig.OnEpoch (Execute then resolves the tier first) or pin
-// the machine explicitly.
-var ErrAdaptiveProfiled = errors.New("spasm: adaptive spec cannot be live-profiled; pin the machine tier")
-
 // Execute builds and simulates the run a spec describes.  It is the one
 // spec-running implementation — everything content-addressed by Spec.Key,
 // the spasmd workers above all, runs through it — and owns the whole
-// path: canonicalise, validate, hand Workers to the engine, resolve an
-// adaptive spec's network tier, attach the optional profiler
-// (docs/INTERNALS.md §14).  The Profile is nil unless opt.Profile is set.
+// path: canonicalise, validate, hand Workers to the engine, look up the
+// program, attach the optional profiler (docs/INTERNALS.md §14).  The
+// Profile is nil unless opt.Profile is set.
 //
 // Results and profiles are deterministic: the same spec always yields
 // identical statistics and a byte-identical encoded profile, pooled or
-// not, profiled or not.  An adaptive spec with a profile resolves its
-// tier first and the resolved tier's run is the one profiled, so the
-// profile always describes the run whose statistics are returned; with
-// a live OnEpoch hook it is rejected with ErrAdaptiveProfiled instead.
+// not, profiled or not.
 func Execute(spec Spec, opt RunOptions) (*Result, *Profile, error) {
 	spec = spec.Canonical()
 	if err := spec.Validate(); err != nil {
@@ -237,21 +205,6 @@ func Execute(spec Spec, opt RunOptions) (*Result, *Profile, error) {
 	if run.Control.Workers == 0 {
 		// The spec's Workers knob reaches the engine through RunControl.
 		run.Control.Workers = spec.Workers
-	}
-	var esc *Escalation
-	if spec.Adaptive {
-		if opt.Profile != nil && opt.Profile.OnEpoch != nil {
-			return nil, nil, ErrAdaptiveProfiled
-		}
-		res, err := runAdaptive(spec, run)
-		if err != nil || opt.Profile == nil {
-			return res, nil, err
-		}
-		// Identical specs yield identical runs, so the profiled rerun of
-		// the resolved tier matches the adaptive run's statistics; the
-		// escalation record is carried over onto the profiled result.
-		esc = res.Escalation
-		spec.Adaptive, spec.EscalatePct, spec.Machine = false, 0, res.Config.Kind
 	}
 	prog, err := apps.Lookup(spec.App, spec.Scale, spec.Seed)
 	if err != nil {
@@ -266,7 +219,6 @@ func Execute(spec Spec, opt RunOptions) (*Result, *Profile, error) {
 	if err != nil || pr == nil {
 		return res, nil, err
 	}
-	res.Escalation = esc
 	return res, pr.Profile(), nil
 }
 

@@ -59,8 +59,6 @@ func TestSpecKeyDiscriminates(t *testing.T) {
 		{App: "cg", Scale: spasm.Small, Seed: 1, Machine: spasm.Target, Topology: "full", P: 8, PortMode: spasm.PerClassGap},
 		{App: "cg", Scale: spasm.Small, Seed: 1, Machine: spasm.Target, Topology: "full", P: 8, Protocol: spasm.MSIProtocol},
 		{App: "cg", Scale: spasm.Small, Seed: 1, Machine: spasm.Flow, Topology: "full", P: 8},
-		{App: "cg", Scale: spasm.Small, Seed: 1, Machine: spasm.Flow, Topology: "full", P: 8, Adaptive: true},
-		{App: "cg", Scale: spasm.Small, Seed: 1, Machine: spasm.Flow, Topology: "full", P: 8, Adaptive: true, EscalatePct: 60},
 	}
 	seen := map[string]bool{base.Key(): true}
 	for i, v := range variants {
@@ -68,6 +66,28 @@ func TestSpecKeyDiscriminates(t *testing.T) {
 			t.Fatalf("variant %d has a colliding key %q", i, v.Key())
 		}
 		seen[v.Key()] = true
+	}
+}
+
+// TestSpecHashPinned: content addresses outlive releases — result
+// stores, trace archives and replay manifests name runs by them.  The
+// values were computed before Spec lost its two fidelity fields (whose
+// zero values the key still spells out); one spec per kind of machine.
+func TestSpecHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec spasm.Spec
+		want string
+	}{
+		{spasm.Spec{App: "fft", Scale: spasm.Tiny, Machine: spasm.Target, Topology: "mesh", P: 4},
+			"6251edb7b5620ea473a808ba1f10f64355855b835188167c92eb70e2bd7d4dc0"},
+		{spasm.Spec{App: "is", Scale: spasm.Small, Seed: 7, Machine: spasm.LogP, Topology: "cube", P: 16, PortMode: spasm.PerClassGap},
+			"a18252daa6f1c5e7a35a713cd8f8e06b468cbd798acddde3487a51e268b1137d"},
+		{spasm.Spec{App: "uniform", Scale: spasm.Tiny, Machine: spasm.Flow, Topology: "torus", P: 64, Workers: 3},
+			"acf4271d76afb2b3cc372b6535bb0e41ad0d6e98764a78d61412f7bb55d2b362"},
+	} {
+		if got := c.spec.Hash(); got != c.want {
+			t.Errorf("%s\n  hashes to %s, want %s", c.spec.Key(), got, c.want)
+		}
 	}
 }
 
@@ -87,9 +107,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := (spasm.Spec{App: "mg", P: 2}).Validate(); err != nil {
 		t.Fatalf("extension workload rejected: %v", err)
-	}
-	if err := (spasm.Spec{App: "fft", Adaptive: true, Machine: spasm.Flow, P: 4}).Validate(); err != nil {
-		t.Fatalf("adaptive flow spec rejected: %v", err)
 	}
 }
 
@@ -137,9 +154,6 @@ func TestSpecValidateEnums(t *testing.T) {
 		{"topology", func(s spasm.Spec) spasm.Spec { s.Topology = "star"; return s }(ok), "torus"},
 		{"portmode", func(s spasm.Spec) spasm.Spec { s.PortMode = 7; return s }(ok), "combined"},
 		{"protocol", func(s spasm.Spec) spasm.Spec { s.Protocol = 9; return s }(ok), "berkeley, msi, update"},
-		{"escalate-low", func(s spasm.Spec) spasm.Spec { s.Adaptive = true; s.EscalatePct = -1; return s }(ok), "0-100"},
-		{"escalate-high", func(s spasm.Spec) spasm.Spec { s.Adaptive = true; s.EscalatePct = 101; return s }(ok), "0-100"},
-		{"adaptive-machine", func(s spasm.Spec) spasm.Spec { s.Machine = spasm.Target; s.Adaptive = true; return s }(ok), "flow"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -153,17 +167,6 @@ func TestSpecValidateEnums(t *testing.T) {
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("base spec invalid: %v", err)
-	}
-}
-
-// TestSpecAdaptiveCanonical: EscalatePct without Adaptive is inert and
-// must not split the content address.
-func TestSpecAdaptiveCanonical(t *testing.T) {
-	a := spasm.Spec{App: "fft", Machine: spasm.Flow, P: 4}
-	b := a
-	b.EscalatePct = 40
-	if a.Key() != b.Key() {
-		t.Fatalf("inert EscalatePct split the key:\n  %q\n  %q", a.Key(), b.Key())
 	}
 }
 

@@ -205,3 +205,43 @@ func TestNoDeadRenderers(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecSurface locks what a run's description can say: the fields of
+// Spec and, name for name, the wire fields of service.RunRequest (read
+// from source — the service package imports this one).  Every field is
+// an option that tests, the content address and the wire format must
+// cover; a new knob has to edit this list.
+func TestSpecSurface(t *testing.T) {
+	want := []string{"App", "Scale", "Seed", "Machine", "Topology", "P", "PortMode", "Protocol", "Workers"}
+	wantTags := []string{"app", "scale", "seed", "machine", "topology", "p", "port_mode", "protocol", "workers"}
+
+	var got []string
+	for i, rt := 0, reflect.TypeOf(Spec{}); i < rt.NumField(); i++ {
+		got = append(got, rt.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Spec has fields %v, want exactly %v", got, want)
+	}
+
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "service", "api.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire, tags []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "RunRequest" {
+			return true
+		}
+		for _, f := range ts.Type.(*ast.StructType).Fields.List {
+			tag, _ := strings.CutSuffix(reflect.StructTag(strings.Trim(f.Tag.Value, "`")).Get("json"), ",omitempty")
+			for _, name := range f.Names {
+				wire, tags = append(wire, name.Name), append(tags, tag)
+			}
+		}
+		return false
+	})
+	if !reflect.DeepEqual(wire, want) || !reflect.DeepEqual(tags, wantTags) {
+		t.Errorf("service.RunRequest has fields %v tagged %v, want exactly %v tagged %v", wire, tags, want, wantTags)
+	}
+}
