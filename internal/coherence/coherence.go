@@ -235,7 +235,7 @@ func NewEngine(space *mem.Space, cacheCfg cache.Config, costs Costs, tr Transpor
 // (O(directory size), which at 1024 procs dwarfs small runs), Reset
 // bumps the engine generation: entries stamped for an older generation
 // are logically pristine — dirAt re-initializes them (owner -1, no
-// sharers, home -1, zeroed block lock) on first touch, so a re-stamped
+// sharers, home -1, free block lock) on first touch, so a re-stamped
 // entry is indistinguishable from a first-touch one.  The home memo is
 // thereby cleared too, which matters because the new run may lay out
 // memory differently.  Overflow bitset slots all return to the freelist:
@@ -294,16 +294,21 @@ func (e *Engine) chunkFor(b mem.Block) *dirChunk {
 
 // dirAt returns block b's directory entry and lock, lazily
 // re-initializing both if the entry is stale from an earlier generation
-// (Reset bumps the generation instead of sweeping the directory).  Every
-// mutating path must come through here — never index a chunk directly —
-// or it would observe a previous run's state.
+// (Reset bumps the generation instead of sweeping the directory).  A free
+// lock is already pristine — no holder means no waiters, and a drained
+// wait queue holds no *Proc — so it is kept, with its queue's capacity;
+// only one a run left held is replaced.  Every mutating path must come
+// through here — never index a chunk directly — or it would observe a
+// previous run's state.
 func (e *Engine) dirAt(b mem.Block) (*entry, *sim.Lock) {
 	ch := e.chunkFor(b)
 	i := b & dirChunkMask
 	en := &ch.entries[i]
 	if en.gen != e.gen {
 		*en = entry{owner: -1, home: -1, ovf: -1, gen: e.gen}
-		ch.locks[i] = sim.Lock{}
+		if ch.locks[i].Held() {
+			ch.locks[i] = sim.Lock{}
+		}
 	}
 	return en, &ch.locks[i]
 }

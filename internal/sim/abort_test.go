@@ -201,19 +201,81 @@ func TestInterruptAfterRunIsHarmless(t *testing.T) {
 	}
 }
 
+// chainDepth counts the processes suspended inside another's resumption:
+// how deep the chain of handoffs above Run's loop is.
+func chainDepth(e *Engine) int {
+	n := 0
+	for _, p := range e.procs {
+		if p.resuming {
+			n++
+		}
+	}
+	return n
+}
+
+// deepChain spawns 64 coroutines that take turns round-robin, so each
+// resumes the next and, by the time the last one runs, the chain of
+// resumptions beneath it is 63 deep.  In its fourth turn every process
+// calls hit; the last one first records the depth.
+func deepChain(e *Engine, depth *int, hit func(p *Proc)) {
+	for i := 0; i < 64; i++ {
+		e.SpawnIndexed("link", func(p *Proc) {
+			p.Hold(Time(p.ID))
+			for r := 0; ; r++ {
+				if r == 3 {
+					if p.ID == 63 {
+						*depth = chainDepth(e)
+					}
+					hit(p)
+				}
+				p.Hold(64)
+			}
+		})
+	}
+}
+
 // TestVehicleLeavesNoGoroutines: whatever ends a run — a panicking body,
-// a deadlock, an interrupt that finds processes mid-Hold, or plain
-// completion with a process spawned mid-run — every coroutine has
-// finished and, in parallel mode, every carrier has exited by the time
-// Run returns: the goroutine count is back at its baseline.
+// a deadlock, an interrupt that finds processes mid-Hold, the time limit,
+// or plain completion with a process spawned mid-run — every coroutine
+// has finished and, in parallel mode, every carrier has exited by the
+// time Run returns: the goroutine count is back at its baseline.  The
+// deep-chain cases end a sequential run while 63 coroutines are
+// suspended inside one another's resumption.
 func TestVehicleLeavesNoGoroutines(t *testing.T) {
 	var dl *DeadlockError
 	var ab *AbortError
+	var tl *TimeLimitError
+	var depth int
+	var chainQ Queue
 	cases := []struct {
 		name  string
 		build func(e *Engine)
 		check func(err error) bool
+		chain bool // a deep-chain case: the depth is checked when sequential
 	}{
+		{"deep-chain-panic", func(e *Engine) {
+			deepChain(e, &depth, func(p *Proc) {
+				if p.ID == 63 {
+					panic("kaboom")
+				}
+			})
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, true},
+		{"deep-chain-deadlock", func(e *Engine) {
+			deepChain(e, &depth, func(p *Proc) { chainQ.Wait(p) })
+		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 64 }, true},
+		{"deep-chain-interrupt", func(e *Engine) {
+			deepChain(e, &depth, func(p *Proc) {
+				if p.ID == 63 {
+					e.Interrupt()
+				}
+			})
+		}, func(err error) bool { return errors.As(err, &ab) }, true},
+		{"deep-chain-max-time", func(e *Engine) {
+			// The last process's fourth turn is at 3*64+63; the next
+			// dispatch crosses the limit.
+			e.MaxTime = 3*64 + 63
+			deepChain(e, &depth, func(*Proc) {})
+		}, func(err error) bool { return errors.As(err, &tl) }, true},
 		{"panic", func(e *Engine) {
 			var q Queue
 			e.Spawn("parked", func(p *Proc) { q.Wait(p) })
@@ -222,7 +284,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				p.Hold(10)
 				panic("kaboom")
 			})
-		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }},
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, false},
 		{"deadlock", func(e *Engine) {
 			var q Queue
 			for i := 0; i < 3; i++ {
@@ -231,7 +293,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 					q.Wait(p)
 				})
 			}
-		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 3 }},
+		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 3 }, false},
 		{"interrupt-mid-hold", func(e *Engine) {
 			for i := 0; i < 4; i++ {
 				e.Spawn("spinner", func(p *Proc) {
@@ -245,7 +307,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				e.Interrupt()
 				p.Hold(1e6)
 			})
-		}, func(err error) bool { return errors.As(err, &ab) }},
+		}, func(err error) bool { return errors.As(err, &ab) }, false},
 		{"mid-run-spawn", func(e *Engine) {
 			for i := 0; i < 2; i++ {
 				e.Spawn("root", func(p *Proc) {
@@ -256,21 +318,26 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 					p.Hold(30)
 				})
 			}
-		}, func(err error) bool { return err == nil }},
+		}, func(err error) bool { return err == nil }, false},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				e := NewEngine()
+				depth, chainQ = 0, Queue{}
 				c.build(e)
 				e.SetParallel(workers, 10, func(id int) int { return id % 2 })
+				parallel := workers > 1 && e.MaxTime == 0 // the time limit runs sequentially
 				err := e.Run()
 				if !c.check(err) {
 					t.Fatalf("run returned %v", err)
 				}
-				if got := e.ParReport().Parallel; got != (workers > 1) {
+				if got := e.ParReport().Parallel; got != parallel {
 					t.Fatalf("parallel = %v with %d workers", got, workers)
+				}
+				if c.chain && !parallel && depth < 32 {
+					t.Fatalf("the chain was %d deep when the run ended, want at least 32", depth)
 				}
 				if !allTerminated(e) {
 					t.Fatal("run left live processes")

@@ -129,6 +129,140 @@ func TestQueueRetainsNoProcsAfterRun(t *testing.T) {
 	}
 }
 
+// TestWaitQueuesAllocateNothing: in steady state an 8-contender lock
+// convoy and a Wait/WakeOne churn reuse their wait queues' backing
+// arrays.  A FIFO that pops by re-slicing from the front slides along its
+// array and reallocates it whenever it reaches the end.
+func TestWaitQueuesAllocateNothing(t *testing.T) {
+	// measure runs the engine's processes with m taking turns through
+	// round: a warm-up, then AllocsPerRun over chunks of rounds, during
+	// which every other process runs its own loop too.
+	measure := func(name string, e *Engine, round func(m *Proc), done *bool) {
+		e.Spawn("measure", func(m *Proc) {
+			for i := 0; i < 50; i++ {
+				round(m)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				for i := 0; i < 10; i++ {
+					round(m)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s: %v allocations per 10 rounds in steady state", name, allocs)
+			}
+			*done = true
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	e := NewEngine()
+	var l Lock
+	var done bool
+	convoy := func(p *Proc) {
+		l.Acquire(p)
+		p.Hold(5)
+		l.Release(p)
+		p.Hold(1)
+	}
+	for i := 0; i < 7; i++ {
+		e.Spawn("contender", func(p *Proc) {
+			for !done {
+				convoy(p)
+			}
+		})
+	}
+	measure("lock convoy", e, convoy, &done)
+
+	e = NewEngine()
+	var q Queue
+	done = false
+	for i := 0; i < 4; i++ {
+		e.Spawn("waiter", func(p *Proc) {
+			for !done {
+				q.Wait(p)
+			}
+		})
+	}
+	e.Spawn("closer", func(p *Proc) {
+		for !done || e.nLive > 1 {
+			p.Hold(1000)
+			q.WakeAll()
+		}
+	})
+	measure("wait/wake churn", e, func(m *Proc) {
+		m.Hold(1)
+		q.WakeOne()
+		m.Hold(1)
+		q.WakeOne()
+	}, &done)
+}
+
+// scanWaiters reports every slot of q's backing array, up to capacity,
+// that still references a *Proc.
+func scanWaiters(t *testing.T, q *Queue, what string) {
+	t.Helper()
+	if q.Len() != 0 {
+		t.Errorf("%s: %d waiters left", what, q.Len())
+	}
+	for i, w := range q.waiters[:cap(q.waiters)] {
+		if w != nil {
+			t.Errorf("%s: backing slot %d still references proc %q", what, i, w.Name())
+		}
+	}
+}
+
+// TestWaitQueuesRetainNoProcs: a drained Queue or Lock holds no *Proc in
+// any slot of its backing array, whichever way its waiters left — lock
+// handoff, WakeOne, WakeAll (a barrier) or Remove — so a pooled engine's
+// lock that the next run never touches pins none of the last run's
+// processes.
+func TestWaitQueuesRetainNoProcs(t *testing.T) {
+	e := NewEngine()
+	var l Lock
+	var q, removed Queue
+	b := NewBarrier(6)
+	for i := 0; i < 6; i++ {
+		e.Spawn("worker", func(p *Proc) {
+			for r := 0; r < 5; r++ {
+				l.Acquire(p)
+				p.Hold(3)
+				l.Release(p)
+				b.Arrive(p)
+			}
+			q.Wait(p)
+		})
+	}
+	e.Spawn("waker", func(p *Proc) {
+		p.Hold(1000)
+		for q.WakeOne() {
+			p.Hold(1)
+		}
+	})
+	var victim *Proc
+	for i := 0; i < 3; i++ {
+		w := e.Spawn("removable", func(p *Proc) { removed.Wait(p) })
+		if i == 1 {
+			victim = w
+		}
+	}
+	e.Spawn("remover", func(p *Proc) {
+		p.Hold(10)
+		if !removed.Remove(victim) {
+			t.Error("Remove found no waiter")
+		}
+		victim.Wake()
+		removed.WakeAll()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	scanWaiters(t, &l.q, "lock")
+	scanWaiters(t, &b.q, "barrier")
+	scanWaiters(t, &q, "queue")
+	scanWaiters(t, &removed, "queue after Remove")
+}
+
 // TestHandoffStress exercises dispatch under churn: many engines, wake
 // storms through queues, and same-timestamp scheduling.  Run it under
 // -race to check that the coroutine switch is a sufficient

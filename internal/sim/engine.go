@@ -118,9 +118,13 @@ type Engine struct {
 	slabNext int
 	free     []Proc
 	// running is the process whose event advance dispatched last: the one
-	// Run's loop resumes next, nil once the run is over.
+	// resumed next — by Run's loop or by the process that blocked (see
+	// Proc.block) — nil once the run is over.
 	running *Proc
-	failure error // first process panic, converted to a run error
+	// switches counts the coroutine switches of sequential dispatch, two
+	// per resume (there, and back when it yields or finishes).
+	switches uint64
+	failure  error // first process panic, converted to a run error
 
 	// stop is the cooperative abort flag, the only engine state that may
 	// be touched from outside the simulation (see Interrupt).  It is
@@ -232,6 +236,7 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.nLive = 0
 	e.running = nil
+	e.switches = 0
 	e.failure = nil
 	e.Events = 0
 	e.MaxTime = 0
@@ -343,12 +348,12 @@ func (e *Engine) next() (event, bool) {
 // advance dispatches the next runnable event and records its owner in
 // e.running (nil when the run is over).  It is called by whoever holds
 // control — a process that has just scheduled its own resumption or
-// parked, or Run's loop to prime the first dispatch and after a process
-// terminates — so engine state is only ever touched by one coroutine at
-// a time.  It returns true when the dispatched event belongs to cur, in
-// which case control simply stays on the calling process with no switch
-// at all; otherwise the caller yields (or is Run's loop already), and
-// the loop resumes e.running.
+// parked, or Run's loop (or a blocked process) to prime the first
+// dispatch and after a process terminates — so engine state is only ever
+// touched by one coroutine at a time.  It returns true when the
+// dispatched event belongs to cur, in which case control simply stays on
+// the calling process with no switch at all; otherwise the caller
+// resumes e.running (see Proc.block) or returns to whoever resumed it.
 func (e *Engine) advance(cur *Proc) bool {
 	if !e.aborting && e.stop.Load() {
 		e.beginAbort(&AbortError{At: e.now})
@@ -499,7 +504,7 @@ func (e *Engine) admit(p *Proc) *Proc {
 }
 
 // run is the body of p's coroutine: fn, then the termination
-// bookkeeping.  Dispatching the successor is left to Run's loop.
+// bookkeeping.  Dispatching the successor is left to whoever resumed p.
 func (p *Proc) run(fn func(*Proc)) {
 	defer func() { p.exit(recover()) }()
 	if !p.eng.aborting {
@@ -568,14 +573,16 @@ func (p *Proc) exit(r any) {
 // if processes are still alive (parked forever) when the event queue
 // drains, and nil when every process has terminated.
 //
-// Run's loop is the only driver of the process coroutines: it resumes
-// the owner of the dispatched event and gets control back when that
-// process yields — having dispatched its own successor (see advance) —
-// or finishes.  An event therefore costs two coroutine switches, process
-// to Run and Run to owner, neither of which enters the Go scheduler.  The
-// loop tells the two process bodies apart: a stackless owner it steps in
-// place, reading its Stepper out of the Proc — no switch, and no closure
-// per process to call through.
+// Run's loop is the bottom of a chain of resumptions: it resumes the
+// owner of the dispatched event, which on blocking resumes the next
+// owner itself (Proc.block), and so on; control comes back to the loop
+// when the run is over, when its process finishes, or when a stackless
+// one's next event is another's.  A cross-process event costs one
+// coroutine switch into its owner, and each switch back down the chain
+// undoes one of those — at most two an event, never through the Go
+// scheduler.  A stackless owner is stepped in place, reading its Stepper
+// out of the Proc — no switch, and no closure per process to call
+// through.
 func (e *Engine) Run() error {
 	if e.pworkers > 1 {
 		if why := e.parFallback(); why != "" {
@@ -592,6 +599,7 @@ func (e *Engine) Run() error {
 		if p.step != nil {
 			p.steps()
 		} else {
+			e.switches += 2
 			p.next()
 		}
 		if p.terminated {

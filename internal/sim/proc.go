@@ -30,15 +30,19 @@ type Proc struct {
 	indexed    bool   // spawned by SpawnIndexed: the name is name + ID
 	parked     bool
 	terminated bool
+	// resuming marks a coroutine suspended inside another process's next
+	// (see block): it is beneath the running one, and cannot be resumed
+	// until control comes back down to it.
+	resuming bool
 
 	ID int
 
 	name string
 	// The body of any other process runs as a coroutine (see launch): next
 	// resumes it and returns when it yields or finishes; yield suspends it
-	// back to whoever called next — Run's loop, or in a parallel run the
-	// process's carrier.  Neither switch enters the Go scheduler.  Both
-	// are nil for a stackless process.
+	// back to whoever called next — Run's loop, a process that blocked,
+	// or in a parallel run the process's carrier.  Neither switch enters
+	// the Go scheduler.  Both are nil for a stackless process.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
@@ -80,9 +84,21 @@ func (p *Proc) Horizon() Time {
 	return p.sched
 }
 
-// block dispatches the next event and suspends until p's own comes up.
+// block dispatches the next event and suspends until p's own comes up,
+// with everything between the blocking call and the switch inline, one
+// frame deep: that is the path a resumed coroutine returns along, and
+// every return after a switch is mispredicted.
+//
 // When the next event belongs to p itself, advance returns with control
-// still here and block returns immediately — no coroutine switch.
+// still here and block returns immediately — no coroutine switch.  When
+// it is another's, r, p resumes r itself — one switch, where a yield to
+// Run's loop and a resume from it were two — unless r is suspended
+// beneath p in this chain of resumptions (or the run is over): then p
+// yields to whoever resumed it and the chain unwinds down to r.  When r
+// hands control back, p carries on as Run's loop would: it dispatches
+// for an r that terminated, and stops once the event is its own.  Only
+// who resumes the owner changes, never which event is dispatched: that
+// is advance's decision alone.
 //
 // If the run began aborting while p was blocked, the resumption is the
 // process's last: block panics with abortSignal so the coroutine
@@ -94,10 +110,27 @@ func (p *Proc) block(call string) {
 	if p.yield == nil {
 		panic(fmt.Sprintf("sim: stackless process %q called %s: a step function cannot block", p.Name(), call))
 	}
-	if !p.eng.advance(p) {
-		p.yield(struct{}{})
+	e := p.eng
+	if !e.advance(p) {
+		for r := e.running; r != p; r = e.running {
+			if r == nil || r.resuming {
+				p.yield(struct{}{}) // whoever resumes p does so for its event
+				break
+			}
+			p.resuming = true
+			if r.step != nil {
+				r.steps()
+			} else {
+				e.switches += 2
+				r.next()
+			}
+			p.resuming = false
+			if r.terminated {
+				e.advance(p)
+			}
+		}
 	}
-	if p.eng.aborting {
+	if e.aborting {
 		panic(abortSignal{})
 	}
 }

@@ -251,6 +251,7 @@ func TestProcHotFieldsFitOneLine(t *testing.T) {
 		{"sched", unsafe.Offsetof(p.sched), unsafe.Sizeof(p.sched)},
 		{"parked", unsafe.Offsetof(p.parked), unsafe.Sizeof(p.parked)},
 		{"terminated", unsafe.Offsetof(p.terminated), unsafe.Sizeof(p.terminated)},
+		{"resuming", unsafe.Offsetof(p.resuming), unsafe.Sizeof(p.resuming)},
 	} {
 		if f.off+f.size > 64 {
 			t.Errorf("Proc.%s ends at byte %d, past the first 64", f.name, f.off+f.size)

@@ -15,13 +15,40 @@ package sim
 // Semaphore.Release) must be called from inside an Ordered section of
 // the calling process when a parallel run may be in flight.
 
-// Queue is a FIFO wait queue of parked processes.
+// Queue is a FIFO wait queue of parked processes.  The waiters are
+// waiters[head:]; a slot is cleared as its waiter leaves, so a drained
+// queue pins no *Proc, and the backing array is reused rather than
+// slid along and reallocated.
 type Queue struct {
 	waiters []*Proc
+	head    int
 }
 
 // Len reports the number of waiting processes.
-func (q *Queue) Len() int { return len(q.waiters) }
+func (q *Queue) Len() int { return len(q.waiters) - q.head }
+
+// push appends p, first moving the waiters down to the front when the
+// array is full to its end but not from its start.
+func (q *Queue) push(p *Proc) {
+	if q.head > 0 && len(q.waiters) == cap(q.waiters) {
+		n := copy(q.waiters, q.waiters[q.head:])
+		clear(q.waiters[n:])
+		q.waiters, q.head = q.waiters[:n], 0
+	}
+	q.waiters = append(q.waiters, p)
+}
+
+// pop removes and returns the longest waiter; the queue must not be
+// empty.
+func (q *Queue) pop() *Proc {
+	w := q.waiters[q.head]
+	q.waiters[q.head] = nil
+	q.head++
+	if q.head == len(q.waiters) {
+		q.waiters, q.head = q.waiters[:0], 0
+	}
+	return w
+}
 
 // Wait parks the calling process on the queue until woken, and returns
 // the simulated time spent waiting.  Deferred local time is materialized
@@ -32,7 +59,7 @@ func (q *Queue) Wait(p *Proc) Time {
 	// Enqueue and park form one span (the grant persists from the
 	// Ordered section through Park), so a waker can never observe the
 	// process in the queue before it is parked.
-	p.Ordered(func() { q.waiters = append(q.waiters, p) })
+	p.Ordered(func() { q.push(p) })
 	p.Park()
 	return p.Now() - t0
 }
@@ -40,23 +67,22 @@ func (q *Queue) Wait(p *Proc) Time {
 // WakeOne wakes the longest-waiting process, if any, and reports whether
 // one was woken.
 func (q *Queue) WakeOne() bool {
-	if len(q.waiters) == 0 {
+	if q.Len() == 0 {
 		return false
 	}
-	w := q.waiters[0]
-	q.waiters = q.waiters[1:]
-	w.Wake()
+	q.pop().Wake()
 	return true
 }
 
 // WakeAll wakes every waiting process, in FIFO order, and returns how
 // many were woken.
 func (q *Queue) WakeAll() int {
-	n := len(q.waiters)
-	for _, w := range q.waiters {
+	n := q.Len()
+	for _, w := range q.waiters[q.head:] {
 		w.Wake()
 	}
-	q.waiters = q.waiters[:0]
+	clear(q.waiters)
+	q.waiters, q.head = q.waiters[:0], 0
 	return n
 }
 
@@ -64,9 +90,15 @@ func (q *Queue) WakeAll() int {
 // that implement timeouts or cancellation).  It reports whether p was
 // queued.
 func (q *Queue) Remove(p *Proc) bool {
-	for i, w := range q.waiters {
-		if w == p {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+	for i := q.head; i < len(q.waiters); i++ {
+		if q.waiters[i] == p {
+			last := len(q.waiters) - 1
+			copy(q.waiters[i:], q.waiters[i+1:])
+			q.waiters[last] = nil
+			q.waiters = q.waiters[:last]
+			if q.head == last {
+				q.waiters, q.head = q.waiters[:0], 0
+			}
 			return true
 		}
 	}
@@ -114,7 +146,7 @@ func (l *Lock) Acquire(p *Proc) Time {
 			taken = true
 			return
 		}
-		l.q.waiters = append(l.q.waiters, p)
+		l.q.push(p)
 	})
 	if taken {
 		return p.Now() - t0
@@ -132,12 +164,11 @@ func (l *Lock) Release(p *Proc) {
 			bad = true
 			return
 		}
-		if len(l.q.waiters) == 0 {
+		if l.q.Len() == 0 {
 			l.holder = nil
 			return
 		}
-		next := l.q.waiters[0]
-		l.q.waiters = l.q.waiters[1:]
+		next := l.q.pop()
 		l.holder = next
 		next.Wake()
 	})
