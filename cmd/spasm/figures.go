@@ -23,7 +23,6 @@ func (c *cli) figures(args []string) error {
 	fs := c.flags("figures")
 	var f simFlags
 	f.addSweep(fs, "2,4,8,16,32,64")
-	f.addWorkers(fs)
 	fs.StringVar(&f.app, "app", "", "ad-hoc figure: application (with -topo and -metric)")
 	fs.StringVar(&f.topo, "topo", "mesh", "ad-hoc figure: topology")
 	var (

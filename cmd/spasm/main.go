@@ -129,10 +129,6 @@ func (f *simFlags) addSweep(fs *flag.FlagSet, procs string) {
 	fs.StringVar(&f.procs, "procs", procs, "processor sweep")
 }
 
-func (f *simFlags) addWorkers(fs *flag.FlagSet) {
-	fs.IntVar(&f.workers, "workers", 0, "parallel host execution within each simulation (bit-identical results; 0 or 1 = sequential)")
-}
-
 // spec resolves the single-point flags.
 func (f *simFlags) spec() (spasm.Spec, error) {
 	kind, err := spasm.ParseKind(f.machine)
@@ -157,5 +153,5 @@ func (f *simFlags) options() (spasm.Options, error) {
 	if err != nil {
 		return spasm.Options{}, err
 	}
-	return spasm.Options{Scale: sc, Procs: procs, Seed: f.seed, RunWorkers: f.workers}, nil
+	return spasm.Options{Scale: sc, Procs: procs, Seed: f.seed}, nil
 }

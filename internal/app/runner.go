@@ -45,16 +45,14 @@ type RunControl struct {
 	// Cancel, when non-nil, aborts the run with ErrRunCanceled once the
 	// channel is closed.
 	Cancel <-chan struct{}
-	// Workers > 1 requests the conservative parallel execution mode:
-	// span bodies overlap on up to Workers goroutines while all shared
-	// state commits in sequential dispatch order, so results are
-	// bit-identical to a sequential run.  The engine falls back to the
-	// sequential kernel when the machine or instrumentation is
-	// incompatible (see Result.Par).  0 or 1 means sequential.
-	Workers int
 }
 
 func (c RunControl) enabled() bool { return c.Timeout > 0 || c.Cancel != nil }
+
+// ParNotStackless is the Result.Par.Fallback of a run that asked for
+// workers but is not a Stream on a machine priced at issue: its processes
+// may block on one another, which only the sequential kernel runs.
+const ParNotStackless = "not-stackless"
 
 // Ctx is the shared context of one program run: the address space the
 // program allocates into, the machine it runs on, and the statistics it
@@ -106,7 +104,7 @@ type Result struct {
 	// Phases is the per-phase overhead profile (empty unless the
 	// program marks phases).
 	Phases *PhaseProfile
-	// Par reports the parallel-execution outcome when RunControl.Workers
+	// Par reports the parallel-execution outcome when Options.Workers
 	// requested it (nil otherwise): whether the run actually executed in
 	// windowed parallel mode, or why it fell back to the sequential
 	// kernel.  Either way the statistics are identical.
@@ -139,9 +137,15 @@ type Options struct {
 	// reset invariants (docs/INTERNALS.md §9) only hold for state a run
 	// finished with.
 	Pool *runpool.Pool
-	// Control bounds the run (timeout, cancellation) and carries the
-	// parallel-execution request.
+	// Control bounds the run (timeout, cancellation).
 	Control RunControl
+	// Workers > 1 requests the conservative parallel mode (internal/sim):
+	// processes overlap on up to Workers goroutines while shared state
+	// commits in sequential dispatch order, so results are bit-identical
+	// to a sequential run.  Only a run that would otherwise be stackless
+	// (see runOn) goes parallel; any other records ParNotStackless in
+	// Result.Par and runs sequentially.  0 or 1 means sequential.
+	Workers int
 	// Wrap, when non-nil, receives the configured machine and returns
 	// the machine the program actually drives — the hook used by trace
 	// recording and fault injection.
@@ -197,10 +201,12 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 //
 // A process is a coroutine running Body, except where the run shows it
 // need not be: a Stream, on a machine that as the program will drive it
-// (decorators included) prices a reference at issue, with no parallel mode
-// requested, gets stackless processes — their bodies one []feed, a cache
-// line each — running the loop Drive runs: the same engine calls in the
-// same order, so no result shows which one ran.
+// (decorators included) prices a reference at issue, gets stackless
+// processes — their bodies one []feed, a cache line each — running the
+// loop Drive runs: the same engine calls in the same order, so no result
+// shows which one ran.  The same run with Workers > 1 is the one the
+// parallel mode takes, on coroutines running Drive; every other run
+// asking for workers falls back to the sequential kernel.
 //
 // When ctl is enabled, a watchdog goroutine interrupts the engine on
 // timeout or cancellation; the resulting cooperative abort unwinds every
@@ -210,7 +216,7 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // engine.
 func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	bind func() (machine.Machine, error), opt Options) (*Result, error) {
-	wrap, inst, ctl := opt.Wrap, opt.Instrument, opt.Control
+	wrap, inst, ctl, workers := opt.Wrap, opt.Instrument, opt.Control, opt.Workers
 	run := stats.NewRun(cfg.P)
 	ctx := &Ctx{P: cfg.P, Space: space, Run: run, Eng: eng, Phases: newPhaseProfile()}
 	stream, _ := prog.(Stream)
@@ -237,8 +243,10 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	ctx.M = m
 
 	prefix := prog.Name() + "/p"
+	at, priced := m.(machine.PricedAtIssue)
+	stackless := priced && stream != nil // stepped with one worker, parallel with more
 	var feeds []feed
-	if at, ok := m.(machine.PricedAtIssue); ok && stream != nil && ctl.Workers <= 1 {
+	if stackless && workers <= 1 {
 		ctx.at = at
 		feeds = make([]feed, cfg.P)
 	}
@@ -259,20 +267,18 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 		})
 	}
 
-	if ctl.Workers > 1 {
+	if workers > 1 {
 		// Arm the conservative parallel mode.  The engine still decides
-		// at Run time (probes set Tick, watchdogs set MaxTime, small
-		// machines have too few processes); machine decorators observe
-		// call order, which windowed execution does not preserve outside
-		// ordered sections, so they force the sequential kernel.
-		if wrap != nil {
-			eng.ForceSequential("machine-decorator")
-		}
-		plan := machine.ParPlanFor(cfg, ctl.Workers)
-		if plan.Fallback != "" {
+		// at Run time (probes set Tick, small machines have too few
+		// processes).
+		plan := machine.ParPlanFor(cfg, workers)
+		switch {
+		case !stackless:
+			eng.ForceSequential(ParNotStackless)
+		case plan.Fallback != "":
 			eng.ForceSequential(plan.Fallback)
 		}
-		eng.SetParallel(ctl.Workers, plan.Lookahead, plan.DomainOf)
+		eng.SetParallel(workers, plan.Lookahead, plan.DomainOf)
 		if eng.WillRunParallel() {
 			// Span bodies resolve homes outside ordered sections; freeze
 			// the memo so those lookups are read-only.

@@ -69,7 +69,8 @@ func hidden(m machine.Machine) machine.Machine { return struct{ machine.Machine 
 // TestStreamDriverChosenFromTheRun: which of the two drivers runs a
 // Stream follows from the machine the program will drive and from
 // whether the parallel mode was asked for — and nothing a result carries
-// depends on the choice.
+// depends on the choice.  Workers run parallel exactly where one worker
+// would run stackless; elsewhere the run says it is not stackless.
 func TestStreamDriverChosenFromTheRun(t *testing.T) {
 	const P = 8
 	logp := machine.Config{Kind: machine.LogP, Topology: "cube", P: P}
@@ -79,13 +80,15 @@ func TestStreamDriverChosenFromTheRun(t *testing.T) {
 		cfg       machine.Config
 		opt       Options
 		stackless bool
+		parallel  bool
 	}{
-		{"logp", logp, Options{}, true},
-		{"logp, one worker", logp, Options{Control: RunControl{Workers: 1}}, true},
-		{"logp behind a decorator", logp, Options{Wrap: hidden}, false},
-		{"logp, two workers", logp, Options{Control: RunControl{Workers: 2}}, false},
-		{"target", machine.Config{Kind: machine.Target, Topology: "cube", P: P}, Options{}, false},
-		{"flow", machine.Config{Kind: machine.Flow, Topology: "cube", P: P}, Options{}, false},
+		{"logp", logp, Options{}, true, false},
+		{"logp, one worker", logp, Options{Workers: 1}, true, false},
+		{"logp behind a decorator", logp, Options{Wrap: hidden}, false, false},
+		{"logp, two workers", logp, Options{Workers: 2}, false, true},
+		{"logp behind a decorator, two workers", logp, Options{Wrap: hidden, Workers: 2}, false, false},
+		{"target", machine.Config{Kind: machine.Target, Topology: "cube", P: P}, Options{}, false, false},
+		{"flow, two workers", machine.Config{Kind: machine.Flow, Topology: "cube", P: P}, Options{Workers: 2}, false, false},
 	} {
 		base := runtime.NumGoroutine()
 		prog := &strider{refs: 200}
@@ -96,8 +99,10 @@ func TestStreamDriverChosenFromTheRun(t *testing.T) {
 		if got := int(prog.goroutines.Load()) - base; (got < P) != c.stackless {
 			t.Errorf("%s: %d goroutines beyond the caller's mid-run, want stackless = %v", c.name, got, c.stackless)
 		}
-		if c.opt.Control.Workers > 1 && (res.Par == nil || !res.Par.Parallel) {
-			t.Errorf("%s: a requested parallel run executed sequentially (%+v)", c.name, res.Par)
+		if c.opt.Workers > 1 {
+			if want := ParNotStackless; res.Par == nil || res.Par.Parallel != c.parallel || (!c.parallel && res.Par.Fallback != want) {
+				t.Errorf("%s: parallel report %+v, want parallel = %v or fallback %q", c.name, res.Par, c.parallel, want)
+			}
 		}
 		if c.cfg != logp {
 			continue

@@ -112,19 +112,14 @@ func (h *Cholesky) pop(p *app.Proc) int {
 			return j
 		}
 		h.qlock.Unlock(p)
-		var done bool
-		p.S.Ordered(func() { done = h.done })
-		if done {
+		if h.done {
 			return -1
 		}
 		// Idle: wait for a push or for completion.  Flush deferred
 		// local time and re-check done so a finish() during the
-		// flush is not missed (the re-check and Wait's enqueue commit
-		// through the ordered gate, so they are atomic against the
-		// finishing processor's wake).
+		// flush is not missed.
 		p.S.FlushLag()
-		p.S.Ordered(func() { done = h.done })
-		if done {
+		if h.done {
 			return -1
 		}
 		t0 := p.Now()
@@ -142,13 +137,6 @@ func (h *Cholesky) push(p *app.Proc, j int) {
 	p.WriteElem(h.qslots, (len(h.queue)-1)%h.N)
 	p.WriteElem(h.qhead, 1)
 	h.qlock.Unlock(p)
-	p.S.Ordered(func() { h.idle.WakeAll() })
-}
-
-// finish marks the factorization complete and releases idle processors.
-// The caller must hold the ordered-commit grant.
-func (h *Cholesky) finish() {
-	h.done = true
 	h.idle.WakeAll()
 }
 
@@ -162,15 +150,12 @@ func (h *Cholesky) Body(p *app.Proc) {
 		}
 		h.factorColumn(p, j)
 		h.byProc[p.ID]++
-		// The completion count is shared across processors: commit it
-		// through the ordered gate so the final increment (and the
-		// finish it triggers) lands in dispatch order.
-		p.S.Ordered(func() {
-			h.completed++
-			if h.completed == h.N {
-				h.finish()
-			}
-		})
+		h.completed++
+		if h.completed == h.N {
+			// Done: release the idle processors.
+			h.done = true
+			h.idle.WakeAll()
+		}
 	}
 }
 

@@ -46,16 +46,31 @@ type FFT struct {
 
 // NewFFT returns an FFT instance at the given scale.
 func NewFFT(scale Scale, seed int64) app.Program {
-	f := &FFT{Seed: seed}
+	return &FFT{N: fftPoints(scale), Seed: seed}
+}
+
+// fftPoints is FFT's N at each scale.
+func fftPoints(scale Scale) int {
 	switch scale {
 	case Tiny:
-		f.N = 1 << 8 // 256 points: R=C=16
+		return 1 << 8 // 256 points: R=C=16
 	case Small:
-		f.N = 1 << 12 // 4096 points: R=C=64
-	default:
-		f.N = 1 << 14 // 16384 points: R=C=128
+		return 1 << 12 // 4096 points: R=C=64
 	}
-	return f
+	return 1 << 14 // 16384 points: R=C=128
+}
+
+// fftRows is R, the row count of the R*C split of n points (R <= C).
+func fftRows(n int) int { return 1 << (bits.TrailingZeros(uint(n)) / 2) }
+
+// MaxP reports the most processors the named workload runs on at scale,
+// or 0 when only the machine limits it.  FFT does: each processor needs
+// at least one of the R = √N rows.
+func MaxP(name string, scale Scale) int {
+	if name != "fft" {
+		return 0
+	}
+	return fftRows(fftPoints(scale))
 }
 
 func init() {
@@ -68,8 +83,7 @@ func (f *FFT) Name() string { return "fft" }
 // Setup splits N into R*C, allocates the three matrices and the phase
 // barriers, and generates the input signal.
 func (f *FFT) Setup(c *app.Ctx) {
-	k := bits.TrailingZeros(uint(f.N))
-	f.R = 1 << (k / 2)
+	f.R = fftRows(f.N)
 	f.C = f.N / f.R
 	if f.R < c.P || f.C < c.P {
 		panic(fmt.Sprintf("fft: N=%d too small for P=%d (R=%d, C=%d)", f.N, c.P, f.R, f.C))

@@ -141,7 +141,7 @@ func (s *Session) simulate(appName, topo string, kind machine.Kind, p int, pool 
 		Topology: topo,
 		P:        p,
 		PortMode: s.opt.PortMode,
-	}, app.Options{Pool: pool, Control: app.RunControl{Timeout: s.opt.RunTimeout, Workers: s.opt.RunWorkers}})
+	}, app.Options{Pool: pool, Control: app.RunControl{Timeout: s.opt.RunTimeout}})
 	if err != nil {
 		return nil, err
 	}

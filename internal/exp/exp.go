@@ -140,13 +140,6 @@ type Options struct {
 	// host (each simulation is single-threaded and independent, so
 	// this is pure speedup; results are identical).  Default 1.
 	Parallel int
-	// RunWorkers asks each *individual* simulation to execute on the
-	// conservative parallel kernel with this many workers (results stay
-	// bit-identical; machine kinds without lookahead fall back to the
-	// sequential kernel).  It is orthogonal to Parallel, which runs whole
-	// simulations concurrently: Parallel spreads a sweep across cores,
-	// RunWorkers spreads one large run.  Default 0 (sequential).
-	RunWorkers int
 	// RunTimeout bounds each underlying simulation's wall-clock
 	// execution; a run past the deadline is aborted cooperatively and
 	// fails with app.ErrRunTimeout, its pooled context discarded.  Zero

@@ -297,9 +297,8 @@ func (m *logpMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Add
 		return
 	}
 	now := p.Now()
-	// The abstract network's port calendars are shared state: book the
-	// round trip inside an ordered section so parallel runs issue
-	// messages in exactly the sequential dispatch order.
+	// The port calendars are shared state: a parallel window books the
+	// round trip in an ordered section, in sequential dispatch order.
 	var done sim.Time
 	p.Ordered(func() { done = m.roundTrip(st, now, node, home) })
 	p.HoldUntil(done)
@@ -344,18 +343,12 @@ func (m *flowMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Add
 		p.Defer(m.costs.Mem)
 		return
 	}
-	// The flow model is shared state and a pure function of its call
-	// sequence, so the whole settle-and-transfer exchange runs as one
-	// ordered section: parallel runs replay the sequential call order.
 	now := p.Now()
-	var req, rep flow.Xmit
-	p.Ordered(func() {
-		// The engine clock bounds every processor's local clock from
-		// below, so flows settled before it can never compete again.
-		m.net.Settle(p.Engine().Now())
-		req = m.net.Transfer(now, node, home, m.costs.CtrlBytes)
-		rep = m.net.Transfer(req.End+m.costs.Mem, home, node, m.costs.DataBytes)
-	})
+	// The engine clock bounds every processor's local clock from below,
+	// so flows settled before it can never compete again.
+	m.net.Settle(p.Engine().Now())
+	req := m.net.Transfer(now, node, home, m.costs.CtrlBytes)
+	rep := m.net.Transfer(req.End+m.costs.Mem, home, node, m.costs.DataBytes)
 	st.Messages += 2
 	st.NetBytes += uint64(m.costs.CtrlBytes + m.costs.DataBytes)
 	st.NetAccesses++

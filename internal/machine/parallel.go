@@ -14,8 +14,6 @@ import (
 // so a generous bound costs nothing in correctness (see internal/sim's
 // parallel mode).
 type ParPlan struct {
-	// Domains is the clock-vector width (0 when Fallback is set).
-	Domains int
 	// DomainOf maps a process ID to its domain.
 	DomainOf func(procID int) int
 	// Lookahead is the release-window depth in simulated time.
@@ -26,41 +24,20 @@ type ParPlan struct {
 }
 
 // ParPlanFor derives the parallel plan for a machine configuration and
-// worker count.  Per kind:
-//
-//   - Ideal: processes interact only through synchronization objects, so
-//     the effective lookahead is unbounded.
-//   - LogP: every cross-node interaction is a network round trip costing
-//     at least the latency parameter L, so L is the minimum cross-domain
-//     link latency.
-//   - Flow: the cheapest cross-node message is the control packet,
-//     CtrlBytes at the link byte time.
-//   - Target, CLogP: the coherence engine interleaves directory locking
-//     and protocol messages *inside* a single access — zero-latency
-//     interactions between spans — so the lookahead collapses and the
-//     run falls back to the sequential kernel.
+// worker count.  The parallel mode runs reference streams on a machine
+// priced at issue (app.runOn), and LogP is the one such machine with a
+// plan: every cross-node interaction is a network round trip costing at
+// least the latency parameter L, so L is the minimum cross-domain link
+// latency.  Any other kind falls back to the sequential kernel, so a
+// machine that learns to price at issue does not go parallel unplanned.
 //
 // Domains partition process IDs contiguously (par.Partition), which
-// groups fabric links by topology region: a contiguous ID range is a
-// row block of the mesh/torus, an arc of the ring, or a subcube of the
-// hypercube, and a link belongs to the domain of its endpoint nodes.
+// groups ports by topology region: a contiguous ID range is a row block
+// of the mesh/torus, an arc of the ring, or a subcube of the hypercube.
 func ParPlanFor(cfg Config, workers int) ParPlan {
 	cfg = cfg.withDefaults()
-	var look sim.Time
-	switch cfg.Kind {
-	case Ideal:
-		look = 1 << 60 // no cross-domain interactions at all
-	case LogP:
-		look = cfg.L
-	case Flow:
-		look = sim.Time(cfg.Costs.CtrlBytes) * cfg.LinkByteTime
-	case Target, CLogP:
-		return ParPlan{Fallback: "zero-lookahead inline coherence"}
-	default:
-		return ParPlan{Fallback: "unknown machine kind"}
-	}
-	if look <= 0 {
-		return ParPlan{Fallback: "zero-lookahead"}
+	if cfg.Kind != LogP {
+		return ParPlan{Fallback: "no-plan-for-" + cfg.Kind.String()}
 	}
 	d := workers
 	if cfg.P > 0 && d > cfg.P {
@@ -70,8 +47,7 @@ func ParPlanFor(cfg Config, workers int) ParPlan {
 		d = 1
 	}
 	return ParPlan{
-		Domains:   d,
 		DomainOf:  par.Partition(cfg.P, d),
-		Lookahead: look,
+		Lookahead: cfg.L,
 	}
 }

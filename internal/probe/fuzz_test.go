@@ -1,0 +1,43 @@
+package probe_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"spasm/internal/probe"
+)
+
+// FuzzDecode feeds arbitrary bytes to the profile decoder, starting from
+// a recorded profile and its truncations: it must never panic, and a
+// profile it accepts must come back unchanged through Encode and Decode.
+func FuzzDecode(f *testing.F) {
+	valid, err := os.ReadFile(filepath.Join("testdata", "ep_tiny_p4_target.sprf"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for n := 0; n < len(valid); n += 1 + len(valid)/32 {
+		f.Add(valid[:n])
+	}
+	f.Add(valid)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := probe.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if _, err := p.Encode(&enc); err != nil {
+			t.Fatalf("re-encode of an accepted profile: %v", err)
+		}
+		back, err := probe.Decode(&enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted profile: %v", err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("round trip changed the profile:\n got %+v\nwant %+v", back, p)
+		}
+	})
+}

@@ -408,9 +408,10 @@ func TestShutdownSubmitRace(t *testing.T) {
 }
 
 // TestChaosParallelRuns: faults and deadlines against runs executing on
-// the conservative parallel kernel.  Injected executor faults fail the
-// job without touching the engine; a deadline interrupts the parallel
-// window mid-flight and the drain discards the pooled context; and after
+// the conservative parallel kernel — reference streams on LogP, the runs
+// it takes.  Injected executor faults fail the job without touching the
+// engine; a deadline interrupts the parallel window mid-flight and the
+// drain discards the pooled context; and after
 // the abuse the same daemon still serves a clean parallel run whose
 // document is byte-identical to the sequential oracle.  Everything must
 // settle to zero leaked goroutines — under -race this doubles as the
@@ -423,8 +424,8 @@ func TestChaosParallelRuns(t *testing.T) {
 	defer cancel()
 
 	parSpec := func(seed int64) spasm.Spec {
-		return spasm.Spec{App: "cholesky", Scale: spasm.Tiny, Seed: seed,
-			Machine: spasm.LogP, Topology: "mesh", P: 8, Workers: 4}
+		return spasm.Spec{App: "uniform", Scale: spasm.Tiny, Seed: seed,
+			Machine: spasm.LogP, Topology: "torus", P: 64, Workers: 4}
 	}
 
 	// Every third run hits an injected executor fault.
@@ -467,8 +468,8 @@ func TestChaosParallelRuns(t *testing.T) {
 	// cache: the abort happens inside a parallel window and must discard
 	// the pooled context.
 	dsvc := service.New(service.Config{Workers: 1, RunTimeout: 2 * time.Millisecond})
-	slow := spasm.Spec{App: "cholesky", Scale: spasm.Small, Seed: 1,
-		Machine: spasm.LogP, Topology: "mesh", P: 16, Workers: 4}
+	slow := spasm.Spec{App: "uniform", Scale: spasm.Small, Seed: 1,
+		Machine: spasm.LogP, Topology: "torus", P: 1024, Workers: 4}
 	j, _, err := dsvc.Submit(slow)
 	if err != nil {
 		t.Fatal(err)

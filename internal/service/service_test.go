@@ -209,6 +209,10 @@ func TestSubmitBodyStrict(t *testing.T) {
 		{"escalate_pct", `{"app":"fft","scale":"tiny","machine":"flow","p":4,"escalate_pct":50}`, 400,
 			[]string{`"escalate_pct"`, "removed", `"machine":"target"`}},
 		{"trailing", `{"app":"fft","scale":"tiny","p":4} {"p":8}`, 400, []string{"after the request object"}},
+		// FFT past its processor limit is a validation error, not a
+		// failed run that gets cached.
+		{"fft-past-limit", `{"app":"fft","scale":"medium","machine":"ideal","topology":"cube","p":256}`, 400,
+			[]string{"limit of 128", "medium"}},
 		// What the frozen benchmark client sends for a cold flow operation.
 		{"bench-shape", `{"app":"uniform","scale":"tiny","seed":1000003,"machine":"flow","topology":"torus","p":64}`, 202, nil},
 	} {
@@ -364,17 +368,17 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 // TestParallelRunOverWire drives the workers wire field end to end: a
-// LogP run with workers executes on the parallel kernel, its RunDoc is
-// byte-identical to a sequential run of the same spec (and carries no
-// host block), the content address ignores workers, and the outcome
-// shows up on /metrics.  A second run on the coherent target machine
+// reference stream on LogP with workers executes on the parallel kernel,
+// its RunDoc is byte-identical to a sequential run of the same spec (and
+// carries no host block), the content address ignores workers, and the
+// outcome shows up on /metrics.  A paper application, which blocks on barriers,
 // must land in the fallback counter instead.
 func TestParallelRunOverWire(t *testing.T) {
 	_, cl := newTestService(t, service.Config{Workers: 1, CacheSize: 16})
 	ctx := context.Background()
 
-	req := service.RunRequest{App: "fft", Scale: "tiny", Machine: "logp",
-		Topology: "mesh", P: 8, Workers: 4}
+	req := service.RunRequest{App: "uniform", Scale: "tiny", Machine: "logp",
+		Topology: "mesh", P: 64, Workers: 4}
 	st, err := cl.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -410,8 +414,8 @@ func TestParallelRunOverWire(t *testing.T) {
 		t.Fatalf("cached RunDoc leaked host-side measurements: %s", st.Result)
 	}
 
-	// The coherent target machine declines the parallel mode.
-	fb := service.RunRequest{App: "fft", Scale: "tiny", Machine: "target", P: 8, Workers: 4}
+	// FFT declines the parallel mode, on LogP as on any machine.
+	fb := service.RunRequest{App: "fft", Scale: "tiny", Machine: "logp", P: 8, Workers: 4}
 	if st, err = cl.Run(ctx, fb); err != nil {
 		t.Fatal(err)
 	}

@@ -238,20 +238,22 @@ func deepChain(e *Engine, depth *int, hit func(p *Proc)) {
 // a deadlock, an interrupt that finds processes mid-Hold, the time limit,
 // or plain completion with a process spawned mid-run — every coroutine
 // has finished and, in parallel mode, every carrier has exited by the
-// time Run returns: the goroutine count is back at its baseline.  The
-// deep-chain cases end a sequential run while 63 coroutines are
-// suspended inside one another's resumption.
+// time Run returns: the goroutine count is back at its baseline.  With
+// two workers the cases that park or spawn end at the first Park or
+// Spawn instead, with ErrParallelWindow.  The deep-chain cases end a
+// sequential run while 63 coroutines are suspended inside one another's
+// resumption.
 func TestVehicleLeavesNoGoroutines(t *testing.T) {
 	var dl *DeadlockError
 	var ab *AbortError
 	var tl *TimeLimitError
 	var depth int
-	var chainQ Queue
 	cases := []struct {
 		name  string
 		build func(e *Engine)
 		check func(err error) bool
 		chain bool // a deep-chain case: the depth is checked when sequential
+		parks bool // parks or spawns: a parallel run fails with ErrParallelWindow
 	}{
 		{"deep-chain-panic", func(e *Engine) {
 			deepChain(e, &depth, func(p *Proc) {
@@ -259,23 +261,23 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 					panic("kaboom")
 				}
 			})
-		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, true},
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, true, false},
 		{"deep-chain-deadlock", func(e *Engine) {
-			deepChain(e, &depth, func(p *Proc) { chainQ.Wait(p) })
-		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 64 }, true},
+			deepChain(e, &depth, func(p *Proc) { p.Park() }) // nobody wakes anyone
+		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 64 }, true, true},
 		{"deep-chain-interrupt", func(e *Engine) {
 			deepChain(e, &depth, func(p *Proc) {
 				if p.ID == 63 {
 					e.Interrupt()
 				}
 			})
-		}, func(err error) bool { return errors.As(err, &ab) }, true},
+		}, func(err error) bool { return errors.As(err, &ab) }, true, false},
 		{"deep-chain-max-time", func(e *Engine) {
 			// The last process's fourth turn is at 3*64+63; the next
 			// dispatch crosses the limit.
 			e.MaxTime = 3*64 + 63
 			deepChain(e, &depth, func(*Proc) {})
-		}, func(err error) bool { return errors.As(err, &tl) }, true},
+		}, func(err error) bool { return errors.As(err, &tl) }, true, false},
 		{"panic", func(e *Engine) {
 			var q Queue
 			e.Spawn("parked", func(p *Proc) { q.Wait(p) })
@@ -284,16 +286,15 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				p.Hold(10)
 				panic("kaboom")
 			})
-		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, false},
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, false, true},
 		{"deadlock", func(e *Engine) {
-			var q Queue
 			for i := 0; i < 3; i++ {
 				e.Spawn("stuck", func(p *Proc) {
 					p.Hold(Time(p.ID + 1))
-					q.Wait(p)
+					p.Park()
 				})
 			}
-		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 3 }, false},
+		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 3 }, false, true},
 		{"interrupt-mid-hold", func(e *Engine) {
 			for i := 0; i < 4; i++ {
 				e.Spawn("spinner", func(p *Proc) {
@@ -307,30 +308,32 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				e.Interrupt()
 				p.Hold(1e6)
 			})
-		}, func(err error) bool { return errors.As(err, &ab) }, false},
+		}, func(err error) bool { return errors.As(err, &ab) }, false, false},
 		{"mid-run-spawn", func(e *Engine) {
 			for i := 0; i < 2; i++ {
 				e.Spawn("root", func(p *Proc) {
 					p.Hold(Time(5 * (p.ID + 1)))
-					p.Ordered(func() {
-						e.Spawn("child", func(c *Proc) { c.Hold(7) })
-					})
+					e.Spawn("child", func(c *Proc) { c.Hold(7) })
 					p.Hold(30)
 				})
 			}
-		}, func(err error) bool { return err == nil }, false},
+		}, func(err error) bool { return err == nil }, false, true},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				e := NewEngine()
-				depth, chainQ = 0, Queue{}
+				depth = 0
 				c.build(e)
 				e.SetParallel(workers, 10, func(id int) int { return id % 2 })
 				parallel := workers > 1 && e.MaxTime == 0 // the time limit runs sequentially
 				err := e.Run()
-				if !c.check(err) {
+				if parallel && c.parks {
+					if !errors.Is(err, ErrParallelWindow) {
+						t.Fatalf("run returned %v, want ErrParallelWindow", err)
+					}
+				} else if !c.check(err) {
 					t.Fatalf("run returned %v", err)
 				}
 				if got := e.ParReport().Parallel; got != parallel {

@@ -295,16 +295,9 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // schedule enqueues a resumption of p at time at (>= now).  Bumping
 // p.gen invalidates any earlier pending event for p at push time: a
 // stale wakeup is recognized by its generation mismatch when popped, so
-// the queue never needs scanning.  In parallel mode scheduling goes to
-// the per-domain queues instead, under the gate mutex (see
-// parScheduleLocked).
+// the queue never needs scanning.  A parallel window schedules through
+// parScheduleLocked instead.
 func (e *Engine) schedule(at Time, p *Proc) {
-	if e.par != nil {
-		e.parMu.Lock()
-		e.parScheduleLocked(at, p)
-		e.parMu.Unlock()
-		return
-	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", at, e.now))
 	}
@@ -426,11 +419,12 @@ func (e *Engine) runResult() error {
 
 // Spawn creates a simulated process executing fn and schedules it to start
 // at the current simulation time.  It may be called before Run or from
-// inside a running process.  The returned Proc is also passed to fn.
+// inside a running process, though not inside a parallel window.  The
+// returned Proc is also passed to fn.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{name: name, eng: e}
-	p.launch(fn)
-	return e.admit(p)
+	p := e.admit(&Proc{name: name, eng: e})
+	p.launch(fn) // after admit, which refuses a window before a coroutine exists
+	return p
 }
 
 // SpawnIndexed is Spawn for the members of a process array: the process
@@ -480,25 +474,10 @@ const minSlab = 64
 
 // admit enters a new process in the table and schedules its first event.
 func (e *Engine) admit(p *Proc) *Proc {
-	// A mid-run spawn in parallel mode comes from a granted section:
-	// serialize the table bookkeeping with the gate (parSignalLocked
-	// indexes e.procs).
-	par := e.par != nil
-	if par {
-		e.parMu.Lock()
-	}
+	e.sequentialOnly("Spawn")
 	p.ID = len(e.procs)
 	e.procs = append(e.procs, p)
 	e.nLive++
-	if par {
-		e.parAdopt(p)
-		if p.px.dom >= e.parDoms {
-			p.px.dom = 0
-		}
-		e.parMu.Unlock()
-	}
-	// In parallel mode the caller is a granted section, so e.now is
-	// stable and schedule serializes the heap push through the gate.
 	e.schedule(e.now, p)
 	return p
 }
@@ -556,7 +535,7 @@ func (p *Proc) exit(r any) {
 		// not independent failures: recording them would mask the
 		// abort's own error.
 		if _, unwind := r.(abortSignal); !unwind && !e.aborting && e.failure == nil {
-			e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name(), e.now, r)
+			e.failure = panicked(p, e.now, r)
 		}
 	}
 	p.terminated = true
@@ -567,6 +546,15 @@ func (p *Proc) exit(r any) {
 		// unwound — not abandoned — before Run reports it.
 		e.beginAbort(nil)
 	}
+}
+
+// panicked is the run error of a process that panicked with r at time at,
+// wrapping r when it is an error (so errors.Is finds ErrParallelWindow).
+func panicked(p *Proc, at Time, r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("sim: process %q panicked at %v: %w", p.Name(), at, err)
+	}
+	return fmt.Errorf("sim: process %q panicked at %v: %v", p.Name(), at, r)
 }
 
 // Run dispatches events until none remain.  It returns a *DeadlockError

@@ -3,15 +3,14 @@ package sim
 // Conservative parallel execution mode.
 //
 // The sequential kernel dispatches events strictly in (at, seq) order and
-// runs exactly one process at a time, so every read or write of shared
-// simulation state (machine models, synchronization objects, the event
-// heap itself) happens in that order.  The parallel mode keeps that order
-// for the *shared* state while overlapping everything else: the span of
-// host execution between one resumption of a process and its next
-// blocking point — address computation, machine-model arithmetic, local
-// statistics — runs concurrently on many goroutines, and only the global
-// sections inside a span (anything that can observe or influence another
-// process) serialize through an ordered commit gate.
+// runs exactly one process at a time.  The parallel mode overlaps the
+// host execution of processes that never wait on one another: a span —
+// one process's execution from a resumption to its next Hold — runs
+// concurrently with others, and only its global sections (Ordered: a
+// network booking, a run total) and its final schedule serialize through
+// an ordered commit gate.  A window runs processes that Defer, Hold,
+// HoldUntil, Yield, FlushLag and call Ordered, nothing else: Park, Wake
+// and Spawn inside one panic with ErrParallelWindow and fail the run.
 //
 // The gate grants commit rights to the globally oldest incomplete span,
 // i.e. the span whose (at, seq) release key is the minimum over the
@@ -35,19 +34,31 @@ package sim
 // Vehicle and degeneration: processes are the same coroutines the
 // sequential kernel drives; a parallel run adds one carrier goroutine per
 // process (carry), which lends its thread to the coroutine for one span
-// per release token.  When the run is interrupted, a process panics, the
-// event supply drains, or the program deadlocks, the window closes — once
-// no span is incomplete the engine clears parallel mode, the carriers are
-// dismissed and joined, and Run's ordinary loop drains, unwinds, and
-// terminates through the exact same abort machinery a sequential run
-// uses.  That reuse is what makes mid-window Interrupts leak nothing.
+// per release token.  When the run is interrupted, a process panics, or
+// the event supply drains, the window closes — once no span is incomplete
+// the engine clears parallel mode, the carriers are dismissed and joined,
+// and Run's ordinary loop drains, unwinds, and terminates through the
+// exact same abort machinery a sequential run uses.  That reuse is what
+// makes mid-window Interrupts leak nothing.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"spasm/internal/par"
 )
+
+// ErrParallelWindow is what a process that parks, wakes another or spawns
+// one inside a parallel window panics with; the run fails with it.
+var ErrParallelWindow = errors.New("inside a parallel window, which runs only processes that never park, wake or spawn")
+
+// sequentialOnly panics with ErrParallelWindow inside a parallel window.
+func (e *Engine) sequentialOnly(call string) {
+	if e.par != nil {
+		panic(fmt.Errorf("sim: %s %w", call, ErrParallelWindow))
+	}
+}
 
 // parGate is the ordered commit gate of one parallel run.  Its mutex
 // protects all engine state during parallel execution: the event heap,
@@ -113,8 +124,8 @@ func (e *Engine) SetParallel(workers int, lookahead Time, domainOf func(procID i
 
 // ForceSequential makes the next Run use the sequential kernel even if
 // SetParallel was called, recording reason in ParReport.Fallback.  The
-// runner uses it when a run is instrumented in ways the windowed mode
-// cannot reproduce (e.g. machine decorators that trace global order).
+// runner uses it for every run whose processes may park, wake or spawn,
+// which a window does not run.
 func (e *Engine) ForceSequential(reason string) { e.pforce = reason }
 
 // parFallback reports why the next Run cannot execute in parallel mode,
@@ -198,7 +209,6 @@ func (e *Engine) runParallel() {
 }
 
 // parAdopt gives p its parallel-mode state and starts its carrier.
-// Mid-run callers (Spawn) hold parMu.
 func (e *Engine) parAdopt(p *Proc) {
 	p.px = &parProc{
 		dom:     max(e.pdomOf(p.ID), 0),
@@ -515,7 +525,7 @@ func (e *Engine) parFail(p *Proc, r any) {
 	if e.failure == nil {
 		// The span's dispatch time is exactly the sequential kernel's
 		// clock when the same panic unwinds there.
-		e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name(), p.px.at, r)
+		e.failure = panicked(p, p.px.at, r)
 	}
 	e.par.stopping = true
 	e.parMu.Unlock()
@@ -542,8 +552,9 @@ func (e *Engine) parTerminate(p *Proc, r any) {
 // Ordered runs f as a global section of the calling process's current
 // span: f executes with the commit grant held, serialized in (at, seq)
 // dispatch order against every other span's sections.  In sequential mode
-// it is exactly f().  Synchronization objects and machine models use it
-// around every touch of cross-process state.
+// it is exactly f().  What a parallel window runs — a reference stream
+// on LogP — touches cross-process state in two places, and both use it:
+// the LogP round trip and the runner's run totals.
 func (p *Proc) Ordered(f func()) {
 	if p.eng.par == nil {
 		f()

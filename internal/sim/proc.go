@@ -207,17 +207,7 @@ func (p *Proc) HoldUntil(t Time) {
 // enqueueing (see Queue.Wait); Park itself must not flush, because by
 // the time it runs the process may already be visible to wakers.
 func (p *Proc) Park() {
-	e := p.eng
-	if e.par != nil {
-		// Parking ends the span: the parked flag is release bookkeeping,
-		// so committing it is the span's final global section.
-		p.enterGate()
-		e.parMu.Lock()
-		p.parked = true
-		e.parMu.Unlock()
-		p.parRetire()
-		return
-	}
+	p.eng.sequentialOnly("Park")
 	p.parked = true
 	p.block("Park")
 }
@@ -231,21 +221,7 @@ func (p *Proc) Park() {
 // legitimately try to wake peers that are no longer parked.
 func (p *Proc) Wake() {
 	e := p.eng
-	if e.par != nil {
-		// The waker holds the commit grant (wakes happen inside Ordered
-		// sections of synchronization objects), so e.now — the waker's
-		// span time — is stable, and the heap push serializes under the
-		// gate mutex.  A parallel run is never aborting (the engine
-		// leaves parallel mode before any unwind begins).
-		e.parMu.Lock()
-		if !p.parked {
-			e.parMu.Unlock()
-			panic(fmt.Sprintf("sim: Wake of non-parked process %q", p.Name()))
-		}
-		e.parScheduleLocked(e.now, p)
-		e.parMu.Unlock()
-		return
-	}
+	e.sequentialOnly("Wake")
 	if e.aborting {
 		return
 	}

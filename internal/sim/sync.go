@@ -7,13 +7,9 @@ package sim
 // from shared variables) lives in internal/app and is layered on top of
 // these primitives plus simulated memory accesses.
 //
-// Every touch of an object's shared fields happens inside an Ordered
-// section so these primitives are safe (and bit-identical) under the
-// parallel execution mode; in sequential mode Ordered is a direct call
-// and the code below is exactly the pre-parallel implementation.
-// Methods without a *Proc parameter (Queue.WakeOne/WakeAll/Remove,
-// Semaphore.Release) must be called from inside an Ordered section of
-// the calling process when a parallel run may be in flight.
+// They are straight-line code: the sequential kernel runs one process at
+// a time, and a parallel window (parallel.go) runs only processes that
+// never wait on one another — a Park or Wake inside one fails the run.
 
 // Queue is a FIFO wait queue of parked processes.  The waiters are
 // waiters[head:]; a slot is cleared as its waiter leaves, so a drained
@@ -56,10 +52,7 @@ func (q *Queue) pop() *Proc {
 func (q *Queue) Wait(p *Proc) Time {
 	p.FlushLag()
 	t0 := p.Now()
-	// Enqueue and park form one span (the grant persists from the
-	// Ordered section through Park), so a waker can never observe the
-	// process in the queue before it is parked.
-	p.Ordered(func() { q.push(p) })
+	q.push(p)
 	p.Park()
 	return p.Now() - t0
 }
@@ -120,37 +113,22 @@ func (l *Lock) Held() bool { return l.holder != nil }
 // directly to the longest waiter on Release, so acquisition is FIFO-fair
 // and deterministic.
 func (l *Lock) Acquire(p *Proc) Time {
-	var taken, recursive bool
-	p.Ordered(func() {
-		switch l.holder {
-		case nil:
-			l.holder = p
-			taken = true
-		case p:
-			recursive = true
-		}
-	})
-	if recursive {
-		panic("sim: recursive Lock.Acquire by " + p.Name())
-	}
-	if taken {
+	switch l.holder {
+	case nil:
+		l.holder = p
 		return 0
+	case p:
+		panic("sim: recursive Lock.Acquire by " + p.Name())
 	}
 	// Contended: materialize deferred local time, re-check (the lock
 	// may have been released while we flushed), then queue up.
 	t0 := p.Now()
 	p.FlushLag()
-	p.Ordered(func() {
-		if l.holder == nil {
-			l.holder = p
-			taken = true
-			return
-		}
-		l.q.push(p)
-	})
-	if taken {
+	if l.holder == nil {
+		l.holder = p
 		return p.Now() - t0
 	}
+	l.q.push(p)
 	p.Park()
 	// Release transferred ownership to us before waking us.
 	return p.Now() - t0
@@ -158,23 +136,16 @@ func (l *Lock) Acquire(p *Proc) Time {
 
 // Release hands the lock to the longest waiter, or unlocks it if none.
 func (l *Lock) Release(p *Proc) {
-	var bad bool
-	p.Ordered(func() {
-		if l.holder != p {
-			bad = true
-			return
-		}
-		if l.q.Len() == 0 {
-			l.holder = nil
-			return
-		}
-		next := l.q.pop()
-		l.holder = next
-		next.Wake()
-	})
-	if bad {
+	if l.holder != p {
 		panic("sim: Lock.Release by non-holder " + p.Name())
 	}
+	if l.q.Len() == 0 {
+		l.holder = nil
+		return
+	}
+	next := l.q.pop()
+	l.holder = next
+	next.Wake()
 }
 
 // Barrier synchronizes a fixed party of N processes in simulated time.
@@ -196,16 +167,10 @@ func NewBarrier(n int) *Barrier {
 // them all; it returns the simulated time the caller spent waiting.
 // The barrier resets automatically and may be reused.
 func (b *Barrier) Arrive(p *Proc) Time {
-	var release bool
-	p.Ordered(func() {
-		b.arrived++
-		if b.arrived == b.n {
-			b.arrived = 0
-			b.q.WakeAll()
-			release = true
-		}
-	})
-	if release {
+	b.arrived++
+	if b.arrived == b.n {
+		b.arrived = 0
+		b.q.WakeAll()
 		return 0
 	}
 	return b.q.Wait(p)
@@ -224,19 +189,11 @@ func NewSemaphore(initial int) *Semaphore { return &Semaphore{count: initial} }
 // It returns the simulated time spent waiting.
 func (s *Semaphore) Acquire(p *Proc) Time {
 	var waited Time
-	for {
-		var got bool
-		p.Ordered(func() {
-			if s.count > 0 {
-				s.count--
-				got = true
-			}
-		})
-		if got {
-			return waited
-		}
+	for s.count <= 0 {
 		waited += s.q.Wait(p)
 	}
+	s.count--
+	return waited
 }
 
 // Release increments the count and wakes one waiter, if any.

@@ -142,8 +142,8 @@ func TestFlow1024PooledIdentical(t *testing.T) {
 }
 
 // TestFlow256ProcsParallelIdentical drives a 256-processor flow-tier
-// spec through the parallel-workers path: the conservative kernel must
-// stay bit-identical to the sequential one at large P.
+// spec through the parallel-workers path: flow does not price at issue,
+// so the run falls back to the sequential kernel and stays bit-identical.
 func TestFlow256ProcsParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor runs")
@@ -155,6 +155,9 @@ func TestFlow256ProcsParallelIdentical(t *testing.T) {
 	par, err := RunSpec(Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if par.Par == nil || par.Par.Parallel || par.Par.Fallback == "" {
+		t.Fatalf("flow with workers: parallel report %+v, want a fallback", par.Par)
 	}
 	if seq.Stats.Total != par.Stats.Total || seq.Stats.Messages() != par.Stats.Messages() {
 		t.Fatalf("parallel run diverged: %v/%d vs %v/%d",

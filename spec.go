@@ -48,10 +48,9 @@ type Spec struct {
 	// sequential kernel (0 or 1 means sequential).  Because results are
 	// identical by construction, Workers is an execution knob, not part of
 	// the run's identity: it is excluded from Key and Hash, and two specs
-	// differing only in Workers share one content address.  Machine kinds
-	// whose minimum cross-process latency is zero (Target, CLogP) fall
-	// back to the sequential kernel; the decision is recorded on
-	// Result.Par.
+	// differing only in Workers share one content address.  Only a
+	// reference stream ("uniform") on LogP runs parallel; every other spec
+	// falls back to the sequential kernel, and Result.Par says why.
 	Workers int
 }
 
@@ -98,6 +97,10 @@ func (s Spec) Validate() error {
 	if max := machine.MaxPFor(s.Machine); s.P > max {
 		return fmt.Errorf("spasm: P=%d exceeds the %v machine's limit of %d processors",
 			s.P, s.Machine, max)
+	}
+	if max := apps.MaxP(s.App, s.Scale); max > 0 && s.P > max {
+		return fmt.Errorf("spasm: P=%d exceeds %s's limit of %d processors at scale %v",
+			s.P, s.App, max, s.Scale)
 	}
 	if s.PortMode != CombinedGap && s.PortMode != PerClassGap {
 		return fmt.Errorf("spasm: unknown port mode %v (have combined, per-class)", s.PortMode)
@@ -176,13 +179,12 @@ type RunOptions struct {
 	// state, readable only until the pool reuses the context.  A failed
 	// or aborted run discards its context.
 	Pool *RunPool
-	// Control bounds the run (Timeout, Cancel).  An explicit
-	// Control.Workers wins over the spec's Workers.
+	// Control bounds the run (Timeout, Cancel).
 	Control RunControl
 	// Profile, when non-nil, attaches a telemetry profiler with these
 	// parameters.  Profiling does not perturb the simulated execution,
 	// but it hooks the engine clock, which forces the sequential kernel
-	// even when Workers > 1.
+	// even when the spec asks for workers.
 	Profile *ProfileConfig
 }
 
@@ -201,11 +203,7 @@ func Execute(spec Spec, opt RunOptions) (*Result, *Profile, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
-	run := app.Options{Pool: opt.Pool, Control: opt.Control}
-	if run.Control.Workers == 0 {
-		// The spec's Workers knob reaches the engine through RunControl.
-		run.Control.Workers = spec.Workers
-	}
+	run := app.Options{Pool: opt.Pool, Control: opt.Control, Workers: spec.Workers}
 	prog, err := apps.Lookup(spec.App, spec.Scale, spec.Seed)
 	if err != nil {
 		return nil, nil, err

@@ -119,11 +119,11 @@ func TestSpecValidateMaxP(t *testing.T) {
 		if max < 1024 {
 			t.Errorf("%v: limit %d below the 1024-processor floor", kind, max)
 		}
-		at := spasm.Spec{App: "fft", Machine: kind, P: max}
+		at := spasm.Spec{App: "ep", Machine: kind, P: max}
 		if err := at.Validate(); err != nil {
 			t.Errorf("%v: P at the limit (%d) rejected: %v", kind, max, err)
 		}
-		over := spasm.Spec{App: "fft", Machine: kind, P: max + 1}
+		over := spasm.Spec{App: "ep", Machine: kind, P: max + 1}
 		err := over.Validate()
 		if err == nil {
 			t.Errorf("%v: P=%d (over the %d limit) accepted", kind, max+1, max)
@@ -137,6 +137,40 @@ func TestSpecValidateMaxP(t *testing.T) {
 	// The coherent machines are bounded by the directory representation.
 	if got := spasm.MaxPFor(spasm.Target); got != 1024 {
 		t.Errorf("target limit = %d, want 1024", got)
+	}
+}
+
+// TestSpecValidateAppMaxP: FFT needs a row of its R = √N per processor,
+// so past R a spec is rejected with an error naming the limit for its
+// scale — not run into a Setup panic — while every other application
+// takes any P its machine does.
+func TestSpecValidateAppMaxP(t *testing.T) {
+	limit := map[spasm.Scale]int{spasm.Tiny: 16, spasm.Small: 64, spasm.Medium: 128}
+	for _, scale := range []spasm.Scale{spasm.Tiny, spasm.Small, spasm.Medium} {
+		for _, p := range []int{16, 32, 64, 128, 256, 1024} {
+			for _, name := range append(spasm.Apps(), spasm.ExtendedApps()...) {
+				err := spasm.Spec{App: name, Scale: scale, Machine: spasm.Ideal, Topology: "cube", P: p}.Validate()
+				max := limit[scale]
+				switch {
+				case name != "fft" || p <= max:
+					if err != nil {
+						t.Errorf("%s at %v p%d rejected: %v", name, scale, p, err)
+					}
+				case err == nil:
+					t.Errorf("fft at %v p%d accepted, past its limit of %d", scale, p, max)
+				case !strings.Contains(err.Error(), "limit of "+strconv.Itoa(max)) || !strings.Contains(err.Error(), scale.String()):
+					t.Errorf("fft at %v p%d: error %q does not name the limit %d for the scale", scale, p, err, max)
+				}
+			}
+		}
+	}
+	// The limit is where Setup stops: fft runs at it and validation, not a
+	// panic, stops it one step past.
+	if _, err := spasm.RunSpec(spasm.Spec{App: "fft", Scale: spasm.Tiny, Machine: spasm.Ideal, Topology: "cube", P: 16}); err != nil {
+		t.Errorf("fft at its tiny limit: %v", err)
+	}
+	if _, err := spasm.RunSpec(spasm.Spec{App: "fft", Scale: spasm.Tiny, Machine: spasm.Ideal, Topology: "cube", P: 32}); err == nil || strings.Contains(err.Error(), "panicked") {
+		t.Errorf("fft one step past its tiny limit: %v, want a validation error", err)
 	}
 }
 

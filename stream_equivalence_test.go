@@ -48,7 +48,7 @@ func TestStreamDriversSameBytes(t *testing.T) {
 	}{
 		{"stackless", app.Options{}},
 		{"decorated", app.Options{Wrap: identity}},
-		{"two workers", app.Options{Control: app.RunControl{Workers: 2}}},
+		{"two workers", app.Options{Workers: 2}},
 	}
 	for _, prog := range progs {
 		for _, shape := range shapes {
@@ -57,7 +57,7 @@ func TestStreamDriversSameBytes(t *testing.T) {
 				at := fmt.Sprintf("%s on logp/%s p%d %v", prog.name, shape.topo, shape.p, ports)
 				var wantDoc, wantProfile []byte
 				for _, d := range drivers {
-					if shape.p == largest && (prog.name != "uniform" || d.opt.Control.Workers > 1) {
+					if shape.p == largest && (prog.name != "uniform" || d.opt.Workers > 1) {
 						continue
 					}
 					for _, profiled := range []bool{false, true} {
@@ -71,7 +71,7 @@ func TestStreamDriversSameBytes(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s, %s: %v", at, d.name, err)
 						}
-						if d.opt.Control.Workers > 1 && !profiled && !res.Par.Parallel {
+						if d.opt.Workers > 1 && !profiled && !res.Par.Parallel {
 							t.Errorf("%s: the requested parallel run executed sequentially (%+v)", at, res.Par)
 						}
 						doc, err := json.Marshal(report.RunJSON(res))
