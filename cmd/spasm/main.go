@@ -115,8 +115,17 @@ func (f *simFlags) addMachine(fs *flag.FlagSet, machine string) {
 func (f *simFlags) addPoint(fs *flag.FlagSet, machine, scale string) {
 	fs.StringVar(&f.app, "app", "fft", "application: cg, cholesky, ep, fft, is, or the extension workloads mg, uniform")
 	f.addMachine(fs, machine)
-	fs.IntVar(&f.p, "p", 8, "processors (power of two; up to 1024 on the coherent machines, more on the abstract tiers)")
+	fs.IntVar(&f.p, "p", 8, pUsage())
 	f.addScale(fs, scale)
+}
+
+// pUsage is the -p help text: every machine kind with its processor limit.
+func pUsage() string {
+	var limits []string
+	for _, k := range spasm.Machines() {
+		limits = append(limits, fmt.Sprintf("%v %d", k, spasm.MaxPFor(k)))
+	}
+	return "processors (power of two; at most " + strings.Join(limits, ", ") + ")"
 }
 
 func (f *simFlags) addScale(fs *flag.FlagSet, scale string) {

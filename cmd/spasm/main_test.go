@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"spasm"
 	"spasm/internal/report"
 	"spasm/internal/service"
 	"spasm/internal/service/client"
@@ -174,6 +178,31 @@ func TestUsageErrors(t *testing.T) {
 			if !strings.Contains(errb.String(), name) {
 				t.Errorf("spasm %v: error text does not mention %q:\n%s", tc.args, name, errb.String())
 			}
+		}
+	}
+}
+
+// TestPUsageNamesEveryLimit: the -p help text lists every machine kind
+// with the processor limit Spec.Validate enforces for it.
+func TestPUsageNamesEveryLimit(t *testing.T) {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	var f simFlags
+	f.addPoint(fs, "target", "small")
+	usage := fs.Lookup("p").Usage
+	seen := map[spasm.Kind]bool{}
+	for _, m := range regexp.MustCompile(`(\w+) (\d+)`).FindAllStringSubmatch(usage, -1) {
+		kind, err := spasm.ParseKind(m[1])
+		if err != nil {
+			continue
+		}
+		if got, want := m[2], strconv.Itoa(spasm.MaxPFor(kind)); got != want {
+			t.Errorf("-p help says %v takes %s processors, MaxPFor says %s", kind, got, want)
+		}
+		seen[kind] = true
+	}
+	for _, k := range spasm.Machines() {
+		if !seen[k] {
+			t.Errorf("-p help %q names no limit for %v", usage, k)
 		}
 	}
 }

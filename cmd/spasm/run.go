@@ -99,8 +99,7 @@ func (c *cli) printRun(res *spasm.Result, doc report.RunDoc) {
 		r.SimEvents, r.Wall, doc.Host.RefsPerSec, doc.Host.MsgsPerSec)
 	if par := res.Par; par != nil {
 		if par.Parallel {
-			fmt.Fprintf(c.out, "  parallel       : %d workers, %d domains, %d windows, %d releases (peak %d in flight)\n",
-				par.Requested, par.Domains, par.Windows, par.Releases, par.Peak)
+			fmt.Fprintf(c.out, "  parallel       : %d workers\n", par.Requested)
 		} else {
 			fmt.Fprintf(c.out, "  parallel       : requested %d workers, fell back to sequential (%s)\n",
 				par.Requested, par.Fallback)

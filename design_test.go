@@ -1,0 +1,74 @@
+package spasm
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDesignInventory: DESIGN.md's repository layout names every package
+// under internal/, and every package it names exists.
+func TestDesignInventory(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, layout, ok := strings.Cut(string(raw), "## 6. Repository layout")
+	if !ok {
+		t.Fatal("DESIGN.md has no repository layout section")
+	}
+	_, tree, ok := strings.Cut(layout, "\ninternal/\n")
+	if !ok {
+		t.Fatal("the repository layout has no internal/ tree")
+	}
+	// The tree indents a package two spaces per level under internal/;
+	// its description may wrap onto lines that name no package.
+	entry := regexp.MustCompile(`^((?:  )+)([a-z]+)/ `)
+	named := map[string]bool{}
+	var parents []string
+	for _, line := range strings.Split(tree, "\n") {
+		if !strings.HasPrefix(line, " ") {
+			break
+		}
+		m := entry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		depth := len(m[1]) / 2
+		if depth > len(parents)+1 {
+			t.Fatalf("DESIGN.md tree line %q is nested under nothing", line)
+		}
+		parents = append(parents[:depth-1], m[2])
+		named[filepath.Join(append([]string{"internal"}, parents...)...)] = true
+	}
+
+	packages := map[string]bool{}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			packages[filepath.Dir(path)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir := range packages {
+		if !named[dir] {
+			t.Errorf("package %s is missing from DESIGN.md's repository layout", dir)
+		}
+	}
+	for dir := range named {
+		if !packages[dir] {
+			t.Errorf("DESIGN.md's repository layout names %s, which is no package", dir)
+		}
+	}
+}

@@ -270,15 +270,16 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	if workers > 1 {
 		// Arm the conservative parallel mode.  The engine still decides
 		// at Run time (probes set Tick, small machines have too few
-		// processes).
-		plan := machine.ParPlanFor(cfg, workers)
+		// processes).  LogP is the one machine whose round trip commits
+		// through Ordered; a machine that learns to price at issue does
+		// not go parallel unguarded.
 		switch {
 		case !stackless:
 			eng.ForceSequential(ParNotStackless)
-		case plan.Fallback != "":
-			eng.ForceSequential(plan.Fallback)
+		case cfg.Kind != machine.LogP:
+			eng.ForceSequential("no-plan-for-" + cfg.Kind.String())
 		}
-		eng.SetParallel(workers, plan.Lookahead, plan.DomainOf)
+		eng.SetParallel(workers)
 		if eng.WillRunParallel() {
 			// Span bodies resolve homes outside ordered sections; freeze
 			// the memo so those lookups are read-only.

@@ -391,9 +391,12 @@ func (c *Client) stream(ctx context.Context, method, path string, body []byte, o
 			return nil
 		}
 		if ev.Event == "result" {
-			st := &service.RunStatus{}
-			if err := json.Unmarshal(ev.Data, st); err == nil {
-				final = st
+			// A result that does not decode ends the stream: the status
+			// returned is always the last result event's, never an earlier one.
+			final = &service.RunStatus{}
+			if err := json.Unmarshal(ev.Data, final); err != nil {
+				final = nil
+				return fmt.Errorf("client: malformed result event: %w", err)
 			}
 		}
 		var cbErr error

@@ -326,7 +326,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				e := NewEngine()
 				depth = 0
 				c.build(e)
-				e.SetParallel(workers, 10, func(id int) int { return id % 2 })
+				e.SetParallel(workers)
 				parallel := workers > 1 && e.MaxTime == 0 // the time limit runs sequentially
 				err := e.Run()
 				if parallel && c.parks {

@@ -63,8 +63,7 @@ func TestEventDispatchAllocBudget(t *testing.T) {
 // scanRetained reports every backing slot — including slots beyond the
 // live length, up to capacity — of the engine's event structures that
 // still references a *Proc: the heap, the same-timestamp FIFO, the
-// ladder queue (bottom run, rung buckets, top), and the per-domain
-// parallel queues' backing stores.
+// ladder queue (bottom run, rung buckets, top).
 func scanRetained(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	check := func(where string, s []event) {
@@ -76,25 +75,16 @@ func scanRetained(t *testing.T, e *Engine, when string) {
 			}
 		}
 	}
-	checkLadder := func(where string, l *ladderQueue) {
-		check(where+" bottom", l.bot)
-		check(where+" top", l.top)
-		rungs := l.rungs[:cap(l.rungs)]
-		for ri := range rungs {
-			bkt := rungs[ri].bkt[:cap(rungs[ri].bkt)]
-			for bi := range bkt {
-				check(fmt.Sprintf("%s rung %d bucket %d", where, ri, bi), bkt[bi])
-			}
-		}
-	}
 	check("heap", e.heap.s)
 	check("nowQ", e.nowQ)
-	checkLadder("ladder", &e.lad)
-	for i := range e.pqHeaps {
-		check(fmt.Sprintf("domain heap %d", i), e.pqHeaps[i].s)
-	}
-	for i := range e.pqLads {
-		checkLadder(fmt.Sprintf("domain ladder %d", i), &e.pqLads[i])
+	check("ladder bottom", e.lad.bot)
+	check("ladder top", e.lad.top)
+	rungs := e.lad.rungs[:cap(e.lad.rungs)]
+	for ri := range rungs {
+		bkt := rungs[ri].bkt[:cap(rungs[ri].bkt)]
+		for bi := range bkt {
+			check(fmt.Sprintf("ladder rung %d bucket %d", ri, bi), bkt[bi])
+		}
 	}
 }
 

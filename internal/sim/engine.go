@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"spasm/internal/par"
 )
 
 // event is a scheduled resumption of a process.
@@ -162,33 +160,14 @@ type Engine struct {
 	// in flight; everything else is per-run configuration or reporting,
 	// cleared by Reset like Tick and MaxTime.
 	pworkers int
-	plook    Time
-	pdomOf   func(procID int) int
 	pforce   string // caller-imposed fallback reason (ForceSequential)
 	par      *parGate
-	// parMu protects all engine state while par != nil (heap, seq, now,
-	// clock vector, per-process release bookkeeping).  Sequential mode
+	// parMu protects all engine state while par != nil (queue, seq, now,
+	// in-flight spans, per-process release bookkeeping).  Sequential mode
 	// never touches it.
-	parMu   sync.Mutex
-	parRan  bool
-	pfall   string // why a requested parallel run executed sequentially
-	parDoms int
-	parWin  uint64 // release batches that released at least one span
-	parRel  uint64 // spans released
-	parSec  uint64 // gate grants (spans that entered a global section)
-	parPeak int    // most spans incomplete at once
-
-	// Per-domain event queues of the parallel mode (see parallel.go):
-	// domain-local scheduling mutates only pq[dom], and window release
-	// scans the parHeads cache — one key per domain — instead of popping
-	// a single shared structure.  pqn counts events across all domain
-	// queues (including stale ones not yet discarded); pqHeaps/pqLads
-	// are the reusable backing stores the pq slots point into.
-	pq       []eventQueue
-	pqn      int
-	parHeads *par.HeadSet
-	pqHeaps  []eventHeap
-	pqLads   []ladderQueue
+	parMu  sync.Mutex
+	parRan bool
+	pfall  string // why a requested parallel run executed sequentially
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -247,30 +226,10 @@ func (e *Engine) Reset() {
 	// Parallel-mode configuration and outcome are per-run state.  par is
 	// nil whenever Run is not in flight, but clear it anyway.
 	e.pworkers = 0
-	e.plook = 0
-	e.pdomOf = nil
 	e.pforce = ""
 	e.par = nil
 	e.parRan = false
 	e.pfall = ""
-	e.parDoms = 0
-	e.parWin = 0
-	e.parRel = 0
-	e.parSec = 0
-	e.parPeak = 0
-	// Per-domain queues: the backing stores are cleared directly (the pq
-	// interface slots alias them), so no event — and no *Proc — survives
-	// pooled reuse.
-	for i := range e.pqHeaps {
-		e.pqHeaps[i].reset()
-	}
-	for i := range e.pqLads {
-		e.pqLads[i].reset()
-	}
-	e.pqn = 0
-	if e.parHeads != nil {
-		e.parHeads.Reset()
-	}
 }
 
 // Interrupt requests a cooperative abort of the in-flight Run.  It is
@@ -572,15 +531,15 @@ func panicked(p *Proc, at Time, r any) error {
 // out of the Proc — no switch, and no closure per process to call
 // through.
 func (e *Engine) Run() error {
+	if e.q == &e.heap && len(e.procs) >= ladderProcs {
+		e.escalate() // large-P run: start on the ladder queue
+	}
 	if e.pworkers > 1 {
 		if why := e.parFallback(); why != "" {
 			e.pfall = why // requested but incompatible: run sequentially
 		} else {
 			e.runParallel() // returns drained: the loop below finishes or unwinds
 		}
-	}
-	if e.q == &e.heap && len(e.procs) >= ladderProcs {
-		e.escalate() // large-P run: start on the ladder queue
 	}
 	e.advance(nil)
 	for p := e.running; p != nil; p = e.running {

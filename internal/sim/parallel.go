@@ -12,24 +12,18 @@ package sim
 // HoldUntil, Yield, FlushLag and call Ordered, nothing else: Park, Wake
 // and Spawn inside one panic with ErrParallelWindow and fail the run.
 //
-// The gate grants commit rights to the globally oldest incomplete span,
-// i.e. the span whose (at, seq) release key is the minimum over the
-// barrier-free clock vector (par.Clocks) *and* not preceded by any event
-// still in the heap.  Because spans are granted in exactly the sequential
-// dispatch order, and because a granted span stays the minimum until it
-// completes (its own schedules produce strictly larger keys, and any
-// older heap event is force-released and retired first — see
-// par.Policy.Release rule 1), every global section of a span is atomic
-// with respect to other spans' sections.  A parallel run therefore
-// produces bit-identical results to the sequential kernel: same event
-// count, same timestamps, same statistics, same RunDocs.
-//
-// Windows: the release policy (par.Policy) throttles how far past the
-// oldest incomplete span new spans are released — Workers bounds the
-// concurrency, and Lookahead (the backend's minimum cross-domain
-// interaction latency) bounds how far ahead in simulated time a released
-// span may sit.  The lookahead is a performance knob, not a correctness
-// condition: correctness comes from the gate alone.
+// Pending events stay in the engine's one queue, e.q; a released event
+// becomes an incomplete span in a min-heap keyed like the queue, by
+// (at, seq).  The gate grants commit rights to the oldest incomplete span
+// when no event still in the queue precedes it.  Because spans are
+// granted in exactly the sequential dispatch order, and because a granted
+// span stays the minimum until it completes (its own schedules produce
+// strictly larger keys, and any older queued event is force-released and
+// retired first — see parReleaseLocked), every global section of a span
+// is atomic with respect to other spans' sections.  A parallel run
+// therefore produces bit-identical results to the sequential kernel: same
+// event count, same timestamps, same statistics, same RunDocs.  Workers
+// bounds how many spans are in flight; it shapes host concurrency only.
 //
 // Vehicle and degeneration: processes are the same coroutines the
 // sequential kernel drives; a parallel run adds one carrier goroutine per
@@ -45,8 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"spasm/internal/par"
 )
 
 // ErrParallelWindow is what a process that parks, wakes another or spawns
@@ -60,34 +52,28 @@ func (e *Engine) sequentialOnly(call string) {
 	}
 }
 
-// parGate is the ordered commit gate of one parallel run.  Its mutex
-// protects all engine state during parallel execution: the event heap,
-// seq counter, clock vector, per-process release bookkeeping, and the
-// simulated clock.  Global sections do not hold the mutex while running —
-// they hold the *grant* (being the oldest incomplete span), which the
-// mutex only hands over.
+// parGate is the ordered commit gate of one parallel run.  The engine's
+// parMu protects all engine state during parallel execution: the event
+// queue, seq counter, in-flight spans, per-process release bookkeeping,
+// and the simulated clock.  Global sections do not hold the mutex while
+// running — they hold the *grant* (being the oldest incomplete span),
+// which the mutex only hands over.
 type parGate struct {
-	clocks   *par.Clocks
-	pol      par.Policy
-	stopping bool // no further releases: drain toward sequential mode
+	spans    eventHeap // incomplete spans by (at, seq); the minimum may commit
+	stopping bool      // no further releases: drain toward sequential mode
 	carriers sync.WaitGroup
 }
 
-// mu lives on the Engine rather than the gate so the schedule path can
-// lock it without loading e.par twice; it is only used while par != nil.
-
 // parProc is a process's parallel-mode state, allocated when a parallel
 // run adopts the process so that sequential runs carry none of it.
-// at/spanSeq are the (at, seq) release key of the current span; dom is
-// the clock-vector domain; release carries release tokens to the carrier
-// and gate the grant handoffs, both buffered so the sender never blocks
-// under the gate mutex (the generation discipline allows at most one
-// live token per process); granted/wantGate implement the gate's handoff
-// protocol; drained marks the process whose span ended the parallel phase.
+// at is the dispatch time of the current span; release carries release
+// tokens to the carrier and gate the grant handoffs, both buffered so the
+// sender never blocks under the gate mutex (the generation discipline
+// allows at most one live token per process); granted/wantGate implement
+// the gate's handoff protocol; drained marks the process whose span ended
+// the parallel phase.
 type parProc struct {
 	at       Time
-	spanSeq  uint64
-	dom      int
 	release  chan struct{}
 	gate     chan struct{}
 	granted  bool
@@ -100,27 +86,16 @@ type ParReport struct {
 	Requested int    // workers requested via SetParallel
 	Parallel  bool   // whether the run executed in parallel mode at all
 	Fallback  string // why it did not, or why it degenerated mid-flight
-	Domains   int    // clock-vector width used
-	Windows   uint64 // release batches
-	Releases  uint64 // spans released
-	Sections  uint64 // gate grants
-	Peak      int    // most spans in flight at once
 }
 
 // SetParallel arms the conservative parallel mode for the next Run:
-// workers bounds span concurrency, lookahead is the backend's minimum
-// cross-domain interaction latency (see par.Policy), and domainOf maps a
-// process ID to its clock-vector domain.  With workers <= 1 the engine
-// runs sequentially.  Reset clears the setting.
+// workers bounds span concurrency.  With workers <= 1 the engine runs
+// sequentially.  Reset clears the setting.
 //
 // Parallel runs are bit-identical to sequential runs; Run falls back to
 // the sequential kernel whenever a configuration is incompatible with
 // windowed execution (see ParReport.Fallback).
-func (e *Engine) SetParallel(workers int, lookahead Time, domainOf func(procID int) int) {
-	e.pworkers = workers
-	e.plook = lookahead
-	e.pdomOf = domainOf
-}
+func (e *Engine) SetParallel(workers int) { e.pworkers = workers }
 
 // ForceSequential makes the next Run use the sequential kernel even if
 // SetParallel was called, recording reason in ParReport.Fallback.  The
@@ -135,10 +110,6 @@ func (e *Engine) parFallback() string {
 	switch {
 	case e.pforce != "":
 		return e.pforce
-	case e.pdomOf == nil:
-		return "no-domain-plan"
-	case e.plook <= 0:
-		return "zero-lookahead"
 	case e.Tick != nil:
 		return "tick-hook"
 	case e.MaxTime > 0:
@@ -157,51 +128,32 @@ func (e *Engine) WillRunParallel() bool {
 
 // ParReport returns the parallel-mode outcome of the last Run.
 func (e *Engine) ParReport() ParReport {
-	return ParReport{
-		Requested: e.pworkers,
-		Parallel:  e.parRan,
-		Fallback:  e.pfall,
-		Domains:   e.parDoms,
-		Windows:   e.parWin,
-		Releases:  e.parRel,
-		Sections:  e.parSec,
-		Peak:      e.parPeak,
-	}
+	return ParReport{Requested: e.pworkers, Parallel: e.parRan, Fallback: e.pfall}
 }
 
 // runParallel executes the windowed parallel phase of a run: it adopts
-// every process, releases the initial window and joins the carriers,
-// which dispatch among themselves — a retiring span releases the next
-// window — until the last one drains the engine back to sequential mode.
-// It returns with e.par nil; what is left (nothing, a deadlock, an
-// unwind) is the business of Run's loop.
+// every process, releases the first spans and joins the carriers, which
+// dispatch among themselves — a retiring span releases the next — until
+// the last one drains the engine back to sequential mode.  It returns
+// with e.par nil; what is left (nothing, a deadlock, an unwind) is the
+// business of Run's loop.
 func (e *Engine) runParallel() {
-	g := &parGate{pol: par.Policy{Workers: e.pworkers, Lookahead: int64(e.plook)}}
+	g := &parGate{}
 	e.par = g
-	d := 1
 	for _, p := range e.procs {
 		e.parAdopt(p)
-		d = max(d, p.px.dom+1)
 	}
 	e.parRan = true
-	e.parDoms = d
-	g.clocks = par.NewClocks(d)
-	e.parSetupQueues(d)
 	// Events scheduled before Run (process starts) sit in the sequential
-	// same-timestamp FIFO; parallel mode releases from the per-domain
-	// queues only, so migrate them.  Queue order on equal timestamps is
-	// seq order — the FIFO order — so dispatch order is unchanged.
+	// same-timestamp FIFO; a window schedules and releases through e.q
+	// only, so move them there.  Queue order on equal timestamps is seq
+	// order — the FIFO order — so dispatch order is unchanged.
 	for i := e.nowHead; i < len(e.nowQ); i++ {
-		ev := e.nowQ[i]
-		e.pq[ev.p.px.dom].push(ev)
-		e.pqn++
+		e.q.push(e.nowQ[i])
 		e.nowQ[i] = event{}
 	}
 	e.nowQ = e.nowQ[:0]
 	e.nowHead = 0
-	for dom := 0; dom < d; dom++ {
-		e.parHeadRefresh(dom)
-	}
 	e.parMu.Lock()
 	e.parReleaseLocked()
 	e.parMu.Unlock()
@@ -211,7 +163,6 @@ func (e *Engine) runParallel() {
 // parAdopt gives p its parallel-mode state and starts its carrier.
 func (e *Engine) parAdopt(p *Proc) {
 	p.px = &parProc{
-		dom:     max(e.pdomOf(p.ID), 0),
 		release: make(chan struct{}, 1),
 		gate:    make(chan struct{}, 1),
 	}
@@ -240,76 +191,23 @@ func (e *Engine) carry(p *Proc, g *parGate) {
 	}
 }
 
-// parSetupQueues (re)builds the per-domain pending-event queues for a
-// parallel run.  Each domain schedules into its own queue — a heap for
-// modest per-domain populations, a ladder queue past ladderProcs per
-// domain — and the release path consults the parHeads cache (one key
-// per domain) instead of a single shared heap, so window release scans
-// O(domains) and a domain's scheduling touches only domain-local
-// memory.  The backing stores persist on the engine across pooled runs.
-func (e *Engine) parSetupQueues(d int) {
-	if cap(e.pq) >= d {
-		e.pq = e.pq[:d]
-	} else {
-		e.pq = make([]eventQueue, d)
-	}
-	if len(e.procs) >= d*ladderProcs {
-		if len(e.pqLads) < d {
-			e.pqLads = make([]ladderQueue, d)
-			for i := range e.pqLads {
-				e.pqLads[i].topStart = minTime
-			}
-		}
-		for i := 0; i < d; i++ {
-			e.pq[i] = &e.pqLads[i]
-		}
-	} else {
-		if len(e.pqHeaps) < d {
-			e.pqHeaps = make([]eventHeap, d)
-		}
-		for i := 0; i < d; i++ {
-			e.pq[i] = &e.pqHeaps[i]
-		}
-	}
-	e.pqn = 0
-	if e.parHeads == nil || e.parHeads.Width() < d {
-		e.parHeads = par.NewHeadSet(d)
-	} else {
-		e.parHeads.Reset()
-	}
-}
-
-// parHeadRefresh re-derives dom's cached head key after its queue
-// changed, discarding stale events as they surface: their generation no
-// longer matches, so the sequential kernel would skip them at dispatch —
-// dropping them here is the same semantics, and it keeps every cached
-// head live.  Callers hold parMu (or run before the window opens).
-func (e *Engine) parHeadRefresh(dom int) {
-	q := e.pq[dom]
+// parHead returns the oldest live pending event, or nil.  Stale events
+// surfacing at the head are dropped: their generation no longer matches,
+// so the sequential kernel would skip them at dispatch — the same
+// semantics.  Callers hold parMu (or run before the window opens).
+func (e *Engine) parHead() *event {
 	for {
-		ev := q.peek()
-		if ev == nil {
-			e.parHeads.Clear(dom)
-			return
+		ev := e.q.peek()
+		if ev == nil || ev.gen == ev.p.gen {
+			return ev
 		}
-		if ev.gen != ev.p.gen {
-			q.pop() // stale wakeup, superseded at push time
-			e.pqn--
-			continue
-		}
-		e.parHeads.Set(dom, par.Key{At: int64(ev.at), Seq: ev.seq})
-		return
+		e.q.pop() // stale wakeup, superseded at push time
 	}
 }
-
-// key is p's current span key.
-func (p *Proc) key() par.Key { return par.Key{At: int64(p.px.at), Seq: p.px.spanSeq} }
 
 // parScheduleLocked is schedule's core under the gate mutex: same
-// generation discipline as the sequential path, but always through the
-// scheduling process's domain queue — the nowQ fast path is a
-// sequential-only optimization, and the domain queues pop in identical
-// (at, seq) order because release always takes the minimum head.
+// generation discipline as the sequential path, but always through e.q —
+// the nowQ fast path is a sequential-only optimization.
 func (e *Engine) parScheduleLocked(at Time, p *Proc) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", at, e.now))
@@ -319,96 +217,76 @@ func (e *Engine) parScheduleLocked(at Time, p *Proc) {
 	}
 	e.seq++
 	p.gen++
-	e.pq[p.px.dom].push(event{at: at, seq: e.seq, gen: p.gen, p: p})
-	e.pqn++
-	// The push may have created a new head, and p's superseded earlier
-	// event — now stale — may have been the old one; one refresh covers
-	// both (p's events all live in its domain's queue).
-	e.parHeadRefresh(p.px.dom)
+	e.q.push(event{at: at, seq: e.seq, gen: p.gen, p: p})
 }
 
-// parReleaseLocked releases pending events into the window while the
-// policy allows: the globally oldest event is the minimum over the
-// per-domain heads (each head is its domain's oldest live event, so the
-// minimum over heads is the same event a shared heap's top would be),
-// stale events are retired unseen (as in sequential dispatch, they do
-// not count), and each released event becomes an incomplete span with a
-// clock-vector entry and a release token for its carrier.  Events are counted here, at
-// release — the same non-stale set the sequential kernel counts at
-// dispatch.
+// parReleaseLocked releases pending events as incomplete spans, each with
+// a release token for its carrier, while one of three rules holds, in
+// priority order:
+//
+//  1. Forced: an event older than the oldest incomplete span is released
+//     regardless of capacity — the gate cannot grant that span until the
+//     older event's span exists and retires, so withholding it would
+//     deadlock.
+//  2. Idle: with nothing in flight the head event is released; it is the
+//     global minimum.
+//  3. Capacity: otherwise events are released while fewer than Workers
+//     spans are in flight.
+//
+// Events are counted here, at release — the same live set the sequential
+// kernel counts at dispatch.
 func (e *Engine) parReleaseLocked() {
 	g := e.par
 	if g.stopping {
 		return
 	}
-	released := false
-	for e.pqn > 0 {
-		top, dom, ok := e.parHeads.Min()
-		if !ok {
-			break
+	for {
+		top := e.parHead()
+		if top == nil {
+			return
 		}
-		min, _, any := g.clocks.Min()
-		if !g.pol.Release(top, min, any, g.clocks.Size()) {
-			break
+		if n := g.spans.len(); n > 0 && n >= e.pworkers && !less(top, g.spans.peek()) {
+			return
 		}
-		ev := e.pq[dom].pop()
-		e.pqn--
-		e.parHeadRefresh(dom)
-		if ev.gen != ev.p.gen {
-			// Stale since its head was cached (the owner terminated):
-			// discard without releasing, as sequential dispatch would.
-			continue
-		}
+		ev := e.q.pop()
 		e.Events++
 		q := ev.p
 		q.parked = false
 		q.px.at = ev.at
-		q.px.spanSeq = ev.seq
-		g.clocks.Insert(q.px.dom, par.Key{At: int64(ev.at), Seq: ev.seq}, q.ID)
-		e.parRel++
-		if n := g.clocks.Size(); n > e.parPeak {
-			e.parPeak = n
-		}
-		released = true
+		g.spans.push(ev)
 		q.px.release <- struct{}{} // buffered: the carrier may not be receiving yet
-	}
-	if released {
-		e.parWin++
 	}
 }
 
 // parGrantable reports whether p's span may hold the commit grant: it is
-// the oldest incomplete span and no event still pending in the domain
-// queues precedes it.  (A preceding pending event would dispatch first
-// in the sequential order; the release policy force-releases such
-// events, so the condition is eventually satisfied.)  While draining,
-// pending order no longer matters — the run's outcome is already decided
-// and the remaining spans only need to retire.
+// the oldest incomplete span and no event still pending in e.q precedes
+// it.  (A preceding pending event would dispatch first in the sequential
+// order; parReleaseLocked force-releases such events, so the condition is
+// eventually satisfied.)  While draining, pending order no longer matters
+// — the run's outcome is already decided and the remaining spans only
+// need to retire.
 func (e *Engine) parGrantable(p *Proc) bool {
 	g := e.par
-	_, id, ok := g.clocks.Min()
-	if !ok || id != p.ID {
+	min := g.spans.peek()
+	if min == nil || min.p != p {
 		return false
 	}
 	if g.stopping {
 		return true
 	}
-	if k, _, ok := e.parHeads.Min(); ok && k.Less(p.key()) {
-		return false
-	}
-	return true
+	top := e.parHead()
+	return top == nil || !less(top, min)
 }
 
 // parSignalLocked hands the gate to the oldest incomplete span if it is
 // waiting and grantable.  Called after every state change that can make a
-// waiter grantable: a span retiring, or stale events popped off the heap.
+// waiter grantable: a span retiring, or stale events popped off the queue.
 func (e *Engine) parSignalLocked() {
-	g := e.par
-	_, id, ok := g.clocks.Min()
-	if !ok {
+	min := e.par.spans.peek()
+	if min == nil {
 		return
 	}
-	p := e.procs[id]
+	p := min.p
 	if !p.px.wantGate || !e.parGrantable(p) {
 		return
 	}
@@ -420,7 +298,7 @@ func (e *Engine) parSignalLocked() {
 // global section of a span waits here until the span is the oldest
 // incomplete one; once granted, the grant persists for the rest of the
 // span (all its sections, through retirement), so a multi-section span is
-// atomic with respect to other spans — see the package comment.
+// atomic with respect to other spans — see the file comment.
 func (p *Proc) enterGate() {
 	if p.px.granted {
 		return
@@ -428,8 +306,8 @@ func (p *Proc) enterGate() {
 	e := p.eng
 	e.parMu.Lock()
 	for {
-		// Force out any heap event older than us (rule 1 of the release
-		// policy); its span must retire before our grant.
+		// Force out any queued event older than us (rule 1 of
+		// parReleaseLocked); its span must retire before our grant.
 		e.parReleaseLocked()
 		if e.parGrantable(p) {
 			break
@@ -443,7 +321,6 @@ func (p *Proc) enterGate() {
 		e.parMu.Lock()
 	}
 	p.px.granted = true
-	e.parSec++
 	if p.px.at > e.now {
 		// The oldest incomplete span's dispatch time is the sequential
 		// kernel's clock; it advances monotonically across grants.
@@ -452,36 +329,28 @@ func (p *Proc) enterGate() {
 	e.parMu.Unlock()
 }
 
-// parEnd retires p's current span after its final state transition has
+// parEnd retires p's current span — the oldest incomplete one, since
+// spans retire through the gate — after its final state transition has
 // committed.  Usually the run stays in parallel mode and the retirement
-// releases the next window; when it was the last incomplete span of a
-// stopping or exhausted run, it drains the engine back to sequential
-// mode instead and flags p, whose carrier then dismisses the others.
+// releases more spans; when it was the last incomplete span of a stopping
+// or exhausted run, it drains the engine back to sequential mode instead
+// and flags p, whose carrier then dismisses the others.  Whatever is
+// still queued stays in e.q for Run's loop.
 func (p *Proc) parEnd() {
 	e := p.eng
 	e.parMu.Lock()
 	defer e.parMu.Unlock()
 	g := e.par
 	p.px.granted = false
-	g.clocks.RemoveMin(p.px.dom)
+	g.spans.pop()
 	if e.stop.Load() {
 		g.stopping = true // Interrupt mid-window: stop releasing, drain
 	}
 	e.parReleaseLocked()
-	if g.clocks.Size() > 0 || (!g.stopping && e.pqn > 0) {
+	if g.spans.len() > 0 || (!g.stopping && e.q.len() > 0) {
 		e.parSignalLocked()
 		return
 	}
-	// Merge any per-domain leftovers (an interrupted window's future
-	// events, stale entries included — sequential dispatch skips those by
-	// generation) into the sequential queue Run's loop pops from.
-	for dom := range e.pq {
-		for e.pq[dom].len() > 0 {
-			e.q.push(e.pq[dom].pop())
-		}
-	}
-	e.pqn = 0
-	e.parHeads.Reset()
 	e.par = nil // sequential mode from here on
 	p.px.drained = true
 	if g.stopping {

@@ -26,7 +26,7 @@ func (t *trace) add(p *Proc, format string, args ...any) {
 // runBoth executes the same program sequentially and in parallel mode and
 // requires identical results: same error, same event count, same final
 // clock, same trace.
-func runBoth(t *testing.T, workers int, lookahead Time, build func(e *Engine, tr *trace)) (*Engine, *trace) {
+func runBoth(t *testing.T, workers int, build func(e *Engine, tr *trace)) (*Engine, *trace) {
 	t.Helper()
 
 	seqEng, seqTr := NewEngine(), &trace{}
@@ -35,7 +35,7 @@ func runBoth(t *testing.T, workers int, lookahead Time, build func(e *Engine, tr
 
 	parEng, parTr := NewEngine(), &trace{}
 	build(parEng, parTr)
-	parEng.SetParallel(workers, lookahead, func(id int) int { return id % 2 })
+	parEng.SetParallel(workers)
 	if !parEng.WillRunParallel() {
 		t.Fatalf("parallel mode unexpectedly unavailable: %q", parEng.parFallback())
 	}
@@ -68,7 +68,7 @@ func runBoth(t *testing.T, workers int, lookahead Time, build func(e *Engine, tr
 // with asymmetric hold times: who finds it when is fixed by the dispatch
 // order, so the trace interleaving is fully determined.
 func TestParallelPingPong(t *testing.T) {
-	eng, tr := runBoth(t, 2, 5, func(e *Engine, tr *trace) {
+	_, tr := runBoth(t, 2, func(e *Engine, tr *trace) {
 		token := 0
 		for i := 0; i < 2; i++ {
 			hold := Time(3 + 2*i)
@@ -89,14 +89,11 @@ func TestParallelPingPong(t *testing.T) {
 	if len(tr.log) != 40 {
 		t.Fatalf("trace length %d, want 40", len(tr.log))
 	}
-	if rep := eng.ParReport(); rep.Windows == 0 || rep.Releases == 0 {
-		t.Fatalf("no windows recorded: %+v", rep)
-	}
 }
 
 // TestParallelRandomized drives a randomized mix of everything a window
 // runs — holds, defers, yields, absolute holds, flushes and ordered
-// updates of shared state — across several processes and domains.
+// updates of shared state — across several processes.
 func TestParallelRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		const procs = 8
@@ -131,7 +128,7 @@ func TestParallelRandomized(t *testing.T) {
 		}
 		for _, workers := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("seed%d_w%d", seed, workers), func(t *testing.T) {
-				runBoth(t, workers, 10, build)
+				runBoth(t, workers, build)
 			})
 		}
 	}
@@ -140,7 +137,7 @@ func TestParallelRandomized(t *testing.T) {
 // TestParallelPanicPropagates: a process panic fails the run with the
 // same error text as the sequential kernel and unwinds every goroutine.
 func TestParallelPanic(t *testing.T) {
-	runBoth(t, 4, 50, func(e *Engine, tr *trace) {
+	runBoth(t, 4, func(e *Engine, tr *trace) {
 		for i := 0; i < 4; i++ {
 			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				p.Hold(Time(10 * (p.ID + 1)))
@@ -169,7 +166,7 @@ func TestParallelInterrupt(t *testing.T) {
 			}
 		})
 	}
-	e.SetParallel(4, 10, func(id int) int { return id % 4 })
+	e.SetParallel(4)
 	go func() {
 		for !started.Load() {
 			runtime.Gosched()
@@ -215,14 +212,13 @@ func TestParallelFallbackReasons(t *testing.T) {
 		want string
 	}{
 		{"forced", func(e *Engine) { e.ForceSequential("not-stackless") }, "not-stackless"},
-		{"zero-lookahead", func(e *Engine) { e.SetParallel(4, 0, func(id int) int { return id }) }, "zero-lookahead"},
 		{"tick-hook", func(e *Engine) { e.Tick = func(Time) {} }, "tick-hook"},
 		{"time-limit", func(e *Engine) { e.MaxTime = 1 << 40 }, "time-limit-watchdog"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e := newTwo()
-			e.SetParallel(4, 10, func(id int) int { return id })
+			e.SetParallel(4)
 			c.prep(e)
 			if e.WillRunParallel() {
 				t.Fatal("WillRunParallel = true, want false")
@@ -242,7 +238,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 	t.Run("single-process", func(t *testing.T) {
 		e := NewEngine()
 		e.Spawn("only", func(p *Proc) { p.Hold(5) })
-		e.SetParallel(4, 10, func(id int) int { return id })
+		e.SetParallel(4)
 		if e.WillRunParallel() {
 			t.Fatal("WillRunParallel = true for one process")
 		}
@@ -262,7 +258,7 @@ func TestParallelReset(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { p.Hold(5) })
 	}
-	e.SetParallel(2, 10, func(id int) int { return id })
+	e.SetParallel(2)
 	if err := e.Run(); err != nil {
 		t.Fatalf("parallel run failed: %v", err)
 	}
@@ -270,7 +266,7 @@ func TestParallelReset(t *testing.T) {
 		t.Fatal("first run was not parallel")
 	}
 	e.Reset()
-	if rep := e.ParReport(); rep.Requested != 0 || rep.Parallel || rep.Fallback != "" || rep.Windows != 0 {
+	if rep := e.ParReport(); rep.Requested != 0 || rep.Parallel || rep.Fallback != "" {
 		t.Fatalf("Reset left parallel state behind: %+v", rep)
 	}
 	e.Spawn("after", func(p *Proc) { p.Hold(3) })

@@ -21,8 +21,7 @@ import (
 // across tens of thousands of events.
 const (
 	// ladderProcs: a run with at least this many processes selects the
-	// ladder queue at Run (per domain-local queue in parallel mode:
-	// procs/domains).
+	// ladder queue at Run.
 	ladderProcs = 256
 	// ladderSpread: buckets at most this large are sorted straight into
 	// the bottom run instead of spawning another rung.

@@ -210,15 +210,14 @@ func TestLadderSelection(t *testing.T) {
 	}
 }
 
-// TestParallelQueueRetention runs a windowed parallel run large enough
-// to select per-domain ladder queues and checks that no backing slot of
-// any per-domain store retains a *Proc afterwards — the parallel-mode
-// counterpart of TestQueueRetainsNoProcsAfterRun, covering pooled reuse
-// of engines whose last run was parallel.
+// TestParallelQueueRetention runs a parallel run large enough to select
+// the ladder queue — which a window schedules into and releases from —
+// and checks that no backing slot retains a *Proc afterwards: the
+// parallel-mode counterpart of TestQueueRetainsNoProcsAfterRun, covering
+// pooled reuse of engines whose last run was parallel.
 func TestParallelQueueRetention(t *testing.T) {
-	const doms = 2
 	e := NewEngine()
-	for i := 0; i < doms*ladderProcs; i++ {
+	for i := 0; i < 2*ladderProcs; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for j := 0; j < 5; j++ {
@@ -226,7 +225,7 @@ func TestParallelQueueRetention(t *testing.T) {
 			}
 		})
 	}
-	e.SetParallel(2, 5, func(id int) int { return id % doms })
+	e.SetParallel(2)
 	if !e.WillRunParallel() {
 		t.Fatalf("parallel mode unavailable: %q", e.parFallback())
 	}
@@ -236,8 +235,8 @@ func TestParallelQueueRetention(t *testing.T) {
 	if !e.ParReport().Parallel {
 		t.Fatal("run did not execute in parallel mode")
 	}
-	if len(e.pqLads) < doms {
-		t.Fatalf("run did not select per-domain ladder queues (stores: %d)", len(e.pqLads))
+	if e.q != &e.lad {
+		t.Fatal("run did not select the ladder queue")
 	}
 	scanRetained(t, e, "after parallel run")
 	e.Reset()

@@ -207,7 +207,7 @@ func TestStepAbort(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			hops{n: 3, gap: 5}.spawn(e, false, func(*Proc) {})
 		}
-		e.SetParallel(2, 10, func(id int) int { return id % 2 })
+		e.SetParallel(2)
 		if err := e.Run(); err != nil || !e.ParReport().Parallel || e.Now() != 15 {
 			t.Errorf("%s: run after Reset: err %v, report %+v, ended at %v", c.name, err, e.ParReport(), e.Now())
 		}
@@ -221,7 +221,7 @@ func TestStepRunsSequentially(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		hops{n: 3, gap: 5}.spawn(e, i%2 == 0, func(*Proc) {})
 	}
-	e.SetParallel(2, 10, func(id int) int { return id % 2 })
+	e.SetParallel(2)
 	if e.WillRunParallel() {
 		t.Error("an engine with a stackless process plans a parallel run")
 	}
