@@ -15,9 +15,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"spasm"
+	"spasm/internal/apps"
 )
 
 const usage = `usage: spasm <command> [flags]
@@ -119,13 +121,25 @@ func (f *simFlags) addPoint(fs *flag.FlagSet, machine, scale string) {
 	f.addScale(fs, scale)
 }
 
-// pUsage is the -p help text: every machine kind with its processor limit.
+// pUsage is the -p help text: every machine kind with its processor limit,
+// then every workload the app registry limits further, per scale.
 func pUsage() string {
-	var limits []string
+	var kinds, workloads []string
 	for _, k := range spasm.Machines() {
-		limits = append(limits, fmt.Sprintf("%v %d", k, spasm.MaxPFor(k)))
+		kinds = append(kinds, fmt.Sprintf("%v %d", k, spasm.MaxPFor(k)))
 	}
-	return "processors (power of two; at most " + strings.Join(limits, ", ") + ")"
+	for _, name := range append(apps.Names(), apps.ExtendedNames()...) {
+		var ps, scales []string
+		for _, sc := range []apps.Scale{apps.Tiny, apps.Small, apps.Medium} {
+			if max := apps.MaxP(name, sc); max > 0 {
+				ps, scales = append(ps, strconv.Itoa(max)), append(scales, sc.String())
+			}
+		}
+		if ps != nil {
+			workloads = append(workloads, fmt.Sprintf("; %s %s at %s", name, strings.Join(ps, "/"), strings.Join(scales, "/")))
+		}
+	}
+	return "processors (power of two; at most " + strings.Join(kinds, ", ") + strings.Join(workloads, "") + ")"
 }
 
 func (f *simFlags) addScale(fs *flag.FlagSet, scale string) {

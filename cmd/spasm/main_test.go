@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"spasm"
+	"spasm/internal/apps"
 	"spasm/internal/report"
 	"spasm/internal/service"
 	"spasm/internal/service/client"
@@ -183,7 +184,8 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestPUsageNamesEveryLimit: the -p help text lists every machine kind
-// with the processor limit Spec.Validate enforces for it.
+// with the processor limit Spec.Validate enforces for it, and every
+// workload the app registry limits further with its limit at each scale.
 func TestPUsageNamesEveryLimit(t *testing.T) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	var f simFlags
@@ -203,6 +205,31 @@ func TestPUsageNamesEveryLimit(t *testing.T) {
 	for _, k := range spasm.Machines() {
 		if !seen[k] {
 			t.Errorf("-p help %q names no limit for %v", usage, k)
+		}
+	}
+
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(\w+) ([\d/]+) at ([\w/]+)`).FindAllStringSubmatch(usage, -1) {
+		ps, scales := strings.Split(m[2], "/"), strings.Split(m[3], "/")
+		if len(ps) != len(scales) {
+			t.Fatalf("-p help %q: %d limits for %d scales", m[0], len(ps), len(scales))
+		}
+		for i, name := range scales {
+			sc, err := apps.ParseScale(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := strconv.Itoa(apps.MaxP(m[1], sc)); ps[i] != want {
+				t.Errorf("-p help says %s takes %s processors at %s, apps.MaxP says %s", m[1], ps[i], name, want)
+			}
+		}
+		named[m[1]] = true
+	}
+	for _, name := range append(apps.Names(), apps.ExtendedNames()...) {
+		for _, sc := range []apps.Scale{apps.Tiny, apps.Small, apps.Medium} {
+			if apps.MaxP(name, sc) > 0 && !named[name] {
+				t.Errorf("-p help %q names no limit for %s at %v", usage, name, sc)
+			}
 		}
 	}
 }

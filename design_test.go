@@ -72,3 +72,27 @@ func TestDesignInventory(t *testing.T) {
 		}
 	}
 }
+
+// TestDocBudget: each design document stays within a byte ceiling, set at
+// its size when the budget was introduced and rounded up to the next KB.
+// A change that needs more room moves history to CHANGES.md, or raises
+// the ceiling on purpose in the same diff.  bench/README.md belongs to
+// the benchmark contract and PAPER.md is the source paper's abstract, so
+// neither has a budget here.
+func TestDocBudget(t *testing.T) {
+	for path, kb := range map[string]int64{
+		"README.md":         14,
+		"DESIGN.md":         23,
+		"EXPERIMENTS.md":    16,
+		"docs/INTERNALS.md": 59,
+		"docs/SERVICE.md":   22,
+	} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > kb<<10 {
+			t.Errorf("%s is %d bytes, over its %d KB budget", path, fi.Size(), kb)
+		}
+	}
+}

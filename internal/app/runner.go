@@ -49,11 +49,6 @@ type RunControl struct {
 
 func (c RunControl) enabled() bool { return c.Timeout > 0 || c.Cancel != nil }
 
-// ParNotStackless is the Result.Par.Fallback of a run that asked for
-// workers but is not a Stream on a machine priced at issue: its processes
-// may block on one another, which only the sequential kernel runs.
-const ParNotStackless = "not-stackless"
-
 // Ctx is the shared context of one program run: the address space the
 // program allocates into, the machine it runs on, and the statistics it
 // accumulates.  Programs allocate their shared data and synchronization
@@ -142,9 +137,9 @@ type Options struct {
 	// Workers > 1 requests the conservative parallel mode (internal/sim):
 	// processes overlap on up to Workers goroutines while shared state
 	// commits in sequential dispatch order, so results are bit-identical
-	// to a sequential run.  Only a run that would otherwise be stackless
-	// (see runOn) goes parallel; any other records ParNotStackless in
-	// Result.Par and runs sequentially.  0 or 1 means sequential.
+	// to a sequential run.  Only a stackless run (see runOn) goes
+	// parallel; any other records sim.NotStackless in Result.Par and runs
+	// sequentially.  0 or 1 means sequential.
 	Workers int
 	// Wrap, when non-nil, receives the configured machine and returns
 	// the machine the program actually drives — the hook used by trace
@@ -204,9 +199,9 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // (decorators included) prices a reference at issue, gets stackless
 // processes — their bodies one []feed, a cache line each — running the
 // loop Drive runs: the same engine calls in the same order, so no result
-// shows which one ran.  The same run with Workers > 1 is the one the
-// parallel mode takes, on coroutines running Drive; every other run
-// asking for workers falls back to the sequential kernel.
+// shows which one ran.  With Workers > 1 the engine's parallel mode
+// overlaps those step functions; a run with coroutines asking for workers
+// runs sequentially, and Result.Par says so.
 //
 // When ctl is enabled, a watchdog goroutine interrupts the engine on
 // timeout or cancellation; the resulting cooperative abort unwinds every
@@ -243,10 +238,8 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	ctx.M = m
 
 	prefix := prog.Name() + "/p"
-	at, priced := m.(machine.PricedAtIssue)
-	stackless := priced && stream != nil // stepped with one worker, parallel with more
 	var feeds []feed
-	if stackless && workers <= 1 {
+	if at, priced := m.(machine.PricedAtIssue); priced && stream != nil {
 		ctx.at = at
 		feeds = make([]feed, cfg.P)
 	}
@@ -262,30 +255,10 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 			p := &Proc{ID: i, S: sp, M: m, St: &run.Procs[i], Ctx: ctx}
 			prog.Body(p)
 			p.closePhase()
-			// The run totals are shared: commit them in dispatch order.
-			sp.Ordered(func() { run.Finish(i, sp.Now()) })
+			p.St.Finish = sp.Now()
 		})
 	}
-
-	if workers > 1 {
-		// Arm the conservative parallel mode.  The engine still decides
-		// at Run time (probes set Tick, small machines have too few
-		// processes).  LogP is the one machine whose round trip commits
-		// through Ordered; a machine that learns to price at issue does
-		// not go parallel unguarded.
-		switch {
-		case !stackless:
-			eng.ForceSequential(ParNotStackless)
-		case cfg.Kind != machine.LogP:
-			eng.ForceSequential("no-plan-for-" + cfg.Kind.String())
-		}
-		eng.SetParallel(workers)
-		if eng.WillRunParallel() {
-			// Span bodies resolve homes outside ordered sections; freeze
-			// the memo so those lookups are read-only.
-			space.FreezeHomes()
-		}
-	}
+	eng.SetParallel(workers) // the engine decides at Run time, and reports why not
 
 	var timedOut, wasCanceled atomic.Bool
 	if ctl.enabled() {
@@ -347,6 +320,7 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 			prog.Name(), cfg.Kind, cfg.Topology, cfg.P, err)
 	}
 	run.Wall = time.Since(t0)
+	run.Complete()
 	run.SimEvents = eng.Events
 	if b, ok := base.(machine.Backend); ok {
 		if net := b.Network(); net != nil {

@@ -76,7 +76,11 @@ func (f *feed) run() (wake sim.Time, done bool) {
 		switch {
 		case c.at != nil:
 			now := sp.Now()
-			end, remote := c.at.Issue(st, now, f.id, r.Addr, r.Write)
+			var end sim.Time
+			var remote bool
+			// The machine is what processes share: a parallel window
+			// prices references in sequential dispatch order.
+			sp.Ordered(func() { end, remote = c.at.Issue(st, now, f.id, r.Addr, r.Write) })
 			if remote && end > now {
 				return end, false
 			}
@@ -93,7 +97,7 @@ func (f *feed) run() (wake sim.Time, done bool) {
 func (f *feed) Step(sp *sim.Proc) (sim.Time, bool) {
 	wake, done := f.run()
 	if done {
-		f.ctx.Run.Finish(f.id, sp.Now())
+		f.st.Finish = sp.Now()
 	}
 	return wake, done
 }

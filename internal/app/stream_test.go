@@ -68,9 +68,9 @@ func hidden(m machine.Machine) machine.Machine { return struct{ machine.Machine 
 
 // TestStreamDriverChosenFromTheRun: which of the two drivers runs a
 // Stream follows from the machine the program will drive and from
-// whether the parallel mode was asked for — and nothing a result carries
-// depends on the choice.  Workers run parallel exactly where one worker
-// would run stackless; elsewhere the run says it is not stackless.
+// nothing else — and nothing a result carries depends on the choice.
+// Workers overlap the step functions of a stackless run, on no more
+// goroutines than that; elsewhere the run says it is not stackless.
 func TestStreamDriverChosenFromTheRun(t *testing.T) {
 	const P = 8
 	logp := machine.Config{Kind: machine.LogP, Topology: "cube", P: P}
@@ -85,7 +85,7 @@ func TestStreamDriverChosenFromTheRun(t *testing.T) {
 		{"logp", logp, Options{}, true, false},
 		{"logp, one worker", logp, Options{Workers: 1}, true, false},
 		{"logp behind a decorator", logp, Options{Wrap: hidden}, false, false},
-		{"logp, two workers", logp, Options{Workers: 2}, false, true},
+		{"logp, two workers", logp, Options{Workers: 2}, true, true},
 		{"logp behind a decorator, two workers", logp, Options{Wrap: hidden, Workers: 2}, false, false},
 		{"target", machine.Config{Kind: machine.Target, Topology: "cube", P: P}, Options{}, false, false},
 		{"flow, two workers", machine.Config{Kind: machine.Flow, Topology: "cube", P: P}, Options{Workers: 2}, false, false},
@@ -100,7 +100,7 @@ func TestStreamDriverChosenFromTheRun(t *testing.T) {
 			t.Errorf("%s: %d goroutines beyond the caller's mid-run, want stackless = %v", c.name, got, c.stackless)
 		}
 		if c.opt.Workers > 1 {
-			if want := ParNotStackless; res.Par == nil || res.Par.Parallel != c.parallel || (!c.parallel && res.Par.Fallback != want) {
+			if want := sim.NotStackless; res.Par == nil || res.Par.Parallel != c.parallel || (!c.parallel && res.Par.Fallback != want) {
 				t.Errorf("%s: parallel report %+v, want parallel = %v or fallback %q", c.name, res.Par, c.parallel, want)
 			}
 		}

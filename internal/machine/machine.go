@@ -289,29 +289,24 @@ func (m *logpMachine) Issue(st *stats.Proc, now sim.Time, node int, addr mem.Add
 	return now + m.costs.Mem, false
 }
 
-func (m *logpMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	st.Add(stats.Memory, m.costs.Mem)
-	home := m.space.Home(addr)
-	if home == node {
-		p.Defer(m.costs.Mem)
-		return
-	}
-	now := p.Now()
-	// The port calendars are shared state: a parallel window books the
-	// round trip in an ordered section, in sequential dispatch order.
-	var done sim.Time
-	p.Ordered(func() { done = m.roundTrip(st, now, node, home) })
-	p.HoldUntil(done)
-}
-
 func (m *logpMachine) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	st.Reads++
-	m.access(p, st, node, addr)
+	done, remote := m.Issue(st, p.Now(), node, addr, false)
+	awaitIssued(p, done, remote)
 }
 
 func (m *logpMachine) Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	st.Writes++
-	m.access(p, st, node, addr)
+	done, remote := m.Issue(st, p.Now(), node, addr, true)
+	awaitIssued(p, done, remote)
+}
+
+// awaitIssued blocks p for a reference priced at issue: until the reply
+// of a remote one lands, or, for a local one, as deferred local work.
+func awaitIssued(p *sim.Proc, done sim.Time, remote bool) {
+	if remote {
+		p.HoldUntil(done)
+		return
+	}
+	p.Defer(done - p.Now())
 }
 
 // flowMachine is the cache-less flow-abstracted machine: like the LogP

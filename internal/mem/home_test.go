@@ -2,8 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 	"testing"
 )
 
@@ -108,44 +106,6 @@ func TestHomeMemoHoldsEveryNode(t *testing.T) {
 	for b, h := range want {
 		if got := s.Home(s.BlockBase(Block(b))); got != h {
 			t.Fatalf("block %d: home %d from the memo, %d when resolved", b, got, h)
-		}
-	}
-}
-
-// TestFreezeHomesLeavesLookupsWriteFree: after FreezeHomes, Home writes
-// nothing — the parallel mode's span bodies call it concurrently.  The
-// memo is complete and does not change under lookups from two goroutines
-// (go test -race sees a write if there is one); a single-region space has
-// no memo at all.
-func TestFreezeHomesLeavesLookupsWriteFree(t *testing.T) {
-	multi := NewSpace(8, 32)
-	multi.Alloc("a", 1000, 8, Blocked)
-	multi.Alloc("b", 300, 8, Interleaved)
-	multi.AllocAt("c", 10, 8, 6)
-	single := NewSpace(8, 32)
-	single.Alloc("a", 1000, 8, Blocked)
-	for _, s := range []*Space{multi, single} {
-		s.FreezeHomes()
-		frozen := slices.Clone(s.homes)
-		if s == single && len(frozen) != 0 {
-			t.Errorf("freezing a single-region space built a %d-entry memo", len(frozen))
-		}
-		if s == multi && (len(frozen) < int(s.Size()>>5) || slices.Contains(frozen[:s.Size()>>5], -1)) {
-			t.Error("the frozen memo of a three-region space has holes")
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for addr := Addr(0); addr < s.Size(); addr += 8 {
-					s.Home(addr)
-				}
-			}()
-		}
-		wg.Wait()
-		if !slices.Equal(s.homes, frozen) {
-			t.Error("lookups after FreezeHomes changed the memo")
 		}
 	}
 }

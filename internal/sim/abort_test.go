@@ -21,7 +21,7 @@ func allTerminated(e *Engine) bool {
 
 // settleGoroutines waits for the goroutine count to come back to (near)
 // base.  Process coroutines are gone when Run returns, but a parallel
-// run's carriers are joined at their last statement, not their exit, so
+// run's workers are joined at their last statement, not their exit, so
 // leak checks must allow the scheduler a moment.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
@@ -237,12 +237,11 @@ func deepChain(e *Engine, depth *int, hit func(p *Proc)) {
 // TestVehicleLeavesNoGoroutines: whatever ends a run — a panicking body,
 // a deadlock, an interrupt that finds processes mid-Hold, the time limit,
 // or plain completion with a process spawned mid-run — every coroutine
-// has finished and, in parallel mode, every carrier has exited by the
-// time Run returns: the goroutine count is back at its baseline.  With
-// two workers the cases that park or spawn end at the first Park or
-// Spawn instead, with ErrParallelWindow.  The deep-chain cases end a
-// sequential run while 63 coroutines are suspended inside one another's
-// resumption.
+// has finished by the time Run returns: the goroutine count is back at its
+// baseline.  Two workers change nothing: a parallel window runs step
+// functions only, so every case falls back to the sequential kernel.  The
+// deep-chain cases end a run while 63 coroutines are suspended inside one
+// another's resumption.
 func TestVehicleLeavesNoGoroutines(t *testing.T) {
 	var dl *DeadlockError
 	var ab *AbortError
@@ -252,8 +251,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 		name  string
 		build func(e *Engine)
 		check func(err error) bool
-		chain bool // a deep-chain case: the depth is checked when sequential
-		parks bool // parks or spawns: a parallel run fails with ErrParallelWindow
+		chain bool // a deep-chain case: the depth is checked
 	}{
 		{"deep-chain-panic", func(e *Engine) {
 			deepChain(e, &depth, func(p *Proc) {
@@ -261,23 +259,23 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 					panic("kaboom")
 				}
 			})
-		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, true, false},
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, true},
 		{"deep-chain-deadlock", func(e *Engine) {
 			deepChain(e, &depth, func(p *Proc) { p.Park() }) // nobody wakes anyone
-		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 64 }, true, true},
+		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 64 }, true},
 		{"deep-chain-interrupt", func(e *Engine) {
 			deepChain(e, &depth, func(p *Proc) {
 				if p.ID == 63 {
 					e.Interrupt()
 				}
 			})
-		}, func(err error) bool { return errors.As(err, &ab) }, true, false},
+		}, func(err error) bool { return errors.As(err, &ab) }, true},
 		{"deep-chain-max-time", func(e *Engine) {
 			// The last process's fourth turn is at 3*64+63; the next
 			// dispatch crosses the limit.
 			e.MaxTime = 3*64 + 63
 			deepChain(e, &depth, func(*Proc) {})
-		}, func(err error) bool { return errors.As(err, &tl) }, true, false},
+		}, func(err error) bool { return errors.As(err, &tl) }, true},
 		{"panic", func(e *Engine) {
 			var q Queue
 			e.Spawn("parked", func(p *Proc) { q.Wait(p) })
@@ -286,7 +284,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				p.Hold(10)
 				panic("kaboom")
 			})
-		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, false, true},
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }, false},
 		{"deadlock", func(e *Engine) {
 			for i := 0; i < 3; i++ {
 				e.Spawn("stuck", func(p *Proc) {
@@ -294,7 +292,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 					p.Park()
 				})
 			}
-		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 3 }, false, true},
+		}, func(err error) bool { return errors.As(err, &dl) && len(dl.Procs) == 3 }, false},
 		{"interrupt-mid-hold", func(e *Engine) {
 			for i := 0; i < 4; i++ {
 				e.Spawn("spinner", func(p *Proc) {
@@ -308,7 +306,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				e.Interrupt()
 				p.Hold(1e6)
 			})
-		}, func(err error) bool { return errors.As(err, &ab) }, false, false},
+		}, func(err error) bool { return errors.As(err, &ab) }, false},
 		{"mid-run-spawn", func(e *Engine) {
 			for i := 0; i < 2; i++ {
 				e.Spawn("root", func(p *Proc) {
@@ -317,7 +315,7 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 					p.Hold(30)
 				})
 			}
-		}, func(err error) bool { return err == nil }, false, true},
+		}, func(err error) bool { return err == nil }, false},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 2} {
@@ -327,19 +325,13 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				depth = 0
 				c.build(e)
 				e.SetParallel(workers)
-				parallel := workers > 1 && e.MaxTime == 0 // the time limit runs sequentially
-				err := e.Run()
-				if parallel && c.parks {
-					if !errors.Is(err, ErrParallelWindow) {
-						t.Fatalf("run returned %v, want ErrParallelWindow", err)
-					}
-				} else if !c.check(err) {
+				if err := e.Run(); !c.check(err) {
 					t.Fatalf("run returned %v", err)
 				}
-				if got := e.ParReport().Parallel; got != parallel {
-					t.Fatalf("parallel = %v with %d workers", got, workers)
+				if rep := e.ParReport(); rep.Parallel || workers > 1 && rep.Fallback != NotStackless {
+					t.Fatalf("%d workers: parallel report %+v, want a sequential run", workers, rep)
 				}
-				if c.chain && !parallel && depth < 32 {
+				if c.chain && depth < 32 {
 					t.Fatalf("the chain was %d deep when the run ended, want at least 32", depth)
 				}
 				if !allTerminated(e) {

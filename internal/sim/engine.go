@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -160,14 +159,9 @@ type Engine struct {
 	// in flight; everything else is per-run configuration or reporting,
 	// cleared by Reset like Tick and MaxTime.
 	pworkers int
-	pforce   string // caller-imposed fallback reason (ForceSequential)
 	par      *parGate
-	// parMu protects all engine state while par != nil (queue, seq, now,
-	// in-flight spans, per-process release bookkeeping).  Sequential mode
-	// never touches it.
-	parMu  sync.Mutex
-	parRan bool
-	pfall  string // why a requested parallel run executed sequentially
+	parRan   bool
+	pfall    string // why a requested parallel run executed sequentially
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -226,7 +220,6 @@ func (e *Engine) Reset() {
 	// Parallel-mode configuration and outcome are per-run state.  par is
 	// nil whenever Run is not in flight, but clear it anyway.
 	e.pworkers = 0
-	e.pforce = ""
 	e.par = nil
 	e.parRan = false
 	e.pfall = ""
@@ -254,8 +247,8 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // schedule enqueues a resumption of p at time at (>= now).  Bumping
 // p.gen invalidates any earlier pending event for p at push time: a
 // stale wakeup is recognized by its generation mismatch when popped, so
-// the queue never needs scanning.  A parallel window schedules through
-// parScheduleLocked instead.
+// the queue never needs scanning.  A parallel window schedules in span
+// instead, under its commit gate.
 func (e *Engine) schedule(at Time, p *Proc) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", at, e.now))
@@ -378,11 +371,10 @@ func (e *Engine) runResult() error {
 
 // Spawn creates a simulated process executing fn and schedules it to start
 // at the current simulation time.  It may be called before Run or from
-// inside a running process, though not inside a parallel window.  The
-// returned Proc is also passed to fn.
+// inside a running process.  The returned Proc is also passed to fn.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := e.admit(&Proc{name: name, eng: e})
-	p.launch(fn) // after admit, which refuses a window before a coroutine exists
+	p.launch(fn)
 	return p
 }
 
@@ -401,14 +393,16 @@ func (e *Engine) SpawnIndexed(prefix string, fn func(*Proc)) *Proc {
 // work (Defer) and returns when the process resumes — its local clock, if
 // that is later — or done, which terminates it.  It must not block: Hold,
 // HoldUntil, FlushLag, Park, Yield and all that is built on them panic.
+// In a parallel window (SetParallel) Steps of different processes run at
+// once: a Step must not spawn, reads the clock through p.Now, and touches
+// what other processes share only inside p.Ordered.
 type Stepper interface {
 	Step(p *Proc) (wake Time, done bool)
 }
 
 // SpawnStep is SpawnIndexed for a stackless process: no coroutine, no
 // goroutine, no switch, no object of its own — an event is one indirect
-// call on Run's stack.  The parallel mode's carriers cannot drive one, so
-// the run is sequential.
+// call on Run's stack.
 func (e *Engine) SpawnStep(prefix string, body Stepper) *Proc {
 	if len(e.free) == 0 {
 		if e.slabNext == len(e.slabs) {
@@ -424,7 +418,6 @@ func (e *Engine) SpawnStep(prefix string, body Stepper) *Proc {
 	p := &e.free[0]
 	e.free = e.free[1:]
 	*p = Proc{name: prefix, eng: e, indexed: true, step: body}
-	e.pforce = "stackless-process"
 	return e.admit(p)
 }
 
@@ -433,7 +426,6 @@ const minSlab = 64
 
 // admit enters a new process in the table and schedules its first event.
 func (e *Engine) admit(p *Proc) *Proc {
-	e.sequentialOnly("Spawn")
 	p.ID = len(e.procs)
 	e.procs = append(e.procs, p)
 	e.nLive++
@@ -480,14 +472,6 @@ func (p *Proc) steps() {
 // exit terminates a process whose body returned, or panicked with r.
 func (p *Proc) exit(r any) {
 	e := p.eng
-	// e.par is stable here: it can only transition to nil while no
-	// span is incomplete, and this process's current span is.  (On
-	// the abortSignal unwind path e.par is already nil, with the
-	// transition ordered before our final resumption.)
-	if e.par != nil {
-		e.parTerminate(p, r)
-		return
-	}
 	if r != nil {
 		// Panics raised after the abort began are collateral of the
 		// unwind (cleanup defers running against torn-down state),
@@ -508,7 +492,7 @@ func (p *Proc) exit(r any) {
 }
 
 // panicked is the run error of a process that panicked with r at time at,
-// wrapping r when it is an error (so errors.Is finds ErrParallelWindow).
+// wrapping r when it is an error (so errors.Is and errors.As see it).
 func panicked(p *Proc, at Time, r any) error {
 	if err, ok := r.(error); ok {
 		return fmt.Errorf("sim: process %q panicked at %v: %w", p.Name(), at, err)

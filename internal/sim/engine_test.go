@@ -325,30 +325,6 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(2)
-	concurrent, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			s.Acquire(p)
-			concurrent++
-			if concurrent > peak {
-				peak = concurrent
-			}
-			p.Hold(100)
-			concurrent--
-			s.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Errorf("peak concurrency = %d, want 2", peak)
-	}
-}
-
 func TestSpawnFromProcess(t *testing.T) {
 	e := NewEngine()
 	childRan := false

@@ -36,8 +36,8 @@ func runBoth(t *testing.T, workers int, build func(e *Engine, tr *trace)) (*Engi
 	parEng, parTr := NewEngine(), &trace{}
 	build(parEng, parTr)
 	parEng.SetParallel(workers)
-	if !parEng.WillRunParallel() {
-		t.Fatalf("parallel mode unexpectedly unavailable: %q", parEng.parFallback())
+	if why := parEng.parFallback(); why != "" {
+		t.Fatalf("parallel mode unexpectedly unavailable: %q", why)
 	}
 	parErr := parEng.Run()
 
@@ -64,26 +64,27 @@ func runBoth(t *testing.T, workers int, build func(e *Engine, tr *trace)) (*Engi
 	return parEng, parTr
 }
 
-// TestParallelPingPong passes a token between two processes that poll it
-// with asymmetric hold times: who finds it when is fixed by the dispatch
-// order, so the trace interleaving is fully determined.
+// TestParallelPingPong passes a token between two step functions that poll
+// it with asymmetric wake intervals: who finds it when is fixed by the
+// dispatch order, so the trace interleaving is fully determined.
 func TestParallelPingPong(t *testing.T) {
 	_, tr := runBoth(t, 2, func(e *Engine, tr *trace) {
 		token := 0
 		for i := 0; i < 2; i++ {
-			hold := Time(3 + 2*i)
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for round := 0; round < 20; {
-					var mine bool
-					p.Ordered(func() { mine = token%2 == p.ID })
-					if mine {
-						tr.add(p, "token round %d", round)
-						p.Ordered(func() { token++ })
-						round++
-					}
-					p.Hold(hold)
+			hold, round := Time(3+2*i), 0
+			e.SpawnStep("p", stepFunc(func(p *Proc) (Time, bool) {
+				if round == 20 {
+					return 0, true
 				}
-			})
+				var mine bool
+				p.Ordered(func() { mine = token%2 == p.ID })
+				if mine {
+					tr.add(p, "token round %d", round)
+					p.Ordered(func() { token++ })
+					round++
+				}
+				return p.Now() + hold, false
+			}))
 		}
 	})
 	if len(tr.log) != 40 {
@@ -91,9 +92,9 @@ func TestParallelPingPong(t *testing.T) {
 	}
 }
 
-// TestParallelRandomized drives a randomized mix of everything a window
-// runs — holds, defers, yields, absolute holds, flushes and ordered
-// updates of shared state — across several processes.
+// TestParallelRandomized drives a randomized mix of everything a span
+// does — defers, wakes later, at the local clock and in the past, and
+// ordered updates of shared state — across several step functions.
 func TestParallelRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		const procs = 8
@@ -101,20 +102,22 @@ func TestParallelRandomized(t *testing.T) {
 			shared := 0
 			for i := 0; i < procs; i++ {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(i)))
-				e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-					for step := 0; step < 30; step++ {
-						switch rng.Intn(6) {
+				step := 0
+				e.SpawnStep("w", stepFunc(func(p *Proc) (Time, bool) {
+					for ; step < 30; step++ {
+						switch rng.Intn(5) {
 						case 0:
-							p.Hold(Time(rng.Intn(20)))
+							step++
+							return p.Now() + Time(rng.Intn(20)), false
 						case 1:
 							p.Defer(Time(rng.Intn(9)))
 						case 2:
-							p.Yield()
+							step++
+							return 0, false // resume at the local clock
 						case 3:
-							p.HoldUntil(p.Now() + Time(rng.Intn(15)))
+							step++
+							return Time(rng.Intn(400)), false // an absolute wake, perhaps past
 						case 4:
-							p.FlushLag()
-						case 5:
 							var v int
 							p.Ordered(func() {
 								shared = shared*31 + p.ID + 1
@@ -123,7 +126,8 @@ func TestParallelRandomized(t *testing.T) {
 							tr.add(p, "step %d: shared %d", step, v)
 						}
 					}
-				})
+					return 0, true
+				}))
 			}
 		}
 		for _, workers := range []int{2, 4, 8} {
@@ -134,18 +138,25 @@ func TestParallelRandomized(t *testing.T) {
 	}
 }
 
-// TestParallelPanicPropagates: a process panic fails the run with the
-// same error text as the sequential kernel and unwinds every goroutine.
+// TestParallelPanic: a step panic fails the run with the same error text
+// as the sequential kernel, after the same events, and the processes still
+// queued end as they do there.
 func TestParallelPanic(t *testing.T) {
 	runBoth(t, 4, func(e *Engine, tr *trace) {
 		for i := 0; i < 4; i++ {
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				p.Hold(Time(10 * (p.ID + 1)))
-				if p.ID == 2 {
+			turn := 0
+			e.SpawnStep("p", stepFunc(func(p *Proc) (Time, bool) {
+				turn++
+				switch {
+				case turn == 1:
+					return p.Now() + Time(10*(p.ID+1)), false
+				case p.ID == 2:
 					panic("boom")
+				case turn == 2:
+					return p.Now() + 1000, false
 				}
-				p.Hold(1000)
-			})
+				return 0, true
+			}))
 		}
 	})
 }
@@ -158,13 +169,10 @@ func TestParallelInterrupt(t *testing.T) {
 	e := NewEngine()
 	var started atomic.Bool
 	for i := 0; i < 8; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for {
-				started.Store(true)
-				p.Hold(5)
-				p.Yield()
-			}
-		})
+		e.SpawnStep("p", stepFunc(func(p *Proc) (Time, bool) {
+			started.Store(true)
+			return p.Now() + 5, false
+		}))
 	}
 	e.SetParallel(4)
 	go func() {
@@ -186,14 +194,39 @@ func TestParallelInterrupt(t *testing.T) {
 	if rep.Fallback != "drained-mid-flight" {
 		t.Fatalf("Fallback = %q, want drained-mid-flight", rep.Fallback)
 	}
-	// Every process goroutine must have unwound.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d > %d before", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
+	if !allTerminated(e) {
+		t.Fatal("interrupted run left live processes")
 	}
+	settleGoroutines(t, before)
+}
+
+// TestParallelWorkersBoundGoroutines: a window of W workers starts W
+// goroutines, however many processes it runs.
+func TestParallelWorkersBoundGoroutines(t *testing.T) {
+	const procs, workers = 64, 3
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	var peak atomic.Int64
+	for i := 0; i < procs; i++ {
+		hops{n: 20, think: Time(i % 3), gap: Time(5 + i%4)}.spawn(e, true, func(*Proc) {
+			for n := int64(runtime.NumGoroutine()); ; {
+				if seen := peak.Load(); n <= seen || peak.CompareAndSwap(seen, n) {
+					break
+				}
+			}
+		})
+	}
+	e.SetParallel(workers)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.ParReport().Parallel {
+		t.Fatal("run did not execute in parallel mode")
+	}
+	if got := int(peak.Load()) - base; got > workers {
+		t.Errorf("%d goroutines beyond the caller's during a %d-worker window of %d processes", got, workers, procs)
+	}
+	settleGoroutines(t, base)
 }
 
 // TestParallelFallbackReasons checks each incompatibility the engine
@@ -202,7 +235,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 	newTwo := func() *Engine {
 		e := NewEngine()
 		for i := 0; i < 2; i++ {
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { p.Hold(5) })
+			hops{n: 1, gap: 5}.spawn(e, true, func(*Proc) {})
 		}
 		return e
 	}
@@ -211,7 +244,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 		prep func(e *Engine)
 		want string
 	}{
-		{"forced", func(e *Engine) { e.ForceSequential("not-stackless") }, "not-stackless"},
+		{NotStackless, func(e *Engine) { hops{n: 1, gap: 5}.spawn(e, false, func(*Proc) {}) }, NotStackless},
 		{"tick-hook", func(e *Engine) { e.Tick = func(Time) {} }, "tick-hook"},
 		{"time-limit", func(e *Engine) { e.MaxTime = 1 << 40 }, "time-limit-watchdog"},
 	}
@@ -220,9 +253,6 @@ func TestParallelFallbackReasons(t *testing.T) {
 			e := newTwo()
 			e.SetParallel(4)
 			c.prep(e)
-			if e.WillRunParallel() {
-				t.Fatal("WillRunParallel = true, want false")
-			}
 			if err := e.Run(); err != nil {
 				t.Fatalf("fallback run failed: %v", err)
 			}
@@ -237,11 +267,8 @@ func TestParallelFallbackReasons(t *testing.T) {
 	}
 	t.Run("single-process", func(t *testing.T) {
 		e := NewEngine()
-		e.Spawn("only", func(p *Proc) { p.Hold(5) })
+		hops{n: 1, gap: 5}.spawn(e, true, func(*Proc) {})
 		e.SetParallel(4)
-		if e.WillRunParallel() {
-			t.Fatal("WillRunParallel = true for one process")
-		}
 		if err := e.Run(); err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
@@ -256,7 +283,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 func TestParallelReset(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 2; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { p.Hold(5) })
+		hops{n: 1, gap: 5}.spawn(e, true, func(*Proc) {})
 	}
 	e.SetParallel(2)
 	if err := e.Run(); err != nil {
@@ -269,7 +296,9 @@ func TestParallelReset(t *testing.T) {
 	if rep := e.ParReport(); rep.Requested != 0 || rep.Parallel || rep.Fallback != "" {
 		t.Fatalf("Reset left parallel state behind: %+v", rep)
 	}
-	e.Spawn("after", func(p *Proc) { p.Hold(3) })
+	for i := 0; i < 2; i++ {
+		hops{n: 1, gap: 3}.spawn(e, true, func(*Proc) {})
+	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("sequential re-run failed: %v", err)
 	}

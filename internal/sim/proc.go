@@ -40,13 +40,11 @@ type Proc struct {
 	name string
 	// The body of any other process runs as a coroutine (see launch): next
 	// resumes it and returns when it yields or finishes; yield suspends it
-	// back to whoever called next — Run's loop, a process that blocked,
-	// or in a parallel run the process's carrier.  Neither switch enters
-	// the Go scheduler.  Both are nil for a stackless process.
+	// back to whoever called next — Run's loop or a process that blocked.
+	// Neither switch enters the Go scheduler.  Both are nil for a
+	// stackless process.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
-
-	px *parProc // parallel-mode span state; nil outside a parallel run
 }
 
 // Engine returns the engine this process runs on.
@@ -61,12 +59,13 @@ func (p *Proc) Name() string {
 }
 
 // Now reports the process's local simulated time (the global event time
-// plus any deferred local work).  In parallel mode the span's dispatch
-// time stands in for the global clock: it is exactly what the sequential
-// kernel's clock reads while this process runs.
+// plus any deferred local work).  In parallel mode the time of the span's
+// event — the process's latest scheduled resumption — stands in for the
+// global clock: it is exactly what the sequential kernel's clock reads
+// while this process runs.
 func (p *Proc) Now() Time {
 	if p.eng.par != nil {
-		return p.px.at + p.lag
+		return p.sched + p.lag
 	}
 	return p.eng.now + p.lag
 }
@@ -156,10 +155,6 @@ func (p *Proc) FlushLag() {
 	if p.lag > 0 {
 		d := p.lag
 		p.lag = 0
-		if p.eng.par != nil {
-			p.parHold(p.px.at + d)
-			return
-		}
 		p.eng.schedule(p.eng.now+d, p)
 		p.block("FlushLag")
 	}
@@ -176,12 +171,6 @@ func (p *Proc) Hold(d Time) {
 	if d+p.lag <= 0 {
 		return
 	}
-	if p.eng.par != nil {
-		at := p.px.at + p.lag + d
-		p.lag = 0
-		p.parHold(at)
-		return
-	}
 	at := p.eng.now + p.lag + d
 	p.lag = 0
 	p.eng.schedule(at, p)
@@ -194,10 +183,6 @@ func (p *Proc) HoldUntil(t Time) {
 		return
 	}
 	p.lag = 0
-	if p.eng.par != nil {
-		p.parHold(t)
-		return
-	}
 	p.eng.schedule(t, p)
 	p.block("HoldUntil")
 }
@@ -207,7 +192,6 @@ func (p *Proc) HoldUntil(t Time) {
 // enqueueing (see Queue.Wait); Park itself must not flush, because by
 // the time it runs the process may already be visible to wakers.
 func (p *Proc) Park() {
-	p.eng.sequentialOnly("Park")
 	p.parked = true
 	p.block("Park")
 }
@@ -221,7 +205,6 @@ func (p *Proc) Park() {
 // legitimately try to wake peers that are no longer parked.
 func (p *Proc) Wake() {
 	e := p.eng
-	e.sequentialOnly("Wake")
 	if e.aborting {
 		return
 	}
@@ -234,12 +217,6 @@ func (p *Proc) Wake() {
 // Yield reschedules the process at its current local time behind any
 // other process already scheduled there, giving them a chance to run.
 func (p *Proc) Yield() {
-	if p.eng.par != nil {
-		at := p.px.at + p.lag
-		p.lag = 0
-		p.parHold(at)
-		return
-	}
 	at := p.eng.now + p.lag
 	p.lag = 0
 	p.eng.schedule(at, p)

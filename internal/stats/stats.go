@@ -123,12 +123,11 @@ func NewRun(p int) *Run {
 // P returns the number of processors in the run.
 func (r *Run) P() int { return len(r.Procs) }
 
-// Finish records processor id finishing at time t and folds it into
-// Total.
-func (r *Run) Finish(id int, t sim.Time) {
-	r.Procs[id].Finish = t
-	if t > r.Total {
-		r.Total = t
+// Complete sets Total to the latest of the processors' finish times; call
+// it once every processor has finished.
+func (r *Run) Complete() {
+	for i := range r.Procs {
+		r.Total = max(r.Total, r.Procs[i].Finish)
 	}
 }
 

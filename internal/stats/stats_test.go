@@ -48,8 +48,9 @@ func TestRunAggregation(t *testing.T) {
 	for i := range r.Procs {
 		r.Procs[i].Add(Contention, sim.Time(10*(i+1)))
 		r.Procs[i].Messages = uint64(i)
-		r.Finish(i, sim.Time(100*(i+1)))
+		r.Procs[i].Finish = sim.Time(100 * (i + 1))
 	}
+	r.Complete()
 	if r.P() != 4 {
 		t.Errorf("P = %d", r.P())
 	}
@@ -97,12 +98,13 @@ func TestAggregateProperty(t *testing.T) {
 		for i, v := range vals {
 			d := sim.Time(v)
 			r.Procs[i].Add(Latency, d)
-			r.Finish(i, d)
+			r.Procs[i].Finish = d
 			sum += d
 			if d > max {
 				max = d
 			}
 		}
+		r.Complete()
 		return r.Sum(Latency) == sum && r.Max(Latency) == max &&
 			r.Total == max && r.Mean(Latency) <= max
 	}

@@ -22,8 +22,8 @@ import (
 	"testing"
 	"time"
 
-	"spasm/internal/app"
 	"spasm/internal/report"
+	"spasm/internal/sim"
 )
 
 // runDoc is a run's report document, the bytes spasmd caches.
@@ -76,8 +76,8 @@ func TestParallelFallbackBitIdentical(t *testing.T) {
 			want, _ := runDoc(t, spec, pool)
 			spec.Workers = 4
 			got, res := runDoc(t, spec, pool)
-			if res.Par == nil || res.Par.Parallel || res.Par.Fallback != app.ParNotStackless {
-				t.Fatalf("%s on %v, 4 workers: parallel report %+v, want fallback %q", name, kind, res.Par, app.ParNotStackless)
+			if res.Par == nil || res.Par.Parallel || res.Par.Fallback != sim.NotStackless {
+				t.Fatalf("%s on %v, 4 workers: parallel report %+v, want fallback %q", name, kind, res.Par, sim.NotStackless)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("fallback %s on %v diverged from sequential\nseq: %s\nfb:  %s", name, kind, want, got)
@@ -87,12 +87,12 @@ func TestParallelFallbackBitIdentical(t *testing.T) {
 }
 
 // TestOrderedSites: a parallel window runs reference streams on LogP, and
-// those touch state another process sees in two places — the LogP round
-// trip and the runner's run totals — each an Ordered section.  A third
-// call site in non-test code means something else is meant to run in a
-// window; that is a design change, not a one-line addition.
+// those touch state another process sees in one place — the machine, which
+// a stream's feed prices each reference on inside an Ordered section.  A
+// second call site in non-test code means something else is meant to run
+// in a window; that is a design change, not a one-line addition.
 func TestOrderedSites(t *testing.T) {
-	want := []string{"internal/app/runner.go:runOn", "internal/machine/machine.go:access"}
+	want := []string{"internal/app/stream.go:run"}
 	var got []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
