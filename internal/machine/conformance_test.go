@@ -109,8 +109,7 @@ func TestLargePConformance(t *testing.T) {
 // the active-flow table — a leaked flow from the previous run would
 // alias into the next run's bandwidth allocation.  The same access
 // sequence is driven on a fresh machine and a rebound one; their
-// delivery schedules must be identical (the TestProfilerReuse-style
-// aliasing check for the flow backend).
+// delivery schedules must be identical.
 func TestFlowRebindClearsState(t *testing.T) {
 	drive := func(m Machine, s *mem.Space, a *mem.Array) string {
 		fm := m.(Flowed).FlowNet()

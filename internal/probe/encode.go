@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"spasm/internal/sim"
 	"spasm/internal/stats"
@@ -31,24 +32,35 @@ const (
 	maxDecodeString = 1 << 10
 )
 
-type countingWriter struct {
+// encoder writes the wire layout's varints and counts the bytes; with
+// no writer it only counts, which is how EncodedLen sizes a buffer.
+// Varints go out a byte at a time, so no scratch escapes to the heap.
+type encoder struct {
 	w *bufio.Writer
 	n int
 }
 
-func (cw *countingWriter) uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	cw.w.Write(buf[:n])
-	cw.n += n
+func (e *encoder) uvarint(v uint64) {
+	if e.w == nil {
+		e.n += (bits.Len64(v|1) + 6) / 7
+		return
+	}
+	for ; v >= 0x80; v >>= 7 {
+		e.w.WriteByte(byte(v) | 0x80)
+		e.n++
+	}
+	e.w.WriteByte(byte(v))
+	e.n++
 }
 
-func (cw *countingWriter) time(t sim.Time) { cw.uvarint(uint64(t)) }
+func (e *encoder) time(t sim.Time) { e.uvarint(uint64(t)) }
 
-func (cw *countingWriter) str(s string) {
-	cw.uvarint(uint64(len(s)))
-	cw.w.WriteString(s)
-	cw.n += len(s)
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	if e.w != nil {
+		e.w.WriteString(s)
+	}
+	e.n += len(s)
 }
 
 // Encode writes the profile in its compact binary form and returns the
@@ -58,49 +70,62 @@ func (p *Profile) Encode(w io.Writer) (int, error) {
 	if _, err := bw.Write(profileMagic[:]); err != nil {
 		return 0, err
 	}
-	cw := &countingWriter{w: bw, n: len(profileMagic)}
-	cw.uvarint(profileVersion)
-	cw.str(p.App)
-	cw.str(p.Machine)
-	cw.str(p.Topology)
-	cw.uvarint(uint64(p.P))
-	cw.uvarint(uint64(p.NumLinks))
-	cw.time(p.EpochLen)
-	cw.time(p.Total)
-	cw.uvarint(uint64(stats.NumBuckets))
-	cw.uvarint(uint64(HistBuckets))
-	cw.uvarint(uint64(len(p.Epochs)))
-	for i := range p.Epochs {
-		e := &p.Epochs[i]
-		for j := range e.Procs {
-			ps := &e.Procs[j]
-			for b := range ps.Buckets {
-				cw.time(ps.Buckets[b])
-			}
-			cw.uvarint(ps.Reads)
-			cw.uvarint(ps.Writes)
-			cw.uvarint(ps.Hits)
-			cw.uvarint(ps.Misses)
-			cw.uvarint(ps.Messages)
-			cw.uvarint(ps.Invals)
-			cw.uvarint(ps.Writebacks)
-		}
-		for _, c := range e.Hist {
-			cw.uvarint(c)
-		}
-		cw.uvarint(uint64(len(e.Links)))
-		for _, l := range e.Links {
-			cw.uvarint(uint64(l.Link))
-			cw.time(l.Busy)
-			cw.time(l.Wait)
-			cw.uvarint(l.Messages)
-			cw.uvarint(l.Bytes)
-		}
-	}
+	e := encoder{w: bw, n: len(profileMagic)}
+	p.encode(&e)
 	if err := bw.Flush(); err != nil {
 		return 0, err
 	}
-	return cw.n, nil
+	return e.n, nil
+}
+
+// EncodedLen returns the number of bytes Encode writes for p, so a
+// caller can size its buffer once.
+func (p *Profile) EncodedLen() int {
+	e := encoder{n: len(profileMagic)}
+	p.encode(&e)
+	return e.n
+}
+
+// encode walks the wire layout after the magic.
+func (p *Profile) encode(e *encoder) {
+	e.uvarint(profileVersion)
+	e.str(p.App)
+	e.str(p.Machine)
+	e.str(p.Topology)
+	e.uvarint(uint64(p.P))
+	e.uvarint(uint64(p.NumLinks))
+	e.time(p.EpochLen)
+	e.time(p.Total)
+	e.uvarint(uint64(stats.NumBuckets))
+	e.uvarint(uint64(HistBuckets))
+	e.uvarint(uint64(len(p.Epochs)))
+	for i := range p.Epochs {
+		ep := &p.Epochs[i]
+		for j := range ep.Procs {
+			ps := &ep.Procs[j]
+			for b := range ps.Buckets {
+				e.time(ps.Buckets[b])
+			}
+			e.uvarint(ps.Reads)
+			e.uvarint(ps.Writes)
+			e.uvarint(ps.Hits)
+			e.uvarint(ps.Misses)
+			e.uvarint(ps.Messages)
+			e.uvarint(ps.Invals)
+			e.uvarint(ps.Writebacks)
+		}
+		for _, c := range ep.Hist {
+			e.uvarint(c)
+		}
+		e.uvarint(uint64(len(ep.Links)))
+		for _, l := range ep.Links {
+			e.uvarint(uint64(l.Link))
+			e.time(l.Busy)
+			e.time(l.Wait)
+			e.uvarint(l.Messages)
+			e.uvarint(l.Bytes)
+		}
+	}
 }
 
 type reader struct {

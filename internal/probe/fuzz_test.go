@@ -12,7 +12,8 @@ import (
 
 // FuzzDecode feeds arbitrary bytes to the profile decoder, starting from
 // a recorded profile and its truncations: it must never panic, and a
-// profile it accepts must come back unchanged through Encode and Decode.
+// profile it accepts must come back unchanged through Encode and Decode,
+// whose re-encoding is byte-identical and as long as EncodedLen said.
 func FuzzDecode(f *testing.F) {
 	valid, err := os.ReadFile(filepath.Join("testdata", "ep_tiny_p4_target.sprf"))
 	if err != nil {
@@ -28,16 +29,23 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var enc bytes.Buffer
-		if _, err := p.Encode(&enc); err != nil {
+		var enc, again bytes.Buffer
+		n, err := p.Encode(&enc)
+		if err != nil {
 			t.Fatalf("re-encode of an accepted profile: %v", err)
 		}
-		back, err := probe.Decode(&enc)
+		if n != enc.Len() || n != p.EncodedLen() {
+			t.Fatalf("Encode wrote %d bytes, reported %d; EncodedLen says %d", enc.Len(), n, p.EncodedLen())
+		}
+		back, err := probe.Decode(bytes.NewReader(enc.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decode of an accepted profile: %v", err)
 		}
 		if !reflect.DeepEqual(back, p) {
 			t.Fatalf("round trip changed the profile:\n got %+v\nwant %+v", back, p)
+		}
+		if _, err := back.Encode(&again); err != nil || !bytes.Equal(again.Bytes(), enc.Bytes()) {
+			t.Fatalf("second encode differs from the first (err %v)", err)
 		}
 	})
 }

@@ -34,9 +34,10 @@
 package probe
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"spasm/internal/app"
 	"spasm/internal/flow"
@@ -310,8 +311,76 @@ type procSnap struct {
 // epochAcc is one epoch under accumulation.
 type epochAcc struct {
 	procs []ProcSample
-	links map[int]*LinkSample // lazy; nil until a link is touched
+	links linkTable
 	hist  [HistBuckets]uint64
+}
+
+// reset empties the accumulator for a new epoch, keeping the buffers of
+// one a rescale merged away, so a run holds at most MaxEpochs × P
+// samples however many epochs it opens.
+func (e *epochAcc) reset(p int) {
+	if e.procs == nil {
+		e.procs = make([]ProcSample, p)
+	} else {
+		clear(e.procs)
+	}
+	e.links.reset()
+	e.hist = [HistBuckets]uint64{}
+}
+
+// linkTable is one epoch's link samples in first-touch order, indexed by
+// an open-addressing table from link id to position: two flat slices per
+// epoch instead of a heap object per (epoch, link).
+type linkTable struct {
+	samples []LinkSample
+	index   []int32 // position+1, 0 when empty; power-of-two length, at most half full
+}
+
+// find returns link id's sample, or nil and the index slot it would take.
+func (t *linkTable) find(id int) (*LinkSample, int) {
+	if len(t.index) == 0 {
+		return nil, 0
+	}
+	mask := len(t.index) - 1
+	h := int((uint64(id) * 0x9E3779B97F4A7C15) >> (64 - bits.TrailingZeros(uint(len(t.index)))))
+	for ; t.index[h] != 0; h = (h + 1) & mask {
+		if l := &t.samples[t.index[h]-1]; l.Link == id {
+			return l, h
+		}
+	}
+	return nil, h
+}
+
+// add appends an empty sample for link id, which find reported absent
+// with the given slot.
+func (t *linkTable) add(id, slot int) *LinkSample {
+	t.samples = append(t.samples, LinkSample{Link: id})
+	if 2*len(t.samples) <= len(t.index) {
+		t.index[slot] = int32(len(t.samples))
+	} else {
+		// Rebuild at twice the samples' capacity, rounded up to a power
+		// of two.
+		t.index = make([]int32, max(8, 1<<bits.Len(uint(2*cap(t.samples)-1))))
+		for i := range t.samples {
+			_, h := t.find(t.samples[i].Link)
+			t.index[h] = int32(i + 1)
+		}
+	}
+	return &t.samples[len(t.samples)-1]
+}
+
+// reset empties the table, keeping both slices' backing arrays.
+func (t *linkTable) reset() {
+	t.samples = t.samples[:0]
+	clear(t.index)
+}
+
+// sorted orders the samples by link id in place, which leaves the index
+// stale: the table is only read, merged away or handed to a Profile
+// afterwards.
+func (t *linkTable) sorted() []LinkSample {
+	slices.SortFunc(t.samples, func(a, b LinkSample) int { return cmp.Compare(a.Link, b.Link) })
+	return t.samples
 }
 
 // link returns the accumulator for link id, enforcing the per-epoch
@@ -320,43 +389,32 @@ type epochAcc struct {
 // (the id one past the real link space).  Ids already held — including
 // the overflow itself — keep accumulating individually, so which links
 // get their own sample is a deterministic function of touch order.
+// The pointer is valid until the epoch's next new link.
 func (e *epochAcc) link(id, budget, ovfID int) *LinkSample {
-	if e.links == nil {
-		e.links = make(map[int]*LinkSample)
+	l, slot := e.links.find(id)
+	if l != nil {
+		return l
 	}
-	l, ok := e.links[id]
-	if !ok {
-		if len(e.links) >= budget && id != ovfID {
-			return e.link(ovfID, budget+1, ovfID)
-		}
-		l = &LinkSample{Link: id}
-		e.links[id] = l
+	if len(e.links.samples) >= budget && id != ovfID {
+		return e.link(ovfID, budget+1, ovfID)
 	}
-	return l
+	return e.links.add(id, slot)
 }
 
 // merge folds o into e (pairwise epoch merge during a rescale).  Link
 // ids are folded in ascending order: when the budget binds mid-merge,
-// which ids keep individual samples must not depend on map iteration
-// order.
+// which ids keep individual samples must not depend on o's touch order.
+// o's link table is left sorted, fit only for recycling.
 func (e *epochAcc) merge(o *epochAcc, budget, ovfID int) {
 	for i := range e.procs {
 		e.procs[i].add(&o.procs[i])
 	}
-	if len(o.links) > 0 {
-		ids := make([]int, 0, len(o.links))
-		for id := range o.links {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			ol := o.links[id]
-			l := e.link(id, budget, ovfID)
-			l.Busy += ol.Busy
-			l.Wait += ol.Wait
-			l.Messages += ol.Messages
-			l.Bytes += ol.Bytes
-		}
+	for _, ol := range o.links.sorted() {
+		l := e.link(ol.Link, budget, ovfID)
+		l.Busy += ol.Busy
+		l.Wait += ol.Wait
+		l.Messages += ol.Messages
+		l.Bytes += ol.Bytes
 	}
 	for i := range e.hist {
 		e.hist[i] += o.hist[i]
@@ -365,8 +423,7 @@ func (e *epochAcc) merge(o *epochAcc, budget, ovfID int) {
 
 // Profiler samples one run.  Create with New, pass to app.Execute as
 // Options.Instrument (or use the spasm.Execute façade), then read
-// Profile.  A Profiler must not be reused across runs without calling
-// Reset between them.
+// Profile.
 type Profiler struct {
 	cfg Config
 
@@ -380,9 +437,10 @@ type Profiler struct {
 	epochLen  sim.Time
 	maxEpochs int
 	maxLinks  int
-	epochs    []epochAcc
-	closed    int // fully closed epochs; epoch `closed` is open
-	emitted   int // epochs already fired through cfg.OnEpoch
+	linksHigh int        // most links one epoch has held
+	epochs    []epochAcc // past len: accumulators a rescale merged away
+	closed    int        // fully closed epochs; epoch `closed` is open
+	emitted   int        // epochs already fired through cfg.OnEpoch
 	snap      []procSnap
 
 	profile *Profile
@@ -406,36 +464,15 @@ func New(cfg Config) *Profiler {
 // linkAt returns epoch e's accumulator for link id under the profiler's
 // budget; the overflow aggregate sits at id NumLinks (the id space on
 // the machine being profiled — the fabric's links or the flow tier's
-// resource space).
+// resource space).  An epoch's first link sizes its table for the most
+// links any epoch has held so far.
 func (pr *Profiler) linkAt(e *epochAcc, id int) *LinkSample {
-	return e.link(id, pr.maxLinks, pr.numLinks)
-}
-
-// Reset returns the profiler to its post-New state so it can sample
-// another run, keeping the epoch accumulator's and the snapshot table's
-// backing arrays.  Retained epoch slots are cleared rather than reused:
-// the previously emitted Profile aliases their per-proc sample slices
-// (Finish hands them over without copying), so a reused slot would
-// corrupt it — epochAt re-populates cleared slots exactly as it fills
-// fresh ones, which keeps reset profilers byte-identical to fresh ones.
-func (pr *Profiler) Reset() {
-	pr.run = nil
-	pr.eng = nil
-	pr.p = 0
-	pr.numLinks = 0
-	pr.kind = ""
-	pr.topo = ""
-	pr.epochLen = pr.cfg.EpochLen
-	pr.maxEpochs = pr.cfg.MaxEpochs
-	pr.maxLinks = pr.cfg.MaxLinks
-	for i := range pr.epochs {
-		pr.epochs[i] = epochAcc{}
+	if cap(e.links.samples) == 0 {
+		e.links.samples = make([]LinkSample, 0, pr.linksHigh)
 	}
-	pr.epochs = pr.epochs[:0]
-	pr.closed = 0
-	pr.emitted = 0
-	pr.snap = pr.snap[:0]
-	pr.profile = nil
+	l := e.link(id, pr.maxLinks, pr.numLinks)
+	pr.linksHigh = max(pr.linksHigh, len(e.links.samples))
+	return l
 }
 
 // Attach implements app.Instrument: it hooks the engine clock and, when
@@ -446,14 +483,7 @@ func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, 
 	pr.p = run.P()
 	pr.kind = m.Kind().String()
 	pr.topo = cfg.Topology
-	if cap(pr.snap) >= pr.p {
-		pr.snap = pr.snap[:pr.p]
-		for i := range pr.snap {
-			pr.snap[i] = procSnap{}
-		}
-	} else {
-		pr.snap = make([]procSnap, pr.p)
-	}
+	pr.snap = make([]procSnap, pr.p)
 
 	prev := eng.Tick
 	eng.Tick = func(now sim.Time) {
@@ -586,8 +616,13 @@ func (pr *Profiler) epochAt(t sim.Time) *epochAcc {
 		pr.rescale()
 		idx = int(t / pr.epochLen)
 	}
-	for len(pr.epochs) <= idx {
-		pr.epochs = append(pr.epochs, epochAcc{procs: make([]ProcSample, pr.p)})
+	for n := len(pr.epochs); n <= idx; n++ {
+		if n < cap(pr.epochs) {
+			pr.epochs = pr.epochs[:n+1]
+		} else {
+			pr.epochs = append(pr.epochs, epochAcc{})
+		}
+		pr.epochs[n].reset(pr.p)
 	}
 	return &pr.epochs[idx]
 }
@@ -598,7 +633,10 @@ func (pr *Profiler) rescale() {
 	n := (len(pr.epochs) + 1) / 2
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			pr.epochs[i] = pr.epochs[2*i]
+			// Slot i holds an accumulator already merged away or moved;
+			// swapping, not copying, parks every such one past n, where
+			// epochAt recycles it.
+			pr.epochs[i], pr.epochs[2*i] = pr.epochs[2*i], pr.epochs[i]
 		}
 		if 2*i+1 < len(pr.epochs) {
 			pr.epochs[i].merge(&pr.epochs[2*i+1], pr.maxLinks, pr.numLinks)
@@ -686,19 +724,13 @@ func (pr *Profiler) Finish(res *app.Result) {
 		NumLinks: pr.numLinks,
 		EpochLen: pr.epochLen,
 		Total:    pr.run.Total,
+		Epochs:   make([]Epoch, 0, len(pr.epochs)),
 	}
 	for i := range pr.epochs {
 		acc := &pr.epochs[i]
 		ep := Epoch{Procs: acc.procs, Hist: acc.hist}
-		if len(acc.links) > 0 {
-			ids := make([]int, 0, len(acc.links))
-			for id := range acc.links {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			for _, id := range ids {
-				ep.Links = append(ep.Links, *acc.links[id])
-			}
+		if len(acc.links.samples) > 0 {
+			ep.Links = acc.links.sorted()
 		}
 		p.Epochs = append(p.Epochs, ep)
 	}

@@ -76,7 +76,7 @@ func (pr *Profiler) event(idx int, final bool) EpochEvent {
 		ev.Writebacks += ps.Writebacks
 		ev.Messages += ps.Messages
 	}
-	for _, l := range acc.links {
+	for _, l := range acc.links.samples {
 		ev.LinkBusy += l.Busy
 		if l.Busy > ev.LinkPeak {
 			ev.LinkPeak = l.Busy

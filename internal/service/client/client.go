@@ -384,7 +384,7 @@ func (c *Client) stream(ctx context.Context, method, path string, body []byte, o
 
 	var final *service.RunStatus
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 16<<20)
 	var ev StreamEvent
 	flush := func() error {
 		if ev.Event == "" && ev.Data == nil {
@@ -407,18 +407,28 @@ func (c *Client) stream(ctx context.Context, method, path string, body []byte, o
 		return cbErr
 	}
 	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
+		line := sc.Bytes()
+		if len(line) == 0 {
 			if err := flush(); err != nil {
 				return final, err
 			}
-		case strings.HasPrefix(line, ":"):
-			// keep-alive comment
-		case strings.HasPrefix(line, "event:"):
-			ev.Event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			ev.Data = append(ev.Data, strings.TrimSpace(strings.TrimPrefix(line, "data:"))...)
+			continue
+		}
+		// "field: value", the value losing one leading space; a line
+		// opening with a colon is a keep-alive comment (empty field).
+		field, value, _ := bytes.Cut(line, []byte(":"))
+		value, _ = bytes.CutPrefix(value, []byte(" "))
+		switch string(field) {
+		case "event":
+			ev.Event = string(value)
+		case "data":
+			// Data lines join with newlines.
+			if ev.Data == nil {
+				ev.Data = make([]byte, 0, len(value))
+			} else {
+				ev.Data = append(ev.Data, '\n')
+			}
+			ev.Data = append(ev.Data, value...)
 		}
 	}
 	if err := flush(); err != nil {

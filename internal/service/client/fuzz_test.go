@@ -57,6 +57,7 @@ func FuzzStream(f *testing.F) {
 		f.Add(valid[:n])
 	}
 	f.Add(valid)
+	f.Add([]byte(multiLineFeed))
 
 	var mu sync.Mutex
 	var served []byte

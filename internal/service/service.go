@@ -472,9 +472,8 @@ func (s *Server) execute(job *Job) {
 		}
 	}
 	if err == nil && prof != nil {
-		var buf bytes.Buffer
-		if _, encErr := prof.Encode(&buf); encErr == nil {
-			e.prof, e.profBytes = prof, buf.Bytes()
+		if raw, encErr := encodeProfile(prof); encErr == nil {
+			e.prof, e.profBytes = prof, raw
 		}
 	}
 	timedOut := errors.Is(err, spasm.ErrRunTimeout)
@@ -655,11 +654,18 @@ func (s *Server) deriveProfile(req RunRequest) (*probe.Profile, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var buf bytes.Buffer
-	if _, err := prof.Encode(&buf); err != nil {
+	raw, err := encodeProfile(prof)
+	if err != nil {
 		return nil, nil, err
 	}
-	return prof, buf.Bytes(), nil
+	return prof, raw, nil
+}
+
+// encodeProfile returns prof's canonical encoding in a buffer sized once.
+func encodeProfile(prof *probe.Profile) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, prof.EncodedLen()))
+	_, err := prof.Encode(buf)
+	return buf.Bytes(), err
 }
 
 // QueueDepth reports the number of jobs waiting for a worker.
