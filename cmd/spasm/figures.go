@@ -13,8 +13,9 @@ import (
 
 // figures is "spasm figures": the paper's evaluation — every numbered
 // figure (1-20) as a table, chart and/or CSV, an ad-hoc figure for any
-// -app/-topo/-metric, and the textual experiments (-speed, -ablation,
-// -gtable, -accuracy).
+// -app/-topo/-metric, and the abstraction-accuracy dashboard over the
+// figures (-accuracy).  The paper's textual experiments are studies
+// ("spasm study speed|ablation|gtable").
 //
 // The underlying simulations run -jobs at a time on the batch scheduler
 // with pooled run contexts.  Each simulation is deterministic, so
@@ -29,14 +30,9 @@ func (c *cli) figures(args []string) error {
 		figNum   = fs.Int("fig", 0, "figure number (0 = all)")
 		format   = fs.String("format", "table,chart", "comma list of table, chart, csv")
 		outDir   = fs.String("out", "", "write per-figure files to this directory")
-		speed    = fs.Bool("speed", false, "run the simulation-cost comparison (S1)")
-		ablation = fs.Bool("ablation", false, "run the g-discipline ablation (S2)")
-		gtable   = fs.Bool("gtable", false, "print the g-parameter table (S3)")
-		onlyText = fs.Bool("no-figures", false, "skip the numbered figures")
 		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulations (results are identical regardless of job count)")
 		accuracy = fs.Bool("accuracy", false, "print the abstraction-accuracy dashboard")
 		metric   = fs.String("metric", "contention", "ad-hoc figure: latency, contention or exec")
-		profiled = fs.Bool("profile", false, "with -app: profile one target-machine run (largest -procs) instead of sweeping")
 	)
 	if err := parse(fs, args); err != nil {
 		return err
@@ -47,13 +43,8 @@ func (c *cli) figures(args []string) error {
 	}
 	opt.Parallel = *jobs
 	s := spasm.NewSession(opt)
-	last := opt.Procs[len(opt.Procs)-1]
 
 	if f.app != "" {
-		if *profiled {
-			return c.emitProfile(spasm.Spec{App: f.app, Scale: opt.Scale, Seed: opt.Seed,
-				Machine: spasm.Target, Topology: f.topo, P: last}, *outDir)
-		}
 		m, err := spasm.ParseMetric(*metric)
 		if err != nil {
 			return err
@@ -65,39 +56,19 @@ func (c *cli) figures(args []string) error {
 		return c.emitFigure(fr, *format, *outDir)
 	}
 
-	if !*onlyText {
-		frs, err := regenerate(s, *figNum)
-		if err != nil {
+	frs, err := regenerate(s, *figNum)
+	if err != nil {
+		return err
+	}
+	for _, fr := range frs {
+		if err := c.emitFigure(fr, *format, *outDir); err != nil {
 			return err
 		}
-		for _, fr := range frs {
-			if err := c.emitFigure(fr, *format, *outDir); err != nil {
-				return err
-			}
-		}
-		if *accuracy {
-			rows := spasm.Accuracy(frs)
-			fmt.Fprintln(c.out, report.AccuracyTable(rows))
-			fmt.Fprintln(c.out, report.AccuracySummaryTable(spasm.Summarize(rows)))
-		}
 	}
-
-	if *gtable {
-		fmt.Fprintln(c.out, report.GapParamTable(spasm.GapTable(opt.Procs)))
-	}
-	if *ablation {
-		rows, err := spasm.GapAblation(opt.Scale, opt.Seed, opt.Procs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(c.out, report.AblationTable(rows))
-	}
-	if *speed {
-		rows, err := s.SimulationCost("full", last)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(c.out, report.CostTable(last, rows))
+	if *accuracy {
+		rows := spasm.Accuracy(frs)
+		fmt.Fprintln(c.out, report.AccuracyTable(rows))
+		fmt.Fprintln(c.out, report.AccuracySummaryTable(spasm.Summarize(rows)))
 	}
 	return nil
 }
@@ -135,21 +106,6 @@ func (c *cli) emitFigure(fr *spasm.FigureResult, formats, outDir string) error {
 		}
 	}
 	return nil
-}
-
-// emitProfile runs one simulation with the probe attached and prints
-// its per-epoch table; with an output directory it also writes the CSV
-// time series next to the figure CSVs.
-func (c *cli) emitProfile(spec spasm.Spec, outDir string) error {
-	_, prof, err := spasm.RunSpecProfiled(spec)
-	if err != nil {
-		return err
-	}
-	csvPath := ""
-	if outDir != "" {
-		csvPath = filepath.Join(outDir, fmt.Sprintf("profile_%s_%s_p%d.csv", spec.App, spec.Topology, spec.P))
-	}
-	return c.printProfile(prof, true, csvPath)
 }
 
 // writeFile writes content to path, creating its directory if needed.

@@ -26,8 +26,9 @@ const usage = `usage: spasm <command> [flags]
 
   run      one application on one machine, overheads separated
            (the default: "spasm -app fft -p 16" means "spasm run ...")
-  figures  the paper's figures 1-20 and its textual experiments
-  study    the extension studies ("spasm study" lists them)
+  figures  the paper's figures 1-20 and the accuracy dashboard
+  study    the paper's textual experiments and the extension studies
+           ("spasm study" lists them)
   trace    record, inspect and replay shared-memory reference traces
 
 "spasm <command> -h" lists a command's flags.

@@ -83,7 +83,6 @@ func TestSubcommandsMatchRecordedOutput(t *testing.T) {
 		skip func(string) bool
 		args []string
 	}{
-		{"textual.txt", nil, []string{"figures", "-no-figures", "-gtable", "-ablation", "-scale", "tiny", "-procs", "2,4"}},
 		{"accuracy.txt", nil, []string{"figures", "-accuracy", "-format", "", "-scale", "tiny", "-procs", "2,4"}},
 		{"batch.txt", nil, []string{"study", "batch", "-scale", "tiny", "-procs", "2", "-points", "fft:mesh:target:4,ep:full:logp:2"}},
 		{"run.txt", wallClock, []string{"-app", "fft", "-machine", "target", "-topo", "mesh", "-p", "4", "-scale", "tiny", "-v", "-phases"}},
@@ -92,11 +91,43 @@ func TestSubcommandsMatchRecordedOutput(t *testing.T) {
 			sameCells(t, spasmRun(t, tc.args...), golden(t, tc.file), tc.skip)
 		})
 	}
+	// The paper's textual experiments are study entries.
+	t.Run("textual.txt", func(t *testing.T) {
+		sweep := []string{"-scale", "tiny", "-procs", "2,4"}
+		got := spasmRun(t, append([]string{"study", "gtable"}, sweep...)...) +
+			spasmRun(t, append([]string{"study", "ablation"}, sweep...)...)
+		sameCells(t, got, golden(t, "textual.txt"), nil)
+	})
+}
+
+// TestUnsupportedP: a processor count the network cannot take fails the
+// command with the network's rule, not a panic; the ideal machine, which
+// builds no network, takes any P.
+func TestUnsupportedP(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-app", "ep", "-p", "3", "-scale", "tiny"},
+		{"run", "-app", "ep", "-p", "1", "-scale", "tiny"},
+		{"run", "-app", "ep", "-p", "6", "-topo", "torus", "-scale", "tiny"},
+		{"study", "topo", "-p", "3", "-scale", "tiny"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("spasm %v: exit %d, want 1\n%s", args, code, errb.String())
+		}
+		if msg := errb.String(); !strings.Contains(msg, "must be a power of two") || strings.Contains(msg, "goroutine") {
+			t.Errorf("spasm %v: stderr does not state the rule cleanly:\n%s", args, msg)
+		}
+	}
+	out := spasmRun(t, "run", "-app", "ep", "-machine", "ideal", "-p", "3", "-scale", "tiny")
+	if !strings.Contains(out, "ep on ideal/full, p=3") {
+		t.Errorf("ideal p=3:\n%s", out)
+	}
 }
 
 // TestStudyAllMatchesSweep: every study the old sweep binary printed
 // comes out of the registry loop with the same cells, in the same order;
-// the registry's one addition (speedup) follows them.
+// the registry's additions (speedup, then the textual experiments)
+// follow them.
 func TestStudyAllMatchesSweep(t *testing.T) {
 	got := spasmRun(t, "study", "all", "-scale", "tiny", "-p", "4", "-procs", "2,4")
 	i := strings.Index(got, "scalability —")

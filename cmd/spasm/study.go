@@ -23,11 +23,12 @@ func studyUsage() string {
 	return b.String()
 }
 
-// study is "spasm study": the sensitivity and extension studies, each
-// grounded in a claim or proposal of the paper, looped over the
-// report.Studies registry.  "batch" is not a study: it runs explicit
-// points on spasm.RunMany — the bounded worker pool with pooled run
-// contexts — and prints one row per point in input order.
+// study is "spasm study": the extension studies and the paper's textual
+// experiments, looped over the report.Studies registry on one session, so
+// a point several of them need is simulated once.  "batch" is not a
+// study: it runs explicit points on spasm.RunMany — the bounded worker
+// pool with pooled run contexts — and prints one row per point in input
+// order.
 func (c *cli) study(args []string) error {
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
 		return usageError{"study needs a name", studyUsage()}
@@ -69,13 +70,13 @@ func (c *cli) study(args []string) error {
 		return nil
 	}
 
+	sess := spasm.NewSession(opt)
 	ran := false
 	for _, s := range report.Studies() {
 		if name != "all" && name != s.Name {
 			continue
 		}
-		t, err := s.Run(report.StudyArgs{App: f.app, Topo: f.topo,
-			Scale: opt.Scale, Seed: opt.Seed, P: f.p, Procs: opt.Procs})
+		t, err := s.Run(sess, report.StudyArgs{App: f.app, Topo: f.topo, P: f.p})
 		if err != nil {
 			return fmt.Errorf("study %s: %w", s.Name, err)
 		}
@@ -97,7 +98,7 @@ func parsePoints(spec, topo string, procs []int) ([]spasm.BatchPoint, error) {
 		for _, app := range spasm.Apps() {
 			for _, kind := range []spasm.Kind{spasm.LogP, spasm.CLogP, spasm.Target} {
 				for _, p := range procs {
-					pts = append(pts, spasm.BatchPoint{App: app, Topology: topo, Kind: kind, P: p})
+					pts = append(pts, spasm.BatchPoint{App: app, Config: spasm.Config{Kind: kind, Topology: topo, P: p}})
 				}
 			}
 		}
@@ -116,7 +117,7 @@ func parsePoints(spec, topo string, procs []int) ([]spasm.BatchPoint, error) {
 		if err != nil || p < 1 {
 			return nil, fmt.Errorf("point %q: bad processor count %q", field, parts[3])
 		}
-		pts = append(pts, spasm.BatchPoint{App: parts[0], Topology: parts[1], Kind: kind, P: p})
+		pts = append(pts, spasm.BatchPoint{App: parts[0], Config: spasm.Config{Kind: kind, Topology: parts[1], P: p}})
 	}
 	return pts, nil
 }

@@ -115,7 +115,7 @@ func ExampleRecordTrace() {
 
 // Running the section-7 gap-discipline ablation.
 func ExampleGapAblation() {
-	rows, err := spasm.GapAblation(spasm.Tiny, 1, []int{8})
+	rows, err := spasm.GapAblation(spasm.NewSession(spasm.Options{Scale: spasm.Tiny, Procs: []int{8}}))
 	if err != nil {
 		panic(err)
 	}
@@ -128,7 +128,7 @@ func ExampleGapAblation() {
 
 // Comparing coherence protocols on the same directory engine.
 func ExampleProtocolComparison() {
-	rows, err := spasm.ProtocolComparison(spasm.Tiny, 1, "full", 4)
+	rows, err := spasm.ProtocolComparison(spasm.NewSession(spasm.Options{Scale: spasm.Tiny}), "full", 4)
 	if err != nil {
 		panic(err)
 	}

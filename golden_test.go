@@ -191,7 +191,7 @@ func TestGoldenSimulationCostOrdering(t *testing.T) {
 // Claim (section 7 ablation): enforcing g only between identical
 // communication events brings contention much closer to the target.
 func TestGoldenAblationReducesPessimism(t *testing.T) {
-	rows, err := GapAblation(Tiny, 1, []int{8, 16})
+	rows, err := GapAblation(NewSession(Options{Scale: Tiny, Procs: []int{8, 16}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +244,11 @@ func TestGoldenFancierProtocolAgreesCloser(t *testing.T) {
 func TestGoldenLocalityAbstractionMessageAgreement(t *testing.T) {
 	s := goldenSession(t)
 	for _, name := range Apps() {
-		tgt, err := s.Run(name, "full", Target, 8)
+		tgt, err := s.Run(BatchPoint{App: name, Config: Config{Kind: Target, Topology: "full", P: 8}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := s.Run(name, "full", CLogP, 8)
+		cl, err := s.Run(BatchPoint{App: name, Config: Config{Kind: CLogP, Topology: "full", P: 8}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,6 +116,31 @@ func TestPooledDiscardOnAbort(t *testing.T) {
 	}
 }
 
+// TestPooledExpiredDeadline: a deadline that has expired before the
+// event loop first polls its stop flag still aborts the run — the
+// watchdog goroutine may never get the P — with the timeout sentinel; the
+// pooled context is discarded and the next run on the pool completes.
+func TestPooledExpiredDeadline(t *testing.T) {
+	pool := runpool.New(4)
+	cfg := machine.Config{Kind: machine.Target, Topology: "full", P: 4}
+	prog := &testProg{name: "finite", setup: func(*Ctx) {}, body: func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Compute(100)
+			p.S.Hold(1)
+		}
+	}}
+	_, err := Execute(prog, cfg, Options{Pool: pool, Control: RunControl{Timeout: time.Nanosecond}})
+	if !errors.Is(err, ErrRunTimeout) {
+		t.Fatalf("want ErrRunTimeout, got %v", err)
+	}
+	if st := pool.Stats(); st.Discarded != 1 || st.Live != 0 {
+		t.Fatalf("after abort: %+v, want Discarded=1 Live=0", st)
+	}
+	if _, err := Execute(prog, cfg, Options{Pool: pool}); err != nil {
+		t.Fatalf("next run on the pool: %v", err)
+	}
+}
+
 // TestPooledDiscardOnFailure: non-abort failures (a failed result check)
 // also bypass the freelist.
 func TestPooledDiscardOnFailure(t *testing.T) {

@@ -169,22 +169,12 @@ var extended = map[string]Builder{
 	"uniform": NewUniform,
 }
 
-// NewExtended builds a named extension workload ("mg", the multigrid
-// solver with hierarchical communication, or "uniform", the synthetic
-// uniform-random traffic driver).
-func NewExtended(name string, scale Scale, seed int64) (app.Program, error) {
-	b, ok := extended[name]
-	if !ok {
-		return nil, fmt.Errorf("apps: unknown extended workload %q (have %v)", name, ExtendedNames())
-	}
-	return b(scale, seed), nil
-}
-
 // Lookup builds a workload by name from either registry (their names are
-// disjoint); a name neither knows gets the paper suite's error.  It is
-// the one name resolver behind every run entrypoint; New and NewExtended
-// remain for callers that mean exactly one registry (suite-wide
-// experiments, the extension study).
+// disjoint): the paper suite, or an extension workload ("mg", the
+// multigrid solver with hierarchical communication, or "uniform", the
+// synthetic uniform-random traffic driver); a name neither knows gets the
+// paper suite's error.  It is the one name resolver behind every run
+// entrypoint; New remains for callers that mean exactly the paper suite.
 func Lookup(name string, scale Scale, seed int64) (app.Program, error) {
 	if b, ok := extended[name]; ok {
 		return b(scale, seed), nil

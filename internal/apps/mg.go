@@ -12,7 +12,7 @@ import (
 // -u” = f, in the style of the NAS MG kernel: V-cycles of weighted
 // Jacobi smoothing with restriction and prolongation across a hierarchy
 // of grids.  It is an *extension* workload (not part of the paper's
-// suite; see NewExtended): its communication is hierarchical —
+// suite; see Lookup): its communication is hierarchical —
 // nearest-neighbour halo exchange at every level, with participation
 // shrinking toward the coarse grids until the coarsest solve is serial —
 // a locality structure none of the paper's five applications has.

@@ -20,14 +20,14 @@ func runMG(t *testing.T, kind machine.Kind, p, n, cycles int) (*MG, *stats.Run, 
 }
 
 func TestMGExtendedRegistry(t *testing.T) {
-	prog, err := NewExtended("mg", Tiny, 1)
+	prog, err := Lookup("mg", Tiny, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prog.Name() != "mg" {
 		t.Errorf("name = %q", prog.Name())
 	}
-	if _, err := NewExtended("bogus", Tiny, 1); err == nil {
+	if _, err := Lookup("bogus", Tiny, 1); err == nil {
 		t.Error("unknown extended workload accepted")
 	}
 	for _, name := range ExtendedNames() {

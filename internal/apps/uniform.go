@@ -11,7 +11,7 @@ import (
 // uniformly random element of one blocked shared array, with a short
 // compute burst between references.  It is the traffic assumption
 // behind the analytical network models the paper's section 2 contrasts
-// with simulation, packaged as an *extension* workload (NewExtended
+// with simulation, packaged as an *extension* workload (Lookup
 // under the name "uniform") so large-P smoke runs and network-tier
 // benchmarks have a cheap, deterministic driver whose cost scales with
 // P alone — the shared array holds a fixed 256 elements per node, so

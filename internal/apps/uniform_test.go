@@ -17,7 +17,7 @@ func runUniform(t *testing.T, kind machine.Kind, topo string, p int, scale Scale
 }
 
 func TestUniformExtendedRegistry(t *testing.T) {
-	prog, err := NewExtended("uniform", Tiny, 1)
+	prog, err := Lookup("uniform", Tiny, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,10 @@ import (
 )
 
 // This file implements the reproduction's extension studies — each one
-// grounded in a specific claim or proposal in the paper:
+// grounded in a specific claim or proposal in the paper, each simulating
+// through the session (so a point another study already ran is not run
+// again) except where its run is not a function of (application,
+// machine configuration):
 //
 //   - ProtocolComparison (section 7, citing Wood et al.): performance
 //     should not be very sensitive to the coherence protocol.  Compared:
@@ -64,13 +67,15 @@ type TraceRow struct {
 // the recording machine's task schedule into the replay.  Both are the
 // methodological hazards the authors' companion work examines — the
 // reason SPASM is execution-driven.
-func TraceDrivenStudy(scale apps.Scale, seed int64, topo string, p int) ([]TraceRow, error) {
+func (s *Session) TraceDrivenStudy(topo string, p int) ([]TraceRow, error) {
 	var out []TraceRow
 	for _, name := range apps.Names() {
-		prog, err := apps.New(name, scale, seed)
+		prog, err := apps.New(name, s.opt.Scale, s.opt.Seed)
 		if err != nil {
 			return nil, err
 		}
+		// Recording wraps the machine and replaying runs a trace, not
+		// an application: neither is a session point.
 		var rec *trace.Recorder
 		recRes, err := app.Execute(prog, machine.Config{
 			Kind: machine.CLogP, Topology: topo, P: p,
@@ -83,9 +88,7 @@ func TraceDrivenStudy(scale apps.Scale, seed int64, topo string, p int) ([]Trace
 		}
 		tr := rec.Trace(recRes.Space)
 
-		execDriven, err := runOnce(name, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p,
-		})
+		execDriven, err := s.Run(point(name, topo, machine.Target, p))
 		if err != nil {
 			return nil, err
 		}
@@ -105,19 +108,6 @@ func TraceDrivenStudy(scale apps.Scale, seed int64, topo string, p int) ([]Trace
 	return out, nil
 }
 
-// runOnce builds and runs one application on one fully custom config.
-func runOnce(appName string, scale apps.Scale, seed int64, cfg machine.Config) (*stats.Run, error) {
-	prog, err := apps.New(appName, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := app.Run(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Stats, nil
-}
-
 // ProtocolRow compares coherence protocols for one application.
 type ProtocolRow struct {
 	App      string
@@ -134,31 +124,28 @@ type ProtocolRow struct {
 // ProtocolComparison runs the whole suite on the target machine under
 // both protocols (plus the CLogP reference) at the given topology and
 // processor count.
-func ProtocolComparison(scale apps.Scale, seed int64, topo string, p int) ([]ProtocolRow, error) {
+func (s *Session) ProtocolComparison(topo string, p int) ([]ProtocolRow, error) {
 	var out []ProtocolRow
 	for _, name := range apps.Names() {
 		row := ProtocolRow{App: name}
-		bk, err := runOnce(name, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p, Protocol: coherence.Berkeley,
-		})
+		under := func(proto coherence.Protocol) (*stats.Run, error) {
+			pt := point(name, topo, machine.Target, p)
+			pt.Protocol = proto
+			return s.Run(pt)
+		}
+		bk, err := under(coherence.Berkeley)
 		if err != nil {
 			return nil, err
 		}
-		ms, err := runOnce(name, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p, Protocol: coherence.MSI,
-		})
+		ms, err := under(coherence.MSI)
 		if err != nil {
 			return nil, err
 		}
-		up, err := runOnce(name, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p, Protocol: coherence.Update,
-		})
+		up, err := under(coherence.Update)
 		if err != nil {
 			return nil, err
 		}
-		cl, err := runOnce(name, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: topo, P: p,
-		})
+		cl, err := s.Run(point(name, topo, machine.CLogP, p))
 		if err != nil {
 			return nil, err
 		}
@@ -195,19 +182,15 @@ type BandwidthRow struct {
 
 // BandwidthStudy measures each application's per-processor bandwidth
 // demand at the given processor count.
-func BandwidthStudy(scale apps.Scale, seed int64, topo string, p int) ([]BandwidthRow, error) {
+func (s *Session) BandwidthStudy(topo string, p int) ([]BandwidthRow, error) {
 	const linkMBps = 20.0
 	var out []BandwidthRow
 	for _, name := range apps.Names() {
-		cl, err := runOnce(name, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: topo, P: p,
-		})
+		cl, err := s.Run(point(name, topo, machine.CLogP, p))
 		if err != nil {
 			return nil, err
 		}
-		tgt, err := runOnce(name, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p,
-		})
+		tgt, err := s.Run(point(name, topo, machine.Target, p))
 		if err != nil {
 			return nil, err
 		}
@@ -239,15 +222,12 @@ type CacheRow struct {
 
 // CacheSweep runs one application on the target machine across cache
 // sizes (keeping the paper's 2-way associativity and 32-byte blocks).
-func CacheSweep(appName string, scale apps.Scale, seed int64, topo string, p int, sizesKB []int) ([]CacheRow, error) {
+func (s *Session) CacheSweep(appName, topo string, p int, sizesKB []int) ([]CacheRow, error) {
 	var out []CacheRow
 	for _, kb := range sizesKB {
-		r, err := runOnce(appName, scale, seed, machine.Config{
-			Kind:     machine.Target,
-			Topology: topo,
-			P:        p,
-			Cache:    cache.Config{SizeBytes: kb * 1024, BlockBytes: 32, Assoc: 2},
-		})
+		pt := point(appName, topo, machine.Target, p)
+		pt.Cache = cache.Config{SizeBytes: kb * 1024, BlockBytes: 32, Assoc: 2}
+		r, err := s.Run(pt)
 		if err != nil {
 			return nil, fmt.Errorf("cache sweep %dKB: %w", kb, err)
 		}
@@ -274,24 +254,20 @@ type AdaptiveRow struct {
 // estimation for one application and topology: the adaptive gap should
 // land between the static estimate and the target, recovering the
 // communication locality the static derivation ignores.
-func AdaptiveGapStudy(appName string, scale apps.Scale, seed int64, topo string, procs []int) ([]AdaptiveRow, error) {
+func (s *Session) AdaptiveGapStudy(appName, topo string, procs []int) ([]AdaptiveRow, error) {
 	var out []AdaptiveRow
 	for _, p := range procs {
-		tgt, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p,
-		})
+		tgt, err := s.Run(point(appName, topo, machine.Target, p))
 		if err != nil {
 			return nil, err
 		}
-		static, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: topo, P: p,
-		})
+		static, err := s.Run(point(appName, topo, machine.CLogP, p))
 		if err != nil {
 			return nil, err
 		}
-		adaptive, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: topo, P: p, AdaptiveG: true,
-		})
+		adaptivePt := point(appName, topo, machine.CLogP, p)
+		adaptivePt.AdaptiveG = true
+		adaptive, err := s.Run(adaptivePt)
 		if err != nil {
 			return nil, err
 		}
@@ -321,29 +297,18 @@ type ExtendedAppRow struct {
 // multigrid solver) through the paper's machine comparison: an
 // out-of-sample test of the abstractions on communication structure the
 // original suite does not contain.
-func ExtendedAppStudy(appName string, scale apps.Scale, seed int64, topo string, procs []int) ([]ExtendedAppRow, error) {
-	runExt := func(kind machine.Kind, p int) (*stats.Run, error) {
-		prog, err := apps.NewExtended(appName, scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := app.Run(prog, machine.Config{Kind: kind, Topology: topo, P: p})
-		if err != nil {
-			return nil, err
-		}
-		return res.Stats, nil
-	}
+func (s *Session) ExtendedAppStudy(appName, topo string, procs []int) ([]ExtendedAppRow, error) {
 	var out []ExtendedAppRow
 	for _, p := range procs {
-		tgt, err := runExt(machine.Target, p)
+		tgt, err := s.Run(point(appName, topo, machine.Target, p))
 		if err != nil {
 			return nil, err
 		}
-		cl, err := runExt(machine.CLogP, p)
+		cl, err := s.Run(point(appName, topo, machine.CLogP, p))
 		if err != nil {
 			return nil, err
 		}
-		lp, err := runExt(machine.LogP, p)
+		lp, err := s.Run(point(appName, topo, machine.LogP, p))
 		if err != nil {
 			return nil, err
 		}
@@ -376,18 +341,14 @@ type TopologyRow struct {
 // measure.  Expectation from the paper's analysis: the lower the
 // connectivity (ring worst), the more pessimistic the
 // bisection-derived g makes the abstraction.
-func TopologyStudy(appName string, scale apps.Scale, seed int64, p int) ([]TopologyRow, error) {
+func (s *Session) TopologyStudy(appName string, p int) ([]TopologyRow, error) {
 	var out []TopologyRow
 	for _, topo := range network.Names() {
-		tgt, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p,
-		})
+		tgt, err := s.Run(point(appName, topo, machine.Target, p))
 		if err != nil {
 			return nil, err
 		}
-		cl, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: topo, P: p,
-		})
+		cl, err := s.Run(point(appName, topo, machine.CLogP, p))
 		if err != nil {
 			return nil, err
 		}
@@ -421,13 +382,14 @@ type PlacementRow struct {
 // CG's vectors against round-robin interleaving on the target machine:
 // the locality the paper's cache abstraction must capture exists only
 // if the data layout creates it in the first place.
-func PlacementStudy(scale apps.Scale, seed int64, topo string, p int) ([]PlacementRow, error) {
+func (s *Session) PlacementStudy(topo string, p int) ([]PlacementRow, error) {
 	var out []PlacementRow
 	for _, pol := range []mem.Policy{mem.Blocked, mem.Interleaved} {
-		prog, err := apps.New("cg", scale, seed)
+		prog, err := apps.New("cg", s.opt.Scale, s.opt.Seed)
 		if err != nil {
 			return nil, err
 		}
+		// A mutated program is not a session point.
 		prog.(*apps.CG).Placement = pol
 		res, err := app.Run(prog, machine.Config{
 			Kind: machine.Target, Topology: topo, P: p,
@@ -463,7 +425,7 @@ type FaultRow struct {
 // queueing behind the degraded link, while the L/g abstraction is
 // structurally blind to any single-link property — a concrete boundary
 // of the network abstraction the paper evaluates.
-func DegradedLinkStudy(appName string, scale apps.Scale, seed int64, p int, factors []int) ([]FaultRow, error) {
+func (s *Session) DegradedLinkStudy(appName string, p int, factors []int) ([]FaultRow, error) {
 	topo, err := network.New("mesh", p)
 	if err != nil {
 		return nil, err
@@ -473,12 +435,17 @@ func DegradedLinkStudy(appName string, scale apps.Scale, seed int64, p int, fact
 	// path that X-first routing funnels traffic through.
 	victim := (mesh.Cols()/2 - 1) * 4 // node (0, cols/2-1), east direction
 
+	cl, err := s.Run(point(appName, "mesh", machine.CLogP, p))
+	if err != nil {
+		return nil, err
+	}
 	var out []FaultRow
 	for _, factor := range factors {
-		prog, err := apps.New(appName, scale, seed)
+		prog, err := apps.New(appName, s.opt.Scale, s.opt.Seed)
 		if err != nil {
 			return nil, err
 		}
+		// The degraded link is a machine wrap, not a session point.
 		factor := factor
 		res, err := app.Execute(prog, machine.Config{
 			Kind: machine.Target, Topology: "mesh", P: p,
@@ -488,12 +455,6 @@ func DegradedLinkStudy(appName string, scale apps.Scale, seed int64, p int, fact
 			}
 			return m
 		}})
-		if err != nil {
-			return nil, err
-		}
-		cl, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: "mesh", P: p,
-		})
 		if err != nil {
 			return nil, err
 		}
@@ -521,7 +482,7 @@ type TechRow struct {
 // bandwidth (and, coherently, L and g, which are derived from it): as
 // the network speeds up relative to the fixed 33 MHz processor, network
 // overheads shrink and the abstractions converge on the target.
-func TechnologyStudy(appName string, scale apps.Scale, seed int64, topo string, p int, mbps []float64) ([]TechRow, error) {
+func (s *Session) TechnologyStudy(appName, topo string, p int, mbps []float64) ([]TechRow, error) {
 	var out []TechRow
 	for _, m := range mbps {
 		// byteTime = 1e6/m bytes/s in Time units: 20 MB/s = 33 units.
@@ -529,15 +490,16 @@ func TechnologyStudy(appName string, scale apps.Scale, seed int64, topo string, 
 		if byteTime < 1 {
 			byteTime = 1
 		}
-		tgt, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p, LinkByteTime: byteTime,
-		})
+		at := func(kind machine.Kind) (*stats.Run, error) {
+			pt := point(appName, topo, kind, p)
+			pt.LinkByteTime = byteTime
+			return s.Run(pt)
+		}
+		tgt, err := at(machine.Target)
 		if err != nil {
 			return nil, err
 		}
-		cl, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: topo, P: p, LinkByteTime: byteTime,
-		})
+		cl, err := at(machine.CLogP)
 		if err != nil {
 			return nil, err
 		}
@@ -566,12 +528,10 @@ type LRow struct {
 // EffectiveLStudy measures the target machine's mean message size for an
 // application and re-derives L from it, quantifying how much of the
 // L-parameter's latency pessimism is the fixed 32-byte assumption.
-func EffectiveLStudy(appName string, scale apps.Scale, seed int64, topo string, procs []int) ([]LRow, error) {
+func (s *Session) EffectiveLStudy(appName, topo string, procs []int) ([]LRow, error) {
 	var out []LRow
 	for _, p := range procs {
-		tgt, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.Target, Topology: topo, P: p,
-		})
+		tgt, err := s.Run(point(appName, topo, machine.Target, p))
 		if err != nil {
 			return nil, err
 		}
@@ -581,9 +541,7 @@ func EffectiveLStudy(appName string, scale apps.Scale, seed int64, topo string, 
 		if msgs > 0 {
 			mean = float64(bytes) / float64(msgs)
 		}
-		l32, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: topo, P: p,
-		})
+		l32, err := s.Run(point(appName, topo, machine.CLogP, p))
 		if err != nil {
 			return nil, err
 		}
@@ -591,9 +549,9 @@ func EffectiveLStudy(appName string, scale apps.Scale, seed int64, topo string, 
 		if leff < 1 {
 			leff = 1
 		}
-		eff, err := runOnce(appName, scale, seed, machine.Config{
-			Kind: machine.CLogP, Topology: topo, P: p, L: leff,
-		})
+		effPt := point(appName, topo, machine.CLogP, p)
+		effPt.L = leff
+		eff, err := s.Run(effPt)
 		if err != nil {
 			return nil, err
 		}

@@ -3,12 +3,11 @@ package exp
 import (
 	"testing"
 
-	"spasm/internal/apps"
 	"spasm/internal/mem"
 )
 
 func TestTraceDrivenStudyRuns(t *testing.T) {
-	rows, err := TraceDrivenStudy(apps.Tiny, 1, "full", 4)
+	rows, err := tinySession().TraceDrivenStudy("full", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +22,7 @@ func TestTraceDrivenStudyRuns(t *testing.T) {
 }
 
 func TestExtendedAppStudyMG(t *testing.T) {
-	rows, err := ExtendedAppStudy("mg", apps.Tiny, 1, "cube", []int{4, 8})
+	rows, err := tinySession().ExtendedAppStudy("mg", "cube", []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestExtendedAppStudyMG(t *testing.T) {
 }
 
 func TestTopologyStudy(t *testing.T) {
-	rows, err := TopologyStudy("is", apps.Tiny, 1, 8)
+	rows, err := tinySession().TopologyStudy("is", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestTopologyStudy(t *testing.T) {
 }
 
 func TestPlacementStudy(t *testing.T) {
-	rows, err := PlacementStudy(apps.Tiny, 1, "cube", 8)
+	rows, err := tinySession().PlacementStudy("cube", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestPlacementStudy(t *testing.T) {
 }
 
 func TestDegradedLinkStudy(t *testing.T) {
-	rows, err := DegradedLinkStudy("fft", apps.Tiny, 1, 16, []int{1, 8})
+	rows, err := tinySession().DegradedLinkStudy("fft", 16, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestDegradedLinkStudy(t *testing.T) {
 }
 
 func TestTechnologyStudy(t *testing.T) {
-	rows, err := TechnologyStudy("is", apps.Tiny, 1, "mesh", 8, []float64{20, 80, 320})
+	rows, err := tinySession().TechnologyStudy("is", "mesh", 8, []float64{20, 80, 320})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func dist(r float64) float64 {
 }
 
 func TestBandwidthStudy(t *testing.T) {
-	rows, err := BandwidthStudy(apps.Tiny, 1, "full", 4)
+	rows, err := tinySession().BandwidthStudy("full", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestBandwidthStudy(t *testing.T) {
 }
 
 func TestProtocolComparisonInsensitivity(t *testing.T) {
-	rows, err := ProtocolComparison(apps.Tiny, 1, "full", 4)
+	rows, err := tinySession().ProtocolComparison("full", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestProtocolComparisonInsensitivity(t *testing.T) {
 }
 
 func TestCacheSweepMissRateMonotone(t *testing.T) {
-	rows, err := CacheSweep("cg", apps.Tiny, 1, "full", 4, []int{1, 4, 16, 64})
+	rows, err := tinySession().CacheSweep("cg", "full", 4, []int{1, 4, 16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +229,7 @@ func TestAdaptiveGapBetweenStaticAndZero(t *testing.T) {
 	// EP on the mesh is the paper's worst case for the static g.  The
 	// adaptive estimate must not exceed the static one, and should be
 	// strictly below it once communication locality exists.
-	rows, err := AdaptiveGapStudy("ep", apps.Tiny, 1, "mesh", []int{8, 16})
+	rows, err := tinySession().AdaptiveGapStudy("ep", "mesh", []int{8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,7 @@ func TestEffectiveLSeparatesCounteractingEffects(t *testing.T) {
 	// CLogP latency must drop below the fixed-L value — and, with the
 	// size pessimism gone, the remaining difference from the target is
 	// the coherence-traffic optimism (CLogP at or below the target).
-	rows, err := EffectiveLStudy("fft", apps.Tiny, 1, "full", []int{8})
+	rows, err := tinySession().EffectiveLStudy("fft", "full", []int{8})
 	if err != nil {
 		t.Fatal(err)
 	}

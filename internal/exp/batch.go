@@ -6,20 +6,24 @@ import (
 	"spasm/internal/app"
 	"spasm/internal/apps"
 	"spasm/internal/machine"
-	"spasm/internal/runpool"
 	"spasm/internal/stats"
 )
 
-// BatchPoint is one sweep point for RunBatch/RunMany: an (application,
-// topology, machine, P) combination at the session's scale and seed.
+// BatchPoint is one simulation of an experiment: an application on a
+// machine configuration, at the session's scale and seed.
 type BatchPoint struct {
-	App      string
-	Topology string
-	Kind     machine.Kind
-	P        int
+	App string
+	machine.Config
 }
 
-func (b BatchPoint) key() runKey { return runKey{b.App, b.Topology, b.Kind, b.P} }
+// key is the point's cache identity: two points that build identical
+// machines share it.
+func (b BatchPoint) key() BatchPoint { return BatchPoint{b.App, b.Config.Canonical()} }
+
+// point is the sweep point of a machine with the paper's parameters.
+func point(appName, topo string, kind machine.Kind, p int) BatchPoint {
+	return BatchPoint{appName, machine.Config{Kind: kind, Topology: topo, P: p}}
+}
 
 // RunBatch executes a set of sweep points on a bounded worker pool
 // (Options.Parallel workers; 1 when unset) and returns their statistics
@@ -47,10 +51,10 @@ func (s *Session) RunBatch(points []BatchPoint) ([]*stats.Run, error) {
 		dst []int // positions in out to fill
 	}
 	var jobs []*job
-	index := map[runKey]*job{}
+	index := map[BatchPoint]*job{}
 	for i, pt := range points {
 		k := pt.key()
-		if r, ok := s.lookup(k.String()); ok {
+		if r, ok := s.lookup(k); ok {
 			out[i] = r
 			continue
 		}
@@ -87,19 +91,15 @@ func (s *Session) RunBatch(points []BatchPoint) ([]*stats.Run, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := s.pool
-			if s.opt.Runner != nil {
-				pool = nil // the Runner executes elsewhere
-			}
 			for j := range work {
 				pt := jobs[j].pt
-				r, err := s.simulate(pt.App, pt.Topology, pt.Kind, pt.P, pool)
+				r, err := s.simulate(pt)
 				if err != nil {
 					errs[j] = err
 					continue
 				}
 				results[j] = r
-				s.store(pt.key().String(), r)
+				s.store(pt.key(), r)
 			}
 		}()
 	}
@@ -123,25 +123,20 @@ func RunMany(opt Options, points []BatchPoint) ([]*stats.Run, error) {
 	return NewSession(opt).RunBatch(points)
 }
 
-// simulate executes one combination, bypassing the session cache.  With
-// a Runner injected (the service layer) the combination is delegated to
-// it; otherwise the program is built and run locally — on pooled
-// contexts when pool is non-nil, fresh ones when it is nil.
-func (s *Session) simulate(appName, topo string, kind machine.Kind, p int, pool *runpool.Pool) (*stats.Run, error) {
+// simulate executes one point, bypassing the session cache: the
+// experiment layer's one call into the simulator.  With a Runner
+// injected (the service layer) the point is delegated to it; otherwise
+// the program is built and run locally on the session's context pool.
+func (s *Session) simulate(pt BatchPoint) (*stats.Run, error) {
 	if s.opt.Runner != nil {
-		return s.opt.Runner(appName, topo, kind, p)
+		return s.opt.Runner(pt)
 	}
-	// Ad-hoc figures may sweep the extension workloads too.
-	prog, err := apps.Lookup(appName, s.opt.Scale, s.opt.Seed)
+	// Ad-hoc figures and studies may run the extension workloads too.
+	prog, err := apps.Lookup(pt.App, s.opt.Scale, s.opt.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := app.Execute(prog, machine.Config{
-		Kind:     kind,
-		Topology: topo,
-		P:        p,
-		PortMode: s.opt.PortMode,
-	}, app.Options{Pool: pool, Control: app.RunControl{Timeout: s.opt.RunTimeout}})
+	res, err := app.Execute(prog, pt.Config, app.Options{Pool: s.pool})
 	if err != nil {
 		return nil, err
 	}

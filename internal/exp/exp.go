@@ -1,21 +1,19 @@
 // Package exp defines the paper's experiments — one entry per figure of
-// the evaluation section, plus the section-7 ablation and the
-// simulation-cost comparison — and runs the processor sweeps that
-// regenerate them.
+// the evaluation section, the textual experiments of sections 5 and 7,
+// and the extension studies — and runs the sweeps that regenerate them.
 //
-// A Session caches runs, because one (application, topology, machine, P)
-// simulation feeds several figures (e.g. IS on the full network appears
-// in the latency, contention and execution-time figures).
+// Every experiment simulates through one Session, which caches runs by
+// (application, canonical machine configuration): one simulation feeds
+// several figures and studies (e.g. IS on the full network appears in the
+// latency, contention and execution-time figures).
 package exp
 
 import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"spasm/internal/apps"
-	"spasm/internal/logp"
 	"spasm/internal/machine"
 	"spasm/internal/runpool"
 	"spasm/internal/sim"
@@ -111,6 +109,18 @@ var Figures = []Figure{
 	{20, "cholesky", "mesh", ContentionOvh},
 }
 
+// Points lists the sweep points the figure plots under the options,
+// machine by machine.
+func (f Figure) Points(opt Options) []BatchPoint {
+	var out []BatchPoint
+	for _, kind := range opt.Machines {
+		for _, p := range opt.Procs {
+			out = append(out, point(f.App, f.Topology, kind, p))
+		}
+	}
+	return out
+}
+
 // ByNumber returns figure n (1-20).
 func ByNumber(n int) (Figure, error) {
 	for _, f := range Figures {
@@ -133,27 +143,18 @@ type Options struct {
 	// Machines are the characterizations compared (default LogP,
 	// CLogP, Target — the paper's three).
 	Machines []machine.Kind
-	// PortMode is the g-gap discipline for the LogP machines
-	// (default Combined; PerClass reproduces the section-7 ablation).
-	PortMode logp.PortMode
-	// Parallel is the number of simulations run concurrently on the
-	// host (each simulation is single-threaded and independent, so
-	// this is pure speedup; results are identical).  Default 1.
+	// Parallel is the number of simulations RunBatch runs concurrently
+	// on the host (each simulation is single-threaded and independent,
+	// so this is pure speedup; results are identical).  Default 1.
 	Parallel int
-	// RunTimeout bounds each underlying simulation's wall-clock
-	// execution; a run past the deadline is aborted cooperatively and
-	// fails with app.ErrRunTimeout, its pooled context discarded.  Zero
-	// (the default) means unbounded.  Ignored when Runner is set — a
-	// delegated runner enforces its own deadline.
-	RunTimeout time.Duration
 	// Runner, if non-nil, executes the session's underlying
 	// simulations in place of the session building and running the
 	// program itself.  It must return statistics equivalent to a
-	// direct run of the same combination at the session's scale and
-	// seed.  The service layer injects its content-addressed result
-	// cache and bounded worker pool here, so figure and sweep requests
-	// share one execution path with single-run requests.
-	Runner func(appName, topo string, kind machine.Kind, p int) (*stats.Run, error)
+	// direct run of the point at the session's scale and seed.  The
+	// service layer injects its content-addressed result cache and
+	// bounded worker pool here, so figure and sweep requests share one
+	// execution path with single-run requests.
+	Runner func(BatchPoint) (*stats.Run, error)
 }
 
 // WithDefaults returns the options with unset fields filled in — the
@@ -210,7 +211,7 @@ func Value(m Metric, r *stats.Run) float64 {
 type Session struct {
 	opt   Options
 	mu    sync.Mutex
-	cache map[string]*stats.Run
+	cache map[BatchPoint]*stats.Run
 
 	// pool holds reusable run contexts for the session's lifetime, so a
 	// figure sweep pays machine construction once per configuration
@@ -223,7 +224,7 @@ type Session struct {
 func NewSession(opt Options) *Session {
 	return &Session{
 		opt:   opt.WithDefaults(),
-		cache: map[string]*stats.Run{},
+		cache: map[BatchPoint]*stats.Run{},
 		pool:  runpool.New(0),
 	}
 }
@@ -231,57 +232,32 @@ func NewSession(opt Options) *Session {
 // Options returns the session's (defaulted) options.
 func (s *Session) Options() Options { return s.opt }
 
-type runKey struct {
-	app  string
-	topo string
-	kind machine.Kind
-	p    int
-}
-
-func (k runKey) String() string {
-	return fmt.Sprintf("%s/%s/%v/%d", k.app, k.topo, k.kind, k.p)
-}
-
-func (s *Session) lookup(key string) (*stats.Run, bool) {
+func (s *Session) lookup(key BatchPoint) (*stats.Run, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.cache[key]
 	return r, ok
 }
 
-func (s *Session) store(key string, r *stats.Run) {
+func (s *Session) store(key BatchPoint, r *stats.Run) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cache[key] = r
 }
 
-// Run simulates one (application, topology, machine, P) combination,
-// returning a cached result if it already ran.
-func (s *Session) Run(appName, topo string, kind machine.Kind, p int) (*stats.Run, error) {
-	key := runKey{appName, topo, kind, p}.String()
+// Run simulates one point, returning a cached result if a point with the
+// same canonical configuration already ran.
+func (s *Session) Run(pt BatchPoint) (*stats.Run, error) {
+	key := pt.key()
 	if r, ok := s.lookup(key); ok {
 		return r, nil
 	}
-	r, err := s.simulate(appName, topo, kind, p, s.pool)
+	r, err := s.simulate(pt)
 	if err != nil {
 		return nil, err
 	}
 	s.store(key, r)
 	return r, nil
-}
-
-// Prefetch runs the given combinations on the batch scheduler (up to
-// Options.Parallel workers on the session's context pool) and fills
-// the cache; the first error in key order is returned.  Each simulation
-// is internally single-threaded and fully deterministic, so parallel
-// prefetching changes wall time only.
-func (s *Session) Prefetch(keys []runKey) error {
-	pts := make([]BatchPoint, len(keys))
-	for i, k := range keys {
-		pts[i] = BatchPoint{App: k.app, Topology: k.topo, Kind: k.kind, P: k.p}
-	}
-	_, err := s.RunBatch(pts)
-	return err
 }
 
 // Figure regenerates one paper figure.
@@ -290,7 +266,7 @@ func (s *Session) Figure(fig Figure) (*FigureResult, error) {
 	for _, kind := range s.opt.Machines {
 		series := Series{Machine: kind}
 		for _, p := range s.opt.Procs {
-			r, err := s.Run(fig.App, fig.Topology, kind, p)
+			r, err := s.Run(point(fig.App, fig.Topology, kind, p))
 			if err != nil {
 				return nil, fmt.Errorf("%s (p=%d, %v): %w", fig.ID(), p, kind, err)
 			}
@@ -322,23 +298,15 @@ func ParseMetric(name string) (Metric, error) {
 	return 0, fmt.Errorf("exp: unknown metric %q (latency, contention, exec)", name)
 }
 
-// AllFigures regenerates every paper figure, prefetching the underlying
-// runs concurrently when Options.Parallel > 1.
+// AllFigures regenerates every paper figure, running the underlying
+// points on the batch scheduler first (concurrently when
+// Options.Parallel > 1).
 func (s *Session) AllFigures() ([]*FigureResult, error) {
-	seen := map[runKey]bool{}
-	var keys []runKey
+	var pts []BatchPoint
 	for _, fig := range Figures {
-		for _, kind := range s.opt.Machines {
-			for _, p := range s.opt.Procs {
-				k := runKey{fig.App, fig.Topology, kind, p}
-				if !seen[k] {
-					seen[k] = true
-					keys = append(keys, k)
-				}
-			}
-		}
+		pts = append(pts, fig.Points(s.opt)...)
 	}
-	if err := s.Prefetch(keys); err != nil {
+	if _, err := s.RunBatch(pts); err != nil {
 		return nil, err
 	}
 	var out []*FigureResult

@@ -1,16 +1,18 @@
 package exp
 
 import (
-	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
-	"time"
 
-	"spasm/internal/app"
 	"spasm/internal/apps"
 	"spasm/internal/logp"
 	"spasm/internal/machine"
 	"spasm/internal/sim"
+	"spasm/internal/stats"
 )
 
 func tinySession() *Session {
@@ -68,18 +70,18 @@ func TestEveryAppAndTopologyAppears(t *testing.T) {
 
 func TestSessionCaching(t *testing.T) {
 	s := tinySession()
-	a, err := s.Run("ep", "full", machine.CLogP, 2)
+	a, err := s.Run(point("ep", "full", machine.CLogP, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run("ep", "full", machine.CLogP, 2)
+	b, err := s.Run(point("ep", "full", machine.CLogP, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("cache miss on identical run")
 	}
-	c, err := s.Run("ep", "full", machine.CLogP, 4)
+	c, err := s.Run(point("ep", "full", machine.CLogP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestFigureSweep(t *testing.T) {
 
 func TestValueExtraction(t *testing.T) {
 	s := tinySession()
-	r, err := s.Run("is", "full", machine.Target, 4)
+	r, err := s.Run(point("is", "full", machine.Target, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestSimulationCost(t *testing.T) {
 }
 
 func TestGapAblationShape(t *testing.T) {
-	rows, err := GapAblation(apps.Tiny, 1, []int{4, 8})
+	rows, err := NewSession(Options{Scale: apps.Tiny, Procs: []int{4, 8}}).GapAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +193,22 @@ func TestGapAblationShape(t *testing.T) {
 	}
 }
 
+// TestPortModePlumbing: the gap discipline is a field of the point, so
+// one session runs both and caches them apart.
 func TestPortModePlumbing(t *testing.T) {
-	com := NewSession(Options{Scale: apps.Tiny, Procs: []int{4},
-		Machines: []machine.Kind{machine.LogP}, PortMode: logp.Combined})
-	per := NewSession(Options{Scale: apps.Tiny, Procs: []int{4},
-		Machines: []machine.Kind{machine.LogP}, PortMode: logp.PerClass})
-	a, err := com.Run("is", "mesh", machine.LogP, 4)
+	s := tinySession()
+	perClass := point("is", "mesh", machine.LogP, 4)
+	perClass.PortMode = logp.PerClass
+	a, err := s.Run(point("is", "mesh", machine.LogP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := per.Run("is", "mesh", machine.LogP, 4)
+	b, err := s.Run(perClass)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("per-class point served the combined run from the cache")
 	}
 	if Value(ContentionOvh, a) < Value(ContentionOvh, b) {
 		t.Errorf("combined contention %v below per-class %v",
@@ -319,24 +325,97 @@ func TestParseMetric(t *testing.T) {
 
 func TestUnknownAppError(t *testing.T) {
 	s := tinySession()
-	if _, err := s.Run("nope", "full", machine.Target, 2); err == nil {
+	if _, err := s.Run(point("nope", "full", machine.Target, 2)); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
 
-func TestRunTimeoutOption(t *testing.T) {
-	// A 1ns deadline has expired before the event loop polls the stop
-	// flag for the first time, so every simulation aborts — and the
-	// failure carries the timeout sentinel, not a generic error.
-	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{4}, RunTimeout: time.Nanosecond})
-	_, err := s.Run("ep", "full", machine.Target, 4)
-	if !errors.Is(err, app.ErrRunTimeout) {
-		t.Fatalf("want ErrRunTimeout, got %v", err)
-	}
-	// The same session still completes unbounded work: the aborted
-	// run's pooled context was discarded, not recycled mid-flight.
-	s2 := NewSession(Options{Scale: apps.Tiny, Procs: []int{4}})
-	if _, err := s2.Run("ep", "full", machine.Target, 4); err != nil {
+// TestSessionCachesByCanonicalConfig: a point that spells out a default
+// is the point that leaves it zero.
+func TestSessionCachesByCanonicalConfig(t *testing.T) {
+	s := tinySession()
+	a, err := s.Run(point("ep", "", machine.Target, 2))
+	if err != nil {
 		t.Fatal(err)
+	}
+	explicit := point("ep", "full", machine.Target, 2)
+	explicit.LinkByteTime = sim.SerialByte
+	b, err := s.Run(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("explicit defaults missed the cache")
+	}
+}
+
+// TestOneExperimentPath: the experiment layer simulates through
+// Session.simulate only.  The three studies whose runs are not a function
+// of (application, machine configuration) — a recorder wrap and a replay
+// program, a degraded-link wrap, a mutated program — are the exceptions.
+func TestOneExperimentPath(t *testing.T) {
+	allowed := map[string]bool{
+		"simulate": true, "TraceDrivenStudy": true, "DegradedLinkStudy": true, "PlacementStudy": true,
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || allowed[fn.Name.Name] {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "app" &&
+						(sel.Sel.Name == "Execute" || sel.Sel.Name == "Run") {
+						t.Errorf("%s: %s calls app.%s; simulate through the session", name, fn.Name.Name, sel.Sel.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// TestStudiesShareTheSession: a study asks its session for each point
+// once, and a study whose points another already ran asks for nothing.
+func TestStudiesShareTheSession(t *testing.T) {
+	asked := map[BatchPoint]int{}
+	inner := tinySession()
+	s := NewSession(Options{Scale: apps.Tiny, Runner: func(pt BatchPoint) (*stats.Run, error) {
+		asked[pt.key()]++
+		return inner.Run(pt)
+	}})
+
+	if _, err := s.DegradedLinkStudy("fft", 4, []int{1, 2, 4, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if ref := point("fft", "mesh", machine.CLogP, 4).key(); len(asked) != 1 || asked[ref] != 1 {
+		t.Errorf("fault study asked for %v, want its CLogP reference once", asked)
+	}
+
+	if _, err := s.ProtocolComparison("full", 4); err != nil {
+		t.Fatal(err)
+	}
+	before := len(asked)
+	if _, err := s.BandwidthStudy("full", 4); err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != before {
+		t.Errorf("bandwidth after protocol asked for %d new points, want 0", len(asked)-before)
+	}
+	for pt, n := range asked {
+		if n != 1 {
+			t.Errorf("%+v asked for %d times", pt, n)
+		}
 	}
 }

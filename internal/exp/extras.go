@@ -42,7 +42,7 @@ func (s *Session) SimulationCost(topo string, p int) ([]CostRow, error) {
 	for _, kind := range s.opt.Machines {
 		row := CostRow{Machine: kind}
 		for _, name := range apps.Names() {
-			r, err := s.Run(name, topo, kind, p)
+			r, err := s.Run(point(name, topo, kind, p))
 			if err != nil {
 				return nil, err
 			}
@@ -62,27 +62,25 @@ type AblationRow struct {
 	PerClassGap float64 // CLogP contention, per-event-class gap
 }
 
-// GapAblation reproduces the section-7 experiment: FFT on the cube, with
-// the g gap enforced between all network events (the LogP definition)
-// versus only between identical events.  The per-class discipline should
-// sit much closer to the target machine's contention.
-func GapAblation(scale apps.Scale, seed int64, procs []int) ([]AblationRow, error) {
-	combined := NewSession(Options{Scale: scale, Seed: seed, Procs: procs,
-		Machines: []machine.Kind{machine.CLogP, machine.Target}, PortMode: logp.Combined})
-	perClass := NewSession(Options{Scale: scale, Seed: seed, Procs: procs,
-		Machines: []machine.Kind{machine.CLogP}, PortMode: logp.PerClass})
-
+// GapAblation reproduces the section-7 experiment over the session's
+// processor sweep: FFT on the cube, with the g gap enforced between all
+// network events (the LogP definition) versus only between identical
+// events.  The per-class discipline should sit much closer to the target
+// machine's contention.
+func (s *Session) GapAblation() ([]AblationRow, error) {
 	var out []AblationRow
-	for _, p := range combined.Options().Procs {
-		tgt, err := combined.Run("fft", "cube", machine.Target, p)
+	for _, p := range s.opt.Procs {
+		tgt, err := s.Run(point("fft", "cube", machine.Target, p))
 		if err != nil {
 			return nil, err
 		}
-		com, err := combined.Run("fft", "cube", machine.CLogP, p)
+		com, err := s.Run(point("fft", "cube", machine.CLogP, p))
 		if err != nil {
 			return nil, err
 		}
-		per, err := perClass.Run("fft", "cube", machine.CLogP, p)
+		perClass := point("fft", "cube", machine.CLogP, p)
+		perClass.PortMode = logp.PerClass
+		per, err := s.Run(perClass)
 		if err != nil {
 			return nil, err
 		}
@@ -148,18 +146,18 @@ type SpeedupRow struct {
 // Speedup computes the scalability curve of one application on one
 // machine characterization, against the ideal-machine baseline.
 func (s *Session) Speedup(appName, topo string, kind machine.Kind, procs []int) ([]SpeedupRow, error) {
-	base, err := s.Run(appName, topo, machine.Ideal, 1)
+	base, err := s.Run(point(appName, topo, machine.Ideal, 1))
 	if err != nil {
 		return nil, err
 	}
 	t1 := base.Total.Micros()
 	var out []SpeedupRow
 	for _, p := range procs {
-		r, err := s.Run(appName, topo, kind, p)
+		r, err := s.Run(point(appName, topo, kind, p))
 		if err != nil {
 			return nil, err
 		}
-		ideal, err := s.Run(appName, topo, machine.Ideal, p)
+		ideal, err := s.Run(point(appName, topo, machine.Ideal, p))
 		if err != nil {
 			return nil, err
 		}

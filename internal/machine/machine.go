@@ -123,8 +123,6 @@ type Config struct {
 	// proposes in section 7: the gap is scaled by the observed
 	// fraction of traffic that actually crosses the bisection.
 	AdaptiveG bool
-	// SwitchDelay is the per-hop delay on the target fabric (paper: 0).
-	SwitchDelay sim.Time
 	// LinkByteTime is the per-byte link transmission time (0 means
 	// the paper's 20 MB/s serial links).  It scales the detailed
 	// fabric, the default L, and the bisection-derived g together —
@@ -216,7 +214,6 @@ func New(cfg Config, space *mem.Space) (Machine, error) {
 		}
 		fab := network.NewFabric(topo)
 		fab.ByteTime = cfg.LinkByteTime
-		fab.SwitchDelay = cfg.SwitchDelay
 		tr := &targetTransport{fab: fab}
 		eng := coherence.NewEngine(space, cfg.Cache, cfg.Costs, tr)
 		eng.Protocol = cfg.Protocol

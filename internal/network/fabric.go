@@ -11,18 +11,14 @@ import (
 // link on its route, and its destination's ejection port from the moment
 // the circuit is established until the last byte has been transmitted.
 // With wormhole routing on serial links and negligible switching delay,
-// the transmission occupies the circuit for bytes * ByteTime (+ an
-// optional per-hop switch delay, zero by default as in the paper).
+// the transmission occupies the circuit for bytes * ByteTime, as in the
+// paper.
 type Fabric struct {
 	topo Topology
 
 	// ByteTime is the per-byte transmission time of a serial link
 	// (defaults to sim.SerialByte, i.e. 20 MB/s).
 	ByteTime sim.Time
-	// SwitchDelay is the per-hop circuit-establishment delay.  The
-	// paper assumes it negligible and ignores it; it is configurable
-	// for sensitivity studies.
-	SwitchDelay sim.Time
 
 	linkFree []sim.Time
 	injFree  []sim.Time
@@ -84,8 +80,8 @@ func (f *Fabric) Topology() Topology { return f.topo }
 // per-resource availability arrays — and the Degrade factor array, if one
 // was ever allocated — are cleared rather than reallocated, and the
 // topology (with its precomputed route tables) is reused as-is, since it
-// is immutable.  ByteTime and SwitchDelay are configuration of the pooled
-// context and are left alone.
+// is immutable.  ByteTime is configuration of the pooled context and is
+// left alone.
 func (f *Fabric) Reset() {
 	for _, l := range f.touched {
 		f.linkFree[l] = 0
@@ -142,7 +138,7 @@ func (f *Fabric) Reserve(now sim.Time, src, dst, bytes int) Xmit {
 		panic(fmt.Sprintf("network: message of %d bytes", bytes))
 	}
 	route := f.topo.Route(src, dst)
-	dur := sim.Time(bytes)*f.ByteTime + sim.Time(len(route))*f.SwitchDelay
+	dur := sim.Time(bytes) * f.ByteTime
 	if f.slow != nil {
 		// A circuit is only as fast as its slowest link.
 		worst := int32(1)

@@ -87,17 +87,6 @@ func TestCircuitHeldWholeDuration(t *testing.T) {
 	}
 }
 
-func TestSwitchDelayCharged(t *testing.T) {
-	c := NewCube(8)
-	f := NewFabric(c)
-	f.SwitchDelay = 10
-	x := f.Reserve(0, 0, 7, 8) // 3 hops
-	want := 8*sim.SerialByte + 3*10
-	if x.Latency != want {
-		t.Errorf("latency = %v, want %v", x.Latency, want)
-	}
-}
-
 func TestFabricCounters(t *testing.T) {
 	f := NewFabric(NewFull(4))
 	f.Reserve(0, 0, 1, 32)

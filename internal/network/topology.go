@@ -58,11 +58,19 @@ type Topology interface {
 	CrossesBisection(src, dst int) bool
 }
 
-// checkP validates a processor count for the paper's platforms: a power
-// of two, at least 2.
-func checkP(p int) {
+// CheckP is the one processor-count rule of every topology: the paper's
+// platforms take a power of two, at least 2.  New reports a violation as
+// an error, the New* constructors as a panic.
+func CheckP(p int) error {
 	if p < 2 || p&(p-1) != 0 {
-		panic(fmt.Sprintf("network: p = %d must be a power of two >= 2", p))
+		return fmt.Errorf("network: p = %d must be a power of two >= 2", p)
+	}
+	return nil
+}
+
+func checkP(p int) {
+	if err := CheckP(p); err != nil {
+		panic(err.Error())
 	}
 }
 
@@ -343,6 +351,9 @@ func abs(x int) int {
 // New returns the named topology over p nodes: the paper's "full",
 // "cube" and "mesh", plus the extension topologies "ring" and "torus".
 func New(name string, p int) (Topology, error) {
+	if err := CheckP(p); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "full":
 		return NewFull(p), nil

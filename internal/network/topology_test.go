@@ -34,6 +34,21 @@ func routeIsValid(t *testing.T, topo Topology, src, dst int) {
 	}
 }
 
+// TestNewRejectsUnsupportedP: New reports the processor-count rule as an
+// error for every topology instead of panicking.
+func TestNewRejectsUnsupportedP(t *testing.T) {
+	for _, name := range Names() {
+		for _, p := range []int{-2, 0, 1, 3, 6, 12} {
+			if _, err := New(name, p); err == nil || err.Error() != CheckP(p).Error() {
+				t.Errorf("New(%q, %d) = %v, want %v", name, p, err, CheckP(p))
+			}
+		}
+		if _, err := New(name, 8); err != nil {
+			t.Errorf("New(%q, 8): %v", name, err)
+		}
+	}
+}
+
 func TestAllRoutesValid(t *testing.T) {
 	for _, p := range sizes {
 		for _, topo := range topologies(p) {

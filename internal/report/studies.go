@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"spasm/internal/app"
-	"spasm/internal/apps"
 	"spasm/internal/exp"
 	"spasm/internal/machine"
 	"spasm/internal/stats"
@@ -31,11 +30,11 @@ func fixed(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 func times(v float64) string           { return fmt.Sprintf("%.2fx", v) }
 
 // CostTable renders the simulation-cost comparison (S1) of the whole
-// suite on the full network at p processors.  The wall column is host
-// time; the note gives the host-independent event ratios.
-func CostTable(p int, rows []exp.CostRow) *Table {
+// suite on one network at p processors.  The wall column is host time;
+// the note gives the host-independent event ratios.
+func CostTable(topo string, p int, rows []exp.CostRow) *Table {
 	t := &Table{
-		Title:   fmt.Sprintf("simulation cost — full suite on the full network at p=%d (section 7):", p),
+		Title:   fmt.Sprintf("simulation cost — full suite on the %s network at p=%d (section 7):", topo, p),
 		Headers: []string{"machine", "events", "wall"},
 	}
 	events := map[machine.Kind]float64{}
@@ -173,19 +172,18 @@ func ProtocolTable(topo string, p int, rows []exp.ProtocolRow) *Table {
 	return t
 }
 
-// StudyArgs are the knobs an extension study reads: single-point
-// studies run at P, sweep studies over Procs.  An empty App or Topo
-// selects the study's default.
+// StudyArgs are the knobs a study reads beside its session: single-point
+// studies run at P, sweep studies over the session's Procs.  An empty App
+// or Topo selects the study's default.
 type StudyArgs struct {
 	App, Topo string
-	Scale     apps.Scale
-	Seed      int64
 	P         int
-	Procs     []int
 }
 
-// Study is one extension study: a sensitivity or validation experiment
-// grounded in a claim or proposal of the paper, rendered as one table.
+// Study is one experiment reported in text rather than as a figure: an
+// extension study (a sensitivity or validation experiment grounded in a
+// claim or proposal of the paper) or one of the paper's own textual
+// experiments, rendered as one table.
 type Study struct {
 	Name string
 	// Claim is the paper claim or proposal the study tests.
@@ -194,33 +192,36 @@ type Study struct {
 	// empty where the study fixes or sweeps that dimension itself.
 	App, Topo string
 
-	table func(StudyArgs) (*Table, error)
+	table func(*exp.Session, StudyArgs) (*Table, error)
 }
 
-// Run executes the study and renders its table.
-func (s Study) Run(a StudyArgs) (*Table, error) {
+// Run executes the study on the session and renders its table.  Studies
+// run on one session share its cache, so a point is simulated once
+// however many of them ask for it.
+func (s Study) Run(sess *exp.Session, a StudyArgs) (*Table, error) {
 	if a.App == "" {
 		a.App = s.App
 	}
 	if a.Topo == "" {
 		a.Topo = s.Topo
 	}
-	return s.table(a)
+	return s.table(sess, a)
 }
 
-// Studies lists the extension studies in presentation order.  The typed
-// exp.*Study functions do the simulation; each entry only names the
-// study, fixes its parameter grid, and lays the rows out.
+// Studies lists the studies in presentation order: the extension studies,
+// then the paper's textual experiments.  The typed exp.Session methods do
+// the simulation; each entry only names the study, fixes its parameter
+// grid, and lays the rows out.
 func Studies() []Study {
 	return []Study{
 		{Name: "protocol", Claim: "Berkeley vs MSI vs write-update (section 7 insensitivity claim)", Topo: "full",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.ProtocolComparison(a.Scale, a.Seed, a.Topo, a.P)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.ProtocolComparison(a.Topo, a.P)
 				return ProtocolTable(a.Topo, a.P, rows), err
 			}},
 		{Name: "cache", Claim: "cache size vs miss rate (64 KB working-set claim)", App: "cg", Topo: "full",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.CacheSweep(a.App, a.Scale, a.Seed, a.Topo, a.P, []int{1, 2, 4, 8, 16, 32, 64, 128})
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.CacheSweep(a.App, a.Topo, a.P, []int{1, 2, 4, 8, 16, 32, 64, 128})
 				t := &Table{
 					Title:   fmt.Sprintf("cache-size sweep — %s on target/%s, p=%d:", a.App, a.Topo, a.P),
 					Headers: []string{"size_kb", "miss_rate", "exec_us"},
@@ -231,8 +232,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "adaptive", Claim: "history-based g (section 7 future work)", App: "ep", Topo: "mesh",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.AdaptiveGapStudy(a.App, a.Scale, a.Seed, a.Topo, a.Procs)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.AdaptiveGapStudy(a.App, a.Topo, s.Options().Procs)
 				t := &Table{
 					Title:   fmt.Sprintf("adaptive g — %s on %s, contention overhead (us):", a.App, a.Topo),
 					Headers: []string{"p", "target", "static_g", "adaptive_g"},
@@ -243,8 +244,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "trace", Claim: "trace-driven vs execution-driven simulation", Topo: "full",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.TraceDrivenStudy(a.Scale, a.Seed, a.Topo, a.P)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.TraceDrivenStudy(a.Topo, a.P)
 				t := &Table{
 					Title:   fmt.Sprintf("trace-driven vs execution-driven — recorded on clogp, replayed on target/%s, p=%d:", a.Topo, a.P),
 					Headers: []string{"app", "exec_us", "trace_us", "ratio", "events"},
@@ -255,8 +256,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "bandwidth", Claim: "per-application communication demand (companion TR)", Topo: "full",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.BandwidthStudy(a.Scale, a.Seed, a.Topo, a.P)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.BandwidthStudy(a.Topo, a.P)
 				t := &Table{
 					Title:   fmt.Sprintf("bandwidth demand per processor — %s network, p=%d (links are 20 MB/s):", a.Topo, a.P),
 					Headers: []string{"app", "true_mbps", "target_mbps"},
@@ -267,8 +268,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "tech", Claim: "link-bandwidth scaling vs abstraction accuracy", App: "is", Topo: "mesh",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.TechnologyStudy(a.App, a.Scale, a.Seed, a.Topo, a.P, []float64{20, 40, 80, 160, 320})
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.TechnologyStudy(a.App, a.Topo, a.P, []float64{20, 40, 80, 160, 320})
 				t := &Table{
 					Title:   fmt.Sprintf("technology scaling — %s on %s, p=%d:", a.App, a.Topo, a.P),
 					Headers: []string{"link_mbps", "target_us", "clogp_us", "clogp/target"},
@@ -279,8 +280,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "fault", Claim: "degraded-link injection (abstraction blindness)", App: "fft",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.DegradedLinkStudy(a.App, a.Scale, a.Seed, a.P, []int{1, 2, 4, 8})
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.DegradedLinkStudy(a.App, a.P, []int{1, 2, 4, 8})
 				t := &Table{
 					Title:   fmt.Sprintf("degraded-link injection — %s on mesh, p=%d:", a.App, a.P),
 					Headers: []string{"slowdown", "target_us", "clogp_us"},
@@ -292,8 +293,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "topo", Claim: "abstraction accuracy across all five topologies", App: "is",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.TopologyStudy(a.App, a.Scale, a.Seed, a.P)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.TopologyStudy(a.App, a.P)
 				t := &Table{
 					Title:   fmt.Sprintf("topology comparison — %s, p=%d (clogp/target execution ratio):", a.App, a.P),
 					Headers: []string{"topo", "g_us", "target_us", "clogp_us", "ratio"},
@@ -304,8 +305,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "placement", Claim: "blocked vs interleaved data placement", Topo: "cube",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.PlacementStudy(a.Scale, a.Seed, a.Topo, a.P)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.PlacementStudy(a.Topo, a.P)
 				t := &Table{
 					Title:   fmt.Sprintf("data placement — cg on target/%s, p=%d:", a.Topo, a.P),
 					Headers: []string{"placement", "exec_us", "latency_us", "misses"},
@@ -316,8 +317,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "mg", Claim: "out-of-suite validation (multigrid workload)", Topo: "cube",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.ExtendedAppStudy("mg", a.Scale, a.Seed, a.Topo, a.Procs)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.ExtendedAppStudy("mg", a.Topo, s.Options().Procs)
 				t := &Table{
 					Title:   fmt.Sprintf("out-of-suite validation — multigrid on %s:", a.Topo),
 					Headers: []string{"p", "target_us", "clogp_us", "logp_us", "lat clogp/tgt"},
@@ -328,8 +329,8 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "leff", Claim: "effective L from measured message sizes (section 6.1)", App: "fft", Topo: "full",
-			table: func(a StudyArgs) (*Table, error) {
-				rows, err := exp.EffectiveLStudy(a.App, a.Scale, a.Seed, a.Topo, a.Procs)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.EffectiveLStudy(a.App, a.Topo, s.Options().Procs)
 				t := &Table{
 					Title:   fmt.Sprintf("effective L — %s on %s, latency overhead (us):", a.App, a.Topo),
 					Headers: []string{"p", "mean_bytes", "target", "L=32B", "L=measured"},
@@ -340,10 +341,23 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "speedup", Claim: "overhead-separated scalability: algorithmic vs architectural loss", App: "cg", Topo: "mesh",
-			table: func(a StudyArgs) (*Table, error) {
-				s := exp.NewSession(exp.Options{Scale: a.Scale, Seed: a.Seed, Procs: a.Procs})
-				rows, err := s.Speedup(a.App, a.Topo, machine.Target, a.Procs)
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.Speedup(a.App, a.Topo, machine.Target, s.Options().Procs)
 				return SpeedupTable(a.App, a.Topo, rows), err
+			}},
+		{Name: "speed", Claim: "simulation cost per machine: events and host time (section 7)", Topo: "full",
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.SimulationCost(a.Topo, a.P)
+				return CostTable(a.Topo, a.P, rows), err
+			}},
+		{Name: "ablation", Claim: "g between identical events only: FFT on cube (section 7)",
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				rows, err := s.GapAblation()
+				return AblationTable(rows), err
+			}},
+		{Name: "gtable", Claim: "g from per-processor bisection bandwidth (section 5)",
+			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
+				return GapParamTable(exp.GapTable(s.Options().Procs)), nil
 			}},
 	}
 }

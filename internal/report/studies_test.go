@@ -48,18 +48,18 @@ func TestTableNote(t *testing.T) {
 }
 
 func TestCostTable(t *testing.T) {
-	tb := CostTable(8, []exp.CostRow{
+	tb := CostTable("full", 8, []exp.CostRow{
 		{Machine: machine.LogP, Events: 100, Wall: time.Second},
 		{Machine: machine.Target, Events: 50, Wall: 1400 * time.Microsecond},
 	})
 	out := tb.String()
-	for _, want := range []string{"p=8", "logp", "target", "100", "1s", "1ms",
+	for _, want := range []string{"full network at p=8", "logp", "target", "100", "1s", "1ms",
 		"event ratio: clogp/target = 0.00, logp/target = 2.00"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cost table missing %q:\n%s", want, out)
 		}
 	}
-	if CostTable(8, nil).Note != "" {
+	if CostTable("full", 8, nil).Note != "" {
 		t.Error("event-ratio note without a target row")
 	}
 }
@@ -104,7 +104,7 @@ func TestProcAndBatchTables(t *testing.T) {
 	run.SimEvents = 592
 	wantRow(t, ProcTable(run), "0", "420.9", "0.0", "0.0", "0.0", "136.6", "0.0")
 
-	pts := []exp.BatchPoint{{App: "fft", Topology: "mesh", Kind: machine.Target, P: 4}}
+	pts := []exp.BatchPoint{{App: "fft", Config: machine.Config{Kind: machine.Target, Topology: "mesh", P: 4}}}
 	tb := BatchTable(3, pts, []*stats.Run{run})
 	wantRow(t, tb, "fft", "mesh", "target", "4", "423.3", "0", "592")
 	if !strings.Contains(tb.Title, "1 points, 3 workers") {
@@ -112,15 +112,18 @@ func TestProcAndBatchTables(t *testing.T) {
 	}
 }
 
-// TestStudies runs every registered study at tiny scale: each yields a
-// well-formed table, fills its defaults, honours an explicit -app/-topo
-// where it reads one, and — spot-checked against the typed exp functions
-// the registry wraps — prints the reference rows' numbers.
+// TestStudies runs every registered study at tiny scale on one session:
+// each yields a well-formed table, fills its defaults, honours an
+// explicit -app/-topo where it reads one, and — spot-checked against the
+// typed exp methods the registry wraps, on a session of their own —
+// prints the reference rows' numbers.
 func TestStudies(t *testing.T) {
-	args := StudyArgs{Scale: apps.Tiny, Seed: 1, P: 4, Procs: []int{2, 4}}
+	session := func() *exp.Session { return exp.NewSession(exp.Options{Scale: apps.Tiny, Procs: []int{2, 4}}) }
+	sess := session()
+	args := StudyArgs{P: 4}
 	tables := map[string]*Table{}
 	for _, s := range Studies() {
-		tb, err := s.Run(args)
+		tb, err := s.Run(sess, args)
 		if err != nil {
 			t.Fatalf("study %s: %v", s.Name, err)
 		}
@@ -146,7 +149,7 @@ func TestStudies(t *testing.T) {
 		if s.Name != "cache" {
 			continue
 		}
-		tb, err := s.Run(over)
+		tb, err := s.Run(sess, over)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +158,7 @@ func TestStudies(t *testing.T) {
 		}
 	}
 
-	proto, err := exp.ProtocolComparison(args.Scale, args.Seed, "full", args.P)
+	proto, err := session().ProtocolComparison("full", args.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +167,7 @@ func TestStudies(t *testing.T) {
 			t.Errorf("protocol %s msi_us = %s, typed row says %s", r.App, got, want)
 		}
 	}
-	leff, err := exp.EffectiveLStudy("fft", args.Scale, args.Seed, "full", args.Procs)
+	leff, err := session().EffectiveLStudy("fft", "full", []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

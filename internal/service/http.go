@@ -309,13 +309,6 @@ func (s *Server) figureResult(r *http.Request, fig exp.Figure, opt exp.Options) 
 	ctx := r.Context()
 	tenant := tenantOf(r)
 	opt = opt.WithDefaults()
-	spec := func(kind machine.Kind, p int) spasm.Spec {
-		return spasm.Spec{
-			App: fig.App, Scale: opt.Scale, Seed: opt.Seed,
-			Machine: kind, Topology: fig.Topology, P: p,
-			PortMode: opt.PortMode,
-		}
-	}
 	// Pre-submit every point so the pool works them concurrently.  The
 	// submissions are releasable waiters, all released when the figure
 	// request finishes: if the client disconnects (or one point errors
@@ -327,24 +320,28 @@ func (s *Server) figureResult(r *http.Request, fig exp.Figure, opt exp.Options) 
 			r()
 		}
 	}()
-	for _, kind := range opt.Machines {
-		for _, p := range opt.Procs {
-			_, _, release, err := s.submitWaited(spec(kind, p), submitOpts{tenant: tenant})
-			if err != nil {
-				return nil, err
-			}
-			releases = append(releases, release)
+	for _, pt := range fig.Points(opt) {
+		_, _, release, err := s.submitWaited(pointSpec(pt, opt), submitOpts{tenant: tenant})
+		if err != nil {
+			return nil, err
 		}
+		releases = append(releases, release)
 	}
 	// ...then let the session collect them in figure order.
-	opt.Runner = func(appName, topo string, kind machine.Kind, p int) (*stats.Run, error) {
-		return s.runStats(ctx, spasm.Spec{
-			App: appName, Scale: opt.Scale, Seed: opt.Seed,
-			Machine: kind, Topology: topo, P: p,
-			PortMode: opt.PortMode,
-		}, tenant)
+	opt.Runner = func(pt exp.BatchPoint) (*stats.Run, error) {
+		return s.runStats(ctx, pointSpec(pt, opt), tenant)
 	}
 	return exp.NewSession(opt).Figure(fig)
+}
+
+// pointSpec is the spec of a sweep point at the session's scale and seed.
+// A figure's points vary only what a Spec can say.
+func pointSpec(pt exp.BatchPoint, opt exp.Options) spasm.Spec {
+	return spasm.Spec{
+		App: pt.App, Scale: opt.Scale, Seed: opt.Seed,
+		Machine: pt.Kind, Topology: pt.Topology, P: pt.P,
+		PortMode: pt.PortMode, Protocol: pt.Protocol,
+	}
 }
 
 // writeFigure maps figure/sweep errors onto HTTP statuses and writes

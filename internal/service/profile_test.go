@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"spasm"
+	"spasm/internal/faults"
 	"spasm/internal/service"
 	"spasm/internal/service/client"
 )
@@ -118,15 +119,16 @@ func TestProfileErrors(t *testing.T) {
 		t.Errorf("unknown id: got %v, want 404", err)
 	}
 
-	// A run that fails deterministically serves 422 from its cached
-	// failure (the paper's platforms need a power-of-two p).
+	// A failed run serves 422 from its cached failure.
+	restore := faults.Set(faults.RunExec, func() error { return errors.New("injected run failure") })
 	st, err := cl.Run(ctx, service.RunRequest{
-		App: "fft", Scale: "tiny", Machine: "target", P: 3})
+		App: "fft", Scale: "tiny", Machine: "target", P: 4})
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State != service.StateFailed {
-		t.Skipf("p=3 unexpectedly valid for fft/tiny; nothing to assert")
+		t.Fatalf("injected failure: state %s", st.State)
 	}
 	if _, err := cl.Profile(ctx, st.ID); !isStatus(err, http.StatusUnprocessableEntity) {
 		t.Errorf("failed run: got %v, want 422", err)

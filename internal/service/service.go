@@ -485,10 +485,9 @@ func (s *Server) execute(job *Job) {
 
 // runSafely is the one guarded way the daemon simulates: on the
 // server's context pool, under the configured wall-clock deadline, behind
-// the RunExec fault point, with panics converted to errors.  Invalid
-// topology/processor combinations (and any future simulator bug) thus
-// fail the one request — deterministically, so the failure is cacheable
-// — rather than killing the server, and no simulation a client can
+// the RunExec fault point, with panics converted to errors.  A simulator
+// bug thus fails the one request — deterministically, so the failure is
+// cacheable — rather than killing the server, and no simulation a client can
 // start escapes the operator's RunTimeout.  Pooled runs are
 // bit-identical to fresh ones, and a run that fails — aborted, panicked,
 // or otherwise — discards its pooled context instead of returning it.

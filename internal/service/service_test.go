@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"spasm"
+	"spasm/internal/faults"
 	"spasm/internal/report"
 	"spasm/internal/service"
 	"spasm/internal/service/client"
@@ -233,22 +235,20 @@ func TestSubmitBodyStrict(t *testing.T) {
 	}
 }
 
-// TestFailedRunIsCached: a spec that fails deterministically (FFT needs
-// enough data per processor) reports failed, and the failure itself is
-// content-addressed so resubmission doesn't re-simulate.
+// TestFailedRunIsCached: a run that fails (by injection at the run
+// point) reports failed, and the failure itself is content-addressed so
+// resubmission doesn't re-simulate.
 func TestFailedRunIsCached(t *testing.T) {
+	defer faults.Set(faults.RunExec, func() error { return errors.New("injected run failure") })()
 	_, cl := newTestService(t, service.Config{Workers: 1})
 	ctx := context.Background()
-	req := service.RunRequest{App: "fft", Scale: "tiny", Machine: "target", P: 3} // the paper's platforms need a power-of-two p
+	req := service.RunRequest{App: "fft", Scale: "tiny", Machine: "target", P: 4}
 	st, err := cl.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State == service.StateDone {
-		t.Skip("p=3 unexpectedly valid for fft/tiny; nothing to assert")
-	}
-	if st.Error == "" {
-		t.Fatal("failed run carries no error")
+	if st.State != service.StateFailed || !strings.Contains(st.Error, "injected run failure") {
+		t.Fatalf("run: state=%s error=%q, want the injected failure", st.State, st.Error)
 	}
 	st2, err := cl.SubmitRun(ctx, req)
 	if err != nil {
@@ -256,6 +256,22 @@ func TestFailedRunIsCached(t *testing.T) {
 	}
 	if st2.State != service.StateFailed || !st2.Cached {
 		t.Fatalf("failed resubmission: state=%s cached=%v, want failed/cached", st2.State, st2.Cached)
+	}
+}
+
+// TestUnsupportedPIsBadRequest: a processor count the requested network
+// cannot take is the client's mistake, answered 400 before anything
+// runs or is cached; the ideal machine builds no network and takes it.
+func TestUnsupportedPIsBadRequest(t *testing.T) {
+	_, cl := newTestService(t, service.Config{Workers: 1})
+	ctx := context.Background()
+	_, err := cl.SubmitRun(ctx, service.RunRequest{App: "ep", Scale: "tiny", Machine: "target", P: 3})
+	if !isStatus(err, http.StatusBadRequest) || !strings.Contains(err.Error(), "must be a power of two") {
+		t.Fatalf("target p=3: %v, want a 400 stating the rule", err)
+	}
+	st, err := cl.Run(ctx, service.RunRequest{App: "ep", Scale: "tiny", Machine: "ideal", P: 3})
+	if err != nil || st.State != service.StateDone {
+		t.Fatalf("ideal p=3: %v / %+v", err, st)
 	}
 }
 

@@ -222,10 +222,8 @@ func NewSession(opt Options) *Session { return exp.NewSession(opt) }
 func GapTable(procs []int) []GapRow { return exp.GapTable(procs) }
 
 // GapAblation reproduces the section-7 gap-discipline experiment (FFT on
-// the cube).
-func GapAblation(scale Scale, seed int64, procs []int) ([]AblationRow, error) {
-	return exp.GapAblation(scale, seed, procs)
-}
+// the cube) over the session's processor sweep.
+func GapAblation(s *Session) ([]AblationRow, error) { return s.GapAblation() }
 
 // FigureTable renders a regenerated figure as a fixed-width table.
 func FigureTable(fr *FigureResult) string { return report.FigureTable(fr).String() }
@@ -303,10 +301,10 @@ type (
 	AccuracySummary = exp.AccuracySummary
 )
 
-// ProtocolComparison runs the suite under both coherence protocols
-// (section 7's protocol-insensitivity claim).
-func ProtocolComparison(scale Scale, seed int64, topo string, p int) ([]ProtocolRow, error) {
-	return exp.ProtocolComparison(scale, seed, topo, p)
+// ProtocolComparison runs the suite under each coherence protocol
+// (section 7's protocol-insensitivity claim) on the session.
+func ProtocolComparison(s *Session, topo string, p int) ([]ProtocolRow, error) {
+	return s.ProtocolComparison(topo, p)
 }
 
 // Accuracy summarizes each figure's abstraction error (the geometric

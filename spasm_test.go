@@ -56,7 +56,7 @@ func TestFacadeGapHelpers(t *testing.T) {
 	if len(rows) != 3 {
 		t.Errorf("gap rows = %d", len(rows))
 	}
-	ab, err := GapAblation(Tiny, 1, []int{4})
+	ab, err := GapAblation(NewSession(Options{Scale: Tiny, Procs: []int{4}}))
 	if err != nil || len(ab) != 1 {
 		t.Errorf("ablation: %v, %v", ab, err)
 	}

@@ -72,9 +72,9 @@ func (s Spec) Canonical() Spec {
 }
 
 // Validate checks every enumerated field of the spec against its set of
-// known values, reporting the valid choices for any it rejects;
-// topology/processor-count compatibility (e.g. the cube needing a power
-// of two) is checked when the run is built.
+// known values, reporting the valid choices for any it rejects, and P
+// against the limits of the machine, the network it builds and the
+// application.
 func (s Spec) Validate() error {
 	if s.App == "" {
 		return fmt.Errorf("spasm: spec has no application (have %v + %v)", Apps(), ExtendedApps())
@@ -88,7 +88,8 @@ func (s Spec) Validate() error {
 	if !knownKind(s.Machine) {
 		return fmt.Errorf("spasm: unknown machine %v (have %v)", s.Machine, machine.Kinds())
 	}
-	if topo := s.Canonical().Topology; !knownTopology(topo) {
+	topo := s.Canonical().Topology
+	if !knownTopology(topo) {
 		return fmt.Errorf("spasm: unknown topology %q (have %v)", topo, network.Names())
 	}
 	if s.P < 1 {
@@ -97,6 +98,11 @@ func (s Spec) Validate() error {
 	if max := machine.MaxPFor(s.Machine); s.P > max {
 		return fmt.Errorf("spasm: P=%d exceeds the %v machine's limit of %d processors",
 			s.P, s.Machine, max)
+	}
+	if s.Machine != Ideal {
+		if err := network.CheckP(s.P); err != nil {
+			return fmt.Errorf("spasm: the %v machine builds a %s network: %w", s.Machine, topo, err)
+		}
 	}
 	if max := apps.MaxP(s.App, s.Scale); max > 0 && s.P > max {
 		return fmt.Errorf("spasm: P=%d exceeds %s's limit of %d processors at scale %v",

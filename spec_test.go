@@ -110,6 +110,23 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateNetworkP: every kind that builds a network rejects a
+// processor count the network cannot take, naming the rule; the ideal
+// machine builds none and takes any P >= 1.
+func TestSpecValidateNetworkP(t *testing.T) {
+	for _, kind := range spasm.Machines() {
+		for _, p := range []int{1, 3, 6, 12} {
+			err := spasm.Spec{App: "ep", Machine: kind, Topology: "torus", P: p}.Validate()
+			switch {
+			case kind == spasm.Ideal && err != nil:
+				t.Errorf("ideal p=%d rejected: %v", p, err)
+			case kind != spasm.Ideal && (err == nil || !strings.Contains(err.Error(), "must be a power of two >= 2")):
+				t.Errorf("%v p=%d: %v, want the power-of-two rule", kind, p, err)
+			}
+		}
+	}
+}
+
 // TestSpecValidateMaxP: processor counts beyond a machine kind's limit
 // are rejected with an error naming the kind and its bound — no spec
 // should ever reach the coherence engine's internal panic.

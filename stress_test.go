@@ -50,16 +50,16 @@ func TestRunBatchStress(t *testing.T) {
 		t.Skip("stress test")
 	}
 	points := []BatchPoint{
-		{App: "fft", Topology: "mesh", Kind: Target, P: 8},
-		{App: "is", Topology: "full", Kind: CLogP, P: 4},
-		{App: "ep", Topology: "cube", Kind: LogP, P: 8},
-		{App: "fft", Topology: "mesh", Kind: Target, P: 8}, // duplicate
-		{App: "cg", Topology: "full", Kind: Target, P: 4},
-		{App: "is", Topology: "full", Kind: CLogP, P: 4}, // duplicate
+		{App: "fft", Config: Config{Kind: Target, Topology: "mesh", P: 8}},
+		{App: "is", Config: Config{Kind: CLogP, Topology: "full", P: 4}},
+		{App: "ep", Config: Config{Kind: LogP, Topology: "cube", P: 8}},
+		{App: "fft", Config: Config{Kind: Target, Topology: "mesh", P: 8}}, // duplicate
+		{App: "cg", Config: Config{Kind: Target, Topology: "full", P: 4}},
+		{App: "is", Config: Config{Kind: CLogP, Topology: "full", P: 4}}, // duplicate
 	}
 	want := make([][]byte, len(points))
 	for i, pt := range points {
-		res, err := Run(pt.App, Tiny, 1, Config{Kind: pt.Kind, Topology: pt.Topology, P: pt.P})
+		res, err := Run(pt.App, Tiny, 1, pt.Config)
 		if err != nil {
 			t.Fatal(err)
 		}

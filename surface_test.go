@@ -244,4 +244,23 @@ func TestSpecSurface(t *testing.T) {
 	if !reflect.DeepEqual(wire, want) || !reflect.DeepEqual(tags, wantTags) {
 		t.Errorf("service.RunRequest has fields %v tagged %v, want exactly %v tagged %v", wire, tags, want, wantTags)
 	}
+
+	// A sweep says what it runs the same way: a point is an application
+	// on a machine Config, and the session's options are the sweep, not
+	// per-run knobs.
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(Options{}), []string{"Scale", "Procs", "Seed", "Machines", "Parallel", "Runner"}},
+		{reflect.TypeOf(BatchPoint{}), []string{"App", "Config"}},
+	} {
+		var got []string
+		for i := 0; i < tc.typ.NumField(); i++ {
+			got = append(got, tc.typ.Field(i).Name)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v has fields %v, want exactly %v", tc.typ, got, tc.want)
+		}
+	}
 }
