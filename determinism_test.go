@@ -11,6 +11,7 @@ package spasm
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -91,6 +92,82 @@ func TestPooledRunsBitIdentical(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Hits == 0 {
 		t.Fatalf("pool reported no reuse (stats %+v); the test exercised nothing", st)
+	}
+}
+
+// TestPooledHostArraysStartClean: a pooled context hands each program the
+// host arrays of the runs before it, so a value one run leaves behind
+// must never reach the next.  Every workload runs seeds 1, 2 and 3 at
+// tiny, small and tiny again, back to back on one context, twice over so
+// that the second time no array is new; then on two workers sharing a
+// pool, as the service's do.  Each RunDoc must equal the fresh run's, and
+// each result check must pass.
+func TestPooledHostArraysStartClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every workload at small scale")
+	}
+	steps := []struct {
+		scale Scale
+		seed  int64
+	}{{Tiny, 1}, {Small, 2}, {Tiny, 3}}
+	workloads := append(Apps(), ExtendedApps()...)
+	spec := func(app string, step int) Spec {
+		return Spec{App: app, Scale: steps[step].scale, Seed: steps[step].seed,
+			Machine: CLogP, Topology: "mesh", P: 8}
+	}
+	doc := func(res *Result) string {
+		b, err := json.Marshal(report.RunJSON(res))
+		if err != nil {
+			t.Error(err)
+		}
+		return string(b)
+	}
+	want := map[Spec]string{}
+	for _, app := range workloads {
+		for i := range steps {
+			res, err := RunSpec(spec(app, i))
+			if err != nil {
+				t.Fatalf("fresh %s: %v", spec(app, i).Key(), err)
+			}
+			want[spec(app, i)] = doc(res)
+		}
+	}
+	check := func(pool *RunPool) error {
+		for pass := 0; pass < 2; pass++ {
+			for _, app := range workloads {
+				for i := range steps {
+					s := spec(app, i)
+					res, err := RunSpecOn(s, pool)
+					if err != nil {
+						return fmt.Errorf("pass %d: pooled %s: %v", pass, s.Key(), err)
+					}
+					if got := doc(res); got != want[s] {
+						return fmt.Errorf("pass %d: pooled %s diverged from fresh\nfresh:  %s\npooled: %s",
+							pass, s.Key(), want[s], got)
+					}
+				}
+			}
+		}
+		return nil
+	}
+
+	one := NewRunPool(1)
+	if err := check(one); err != nil {
+		t.Fatal(err)
+	}
+	if st := one.Stats(); st.Misses != 1 {
+		t.Fatalf("one context should have served every run: %+v", st)
+	}
+
+	shared := NewRunPool(0)
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func() { errs <- check(shared) }()
+	}
+	for w := 0; w < 2; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -59,6 +59,10 @@ type Ctx struct {
 	M     machine.Machine
 	Run   *stats.Run
 	Eng   *sim.Engine
+	// Host is where a program takes its host arrays from: in Setup, the
+	// values it computes and the scratch its Check needs.  A pooled run
+	// gets its context's arena, so a rerun allocates none of them.
+	Host *mem.Arena
 	// Phases holds the per-phase overhead profile, populated when the
 	// program marks phase boundaries with Proc.Phase.
 	Phases *PhaseProfile
@@ -121,12 +125,13 @@ type Instrument interface {
 // Options selects how Execute runs a program.  The zero value is a
 // fresh, unbounded, undecorated run — exactly Run.
 type Options struct {
-	// Pool, when non-nil, supplies the engine, address space and machine
-	// (reset in place) instead of constructing them, so a sweep pays
-	// machine construction once per configuration.  The Result's Machine
-	// and Space then reference pooled state, readable only until the pool
-	// hands the context to another run; Stats and Phases are freshly
-	// allocated and safe to keep.  A context whose run did not complete
+	// Pool, when non-nil, supplies the engine, address space, host arena
+	// and machine (reset in place) instead of constructing them, so a
+	// sweep pays machine construction and the program's host arrays once
+	// per configuration.  The Result's Machine and Space, and the
+	// program's host values, then reference pooled state, readable only
+	// until the pool hands the context to another run; Stats and Phases
+	// are freshly allocated and safe to keep.  A context whose run did not complete
 	// cleanly — aborted, panicked, deadlocked, or failed its result check
 	// — is Discarded rather than returned to the freelist: the pool's
 	// reset invariants (docs/INTERNALS.md §9) only hold for state a run
@@ -173,13 +178,13 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 		}
 		space := mem.NewSpace(cfg.P, blockBytes)
 		bind := func() (machine.Machine, error) { return machine.New(cfg, space) }
-		return runOn(prog, cfg, space, sim.NewEngine(), bind, opt)
+		return runOn(prog, cfg, space, new(mem.Arena), sim.NewEngine(), bind, opt)
 	}
 	ctx, err := opt.Pool.Get(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := runOn(prog, cfg, ctx.Space, ctx.Eng, ctx.Bind, opt)
+	res, err := runOn(prog, cfg, ctx.Space, ctx.Host, ctx.Eng, ctx.Bind, opt)
 	if err != nil {
 		opt.Pool.Discard(ctx)
 		return nil, err
@@ -209,11 +214,11 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // ErrRunCanceled.  The watchdog is joined before runOn returns, so a
 // late Interrupt can never poison a subsequent run on the same (pooled)
 // engine.
-func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
+func runOn(prog Program, cfg machine.Config, space *mem.Space, host *mem.Arena, eng *sim.Engine,
 	bind func() (machine.Machine, error), opt Options) (*Result, error) {
 	wrap, inst, ctl, workers := opt.Wrap, opt.Instrument, opt.Control, opt.Workers
 	run := stats.NewRun(cfg.P)
-	ctx := &Ctx{P: cfg.P, Space: space, Run: run, Eng: eng, Phases: newPhaseProfile()}
+	ctx := &Ctx{P: cfg.P, Space: space, Host: host, Run: run, Eng: eng, Phases: newPhaseProfile()}
 	stream, _ := prog.(Stream)
 	if stream != nil {
 		ctx.Issued = make([]Tally, cfg.P)

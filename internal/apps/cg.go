@@ -44,6 +44,7 @@ type CG struct {
 	dotPQ, dotRR   []float64
 	rho0           float64
 	initialRes     float64
+	ax             []float64 // Check's scratch: A x
 }
 
 // NewCG returns a CG instance at the given scale.
@@ -70,7 +71,7 @@ func (g *CG) Name() string { return "cg" }
 // Setup generates the matrix, allocates the shared arrays blocked by
 // row, and initializes the CG state: x = 0, r = p = b with b = A*ones.
 func (g *CG) Setup(c *app.Ctx) {
-	g.a = sparse.RandomSPD(g.N, g.Extra, g.Seed)
+	g.a = sparse.RandomSPD(g.N, g.Extra, g.Seed, c.Host)
 	g.aval = c.Space.Alloc("cg.aval", g.a.NNZ(), 8, g.Placement)
 	g.xv = c.Space.Alloc("cg.x", g.N, 8, g.Placement)
 	g.rv = c.Space.Alloc("cg.r", g.N, 8, g.Placement)
@@ -82,18 +83,21 @@ func (g *CG) Setup(c *app.Ctx) {
 		g.bars = append(g.bars, c.NewBarrier(fmt.Sprintf("cg.bar%d", i), c.P, i%c.P))
 	}
 
-	ones := make([]float64, g.N)
+	ones := c.Host.Floats(g.N)
 	for i := range ones {
 		ones[i] = 1
 	}
-	g.b = make([]float64, g.N)
+	g.b = c.Host.Floats(g.N)
 	g.a.MulVec(ones, g.b)
-	g.x = make([]float64, g.N)
-	g.r = append([]float64(nil), g.b...)
-	g.pd = append([]float64(nil), g.b...)
-	g.q = make([]float64, g.N)
-	g.dotPQ = make([]float64, g.Iters)
-	g.dotRR = make([]float64, g.Iters)
+	g.x = c.Host.Floats(g.N)
+	g.r = c.Host.Floats(g.N)
+	copy(g.r, g.b)
+	g.pd = c.Host.Floats(g.N)
+	copy(g.pd, g.b)
+	g.q = c.Host.Floats(g.N)
+	g.dotPQ = c.Host.Floats(g.Iters)
+	g.dotRR = c.Host.Floats(g.Iters)
+	g.ax = c.Host.Floats(g.N)
 	for _, v := range g.r {
 		g.rho0 += v * v
 	}
@@ -184,12 +188,11 @@ func (g *CG) Body(p *app.Proc) {
 // Check verifies that the simulated iterations reduced the residual and
 // that the internal residual vector matches b - A*x.
 func (g *CG) Check() error {
-	res := sparse.Residual(g.a, g.x, g.b)
+	res := sparse.Residual(g.a, g.x, g.b, g.ax)
 	if res >= g.initialRes/2 {
 		return fmt.Errorf("cg: residual %g did not halve from %g", res, g.initialRes)
 	}
-	ax := make([]float64, g.N)
-	g.a.MulVec(g.x, ax)
+	ax := g.ax
 	for i := range ax {
 		if math.Abs(g.b[i]-ax[i]-g.r[i]) > 1e-6*(1+math.Abs(g.r[i])) {
 			return fmt.Errorf("cg: internal residual diverges from b-Ax at %d", i)

@@ -28,7 +28,7 @@ func TestCGConvergesOnEveryMachine(t *testing.T) {
 func TestCGResidualShrinksWithIterations(t *testing.T) {
 	res := func(iters int) float64 {
 		cg, _ := runCG(t, machine.Ideal, 4, 96, iters)
-		return sparse.Residual(cg.a, cg.x, cg.b)
+		return sparse.Residual(cg.a, cg.x, cg.b, make([]float64, cg.N))
 	}
 	r2, r6 := res(2), res(6)
 	if r6 >= r2 {

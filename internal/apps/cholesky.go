@@ -72,9 +72,10 @@ func (h *Cholesky) Name() string { return "cholesky" }
 // lower triangle into the shared factor array, and seeds the task queue
 // with the dependency-free columns.
 func (h *Cholesky) Setup(c *app.Ctx) {
-	h.a = sparse.RandomSPD(h.N, h.Extra, h.Seed)
-	h.sym = sparse.SymbolicFactor(h.a)
-	h.vals = h.sym.LoadLower(h.a)
+	h.a = sparse.RandomSPD(h.N, h.Extra, h.Seed, c.Host)
+	h.sym = sparse.SymbolicFactor(h.a, c.Host)
+	h.vals = c.Host.Floats(h.sym.NNZ())
+	h.sym.LoadLower(h.a, h.vals)
 
 	h.lvals = c.Space.Alloc("chol.lvals", h.sym.NNZ(), 8, mem.Blocked)
 	h.deps = c.Space.Alloc("chol.deps", h.N, 8, mem.Blocked)
@@ -86,13 +87,16 @@ func (h *Cholesky) Setup(c *app.Ctx) {
 		h.colLock = append(h.colLock, c.NewLock(fmt.Sprintf("chol.clock%d", i), i%c.P))
 	}
 
-	h.depCount = append([]int(nil), h.sym.Deps...)
+	h.depCount = c.Host.Ints(h.N)
+	copy(h.depCount, h.sym.Deps)
+	// Every column enters the queue once, so it never outgrows N.
+	h.queue = c.Host.Ints(h.N)[:0]
 	for j := 0; j < h.N; j++ {
 		if h.depCount[j] == 0 {
 			h.queue = append(h.queue, j)
 		}
 	}
-	h.byProc = make([]int, c.P)
+	h.byProc = c.Host.Ints(c.P)
 }
 
 // pop takes the next runnable column off the shared queue, or parks the
@@ -162,7 +166,7 @@ func (h *Cholesky) Body(p *app.Proc) {
 // factorColumn performs cdiv(j) followed by cmod(i, j) for every
 // affected column i, pushing columns whose dependencies drain to zero.
 func (h *Cholesky) factorColumn(p *app.Proc, j int) {
-	rows := h.sym.Struct[j]
+	rows := h.sym.Col(j)
 	base := h.sym.ColPtr[j]
 
 	// cdiv(j): scale column j by the square root of its pivot.  The

@@ -42,6 +42,9 @@ type FFT struct {
 	xv    []complex128 // x values
 	wv    []complex128 // W values
 	vv    []complex128 // V values
+
+	// Check's scratch: the reference transform and the result reordered.
+	want, got []complex128
 }
 
 // NewFFT returns an FFT instance at the given scale.
@@ -94,16 +97,18 @@ func (f *FFT) Setup(c *app.Ctx) {
 	for i := 0; i < 4; i++ {
 		f.bars = append(f.bars, c.NewBarrier(fmt.Sprintf("fft.bar%d", i), c.P, i%c.P))
 	}
-	f.input = make([]complex128, f.N)
+	f.input = c.Host.Complexes(f.N)
 	rng := newRng(f.Seed)
 	defer putRng(rng)
 	for i := range f.input {
 		f.input[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 	}
-	f.xv = make([]complex128, f.N)
+	f.xv = c.Host.Complexes(f.N)
 	copy(f.xv, f.input)
-	f.wv = make([]complex128, f.N)
-	f.vv = make([]complex128, f.N)
+	f.wv = c.Host.Complexes(f.N)
+	f.vv = c.Host.Complexes(f.N)
+	f.want = c.Host.Complexes(f.N)
+	f.got = c.Host.Complexes(f.N)
 }
 
 // Body implements app.Program.
@@ -174,14 +179,13 @@ func (f *FFT) Body(p *app.Proc) {
 // Check compares the distributed result, X[k2*R + k1] = V[k1][k2],
 // against an independent host FFT of the input.
 func (f *FFT) Check() error {
-	want := fourier.FFT(f.input)
-	got := make([]complex128, f.N)
+	fourier.FFT(f.want, f.input)
 	for k1 := 0; k1 < f.R; k1++ {
 		for k2 := 0; k2 < f.C; k2++ {
-			got[k2*f.R+k1] = f.vv[k1*f.C+k2]
+			f.got[k2*f.R+k1] = f.vv[k1*f.C+k2]
 		}
 	}
-	if err := fourier.MaxErr(got, want); err > 1e-6*float64(f.N) {
+	if err := fourier.MaxErr(f.got, f.want); err > 1e-6*float64(f.N) {
 		return fmt.Errorf("fft: max error %g vs reference", err)
 	}
 	return nil

@@ -34,13 +34,16 @@ type IS struct {
 	locks  []*app.SpinLock
 	bars   []*app.Barrier
 
-	// Host-side values.
+	// Host-side values.  perHist and offset hold one row of K per
+	// processor.
 	keyv    []int64
-	hist    []int64   // shared histogram under simulated locks
-	perHist [][]int64 // per-processor local histograms
+	hist    []int64 // shared histogram under simulated locks
+	perHist []int64 // per-processor local histograms
 	prefix  []int64
 	rankv   []int64
-	offset  [][]int64 // per-processor next rank per bucket
+	offset  []int64 // per-processor next rank per bucket
+	next    []int64 // processor 0's running offsets in the prefix phase
+	sorted  []int64 // Check's scratch: the keys in rank order
 }
 
 // NewIS returns an IS instance at the given scale.
@@ -79,22 +82,23 @@ func (s *IS) Setup(c *app.Ctx) {
 	}
 	rng := newRng(s.Seed)
 	defer putRng(rng)
-	s.keyv = make([]int64, s.N)
+	s.keyv = c.Host.Int64s(s.N)
 	for i := range s.keyv {
 		// NAS IS keys are the average of four uniforms (roughly
 		// Gaussian over the range); keep that shape.
 		s.keyv[i] = int64((rng.Intn(s.K) + rng.Intn(s.K) + rng.Intn(s.K) + rng.Intn(s.K)) / 4)
 	}
-	s.hist = make([]int64, s.K)
-	s.prefix = make([]int64, s.K)
-	s.rankv = make([]int64, s.N)
-	s.perHist = make([][]int64, c.P)
-	s.offset = make([][]int64, c.P)
-	for p := range s.perHist {
-		s.perHist[p] = make([]int64, s.K)
-		s.offset[p] = make([]int64, s.K)
-	}
+	s.hist = c.Host.Int64s(s.K)
+	s.prefix = c.Host.Int64s(s.K)
+	s.rankv = c.Host.Int64s(s.N)
+	s.perHist = c.Host.Int64s(c.P * s.K)
+	s.offset = c.Host.Int64s(c.P * s.K)
+	s.next = c.Host.Int64s(s.K)
+	s.sorted = c.Host.Int64s(s.N)
 }
+
+// row returns processor q's row of a per-processor table.
+func (s *IS) row(table []int64, q int) []int64 { return table[q*s.K : (q+1)*s.K] }
 
 // Body implements app.Program.
 func (s *IS) Body(p *app.Proc) {
@@ -104,7 +108,7 @@ func (s *IS) Body(p *app.Proc) {
 	// Phase 1: local histogram over the processor's own key block.
 	p.Phase("histogram")
 	p.ReadRange(s.keys, lo, hi)
-	local := s.perHist[p.ID]
+	local := s.row(s.perHist, p.ID)
 	for i := lo; i < hi; i++ {
 		local[s.keyv[i]]++
 	}
@@ -145,12 +149,13 @@ func (s *IS) Body(p *app.Proc) {
 		}
 		// Per-processor rank offsets (host bookkeeping mirroring
 		// what each processor derives in phase 4).
-		next := make([]int64, s.K)
+		next := s.next
 		copy(next, s.prefix)
 		for q := 0; q < P; q++ {
+			off, hist := s.row(s.offset, q), s.row(s.perHist, q)
 			for b := 0; b < s.K; b++ {
-				s.offset[q][b] = next[b]
-				next[b] += s.perHist[q][b]
+				off[b] = next[b]
+				next[b] += hist[b]
 			}
 		}
 	}
@@ -159,7 +164,7 @@ func (s *IS) Body(p *app.Proc) {
 	// Phase 4: rank every local key — a scattered read of the bucket
 	// offsets for each key, then a local rank write.
 	p.Phase("rank")
-	off := s.offset[p.ID]
+	off := s.row(s.offset, p.ID)
 	for i := lo; i < hi; i++ {
 		b := s.keyv[i]
 		p.ReadElem(s.counts, int(b))
@@ -173,16 +178,18 @@ func (s *IS) Body(p *app.Proc) {
 
 // Check verifies that the ranks form a permutation that sorts the keys.
 func (s *IS) Check() error {
-	seen := make([]bool, s.N)
-	sorted := make([]int64, s.N)
+	// Keys are never negative, so -1 marks a rank no key has taken.
+	sorted := s.sorted
+	for i := range sorted {
+		sorted[i] = -1
+	}
 	for i, r := range s.rankv {
 		if r < 0 || r >= int64(s.N) {
 			return fmt.Errorf("is: rank %d of key %d out of range", r, i)
 		}
-		if seen[r] {
+		if sorted[r] >= 0 {
 			return fmt.Errorf("is: duplicate rank %d", r)
 		}
-		seen[r] = true
 		sorted[r] = s.keyv[i]
 	}
 	for i := 1; i < s.N; i++ {

@@ -31,6 +31,9 @@ type MG struct {
 
 	// Host values per level.
 	u, f, r [][]float64
+	// old is the Jacobi sweep's copy of the values it reads, as long as
+	// the finest grid.
+	old []float64
 
 	bars []*app.Barrier
 
@@ -76,13 +79,14 @@ func (m *MG) Setup(c *app.Ctx) {
 		m.ua = append(m.ua, c.Space.Alloc(fmt.Sprintf("mg.u%d", l), n, 8, mem.Blocked))
 		m.fa = append(m.fa, c.Space.Alloc(fmt.Sprintf("mg.f%d", l), n, 8, mem.Blocked))
 		m.ra = append(m.ra, c.Space.Alloc(fmt.Sprintf("mg.r%d", l), n, 8, mem.Blocked))
-		m.u = append(m.u, make([]float64, n))
-		m.f = append(m.f, make([]float64, n))
-		m.r = append(m.r, make([]float64, n))
+		m.u = append(m.u, c.Host.Floats(n))
+		m.f = append(m.f, c.Host.Floats(n))
+		m.r = append(m.r, c.Host.Floats(n))
 		m.h2 = append(m.h2, h*h)
 		h *= 2 // the coarse spacing is exactly twice the fine spacing
 		n = (n - 1) / 2
 	}
+	m.old = c.Host.Floats(m.N)
 	for i := range m.f[0] {
 		x := float64(i+1) / float64(m.N+1)
 		m.f[0][i] = math.Sin(3*math.Pi*x) + rng.Float64()*0.1
@@ -203,8 +207,12 @@ func (m *MG) smoothRange(p *app.Proc, l, lo, hi int) {
 	}
 	p.ReadRange(m.ua[l], lo, hi)
 	p.ReadRange(m.fa[l], lo, hi)
-	// Jacobi needs the old values; copy then update.
-	old := append([]float64(nil), u...)
+	// Jacobi needs the old values of the slab and its halo; copy them,
+	// then update.  Nothing yields in between, so one copy serves every
+	// processor.
+	old := m.old
+	from, to := max(lo-1, 0), min(hi+1, n)
+	copy(old[from:to], u[from:to])
 	for i := lo; i < hi; i++ {
 		left, right := 0.0, 0.0
 		if i > 0 {

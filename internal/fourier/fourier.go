@@ -1,10 +1,9 @@
 // Package fourier provides the host-side complex FFT kernels the
-// simulated FFT application computes with, plus a naive DFT used to
-// verify results.  The simulated application issues the *reference
-// pattern* of a distributed transpose-based FFT; this package supplies
-// the numerics so the program computes a real answer that tests can
-// check (execution-driven simulation with real values, as SPASM ran real
-// application code).
+// simulated FFT application computes with and verifies against.  The
+// simulated application issues the *reference pattern* of a distributed
+// transpose-based FFT; this package supplies the numerics so the program
+// computes a real answer that tests can check (execution-driven
+// simulation with real values, as SPASM ran real application code).
 package fourier
 
 import (
@@ -50,27 +49,14 @@ func InPlace(x []complex128, inverse bool) {
 	}
 }
 
-// FFT returns the forward transform of x without modifying it.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	InPlace(out, false)
-	return out
-}
-
-// DFT is the O(n²) direct transform used as an independent oracle.
-func DFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for j := 0; j < n; j++ {
-			angle := -2 * math.Pi * float64(j) * float64(k) / float64(n)
-			s += x[j] * cmplx.Exp(complex(0, angle))
-		}
-		out[k] = s
+// FFT writes the forward transform of x into dst, which must be as long,
+// leaving x unmodified.
+func FFT(dst, x []complex128) {
+	if len(dst) != len(x) {
+		panic("fourier: FFT length mismatch")
 	}
-	return out
+	copy(dst, x)
+	InPlace(dst, false)
 }
 
 // Twiddle returns ω_n^(j*k) = exp(-2πi·j·k/n), the six-step FFT's

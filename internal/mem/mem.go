@@ -5,10 +5,10 @@
 //
 // Applications allocate named arrays with a placement policy; the
 // resulting Array hands out addresses that the machine models consume.
-// No data values are stored here — the simulator is execution-driven at
-// the *reference* level, as SPASM was: application data lives in ordinary
-// Go memory, while this package supplies the addresses those references
-// would touch.
+// No data values are stored in the Space — the simulator is
+// execution-driven at the *reference* level, as SPASM was: application
+// data lives in ordinary Go memory, taken from an Arena, while the Space
+// supplies the addresses those references would touch.
 package mem
 
 import (

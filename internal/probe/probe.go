@@ -657,19 +657,20 @@ func (pr *Profiler) rescale() {
 func (pr *Profiler) fabricXmit(now sim.Time, x network.Xmit, src, dst, bytes int, route []int) {
 	dep := pr.epochAt(now)
 	dep.hist[histBucket(x.End-now)]++
+	// Message counters and waiting charge to the departure epoch.
 	for _, id := range route {
-		// Message counters and waiting charge to the departure epoch.
-		l := pr.linkAt(pr.epochAt(now), id)
+		l := pr.linkAt(dep, id)
 		l.Messages++
 		l.Bytes += uint64(bytes)
 		l.Wait += x.Wait
-		pr.addLinkSpan(id, x.Start, x.End)
 	}
+	pr.addSpan(route, x.Start, x.End)
 }
 
-// addLinkSpan spreads a circuit's [start, end) occupancy of one link
-// across the epochs the interval overlaps.
-func (pr *Profiler) addLinkSpan(id int, start, end sim.Time) {
+// addSpan spreads a circuit's [start, end) occupancy across the epochs
+// the interval overlaps, on every link of its route: all of them hold it
+// for the same interval, so the epochs are walked once.
+func (pr *Profiler) addSpan(route []int, start, end sim.Time) {
 	for t := start; t < end; {
 		e := pr.epochAt(t)
 		// Recompute the epoch edge after epochAt, which may rescale.
@@ -677,7 +678,9 @@ func (pr *Profiler) addLinkSpan(id int, start, end sim.Time) {
 		if edge > end {
 			edge = end
 		}
-		pr.linkAt(e, id).Busy += edge - t
+		for _, id := range route {
+			pr.linkAt(e, id).Busy += edge - t
+		}
 		t = edge
 	}
 }
@@ -689,12 +692,14 @@ func (pr *Profiler) addLinkSpan(id int, start, end sim.Time) {
 // ejection ports), so per-link telemetry shows *which* resource the
 // sharing happened on, through the unchanged encode format.
 func (pr *Profiler) flowXmit(now sim.Time, x flow.Xmit, src, dst, bytes int) {
-	pr.epochAt(now).hist[histBucket(x.End-now)]++
-	l := pr.linkAt(pr.epochAt(now), x.Bottleneck)
+	dep := pr.epochAt(now)
+	dep.hist[histBucket(x.End-now)]++
+	l := pr.linkAt(dep, x.Bottleneck)
 	l.Messages++
 	l.Bytes += uint64(bytes)
 	l.Wait += x.Wait
-	pr.addLinkSpan(x.Bottleneck, x.Start, x.End)
+	route := [1]int{x.Bottleneck}
+	pr.addSpan(route[:], x.Start, x.End)
 }
 
 // netXmit is the abstract network's observer: delays only, no links.

@@ -1,8 +1,9 @@
 // Package runpool pools the per-run construction state of a simulation —
-// the discrete-event engine, the address space, and the machine model —
-// so sweep workloads pay topology route tables, fabric resource arrays,
-// flattened cache-line arrays, and directory chunk allocation once per
-// (configuration) key instead of once per run.
+// the discrete-event engine, the address space, the machine model, and
+// the host arena the program's values live in — so sweep workloads pay
+// topology route tables, fabric resource arrays, flattened cache-line
+// arrays, directory chunk allocation and the program's host arrays once
+// per (configuration) key instead of once per run.
 //
 // A context is keyed by machine.Config.Canonical(): machine kind,
 // topology, node count, cache geometry, costs, and network parameters.
@@ -35,17 +36,19 @@ import (
 // the reuse while bounding retained memory.
 const DefaultMaxIdle = 16
 
-// Ctx is one pooled run context: an engine and an address space ready for
-// an application's Setup, plus the reusable machine that binds to the
-// space afterwards.  Between Get and Put the context belongs exclusively
-// to one caller; the Engine and Space it hands out are reset, so a run on
-// a pooled context is observationally identical to one on fresh state.
+// Ctx is one pooled run context: an engine, an address space and a host
+// arena ready for an application's Setup, plus the reusable machine that
+// binds to the space afterwards.  Between Get and Put the context belongs
+// exclusively to one caller; the Engine, Space and Host it hands out are
+// reset, so a run on a pooled context is observationally identical to
+// one on fresh state.
 type Ctx struct {
 	cfg        machine.Config // canonical
 	blockBytes int
 
 	Eng   *sim.Engine
 	Space *mem.Space
+	Host  *mem.Arena
 
 	reusable *machine.Reusable
 }
@@ -103,10 +106,10 @@ func New(maxIdle int) *Pool {
 }
 
 // Get returns a context for cfg, reusing an idle one when available.  A
-// reused context comes back with its engine and address space reset; its
-// machine resets on the next Bind.  The caller must return the context
-// with Put when the run is over — including on error paths, since a Get
-// always resets before reuse.
+// reused context comes back with its engine, address space and host arena
+// reset; its machine resets on the next Bind.  The caller must return the
+// context with Put when the run is over — including on error paths, since
+// a Get always resets before reuse.
 func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("runpool: Get with P=%d", cfg.P)
@@ -122,6 +125,7 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 		p.mu.Unlock()
 		ctx.Eng.Reset()
 		ctx.Space.Reset(key.P, ctx.blockBytes)
+		ctx.Host.Reset()
 		return ctx, nil
 	}
 	p.misses++
@@ -136,6 +140,7 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 		blockBytes: bb,
 		Eng:        sim.NewEngine(),
 		Space:      mem.NewSpace(key.P, bb),
+		Host:       new(mem.Arena),
 		reusable:   machine.NewReusable(key),
 	}, nil
 }
@@ -143,8 +148,9 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 // Put returns a context to the pool for reuse.  If the pool is at its
 // idle cap the context is discarded instead, bounding retained memory.
 // The context's state is left as the run finished it — any Result still
-// referencing its Space or Machine stays readable until the context is
-// next handed out, at which point Get/Bind reset it.
+// referencing its Space or Machine, and the program's host values, stay
+// readable until the context is next handed out, at which point Get/Bind
+// reset it.
 func (p *Pool) Put(c *Ctx) {
 	if c == nil {
 		return

@@ -48,6 +48,32 @@ func TestGetPutReuse(t *testing.T) {
 	}
 }
 
+// Get rewinds the host arena: a reused context hands its program zeroed
+// slices, cut from the storage the runs before it grew.
+func TestGetRewindsHostArena(t *testing.T) {
+	p := New(0)
+	cfg := machine.Config{Kind: machine.LogP, Topology: "full", P: 4}
+	var last *float64
+	for run := 0; run < 3; run++ {
+		c, err := p.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := c.Host.Floats(64)
+		for i, v := range x {
+			if v != 0 {
+				t.Fatalf("run %d: element %d handed out as %v", run, i, v)
+			}
+			x[i] = 1
+		}
+		if run == 2 && &x[0] != last {
+			t.Fatal("a rerun of the same program did not reuse its host array")
+		}
+		last = &x[0]
+		p.Put(c)
+	}
+}
+
 func TestCanonicalKeying(t *testing.T) {
 	p := New(0)
 	// Zero-value cost/network fields canonicalize to the defaults, so an

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"spasm/internal/mem"
 )
 
 // Symbolic is the result of symbolic Cholesky factorization of a
@@ -13,9 +15,10 @@ import (
 // structure).
 type Symbolic struct {
 	N int
-	// Struct[j] lists the row indices of the nonzeros of column j of
-	// L, ascending, starting with the diagonal j itself.
-	Struct [][]int
+	// Rows lists the row indices of the nonzeros of each column of L,
+	// column j's at ColPtr[j]:ColPtr[j+1] (see Col): ascending, starting
+	// with the diagonal j itself.
+	Rows []int
 	// Parent is the elimination tree: Parent[j] is the first
 	// off-diagonal row index in column j (-1 for a root).
 	Parent []int
@@ -25,62 +28,99 @@ type Symbolic struct {
 	// ColPtr/NNZ give each column's offset in a packed CSC value
 	// array of the factor.
 	ColPtr []int
+
+	// The factor by rows, for CheckFactor: row i's columns, ascending,
+	// at rowPtr[i]:rowPtr[i+1] of rowCol; packed entry k lands at at[k];
+	// rowVal is where CheckFactor lays the values out.
+	rowPtr, rowCol, at []int
+	rowVal             []float64
 }
 
 // SymbolicFactor computes the fill pattern of the Cholesky factor of a
-// (pattern-)symmetric matrix: struct(L_j) = struct(A_{j:n,j}) united with
-// struct(L_c) \ {c} for every elimination-tree child c of j.
-func SymbolicFactor(a *CSR) *Symbolic {
+// (pattern-)symmetric matrix by row subtrees: L[i][j] != 0 for j < i
+// exactly when j lies on the elimination-tree path from some k with
+// A[i][k] != 0, k < i, up to i.  Its arrays, and the scratch CheckFactor
+// needs, are taken from host.
+func SymbolicFactor(a *CSR, host *mem.Arena) *Symbolic {
 	n := a.N
-	s := &Symbolic{
-		N:      n,
-		Struct: make([][]int, n),
-		Parent: make([]int, n),
-		Deps:   make([]int, n),
-		ColPtr: make([]int, n+1),
-	}
-	children := make([][]int, n)
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for j := 0; j < n; j++ {
-		// Gather struct(A[j:, j]) — lower triangle of column j,
-		// which by symmetry is row j's entries >= j.
-		var rows []int
-		mark[j] = j
-		rows = append(rows, j)
-		cols, _ := a.Row(j)
-		for _, i := range cols {
-			if i > j && mark[i] != j {
-				mark[i] = j
-				rows = append(rows, i)
+	s := &Symbolic{N: n, Parent: host.Ints(n), Deps: host.Ints(n), ColPtr: host.Ints(n + 1)}
+	// The elimination tree, by Liu's algorithm: anc short-cuts each node
+	// to the highest ancestor found so far.
+	anc, mark := host.Ints(n), host.Ints(n)
+	for i := 0; i < n; i++ {
+		s.Parent[i], anc[i] = -1, -1
+		cols, _ := a.Row(i)
+		for _, k := range cols {
+			if k >= i {
+				break
+			}
+			r := k
+			for anc[r] != -1 && anc[r] != i {
+				r, anc[r] = anc[r], i
+			}
+			if anc[r] == -1 {
+				anc[r], s.Parent[r] = i, i
 			}
 		}
-		// Union in the children's structures (minus their diagonal).
-		for _, c := range children[j] {
-			for _, i := range s.Struct[c][1:] {
-				if i > j && mark[i] != j {
-					mark[i] = j
-					rows = append(rows, i)
+	}
+	// Count, then fill, each row's off-diagonal columns, walking up from
+	// each k to the first node already marked with the row.  The fill
+	// meets the rows of a column in ascending order; anc is its cursor.
+	for pass := 0; pass < 2; pass++ {
+		for j := range mark {
+			mark[j] = -1
+		}
+		for i := 0; i < n; i++ {
+			mark[i] = i
+			cols, _ := a.Row(i)
+			for _, k := range cols {
+				if k >= i {
+					break
+				}
+				for j := k; mark[j] != i; j = s.Parent[j] {
+					mark[j] = i
+					if pass == 0 {
+						s.Deps[i]++
+						s.ColPtr[j+1]++
+					} else {
+						s.Rows[anc[j]] = i
+						anc[j]++
+					}
 				}
 			}
 		}
-		sort.Ints(rows)
-		s.Struct[j] = rows
-		if len(rows) > 1 {
-			s.Parent[j] = rows[1]
-			children[rows[1]] = append(children[rows[1]], j)
-		} else {
-			s.Parent[j] = -1
+		if pass == 0 {
+			for j := 0; j < n; j++ {
+				s.ColPtr[j+1] += s.ColPtr[j] + 1
+			}
+			s.Rows = host.Ints(s.NNZ())
+			for j := 0; j < n; j++ {
+				s.Rows[s.ColPtr[j]] = j
+				anc[j] = s.ColPtr[j] + 1
+			}
 		}
-		for _, i := range rows[1:] {
-			s.Deps[i]++
+	}
+
+	// Lay the factor out by rows too: walking the columns in order fills
+	// every row in ascending column order.  anc is the row cursor now.
+	s.rowPtr = host.Ints(n + 1)
+	for i := 0; i < n; i++ {
+		s.rowPtr[i+1] = s.rowPtr[i] + s.Deps[i] + 1
+		anc[i] = s.rowPtr[i]
+	}
+	s.rowCol, s.at, s.rowVal = host.Ints(s.NNZ()), host.Ints(s.NNZ()), host.Floats(s.NNZ())
+	for j := 0; j < n; j++ {
+		for k, i := range s.Col(j) {
+			s.rowCol[anc[i]], s.at[s.ColPtr[j]+k] = j, anc[i]
+			anc[i]++
 		}
-		s.ColPtr[j+1] = s.ColPtr[j] + len(rows)
 	}
 	return s
 }
+
+// Col returns the row indices of column j of L, ascending, starting with
+// the diagonal j.
+func (s *Symbolic) Col(j int) []int { return s.Rows[s.ColPtr[j]:s.ColPtr[j+1]] }
 
 // NNZ returns the number of stored factor entries (including diagonals).
 func (s *Symbolic) NNZ() int { return s.ColPtr[s.N] }
@@ -88,7 +128,7 @@ func (s *Symbolic) NNZ() int { return s.ColPtr[s.N] }
 // Index returns the packed CSC index of L[i][j], which must be a stored
 // entry of column j.
 func (s *Symbolic) Index(i, j int) int {
-	rows := s.Struct[j]
+	rows := s.Col(j)
 	k := sort.SearchInts(rows, i)
 	if k == len(rows) || rows[k] != i {
 		panic(fmt.Sprintf("sparse: L[%d][%d] not in symbolic structure", i, j))
@@ -96,50 +136,14 @@ func (s *Symbolic) Index(i, j int) int {
 	return s.ColPtr[j] + k
 }
 
-// Factorize performs the host-side reference numeric factorization
-// (sequential right-looking column Cholesky over the symbolic
-// structure).  vals is the packed CSC value array, pre-loaded with A's
-// lower triangle (zeros in fill positions); on return it holds L.
-func (s *Symbolic) Factorize(vals []float64) error {
-	if len(vals) != s.NNZ() {
-		return fmt.Errorf("sparse: Factorize with %d values, want %d", len(vals), s.NNZ())
-	}
+// LoadLower fills vals, a packed CSC value array of NNZ entries, with the
+// lower triangle of a (value-)symmetric matrix, zeros in fill positions.
+func (s *Symbolic) LoadLower(a *CSR, vals []float64) {
 	for j := 0; j < s.N; j++ {
-		base := s.ColPtr[j]
-		d := vals[base]
-		if d <= 0 {
-			return fmt.Errorf("sparse: non-positive pivot %g at column %d", d, j)
-		}
-		d = math.Sqrt(d)
-		vals[base] = d
-		rows := s.Struct[j]
-		for k := 1; k < len(rows); k++ {
-			vals[base+k] /= d
-		}
-		// cmod(i, j) for every i in struct(j): subtract the outer
-		// product contribution from the remaining columns.
-		for k := 1; k < len(rows); k++ {
-			i := rows[k]
-			lij := vals[base+k]
-			for k2 := k; k2 < len(rows); k2++ {
-				r := rows[k2]
-				vals[s.Index(r, i)] -= lij * vals[base+k2]
-			}
-		}
-	}
-	return nil
-}
-
-// LoadLower fills a packed CSC value array with the lower triangle of a
-// (value-)symmetric matrix, zeros in fill positions.
-func (s *Symbolic) LoadLower(a *CSR) []float64 {
-	vals := make([]float64, s.NNZ())
-	for j := 0; j < s.N; j++ {
-		for k, i := range s.Struct[j] {
+		for k, i := range s.Col(j) {
 			vals[s.ColPtr[j]+k] = a.At(i, j)
 		}
 	}
-	return vals
 }
 
 // CheckFactor verifies that vals (a factor over s's structure) satisfies
@@ -148,23 +152,13 @@ func (s *Symbolic) LoadLower(a *CSR) []float64 {
 // It returns the worst absolute deviation seen, up to and including the
 // first one beyond tol.
 func (s *Symbolic) CheckFactor(a *CSR, vals []float64, tol float64) (worst float64, err error) {
-	// Transpose the packed columns into packed rows.  Row i holds
-	// Deps[i] entries left of its diagonal, and walking the columns in
-	// order fills every row in ascending column order, so (L Lᵀ)[i][j] is
-	// a merge-join of rows i and j, summed in one fixed order.
+	// Lay the values out by rows, each in ascending column order, so
+	// (L Lᵀ)[i][j] is a merge-join of rows i and j, summed in one fixed
+	// order.
 	n := s.N
-	rowPtr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] = rowPtr[i] + s.Deps[i] + 1
-	}
-	col := make([]int, rowPtr[n])
-	val := make([]float64, rowPtr[n])
-	next := append([]int(nil), rowPtr[:n]...)
-	for j := 0; j < n; j++ {
-		for k, i := range s.Struct[j] {
-			col[next[i]], val[next[i]] = j, vals[s.ColPtr[j]+k]
-			next[i]++
-		}
+	rowPtr, col, val := s.rowPtr, s.rowCol, s.rowVal
+	for k, v := range vals {
+		val[s.at[k]] = v
 	}
 	dot := func(i, j int) float64 {
 		x, xe := rowPtr[i], rowPtr[i+1]

@@ -1,14 +1,268 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"spasm/internal/mem"
 )
 
+// randomSPD is RandomSPD on a fresh arena.
+func randomSPD(n, extra int, seed int64) *CSR {
+	return RandomSPD(n, extra, seed, new(mem.Arena))
+}
+
+// symbolicFactor is SymbolicFactor on a fresh arena.
+func symbolicFactor(a *CSR) *Symbolic { return SymbolicFactor(a, new(mem.Arena)) }
+
+// symbolicRef is what symbolicByChildren computes.
+type symbolicRef struct {
+	N                    int
+	Struct               [][]int
+	Parent, Deps, ColPtr []int
+}
+
+// symbolicByChildren is SymbolicFactor as first written, column by
+// column: struct(L_j) = struct(A_{j:n,j}) united with struct(L_c) \ {c}
+// for every elimination-tree child c of j.  It is the reference the
+// row-subtree version must reproduce.
+func symbolicByChildren(a *CSR) *symbolicRef {
+	n := a.N
+	s := &symbolicRef{
+		N:      n,
+		Struct: make([][]int, n),
+		Parent: make([]int, n),
+		Deps:   make([]int, n),
+		ColPtr: make([]int, n+1),
+	}
+	children := make([][]int, n)
+	mark := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	for j := 0; j < n; j++ {
+		// Gather struct(A[j:, j]) — lower triangle of column j,
+		// which by symmetry is row j's entries >= j.
+		var rows []int
+		mark[j] = j
+		rows = append(rows, j)
+		cols, _ := a.Row(j)
+		for _, i := range cols {
+			if i > j && mark[i] != j {
+				mark[i] = j
+				rows = append(rows, i)
+			}
+		}
+		// Union in the children's structures (minus their diagonal).
+		for _, c := range children[j] {
+			for _, i := range s.Struct[c][1:] {
+				if i > j && mark[i] != j {
+					mark[i] = j
+					rows = append(rows, i)
+				}
+			}
+		}
+		sort.Ints(rows)
+		s.Struct[j] = rows
+		if len(rows) > 1 {
+			s.Parent[j] = rows[1]
+			children[rows[1]] = append(children[rows[1]], j)
+		} else {
+			s.Parent[j] = -1
+		}
+		for _, i := range rows[1:] {
+			s.Deps[i]++
+		}
+		s.ColPtr[j+1] = s.ColPtr[j] + len(rows)
+	}
+	return s
+}
+
+// TestSymbolicMatchesChildren: the row-subtree factorization gives the
+// reference's columns, tree, counts and offsets, over many matrices on
+// one arena that every call rewinds.
+func TestSymbolicMatchesChildren(t *testing.T) {
+	host := new(mem.Arena)
+	same := func(a, b []int) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{1, 2, 5, 48, 220, 13, 100} {
+		for extra := 0; extra <= 4; extra++ {
+			for seed := int64(1); seed <= 4; seed++ {
+				host.Reset()
+				m := RandomSPD(n, extra, seed, host)
+				got, want := SymbolicFactor(m, host), symbolicByChildren(m)
+				if !same(got.Parent, want.Parent) || !same(got.Deps, want.Deps) || !same(got.ColPtr, want.ColPtr) {
+					t.Fatalf("n=%d extra=%d seed=%d: tree, counts or offsets differ", n, extra, seed)
+				}
+				for j := 0; j < n; j++ {
+					if !same(got.Col(j), want.Struct[j]) {
+						t.Fatalf("n=%d extra=%d seed=%d: column %d is %v, want %v",
+							n, extra, seed, j, got.Col(j), want.Struct[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// loadLower returns A's lower triangle packed over s's structure.
+func loadLower(s *Symbolic, a *CSR) []float64 {
+	vals := make([]float64, s.NNZ())
+	s.LoadLower(a, vals)
+	return vals
+}
+
+// IsSymmetric reports whether the stored pattern and values are
+// symmetric.
+func (m *CSR) IsSymmetric() bool {
+	for i := 0; i < m.N; i++ {
+		cols, vals := m.Row(i)
+		for k, j := range cols {
+			if m.At(j, i) != vals[k] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Factorize performs the host-side reference numeric factorization
+// (sequential right-looking column Cholesky over the symbolic
+// structure).  vals is the packed CSC value array, pre-loaded with A's
+// lower triangle (zeros in fill positions); on return it holds L.
+func (s *Symbolic) Factorize(vals []float64) error {
+	if len(vals) != s.NNZ() {
+		return fmt.Errorf("sparse: Factorize with %d values, want %d", len(vals), s.NNZ())
+	}
+	for j := 0; j < s.N; j++ {
+		base := s.ColPtr[j]
+		d := vals[base]
+		if d <= 0 {
+			return fmt.Errorf("sparse: non-positive pivot %g at column %d", d, j)
+		}
+		d = math.Sqrt(d)
+		vals[base] = d
+		rows := s.Col(j)
+		for k := 1; k < len(rows); k++ {
+			vals[base+k] /= d
+		}
+		// cmod(i, j) for every i in struct(j): subtract the outer
+		// product contribution from the remaining columns.
+		for k := 1; k < len(rows); k++ {
+			i := rows[k]
+			lij := vals[base+k]
+			for k2 := k; k2 < len(rows); k2++ {
+				r := rows[k2]
+				vals[s.Index(r, i)] -= lij * vals[base+k2]
+			}
+		}
+	}
+	return nil
+}
+
+// randomSPDMaps is RandomSPD as first written, over one map per row: the
+// reference the map-free generator must reproduce bit for bit.
+func randomSPDMaps(n, extra int, seed int64) *CSR {
+	rng := rand.New(rand.NewSource(seed))
+	offDiag := make([]map[int]float64, n)
+	for i := range offDiag {
+		offDiag[i] = make(map[int]float64)
+	}
+	put := func(i, j int, v float64) {
+		if i == j {
+			return
+		}
+		offDiag[i][j] = v
+		offDiag[j][i] = v
+	}
+	for i := 0; i+1 < n; i++ {
+		put(i, i+1, -(0.1 + rng.Float64()))
+	}
+	for i := 0; i < n; i++ {
+		for e := 0; e < extra; e++ {
+			j := rng.Intn(n)
+			if j != i {
+				put(i, j, -(0.05 + 0.5*rng.Float64()))
+			}
+		}
+	}
+	m := &CSR{N: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		cols := make([]int, 0, len(offDiag[i])+1)
+		for j := range offDiag[i] {
+			cols = append(cols, j)
+		}
+		cols = append(cols, i)
+		sort.Ints(cols)
+		var rowSum float64
+		for _, j := range cols {
+			if j != i {
+				rowSum += math.Abs(offDiag[i][j])
+			}
+		}
+		for _, j := range cols {
+			m.Col = append(m.Col, j)
+			if j == i {
+				m.Val = append(m.Val, rowSum+1.0+rng.Float64())
+			} else {
+				m.Val = append(m.Val, offDiag[i][j])
+			}
+		}
+		m.RowPtr[i+1] = len(m.Col)
+	}
+	return m
+}
+
+// TestRandomSPDMatchesMaps: the generator gives the reference's CSR bit
+// for bit over many sizes, densities and seeds, on one arena that every
+// call rewinds, so a value left over from a larger matrix would show.
+func TestRandomSPDMatchesMaps(t *testing.T) {
+	host := new(mem.Arena)
+	same := func(a, b []int) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{1, 2, 3, 7, 64, 200, 31, 512, 5} {
+		for extra := 0; extra <= 6; extra++ {
+			for seed := int64(1); seed <= 6; seed++ {
+				host.Reset()
+				got, want := RandomSPD(n, extra, seed, host), randomSPDMaps(n, extra, seed)
+				if got.N != want.N || !same(got.RowPtr, want.RowPtr) || !same(got.Col, want.Col) {
+					t.Fatalf("n=%d extra=%d seed=%d: structure differs", n, extra, seed)
+				}
+				for k := range want.Val {
+					if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+						t.Fatalf("n=%d extra=%d seed=%d: value %d is %v, want %v",
+							n, extra, seed, k, got.Val[k], want.Val[k])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRandomSPDStructure(t *testing.T) {
-	m := RandomSPD(50, 3, 1)
+	m := randomSPD(50, 3, 1)
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +287,8 @@ func TestRandomSPDStructure(t *testing.T) {
 }
 
 func TestRandomSPDDeterministic(t *testing.T) {
-	a := RandomSPD(30, 2, 42)
-	b := RandomSPD(30, 2, 42)
+	a := randomSPD(30, 2, 42)
+	b := randomSPD(30, 2, 42)
 	if a.NNZ() != b.NNZ() {
 		t.Fatal("nondeterministic generator")
 	}
@@ -43,7 +297,7 @@ func TestRandomSPDDeterministic(t *testing.T) {
 			t.Fatal("nondeterministic generator values")
 		}
 	}
-	c := RandomSPD(30, 2, 43)
+	c := randomSPD(30, 2, 43)
 	same := c.NNZ() == a.NNZ()
 	if same {
 		for k := range a.Val {
@@ -72,7 +326,7 @@ func TestMulVecAndAt(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	m := RandomSPD(10, 1, 7)
+	m := randomSPD(10, 1, 7)
 	m.Col[0], m.Col[1] = m.Col[1], m.Col[0] // break sort order
 	if err := m.Validate(); err == nil {
 		t.Error("unsorted row accepted")
@@ -81,11 +335,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 func TestSymbolicTridiagonal(t *testing.T) {
 	// Tridiagonal: no fill; struct(j) = {j, j+1}; parent chain.
-	m := RandomSPD(10, 0, 3)
-	s := SymbolicFactor(m)
+	m := randomSPD(10, 0, 3)
+	s := symbolicFactor(m)
 	for j := 0; j < 9; j++ {
-		if len(s.Struct[j]) != 2 || s.Struct[j][1] != j+1 {
-			t.Fatalf("tridiagonal fill at column %d: %v", j, s.Struct[j])
+		if len(s.Col(j)) != 2 || s.Col(j)[1] != j+1 {
+			t.Fatalf("tridiagonal fill at column %d: %v", j, s.Col(j))
 		}
 		if s.Parent[j] != j+1 {
 			t.Fatalf("parent[%d] = %d", j, s.Parent[j])
@@ -100,8 +354,8 @@ func TestSymbolicTridiagonal(t *testing.T) {
 }
 
 func TestSymbolicContainsMatrixPattern(t *testing.T) {
-	m := RandomSPD(40, 3, 11)
-	s := SymbolicFactor(m)
+	m := randomSPD(40, 3, 11)
+	s := symbolicFactor(m)
 	for i := 0; i < m.N; i++ {
 		cols, _ := m.Row(i)
 		for _, j := range cols {
@@ -110,7 +364,7 @@ func TestSymbolicContainsMatrixPattern(t *testing.T) {
 			}
 			// A[i][j] nonzero with j <= i must appear in struct(j).
 			found := false
-			for _, r := range s.Struct[j] {
+			for _, r := range s.Col(j) {
 				if r == i {
 					found = true
 					break
@@ -125,9 +379,9 @@ func TestSymbolicContainsMatrixPattern(t *testing.T) {
 
 func TestFactorizeReproducesMatrix(t *testing.T) {
 	for _, n := range []int{5, 20, 60} {
-		m := RandomSPD(n, 2, int64(n))
-		s := SymbolicFactor(m)
-		vals := s.LoadLower(m)
+		m := randomSPD(n, 2, int64(n))
+		s := symbolicFactor(m)
+		vals := loadLower(s, m)
 		if err := s.Factorize(vals); err != nil {
 			t.Fatal(err)
 		}
@@ -138,16 +392,16 @@ func TestFactorizeReproducesMatrix(t *testing.T) {
 }
 
 func TestFactorizeRejectsWrongLength(t *testing.T) {
-	m := RandomSPD(10, 1, 5)
-	s := SymbolicFactor(m)
+	m := randomSPD(10, 1, 5)
+	s := symbolicFactor(m)
 	if err := s.Factorize(make([]float64, 3)); err == nil {
 		t.Error("wrong length accepted")
 	}
 }
 
 func TestIndexPanicsOnNonEntry(t *testing.T) {
-	m := RandomSPD(10, 0, 5) // tridiagonal
-	s := SymbolicFactor(m)
+	m := randomSPD(10, 0, 5) // tridiagonal
+	s := symbolicFactor(m)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -157,15 +411,15 @@ func TestIndexPanicsOnNonEntry(t *testing.T) {
 }
 
 func TestResidualHelper(t *testing.T) {
-	m := RandomSPD(5, 0, 9)
+	m := randomSPD(5, 0, 9)
 	x := []float64{1, 2, 3, 4, 5}
 	b := make([]float64, 5)
 	m.MulVec(x, b)
-	if r := Residual(m, x, b); r != 0 {
+	if r := Residual(m, x, b, make([]float64, 5)); r != 0 {
 		t.Errorf("residual of exact solution = %g", r)
 	}
 	b[2] += 1
-	if r := Residual(m, x, b); r != 1 {
+	if r := Residual(m, x, b, make([]float64, 5)); r != 1 {
 		t.Errorf("perturbed residual = %g, want 1", r)
 	}
 }
@@ -178,8 +432,8 @@ func TestFactorizationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(40)
 		extra := rng.Intn(4)
-		m := RandomSPD(n, extra, seed)
-		s := SymbolicFactor(m)
+		m := randomSPD(n, extra, seed)
+		s := symbolicFactor(m)
 		sumDeps := 0
 		for _, d := range s.Deps {
 			sumDeps += d
@@ -187,7 +441,7 @@ func TestFactorizationProperty(t *testing.T) {
 		if sumDeps != s.NNZ()-n {
 			return false
 		}
-		vals := s.LoadLower(m)
+		vals := loadLower(s, m)
 		if err := s.Factorize(vals); err != nil {
 			return false
 		}
@@ -204,9 +458,9 @@ func TestFactorizationProperty(t *testing.T) {
 // matrix entry the structure does not cover, and must sum in a fixed
 // order: two calls return the same bits.
 func TestCheckFactorRejectsAndRepeats(t *testing.T) {
-	m := RandomSPD(40, 3, 11)
-	s := SymbolicFactor(m)
-	factor := s.LoadLower(m)
+	m := randomSPD(40, 3, 11)
+	s := symbolicFactor(m)
+	factor := loadLower(s, m)
 	if err := s.Factorize(factor); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +476,7 @@ func TestCheckFactorRejectsAndRepeats(t *testing.T) {
 
 	stored, fill := -1, -1 // packed indices of one off-diagonal entry of each kind
 	for j := 0; j < s.N; j++ {
-		for k, i := range s.Struct[j] {
+		for k, i := range s.Col(j) {
 			switch {
 			case i == j:
 			case m.At(i, j) != 0:
@@ -245,7 +499,7 @@ func TestCheckFactorRejectsAndRepeats(t *testing.T) {
 
 	// A structure computed for a sparser matrix does not cover m, which
 	// no tolerance excuses.
-	band := SymbolicFactor(RandomSPD(40, 0, 11))
+	band := symbolicFactor(randomSPD(40, 0, 11))
 	if _, err := band.CheckFactor(m, make([]float64, band.NNZ()), math.Inf(1)); err == nil {
 		t.Error("matrix entry outside the structure accepted")
 	}
