@@ -31,35 +31,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"spasm/internal/service"
 	"spasm/internal/service/store"
 )
-
-// parseWeights parses -tenant-weights ("alice=4,bob=1") into the
-// service's weight map.
-func parseWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, errors.New("want tenant=weight pairs, e.g. alice=4,bob=1")
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 {
-			return nil, errors.New("tenant weight must be a positive integer")
-		}
-		out[name] = w
-	}
-	return out, nil
-}
 
 func main() {
 	var (
@@ -79,7 +56,7 @@ func main() {
 	)
 	flag.Parse()
 
-	weights, err := parseWeights(*weightsFlag)
+	weights, err := service.ParseTenantWeights(*weightsFlag)
 	if err != nil {
 		log.Fatalf("spasmd: -tenant-weights: %v", err)
 	}

@@ -108,7 +108,7 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	if total != 40 {
 		t.Errorf("critical sections = %d, want 40", total)
 	}
-	if lock.Held() {
+	if lock.held {
 		t.Error("lock left held")
 	}
 }
@@ -179,7 +179,7 @@ func TestFlagSignalling(t *testing.T) {
 	if fmt.Sprint(order) != "[0 1]" {
 		t.Errorf("order = %v", order)
 	}
-	if !flag.IsSet() {
+	if !flag.set {
 		t.Error("flag not set")
 	}
 }

@@ -1,8 +1,6 @@
 package app
 
 import (
-	"sort"
-
 	"spasm/internal/sim"
 	"spasm/internal/stats"
 )
@@ -39,9 +37,6 @@ func newPhaseProfile() *PhaseProfile {
 	return &PhaseProfile{phases: map[string]*PhaseStats{}}
 }
 
-// Get returns the stats for a named phase, or nil.
-func (pp *PhaseProfile) Get(name string) *PhaseStats { return pp.phases[name] }
-
 // Phases returns all phases in first-entry order.
 func (pp *PhaseProfile) Phases() []*PhaseStats {
 	out := make([]*PhaseStats, 0, len(pp.order))
@@ -49,20 +44,6 @@ func (pp *PhaseProfile) Phases() []*PhaseStats {
 		out = append(out, pp.phases[n])
 	}
 	return out
-}
-
-// Names returns the phase names in first-entry order.
-func (pp *PhaseProfile) Names() []string {
-	return append([]string(nil), pp.order...)
-}
-
-// TotalWall sums the wall time across phases (process-seconds).
-func (pp *PhaseProfile) TotalWall() sim.Time {
-	var t sim.Time
-	for _, ps := range pp.phases {
-		t += ps.Wall
-	}
-	return t
 }
 
 func (pp *PhaseProfile) add(name string, dt [stats.NumBuckets]sim.Time, wall sim.Time) {
@@ -102,12 +83,4 @@ func (p *Proc) closePhase() {
 	}
 	p.Ctx.Phases.add(p.phase, dt, p.Now()-p.phaseT0)
 	p.phase = ""
-}
-
-// SortedByBucket returns phase names ordered by descending time in one
-// bucket — "which phase causes the contention".
-func (pp *PhaseProfile) SortedByBucket(b stats.Bucket) []*PhaseStats {
-	out := pp.Phases()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time[b] > out[j].Time[b] })
-	return out
 }

@@ -30,10 +30,10 @@ func TestPhaseAttributionBasic(t *testing.T) {
 			p.Compute(300)
 		})
 	pp := res.Phases
-	if got := pp.Names(); fmt.Sprint(got) != "[a b]" {
+	if got := pp.order; fmt.Sprint(got) != "[a b]" {
 		t.Fatalf("phases = %v", got)
 	}
-	a, b := pp.Get("a"), pp.Get("b")
+	a, b := pp.phases["a"], pp.phases["b"]
 	if a.Time[stats.Compute] != 2*100*20 { // 2 procs x 100 cycles x 20 units
 		t.Errorf("phase a compute = %v", a.Time[stats.Compute])
 	}
@@ -54,7 +54,7 @@ func TestPhaseWallCoversBody(t *testing.T) {
 		})
 	// Total wall across phases = sum of per-proc elapsed times.
 	want := sim.Time((100 + 200 + 300 + 400) * 20)
-	if got := res.Phases.TotalWall(); got != want {
+	if got := res.Phases.phases["only"].Wall; got != want {
 		t.Errorf("total wall = %v, want %v", got, want)
 	}
 }
@@ -70,7 +70,7 @@ func TestPhaseReentry(t *testing.T) {
 				p.Compute(5)
 			}
 		})
-	l := res.Phases.Get("loop")
+	l := res.Phases.phases["loop"]
 	if l.Visits != 3 || l.Time[stats.Compute] != 3*10*20 {
 		t.Errorf("loop phase %+v", l)
 	}
@@ -80,11 +80,8 @@ func TestNoPhasesNoProfile(t *testing.T) {
 	res := runPhased(t, 2, machine.Ideal,
 		func(c *Ctx) {},
 		func(p *Proc) { p.Compute(10) })
-	if len(res.Phases.Names()) != 0 {
-		t.Errorf("unexpected phases %v", res.Phases.Names())
-	}
-	if res.Phases.TotalWall() != 0 {
-		t.Error("wall time without phases")
+	if got := res.Phases.Phases(); len(got) != 0 {
+		t.Errorf("unexpected phases %v", got)
 	}
 }
 
@@ -100,16 +97,12 @@ func TestPhaseCapturesNetworkOverheads(t *testing.T) {
 			lo, hi = arr.OwnerRange((p.ID + 1) % 4)
 			p.ReadRange(arr, lo, hi)
 		})
-	local := res.Phases.Get("local")
-	remote := res.Phases.Get("remote")
+	local := res.Phases.phases["local"]
+	remote := res.Phases.phases["remote"]
 	if local.Time[stats.Latency] != 0 {
 		t.Errorf("local phase has latency %v", local.Time[stats.Latency])
 	}
 	if remote.Time[stats.Latency] == 0 {
 		t.Error("remote phase has no latency")
-	}
-	// SortedByBucket puts the remote phase first for latency.
-	if top := res.Phases.SortedByBucket(stats.Latency)[0]; top.Name != "remote" {
-		t.Errorf("top latency phase = %s", top.Name)
 	}
 }

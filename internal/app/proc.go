@@ -52,13 +52,9 @@ func (p *Proc) Compute(n int64) {
 	p.S.Defer(d)
 }
 
-// ComputeTime charges an exact simulated duration of local computation
-// (used by trace replay, where inter-reference gaps are recorded as
-// durations rather than cycle counts).
-func (p *Proc) ComputeTime(d sim.Time) { computeTime(p.St, p.S, d) }
-
-// computeTime is ComputeTime on the parts of the handle it uses (a feed
-// carries no handle).
+// computeTime charges an exact simulated duration of local computation
+// (trace replay records inter-reference gaps as durations rather than
+// cycle counts).
 func computeTime(st *stats.Proc, sp *sim.Proc, d sim.Time) {
 	if d <= 0 {
 		return

@@ -107,39 +107,6 @@ func TestFlagSetBeforeWait(t *testing.T) {
 		})
 }
 
-// TestFlagClearAndReuse exercises Clear across phases.
-func TestFlagClearAndReuse(t *testing.T) {
-	var (
-		flag *Flag
-		bar  *Barrier
-		hits int
-	)
-	runProg(t, 2, machine.CLogP,
-		func(c *Ctx) {
-			flag = c.NewFlag("f", 0)
-			bar = c.NewBarrier("b", 2, 0)
-		},
-		func(p *Proc) {
-			for round := 0; round < 3; round++ {
-				if p.ID == 0 {
-					p.Compute(500)
-					flag.Set(p)
-				} else {
-					flag.Wait(p)
-					hits++
-				}
-				bar.Arrive(p)
-				if p.ID == 0 {
-					flag.Clear(p)
-				}
-				bar.Arrive(p)
-			}
-		})
-	if hits != 3 {
-		t.Errorf("waiter passed %d rounds, want 3", hits)
-	}
-}
-
 // TestManyWaitersOneLock checks heavy contention converges and is fair
 // enough that every processor gets the lock.
 func TestManyWaitersOneLock(t *testing.T) {

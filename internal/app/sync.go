@@ -53,12 +53,6 @@ func (c *Ctx) NewLock(name string, home int) *SpinLock {
 	return &SpinLock{Name: name, addr: arr.At(0), owner: -1}
 }
 
-// Addr returns the lock word's address (the traffic target).
-func (l *SpinLock) Addr() mem.Addr { return l.addr }
-
-// Held reports whether the lock is currently held.
-func (l *SpinLock) Held() bool { return l.held }
-
 // Lock acquires the lock.  Every probe and the winning test&set issue
 // real shared-memory references; waiting time beyond those references is
 // charged to Sync.
@@ -123,12 +117,6 @@ func (c *Ctx) NewFlag(name string, home int) *Flag {
 	return &Flag{Name: name, addr: arr.At(0)}
 }
 
-// Addr returns the flag word's address.
-func (f *Flag) Addr() mem.Addr { return f.addr }
-
-// IsSet reports the flag's current value without issuing a reference.
-func (f *Flag) IsSet() bool { return f.set }
-
 // Wait spins (then parks) until the flag is set.  The first probe and
 // the probe after the setter's invalidation are the network-visible
 // references on the cached machines.
@@ -162,13 +150,6 @@ func (f *Flag) Set(p *Proc) {
 	f.set = true
 	p.Write(f.addr)
 	f.q.WakeAll()
-}
-
-// Clear lowers the flag (for reuse across phases).
-func (f *Flag) Clear(p *Proc) {
-	p.S.FlushLag()
-	f.set = false
-	p.Write(f.addr)
 }
 
 // Barrier is a centralized sense-reversing barrier: a lock-protected

@@ -217,7 +217,7 @@ func TestTargetInvariantsAfterApps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := res.Machine.(machine.Coherent).Engine().CheckInvariants(); err != nil {
+		if err := machine.CheckInvariants(res.Machine); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

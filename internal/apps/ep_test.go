@@ -59,8 +59,12 @@ func TestEPSignallingChainIsNeighbourly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	homes := map[string]int{}
+	for _, r := range res.Space.Regions() {
+		homes[r.Name] = res.Space.Home(r.At(0))
+	}
 	for i, f := range ep.flags {
-		if home := res.Space.Home(f.Addr()); home != i {
+		if home := homes[f.Name]; home != i {
 			t.Errorf("flag %d homed at %d", i, home)
 		}
 	}

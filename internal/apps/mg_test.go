@@ -75,16 +75,26 @@ func TestMGHierarchyDepth(t *testing.T) {
 	}
 }
 
+// phasesByName indexes a run's phase profile.
+func phasesByName(res *app.Result) map[string]*app.PhaseStats {
+	m := map[string]*app.PhaseStats{}
+	for _, ps := range res.Phases.Phases() {
+		m[ps.Name] = ps
+	}
+	return m
+}
+
 func TestMGPhasesRecorded(t *testing.T) {
 	_, _, res := runMG(t, machine.Target, 4, 255, 2)
+	phases := phasesByName(res)
 	for _, want := range []string{"mg-smooth", "mg-restrict", "mg-prolongate", "mg-coarse"} {
-		if res.Phases.Get(want) == nil {
-			t.Errorf("phase %q missing (have %v)", want, res.Phases.Names())
+		if phases[want] == nil {
+			t.Errorf("phase %q missing (have %v)", want, phases)
 		}
 	}
 	// The smoother dominates the work.
-	smooth := res.Phases.Get("mg-smooth")
-	coarse := res.Phases.Get("mg-coarse")
+	smooth := phases["mg-smooth"]
+	coarse := phases["mg-coarse"]
 	if smooth.Time[stats.Compute] <= coarse.Time[stats.Compute] {
 		t.Error("smoothing compute not dominant")
 	}
@@ -94,7 +104,7 @@ func TestMGSerialBottomShowsInSync(t *testing.T) {
 	// While processor 0 solves the coarsest grid the others wait: the
 	// coarse phase must carry sync time for p > 1.
 	_, _, res := runMG(t, machine.CLogP, 8, 255, 2)
-	coarse := res.Phases.Get("mg-coarse")
+	coarse := phasesByName(res)["mg-coarse"]
 	if coarse == nil || coarse.Time[stats.Sync] == 0 {
 		t.Error("no sync time in the serial coarse phase")
 	}

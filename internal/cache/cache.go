@@ -300,10 +300,3 @@ func (c *Cache) ForEach(fn func(b mem.Block, s State)) {
 		}
 	}
 }
-
-// Resident returns the number of valid lines.
-func (c *Cache) Resident() int {
-	n := 0
-	c.ForEach(func(mem.Block, State) { n++ })
-	return n
-}

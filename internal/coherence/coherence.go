@@ -273,9 +273,6 @@ func (e *Engine) Reset(space *mem.Space) {
 	}
 }
 
-// Cache returns node n's cache (exposed for tests and statistics).
-func (e *Engine) Cache(n int) *cache.Cache { return e.caches[n] }
-
 // chunkFor returns block b's chunk, allocating it on first touch.
 func (e *Engine) chunkFor(b mem.Block) *dirChunk {
 	ci := int(b >> dirChunkShift)

@@ -138,10 +138,10 @@ func TestOwnerSuppliesAndIsDemoted(t *testing.T) {
 		t.Errorf("read-from-owner classes = %v", tr.log)
 	}
 	b := space.BlockOf(addr)
-	if s := eng.Cache(1).State(b); s != cache.OwnedShared {
+	if s := eng.caches[1].State(b); s != cache.OwnedShared {
 		t.Errorf("supplier state = %v, want SD (Berkeley keeps ownership)", s)
 	}
-	if s := eng.Cache(3).State(b); s != cache.UnOwned {
+	if s := eng.caches[3].State(b); s != cache.UnOwned {
 		t.Errorf("requester state = %v, want V", s)
 	}
 	if err := eng.CheckInvariants(); err != nil {
@@ -162,11 +162,11 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 		eng.Write(p, &r.Procs[3], 3, addr) // upgrade: invalidate 1 and 2
 	})
 	b := space.BlockOf(addr)
-	if s := eng.Cache(3).State(b); s != cache.OwnedExclusive {
+	if s := eng.caches[3].State(b); s != cache.OwnedExclusive {
 		t.Errorf("writer state = %v", s)
 	}
 	for _, n := range []int{1, 2} {
-		if s := eng.Cache(n).State(b); s != cache.Invalid {
+		if s := eng.caches[n].State(b); s != cache.Invalid {
 			t.Errorf("cache %d state = %v, want I", n, s)
 		}
 	}

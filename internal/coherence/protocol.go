@@ -56,6 +56,3 @@ func ParseProtocol(s string) (Protocol, error) {
 	}
 	return 0, fmt.Errorf("coherence: unknown protocol %q", s)
 }
-
-// Protocols lists the implemented protocols.
-func Protocols() []Protocol { return []Protocol{Berkeley, MSI, Update} }

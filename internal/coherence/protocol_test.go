@@ -48,10 +48,10 @@ func TestMSIReadFromDirtyWritesBack(t *testing.T) {
 		t.Errorf("MSI read-from-dirty classes = %v", tr.log)
 	}
 	b := space.BlockOf(addr)
-	if s := eng.Cache(1).State(b); s != cache.UnOwned {
+	if s := eng.caches[1].State(b); s != cache.UnOwned {
 		t.Errorf("previous owner state = %v, want V (clean shared)", s)
 	}
-	if s := eng.Cache(3).State(b); s != cache.UnOwned {
+	if s := eng.caches[3].State(b); s != cache.UnOwned {
 		t.Errorf("requester state = %v, want V", s)
 	}
 	if err := eng.CheckInvariants(); err != nil {
@@ -100,7 +100,7 @@ func TestMSINeverCreatesSharedDirty(t *testing.T) {
 		}
 		for n := 0; n < 4; n++ {
 			bad := false
-			eng.Cache(n).ForEach(func(b mem.Block, s cache.State) {
+			eng.caches[n].ForEach(func(b mem.Block, s cache.State) {
 				if s == cache.OwnedShared {
 					bad = true
 				}
@@ -133,10 +133,10 @@ func TestMSIWriteMissInvalidatesOwnerOnce(t *testing.T) {
 		t.Errorf("MSI write-miss classes = %v", tr.log)
 	}
 	b := space.BlockOf(addr)
-	if s := eng.Cache(1).State(b); s != cache.Invalid {
+	if s := eng.caches[1].State(b); s != cache.Invalid {
 		t.Errorf("old owner state = %v", s)
 	}
-	if s := eng.Cache(2).State(b); s != cache.OwnedExclusive {
+	if s := eng.caches[2].State(b); s != cache.OwnedExclusive {
 		t.Errorf("new owner state = %v", s)
 	}
 	if run.Procs[2].Invals != 1 {

@@ -103,7 +103,7 @@ func TestProtocolTransitionTable(t *testing.T) {
 				})
 				b := space.BlockOf(addr)
 				got := fmt.Sprintf("%v %v %v",
-					eng.Cache(1).State(b), eng.Cache(2).State(b), eng.Cache(3).State(b))
+					eng.caches[1].State(b), eng.caches[2].State(b), eng.caches[3].State(b))
 				if got != want {
 					t.Errorf("states = %q, want %q", got, want)
 				}
@@ -121,7 +121,7 @@ func TestProtocolTransitionTable(t *testing.T) {
 // coherence actions.  Verify the requester's clock advances past the
 // message schedule on the priced transport.
 func TestWriteBlocksForCoherenceActions(t *testing.T) {
-	for _, proto := range Protocols() {
+	for _, proto := range []Protocol{Berkeley, MSI, Update} {
 		tr := &flatTransport{delay: 100}
 		eng, _, arr := testEngine(4, tr)
 		eng.Protocol = proto

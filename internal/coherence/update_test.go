@@ -23,9 +23,6 @@ func TestUpdateProtocolParsing(t *testing.T) {
 	if err != nil || got != Update {
 		t.Errorf("ParseProtocol(update) = %v, %v", got, err)
 	}
-	if len(Protocols()) != 3 {
-		t.Errorf("Protocols() = %v", Protocols())
-	}
 	if UpdateMsg.String() != "update" {
 		t.Errorf("class name %q", UpdateMsg.String())
 	}
@@ -53,7 +50,7 @@ func TestUpdateSharersStayValid(t *testing.T) {
 	}
 	b := space.BlockOf(addr)
 	for _, n := range []int{1, 2} {
-		if s := eng.Cache(n).State(b); s != cache.UnOwned {
+		if s := eng.caches[n].State(b); s != cache.UnOwned {
 			t.Errorf("cache %d state = %v, want V", n, s)
 		}
 	}
@@ -101,7 +98,7 @@ func TestUpdateSoleCopyBecomesExclusive(t *testing.T) {
 		t.Errorf("private writes cost messages: %v", tr.log)
 	}
 	b := space.BlockOf(addr)
-	if s := eng.Cache(0).State(b); s != cache.OwnedExclusive {
+	if s := eng.caches[0].State(b); s != cache.OwnedExclusive {
 		t.Errorf("sole writer state = %v", s)
 	}
 	if run.Procs[0].Hits != 6 {
@@ -149,7 +146,7 @@ func TestUpdateNeverSharedDirtyAndInvariantsHold(t *testing.T) {
 		}
 		for n := 0; n < 4; n++ {
 			bad := false
-			eng.Cache(n).ForEach(func(b mem.Block, s cache.State) {
+			eng.caches[n].ForEach(func(b mem.Block, s cache.State) {
 				if s == cache.OwnedShared {
 					bad = true
 				}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"time"
 
 	"spasm/internal/mem"
 	"spasm/internal/sim"
@@ -62,8 +63,12 @@ func confAccounting(factory func() (Machine, *mem.Space, *mem.Array)) error {
 func confProgress(factory func() (Machine, *mem.Space, *mem.Array)) error {
 	m, _, arr := factory()
 	e := sim.NewEngine()
-	e.MaxTime = sim.Micros(1e9) // any access loop must finish well inside this
+	// A machine that livelocks never returns from an access: interrupt
+	// the run instead of spinning forever.
+	watchdog := time.AfterFunc(time.Minute, e.Interrupt)
+	defer watchdog.Stop()
 	run := stats.NewRun(m.P())
+	limit := sim.Micros(1e9) // any access loop must finish well inside this
 	var violation error
 	e.Spawn("conf", func(p *sim.Proc) {
 		last := p.Now()
@@ -72,6 +77,10 @@ func confProgress(factory func() (Machine, *mem.Space, *mem.Array)) error {
 			m.Read(p, &run.Procs[node], node, arr.At(i%arr.N))
 			if p.Now() < last {
 				violation = fmt.Errorf("conformance/progress: clock moved backwards")
+				return
+			}
+			if p.Now() > limit {
+				violation = fmt.Errorf("conformance/progress: %d accesses took %v, more than %v", i+1, p.Now(), limit)
 				return
 			}
 			last = p.Now()
@@ -107,6 +116,17 @@ func confDeterminism(factory func() (Machine, *mem.Space, *mem.Array)) error {
 	t2, m2 := trial()
 	if t1 != t2 || m1 != m2 {
 		return fmt.Errorf("conformance/determinism: %v/%d vs %v/%d", t1, m1, t2, m2)
+	}
+	return nil
+}
+
+// CheckInvariants checks a cached machine's (Target's, CLogP's)
+// coherence directory against every node's cache — see
+// coherence.Engine.CheckInvariants.  The other machines keep no
+// coherence state and always pass.
+func CheckInvariants(m Machine) error {
+	if c, ok := m.(*cachedMachine); ok {
+		return c.eng.CheckInvariants()
 	}
 	return nil
 }

@@ -108,15 +108,10 @@ type Config struct {
 	// Cache geometry for Target and CLogP; zero value means the
 	// paper's 64 KB 2-way 32 B cache.
 	Cache cache.Config
-	// Costs are the non-network cost parameters; zero value means
-	// coherence.DefaultCosts.
-	Costs coherence.Costs
 	// L overrides the LogP latency parameter (0 means the paper's
-	// 1.6 us).
+	// 1.6 us).  The gap g is always derived from the topology's
+	// bisection bandwidth, exactly as the paper does.
 	L sim.Time
-	// G overrides the LogP gap (0 means: derive from the topology's
-	// bisection bandwidth exactly as the paper does).
-	G sim.Time
 	// PortMode selects the g-gap discipline for LogP machines.
 	PortMode logp.PortMode
 	// AdaptiveG enables the history-based g estimation the paper
@@ -135,7 +130,7 @@ type Config struct {
 }
 
 // Canonical returns the configuration with every defaulted field made
-// explicit (topology name, cache geometry, costs, link speed, L).  Two
+// explicit (topology name, cache geometry, link speed, L).  Two
 // configurations that build identical machines canonicalize to the same
 // value, which is what makes Config usable as a pooling key: runpool
 // keys contexts by Canonical() so `Topology: ""` and `Topology: "full"`
@@ -151,14 +146,11 @@ func (c Config) withDefaults() Config {
 	if c.Cache == (cache.Config{}) {
 		c.Cache = cache.DefaultConfig()
 	}
-	if c.Costs == (coherence.Costs{}) {
-		c.Costs = coherence.DefaultCosts()
-	}
 	if c.LinkByteTime == 0 {
 		c.LinkByteTime = sim.SerialByte
 	}
 	if c.L == 0 {
-		c.L = sim.Time(c.Costs.DataBytes) * c.LinkByteTime
+		c.L = sim.Time(coherence.DefaultCosts().DataBytes) * c.LinkByteTime
 	}
 	return c
 }
@@ -166,6 +158,7 @@ func (c Config) withDefaults() Config {
 // New builds the configured machine over the given address space.
 func New(cfg Config, space *mem.Space) (Machine, error) {
 	cfg = cfg.withDefaults()
+	costs := coherence.DefaultCosts()
 	if cfg.P == 0 {
 		cfg.P = space.P()
 	}
@@ -178,25 +171,21 @@ func New(cfg Config, space *mem.Space) (Machine, error) {
 	}
 	switch cfg.Kind {
 	case Ideal:
-		return &ideal{p: cfg.P, unit: cfg.Costs.CacheHit}, nil
+		return &ideal{p: cfg.P, unit: costs.CacheHit}, nil
 	case LogP, CLogP:
 		topo, err := network.New(cfg.Topology, cfg.P)
 		if err != nil {
 			return nil, err
 		}
-		g := cfg.G
-		if g == 0 {
-			g = logp.GapFor(topo, cfg.Costs.DataBytes, cfg.LinkByteTime)
-		}
-		net := logp.New(cfg.P, cfg.L, g, cfg.PortMode)
+		net := logp.New(cfg.P, cfg.L, logp.GapFor(topo, costs.DataBytes, cfg.LinkByteTime), cfg.PortMode)
 		if cfg.AdaptiveG {
 			net.Crosses = topo.CrossesBisection
 		}
 		if cfg.Kind == LogP {
-			return &logpMachine{space: space, net: net, costs: cfg.Costs}, nil
+			return &logpMachine{space: space, net: net, costs: costs}, nil
 		}
 		tr := &clogpTransport{net: net}
-		eng := coherence.NewEngine(space, cfg.Cache, cfg.Costs, tr)
+		eng := coherence.NewEngine(space, cfg.Cache, costs, tr)
 		eng.Protocol = cfg.Protocol
 		return &cachedMachine{kind: CLogP, space: space, eng: eng, net: net}, nil
 	case Flow:
@@ -206,7 +195,7 @@ func New(cfg Config, space *mem.Space) (Machine, error) {
 		}
 		net := flow.New(topo)
 		net.ByteTime = cfg.LinkByteTime
-		return &flowMachine{space: space, net: net, costs: cfg.Costs}, nil
+		return &flowMachine{space: space, net: net, costs: costs}, nil
 	case Target:
 		topo, err := network.New(cfg.Topology, cfg.P)
 		if err != nil {
@@ -215,7 +204,7 @@ func New(cfg Config, space *mem.Space) (Machine, error) {
 		fab := network.NewFabric(topo)
 		fab.ByteTime = cfg.LinkByteTime
 		tr := &targetTransport{fab: fab}
-		eng := coherence.NewEngine(space, cfg.Cache, cfg.Costs, tr)
+		eng := coherence.NewEngine(space, cfg.Cache, costs, tr)
 		eng.Protocol = cfg.Protocol
 		return &cachedMachine{kind: Target, space: space, eng: eng, fab: fab}, nil
 	}
@@ -360,12 +349,6 @@ func (m *flowMachine) Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr
 	m.access(p, st, node, addr)
 }
 
-// Coherent is implemented by machines with caches (Target and CLogP),
-// exposing their coherence engine for invariant checks and inspection.
-type Coherent interface {
-	Engine() *coherence.Engine
-}
-
 // Networked is implemented by the Target machine, exposing its detailed
 // fabric (for fault injection and traffic inspection).
 type Networked interface {
@@ -415,9 +398,6 @@ type cachedMachine struct {
 
 func (m *cachedMachine) Kind() Kind { return m.kind }
 func (m *cachedMachine) P() int     { return m.space.P() }
-
-// Engine exposes the coherence engine (for invariant checks in tests).
-func (m *cachedMachine) Engine() *coherence.Engine { return m.eng }
 
 // Fabric exposes the detailed network of a Target machine (nil otherwise).
 func (m *cachedMachine) Fabric() *network.Fabric { return m.fab }

@@ -171,7 +171,7 @@ func TestTargetUsesDetailedFabric(t *testing.T) {
 	if tm.Fabric() == nil || tm.Fabric().Messages != 2 {
 		t.Error("fabric not used")
 	}
-	if err := tm.Engine().CheckInvariants(); err != nil {
+	if err := CheckInvariants(tm); err != nil {
 		t.Error(err)
 	}
 }
@@ -190,12 +190,14 @@ func TestGDerivedFromTopology(t *testing.T) {
 	}
 }
 
-func TestExplicitLAndGOverride(t *testing.T) {
+// TestExplicitLOverride: an explicit L replaces the paper's 1.6 us and
+// leaves g derived from the topology.
+func TestExplicitLOverride(t *testing.T) {
 	s, _ := newSpace(4)
-	m := build(t, Config{Kind: LogP, Topology: "full", L: 500, G: 700}, s)
+	m := build(t, Config{Kind: LogP, Topology: "full", L: 500}, s)
 	n := m.(*logpMachine).Net()
-	if n.L != 500 || n.G != 700 {
-		t.Errorf("L=%v G=%v", n.L, n.G)
+	if want := sim.Micros(3.2 / 4); n.L != 500 || n.G != want {
+		t.Errorf("L=%v G=%v, want 500 and %v", n.L, n.G, want)
 	}
 }
 
@@ -257,9 +259,9 @@ func TestLinkByteTimePlumbing(t *testing.T) {
 
 func TestProtocolPlumbing(t *testing.T) {
 	s, _ := newSpace(4)
-	for _, proto := range coherence.Protocols() {
+	for _, proto := range []coherence.Protocol{coherence.Berkeley, coherence.MSI, coherence.Update} {
 		m := build(t, Config{Kind: Target, Topology: "full", Protocol: proto}, s2space(t))
-		if got := m.(Coherent).Engine().Protocol; got != proto {
+		if got := m.(*cachedMachine).eng.Protocol; got != proto {
 			t.Errorf("engine protocol = %v, want %v", got, proto)
 		}
 	}

@@ -30,10 +30,6 @@ func NewReusable(cfg Config) *Reusable {
 	return &Reusable{cfg: cfg.Canonical()}
 }
 
-// Config returns the canonicalized configuration the machine is built
-// from.
-func (r *Reusable) Config() Config { return r.cfg }
-
 // Bind returns the machine attached to space.  The first call builds it
 // with New; subsequent calls reset the existing machine in place — the
 // address space pointer is swapped (the new run's Setup laid out memory

@@ -281,9 +281,6 @@ func (a *Array) home(addr Addr) int {
 	}
 }
 
-// HomeOf returns the home node of element i.
-func (a *Array) HomeOf(i int) int { return a.home(a.At(i)) }
-
 // OwnerRange returns the half-open element range [lo, hi) homed at node
 // for a Blocked array: the elements that node's processor can touch
 // without network traffic.  It panics for other policies.

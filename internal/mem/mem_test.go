@@ -31,8 +31,8 @@ func TestBlockedPlacement(t *testing.T) {
 	a := s.Alloc("x", 64, 8, Blocked) // 512 bytes, 128 per node
 	for i := 0; i < 64; i++ {
 		want := i / 16 // 16 elements of 8 bytes per 128-byte chunk
-		if got := a.HomeOf(i); got != want {
-			t.Fatalf("HomeOf(%d) = %d, want %d", i, got, want)
+		if got := a.home(a.At(i)); got != want {
+			t.Fatalf("home of element %d = %d, want %d", i, got, want)
 		}
 	}
 	lo, hi := a.OwnerRange(1)
@@ -60,8 +60,8 @@ func TestInterleavedPlacement(t *testing.T) {
 	s := NewSpace(4, 32)
 	a := s.Alloc("x", 32, 32, Interleaved) // one element per block
 	for i := 0; i < 32; i++ {
-		if got := a.HomeOf(i); got != i%4 {
-			t.Fatalf("HomeOf(%d) = %d, want %d", i, got, i%4)
+		if got := a.home(a.At(i)); got != i%4 {
+			t.Fatalf("home of element %d = %d, want %d", i, got, i%4)
 		}
 	}
 }
@@ -70,8 +70,8 @@ func TestFixedPlacement(t *testing.T) {
 	s := NewSpace(4, 32)
 	a := s.AllocAt("lock", 4, 8, 2)
 	for i := 0; i < 4; i++ {
-		if a.HomeOf(i) != 2 {
-			t.Fatalf("HomeOf(%d) != 2", i)
+		if a.home(a.At(i)) != 2 {
+			t.Fatalf("home of element %d != 2", i)
 		}
 	}
 	mustPanic(t, func() { s.AllocAt("bad", 1, 8, 7) })
@@ -117,8 +117,8 @@ func TestOwnerRangeCoversAllElements(t *testing.T) {
 				t.Fatalf("element %d in two ranges", i)
 			}
 			covered[i] = true
-			if a.HomeOf(i) != n {
-				t.Fatalf("OwnerRange(%d) contains element %d homed at %d", n, i, a.HomeOf(i))
+			if a.home(a.At(i)) != n {
+				t.Fatalf("OwnerRange(%d) contains element %d homed at %d", n, i, a.home(a.At(i)))
 			}
 		}
 	}

@@ -131,8 +131,6 @@ func NewTorus(p int) *Torus {
 
 func (t *Torus) Name() string  { return "torus" }
 func (t *Torus) P() int        { return t.p }
-func (t *Torus) Rows() int     { return t.rows }
-func (t *Torus) Cols() int     { return t.cols }
 func (t *Torus) NumLinks() int { return t.p * 4 }
 
 func (t *Torus) node(r, c int) int       { return r*t.cols + c }

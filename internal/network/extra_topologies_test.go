@@ -84,8 +84,8 @@ func TestRingOfTwo(t *testing.T) {
 
 func TestTorusProperties(t *testing.T) {
 	tor := NewTorus(16) // 4x4
-	if tor.Rows() != 4 || tor.Cols() != 4 {
-		t.Fatalf("torus(16) = %dx%d", tor.Rows(), tor.Cols())
+	if tor.rows != 4 || tor.cols != 4 {
+		t.Fatalf("torus(16) = %dx%d", tor.rows, tor.cols)
 	}
 	if tor.Diameter() != 4 {
 		t.Errorf("diameter = %d", tor.Diameter())
@@ -174,7 +174,7 @@ func TestExtraRouteBoundsProperty(t *testing.T) {
 			if len(r.Route(s, d)) > p/2 {
 				return false
 			}
-			if len(tor.Route(s, d)) > tor.Rows()/2+tor.Cols()/2 {
+			if len(tor.Route(s, d)) > tor.rows/2+tor.cols/2 {
 				return false
 			}
 		}

@@ -152,7 +152,6 @@ func NewCube(p int) *Cube {
 
 func (c *Cube) Name() string  { return "cube" }
 func (c *Cube) P() int        { return c.p }
-func (c *Cube) Dims() int     { return c.dims }
 func (c *Cube) NumLinks() int { return c.p * c.dims }
 
 // AppendRoute applies e-cube routing: correct differing address bits

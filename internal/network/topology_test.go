@@ -117,8 +117,8 @@ func TestFullProperties(t *testing.T) {
 
 func TestCubeProperties(t *testing.T) {
 	c := NewCube(16)
-	if c.Dims() != 4 || c.Diameter() != 4 {
-		t.Errorf("cube(16) dims=%d diameter=%d", c.Dims(), c.Diameter())
+	if c.dims != 4 || c.Diameter() != 4 {
+		t.Errorf("cube(16) dims=%d diameter=%d", c.dims, c.Diameter())
 	}
 	if c.BisectionLinks() != 16 {
 		t.Errorf("cube(16) bisection = %d, want 16", c.BisectionLinks())

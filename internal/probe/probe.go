@@ -203,18 +203,6 @@ type Profile struct {
 // EpochStart returns the simulated time at which epoch i begins.
 func (p *Profile) EpochStart(i int) sim.Time { return sim.Time(i) * p.EpochLen }
 
-// Sum returns bucket b summed over all processors and epochs; it equals
-// the aggregate stats.Run.Sum of the same run by construction.
-func (p *Profile) Sum(b stats.Bucket) sim.Time {
-	var t sim.Time
-	for i := range p.Epochs {
-		for j := range p.Epochs[i].Procs {
-			t += p.Epochs[i].Procs[j].Buckets[b]
-		}
-	}
-	return t
-}
-
 // EpochSum returns bucket b summed over the processors of epoch i.
 func (p *Profile) EpochSum(i int, b stats.Bucket) sim.Time {
 	var t sim.Time

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spasm"
+	"spasm/internal/sim"
 	"spasm/internal/stats"
 )
 
@@ -167,7 +168,11 @@ func TestResolutionCoarsening(t *testing.T) {
 	}
 	for b := range res.Stats.Procs[0].Time {
 		want := res.Stats.Sum(stats.Bucket(b))
-		if got := coarse.Sum(stats.Bucket(b)); got != want {
+		var got sim.Time
+		for i := range coarse.Epochs {
+			got += coarse.EpochSum(i, stats.Bucket(b))
+		}
+		if got != want {
 			t.Errorf("coarse profile bucket %v sum %v != aggregate %v", stats.Bucket(b), got, want)
 		}
 	}

@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"spasm/internal/app"
@@ -10,20 +9,6 @@ import (
 	"spasm/internal/machine"
 	"spasm/internal/stats"
 )
-
-// Markdown renders the table as GitHub-flavoured markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat(" --- |", len(t.Headers)) + "\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
-}
 
 // Cell formats beyond Table.Add's one-decimal default.
 func fixed(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }

@@ -28,17 +28,6 @@ func wantRow(t *testing.T, tb *Table, want ...string) {
 	}
 }
 
-func TestMarkdownTable(t *testing.T) {
-	tb := &Table{Title: "demo", Headers: []string{"a", "b"}}
-	tb.Add(1, 2.5)
-	out := tb.Markdown()
-	for _, want := range []string{"**demo**", "| a | b |", "| --- | --- |", "| 1 | 2.5 |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTableNote(t *testing.T) {
 	tb := &Table{Headers: []string{"a"}, Note: "(footnote)"}
 	tb.Add(1)

@@ -53,9 +53,6 @@ type Ctx struct {
 	reusable *machine.Reusable
 }
 
-// Config returns the canonical configuration the context is keyed by.
-func (c *Ctx) Config() machine.Config { return c.cfg }
-
 // Bind returns the context's machine attached to its (set-up) address
 // space.  Call it after the application's Setup has allocated, because
 // machine construction sizes the coherence directory from the space

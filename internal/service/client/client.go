@@ -1,7 +1,7 @@
 // Package client is a small Go client for the spasmd HTTP API
-// (internal/service).  It submits runs, polls them to completion,
-// fetches figures and sweeps, and reads the metrics page — the same
-// surface the end-to-end tests and examples/service_client exercise.
+// (internal/service).  It submits runs, polls or streams them to
+// completion, fetches figures, and reads the metrics page — the surface
+// examples/service_client and the benchmark exercise.
 package client
 
 import (
@@ -337,34 +337,16 @@ func (c *Client) RunStream(ctx context.Context, req service.RunRequest, onEvent 
 	if err != nil {
 		return nil, err
 	}
-	return c.stream(ctx, http.MethodPost, "/v1/runs?stream=1", body, onEvent)
-}
-
-// Stream attaches to an existing run's SSE feed by ID.  A run that is
-// already complete (cached in memory or in the durable store) yields
-// its single "result" event immediately; a pending run submitted with
-// streaming yields live epochs.
-func (c *Client) Stream(ctx context.Context, id string, onEvent func(StreamEvent) error) (*service.RunStatus, error) {
-	return c.stream(ctx, http.MethodGet, "/v1/runs/"+id+"/stream", nil, onEvent)
-}
-
-func (c *Client) stream(ctx context.Context, method, path string, body []byte, onEvent func(StreamEvent) error) (*service.RunStatus, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/runs?stream=1", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set("Accept", "text/event-stream")
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Accept", "text/event-stream")
 	if c.Tenant != "" {
-		req.Header.Set("X-Spasm-Tenant", c.Tenant)
+		hreq.Header.Set("X-Spasm-Tenant", c.Tenant)
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.httpClient().Do(hreq)
 	if err != nil {
 		return nil, err
 	}
@@ -455,26 +437,7 @@ func DecodeResult(st *service.RunStatus) (*report.RunDoc, error) {
 	return &doc, nil
 }
 
-// Profile fetches a completed run's time-resolved telemetry as the
-// JSON profile document.  The server materializes the profile on first
-// request and serves the memoized copy afterwards; a run still in
-// flight yields HTTP 409 (with a Retry-After hint) as an *apiError.
-func (c *Client) Profile(ctx context.Context, id string) (*report.ProfileDoc, error) {
-	var doc report.ProfileDoc
-	if err := c.do(ctx, http.MethodGet, "/v1/runs/"+id+"/profile", nil, &doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
-// ProfileRaw fetches a completed run's profile in its canonical compact
-// binary encoding — byte-identical across requests and across servers
-// for the same spec.  Decode it with spasm.DecodeProfile.
-func (c *Client) ProfileRaw(ctx context.Context, id string) ([]byte, error) {
-	return c.doRaw(ctx, http.MethodGet, "/v1/runs/"+id+"/profile?format=bin", nil)
-}
-
-// SweepOpts narrows a figure or sweep request; zero values mean the
+// SweepOpts narrows a figure request; zero values mean the
 // server's defaults (scale small, seed 1, procs 2..64, the paper's
 // three machines).
 type SweepOpts struct {
@@ -514,19 +477,6 @@ func (c *Client) Figure(ctx context.Context, n int, opts SweepOpts) (*report.Fig
 	}
 	var doc report.FigureDoc
 	if err := c.do(ctx, http.MethodGet, path, nil, &doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
-// Sweep runs an ad-hoc (application, topology, metric) sweep.
-func (c *Client) Sweep(ctx context.Context, app, topo, metric string, opts SweepOpts) (*report.FigureDoc, error) {
-	q := opts.query()
-	q.Set("app", app)
-	q.Set("topo", topo)
-	q.Set("metric", metric)
-	var doc report.FigureDoc
-	if err := c.do(ctx, http.MethodGet, "/v1/sweeps?"+q.Encode(), nil, &doc); err != nil {
 		return nil, err
 	}
 	return &doc, nil

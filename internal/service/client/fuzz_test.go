@@ -48,7 +48,7 @@ func recordStream(f *testing.F) []byte {
 }
 
 // FuzzStream serves arbitrary bytes as a run's SSE feed, starting from a
-// recorded real stream and its truncations.  Stream must never panic or
+// recorded real stream and its truncations.  RunStream must never panic or
 // hang, and it returns either an error or the status carried by the
 // stream's last "result" event.
 func FuzzStream(f *testing.F) {
@@ -78,21 +78,21 @@ func FuzzStream(f *testing.F) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		var last json.RawMessage
-		st, err := c.Stream(ctx, "feed", func(ev StreamEvent) error {
+		st, err := c.RunStream(ctx, service.RunRequest{}, func(ev StreamEvent) error {
 			if ev.Event == "result" {
 				last = ev.Data
 			}
 			return nil
 		})
 		if ctx.Err() != nil {
-			t.Fatalf("Stream on %q did not return within 10 s", data)
+			t.Fatalf("RunStream on %q did not return within 10 s", data)
 		}
 		if err != nil {
 			return
 		}
 		var want service.RunStatus
 		if err := json.Unmarshal(last, &want); err != nil || !reflect.DeepEqual(st, &want) {
-			t.Fatalf("Stream on %q returned %+v, the last result event is %q", data, st, last)
+			t.Fatalf("RunStream on %q returned %+v, the last result event is %q", data, st, last)
 		}
 	})
 }

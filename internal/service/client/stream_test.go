@@ -14,7 +14,7 @@ import (
 // SSE parser joins with a newline.
 const multiLineFeed = "event: epoch\ndata:  x\n\nevent: result\ndata: {\"id\":\"abc\",\ndata: \"state\":\"done\"}\n\n"
 
-// TestStreamDataLines checks the SSE field rules Stream follows: data
+// TestStreamDataLines checks the SSE field rules RunStream follows: data
 // lines join with "\n", and only the one space after the colon goes.
 func TestStreamDataLines(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -26,7 +26,7 @@ func TestStreamDataLines(t *testing.T) {
 	defer cancel()
 
 	var got []StreamEvent
-	st, err := New(ts.URL).Stream(ctx, "abc", func(ev StreamEvent) error {
+	st, err := New(ts.URL).RunStream(ctx, service.RunRequest{}, func(ev StreamEvent) error {
 		got = append(got, ev)
 		return nil
 	})

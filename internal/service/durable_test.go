@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
@@ -36,9 +37,9 @@ func TestStoreWarmRestart(t *testing.T) {
 	if first.State != service.StateDone || first.Cached {
 		t.Fatalf("first run: state=%s cached=%v, want a fresh done run", first.State, first.Cached)
 	}
-	firstProf, err := c1.ProfileRaw(ctx, first.ID)
-	if err != nil {
-		t.Fatal(err)
+	status, firstProf := get(t, c1.BaseURL+"/v1/runs/"+first.ID+"/profile?format=bin")
+	if status != http.StatusOK {
+		t.Fatalf("first profile: HTTP %d: %s", status, firstProf)
 	}
 
 	// Second process: same directory, fresh memory.  The submission is
@@ -61,9 +62,9 @@ func TestStoreWarmRestart(t *testing.T) {
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Fatalf("result bytes differ across restart:\n%s\nvs\n%s", first.Result, second.Result)
 	}
-	secondProf, err := c2.ProfileRaw(ctx, first.ID)
-	if err != nil {
-		t.Fatal(err)
+	status, secondProf := get(t, c2.BaseURL+"/v1/runs/"+first.ID+"/profile?format=bin")
+	if status != http.StatusOK {
+		t.Fatalf("restarted profile: HTTP %d: %s", status, secondProf)
 	}
 	if !bytes.Equal(firstProf, secondProf) {
 		t.Fatal("profile bytes differ across restart")

@@ -120,23 +120,14 @@ func (s *Server) submitStatus(w http.ResponseWriter, j *Job, err error) {
 }
 
 // tenantOf extracts the request's fair-share bucket from the
-// X-Spasm-Tenant header.  Names are restricted to a filesystem- and
-// metrics-label-safe alphabet and a sane length; anything else falls to
-// the default tenant rather than erroring (a tenant header is a hint,
-// not a credential).
+// X-Spasm-Tenant header.  A name validTenant rejects falls to the
+// default tenant rather than erroring (a tenant header is a hint, not a
+// credential).
 func tenantOf(r *http.Request) string {
-	name := r.Header.Get("X-Spasm-Tenant")
-	if name == "" || len(name) > 64 {
-		return DefaultTenant
+	if name := r.Header.Get("X-Spasm-Tenant"); validTenant(name) {
+		return name
 	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' {
-			continue
-		}
-		return DefaultTenant
-	}
-	return name
+	return DefaultTenant
 }
 
 // decodeRunRequest parses a submission body strictly: one JSON object,

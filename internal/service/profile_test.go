@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"spasm"
 	"spasm/internal/faults"
+	"spasm/internal/report"
 	"spasm/internal/service"
 	"spasm/internal/service/client"
 )
@@ -38,9 +40,11 @@ func TestProfileEndpoint(t *testing.T) {
 
 	// First fetch computes the profile; the JSON document must carry
 	// the run's identity and a plausible epoch series.
-	doc, err := cl.Profile(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
+	profile := cl.BaseURL + "/v1/runs/" + st.ID + "/profile"
+	status, body := get(t, profile)
+	var doc report.ProfileDoc
+	if err := json.Unmarshal(body, &doc); status != http.StatusOK || err != nil {
+		t.Fatalf("profile: HTTP %d, %v: %s", status, err, body)
 	}
 	if doc.App != "ep" || doc.Machine != "target" || doc.P != 4 {
 		t.Fatalf("profile identity wrong: %+v", doc)
@@ -51,13 +55,10 @@ func TestProfileEndpoint(t *testing.T) {
 
 	// The binary form is byte-identical across fetches, and identical
 	// to profiling the same spec directly.
-	raw1, err := cl.ProfileRaw(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw2, err := cl.ProfileRaw(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
+	status1, raw1 := get(t, profile+"?format=bin")
+	status2, raw2 := get(t, profile+"?format=bin")
+	if status1 != http.StatusOK || status2 != http.StatusOK {
+		t.Fatalf("binary profile: HTTP %d then %d", status1, status2)
 	}
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatal("binary profile not byte-identical across fetches")
@@ -115,8 +116,8 @@ func TestProfileErrors(t *testing.T) {
 	svc, cl := newTestService(t, service.Config{Workers: 1, CacheSize: 16})
 	ctx := context.Background()
 
-	if _, err := cl.Profile(ctx, strings.Repeat("0", 64)); !isStatus(err, http.StatusNotFound) {
-		t.Errorf("unknown id: got %v, want 404", err)
+	if status, _ := get(t, cl.BaseURL+"/v1/runs/"+strings.Repeat("0", 64)+"/profile"); status != http.StatusNotFound {
+		t.Errorf("unknown id: HTTP %d, want 404", status)
 	}
 
 	// A failed run serves 422 from its cached failure.
@@ -130,8 +131,8 @@ func TestProfileErrors(t *testing.T) {
 	if st.State != service.StateFailed {
 		t.Fatalf("injected failure: state %s", st.State)
 	}
-	if _, err := cl.Profile(ctx, st.ID); !isStatus(err, http.StatusUnprocessableEntity) {
-		t.Errorf("failed run: got %v, want 422", err)
+	if status, _ := get(t, cl.BaseURL+"/v1/runs/"+st.ID+"/profile"); status != http.StatusUnprocessableEntity {
+		t.Errorf("failed run: HTTP %d, want 422", status)
 	}
 
 	// Bad ?format= on a good run is a 400.

@@ -132,7 +132,7 @@ const (
 	StateDone    State = "done"
 	StateFailed  State = "failed"
 	// StateCanceled marks a job dropped before execution because every
-	// waiter abandoned it (see SubmitWaited).  Canceled outcomes are
+	// waiter abandoned it (see submitWaited).  Canceled outcomes are
 	// never cached: they reflect client behaviour, not the spec.
 	StateCanceled State = "canceled"
 )
@@ -182,7 +182,7 @@ type Job struct {
 	// instead of 202.
 	cached bool
 	// waiters and pinned drive pre-execution cancellation: waiters
-	// counts the SubmitWaited registrations still attached, and pinned
+	// counts the submitWaited registrations still attached, and pinned
 	// marks a job with at least one plain Submit (poll-based clients
 	// never release, so their jobs are never canceled).  A pending job
 	// whose last waiter releases — and that is not pinned — is dropped
@@ -190,12 +190,6 @@ type Job struct {
 	waiters int
 	pinned  bool
 }
-
-// ID returns the job's content address (the spec's SHA-256).
-func (j *Job) ID() string { return j.id }
-
-// Done is closed when the job completes (done or failed).
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // closedChan is the pre-closed done channel shared by cache-hit jobs.
 var closedChan = func() chan struct{} {
@@ -291,18 +285,14 @@ func (s *Server) Submit(spec spasm.Spec) (job *Job, hit bool, err error) {
 	return s.submit(spec, submitOpts{pin: true})
 }
 
-// SubmitWaited is Submit for clients that stay attached to the result:
-// it registers the caller as a waiter and returns a release function
-// the caller must invoke exactly once when it stops caring (normally
-// deferred).  A pending job whose waiters all release — and that no
-// plain Submit pinned — is canceled before it reaches a worker: its
-// state becomes StateCanceled, Done closes, and nothing is cached.
-// Jobs already running are never canceled (the simulation's cost is
-// sunk; its deterministic result is worth keeping).
-func (s *Server) SubmitWaited(spec spasm.Spec) (job *Job, hit bool, release func(), err error) {
-	return s.submitWaited(spec, submitOpts{})
-}
-
+// submitWaited is submit for clients that stay attached to the result
+// (a stream, a figure's points): it registers the caller as a waiter and
+// returns a release function the caller must invoke exactly once when it
+// stops caring (normally deferred).  A pending job whose waiters all
+// release — and that no plain Submit pinned — is canceled before it
+// reaches a worker: its state becomes StateCanceled, done closes, and
+// nothing is cached.  Jobs already running are never canceled (the
+// simulation's cost is sunk; its deterministic result is worth keeping).
 func (s *Server) submitWaited(spec spasm.Spec, opt submitOpts) (job *Job, hit bool, release func(), err error) {
 	opt.pin = false
 	j, hit, err := s.submit(spec, opt)
@@ -380,7 +370,7 @@ func cachedJob(e *entry) *Job {
 	return &Job{id: e.id, req: e.req, state: e.state(), entry: e, done: closedChan, cached: true}
 }
 
-// releaseWaiter detaches one SubmitWaited (or stream) registration from
+// releaseWaiter detaches one submitWaited (or stream) registration from
 // j.  When the last waiter of an unpinned, still-pending job departs,
 // the job is canceled in place: it leaves the active set and the fair
 // queue (so a later identical submission starts fresh) and its Done

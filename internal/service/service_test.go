@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -34,6 +35,21 @@ func newTestService(t *testing.T, cfg service.Config) (*service.Server, *client.
 		}
 	})
 	return svc, client.New(ts.URL)
+}
+
+// get fetches url and returns the status code and the body.
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
 }
 
 // TestEndToEnd drives the full service loop over HTTP: submit a run,
@@ -152,10 +168,10 @@ func TestFigureEndpoint(t *testing.T) {
 // extension workload on an extension topology.
 func TestSweepEndpoint(t *testing.T) {
 	_, cl := newTestService(t, service.Config{Workers: 4})
-	fig, err := cl.Sweep(context.Background(), "mg", "torus", "exec",
-		client.SweepOpts{Scale: "tiny", Procs: []int{2, 4}, Machines: []string{"logp", "target"}})
-	if err != nil {
-		t.Fatal(err)
+	status, body := get(t, cl.BaseURL+"/v1/sweeps?app=mg&topo=torus&metric=exec&scale=tiny&procs=2,4&machines=logp,target")
+	var fig report.FigureDoc
+	if err := json.Unmarshal(body, &fig); status != http.StatusOK || err != nil {
+		t.Fatalf("sweep: HTTP %d, %v: %s", status, err, body)
 	}
 	if len(fig.Series) != 2 || len(fig.Series[0].Points) != 2 {
 		t.Fatalf("sweep shape: %d series x %d points, want 2x2", len(fig.Series), len(fig.Series[0].Points))

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
@@ -197,22 +198,20 @@ func TestStreamCachedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []string
-	final, err := c.Stream(ctx, first.ID, func(ev client.StreamEvent) error {
-		events = append(events, ev.Event)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	status, body := get(t, c.BaseURL+"/v1/runs/"+first.ID+"/stream")
+	data, ok := strings.CutPrefix(string(body), "event: result\ndata: ")
+	if status != http.StatusOK || !ok || !strings.HasSuffix(data, "\n\n") || strings.Contains(data, "\nevent:") {
+		t.Fatalf("cached stream: HTTP %d %q, want exactly one result event", status, body)
 	}
-	if len(events) != 1 || events[0] != "result" {
-		t.Fatalf("cached stream events %v, want exactly one result", events)
+	var final service.RunStatus
+	if err := json.Unmarshal([]byte(data), &final); err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(final.Result, first.Result) {
 		t.Fatal("cached stream result differs from the original run")
 	}
-	if _, err := c.Stream(ctx, strings.Repeat("ab", 32), nil); err == nil {
-		t.Fatal("stream of an unknown run should 404")
+	if status, _ := get(t, c.BaseURL+"/v1/runs/"+strings.Repeat("ab", 32)+"/stream"); status != http.StatusNotFound {
+		t.Fatalf("stream of an unknown run: HTTP %d, want 404", status)
 	}
 }
 

@@ -144,7 +144,7 @@ func streamEpoch(ev probe.EpochEvent) streamEpochDoc {
 //
 // The subscription counts as a waiter: a pending, unpinned job whose
 // streaming clients all disconnect is canceled before it burns a
-// worker, exactly like SubmitWaited departures.
+// worker, exactly like submitWaited departures.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()

@@ -2,7 +2,10 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // DefaultTenant is the bucket for requests that carry no tenant header.
@@ -17,8 +20,51 @@ var ErrTenantQuota = errors.New("service: tenant over admission quota")
 
 // strideUnit is the stride numerator: a tenant of weight w advances its
 // pass by strideUnit/w per job scheduled, so relative throughput is
-// proportional to weight.
+// proportional to weight.  It is also the largest weight: a heavier
+// tenant's stride would be 0, and a pass that never advances wins every
+// dispatch.
 const strideUnit = 1 << 20
+
+// validTenant reports whether name is one the HTTP edge routes to: 1 to
+// 64 characters of a filesystem- and metrics-label-safe alphabet.
+func validTenant(name string) bool {
+	if name == "" || len(name) > 64 {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_') {
+			return false
+		}
+	}
+	return true
+}
+
+// ParseTenantWeights parses "alice=4,bob=1" into Config.TenantWeights.
+// Each name must be one a request can carry and each weight an integer
+// from 1 to strideUnit; any other entry is an error rather than a weight
+// that silently never applies.
+func ParseTenantWeights(s string) (map[string]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	out := make(map[string]int)
+	for _, part := range strings.Split(s, ",") {
+		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return nil, errors.New("want tenant=weight pairs, e.g. alice=4,bob=1")
+		}
+		if !validTenant(name) {
+			return nil, fmt.Errorf("tenant name %q: want 1-64 characters of A-Z a-z 0-9 - _", name)
+		}
+		w, err := strconv.Atoi(val)
+		if err != nil || w < 1 || w > strideUnit {
+			return nil, fmt.Errorf("tenant %s: weight %q is not an integer from 1 to %d", name, val, strideUnit)
+		}
+		out[name] = w
+	}
+	return out, nil
+}
 
 // tenantQueue is one tenant's admission state: its FIFO of pending jobs
 // plus the accounting the quotas and the scheduler need.
@@ -87,10 +133,7 @@ func (q *fairQueue) bucket(tenant string) *tenantQueue {
 		}
 		tenant = overflowTenant
 	}
-	w := q.weights[tenant]
-	if w < 1 {
-		w = 1
-	}
+	w := min(max(q.weights[tenant], 1), strideUnit)
 	t := &tenantQueue{name: tenant, weight: w, pass: q.base}
 	q.tenants[tenant] = t
 	return t

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,6 +41,46 @@ func TestFairQueueStride(t *testing.T) {
 	}
 	if got["heavy"] != 20 || got["light"] != 10 {
 		t.Fatalf("30 dispatches split %v, want heavy=20 light=10", got)
+	}
+}
+
+// TestFairQueueCapsWeight: a weight above strideUnit would make its
+// stride 0, and a backlogged tenant whose pass never advances wins every
+// dispatch; the cap keeps it advancing, so the other tenant is served.
+func TestFairQueueCapsWeight(t *testing.T) {
+	fq := newFairQueue(Config{QueueDepth: 100, MaxTenants: 8,
+		TenantWeights: map[string]int{"alice": 1 << 21}})
+	for i := 0; i < 3; i++ {
+		fq.push(fqJob("alice", i, 0))
+		fq.push(fqJob("bob", i, 0))
+	}
+	got := map[string]int{}
+	for i := 0; i < 3; i++ {
+		got[fq.pop().tenant]++
+	}
+	if got["bob"] == 0 {
+		t.Fatalf("3 dispatches split %v: bob was never dispatched", got)
+	}
+}
+
+// TestParseTenantWeights: -tenant-weights takes only entries that can
+// take effect: names a request can carry, weights the scheduler can
+// honour.
+func TestParseTenantWeights(t *testing.T) {
+	got, err := ParseTenantWeights("alice=4, bob=1,c-d_e=1048576")
+	if want := map[string]int{"alice": 4, "bob": 1, "c-d_e": strideUnit}; err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("valid weights parsed to %v, %v; want %v", got, err, want)
+	}
+	for _, bad := range []string{
+		"team.a=4",                          // tenantOf never routes a dot
+		strings.Repeat("a", 65) + "=4",      // nor a name over 64 characters
+		"alice =4",                          // nor "alice "
+		"alice=2097152",                     // a zero stride
+		"alice=0", "alice=x", "alice", "=4", // malformed
+	} {
+		if _, err := ParseTenantWeights(bad); err == nil {
+			t.Errorf("ParseTenantWeights(%q) accepted", bad)
+		}
 	}
 }
 
@@ -142,8 +184,8 @@ func TestProfileFlightSurvivesEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-j.Done()
-	id := j.ID()
+	<-j.done
+	id := j.id
 
 	// Simulate a leader mid-derivation, then evict the entry under it.
 	fl := &profFlight{done: make(chan struct{})}
@@ -154,7 +196,7 @@ func TestProfileFlightSurvivesEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-evict.Done()
+	<-evict.done
 	if _, stillCached := svc.results.lookup(id, false); stillCached {
 		t.Fatal("entry not evicted; test setup needs a smaller cache")
 	}

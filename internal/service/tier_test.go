@@ -48,11 +48,11 @@ func TestTierPrecedenceUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-j.Done()
+	<-j.done
 	if j.entry.err != "" {
 		t.Fatalf("seeding run failed: %s", j.entry.err)
 	}
-	id := j.ID()
+	id := j.id
 
 	endpoints := []struct {
 		name  string
@@ -128,11 +128,11 @@ func TestTierRetiresOlderModel(t *testing.T) {
 		if st, err := svc.Wait(ctx, j); err != nil || st.State != StateDone {
 			t.Fatalf("run %+v: state %v, err %v", spec, st.State, err)
 		}
-		_, raw, err := svc.Profile(j.ID())
+		_, raw, err := svc.Profile(j.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return j.ID(), raw, cached
+		return j.id, raw, cached
 	}
 	spec := spasm.Spec{App: "ep", Scale: spasm.Tiny, Machine: spasm.LogP, P: 2}
 	other := spec

@@ -95,30 +95,6 @@ func TestInterruptConcurrentWithRun(t *testing.T) {
 	settleGoroutines(t, base+1) // the interrupter itself may still be exiting
 }
 
-// TestMaxTimeUnwindsGoroutines: the simulated-time watchdog keeps its
-// *TimeLimitError identity and now also unwinds the runaway processes.
-func TestMaxTimeUnwindsGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e := NewEngine()
-	e.MaxTime = 1000
-	var q Queue
-	e.Spawn("parked", func(p *Proc) { q.Wait(p) })
-	e.Spawn("spinner", func(p *Proc) {
-		for {
-			p.Hold(100)
-		}
-	})
-	err := e.Run()
-	var tl *TimeLimitError
-	if !errors.As(err, &tl) {
-		t.Fatalf("want TimeLimitError, got %v", err)
-	}
-	if !allTerminated(e) {
-		t.Fatal("timed-out run left live processes")
-	}
-	settleGoroutines(t, base)
-}
-
 // TestAbortSurvivesCleanupWakes: deferred cleanup in unwinding
 // application frames (the lock-release idiom) may Wake peers the abort
 // has already resumed; the run must still report *AbortError — the
@@ -170,7 +146,7 @@ func TestResetAfterInterrupt(t *testing.T) {
 		t.Fatal("interrupted run succeeded")
 	}
 	e.Reset()
-	if e.Interrupted() {
+	if e.stop.Load() {
 		t.Fatal("Reset did not clear the stop flag")
 	}
 	ran := false
@@ -235,9 +211,9 @@ func deepChain(e *Engine, depth *int, hit func(p *Proc)) {
 }
 
 // TestVehicleLeavesNoGoroutines: whatever ends a run — a panicking body,
-// a deadlock, an interrupt that finds processes mid-Hold, the time limit,
-// or plain completion with a process spawned mid-run — every coroutine
-// has finished by the time Run returns: the goroutine count is back at its
+// a deadlock, an interrupt that finds processes mid-Hold, or plain
+// completion with a process spawned mid-run — every coroutine has
+// finished by the time Run returns: the goroutine count is back at its
 // baseline.  Two workers change nothing: a parallel window runs step
 // functions only, so every case falls back to the sequential kernel.  The
 // deep-chain cases end a run while 63 coroutines are suspended inside one
@@ -245,7 +221,6 @@ func deepChain(e *Engine, depth *int, hit func(p *Proc)) {
 func TestVehicleLeavesNoGoroutines(t *testing.T) {
 	var dl *DeadlockError
 	var ab *AbortError
-	var tl *TimeLimitError
 	var depth int
 	cases := []struct {
 		name  string
@@ -270,12 +245,6 @@ func TestVehicleLeavesNoGoroutines(t *testing.T) {
 				}
 			})
 		}, func(err error) bool { return errors.As(err, &ab) }, true},
-		{"deep-chain-max-time", func(e *Engine) {
-			// The last process's fourth turn is at 3*64+63; the next
-			// dispatch crosses the limit.
-			e.MaxTime = 3*64 + 63
-			deepChain(e, &depth, func(*Proc) {})
-		}, func(err error) bool { return errors.As(err, &tl) }, true},
 		{"panic", func(e *Engine) {
 			var q Queue
 			e.Spawn("parked", func(p *Proc) { q.Wait(p) })

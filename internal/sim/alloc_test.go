@@ -120,7 +120,7 @@ func TestQueueRetainsNoProcsAfterRun(t *testing.T) {
 }
 
 // TestWaitQueuesAllocateNothing: in steady state an 8-contender lock
-// convoy and a Wait/WakeOne churn reuse their wait queues' backing
+// convoy and a Wait/wakeOne churn reuse their wait queues' backing
 // arrays.  A FIFO that pops by re-slicing from the front slides along its
 // array and reallocates it whenever it reaches the end.
 func TestWaitQueuesAllocateNothing(t *testing.T) {
@@ -182,9 +182,9 @@ func TestWaitQueuesAllocateNothing(t *testing.T) {
 	})
 	measure("wait/wake churn", e, func(m *Proc) {
 		m.Hold(1)
-		q.WakeOne()
+		wakeOne(&q)
 		m.Hold(1)
-		q.WakeOne()
+		wakeOne(&q)
 	}, &done)
 }
 
@@ -204,13 +204,12 @@ func scanWaiters(t *testing.T, q *Queue, what string) {
 
 // TestWaitQueuesRetainNoProcs: a drained Queue or Lock holds no *Proc in
 // any slot of its backing array, whichever way its waiters left — lock
-// handoff, WakeOne, WakeAll (a barrier) or Remove — so a pooled engine's
-// lock that the next run never touches pins none of the last run's
-// processes.
+// handoff, wakeOne or WakeAll (a barrier) — so a pooled engine's lock
+// that the next run never touches pins none of the last run's processes.
 func TestWaitQueuesRetainNoProcs(t *testing.T) {
 	e := NewEngine()
 	var l Lock
-	var q, removed Queue
+	var q Queue
 	b := NewBarrier(6)
 	for i := 0; i < 6; i++ {
 		e.Spawn("worker", func(p *Proc) {
@@ -225,24 +224,9 @@ func TestWaitQueuesRetainNoProcs(t *testing.T) {
 	}
 	e.Spawn("waker", func(p *Proc) {
 		p.Hold(1000)
-		for q.WakeOne() {
+		for wakeOne(&q) {
 			p.Hold(1)
 		}
-	})
-	var victim *Proc
-	for i := 0; i < 3; i++ {
-		w := e.Spawn("removable", func(p *Proc) { removed.Wait(p) })
-		if i == 1 {
-			victim = w
-		}
-	}
-	e.Spawn("remover", func(p *Proc) {
-		p.Hold(10)
-		if !removed.Remove(victim) {
-			t.Error("Remove found no waiter")
-		}
-		victim.Wake()
-		removed.WakeAll()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -250,7 +234,6 @@ func TestWaitQueuesRetainNoProcs(t *testing.T) {
 	scanWaiters(t, &l.q, "lock")
 	scanWaiters(t, &b.q, "barrier")
 	scanWaiters(t, &q, "queue")
-	scanWaiters(t, &removed, "queue after Remove")
 }
 
 // TestHandoffStress exercises dispatch under churn: many engines, wake
@@ -274,12 +257,12 @@ func TestHandoffStress(t *testing.T) {
 						q.Wait(p)
 					default:
 						p.Defer(2)
-						p.Yield()
-						for q.WakeOne() {
+						yield(p)
+						for wakeOne(&q) {
 						}
 					}
 				}
-				for q.WakeOne() {
+				for wakeOne(&q) {
 				}
 			})
 		}

@@ -150,7 +150,7 @@ var dispatchScenarios = []struct {
 					q.Wait(p)
 					see(p)
 					if r%3 == 0 {
-						p.Yield()
+						yield(p)
 						see(p)
 					}
 				}
@@ -161,9 +161,9 @@ var dispatchScenarios = []struct {
 				p.Hold(3)
 				see(p)
 				for k := 0; k < waiters/2; k++ {
-					q.WakeOne() // resumes a waiter at the current time
+					wakeOne(&q) // resumes a waiter at the current time
 				}
-				p.Yield()
+				yield(p)
 				see(p)
 				q.WakeAll()
 			}

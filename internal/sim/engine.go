@@ -132,7 +132,7 @@ type Engine struct {
 	// every remaining process is being resumed one final time so it can
 	// unwind (panic with abortSignal) and terminate.  Unwinding instead
 	// of abandoning suspended coroutines is what makes failed runs —
-	// panics, deadlocks, time limits, aborts — leak no goroutines.
+	// panics, deadlocks, aborts — leak no goroutines.
 	aborting bool
 	abortErr error // the run result recorded when the unwind began
 
@@ -140,11 +140,6 @@ type Engine struct {
 	// simulator-cost metric used by the paper's "speed of simulation"
 	// comparison (more simulated events = slower simulation).
 	Events uint64
-
-	// MaxTime, when positive, aborts Run with a *TimeLimitError once
-	// the simulated clock passes it — a watchdog against runaway
-	// simulations (livelocked spin loops, mis-sized workloads).
-	MaxTime Time
 
 	// Tick, when non-nil, is invoked from the dispatch path every time
 	// the simulated clock is about to advance to a strictly later value,
@@ -157,7 +152,7 @@ type Engine struct {
 	// Parallel-mode configuration and per-run outcome (see SetParallel
 	// and parallel.go).  par is non-nil exactly while a parallel Run is
 	// in flight; everything else is per-run configuration or reporting,
-	// cleared by Reset like Tick and MaxTime.
+	// cleared by Reset like Tick.
 	pworkers int
 	par      *parGate
 	parRan   bool
@@ -178,12 +173,12 @@ func NewEngine() *Engine {
 // without reallocating them.  All retained slots are cleared so no *Proc
 // (and hence no coroutine stack, no Stepper) from the previous run stays
 // reachable; a slab's Procs are handed out again, so a *Proc of a
-// stackless process is dead once its engine is Reset.  The per-run hooks
-// (Tick, MaxTime) are cleared too: they are configuration of one run,
-// not of the engine.
+// stackless process is dead once its engine is Reset.  The per-run hook
+// Tick is cleared too: it is configuration of one run, not of the
+// engine.
 //
 // Reset must not be called while Run is in flight.  A failed run
-// (deadlock, panic, time limit, Interrupt) unwinds every process
+// (deadlock, panic, Interrupt) unwinds every process
 // coroutine before Run returns, so nothing from the old run survives —
 // but its mid-flight machine and address-space state may, which is why
 // pooled contexts whose run did not complete cleanly are discarded
@@ -212,7 +207,6 @@ func (e *Engine) Reset() {
 	e.switches = 0
 	e.failure = nil
 	e.Events = 0
-	e.MaxTime = 0
 	e.Tick = nil
 	e.stop.Store(false)
 	e.aborting = false
@@ -234,9 +228,6 @@ func (e *Engine) Reset() {
 // finished, leaking none.  Interrupting an engine whose Run has already
 // returned is a harmless no-op (Reset clears the flag).
 func (e *Engine) Interrupt() { e.stop.Store(true) }
-
-// Interrupted reports whether an abort has been requested.
-func (e *Engine) Interrupted() bool { return e.stop.Load() }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -323,9 +314,6 @@ func (e *Engine) advance(cur *Proc) bool {
 				e.Tick(ev.at)
 			}
 			e.now = ev.at
-			if !e.aborting && e.MaxTime > 0 && e.now > e.MaxTime {
-				e.beginAbort(&TimeLimitError{Limit: e.MaxTime, At: e.now})
-			}
 		}
 		e.Events++
 		ev.p.parked = false
@@ -354,8 +342,7 @@ func (e *Engine) beginAbort(reason error) {
 }
 
 // runResult classifies a finished run: the first process failure wins,
-// then the recorded abort reason (interrupt, time limit, or deadlock),
-// then success.
+// then the recorded abort reason (interrupt or deadlock), then success.
 func (e *Engine) runResult() error {
 	if e.failure != nil {
 		return e.failure
@@ -392,7 +379,7 @@ func (e *Engine) SpawnIndexed(prefix string, fn func(*Proc)) *Proc {
 // Run's loop calls Step at each of the process's events; Step does local
 // work (Defer) and returns when the process resumes — its local clock, if
 // that is later — or done, which terminates it.  It must not block: Hold,
-// HoldUntil, FlushLag, Park, Yield and all that is built on them panic.
+// HoldUntil, FlushLag, Park and all that is built on them panic.
 // In a parallel window (SetParallel) Steps of different processes run at
 // once: a Step must not spawn, reads the clock through p.Now, and touches
 // what other processes share only inside p.Ordered.
@@ -561,16 +548,6 @@ type DeadlockError struct {
 func (d *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at %v: blocked processes: %s",
 		d.At, strings.Join(d.Procs, ", "))
-}
-
-// TimeLimitError reports that the simulation exceeded Engine.MaxTime.
-type TimeLimitError struct {
-	Limit Time
-	At    Time
-}
-
-func (t *TimeLimitError) Error() string {
-	return fmt.Sprintf("sim: simulated time %v exceeded the %v limit", t.At, t.Limit)
 }
 
 // AbortError reports that the run was aborted by Interrupt — the

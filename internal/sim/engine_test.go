@@ -138,6 +138,25 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// wakeOne wakes q's longest-waiting process, if any, the way Lock's
+// release hands over, and reports whether one was woken.
+func wakeOne(q *Queue) bool {
+	if q.Len() == 0 {
+		return false
+	}
+	q.pop().Wake()
+	return true
+}
+
+// yield reschedules p at its local time behind every process already
+// scheduled there.
+func yield(p *Proc) {
+	at := p.eng.now + p.lag
+	p.lag = 0
+	p.eng.schedule(at, p)
+	p.block("yield")
+}
+
 func TestQueueWakeOneFIFO(t *testing.T) {
 	e := NewEngine()
 	var q Queue
@@ -151,7 +170,7 @@ func TestQueueWakeOneFIFO(t *testing.T) {
 	}
 	e.Spawn("waker", func(p *Proc) {
 		p.Hold(10)
-		for q.WakeOne() {
+		for wakeOne(&q) {
 			p.Hold(10)
 		}
 	})
@@ -177,36 +196,6 @@ func TestQueueWaitReportsTime(t *testing.T) {
 	}
 	if waited != 123 {
 		t.Errorf("waited = %v, want 123", waited)
-	}
-}
-
-func TestQueueRemove(t *testing.T) {
-	e := NewEngine()
-	var q Queue
-	done := false
-	e.Spawn("a", func(p *Proc) {
-		e.Spawn("b", func(b *Proc) {
-			q.Wait(b)
-			done = true
-		})
-		p.Hold(10)
-		if q.Len() != 1 {
-			t.Errorf("queue len = %d", q.Len())
-		}
-		other := e.Procs()[1]
-		if !q.Remove(other) {
-			t.Error("Remove failed")
-		}
-		if q.Remove(other) {
-			t.Error("double Remove succeeded")
-		}
-		other.Wake() // still parked; wake manually so the run terminates
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Error("b never resumed")
 	}
 }
 
@@ -357,35 +346,6 @@ func TestWakeNonParkedPanics(t *testing.T) {
 		p.Wake()
 	})
 	_ = e.Run()
-}
-
-func TestMaxTimeWatchdog(t *testing.T) {
-	e := NewEngine()
-	e.MaxTime = 1000
-	e.Spawn("spinner", func(p *Proc) {
-		for {
-			p.Hold(100)
-		}
-	})
-	err := e.Run()
-	var tl *TimeLimitError
-	if !errors.As(err, &tl) {
-		t.Fatalf("want TimeLimitError, got %v", err)
-	}
-	if tl.Limit != 1000 || tl.At <= 1000 {
-		t.Errorf("limit=%v at=%v", tl.Limit, tl.At)
-	}
-	if tl.Error() == "" {
-		t.Error("empty message")
-	}
-}
-
-func TestMaxTimeZeroMeansUnlimited(t *testing.T) {
-	e := NewEngine()
-	e.Spawn("a", func(p *Proc) { p.Hold(Forever / 2) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestProcessPanicBecomesRunError(t *testing.T) {

@@ -15,8 +15,8 @@ func TestDeferAdvancesLocalClockOnly(t *testing.T) {
 		if e.Now() != 0 {
 			t.Errorf("global now = %v, want 0", e.Now())
 		}
-		if p.Lag() != 100 {
-			t.Errorf("lag = %v", p.Lag())
+		if p.lag != 100 {
+			t.Errorf("lag = %v", p.lag)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -29,8 +29,8 @@ func TestDeferFoldsIntoNextHold(t *testing.T) {
 	e.Spawn("a", func(p *Proc) {
 		p.Defer(100)
 		p.Hold(50) // one event, landing at 150
-		if p.Now() != 150 || p.Lag() != 0 {
-			t.Errorf("now = %v, lag = %v", p.Now(), p.Lag())
+		if p.Now() != 150 || p.lag != 0 {
+			t.Errorf("now = %v, lag = %v", p.Now(), p.lag)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -94,8 +94,8 @@ func TestFlushLagMaterializes(t *testing.T) {
 	e.Spawn("a", func(p *Proc) {
 		p.Defer(70)
 		p.FlushLag()
-		if p.Lag() != 0 || e.Now() != 70 || p.Now() != 70 {
-			t.Errorf("after flush: lag=%v global=%v local=%v", p.Lag(), e.Now(), p.Now())
+		if p.lag != 0 || e.Now() != 70 || p.Now() != 70 {
+			t.Errorf("after flush: lag=%v global=%v local=%v", p.lag, e.Now(), p.Now())
 		}
 		p.FlushLag() // no-op
 		if e.Events != 2 {
@@ -112,8 +112,8 @@ func TestHoldUntilClearsLag(t *testing.T) {
 	e.Spawn("a", func(p *Proc) {
 		p.Defer(100)
 		p.HoldUntil(300)
-		if p.Now() != 300 || p.Lag() != 0 {
-			t.Errorf("now=%v lag=%v", p.Now(), p.Lag())
+		if p.Now() != 300 || p.lag != 0 {
+			t.Errorf("now=%v lag=%v", p.Now(), p.lag)
 		}
 		p.Defer(100)
 		p.HoldUntil(350) // earlier than local 400: no-op
@@ -191,7 +191,7 @@ func TestDeferHoldEquivalenceProperty(t *testing.T) {
 				} else {
 					p.Hold(d)
 				}
-				if p.Now() != want || p.Lag() < 0 {
+				if p.Now() != want || p.lag < 0 {
 					ok = false
 				}
 			}

@@ -87,8 +87,6 @@ func (e *Engine) parFallback() string {
 	switch {
 	case e.Tick != nil:
 		return "tick-hook"
-	case e.MaxTime > 0:
-		return "time-limit-watchdog"
 	case len(e.procs) < 2:
 		return "single-process"
 	}

@@ -246,7 +246,6 @@ func TestParallelFallbackReasons(t *testing.T) {
 	}{
 		{NotStackless, func(e *Engine) { hops{n: 1, gap: 5}.spawn(e, false, func(*Proc) {}) }, NotStackless},
 		{"tick-hook", func(e *Engine) { e.Tick = func(Time) {} }, "tick-hook"},
-		{"time-limit", func(e *Engine) { e.MaxTime = 1 << 40 }, "time-limit-watchdog"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -135,16 +135,14 @@ func (p *Proc) block(call string) {
 }
 
 // Defer advances the process's local clock by d without scheduling an
-// engine event.  The deferred time is folded into the next Hold, Park or
-// Yield.  Use it for work that cannot interact with other processes.
+// engine event.  The deferred time is folded into the next Hold,
+// HoldUntil or FlushLag.  Use it for work that cannot interact with other
+// processes.
 func (p *Proc) Defer(d Time) {
 	if d > 0 {
 		p.lag += d
 	}
 }
-
-// Lag returns the process's deferred local time (exposed for tests).
-func (p *Proc) Lag() Time { return p.lag }
 
 // FlushLag materializes any deferred local time as a real event,
 // advancing the global clock to the process's local clock.  Synchroniz-
@@ -212,13 +210,4 @@ func (p *Proc) Wake() {
 		panic(fmt.Sprintf("sim: Wake of non-parked process %q", p.Name()))
 	}
 	e.schedule(e.now, p)
-}
-
-// Yield reschedules the process at its current local time behind any
-// other process already scheduled there, giving them a chance to run.
-func (p *Proc) Yield() {
-	at := p.eng.now + p.lag
-	p.lag = 0
-	p.eng.schedule(at, p)
-	p.block("Yield")
 }

@@ -67,7 +67,7 @@ func TestStepMatchesCoroutine(t *testing.T) {
 		run := func(stackless bool) ([]visit, uint64, uint64, Time) {
 			e := NewEngine()
 			var trace []visit
-			see := func(p *Proc) { trace = append(trace, visit{e.Now(), p.Lag(), p.ID}) }
+			see := func(p *Proc) { trace = append(trace, visit{e.Now(), p.lag, p.ID}) }
 			var q Queue
 			e.Spawn("waiter", func(p *Proc) {
 				q.Wait(p)
@@ -110,7 +110,6 @@ func TestStepCannotBlock(t *testing.T) {
 		{"HoldUntil", func(p *Proc) { p.HoldUntil(p.Now() + 5) }},
 		{"FlushLag", func(p *Proc) { p.Defer(5); p.FlushLag() }},
 		{"Park", func(p *Proc) { p.Park() }},
-		{"Yield", func(p *Proc) { p.Yield() }},
 		{"Park", func(p *Proc) { new(Queue).Wait(p) }},
 		{"Park", func(p *Proc) { NewBarrier(2).Arrive(p) }},
 	} {
@@ -160,12 +159,11 @@ func TestStepPanicFailsRun(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestStepAbort: an interrupt or the simulated-time watchdog ends each
-// stackless process at its next event.  There is nothing to unwind, and
+// TestStepAbort: an interrupt ends each stackless process at its next
+// event.  There is nothing to unwind, and
 // never was a goroutine: the count does not move, during or after.
 func TestStepAbort(t *testing.T) {
 	var ab *AbortError
-	var tl *TimeLimitError
 	for _, c := range []struct {
 		name  string
 		arm   func(e *Engine)
@@ -181,7 +179,6 @@ func TestStepAbort(t *testing.T) {
 			}))
 		}, func(err error) bool { return errors.As(err, &ab) && ab.At >= 100 }},
 		{"interrupt-before-run", func(e *Engine) { e.Interrupt() }, func(err error) bool { return errors.As(err, &ab) && ab.At == 0 }},
-		{"max-time", func(e *Engine) { e.MaxTime = 100 }, func(err error) bool { return errors.As(err, &tl) }},
 	} {
 		e := NewEngine()
 		base := runtime.NumGoroutine()

@@ -57,16 +57,6 @@ func (q *Queue) Wait(p *Proc) Time {
 	return p.Now() - t0
 }
 
-// WakeOne wakes the longest-waiting process, if any, and reports whether
-// one was woken.
-func (q *Queue) WakeOne() bool {
-	if q.Len() == 0 {
-		return false
-	}
-	q.pop().Wake()
-	return true
-}
-
 // WakeAll wakes every waiting process, in FIFO order, and returns how
 // many were woken.
 func (q *Queue) WakeAll() int {
@@ -77,25 +67,6 @@ func (q *Queue) WakeAll() int {
 	clear(q.waiters)
 	q.waiters, q.head = q.waiters[:0], 0
 	return n
-}
-
-// Remove drops p from the queue without waking it (used by primitives
-// that implement timeouts or cancellation).  It reports whether p was
-// queued.
-func (q *Queue) Remove(p *Proc) bool {
-	for i := q.head; i < len(q.waiters); i++ {
-		if q.waiters[i] == p {
-			last := len(q.waiters) - 1
-			copy(q.waiters[i:], q.waiters[i+1:])
-			q.waiters[last] = nil
-			q.waiters = q.waiters[:last]
-			if q.head == last {
-				q.waiters, q.head = q.waiters[:0], 0
-			}
-			return true
-		}
-	}
-	return false
 }
 
 // Lock is a FIFO mutual-exclusion lock in simulated time.  Zero value is

@@ -36,9 +36,6 @@ const (
 	// SerialByte is the transmission time of one byte on the paper's
 	// 20 MB/s serial (1-bit wide) unidirectional link.
 	SerialByte Time = 33
-	// Forever is a sentinel meaning "no deadline"; it is larger than
-	// any reachable simulation time.
-	Forever Time = math.MaxInt64 / 4
 )
 
 // Micros converts a duration in microseconds to Time, rounding to the
@@ -53,17 +50,7 @@ func Cycles(n int64) Time { return Time(n) * Cycle }
 // Micros reports t in microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(UnitsPerMicro) }
 
-// Cycles reports t in whole 33 MHz CPU cycles (truncating).
-func (t Time) Cycles() int64 { return int64(t / Cycle) }
-
 // String formats t as microseconds, e.g. "1.600us".
 func (t Time) String() string {
 	return fmt.Sprintf("%.3fus", t.Micros())
-}
-
-func maxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -139,6 +139,32 @@ func (m *CSR) IsSymmetric() bool {
 	return true
 }
 
+// Validate checks structural consistency: monotone RowPtr, in-range and
+// sorted columns.
+func (m *CSR) Validate() error {
+	if len(m.RowPtr) != m.N+1 {
+		return fmt.Errorf("sparse: RowPtr length %d for N=%d", len(m.RowPtr), m.N)
+	}
+	if m.RowPtr[0] != 0 || m.RowPtr[m.N] != len(m.Col) || len(m.Col) != len(m.Val) {
+		return fmt.Errorf("sparse: inconsistent RowPtr/Col/Val lengths")
+	}
+	for i := 0; i < m.N; i++ {
+		if m.RowPtr[i] > m.RowPtr[i+1] {
+			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
+		}
+		cols, _ := m.Row(i)
+		for k, j := range cols {
+			if j < 0 || j >= m.N {
+				return fmt.Errorf("sparse: row %d has column %d out of range", i, j)
+			}
+			if k > 0 && cols[k-1] >= j {
+				return fmt.Errorf("sparse: row %d columns not strictly sorted", i)
+			}
+		}
+	}
+	return nil
+}
+
 // Factorize performs the host-side reference numeric factorization
 // (sequential right-looking column Cholesky over the symbolic
 // structure).  vals is the packed CSC value array, pre-loaded with A's

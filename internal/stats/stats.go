@@ -148,17 +148,6 @@ func (r *Run) Mean(b Bucket) sim.Time {
 	return r.Sum(b) / sim.Time(len(r.Procs))
 }
 
-// Max returns the per-processor maximum of bucket b.
-func (r *Run) Max(b Bucket) sim.Time {
-	var m sim.Time
-	for i := range r.Procs {
-		if v := r.Procs[i].Time[b]; v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Count sums a per-processor counter selected by f.
 func (r *Run) Count(f func(*Proc) uint64) uint64 {
 	var n uint64

@@ -60,9 +60,6 @@ func TestRunAggregation(t *testing.T) {
 	if r.Mean(Contention) != 25 {
 		t.Errorf("mean = %v", r.Mean(Contention))
 	}
-	if r.Max(Contention) != 40 {
-		t.Errorf("max = %v", r.Max(Contention))
-	}
 	if r.Total != 400 {
 		t.Errorf("total = %v", r.Total)
 	}
@@ -83,7 +80,7 @@ func TestProcIDsAssigned(t *testing.T) {
 	}
 }
 
-// Property: Sum == sum of per-proc values; Max >= Mean; Total == max Finish.
+// Property: Sum == sum of per-proc values; Mean <= max; Total == max Finish.
 func TestAggregateProperty(t *testing.T) {
 	f := func(vals []uint16) bool {
 		if len(vals) == 0 {
@@ -105,8 +102,7 @@ func TestAggregateProperty(t *testing.T) {
 			}
 		}
 		r.Complete()
-		return r.Sum(Latency) == sum && r.Max(Latency) == max &&
-			r.Total == max && r.Mean(Latency) <= max
+		return r.Sum(Latency) == sum && r.Total == max && r.Mean(Latency) <= max
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

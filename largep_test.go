@@ -68,10 +68,8 @@ func run1024(t *testing.T, kind Kind, maxObjects, maxBytes uint64) {
 	if got := len(res.Stats.Procs); got != 1024 {
 		t.Fatalf("statistics cover %d processors, want 1024", got)
 	}
-	if c, ok := res.Machine.(machine.Coherent); ok {
-		if err := c.Engine().CheckInvariants(); err != nil {
-			t.Errorf("%v/p1024: %v", kind, err)
-		}
+	if err := machine.CheckInvariants(res.Machine); err != nil {
+		t.Errorf("%v/p1024: %v", kind, err)
 	}
 	objects, size := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	t.Logf("%v/p1024: %d messages, %d objects, %d bytes allocated", kind, res.Stats.Messages(), objects, size)

@@ -2,12 +2,17 @@ package spasm
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -126,6 +131,111 @@ func TestOneBenchmarkSystem(t *testing.T) {
 	}
 }
 
+// TestCIRunPatternsMatch: `go test -run X` passes with only a warning
+// when X matches no test, so a CI step naming a renamed or deleted test
+// silently checks nothing.  Every alternative of every -run and -fuzz
+// pattern in the workflow must match a Test or Fuzz function of the
+// packages its line names.
+func TestCIRunPatternsMatch(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagRE := regexp.MustCompile(`-(run|fuzz)[ =]('[^']*'|\S+)`)
+	checked := 0
+	for n, line := range strings.Split(string(ci), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok || strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		var pkgs, names []string
+		for _, arg := range strings.Fields(cmd) {
+			if arg == "." || strings.HasPrefix(arg, "./") {
+				pkgs = append(pkgs, arg)
+				names = append(names, testFuncs(t, arg)...)
+			}
+		}
+		for _, m := range flagRE.FindAllStringSubmatch(cmd, -1) {
+			pattern := strings.Trim(m[2], "'")
+			if pattern == "^$" {
+				continue // -run '^$' beside -fuzz: no unit test, on purpose
+			}
+			for _, alt := range alternatives(pattern) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml:%d: -%s %q: %v", n+1, m[1], pattern, err)
+					continue
+				}
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("ci.yml:%d: -%s alternative %q matches no test in %v", n+1, m[1], alt, pkgs)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run or -fuzz pattern in ci.yml")
+	}
+}
+
+// alternatives splits a regexp at its top-level |.
+func alternatives(re string) []string {
+	var out []string
+	depth, start := 0, 0
+	for i := 0; i < len(re); i++ {
+		switch re[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				out, start = append(out, re[start:i]), i+1
+			}
+		}
+	}
+	return append(out, re[start:])
+}
+
+// testFuncs lists the Test and Fuzz functions of the packages a go test
+// argument names: ".", "./internal/sim/" or "./internal/service/...".
+func testFuncs(t *testing.T, arg string) []string {
+	t.Helper()
+	dir, recursive := strings.CutSuffix(strings.TrimSuffix(arg, "/"), "/...")
+	var names []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != dir && (!recursive || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 // TestStudyRegistry: "spasm study" selects by name and prints Name and
 // Claim as its usage text, so names must be unique and both set; README's
 // study table is the one prose listing and must name each.
@@ -149,60 +259,36 @@ func TestStudyRegistry(t *testing.T) {
 	}
 }
 
-// TestNoDeadRenderers: every exported *Table constructor in
-// internal/report is called from non-test code somewhere in the module.
-// A renderer only its own test calls is a second copy of some table
-// waiting to drift; delete it or give a subcommand a reason to print it.
-func TestNoDeadRenderers(t *testing.T) {
-	fset := token.NewFileSet()
-	called := map[string]bool{}
-	var renderers []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if filepath.Dir(path) == filepath.Join("internal", "report") && n.Recv == nil &&
-					n.Name.IsExported() && strings.HasSuffix(n.Name.Name, "Table") {
-					renderers = append(renderers, n.Name.Name)
-				}
-			case *ast.CallExpr:
-				switch fn := n.Fun.(type) {
-				case *ast.Ident:
-					called[fn.Name] = true
-				case *ast.SelectorExpr:
-					called[fn.Sel.Name] = true
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestEveryExportHasACaller: every exported name in internal/ is used by
+// non-test code somewhere: the module, bench/ (its own module, whose
+// replace points here), cmd/ or examples/.  A name only tests reach is
+// production code without a production caller; delete it, or move it
+// into its package's _test.go when a test needs it as a fixture or a
+// reference.  The check type-checks, so Queue.Remove and list.Remove are
+// different names.  A method that satisfies an interface counts as used:
+// the interface's caller reaches it.
+func TestEveryExportHasACaller(t *testing.T) {
+	allowed := map[string]string{
+		"machine.Conformance":        "test oracle",
+		"machine.NetworkConformance": "test oracle",
+		"machine.NetworkTiers":       "test oracle",
+		"machine.CheckInvariants":    "test oracle",
+		"faults.Set":                 "test-injection hook",
+		"faults.Reset":               "test-injection hook",
+		"analytic.Predict":           "ROADMAP 4 gives it a caller or deletes the package",
+		"apps.NewMicro":              "ROADMAP 2 registers its patterns as workloads",
+		"flow.Net.Topology":          "ROADMAP 1(b) deletes the flow tier",
 	}
-	if len(renderers) == 0 {
-		t.Fatal("found no report.*Table constructors; has the package moved?")
-	}
-	for _, name := range renderers {
-		if !called[name] {
-			t.Errorf("report.%s has no non-test caller", name)
+	m := loadModule(t)
+	for _, id := range m.unused("spasm/internal/") {
+		if _, ok := allowed[id]; ok {
+			delete(allowed, id)
+			continue
 		}
+		t.Errorf("internal/%s has no non-test caller", id)
+	}
+	for id := range allowed {
+		t.Errorf("%s has a caller or is gone: drop it from the allow-list", id)
 	}
 }
 
@@ -247,13 +333,14 @@ func TestSpecSurface(t *testing.T) {
 
 	// A sweep says what it runs the same way: a point is an application
 	// on a machine Config, and the session's options are the sweep, not
-	// per-run knobs.
+	// per-run knobs.  A machine knob is a Config field.
 	for _, tc := range []struct {
 		typ  reflect.Type
 		want []string
 	}{
 		{reflect.TypeOf(Options{}), []string{"Scale", "Procs", "Seed", "Machines", "Parallel", "Runner"}},
 		{reflect.TypeOf(BatchPoint{}), []string{"App", "Config"}},
+		{reflect.TypeOf(Config{}), []string{"Kind", "P", "Topology", "Cache", "L", "PortMode", "AdaptiveG", "LinkByteTime", "Protocol"}},
 	} {
 		var got []string
 		for i := 0; i < tc.typ.NumField(); i++ {
@@ -263,4 +350,268 @@ func TestSpecSurface(t *testing.T) {
 			t.Errorf("%v has fields %v, want exactly %v", tc.typ, got, tc.want)
 		}
 	}
+}
+
+// typedModule is the module's non-test code, type-checked: every package
+// under the repository root, bench/ included, with the standard library
+// imported from source.
+type typedModule struct {
+	fset        *token.FileSet
+	std         types.Importer
+	info        *types.Info
+	pkgs        map[string]*types.Package
+	files       map[string][]*ast.File // by import path
+	conventions *types.Package         // errorsConventions
+}
+
+func loadModule(t *testing.T) *typedModule {
+	t.Helper()
+	fset := token.NewFileSet()
+	m := &typedModule{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+	}
+	f, err := parser.ParseFile(fset, "errors.go", errorsConventions, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.conventions, err = new(types.Config).Check("errors", fset, []*ast.File{f}, nil); err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		ip := "spasm"
+		if path != "." {
+			ip += "/" + filepath.ToSlash(path)
+		}
+		_, err = m.Import(ip)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// Import resolves spasm/... paths to the repository's directories and
+// everything else to the standard library.
+func (m *typedModule) Import(path string) (*types.Package, error) {
+	if path != "spasm" && !strings.HasPrefix(path, "spasm/") {
+		return m.std.Import(path)
+	}
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := "."
+	if rel, ok := strings.CutPrefix(path, "spasm/"); ok {
+		dir = filepath.FromSlash(rel)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, &build.NoGoError{Dir: dir}
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path], m.files[path] = pkg, files
+	return pkg, nil
+}
+
+// unused lists the exported declarations of the packages under prefix
+// that no non-test code uses, as "pkg.Name" or "pkg.Type.Method" with
+// pkg relative to prefix.  A use inside the declaration itself (a
+// recursive call, a method's own receiver) does not count.
+func (m *typedModule) unused(prefix string) []string {
+	type decl struct {
+		id       string
+		from, to token.Pos
+	}
+	decls := map[types.Object]decl{}
+	receivers := map[*ast.Ident]bool{}
+	for path, files := range m.files {
+		rel, ok := strings.CutPrefix(path, prefix)
+		if !ok {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					id := rel + "." + d.Name.Name
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if ident, ok := n.(*ast.Ident); ok {
+								receivers[ident] = true
+							}
+							return true
+						})
+						id = rel + "." + receiverNamed(m.info.Defs[d.Name]).Obj().Name() + "." + d.Name.Name
+					}
+					if d.Name.IsExported() {
+						decls[m.info.Defs[d.Name]] = decl{id, d.Pos(), d.End()}
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						var names []*ast.Ident
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{s.Name}
+						case *ast.ValueSpec:
+							names = s.Names
+						}
+						for _, n := range names {
+							if n.IsExported() {
+								decls[m.info.Defs[n]] = decl{rel + "." + n.Name, s.Pos(), s.End()}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	used := map[types.Object]bool{}
+	for ident, obj := range m.info.Uses {
+		d, ok := decls[origin(obj)]
+		if ok && !receivers[ident] && (ident.Pos() < d.from || ident.Pos() >= d.to) {
+			used[origin(obj)] = true
+		}
+	}
+	ifaces := m.interfaces()
+	var out []string
+	for obj, d := range decls {
+		if !used[obj] && !satisfiesInterface(obj, ifaces) {
+			out = append(out, d.id)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// errorsConventions are the methods the errors package calls through
+// interface literals inside its functions, which an imported package's
+// scope does not show.
+const errorsConventions = `package errors
+type unwrapper interface{ Unwrap() error }
+type multiUnwrapper interface{ Unwrap() []error }
+type iser interface{ Is(error) bool }
+type aser interface{ As(any) bool }
+`
+
+// interfaces returns every interface type the module's code can reach:
+// error and the errors package's conventions, those declared by the
+// module and by every package it imports, and the interface literals it
+// writes.
+func (m *typedModule) interfaces() []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, q := range p.Imports() {
+			visit(q)
+		}
+	}
+	visit(m.conventions)
+	for _, p := range m.pkgs {
+		visit(p)
+	}
+	for _, tv := range m.info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok {
+			ifaces = append(ifaces, it)
+		}
+	}
+	return ifaces
+}
+
+// satisfiesInterface reports whether obj is a method that some interface
+// in ifaces declares and that the method's receiver type implements.
+func satisfiesInterface(obj types.Object, ifaces []*types.Interface) bool {
+	named := receiverNamed(obj)
+	if named == nil {
+		return false
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == obj.Name() &&
+				(types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// receiverNamed is the named type a method is declared on, or nil when
+// obj is not a method.
+func receiverNamed(obj types.Object) *types.Named {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return nil
+	}
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// origin maps a use of a generic function's or type's instance to the
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
