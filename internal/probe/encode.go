@@ -197,6 +197,9 @@ func Decode(r io.Reader) (*Profile, error) {
 			nb, nh, stats.NumBuckets, HistBuckets)
 	}
 	nEpochs := rd.count("epoch", maxDecodeEpochs)
+	if rd.err == nil && nEpochs > 0 && p.EpochLen == 0 {
+		return nil, fmt.Errorf("probe: profile has %d epochs of zero length", nEpochs)
+	}
 	for i := 0; i < nEpochs && rd.err == nil; i++ {
 		e := Epoch{Procs: make([]ProcSample, p.P)}
 		for j := range e.Procs {

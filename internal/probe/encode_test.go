@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"spasm"
+	"spasm/internal/app"
+	"spasm/internal/apps"
 	"spasm/internal/probe"
 )
 
@@ -22,6 +24,30 @@ func runProfiled(app string, cfg spasm.Config, pc spasm.ProfileConfig) (*spasm.R
 	return spasm.Execute(
 		spasm.Spec{App: app, Scale: spasm.Tiny, Machine: cfg.Kind, Topology: cfg.Topology, P: cfg.P},
 		spasm.RunOptions{Profile: &pc})
+}
+
+// execute runs spec with in attached, the way spasm.Execute runs the
+// profiler it builds.
+func execute(spec spasm.Spec, in app.Instrument) (*spasm.Result, error) {
+	spec = spec.Canonical()
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	prog, err := apps.Lookup(spec.App, spec.Scale, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return app.Execute(prog, spec.Config(), app.Options{Instrument: in})
+}
+
+// runCapped is runProfiled under an epoch cap of maxEpochs.
+func runCapped(name string, cfg spasm.Config, pc spasm.ProfileConfig, maxEpochs int) (*spasm.Result, *spasm.Profile, error) {
+	pr := probe.NewCapped(pc, maxEpochs, 0)
+	res, err := execute(spasm.Spec{App: name, Scale: spasm.Tiny, Machine: cfg.Kind, Topology: cfg.Topology, P: cfg.P}, pr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, pr.Profile(), nil
 }
 
 func encodeProfile(t *testing.T, p *probe.Profile) []byte {
@@ -112,5 +138,14 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := probe.Decode(bytes.NewReader(nil)); err == nil {
 		t.Fatal("Decode accepted an empty stream")
+	}
+	// Epochs of no length have no utilization; such a profile is corrupt.
+	_, p, err := spasm.RunSpecProfiled(goldenSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.EpochLen = 0
+	if _, err := probe.Decode(bytes.NewReader(encodeProfile(t, p))); err == nil {
+		t.Fatal("Decode accepted a profile whose epochs have zero length")
 	}
 }

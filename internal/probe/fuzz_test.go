@@ -2,18 +2,22 @@ package probe_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"spasm/internal/probe"
+	"spasm/internal/report"
 )
 
 // FuzzDecode feeds arbitrary bytes to the profile decoder, starting from
-// a recorded profile and its truncations: it must never panic, and a
-// profile it accepts must come back unchanged through Encode and Decode,
-// whose re-encoding is byte-identical and as long as EncodedLen said.
+// a recorded profile, its truncations and its zero-epoch-length twin: it
+// must never panic, and a profile it accepts must come back unchanged
+// through Encode and Decode, whose re-encoding is byte-identical and as
+// long as EncodedLen said.  An accepted profile must also render — the
+// CSV and the JSON document spasmd serves, which must marshal.
 func FuzzDecode(f *testing.F) {
 	valid, err := os.ReadFile(filepath.Join("testdata", "ep_tiny_p4_target.sprf"))
 	if err != nil {
@@ -23,6 +27,16 @@ func FuzzDecode(f *testing.F) {
 		f.Add(valid[:n])
 	}
 	f.Add(valid)
+	zero, err := probe.Decode(bytes.NewReader(valid))
+	if err != nil {
+		f.Fatal(err)
+	}
+	zero.EpochLen = 0
+	var buf bytes.Buffer
+	if _, err := zero.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := probe.Decode(bytes.NewReader(data))
@@ -46,6 +60,10 @@ func FuzzDecode(f *testing.F) {
 		}
 		if _, err := back.Encode(&again); err != nil || !bytes.Equal(again.Bytes(), enc.Bytes()) {
 			t.Fatalf("second encode differs from the first (err %v)", err)
+		}
+		report.ProfileCSV(p)
+		if _, err := json.Marshal(report.ProfileJSON(p)); err != nil {
+			t.Fatalf("JSON document of an accepted profile: %v", err)
 		}
 	})
 }

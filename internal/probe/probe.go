@@ -27,8 +27,8 @@
 // order, no host dependence anywhere — identical specs produce
 // byte-identical encoded profiles (see Encode).
 //
-// When a run outgrows the configured epoch budget the profiler halves
-// its resolution in place (adjacent epochs merge pairwise and the epoch
+// When a run outgrows the epoch budget the profiler halves its
+// resolution in place (adjacent epochs merge pairwise and the epoch
 // length doubles), so memory stays bounded while short phase behaviour
 // is preserved for short runs.
 package probe
@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"spasm/internal/app"
 	"spasm/internal/flow"
@@ -48,7 +49,7 @@ import (
 	"spasm/internal/stats"
 )
 
-// Defaults for Config.
+// The profiler's resolution and budgets.
 const (
 	// DefaultEpoch is the initial epoch length: 10 simulated
 	// microseconds, fine enough to resolve the barrier episodes of the
@@ -71,17 +72,9 @@ const (
 	HistBuckets = 24
 )
 
-// Config parameterizes a Profiler.  The zero value uses the defaults.
+// Config parameterizes a Profiler.  The zero value profiles with the
+// default epoch length and budgets.
 type Config struct {
-	// EpochLen is the initial epoch length (0 = DefaultEpoch).
-	EpochLen sim.Time
-	// MaxEpochs caps the number of epochs held; on overflow the
-	// resolution halves (0 = DefaultMaxEpochs; minimum 2).
-	MaxEpochs int
-	// MaxLinks caps the distinct per-link samples held per epoch; link
-	// activity beyond it folds into an overflow aggregate under link id
-	// NumLinks (0 = DefaultMaxLinks; minimum 1).
-	MaxLinks int
 	// OnEpoch, when set, is called for each epoch as it closes during
 	// the run (and for the remaining tail at Finish), enabling live
 	// streaming of the profile while the simulation executes.  The hook
@@ -225,9 +218,10 @@ func (p *Profile) Peak(b stats.Bucket) (epoch int, total sim.Time) {
 
 // Utilization returns the mean utilization of the detailed fabric's
 // links during epoch i, and the single busiest link's utilization.
-// Both are 0 on machines without a detailed network.
+// Both are 0 on machines without a detailed network (or, in a profile
+// no probe wrote, with no epoch length).
 func (p *Profile) Utilization(i int) (mean, max float64) {
-	if p.NumLinks == 0 {
+	if p.NumLinks == 0 || p.EpochLen == 0 {
 		return 0, 0
 	}
 	var busy, peak sim.Time
@@ -296,117 +290,62 @@ type procSnap struct {
 	local                                                     sim.Time
 }
 
-// epochAcc is one epoch under accumulation.
+// slot locates a link sample: ep is the epoch's index plus one (0 = no
+// sample), pos the position in that epoch's link table.
+type slot struct{ ep, pos int32 }
+
+// linkAcc is one link's sample in one epoch under accumulation, chained
+// to the same link's sample in the nearest earlier epoch holding one.
+type linkAcc struct {
+	LinkSample
+	prev slot
+}
+
+// epochAcc is one epoch under accumulation: its link samples in
+// first-touch order, the overflow aggregate beside them, and the delay
+// histogram.  Its processor samples live in the accumulator's slab.
 type epochAcc struct {
-	procs []ProcSample
-	links linkTable
-	hist  [HistBuckets]uint64
+	links   []linkAcc
+	ovf     LinkSample
+	ovfHeld bool
+	hist    [HistBuckets]uint64
 }
 
-// reset empties the accumulator for a new epoch, keeping the buffers of
-// one a rescale merged away, so a run holds at most MaxEpochs × P
-// samples however many epochs it opens.
-func (e *epochAcc) reset(p int) {
-	if e.procs == nil {
-		e.procs = make([]ProcSample, p)
-	} else {
-		clear(e.procs)
+// held is the number of link samples the epoch holds, overflow included.
+func (e *epochAcc) held() int {
+	if e.ovfHeld {
+		return len(e.links) + 1
 	}
-	e.links.reset()
-	e.hist = [HistBuckets]uint64{}
+	return len(e.links)
 }
 
-// linkTable is one epoch's link samples in first-touch order, indexed by
-// an open-addressing table from link id to position: two flat slices per
-// epoch instead of a heap object per (epoch, link).
-type linkTable struct {
-	samples []LinkSample
-	index   []int32 // position+1, 0 when empty; power-of-two length, at most half full
+// acc is a Profiler's working state.  Every table in it is flat: the
+// processor samples of all epochs are one slab, the epochs one array
+// sized for the epoch budget, and a link's samples are found through
+// head, a run-wide slot per link id that starts the link's chain down
+// the epochs holding it.  Epoch i's table stays in array slot i through
+// every rescale, so a slot's capacity fits what that epoch of the run
+// needs.  Finish copies the finished profile out and returns the acc to
+// accPool: the next profiled run reuses all of it, and once the tables
+// have grown to a run's shape a run allocates only what its Profile
+// keeps.
+type acc struct {
+	procs    []ProcSample // epoch i's samples are procs[i*P : (i+1)*P]
+	epochs   []epochAcc   // past len: tables kept, with their capacity, for reuse
+	head     []slot       // per link id; all zero between runs
+	snap     []procSnap
+	linkHigh int // most links an epoch has held
 }
 
-// find returns link id's sample, or nil and the index slot it would take.
-func (t *linkTable) find(id int) (*LinkSample, int) {
-	if len(t.index) == 0 {
-		return nil, 0
-	}
-	mask := len(t.index) - 1
-	h := int((uint64(id) * 0x9E3779B97F4A7C15) >> (64 - bits.TrailingZeros(uint(len(t.index)))))
-	for ; t.index[h] != 0; h = (h + 1) & mask {
-		if l := &t.samples[t.index[h]-1]; l.Link == id {
-			return l, h
-		}
-	}
-	return nil, h
-}
+var accPool = sync.Pool{New: func() any { return new(acc) }}
 
-// add appends an empty sample for link id, which find reported absent
-// with the given slot.
-func (t *linkTable) add(id, slot int) *LinkSample {
-	t.samples = append(t.samples, LinkSample{Link: id})
-	if 2*len(t.samples) <= len(t.index) {
-		t.index[slot] = int32(len(t.samples))
-	} else {
-		// Rebuild at twice the samples' capacity, rounded up to a power
-		// of two.
-		t.index = make([]int32, max(8, 1<<bits.Len(uint(2*cap(t.samples)-1))))
-		for i := range t.samples {
-			_, h := t.find(t.samples[i].Link)
-			t.index[h] = int32(i + 1)
-		}
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short; the caller clears what it reads.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return &t.samples[len(t.samples)-1]
-}
-
-// reset empties the table, keeping both slices' backing arrays.
-func (t *linkTable) reset() {
-	t.samples = t.samples[:0]
-	clear(t.index)
-}
-
-// sorted orders the samples by link id in place, which leaves the index
-// stale: the table is only read, merged away or handed to a Profile
-// afterwards.
-func (t *linkTable) sorted() []LinkSample {
-	slices.SortFunc(t.samples, func(a, b LinkSample) int { return cmp.Compare(a.Link, b.Link) })
-	return t.samples
-}
-
-// link returns the accumulator for link id, enforcing the per-epoch
-// budget: once the epoch holds budget distinct ids, activity on any
-// further id folds into one overflow aggregate recorded under ovfID
-// (the id one past the real link space).  Ids already held — including
-// the overflow itself — keep accumulating individually, so which links
-// get their own sample is a deterministic function of touch order.
-// The pointer is valid until the epoch's next new link.
-func (e *epochAcc) link(id, budget, ovfID int) *LinkSample {
-	l, slot := e.links.find(id)
-	if l != nil {
-		return l
-	}
-	if len(e.links.samples) >= budget && id != ovfID {
-		return e.link(ovfID, budget+1, ovfID)
-	}
-	return e.links.add(id, slot)
-}
-
-// merge folds o into e (pairwise epoch merge during a rescale).  Link
-// ids are folded in ascending order: when the budget binds mid-merge,
-// which ids keep individual samples must not depend on o's touch order.
-// o's link table is left sorted, fit only for recycling.
-func (e *epochAcc) merge(o *epochAcc, budget, ovfID int) {
-	for i := range e.procs {
-		e.procs[i].add(&o.procs[i])
-	}
-	for _, ol := range o.links.sorted() {
-		l := e.link(ol.Link, budget, ovfID)
-		l.Busy += ol.Busy
-		l.Wait += ol.Wait
-		l.Messages += ol.Messages
-		l.Bytes += ol.Bytes
-	}
-	for i := range e.hist {
-		e.hist[i] += o.hist[i]
-	}
+	return s[:n]
 }
 
 // Profiler samples one run.  Create with New, pass to app.Execute as
@@ -425,42 +364,17 @@ type Profiler struct {
 	epochLen  sim.Time
 	maxEpochs int
 	maxLinks  int
-	linksHigh int        // most links one epoch has held
-	epochs    []epochAcc // past len: accumulators a rescale merged away
-	closed    int        // fully closed epochs; epoch `closed` is open
-	emitted   int        // epochs already fired through cfg.OnEpoch
-	snap      []procSnap
+	closed    int // fully closed epochs; epoch `closed` is open
+	emitted   int // epochs already fired through cfg.OnEpoch
+	*acc
 
 	profile *Profile
 }
 
 // New returns a Profiler with the given configuration.
 func New(cfg Config) *Profiler {
-	if cfg.EpochLen <= 0 {
-		cfg.EpochLen = DefaultEpoch
-	}
-	if cfg.MaxEpochs < 2 {
-		cfg.MaxEpochs = DefaultMaxEpochs
-	}
-	if cfg.MaxLinks < 1 {
-		cfg.MaxLinks = DefaultMaxLinks
-	}
-	return &Profiler{cfg: cfg, epochLen: cfg.EpochLen,
-		maxEpochs: cfg.MaxEpochs, maxLinks: cfg.MaxLinks}
-}
-
-// linkAt returns epoch e's accumulator for link id under the profiler's
-// budget; the overflow aggregate sits at id NumLinks (the id space on
-// the machine being profiled — the fabric's links or the flow tier's
-// resource space).  An epoch's first link sizes its table for the most
-// links any epoch has held so far.
-func (pr *Profiler) linkAt(e *epochAcc, id int) *LinkSample {
-	if cap(e.links.samples) == 0 {
-		e.links.samples = make([]LinkSample, 0, pr.linksHigh)
-	}
-	l := e.link(id, pr.maxLinks, pr.numLinks)
-	pr.linksHigh = max(pr.linksHigh, len(e.links.samples))
-	return l
+	return &Profiler{cfg: cfg, epochLen: DefaultEpoch,
+		maxEpochs: DefaultMaxEpochs, maxLinks: DefaultMaxLinks}
 }
 
 // Attach implements app.Instrument: it hooks the engine clock and, when
@@ -471,7 +385,6 @@ func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, 
 	pr.p = run.P()
 	pr.kind = m.Kind().String()
 	pr.topo = cfg.Topology
-	pr.snap = make([]procSnap, pr.p)
 
 	prev := eng.Tick
 	eng.Tick = func(now sim.Time) {
@@ -492,6 +405,17 @@ func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, 
 	} else if am, ok := m.(machine.Abstracted); ok && am.Net() != nil {
 		am.Net().Observer = pr.netXmit
 	}
+
+	a := accPool.Get().(*acc)
+	a.procs = a.procs[:min(cap(a.procs), pr.maxEpochs*pr.p)]
+	if cap(a.epochs) < pr.maxEpochs {
+		a.epochs = make([]epochAcc, 0, pr.maxEpochs)
+	}
+	a.epochs = a.epochs[:0]
+	a.head = grow(a.head, pr.numLinks)
+	a.snap = grow(a.snap, pr.p)
+	clear(a.snap)
+	pr.acc = a
 }
 
 // boundary is the simulated time at which the open epoch ends.
@@ -560,6 +484,11 @@ func (pr *Profiler) snapAll() {
 	}
 }
 
+// procsOf returns epoch e's processor samples.
+func (pr *Profiler) procsOf(e int) []ProcSample {
+	return pr.procs[e*pr.p : (e+1)*pr.p]
+}
+
 // spread adds processor i's delta sample to the epochs covered by its
 // local-clock window [a, b), proportionally to overlap.
 func (pr *Profiler) spread(i int, d *ProcSample, a, b sim.Time) {
@@ -573,29 +502,29 @@ func (pr *Profiler) spread(i int, d *ProcSample, a, b sim.Time) {
 		if t > 0 {
 			t--
 		}
-		pr.epochAt(t).procs[i].add(d)
+		pr.procsOf(pr.epochAt(t))[i].add(d)
 		return
 	}
 	span := float64(b - a)
 	rem := *d
 	for t := a; t < b; {
 		e := pr.epochAt(t)
-		// Recompute the edge after epochAt, which may rescale.
-		edge := (t/pr.epochLen + 1) * pr.epochLen
+		// epochAt may rescale: the edge is e's at the current length.
+		edge := sim.Time(e+1) * pr.epochLen
 		if edge >= b {
-			e.procs[i].add(&rem)
+			pr.procsOf(e)[i].add(&rem)
 			return
 		}
 		c := d.scale(float64(edge-t) / span)
-		e.procs[i].add(&c)
+		pr.procsOf(e)[i].add(&c)
 		rem.sub(&c)
 		t = edge
 	}
 }
 
-// epochAt returns the accumulator for the epoch containing time t,
-// extending the profile and halving its resolution as needed.
-func (pr *Profiler) epochAt(t sim.Time) *epochAcc {
+// epochAt returns the index of the epoch containing time t, extending
+// the profile and halving its resolution as needed.
+func (pr *Profiler) epochAt(t sim.Time) int {
 	if t < 0 {
 		t = 0
 	}
@@ -605,32 +534,69 @@ func (pr *Profiler) epochAt(t sim.Time) *epochAcc {
 		idx = int(t / pr.epochLen)
 	}
 	for n := len(pr.epochs); n <= idx; n++ {
-		if n < cap(pr.epochs) {
-			pr.epochs = pr.epochs[:n+1]
-		} else {
-			pr.epochs = append(pr.epochs, epochAcc{})
+		pr.epochs = pr.epochs[:n+1]
+		if need := (n + 1) * pr.p; need > len(pr.procs) {
+			// The slab quadruples up to the epoch budget × P, keeping
+			// the samples of the open epochs: a fresh acc allocates
+			// about 1.4 slabs on a run that reaches the budget.
+			procs := make([]ProcSample, min(max(4*len(pr.procs), need), pr.maxEpochs*pr.p))
+			copy(procs, pr.procs[:n*pr.p])
+			pr.procs = procs
 		}
-		pr.epochs[n].reset(pr.p)
+		e := &pr.epochs[n]
+		e.links = e.links[:0]
+		e.ovfHeld = false
+		e.hist = [HistBuckets]uint64{}
+		clear(pr.procsOf(n))
 	}
-	return &pr.epochs[idx]
+	return idx
 }
 
 // rescale halves the profile's resolution: adjacent epochs merge
 // pairwise and the epoch length doubles.
 func (pr *Profiler) rescale() {
-	n := (len(pr.epochs) + 1) / 2
+	old := len(pr.epochs)
+	n := (old + 1) / 2
 	for i := 0; i < n; i++ {
+		dst := pr.procsOf(i)
 		if i > 0 {
-			// Slot i holds an accumulator already merged away or moved;
-			// swapping, not copying, parks every such one past n, where
-			// epochAt recycles it.
-			pr.epochs[i], pr.epochs[2*i] = pr.epochs[2*i], pr.epochs[i]
+			copy(dst, pr.procsOf(2*i))
 		}
-		if 2*i+1 < len(pr.epochs) {
-			pr.epochs[i].merge(&pr.epochs[2*i+1], pr.maxLinks, pr.numLinks)
+		if 2*i+1 < old {
+			for j, s := range pr.procsOf(2*i + 1) {
+				dst[j].add(&s)
+			}
+		}
+	}
+	// The chains describe the old epochs, which the merges read; the
+	// heads are cleared now and rebuilt over the merged epochs.
+	for i := range pr.epochs {
+		for _, l := range pr.epochs[i].links {
+			pr.head[l.Link] = slot{}
+		}
+	}
+	for i := 0; i < n; i++ {
+		e := &pr.epochs[i]
+		if i > 0 {
+			// Slot i's own epoch was merged into epoch i/2 already, so
+			// the slot takes epoch 2i's table, positions unchanged.
+			o := &pr.epochs[2*i]
+			e.links = append(e.links[:0], o.links...)
+			e.ovf, e.ovfHeld, e.hist = o.ovf, o.ovfHeld, o.hist
+		}
+		if 2*i+1 < old {
+			pr.merge(e, &pr.epochs[2*i+1], 2*i)
 		}
 	}
 	pr.epochs = pr.epochs[:n]
+	for i := range pr.epochs {
+		links := pr.epochs[i].links
+		for k := range links {
+			l := &links[k]
+			l.prev = pr.head[l.Link]
+			pr.head[l.Link] = slot{int32(i + 1), int32(k)}
+		}
+	}
 	pr.epochLen *= 2
 	pr.closed /= 2
 	// Already-emitted epochs merged pairwise too; the merged epoch
@@ -639,38 +605,144 @@ func (pr *Profiler) rescale() {
 	pr.emitted /= 2
 }
 
+// merge folds o, the epoch after old epoch eOld, into e, which holds
+// that epoch's table: a link o shares with it is found through its
+// chain, which leads from o's sample straight to its position there.
+// Links new to e join it while it is under the link budget and fold
+// into its overflow after; when the budget can bind, o's links join in
+// ascending id order, so which keep their own sample does not depend on
+// o's touch order.
+func (pr *Profiler) merge(e, o *epochAcc, eOld int) {
+	if e.held()+o.held() > pr.maxLinks {
+		slices.SortFunc(o.links, func(a, b linkAcc) int { return cmp.Compare(a.Link, b.Link) })
+	}
+	for k := range o.links {
+		ol := &o.links[k]
+		var l *LinkSample
+		switch {
+		case int(ol.prev.ep) == eOld+1:
+			l = &e.links[ol.prev.pos].LinkSample
+		case e.held() < pr.maxLinks:
+			e.links = append(e.links, linkAcc{LinkSample: LinkSample{Link: ol.Link}})
+			l = &e.links[len(e.links)-1].LinkSample
+		default:
+			l = pr.overflow(e)
+		}
+		l.add(&ol.LinkSample)
+	}
+	if o.ovfHeld {
+		pr.overflow(e).add(&o.ovf)
+	}
+	for i := range e.hist {
+		e.hist[i] += o.hist[i]
+	}
+}
+
+// overflow returns e's overflow aggregate, recorded under link id
+// NumLinks (one past the real id space).
+func (pr *Profiler) overflow(e *epochAcc) *LinkSample {
+	if !e.ovfHeld {
+		e.ovfHeld = true
+		e.ovf = LinkSample{Link: pr.numLinks}
+	}
+	return &e.ovf
+}
+
+func (a *LinkSample) add(b *LinkSample) {
+	a.Busy += b.Busy
+	a.Wait += b.Wait
+	a.Messages += b.Messages
+	a.Bytes += b.Bytes
+}
+
+// linkIn returns epoch ep's sample for link id, walking r down the
+// link's chain from wherever it points (the head, or a sample in a
+// later epoch) and leaving r at the sample.  The pointer is valid until
+// epoch ep's next new link.
+func (pr *Profiler) linkIn(r **slot, ep, id int) *LinkSample {
+	for int((*r).ep) > ep+1 {
+		*r = &pr.epochs[(*r).ep-1].links[(*r).pos].prev
+	}
+	if int((*r).ep) == ep+1 {
+		return &pr.epochs[ep].links[(*r).pos].LinkSample
+	}
+	return pr.admit(*r, ep, id)
+}
+
+// admit returns a sample for link id in epoch ep, which does not hold
+// one.  The link joins the epoch while it is under the link budget,
+// spliced into the chain at r; past the budget its activity folds into
+// the overflow aggregate and r stays put.  Which links get their own
+// sample is thus a deterministic function of each epoch's touch order.
+func (pr *Profiler) admit(r *slot, ep, id int) *LinkSample {
+	e := &pr.epochs[ep]
+	if e.held() >= pr.maxLinks {
+		return pr.overflow(e)
+	}
+	if len(e.links) == cap(e.links) {
+		// A full table grows straight to the most links an epoch has
+		// held, so even a fresh acc's tables grow about once.
+		e.links = slices.Grow(e.links, max(pr.linkHigh-len(e.links), 1))
+	}
+	e.links = append(e.links, linkAcc{LinkSample: LinkSample{Link: id}, prev: *r})
+	pr.linkHigh = max(pr.linkHigh, len(e.links))
+	*r = slot{int32(ep + 1), int32(len(e.links) - 1)}
+	return &e.links[len(e.links)-1].LinkSample
+}
+
+// charge books one transmission on each link of its route: the message,
+// its bytes and its wait to departure epoch dep, and the occupancy of
+// [start, end) to every epoch the interval overlaps — all links of a
+// route hold it for the same interval.  Each link's chain is walked
+// once, down from the last epoch the interval reaches, so the epoch
+// shared by the departure and the interval's first piece takes a single
+// lookup.  Pieces past the profile's last epoch at the current
+// resolution wait for the rescale that makes room for them, which
+// happens, as it would piece by piece, after the earlier pieces landed.
+func (pr *Profiler) charge(route []int, dep int, bytes int, wait, start, end sim.Time) {
+	for first := true; ; first = false {
+		stop := min(end, sim.Time(pr.maxEpochs)*pr.epochLen)
+		lo, hi := 0, -1 // the epochs [lo, hi] the pieces reach
+		if start < stop {
+			lo, hi = int(start/pr.epochLen), int((stop-1)/pr.epochLen)
+			if hi >= len(pr.epochs) {
+				pr.epochAt(stop - 1)
+			}
+		}
+		shared := lo <= hi && lo == dep
+		for _, id := range route {
+			r := &pr.head[id]
+			for ep := hi; ep >= lo; ep-- {
+				l := pr.linkIn(&r, ep, id)
+				l.Busy += min(stop, sim.Time(ep+1)*pr.epochLen) - max(start, sim.Time(ep)*pr.epochLen)
+				if first && ep == dep {
+					l.Messages++
+					l.Bytes += uint64(bytes)
+					l.Wait += wait
+				}
+			}
+			if first && !shared {
+				l := pr.linkIn(&r, dep, id)
+				l.Messages++
+				l.Bytes += uint64(bytes)
+				l.Wait += wait
+			}
+		}
+		if start >= end || stop >= end {
+			return
+		}
+		start = max(start, stop)
+		pr.epochAt(start)
+	}
+}
+
 // fabricXmit is the detailed fabric's observer: it attributes the
 // message's delay to the departure epoch's histogram and spreads the
 // circuit's occupancy over the epochs it spans, per link.
 func (pr *Profiler) fabricXmit(now sim.Time, x network.Xmit, src, dst, bytes int, route []int) {
 	dep := pr.epochAt(now)
-	dep.hist[histBucket(x.End-now)]++
-	// Message counters and waiting charge to the departure epoch.
-	for _, id := range route {
-		l := pr.linkAt(dep, id)
-		l.Messages++
-		l.Bytes += uint64(bytes)
-		l.Wait += x.Wait
-	}
-	pr.addSpan(route, x.Start, x.End)
-}
-
-// addSpan spreads a circuit's [start, end) occupancy across the epochs
-// the interval overlaps, on every link of its route: all of them hold it
-// for the same interval, so the epochs are walked once.
-func (pr *Profiler) addSpan(route []int, start, end sim.Time) {
-	for t := start; t < end; {
-		e := pr.epochAt(t)
-		// Recompute the epoch edge after epochAt, which may rescale.
-		edge := (t/pr.epochLen + 1) * pr.epochLen
-		if edge > end {
-			edge = end
-		}
-		for _, id := range route {
-			pr.linkAt(e, id).Busy += edge - t
-		}
-		t = edge
-	}
+	pr.epochs[dep].hist[histBucket(x.End-now)]++
+	pr.charge(route, dep, bytes, x.Wait, x.Start, x.End)
 }
 
 // flowXmit is the flow tier's observer: it attributes the flow's delay
@@ -681,22 +753,18 @@ func (pr *Profiler) addSpan(route []int, start, end sim.Time) {
 // sharing happened on, through the unchanged encode format.
 func (pr *Profiler) flowXmit(now sim.Time, x flow.Xmit, src, dst, bytes int) {
 	dep := pr.epochAt(now)
-	dep.hist[histBucket(x.End-now)]++
-	l := pr.linkAt(dep, x.Bottleneck)
-	l.Messages++
-	l.Bytes += uint64(bytes)
-	l.Wait += x.Wait
+	pr.epochs[dep].hist[histBucket(x.End-now)]++
 	route := [1]int{x.Bottleneck}
-	pr.addSpan(route[:], x.Start, x.End)
+	pr.charge(route[:], dep, bytes, x.Wait, x.Start, x.End)
 }
 
 // netXmit is the abstract network's observer: delays only, no links.
 func (pr *Profiler) netXmit(now sim.Time, x logp.Xmit, src, dst int) {
-	pr.epochAt(now).hist[histBucket(x.Deliver-now)]++
+	pr.epochs[pr.epochAt(now)].hist[histBucket(x.Deliver-now)]++
 }
 
-// Finish implements app.Instrument: it closes the final partial epoch
-// and freezes the profile.
+// Finish implements app.Instrument: it closes the final partial epoch,
+// freezes the profile and recycles the accumulator.
 func (pr *Profiler) Finish(res *app.Result) {
 	// Take the final snapshot — any activity since the last boundary
 	// crossing spreads over the closing local-clock windows — and make
@@ -708,6 +776,15 @@ func (pr *Profiler) Finish(res *app.Result) {
 		last--
 	}
 	pr.epochAt(last)
+	// Drop trailing empty epochs created by in-flight transmissions
+	// that never extended past the run's completion.
+	n := len(pr.epochs)
+	for n > 0 && sim.Time(n-1)*pr.epochLen > pr.run.Total {
+		n--
+	}
+	// Flush the unemitted tail (the final partial epoch, and any earlier
+	// epochs the last boundary crossing had not reached).
+	pr.emitClosed(n, true)
 
 	p := &Profile{
 		App:      res.Program,
@@ -717,24 +794,41 @@ func (pr *Profiler) Finish(res *app.Result) {
 		NumLinks: pr.numLinks,
 		EpochLen: pr.epochLen,
 		Total:    pr.run.Total,
-		Epochs:   make([]Epoch, 0, len(pr.epochs)),
+		Epochs:   make([]Epoch, n),
 	}
-	for i := range pr.epochs {
-		acc := &pr.epochs[i]
-		ep := Epoch{Procs: acc.procs, Hist: acc.hist}
-		if len(acc.links.samples) > 0 {
-			ep.Links = acc.links.sorted()
+	procs := slices.Clone(pr.procs[:n*pr.p])
+	// Each epoch's links go out in id order: walking every link's chain
+	// in id order deals them to their epochs sorted, the overflow last.
+	off := make([]int, n+1)
+	for i := range p.Epochs {
+		off[i+1] = off[i] + pr.epochs[i].held()
+	}
+	links := make([]LinkSample, off[n])
+	for id := range pr.head {
+		for r := pr.head[id]; r.ep != 0; {
+			l := &pr.epochs[r.ep-1].links[r.pos]
+			if i := int(r.ep) - 1; i < n {
+				links[off[i]] = l.LinkSample
+				off[i]++
+			}
+			r = l.prev
 		}
-		p.Epochs = append(p.Epochs, ep)
 	}
-	// Drop trailing empty epochs created by in-flight transmissions
-	// that never extended past the run's completion.
-	for len(p.Epochs) > 0 && p.EpochStart(len(p.Epochs)-1) > p.Total {
-		p.Epochs = p.Epochs[:len(p.Epochs)-1]
+	clear(pr.head)
+	for i := range p.Epochs {
+		e := &pr.epochs[i]
+		if e.ovfHeld {
+			links[off[i]] = e.ovf
+			off[i]++
+		}
+		lo := off[i] - e.held()
+		p.Epochs[i] = Epoch{Procs: procs[i*pr.p : (i+1)*pr.p : (i+1)*pr.p], Hist: e.hist}
+		if lo < off[i] {
+			p.Epochs[i].Links = links[lo:off[i]:off[i]]
+		}
 	}
-	// Flush the unemitted tail (the final partial epoch, and any earlier
-	// epochs the last boundary crossing had not reached).
-	pr.emitClosed(len(p.Epochs), true)
+	accPool.Put(pr.acc)
+	pr.acc = nil
 	pr.profile = p
 }
 

@@ -155,8 +155,7 @@ func TestResolutionCoarsening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, coarse, err := runProfiled("fft", cfg,
-		spasm.ProfileConfig{MaxEpochs: 8})
+	_, coarse, err := runCapped("fft", cfg, spasm.ProfileConfig{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

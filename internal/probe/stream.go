@@ -56,6 +56,12 @@ func (e *EpochEvent) Utilization() (mean, max float64) {
 	return float64(e.LinkBusy) / (el * float64(e.NumLinks)), float64(e.LinkPeak) / el
 }
 
+// linkBusy adds one link's occupancy to the event's sum and peak.
+func (e *EpochEvent) linkBusy(b sim.Time) {
+	e.LinkBusy += b
+	e.LinkPeak = max(e.LinkPeak, b)
+}
+
 // event renders epoch idx's accumulator as an EpochEvent.
 func (pr *Profiler) event(idx int, final bool) EpochEvent {
 	ev := EpochEvent{
@@ -65,9 +71,7 @@ func (pr *Profiler) event(idx int, final bool) EpochEvent {
 		NumLinks: pr.numLinks,
 		Final:    final,
 	}
-	acc := &pr.epochs[idx]
-	for i := range acc.procs {
-		ps := &acc.procs[i]
+	for _, ps := range pr.procsOf(idx) {
 		for b := range ps.Buckets {
 			ev.Buckets[b] += ps.Buckets[b]
 		}
@@ -76,11 +80,12 @@ func (pr *Profiler) event(idx int, final bool) EpochEvent {
 		ev.Writebacks += ps.Writebacks
 		ev.Messages += ps.Messages
 	}
-	for _, l := range acc.links.samples {
-		ev.LinkBusy += l.Busy
-		if l.Busy > ev.LinkPeak {
-			ev.LinkPeak = l.Busy
-		}
+	e := &pr.epochs[idx]
+	for _, l := range e.links {
+		ev.linkBusy(l.Busy)
+	}
+	if e.ovfHeld {
+		ev.linkBusy(e.ovf.Busy)
 	}
 	return ev
 }

@@ -77,10 +77,10 @@ func TestOnEpochStreamsLiveEvents(t *testing.T) {
 // on the profile's final epoch.
 func TestOnEpochSurvivesRescale(t *testing.T) {
 	var events []spasm.ProfileEpochEvent
-	_, prof, err := runProfiled("fft", spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8},
-		spasm.ProfileConfig{MaxEpochs: 8, OnEpoch: func(ev spasm.ProfileEpochEvent) {
+	_, prof, err := runCapped("fft", spasm.Config{Kind: spasm.Target, Topology: "mesh", P: 8},
+		spasm.ProfileConfig{OnEpoch: func(ev spasm.ProfileEpochEvent) {
 			events = append(events, ev)
-		}})
+		}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

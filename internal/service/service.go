@@ -444,10 +444,7 @@ func (s *Server) execute(job *Job) {
 	e := &entry{id: job.id, req: job.req}
 	var live *spasm.ProfileConfig
 	if hub != nil {
-		live = &spasm.ProfileConfig{OnEpoch: func(ev probe.EpochEvent) {
-			hub.publish(eventEpoch, streamEpoch(ev))
-			s.metrics.streamEventEmitted()
-		}}
+		live = s.liveProfile(hub)
 	}
 	res, prof, err := s.runSafely(job.spec, live)
 	if err == nil {
@@ -471,6 +468,15 @@ func (s *Server) execute(job *Job) {
 		e.err = err.Error()
 	}
 	s.finish(job, e, timedOut)
+}
+
+// liveProfile is a streamed run's probe configuration: every epoch the
+// probe closes is rendered into hub's log as it closes.
+func (s *Server) liveProfile(hub *streamHub) *spasm.ProfileConfig {
+	return &spasm.ProfileConfig{OnEpoch: func(ev probe.EpochEvent) {
+		hub.publishEpoch(ev)
+		s.metrics.streamEventEmitted()
+	}}
 }
 
 // runSafely is the one guarded way the daemon simulates: on the

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -19,33 +22,42 @@ const (
 	eventResult = "result" // terminal status with the RunDoc (RunStatus JSON)
 )
 
-// streamEvent is one rendered SSE event.
-type streamEvent struct {
-	name string
-	data []byte
-}
-
 // streamHub is a job's event log for live streaming: the worker appends
 // events as the run executes, and any number of subscribers replay the
 // log from the start and then follow the tail.  Keeping the full log
 // (rather than fan-out channels) means a subscriber attaching mid-run
 // sees every epoch, a slow subscriber loses nothing, and nobody can
-// block the simulation goroutine.  The log is bounded by the probe's
+// block the simulation goroutine.  The log is the events' SSE frames,
+// rendered back to back into fixed-size chunks, so an epoch costs its
+// bytes and nothing else: no boxed document, no marshal, no channel,
+// and no copy of the log as it grows.  It is bounded by the probe's
 // epoch budget, and it dies with the job.
 type streamHub struct {
 	mu     sync.Mutex
-	events []streamEvent
+	chunk  []byte   // the chunk being filled
+	frames [][]byte // each in a chunk; bytes once written never change
 	done   bool
-	update chan struct{} // closed and replaced on every append
+	subs   []chan struct{} // one per subscriber, signaled on every append
 }
 
-func newStreamHub() *streamHub {
-	return &streamHub{update: make(chan struct{})}
+// Log chunks hold hubChunk bytes; a frame starts a new chunk when fewer
+// than maxEpochFrame bytes are left, the most an epoch frame takes.
+const (
+	hubChunk      = 8 << 10
+	maxEpochFrame = 1 << 10
+)
+
+func newStreamHub() *streamHub { return &streamHub{} }
+
+// room makes sure the current chunk has n bytes free; h.mu is held.
+func (h *streamHub) room(n int) {
+	if cap(h.chunk)-len(h.chunk) < n {
+		h.chunk = make([]byte, 0, max(hubChunk, n))
+	}
 }
 
 // publish appends one event.  v is marshaled immediately so the caller
-// (often the simulation goroutine, via the probe's OnEpoch hook) never
-// retains shared state in the log.
+// never retains shared state in the log.
 func (h *streamHub) publish(name string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -53,85 +65,151 @@ func (h *streamHub) publish(name string, v any) {
 	}
 	h.mu.Lock()
 	if !h.done {
-		h.events = append(h.events, streamEvent{name: name, data: data})
-		close(h.update)
-		h.update = make(chan struct{})
+		h.room(len(name) + len(data) + len("event: \ndata: \n\n"))
+		h.appended(len(h.chunk), appendFrame(h.chunk, name, data))
 	}
 	h.mu.Unlock()
 }
 
-// finish seals the log: no further events, and every subscriber's next
-// wait returns immediately.  Idempotent.
+// publishEpoch renders one live profile epoch straight into the log.
+// It runs on the simulation goroutine, through the probe's OnEpoch hook.
+func (h *streamHub) publishEpoch(ev probe.EpochEvent) {
+	h.mu.Lock()
+	if !h.done {
+		h.room(maxEpochFrame)
+		h.appended(len(h.chunk), appendEpochFrame(h.chunk, ev))
+	}
+	h.mu.Unlock()
+}
+
+// appended records the frame written into chunk from start on and wakes
+// every subscriber; h.mu is held.
+func (h *streamHub) appended(start int, chunk []byte) {
+	h.chunk = chunk
+	h.frames = append(h.frames, chunk[start:len(chunk):len(chunk)])
+	h.notify()
+}
+
+// notify signals every subscriber without blocking: a subscriber's
+// channel holds one pending wake-up, which covers any number of appends.
+func (h *streamHub) notify() {
+	for _, c := range h.subs {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// finish seals the log: no further events, and every subscriber wakes
+// to find it sealed.  Idempotent.
 func (h *streamHub) finish() {
 	h.mu.Lock()
 	if !h.done {
 		h.done = true
-		close(h.update)
+		h.notify()
 	}
 	h.mu.Unlock()
 }
 
-// snapshot returns the events at and past index i, whether the log is
-// sealed, and a channel that closes on the next append (or is already
-// closed once sealed).  The returned slice is capped so subscribers can
-// never see later appends through it.
-func (h *streamHub) snapshot(i int) (evs []streamEvent, done bool, wait <-chan struct{}) {
+// subscribe returns a channel signaled on every append and at finish,
+// and the function that detaches it.
+func (h *streamHub) subscribe() (<-chan struct{}, func()) {
+	c := make(chan struct{}, 1)
+	h.mu.Lock()
+	h.subs = append(h.subs, c)
+	h.mu.Unlock()
+	return c, func() {
+		h.mu.Lock()
+		if i := slices.Index(h.subs, c); i >= 0 {
+			h.subs = slices.Delete(h.subs, i, i+1)
+		}
+		h.mu.Unlock()
+	}
+}
+
+// snapshot returns the frames at and past index i and whether the log
+// is sealed.  The returned slice is capped so subscribers can never see
+// later appends through it.
+func (h *streamHub) snapshot(i int) (frames [][]byte, done bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if i < len(h.events) {
-		evs = h.events[i:len(h.events):len(h.events)]
+	if i < len(h.frames) {
+		frames = h.frames[i:len(h.frames):len(h.frames)]
 	}
-	return evs, h.done, h.update
+	return frames, h.done
 }
 
-// streamEpochDoc is the wire form of one live profile epoch — the
-// ProfileEpochDoc fields that are computable from a single epoch event,
-// plus the event's own resolution.  Epochs are provisional: after a
-// profile rescale the covered timeline is re-emitted at the doubled
-// epoch_us, so consumers reconciling a timeline must treat a new event
-// overlapping an earlier window as its replacement.  The canonical
-// profile remains GET /v1/runs/{id}/profile after completion.
-type streamEpochDoc struct {
-	Index   int     `json:"index"`
-	EpochUS float64 `json:"epoch_us"`
-	StartUS float64 `json:"start_us"`
-
-	ComputeUS    float64 `json:"compute_us"`
-	MemoryUS     float64 `json:"memory_us"`
-	LatencyUS    float64 `json:"latency_us"`
-	ContentionUS float64 `json:"contention_us"`
-	SyncUS       float64 `json:"sync_us"`
-
-	Misses     uint64 `json:"misses"`
-	Invals     uint64 `json:"invals"`
-	Writebacks uint64 `json:"writebacks"`
-	Messages   uint64 `json:"messages"`
-
-	LinkUtil    float64 `json:"link_util,omitempty"`
-	MaxLinkUtil float64 `json:"max_link_util,omitempty"`
-
-	Final bool `json:"final,omitempty"`
+// appendFrame appends one SSE frame carrying data to b.
+func appendFrame(b []byte, name string, data []byte) []byte {
+	b = append(b, "event: "...)
+	b = append(b, name...)
+	b = append(b, "\ndata: "...)
+	b = append(b, data...)
+	return append(b, "\n\n"...)
 }
 
-// streamEpoch renders a probe epoch event for the SSE stream.
-func streamEpoch(ev probe.EpochEvent) streamEpochDoc {
-	d := streamEpochDoc{
-		Index:        ev.Index,
-		EpochUS:      ev.EpochLen.Micros(),
-		StartUS:      ev.Start.Micros(),
-		ComputeUS:    ev.Buckets[stats.Compute].Micros(),
-		MemoryUS:     ev.Buckets[stats.Memory].Micros(),
-		LatencyUS:    ev.Buckets[stats.Latency].Micros(),
-		ContentionUS: ev.Buckets[stats.Contention].Micros(),
-		SyncUS:       ev.Buckets[stats.Sync].Micros(),
-		Misses:       ev.Misses,
-		Invals:       ev.Invals,
-		Writebacks:   ev.Writebacks,
-		Messages:     ev.Messages,
-		Final:        ev.Final,
+// appendEpochFrame appends the SSE frame of one live profile epoch to
+// b.  The data is the epoch's JSON document:
+//
+//	index, epoch_us, start_us   the epoch's index at the resolution
+//	                            current when it fired, and its window
+//	compute_us … sync_us        the overhead buckets summed over processors
+//	misses, invals, writebacks, messages
+//	link_util, max_link_util    mean and busiest-link utilization, omitted
+//	                            when zero (no per-link telemetry)
+//	final                       true for the tail flushed at completion
+//
+// Epochs are provisional: after a profile rescale the covered timeline
+// is re-emitted at the doubled epoch_us, so consumers reconciling a
+// timeline must treat a new event overlapping an earlier window as its
+// replacement.  The canonical profile remains GET /v1/runs/{id}/profile
+// after completion.  The bytes are those encoding/json writes for the
+// same document (every value is finite: Utilization divides by a
+// positive epoch length and link count, or returns zeros).
+func appendEpochFrame(b []byte, ev probe.EpochEvent) []byte {
+	mean, peak := ev.Utilization()
+	b = append(b, "event: "+eventEpoch+"\ndata: {\"index\":"...)
+	b = strconv.AppendInt(b, int64(ev.Index), 10)
+	b = appendFloat(append(b, `,"epoch_us":`...), ev.EpochLen.Micros())
+	b = appendFloat(append(b, `,"start_us":`...), ev.Start.Micros())
+	b = appendFloat(append(b, `,"compute_us":`...), ev.Buckets[stats.Compute].Micros())
+	b = appendFloat(append(b, `,"memory_us":`...), ev.Buckets[stats.Memory].Micros())
+	b = appendFloat(append(b, `,"latency_us":`...), ev.Buckets[stats.Latency].Micros())
+	b = appendFloat(append(b, `,"contention_us":`...), ev.Buckets[stats.Contention].Micros())
+	b = appendFloat(append(b, `,"sync_us":`...), ev.Buckets[stats.Sync].Micros())
+	b = strconv.AppendUint(append(b, `,"misses":`...), ev.Misses, 10)
+	b = strconv.AppendUint(append(b, `,"invals":`...), ev.Invals, 10)
+	b = strconv.AppendUint(append(b, `,"writebacks":`...), ev.Writebacks, 10)
+	b = strconv.AppendUint(append(b, `,"messages":`...), ev.Messages, 10)
+	if mean != 0 {
+		b = appendFloat(append(b, `,"link_util":`...), mean)
 	}
-	d.LinkUtil, d.MaxLinkUtil = ev.Utilization()
-	return d
+	if peak != 0 {
+		b = appendFloat(append(b, `,"max_link_util":`...), peak)
+	}
+	if ev.Final {
+		b = append(b, `,"final":true`...)
+	}
+	return append(b, "}\n\n"...)
+}
+
+// appendFloat formats f as encoding/json does: shortest round-trip
+// digits, in exponent form only below 1e-6 or from 1e21 on, with the
+// exponent's leading zero dropped.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // handleStream serves GET /v1/runs/{id}/stream: a Server-Sent-Events
@@ -186,9 +264,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *Job) {
 	s.metrics.streamOpen(1)
 	defer s.metrics.streamOpen(-1)
 
-	write := func(ev streamEvent) {
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
-	}
+	write := func(name string, data []byte) { w.Write(appendFrame(nil, name, data)) }
 
 	s.mu.Lock()
 	hub := j.hub
@@ -202,12 +278,12 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *Job) {
 		// No live feed: one state event now, the result when it lands.
 		if terminalState(st.State) {
 			data, _ := json.Marshal(st)
-			write(streamEvent{eventResult, data})
+			write(eventResult, data)
 			fl.Flush()
 			return
 		}
 		data, _ := json.Marshal(st)
-		write(streamEvent{eventState, data})
+		write(eventState, data)
 		fl.Flush()
 		select {
 		case <-j.done:
@@ -217,7 +293,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *Job) {
 		s.mu.Lock()
 		data, _ = json.Marshal(statusFromEntry(j.entry, false))
 		s.mu.Unlock()
-		write(streamEvent{eventResult, data})
+		write(eventResult, data)
 		fl.Flush()
 		return
 	}
@@ -225,19 +301,21 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *Job) {
 	// Live feed: announce the current state, then replay the hub's log
 	// and follow its tail.
 	data, _ := json.Marshal(st)
-	write(streamEvent{eventState, data})
+	write(eventState, data)
 	fl.Flush()
 
+	wait, unsubscribe := hub.subscribe()
+	defer unsubscribe()
 	keep := time.NewTicker(15 * time.Second)
 	defer keep.Stop()
 	i := 0
 	for {
-		evs, done, wait := hub.snapshot(i)
-		if len(evs) > 0 {
-			for _, ev := range evs {
-				write(ev)
+		frames, done := hub.snapshot(i)
+		if len(frames) > 0 {
+			for _, f := range frames {
+				w.Write(f)
 			}
-			i += len(evs)
+			i += len(frames)
 			fl.Flush()
 			continue
 		}

@@ -324,8 +324,9 @@ type (
 	Profile = probe.Profile
 	// ProfileEpoch is one sampling interval of a Profile.
 	ProfileEpoch = probe.Epoch
-	// ProfileConfig parameterizes profiling (epoch length and budget,
-	// plus the OnEpoch live-streaming hook).
+	// ProfileConfig parameterizes profiling: the OnEpoch live-streaming
+	// hook.  Epoch length and budgets are fixed (probe.DefaultEpoch,
+	// DefaultMaxEpochs, DefaultMaxLinks).
 	ProfileConfig = probe.Config
 	// ProfileEpochEvent is one incremental epoch emission from the
 	// ProfileConfig.OnEpoch hook.
