@@ -4,6 +4,7 @@
 //	spasm figures -fig 7
 //	spasm study all
 //	spasm trace record|info|replay
+//	spasm help
 //
 // README.md "Commands" says what each subcommand regenerates; every
 // table any of them prints is built in internal/report.
@@ -31,23 +32,30 @@ const usage = `usage: spasm <command> [flags]
            ("spasm study" lists them)
   trace    record, inspect and replay shared-memory reference traces
 
-"spasm <command> -h" lists a command's flags.
+"spasm <command> -h" lists a command's flags; "spasm -h" lists run's.
 `
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// cli carries the two output streams through a subcommand.
-type cli struct{ out, errw io.Writer }
+// cli carries the two output streams through a subcommand.  listed
+// marks an invocation that named no command: its flag help (run's)
+// follows the command list.
+type cli struct {
+	out, errw io.Writer
+	listed    bool
+}
 
 // run dispatches one invocation and returns its exit status.
 func run(args []string, stdout, stderr io.Writer) int {
-	c := &cli{out: stdout, errw: stderr}
+	c := &cli{out: stdout, errw: stderr, listed: true}
 	name := "run"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		name, args = args[0], args[1:]
+		name, args, c.listed = args[0], args[1:], false
 	}
 	var err error
 	switch name {
+	case "help":
+		fmt.Fprint(stdout, usage)
 	case "run":
 		err = c.runOne(args)
 	case "figures":
@@ -73,11 +81,12 @@ type usageError struct{ msg, usage string }
 func (e usageError) Error() string { return e.msg }
 
 // fail reports err and maps it to an exit status: 2 for command-line
-// mistakes, 1 for everything that went wrong afterwards.
+// mistakes, 1 for everything that went wrong afterwards.  The library's
+// spec errors carry the "spasm:" prefix already; it is printed once.
 func fail(stderr io.Writer, err error) int {
 	var ue usageError
 	if !errors.As(err, &ue) {
-		fmt.Fprintln(stderr, "spasm:", err)
+		fmt.Fprintln(stderr, "spasm:", strings.TrimPrefix(err.Error(), "spasm: "))
 		return 1
 	}
 	if ue.msg != "" {
@@ -90,6 +99,12 @@ func fail(stderr io.Writer, err error) int {
 func (c *cli) flags(name string) *flag.FlagSet {
 	fs := flag.NewFlagSet("spasm "+name, flag.ContinueOnError)
 	fs.SetOutput(c.errw)
+	if c.listed {
+		fs.Usage = func() {
+			fmt.Fprintf(c.errw, "%s\nUsage of %s:\n", usage, fs.Name())
+			fs.PrintDefaults()
+		}
+	}
 	return fs
 }
 

@@ -214,6 +214,50 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestErrorsCarryOnePrefix: a spec or sweep the library rejects is
+// reported once as "spasm: <the library's message>", exit 1.
+func TestErrorsCarryOnePrefix(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run", "-p", "0"}, "spasm: spec needs P >= 1, got 0\n"},
+		{[]string{"run", "-topo", "nope"}, `spasm: unknown topology "nope" (have [full cube mesh ring torus])` + "\n"},
+		{[]string{"figures", "-procs", "4,x"}, `spasm: bad processor count "x"` + "\n"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 1 {
+			t.Errorf("spasm %v: exit %d, want 1", tc.args, code)
+		}
+		if got := errb.String(); got != tc.want {
+			t.Errorf("spasm %v: stderr %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+// TestHelp: "spasm help" prints the command list and succeeds; "spasm -h"
+// prints it above run's flags, which "spasm run -h" prints alone.
+func TestHelp(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"help"}, &out, &errb); code != 0 || out.String() != usage || errb.Len() != 0 {
+		t.Errorf("spasm help: exit %d, stdout %q, stderr %q; want 0 and the command list on stdout", code, out.String(), errb.String())
+	}
+	runHelp := func(args ...string) string {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 || out.Len() != 0 {
+			t.Errorf("spasm %v: exit %d, stdout %q; want 2 and nothing", args, code, out.String())
+		}
+		return errb.String()
+	}
+	flags := runHelp("run", "-h")
+	if !strings.HasPrefix(flags, "Usage of spasm run:\n") || !strings.Contains(flags, "-app string") || strings.Contains(flags, "figures") {
+		t.Errorf("spasm run -h:\n%s", flags)
+	}
+	if got := runHelp("-h"); got != usage+"\n"+flags {
+		t.Errorf("spasm -h:\n%s\nwant the command list, a blank line, then:\n%s", got, flags)
+	}
+}
+
 // TestPUsageNamesEveryLimit: the -p help text lists every machine kind
 // with the processor limit Spec.Validate enforces for it, and every
 // workload the app registry limits further with its limit at each scale.

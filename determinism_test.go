@@ -16,7 +16,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"spasm/internal/app"
+	"spasm/internal/apps"
+	"spasm/internal/machine"
 	"spasm/internal/report"
+	"spasm/internal/runpool"
 )
 
 const runDocGoldenPath = "testdata/rundocs_tiny.golden.json"
@@ -198,5 +202,55 @@ func TestRunDocsBitIdentical(t *testing.T) {
 		t.Fatalf("RunDoc JSON diverged from golden %s (%d vs %d bytes); "+
 			"simulated results are supposed to be bit-for-bit stable",
 			runDocGoldenPath, len(got), len(want))
+	}
+}
+
+// TestPooledStreamStateStartsClean: a pooled context keeps a stream run's
+// feeds and tallies for the next stream run, so a cursor, pointer or
+// count one run leaves behind must never reach the next.  On one context
+// per driver — LogP's stackless feeds, Flow's coroutines running
+// app.Drive — uniform streams at two seeds alternate with hot-spot and
+// neighbour microbenchmarks at p64, twice over; each RunDoc must equal
+// the fresh run's, and each stream check must pass.
+func TestPooledStreamStateStartsClean(t *testing.T) {
+	programs := []func() app.Program{
+		func() app.Program { return apps.NewUniform(apps.Tiny, 1) },
+		func() app.Program { return apps.NewMicro(apps.HotSpotPattern, 96, 10, 2) },
+		func() app.Program { return apps.NewUniform(apps.Tiny, 3) },
+		func() app.Program { return apps.NewMicro(apps.NeighborPattern, 96, 10, 4) },
+	}
+	doc := func(res *app.Result) string {
+		b, err := json.Marshal(report.RunJSON(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, kind := range []machine.Kind{machine.LogP, machine.Flow} {
+		cfg := machine.Config{Kind: kind, Topology: "cube", P: 64}
+		want := make([]string, len(programs))
+		for i, prog := range programs {
+			res, err := app.Run(prog(), cfg)
+			if err != nil {
+				t.Fatalf("%v: fresh run %d: %v", kind, i, err)
+			}
+			want[i] = doc(res)
+		}
+		pool := runpool.New(1)
+		for pass := 0; pass < 2; pass++ {
+			for i, prog := range programs {
+				res, err := app.Execute(prog(), cfg, app.Options{Pool: pool})
+				if err != nil {
+					t.Fatalf("%v: pass %d: pooled run %d: %v", kind, pass, i, err)
+				}
+				if got := doc(res); got != want[i] {
+					t.Fatalf("%v: pass %d: pooled run %d diverged from fresh\nfresh:  %s\npooled: %s",
+						kind, pass, i, want[i], got)
+				}
+			}
+		}
+		if st := pool.Stats(); st.Misses != 1 {
+			t.Fatalf("%v: one context should have served every run: %+v", kind, st)
+		}
 	}
 }

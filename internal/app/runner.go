@@ -67,10 +67,15 @@ type Ctx struct {
 	// program marks phase boundaries with Proc.Phase.
 	Phases *PhaseProfile
 	// Issued is what each processor issued of a Stream (nil otherwise).
+	// A pooled run's is its context's memory, like Host.
 	Issued []Tally
 	// at is M priced at issue when the run's processes are stackless (see
 	// runOn), nil when a Stream's references go through M.Read and M.Write.
 	at machine.PricedAtIssue
+	// stream and feeds are a Stream run's program and its processors'
+	// driver state (nil otherwise).
+	stream Stream
+	feeds  []feed
 }
 
 // Program is a parallel application.  Setup runs once (unsimulated) to
@@ -125,17 +130,18 @@ type Instrument interface {
 // Options selects how Execute runs a program.  The zero value is a
 // fresh, unbounded, undecorated run — exactly Run.
 type Options struct {
-	// Pool, when non-nil, supplies the engine, address space, host arena
-	// and machine (reset in place) instead of constructing them, so a
-	// sweep pays machine construction and the program's host arrays once
-	// per configuration.  The Result's Machine and Space, and the
-	// program's host values, then reference pooled state, readable only
-	// until the pool hands the context to another run; Stats and Phases
-	// are freshly allocated and safe to keep.  A context whose run did not complete
-	// cleanly — aborted, panicked, deadlocked, or failed its result check
-	// — is Discarded rather than returned to the freelist: the pool's
-	// reset invariants (docs/INTERNALS.md §9) only hold for state a run
-	// finished with.
+	// Pool, when non-nil, supplies the engine, address space, host arena,
+	// a Stream's per-processor driver state and the machine (reset in
+	// place) instead of constructing them, so a sweep pays machine
+	// construction, the program's host arrays and the run's feeds once
+	// per configuration.  The Result's Machine and Space, the program's
+	// host values and Ctx.Issued then reference pooled state, readable
+	// only until the pool hands the context to another run; Stats and
+	// Phases are freshly allocated and safe to keep.  A context whose run
+	// did not complete cleanly — aborted, panicked, deadlocked, or failed
+	// its result check — is Discarded rather than returned to the
+	// freelist: the pool's reset invariants (docs/INTERNALS.md §9) only
+	// hold for state a run finished with.
 	Pool *runpool.Pool
 	// Control bounds the run (timeout, cancellation).
 	Control RunControl
@@ -178,13 +184,18 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 		}
 		space := mem.NewSpace(cfg.P, blockBytes)
 		bind := func() (machine.Machine, error) { return machine.New(cfg, space) }
-		return runOn(prog, cfg, space, new(mem.Arena), sim.NewEngine(), bind, opt)
+		return runOn(prog, cfg, space, new(mem.Arena), sim.NewEngine(), bind, new(drivers), opt)
 	}
 	ctx, err := opt.Pool.Get(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := runOn(prog, cfg, ctx.Space, ctx.Host, ctx.Eng, ctx.Bind, opt)
+	d, _ := ctx.Drivers.(*drivers)
+	if d == nil {
+		d = new(drivers)
+		ctx.Drivers = d
+	}
+	res, err := runOn(prog, cfg, ctx.Space, ctx.Host, ctx.Eng, ctx.Bind, d, opt)
 	if err != nil {
 		opt.Pool.Discard(ctx)
 		return nil, err
@@ -202,11 +213,11 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // A process is a coroutine running Body, except where the run shows it
 // need not be: a Stream, on a machine that as the program will drive it
 // (decorators included) prices a reference at issue, gets stackless
-// processes — their bodies one []feed, a cache line each — running the
-// loop Drive runs: the same engine calls in the same order, so no result
-// shows which one ran.  With Workers > 1 the engine's parallel mode
-// overlaps those step functions; a run with coroutines asking for workers
-// runs sequentially, and Result.Par says so.
+// processes — their bodies the feeds of d, a cache line each — running
+// the loop Drive runs from the same feeds: the same engine calls in the
+// same order, so no result shows which one ran.  With Workers > 1 the
+// engine's parallel mode overlaps those step functions; a run with
+// coroutines asking for workers runs sequentially, and Result.Par says so.
 //
 // When ctl is enabled, a watchdog goroutine interrupts the engine on
 // timeout or cancellation; the resulting cooperative abort unwinds every
@@ -215,13 +226,16 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // late Interrupt can never poison a subsequent run on the same (pooled)
 // engine.
 func runOn(prog Program, cfg machine.Config, space *mem.Space, host *mem.Arena, eng *sim.Engine,
-	bind func() (machine.Machine, error), opt Options) (*Result, error) {
+	bind func() (machine.Machine, error), d *drivers, opt Options) (*Result, error) {
 	wrap, inst, ctl, workers := opt.Wrap, opt.Instrument, opt.Control, opt.Workers
 	run := stats.NewRun(cfg.P)
 	ctx := &Ctx{P: cfg.P, Space: space, Host: host, Run: run, Eng: eng, Phases: newPhaseProfile()}
 	stream, _ := prog.(Stream)
 	if stream != nil {
-		ctx.Issued = make([]Tally, cfg.P)
+		if d.feeds == nil {
+			d.feeds, d.issued = make([]feed, cfg.P), make([]Tally, cfg.P)
+		}
+		ctx.stream, ctx.feeds, ctx.Issued = stream, d.feeds, d.issued
 	}
 
 	if err := setupSafely(prog, ctx); err != nil {
@@ -243,16 +257,15 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, host *mem.Arena, 
 	ctx.M = m
 
 	prefix := prog.Name() + "/p"
-	var feeds []feed
-	if at, priced := m.(machine.PricedAtIssue); priced && stream != nil {
+	at, stackless := m.(machine.PricedAtIssue)
+	stackless = stackless && stream != nil
+	if stackless {
 		ctx.at = at
-		feeds = make([]feed, cfg.P)
 	}
 	for i := 0; i < cfg.P; i++ {
 		i := i
-		if feeds != nil {
-			f := &feeds[i]
-			*f = feed{refs: stream.StreamOf(i), st: &run.Procs[i], ctx: ctx, id: i}
+		if stackless {
+			f := ctx.feed(i, stream)
 			f.sp = eng.SpawnStep(prefix, f)
 			continue
 		}

@@ -10,18 +10,26 @@ import (
 
 // Stream is a Program whose processors never look at simulated time — a
 // synthetic injector, a trace replay: trace-driven, in the paper's terms.
-// It hands over each processor's references as a generator and leaves the
-// driving to the runner (see runOn), which on a machine priced at issue
-// spends no coroutine on it.  StreamOf returns the same stream whenever
-// it is asked: the run draws it once, CheckStreams again.  Body is Drive.
+// It hands over each processor's references as a cursor it can advance
+// and leaves the driving to the runner (see runOn), which on a machine
+// priced at issue spends no coroutine on it.  Start and Next are pure
+// functions of the set-up program, so the run draws a stream and
+// CheckStreams draws it again.  Body is Drive.
 type Stream interface {
 	Program
-	StreamOf(id int) RefStream
+	// Start returns the cursor at processor id's first reference.
+	Start(id int) Cursor
+	// Next returns processor id's reference at cur and the cursor past
+	// it; ok is false once the stream is done.
+	Next(id int, cur Cursor) (r Ref, next Cursor, ok bool)
 }
 
-// RefStream yields one processor's references in issue order.
-type RefStream interface {
-	Next() (r Ref, ok bool)
+// Cursor is a position in one processor's stream, held by value in the
+// driver's feed: how many references it has drawn, and a word of the
+// Stream's own state (a generator, a timestamp).
+type Cursor struct {
+	Pos   int
+	State uint64
 }
 
 // Ref is one reference: Think of local computation, then the access.
@@ -48,9 +56,9 @@ func (t *Tally) add(r Ref) {
 // feed is one processor's stream in flight: 64 bytes, one host cache line
 // of a run's []feed (TestFeedFitsOneLine), so an event of a stackless
 // process finds its driver state in one place.  What all feeds of a run
-// share — the machine, where the tallies go — is behind ctx.
+// share — the machine, the stream, where the tallies go — is behind ctx.
 type feed struct {
-	refs  RefStream
+	cur   Cursor
 	tally Tally
 	st    *stats.Proc
 	sp    *sim.Proc
@@ -58,15 +66,41 @@ type feed struct {
 	id    int
 }
 
+// drivers is a Stream run's per-processor driver state, a feed and a
+// tally a processor.  A pooled context keeps it for its P
+// (runpool.Ctx.Drivers) and zeroes it on checkout, as it does Host; a
+// run's feed fills in the rest of a zero feed.
+type drivers struct {
+	feeds  []feed
+	issued []Tally
+}
+
+// Reset zeroes every feed and tally for the context's next run.
+func (d *drivers) Reset() {
+	clear(d.feeds)
+	clear(d.issued)
+}
+
+// feed returns processor id's feed, bound to this run and set at the
+// start of s; its tally counts on from the zero of a fresh or checked-out
+// slab.
+func (c *Ctx) feed(id int, s Stream) *feed {
+	f := &c.feeds[id]
+	f.cur, f.st, f.ctx, f.id = s.Start(id), &c.Run.Procs[id], c, id
+	return f
+}
+
 // run is the one compute/issue/checksum loop.  On a machine priced at
 // issue (ctx.at) it makes the clock calls Read or Write would, and returns
 // at the first reference to leave the node, to be resumed when its reply
 // lands.  Otherwise the references block inside the machine: it returns
 // once, done.
-func (f *feed) run() (wake sim.Time, done bool) {
+func (f *feed) run(s Stream) (wake sim.Time, done bool) {
 	c, sp, st := f.ctx, f.sp, f.st
 	for {
-		r, ok := f.refs.Next()
+		var r Ref
+		var ok bool
+		r, f.cur, ok = s.Next(f.id, f.cur)
 		if !ok {
 			c.Issued[f.id] = f.tally
 			return 0, true
@@ -95,17 +129,19 @@ func (f *feed) run() (wake sim.Time, done bool) {
 
 // Step implements sim.Stepper: a feed is the body of a stackless process.
 func (f *feed) Step(sp *sim.Proc) (sim.Time, bool) {
-	wake, done := f.run()
+	wake, done := f.run(f.ctx.stream)
 	if done {
 		f.st.Finish = sp.Now()
 	}
 	return wake, done
 }
 
-// Drive is the Body of a Stream: p's references through Read and Write.
+// Drive is the Body of a Stream: p's references through Read and Write,
+// from p's feed in the run's slab.
 func Drive(s Stream, p *Proc) {
-	f := feed{refs: s.StreamOf(p.ID), st: p.St, sp: p.S, ctx: p.Ctx, id: p.ID}
-	f.run()
+	f := p.Ctx.feed(p.ID, s)
+	f.sp = p.S
+	f.run(s)
 }
 
 // CheckStreams is the Check of a Stream: every processor issued exactly
@@ -113,9 +149,10 @@ func Drive(s Stream, p *Proc) {
 func (c *Ctx) CheckStreams(s Stream) error {
 	for id, got := range c.Issued {
 		var want Tally
-		for refs := s.StreamOf(id); ; {
-			r, ok := refs.Next()
-			if !ok {
+		for cur := s.Start(id); ; {
+			var r Ref
+			var ok bool
+			if r, cur, ok = s.Next(id, cur); !ok {
 				break
 			}
 			want.add(r)

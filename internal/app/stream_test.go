@@ -33,33 +33,26 @@ func (s *strider) Name() string { return "strider" }
 func (s *strider) Setup(c *Ctx) {
 	s.arr, s.ctx = c.Space.Alloc("strider.data", c.P*64, 8, mem.Blocked), c
 }
-func (s *strider) Body(p *Proc) { Drive(s, p) }
-func (s *strider) Check() error { return s.ctx.CheckStreams(s) }
-func (s *strider) StreamOf(id int) RefStream {
-	return &stride{s: s, at: id * 37}
-}
+func (s *strider) Body(p *Proc)        { Drive(s, p) }
+func (s *strider) Check() error        { return s.ctx.CheckStreams(s) }
+func (s *strider) Start(id int) Cursor { return Cursor{State: uint64(id * 37)} }
 
-type stride struct {
-	s     *strider
-	at, n int
-}
-
-func (st *stride) Next() (Ref, bool) {
-	s := st.s
+// Next counts references drawn in Pos and holds the array index in State.
+func (s *strider) Next(_ int, cur Cursor) (Ref, Cursor, bool) {
 	for n := int64(runtime.NumGoroutine()); ; {
 		if seen := s.goroutines.Load(); n <= seen || s.goroutines.CompareAndSwap(seen, n) {
 			break
 		}
 	}
-	if st.n == s.refs {
-		return Ref{}, false
+	if cur.Pos == s.refs {
+		return Ref{}, cur, false
 	}
-	st.n++
-	if st.n == s.boom {
+	n := cur.Pos + 1
+	if n == s.boom {
 		panic("bad reference")
 	}
-	st.at = (st.at + 29) % s.arr.N
-	return Ref{Think: sim.Cycles(int64(st.n % 5)), Addr: s.arr.At(st.at), Write: st.n%4 == 0}, true
+	at := (int(cur.State) + 29) % s.arr.N
+	return Ref{Think: sim.Cycles(int64(n % 5)), Addr: s.arr.At(at), Write: n%4 == 0}, Cursor{Pos: n, State: uint64(at)}, true
 }
 
 // hidden wraps a machine in a decorator that adds nothing — and, like the

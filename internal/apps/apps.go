@@ -47,8 +47,9 @@ func newRng(seed int64) *rand.Rand {
 func putRng(rng *rand.Rand) { rngPool.Put(rng) }
 
 // refGen generates one processor's synthetic reference stream: SplitMix64,
-// one word held by value in the stream object.  At large P every draw
-// finds what it touches cold, so generator and quota share a cache line.
+// one word held by value in the stream's app.Cursor.  At large P every
+// draw finds what it touches cold, so generator and count share the
+// driver's cache line.
 type refGen uint64
 
 // newRefGen seeds processor id's stream of run seed in O(1), hashing first

@@ -90,38 +90,31 @@ func (m *Micro) Setup(c *app.Ctx) {
 	m.ctx = c
 }
 
-// microRefs is one processor's stream.
-type microRefs struct {
-	m     *Micro
-	g     refGen
-	left  int
-	think sim.Time
-	// lo, n: the ID-adjacent processor's partition (NeighborPattern).
-	lo, n int
+// Start implements app.Stream: the stream the run and Check both draw.
+// The cursor counts references drawn and holds the generator.
+func (m *Micro) Start(id int) app.Cursor {
+	return app.Cursor{State: uint64(newRefGen(m.Seed, id))}
 }
 
-// StreamOf implements app.Stream: the stream the run and Check both draw.
-func (m *Micro) StreamOf(id int) app.RefStream {
-	lo, hi := m.arr.OwnerRange((id + 1) % m.ctx.P)
-	return &microRefs{m: m, g: newRefGen(m.Seed, id), left: m.Refs, think: sim.Cycles(m.Think), lo: lo, n: hi - lo}
-}
-
-func (s *microRefs) Next() (app.Ref, bool) {
-	if s.left <= 0 {
-		return app.Ref{}, false
+// Next implements app.Stream.
+func (m *Micro) Next(id int, cur app.Cursor) (app.Ref, app.Cursor, bool) {
+	if cur.Pos >= m.Refs {
+		return app.Ref{}, cur, false
 	}
-	s.left--
-	m, g := s.m, &s.g
+	g := refGen(cur.State)
 	var addr mem.Addr
 	switch {
 	case m.Pattern == HotSpotPattern && g.below(100) < m.HotPct:
 		addr = m.hot.At(g.below(m.hot.N))
 	case m.Pattern == NeighborPattern:
-		addr = m.arr.At(s.lo + g.below(s.n))
+		// The ID-adjacent processor's partition.
+		lo, hi := m.arr.OwnerRange((id + 1) % m.ctx.P)
+		addr = m.arr.At(lo + g.below(hi-lo))
 	default:
 		addr = m.arr.At(g.below(m.arr.N))
 	}
-	return app.Ref{Think: s.think, Addr: addr, Write: g.below(100) < m.WritePct}, true
+	r := app.Ref{Think: sim.Cycles(m.Think), Addr: addr, Write: g.below(100) < m.WritePct}
+	return r, app.Cursor{Pos: cur.Pos + 1, State: uint64(g)}, true
 }
 
 // Body implements app.Program.

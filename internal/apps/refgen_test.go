@@ -38,9 +38,10 @@ func TestUniformStreamIsUniform(t *testing.T) {
 	homes := make([]int, P)
 	refs, writes := 0, 0
 	for id := 0; id < P; id++ {
-		for s := u.StreamOf(id); ; {
-			r, ok := s.Next()
-			if !ok {
+		for cur := u.Start(id); ; {
+			var r app.Ref
+			var ok bool
+			if r, cur, ok = u.Next(id, cur); !ok {
 				break
 			}
 			homes[u.ctx.Space.Home(r.Addr)]++

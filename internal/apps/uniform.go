@@ -66,27 +66,22 @@ func (u *Uniform) Setup(c *app.Ctx) {
 	u.ctx = c
 }
 
-// uniformRefs is one processor's stream: generator and quota, 40 bytes.
-type uniformRefs struct {
-	u     *Uniform
-	g     refGen
-	left  int
-	think sim.Time
+// Start implements app.Stream: processor id's deterministic stream, the
+// same for the run and for Check, which makes the run verifiable.  The
+// cursor counts references drawn and holds the generator.
+func (u *Uniform) Start(id int) app.Cursor {
+	return app.Cursor{State: uint64(newRefGen(u.Seed, id))}
 }
 
-// StreamOf implements app.Stream: processor id's deterministic stream,
-// the same for the run and for Check, which makes the run verifiable.
-func (u *Uniform) StreamOf(id int) app.RefStream {
-	return &uniformRefs{u: u, g: newRefGen(u.Seed, id), left: u.Refs, think: sim.Cycles(u.Think)}
-}
-
-func (s *uniformRefs) Next() (app.Ref, bool) {
-	if s.left <= 0 {
-		return app.Ref{}, false
+// Next implements app.Stream.
+func (u *Uniform) Next(_ int, cur app.Cursor) (app.Ref, app.Cursor, bool) {
+	if cur.Pos >= u.Refs {
+		return app.Ref{}, cur, false
 	}
-	s.left--
-	addr := s.u.arr.At(s.g.below(s.u.arr.N))
-	return app.Ref{Think: s.think, Addr: addr, Write: s.g.below(100) < s.u.WritePct}, true
+	g := refGen(cur.State)
+	addr := u.arr.At(g.below(u.arr.N))
+	r := app.Ref{Think: sim.Cycles(u.Think), Addr: addr, Write: g.below(100) < u.WritePct}
+	return r, app.Cursor{Pos: cur.Pos + 1, State: uint64(g)}, true
 }
 
 // Body implements app.Program.

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"slices"
+
 	"spasm/internal/app"
 	"spasm/internal/exp"
 	"spasm/internal/stats"
@@ -117,6 +119,7 @@ func RunJSON(res *app.Result) RunDoc {
 		SimEvents:      r.SimEvents,
 		NetModelEvents: r.NetEvents,
 	}
+	doc.Procs = slices.Grow(doc.Procs, len(r.Procs)) // sized once; nil for no processors
 	for i := range r.Procs {
 		p := &r.Procs[i]
 		doc.Procs = append(doc.Procs, ProcDoc{

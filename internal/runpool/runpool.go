@@ -37,11 +37,12 @@ import (
 const DefaultMaxIdle = 16
 
 // Ctx is one pooled run context: an engine, an address space and a host
-// arena ready for an application's Setup, plus the reusable machine that
-// binds to the space afterwards.  Between Get and Put the context belongs
-// exclusively to one caller; the Engine, Space and Host it hands out are
-// reset, so a run on a pooled context is observationally identical to
-// one on fresh state.
+// arena ready for an application's Setup, the runner's per-processor
+// driver state, and the reusable machine that binds to the space
+// afterwards.  Between Get and Put the context belongs exclusively to one
+// caller; the Engine, Space, Host and Drivers it hands out are reset, so
+// a run on a pooled context is observationally identical to one on fresh
+// state.
 type Ctx struct {
 	cfg        machine.Config // canonical
 	blockBytes int
@@ -49,6 +50,10 @@ type Ctx struct {
 	Eng   *sim.Engine
 	Space *mem.Space
 	Host  *mem.Arena
+	// Drivers is the runner's per-processor state for the context's P (a
+	// stream run's feeds and tallies): nil until a run sets it, zeroed by
+	// every Get that reuses the context.
+	Drivers interface{ Reset() }
 
 	reusable *machine.Reusable
 }
@@ -103,10 +108,10 @@ func New(maxIdle int) *Pool {
 }
 
 // Get returns a context for cfg, reusing an idle one when available.  A
-// reused context comes back with its engine, address space and host arena
-// reset; its machine resets on the next Bind.  The caller must return the
-// context with Put when the run is over — including on error paths, since
-// a Get always resets before reuse.
+// reused context comes back with its engine, address space, host arena
+// and driver state reset; its machine resets on the next Bind.  The
+// caller must return the context with Put when the run is over —
+// including on error paths, since a Get always resets before reuse.
 func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("runpool: Get with P=%d", cfg.P)
@@ -123,6 +128,9 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 		ctx.Eng.Reset()
 		ctx.Space.Reset(key.P, ctx.blockBytes)
 		ctx.Host.Reset()
+		if ctx.Drivers != nil {
+			ctx.Drivers.Reset()
+		}
 		return ctx, nil
 	}
 	p.misses++

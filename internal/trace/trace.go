@@ -289,31 +289,21 @@ func (r *replayProgram) Setup(c *app.Ctx) {
 	}
 }
 
-// replayRefs is one processor's recorded subsequence being re-issued.
-type replayRefs struct {
-	events []Event
-	last   sim.Time // completion time of the previous event
-}
+// Start implements app.Stream: a replay's cursor indexes the
+// processor's recorded subsequence and holds the completion time of the
+// event before.
+func (r *replayProgram) Start(int) app.Cursor { return app.Cursor{} }
 
-// StreamOf implements app.Stream; a replay whose Setup failed issues nothing.
-func (r *replayProgram) StreamOf(id int) app.RefStream {
-	if r.setupE != nil || id >= len(r.perPrc) {
-		return &replayRefs{}
+// Next implements app.Stream; a replay whose Setup failed issues nothing.
+func (r *replayProgram) Next(id int, cur app.Cursor) (app.Ref, app.Cursor, bool) {
+	if r.setupE != nil || id >= len(r.perPrc) || cur.Pos >= len(r.perPrc[id]) {
+		return app.Ref{}, cur, false
 	}
-	return &replayRefs{events: r.perPrc[id]}
-}
-
-func (s *replayRefs) Next() (app.Ref, bool) {
-	if len(s.events) == 0 {
-		return app.Ref{}, false
-	}
-	e := s.events[0]
-	s.events = s.events[1:]
+	e := r.perPrc[id][cur.Pos]
 	// Re-insert only the pure-compute gap; the access itself is
 	// re-priced by the machine the trace is replayed on.
-	gap := e.At - s.last
-	s.last = e.Done
-	return app.Ref{Think: gap, Addr: e.Addr, Write: e.Write}, true
+	gap := e.At - sim.Time(cur.State)
+	return app.Ref{Think: gap, Addr: e.Addr, Write: e.Write}, app.Cursor{Pos: cur.Pos + 1, State: uint64(e.Done)}, true
 }
 
 // Body implements app.Program.

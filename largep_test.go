@@ -29,16 +29,18 @@ import (
 // until the runtime has 1024 dead goroutine descriptors on hand.  The
 // first-run figures:
 //
-//	flow   26,603 objects   6.92 MB  (budgeted at 24,487 / 7.01 MB; a stream is
-//	                                  now an object, drawn by the driver and by Check)
-//	logp    3,232           1.84 MB
+//	flow   24,561 objects   6.91 MB
+//	logp    1,185           1.77 MB
 //	clogp  25,096          23.98 MB
 //	target 24,392          23.26 MB
 //
-// The LogP run is stackless, its processes' kernel and driver state two
-// arrays (the engine's slab of sim.Proc, the run's []feed): an object
-// each for either coming back is +1,024 objects and fails here, as does a
-// coroutine per processor (the run cost 17.6 k objects when it had them).
+// A stream is drawn by value, by the driver and by Check, from a cursor:
+// with a stream object for each it cost 2,048 objects more on flow and
+// logp.  The LogP run is stackless, its processes' kernel and driver
+// state three arrays (the engine's slab of sim.Proc, the run's feeds and
+// tallies): an object each for either coming back is +1,024 objects and
+// fails here, as does a coroutine per processor (the run cost 17.6 k
+// objects when it had them).
 // The coherent tiers' bytes are their caches — 16 MB of tag store, 16 KB a
 // node at one 8-byte word a line; the 24-byte line that preceded it is
 // +32 MB and fails here — and their run must leave directory and caches
@@ -79,8 +81,8 @@ func run1024(t *testing.T, kind Kind, maxObjects, maxBytes uint64) {
 	}
 }
 
-func TestFlow1024Procs(t *testing.T)   { run1024(t, Flow, 27000, 7740e3) }
-func TestLogP1024Procs(t *testing.T)   { run1024(t, LogP, 3560, 2030e3) }
+func TestFlow1024Procs(t *testing.T)   { run1024(t, Flow, 27000, 7610e3) }
+func TestLogP1024Procs(t *testing.T)   { run1024(t, LogP, 1304, 1944e3) }
 func TestCLogP1024Procs(t *testing.T)  { run1024(t, CLogP, 27600, 26400e3) }
 func TestTarget1024Procs(t *testing.T) { run1024(t, Target, 26800, 25600e3) }
 
