@@ -131,7 +131,8 @@ func (f *simFlags) addMachine(fs *flag.FlagSet, machine string) {
 }
 
 func (f *simFlags) addPoint(fs *flag.FlagSet, machine, scale string) {
-	fs.StringVar(&f.app, "app", "fft", "application: cg, cholesky, ep, fft, is, or the extension workloads mg, uniform")
+	fs.StringVar(&f.app, "app", "fft", "application: "+strings.Join(apps.Names(), ", ")+
+		", or the extension workloads "+strings.Join(apps.ExtendedNames(), ", "))
 	f.addMachine(fs, machine)
 	fs.IntVar(&f.p, "p", 8, pUsage())
 	f.addScale(fs, scale)

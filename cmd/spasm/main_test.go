@@ -236,7 +236,8 @@ func TestErrorsCarryOnePrefix(t *testing.T) {
 }
 
 // TestHelp: "spasm help" prints the command list and succeeds; "spasm -h"
-// prints it above run's flags, which "spasm run -h" prints alone.
+// prints it above run's flags, which "spasm run -h" prints alone, its
+// -app line naming every registered workload.
 func TestHelp(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"help"}, &out, &errb); code != 0 || out.String() != usage || errb.Len() != 0 {
@@ -255,6 +256,18 @@ func TestHelp(t *testing.T) {
 	}
 	if got := runHelp("-h"); got != usage+"\n"+flags {
 		t.Errorf("spasm -h:\n%s\nwant the command list, a blank line, then:\n%s", got, flags)
+	}
+	// -app's help names every workload Lookup knows.
+	_, app, _ := strings.Cut(flags, "-app string\n")
+	app, _, _ = strings.Cut(app, "\n")
+	words := map[string]bool{}
+	for _, w := range strings.FieldsFunc(app, func(r rune) bool { return r == ',' || r == ':' || r == ' ' || r == '\t' }) {
+		words[w] = true
+	}
+	for _, name := range append(apps.Names(), apps.ExtendedNames()...) {
+		if !words[name] {
+			t.Errorf("spasm run -h: -app help %q does not name %s", app, name)
+		}
 	}
 }
 

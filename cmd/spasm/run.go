@@ -14,7 +14,7 @@ func (c *cli) runOne(args []string) error {
 	fs := c.flags("run")
 	var f simFlags
 	f.addPoint(fs, "target", "small")
-	fs.IntVar(&f.workers, "workers", 0, "parallel host execution for reference streams (uniform) on logp; "+
+	fs.IntVar(&f.workers, "workers", 0, "parallel host execution for reference streams on logp; "+
 		"every other run reports a fallback (bit-identical results; 0 or 1 = sequential)")
 	var (
 		perCls  = fs.Bool("perclass", false, "use per-event-class g gap (LogP machines)")

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"spasm/internal/app"
-	"spasm/internal/apps"
 	"spasm/internal/machine"
 	"spasm/internal/report"
 	"spasm/internal/runpool"
@@ -209,15 +208,15 @@ func TestRunDocsBitIdentical(t *testing.T) {
 // feeds and tallies for the next stream run, so a cursor, pointer or
 // count one run leaves behind must never reach the next.  On one context
 // per driver — LogP's stackless feeds, Flow's coroutines running
-// app.Drive — uniform streams at two seeds alternate with hot-spot and
-// neighbour microbenchmarks at p64, twice over; each RunDoc must equal
-// the fresh run's, and each stream check must pass.
+// app.Drive — every stream workload runs at p64 at two seeds, the
+// workloads alternating, twice over; each RunDoc must equal the fresh
+// run's, and each stream check must pass.
 func TestPooledStreamStateStartsClean(t *testing.T) {
-	programs := []func() app.Program{
-		func() app.Program { return apps.NewUniform(apps.Tiny, 1) },
-		func() app.Program { return apps.NewMicro(apps.HotSpotPattern, 96, 10, 2) },
-		func() app.Program { return apps.NewUniform(apps.Tiny, 3) },
-		func() app.Program { return apps.NewMicro(apps.NeighborPattern, 96, 10, 4) },
+	var programs []func() app.Program
+	for _, seed := range []int64{1, 3} {
+		for _, name := range streamWorkloads(t) {
+			programs = append(programs, func() app.Program { return lookup(t, name, seed) })
+		}
 	}
 	doc := func(res *app.Result) string {
 		b, err := json.Marshal(report.RunJSON(res))

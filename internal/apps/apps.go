@@ -165,17 +165,15 @@ func Names() []string {
 // extended holds workloads beyond the paper's five-application suite;
 // they are kept out of the main registry so suite-wide experiments
 // reproduce the paper's exact workload set.
-var extended = map[string]Builder{
-	"mg":      NewMG,
-	"uniform": NewUniform,
-}
+var extended = map[string]Builder{"mg": NewMG}
 
 // Lookup builds a workload by name from either registry (their names are
 // disjoint): the paper suite, or an extension workload ("mg", the
-// multigrid solver with hierarchical communication, or "uniform", the
-// synthetic uniform-random traffic driver); a name neither knows gets the
-// paper suite's error.  It is the one name resolver behind every run
-// entrypoint; New remains for callers that mean exactly the paper suite.
+// multigrid solver with hierarchical communication, or one of the
+// synthetic traffic workloads "uniform", "hotspot" and "neighbor"); a
+// name neither knows gets the paper suite's error.  It is the one name
+// resolver behind every run entrypoint; New remains for callers that mean
+// exactly the paper suite.
 func Lookup(name string, scale Scale, seed int64) (app.Program, error) {
 	if b, ok := extended[name]; ok {
 		return b(scale, seed), nil
@@ -211,11 +209,4 @@ func share(n, p, id int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -30,10 +30,10 @@ func chiSquare(counts []int) float64 {
 // TestUniformStreamIsUniform holds the whole p64 medium workload — 64
 // streams of 2,048 references — to the distribution its name promises:
 // home nodes flat over the machine (63 degrees of freedom, 99.9 % critical
-// value 103.44) and a write share of WritePct.
+// value 103.44) and a write share of writePct.
 func TestUniformStreamIsUniform(t *testing.T) {
 	const P = 64
-	u := NewUniform(Medium, 1).(*Uniform)
+	u := lookupTraffic(t, "uniform", Medium, 1)
 	u.Setup(&app.Ctx{P: P, Space: mem.NewSpace(P, 32)})
 	homes := make([]int, P)
 	refs, writes := 0, 0
@@ -51,8 +51,8 @@ func TestUniformStreamIsUniform(t *testing.T) {
 			}
 		}
 	}
-	if refs != P*u.Refs {
-		t.Fatalf("%d references, want %d", refs, P*u.Refs)
+	if refs != P*u.refs {
+		t.Fatalf("%d references, want %d", refs, P*u.refs)
 	}
 	x2 := chiSquare(homes)
 	share := 100 * float64(writes) / float64(refs)
@@ -60,8 +60,8 @@ func TestUniformStreamIsUniform(t *testing.T) {
 	if x2 > 103.44 {
 		t.Errorf("home node chi-square %.1f exceeds the 99.9 %% critical value 103.44", x2)
 	}
-	if math.Abs(share-float64(u.WritePct)) > 1 {
-		t.Errorf("write share %.2f %%, want %d ± 1", share, u.WritePct)
+	if math.Abs(share-writePct) > 1 {
+		t.Errorf("write share %.2f %%, want %d ± 1", share, writePct)
 	}
 }
 

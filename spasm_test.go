@@ -1,6 +1,7 @@
 package spasm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,8 +100,8 @@ func TestFacadeCustomProgram(t *testing.T) {
 }
 
 func TestFacadeExtendedApps(t *testing.T) {
-	if got := ExtendedApps(); len(got) != 2 || got[0] != "mg" || got[1] != "uniform" {
-		t.Errorf("ExtendedApps() = %v, want [mg uniform]", got)
+	if got, want := ExtendedApps(), []string{"hotspot", "mg", "neighbor", "uniform"}; !slices.Equal(got, want) {
+		t.Errorf("ExtendedApps() = %v, want %v", got, want)
 	}
 	res, err := Run("mg", Tiny, 1, Config{Kind: CLogP, Topology: "cube", P: 4})
 	if err != nil {

@@ -33,14 +33,6 @@ func TestStreamDriversSameBytes(t *testing.T) {
 		shapes = shapes[:2]
 	}
 	const largest = 4096
-	type program struct {
-		name string
-		new  func() app.Program
-	}
-	progs := []program{{"uniform", func() app.Program { return apps.NewUniform(Tiny, 1) }}}
-	for _, pat := range []apps.Pattern{apps.UniformPattern, apps.HotSpotPattern, apps.NeighborPattern} {
-		progs = append(progs, program{"micro-" + pat.String(), func() app.Program { return apps.NewMicro(pat, 32, 12, 1) }})
-	}
 	identity := func(m machine.Machine) machine.Machine { return struct{ machine.Machine }{m} }
 	drivers := []struct {
 		name string
@@ -50,14 +42,14 @@ func TestStreamDriversSameBytes(t *testing.T) {
 		{"decorated", app.Options{Wrap: identity}},
 		{"two workers", app.Options{Workers: 2}},
 	}
-	for _, prog := range progs {
+	for _, name := range streamWorkloads(t) {
 		for _, shape := range shapes {
 			for _, ports := range []PortMode{CombinedGap, PerClassGap} {
 				cfg := Config{Kind: LogP, Topology: shape.topo, P: shape.p, PortMode: ports}
-				at := fmt.Sprintf("%s on logp/%s p%d %v", prog.name, shape.topo, shape.p, ports)
+				at := fmt.Sprintf("%s on logp/%s p%d %v", name, shape.topo, shape.p, ports)
 				var wantDoc, wantProfile []byte
 				for _, d := range drivers {
-					if shape.p == largest && (prog.name != "uniform" || d.opt.Workers > 1) {
+					if shape.p == largest && (name != "uniform" || d.opt.Workers > 1) {
 						continue
 					}
 					for _, profiled := range []bool{false, true} {
@@ -67,7 +59,7 @@ func TestStreamDriversSameBytes(t *testing.T) {
 							pr = probe.New(probe.Config{})
 							opt.Instrument = pr
 						}
-						res, err := app.Execute(prog.new(), cfg, opt)
+						res, err := app.Execute(lookup(t, name, 1), cfg, opt)
 						if err != nil {
 							t.Fatalf("%s, %s: %v", at, d.name, err)
 						}
@@ -102,4 +94,29 @@ func TestStreamDriversSameBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// streamWorkloads lists every registered workload whose program is an
+// app.Stream, so each traffic rule is covered as soon as it is registered.
+func streamWorkloads(t *testing.T) []string {
+	var names []string
+	for _, name := range append(Apps(), ExtendedApps()...) {
+		if _, ok := lookup(t, name, 1).(app.Stream); ok {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("no registered workload is a stream")
+	}
+	return names
+}
+
+// lookup builds the named workload at tiny scale.
+func lookup(t *testing.T, name string, seed int64) app.Program {
+	t.Helper()
+	prog, err := apps.Lookup(name, Tiny, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }

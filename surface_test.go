@@ -275,8 +275,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"machine.CheckInvariants":    "test oracle",
 		"faults.Set":                 "test-injection hook",
 		"faults.Reset":               "test-injection hook",
-		"analytic.Predict":           "ROADMAP 4 gives it a caller or deletes the package",
-		"apps.NewMicro":              "ROADMAP 2 registers its patterns as workloads",
 		"flow.Net.Topology":          "ROADMAP 1(b) deletes the flow tier",
 	}
 	m := loadModule(t)

@@ -1,10 +1,10 @@
 package spasm
 
-// Determinism lock for the uniform synthetic-traffic workload: like the
-// main rundocs golden, but over the extension registry, so the driver
-// behind the large-P smoke runs and network benchmarks is pinned
-// bit-for-bit too.  Regenerate with SPASM_UPDATE=1 only when a change
-// is *intended* to alter simulated results.
+// Determinism lock for the synthetic traffic workloads: like the main
+// rundocs golden, but over the extension registry, so the drivers behind
+// the large-P smoke runs and network benchmarks are pinned bit-for-bit
+// too, one golden per workload.  Regenerate with SPASM_UPDATE=1 only when
+// a change is *intended* to alter simulated results.
 
 import (
 	"bytes"
@@ -17,44 +17,71 @@ import (
 	"spasm/internal/report"
 )
 
-const uniformGoldenPath = "testdata/uniform_tiny.golden.json"
+type point struct {
+	kind Kind
+	topo string
+	p    int
+}
 
 func TestUniformRunDocsBitIdentical(t *testing.T) {
-	var docs []report.RunDoc
-	add := func(kind Kind, topo string, p int) {
-		res, err := Run("uniform", Tiny, 1, Config{Kind: kind, Topology: topo, P: p})
-		if err != nil {
-			t.Fatalf("uniform on %v/%s p=%d: %v", kind, topo, p, err)
+	// Every kind on full p8, flow only for uniform, then Target on mesh
+	// p8; uniform adds flow on the torus at p64.
+	shapes := func(flow bool) []point {
+		var s []point
+		for _, kind := range Machines() {
+			if kind != Flow || flow {
+				s = append(s, point{kind, "full", 8})
+			}
 		}
-		docs = append(docs, report.RunJSON(res))
+		return append(s, point{Target, "mesh", 8})
 	}
-	for _, kind := range Machines() {
-		add(kind, "full", 8)
+	for _, w := range []struct {
+		name   string
+		shapes []point
+	}{
+		{"uniform", append(shapes(true), point{Flow, "torus", 64})},
+		{"hotspot", shapes(false)},
+		{"neighbor", shapes(false)},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			var docs []report.RunDoc
+			for _, s := range w.shapes {
+				res, err := Run(w.name, Tiny, 1, Config{Kind: s.kind, Topology: s.topo, P: s.p})
+				if err != nil {
+					t.Fatalf("%s on %v/%s p=%d: %v", w.name, s.kind, s.topo, s.p, err)
+				}
+				docs = append(docs, report.RunJSON(res))
+			}
+			checkGolden(t, filepath.Join("testdata", w.name+"_tiny.golden.json"), docs)
+		})
 	}
-	add(Target, "mesh", 8)
-	add(Flow, "torus", 64)
+}
+
+// checkGolden compares docs, indented, with the golden file at path, or
+// writes it under SPASM_UPDATE.
+func checkGolden(t *testing.T, path string, docs []report.RunDoc) {
+	t.Helper()
 	got, err := json.MarshalIndent(docs, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
 	if os.Getenv("SPASM_UPDATE") != "" {
-		if err := os.MkdirAll(filepath.Dir(uniformGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(uniformGoldenPath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", uniformGoldenPath, len(got))
+		t.Logf("wrote %s (%d bytes)", path, len(got))
 		return
 	}
-	want, err := os.ReadFile(uniformGoldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden (run with SPASM_UPDATE=1 to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("uniform RunDoc JSON diverged from golden %s (%d vs %d bytes)",
-			uniformGoldenPath, len(got), len(want))
+		t.Fatalf("RunDoc JSON diverged from golden %s (%d vs %d bytes)", path, len(got), len(want))
 	}
 }
 
