@@ -81,3 +81,42 @@ func TestPooledStreamRunAllocBudget(t *testing.T) {
 		t.Errorf("uniform/p1024: a pooled run allocates %.1f KB, over its %.1f KB ceiling", kb, ceilingKB)
 	}
 }
+
+// TestPooledProfiledRunAllocBudget: a pooled, profiled rerun of the
+// service's streamed fft/Target/mesh p16 shape takes the profiler's epoch
+// slab and link tables from its context, which keeps them across garbage
+// collections, so it allocates its Profile and little else.  The
+// collector runs twice before each measured run: a sync.Pool keeps what
+// it holds through one collection (in its victim cache) and drops it at
+// the second.  Ceiling: 1.1x the 409.5 KB measured (go1.24, linux/amd64,
+// GOMAXPROCS 1 and 2); with the tables in a sync.Pool a run regrew them,
+// 1,591 KB.
+func TestPooledProfiledRunAllocBudget(t *testing.T) {
+	const ceilingKB = 1.1 * 409.5
+	pool := NewRunPool(1)
+	spec := Spec{App: "fft", Scale: Small, Machine: Target, Topology: "mesh", P: 16}
+	run := func(seed int64) {
+		spec.Seed = seed
+		if _, _, err := Execute(spec, RunOptions{Pool: pool, Profile: &ProfileConfig{}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1) // builds the context and its tables
+	run(2)
+	const runs = 8
+	var total uint64
+	for i := int64(0); i < runs; i++ {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(3 + i)
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	kb := float64(total) / runs / 1024
+	t.Logf("fft: %.1f KB a pooled profiled run (ceiling %.1f)", kb, ceilingKB)
+	if kb > ceilingKB {
+		t.Errorf("fft: a pooled profiled run allocates %.1f KB, over its %.1f KB ceiling", kb, ceilingKB)
+	}
+}

@@ -253,3 +253,36 @@ func TestPooledStreamStateStartsClean(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkVectorPinned pins the work block of one profiled spec — the
+// engine's events and coroutine switches, the probe's link samples,
+// epochs and rescales — fresh and on a context a larger profiled run
+// dirtied, and checks that the deterministic document never carries it.
+func TestWorkVectorPinned(t *testing.T) {
+	spec := Spec{App: "fft", Scale: Tiny, Seed: 1, Machine: Target, Topology: "mesh", P: 16}
+	want := report.WorkDoc{Events: 5374, Switches: 4454, ProbeLinkSamples: 14231, ProbeEpochs: 221, ProbeRescales: 1}
+	pool := NewRunPool(1)
+	big := spec
+	big.Scale = Small
+	if _, _, err := Execute(big, RunOptions{Pool: pool, Profile: &ProfileConfig{}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*RunPool{nil, pool} {
+		res, _, err := Execute(spec, RunOptions{Pool: p, Profile: &ProfileConfig{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := report.RunJSON(res)
+		raw, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.Host != nil || bytes.Contains(raw, []byte(`"work"`)) {
+			t.Errorf("RunJSON carries a host or work block: %s", raw)
+		}
+		report.AttachHost(&doc, res)
+		if got := doc.Host.Work; got != want {
+			t.Errorf("pooled %v: work %+v, pinned %+v", p != nil, got, want)
+		}
+	}
+}

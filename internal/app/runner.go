@@ -122,8 +122,13 @@ type Result struct {
 // above all) hook the engine clock and the machine's network from
 // Attach; everything an Instrument records must be a function of the
 // run's configuration alone, so instrumented runs stay deterministic.
+//
+// keep is the pooled context's slot for the instrument's working state
+// (runpool.Ctx.Instrument): what the instrument leaves there, the next
+// run on the context finds, whatever the garbage collector did in
+// between.  It is nil on an unpooled run, which builds its state fresh.
 type Instrument interface {
-	Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine)
+	Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, keep *any)
 	Finish(res *Result)
 }
 
@@ -131,17 +136,18 @@ type Instrument interface {
 // fresh, unbounded, undecorated run — exactly Run.
 type Options struct {
 	// Pool, when non-nil, supplies the engine, address space, host arena,
-	// a Stream's per-processor driver state and the machine (reset in
-	// place) instead of constructing them, so a sweep pays machine
-	// construction, the program's host arrays and the run's feeds once
-	// per configuration.  The Result's Machine and Space, the program's
-	// host values and Ctx.Issued then reference pooled state, readable
-	// only until the pool hands the context to another run; Stats and
-	// Phases are freshly allocated and safe to keep.  A context whose run
-	// did not complete cleanly — aborted, panicked, deadlocked, or failed
-	// its result check — is Discarded rather than returned to the
-	// freelist: the pool's reset invariants (docs/INTERNALS.md §9) only
-	// hold for state a run finished with.
+	// a Stream's per-processor driver state, the Instrument's tables and
+	// the machine (reset in place) instead of constructing them, so a
+	// sweep pays machine construction, the program's host arrays, the
+	// run's feeds and the profiler's tables once per configuration.  The
+	// Result's Machine and Space, the program's host values and Ctx.Issued
+	// then reference pooled state, readable only until the pool hands the
+	// context to another run; Stats and Phases are freshly allocated and
+	// safe to keep.  A context whose run did not complete cleanly —
+	// aborted, panicked, deadlocked, or failed its result check — is
+	// Discarded rather than returned to the freelist: the pool's reset
+	// invariants (docs/INTERNALS.md §9) only hold for state a run
+	// finished with.
 	Pool *runpool.Pool
 	// Control bounds the run (timeout, cancellation).
 	Control RunControl
@@ -184,7 +190,7 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 		}
 		space := mem.NewSpace(cfg.P, blockBytes)
 		bind := func() (machine.Machine, error) { return machine.New(cfg, space) }
-		return runOn(prog, cfg, space, new(mem.Arena), sim.NewEngine(), bind, new(drivers), opt)
+		return runOn(prog, cfg, space, new(mem.Arena), sim.NewEngine(), bind, new(drivers), nil, opt)
 	}
 	ctx, err := opt.Pool.Get(cfg)
 	if err != nil {
@@ -195,7 +201,7 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 		d = new(drivers)
 		ctx.Drivers = d
 	}
-	res, err := runOn(prog, cfg, ctx.Space, ctx.Host, ctx.Eng, ctx.Bind, d, opt)
+	res, err := runOn(prog, cfg, ctx.Space, ctx.Host, ctx.Eng, ctx.Bind, d, &ctx.Instrument, opt)
 	if err != nil {
 		opt.Pool.Discard(ctx)
 		return nil, err
@@ -226,7 +232,7 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // late Interrupt can never poison a subsequent run on the same (pooled)
 // engine.
 func runOn(prog Program, cfg machine.Config, space *mem.Space, host *mem.Arena, eng *sim.Engine,
-	bind func() (machine.Machine, error), d *drivers, opt Options) (*Result, error) {
+	bind func() (machine.Machine, error), d *drivers, keep *any, opt Options) (*Result, error) {
 	wrap, inst, ctl, workers := opt.Wrap, opt.Instrument, opt.Control, opt.Workers
 	run := stats.NewRun(cfg.P)
 	ctx := &Ctx{P: cfg.P, Space: space, Host: host, Run: run, Eng: eng, Phases: newPhaseProfile()}
@@ -249,7 +255,7 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, host *mem.Arena, 
 	base := m // the underlying machine: instruments and the network
 	// backend readout see it even when a decorator wraps the run.
 	if inst != nil {
-		inst.Attach(cfg, eng, run, m)
+		inst.Attach(cfg, eng, run, m, keep)
 	}
 	if wrap != nil {
 		m = wrap(m)
@@ -340,6 +346,7 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, host *mem.Arena, 
 	run.Wall = time.Since(t0)
 	run.Complete()
 	run.SimEvents = eng.Events
+	run.Work.Switches = eng.Switches()
 	if b, ok := base.(machine.Backend); ok {
 		if net := b.Network(); net != nil {
 			run.NetEvents = net.Stats().ModelEvents

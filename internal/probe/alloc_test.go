@@ -50,16 +50,18 @@ func allocBytes(f func()) uint64 {
 
 // TestStreamedRunAllocBudget holds what a streamed run (live OnEpoch
 // hook, then the encoding the service stores) allocates above the same
-// run unprofiled.  The budget is 1.1× the figure measured when the
-// probe's accumulators became flat and recycled across runs (465,032 B
-// on linux/amd64): the finished Profile and its encoding, where the
+// run unprofiled, both on one pooled context, which is where the
+// probe's accumulators are recycled across runs.  The budget is 1.1× the
+// figure measured when they became flat and recycled (465,032 B on
+// linux/amd64): the finished Profile and its encoding, where the
 // per-epoch link indexes, grown epoch array and per-run slabs cost
 // 1,175,656 B before.
 func TestStreamedRunAllocBudget(t *testing.T) {
 	const budget = 465_032 * 11 / 10
 	spec := spasm.Spec{App: "fft", Scale: spasm.Small, Seed: 1, Machine: spasm.Target, Topology: "mesh", P: 16}
+	pool := spasm.NewRunPool(1)
 	run := func(cfg *spasm.ProfileConfig) *probe.Profile {
-		_, prof, err := spasm.Execute(spec, spasm.RunOptions{Profile: cfg})
+		_, prof, err := spasm.Execute(spec, spasm.RunOptions{Pool: pool, Profile: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,14 +63,16 @@ func oracleSpecs() []spasm.Spec {
 // clock in turn (the hooks chain), and the network observer each sets is
 // gathered into one that calls them all in attach order.  The observers
 // only read the run, so every instrument sees what it would see alone.
+// None of them keeps state with a context: one slot cannot hold the
+// tables of several profilers at once.
 type tee []app.Instrument
 
-func (t tee) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine) {
+func (t tee) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, _ *any) {
 	var fabs []func(sim.Time, network.Xmit, int, int, int, []int)
 	var flows []func(sim.Time, flow.Xmit, int, int, int)
 	var nets []func(sim.Time, logp.Xmit, int, int)
 	for _, in := range t {
-		in.Attach(cfg, eng, run, m)
+		in.Attach(cfg, eng, run, m, nil)
 		if nm, ok := m.(machine.Networked); ok && nm.Fabric() != nil && nm.Fabric().Observer != nil {
 			fabs = append(fabs, nm.Fabric().Observer)
 		} else if fm, ok := m.(machine.Flowed); ok && fm.FlowNet() != nil && fm.FlowNet().Observer != nil {
@@ -169,16 +171,18 @@ func TestProbeMatchesReference(t *testing.T) {
 
 // TestProbeRecyclesAcrossGoroutines runs profiled runs of three shapes
 // on two goroutines at once, round after round, so recycled
-// accumulators pass between shapes, sizes and goroutines: every profile
-// must encode as its shape's first did.
+// accumulators pass between runs, sizes and goroutines: unpooled, and
+// through one shared RunPool whose contexts a larger profiled run of
+// the same configuration has dirtied first.  Every profile must encode
+// as its shape's first, fresh run did.
 func TestProbeRecyclesAcrossGoroutines(t *testing.T) {
 	specs := []spasm.Spec{
 		{App: "fft", Scale: spasm.Tiny, Seed: 1, Machine: spasm.Target, Topology: "mesh", P: 16},
 		{App: "uniform", Scale: spasm.Tiny, Seed: 1, Machine: spasm.Flow, Topology: "torus", P: 64},
 		{App: "cg", Scale: spasm.Tiny, Seed: 1, Machine: spasm.LogP, Topology: "cube", P: 4},
 	}
-	encode := func(s spasm.Spec) ([]byte, error) {
-		_, p, err := spasm.RunSpecProfiled(s)
+	encode := func(s spasm.Spec, pool *spasm.RunPool) ([]byte, error) {
+		_, p, err := spasm.Execute(s, spasm.RunOptions{Pool: pool, Profile: &spasm.ProfileConfig{}})
 		if err != nil {
 			return nil, err
 		}
@@ -189,23 +193,40 @@ func TestProbeRecyclesAcrossGoroutines(t *testing.T) {
 	first := make([][]byte, len(specs))
 	for i, s := range specs {
 		var err error
-		if first[i], err = encode(s); err != nil {
+		if first[i], err = encode(s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
+	pool := spasm.NewRunPool(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := 0; k < 6; k++ {
+			// Longer runs of the same configurations leave the contexts
+			// this goroutine hands back with grown, written tables.
+			for _, s := range specs {
+				s.Scale, s.Seed = spasm.Small, int64(2+g)
+				if _, err := encode(s, pool); err != nil {
+					t.Errorf("goroutine %d: %s at small: %v", g, s.App, err)
+				}
+			}
+			for k := 0; k < 12; k++ {
 				i := (g + k) % len(specs)
-				got, err := encode(specs[i])
+				var p *spasm.RunPool
+				if k%2 == 1 {
+					p = pool
+				}
+				got, err := encode(specs[i], p)
 				if err != nil || !bytes.Equal(got, first[i]) {
-					t.Errorf("goroutine %d round %d: %s profile differs from its first run (err %v)", g, k, specs[i].App, err)
+					t.Errorf("goroutine %d round %d (pooled %v): %s profile differs from its first run (err %v)",
+						g, k, p != nil, specs[i].App, err)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if st := pool.Stats(); st.Hits == 0 {
+		t.Errorf("no pooled run reused a context: %+v", st)
+	}
 }

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"spasm/internal/app"
 	"spasm/internal/flow"
@@ -325,10 +324,14 @@ func (e *epochAcc) held() int {
 // head, a run-wide slot per link id that starts the link's chain down
 // the epochs holding it.  Epoch i's table stays in array slot i through
 // every rescale, so a slot's capacity fits what that epoch of the run
-// needs.  Finish copies the finished profile out and returns the acc to
-// accPool: the next profiled run reuses all of it, and once the tables
-// have grown to a run's shape a run allocates only what its Profile
-// keeps.
+// needs.  Finish copies the finished profile out of it.
+//
+// On a pooled run the acc lives in the run context's instrument slot
+// (runpool.Ctx.Instrument), so it is sized for that context's P and
+// survives garbage collection: once a context's tables have grown to the
+// shapes its runs take, a profiled run on it allocates what its Profile
+// keeps and little else.  An unpooled run builds an acc of its own and
+// drops it with the Profiler.
 type acc struct {
 	procs    []ProcSample // epoch i's samples are procs[i*P : (i+1)*P]
 	epochs   []epochAcc   // past len: tables kept, with their capacity, for reuse
@@ -336,8 +339,6 @@ type acc struct {
 	snap     []procSnap
 	linkHigh int // most links an epoch has held
 }
-
-var accPool = sync.Pool{New: func() any { return new(acc) }}
 
 // grow returns s resized to n elements, reallocating only when its
 // capacity is short; the caller clears what it reads.
@@ -367,6 +368,7 @@ type Profiler struct {
 	closed    int // fully closed epochs; epoch `closed` is open
 	emitted   int // epochs already fired through cfg.OnEpoch
 	*acc
+	work stats.Work // the probe's counters, copied to the run's at Finish
 
 	profile *Profile
 }
@@ -378,8 +380,10 @@ func New(cfg Config) *Profiler {
 }
 
 // Attach implements app.Instrument: it hooks the engine clock and, when
-// the machine has one, the detailed fabric or the abstract network.
-func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine) {
+// the machine has one, the detailed fabric or the abstract network.  It
+// takes its tables from keep when a run on the context left them there,
+// and leaves them there for the next.
+func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, keep *any) {
 	pr.run = run
 	pr.eng = eng
 	pr.p = run.P()
@@ -406,7 +410,14 @@ func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, 
 		am.Net().Observer = pr.netXmit
 	}
 
-	a := accPool.Get().(*acc)
+	if keep == nil {
+		keep = new(any) // an unpooled run: tables of its own
+	}
+	a, _ := (*keep).(*acc)
+	if a == nil {
+		a = new(acc)
+		*keep = a
+	}
 	a.procs = a.procs[:min(cap(a.procs), pr.maxEpochs*pr.p)]
 	if cap(a.epochs) < pr.maxEpochs {
 		a.epochs = make([]epochAcc, 0, pr.maxEpochs)
@@ -431,7 +442,9 @@ func (pr *Profiler) tick(now sim.Time) {
 	pr.snapAll()
 	// snapAll may have rescaled; recompute the closed count against the
 	// current epoch length.
-	pr.closed = int(now / pr.epochLen)
+	closed := int(now / pr.epochLen)
+	pr.work.Epochs += uint64(closed - pr.closed)
+	pr.closed = closed
 	pr.emitClosed(pr.closed, false)
 }
 
@@ -599,6 +612,7 @@ func (pr *Profiler) rescale() {
 	}
 	pr.epochLen *= 2
 	pr.closed /= 2
+	pr.work.Rescales++
 	// Already-emitted epochs merged pairwise too; the merged epoch
 	// holding any not-yet-emitted half counts as unemitted, so it fires
 	// (again, at the doubled length) on the next boundary crossing.
@@ -710,6 +724,11 @@ func (pr *Profiler) charge(route []int, dep int, bytes int, wait, start, end sim
 			}
 		}
 		shared := lo <= hi && lo == dep
+		samples := hi - lo + 1
+		if first && !shared {
+			samples++
+		}
+		pr.work.LinkSamples += uint64(len(route) * samples)
 		for _, id := range route {
 			r := &pr.head[id]
 			for ep := hi; ep >= lo; ep-- {
@@ -764,7 +783,8 @@ func (pr *Profiler) netXmit(now sim.Time, x logp.Xmit, src, dst int) {
 }
 
 // Finish implements app.Instrument: it closes the final partial epoch,
-// freezes the profile and recycles the accumulator.
+// freezes the profile, leaves the accumulator ready for the next run and
+// adds the probe's counters to the run's work.
 func (pr *Profiler) Finish(res *app.Result) {
 	// Take the final snapshot — any activity since the last boundary
 	// crossing spreads over the closing local-clock windows — and make
@@ -785,6 +805,7 @@ func (pr *Profiler) Finish(res *app.Result) {
 	// Flush the unemitted tail (the final partial epoch, and any earlier
 	// epochs the last boundary crossing had not reached).
 	pr.emitClosed(n, true)
+	pr.work.Epochs += uint64(max(n-pr.closed, 0))
 
 	p := &Profile{
 		App:      res.Program,
@@ -827,8 +848,9 @@ func (pr *Profiler) Finish(res *app.Result) {
 			p.Epochs[i].Links = links[lo:off[i]:off[i]]
 		}
 	}
-	accPool.Put(pr.acc)
 	pr.acc = nil
+	w := &pr.run.Work
+	w.LinkSamples, w.Epochs, w.Rescales = pr.work.LinkSamples, pr.work.Epochs, pr.work.Rescales
 	pr.profile = p
 }
 

@@ -188,7 +188,7 @@ func (pr *refProfiler) linkAt(e *refEpoch, id int) *LinkSample {
 
 // Attach implements app.Instrument: it hooks the engine clock and, when
 // the machine has one, the detailed fabric or the abstract network.
-func (pr *refProfiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine) {
+func (pr *refProfiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, _ *any) {
 	pr.run = run
 	pr.eng = eng
 	pr.p = run.P()

@@ -49,13 +49,14 @@ type RunDoc struct {
 }
 
 // HostDoc is the host-side measurement block of a RunDoc: wall-clock
-// cost and simulation rate, plus the parallel-execution outcome when the
-// run requested one.  The rates are simulated references (reads +
-// writes) and messages per host second — the benchmark's refs_per_s and
-// msgs_per_s, units that mean the same on every tier (engine events do
-// not: the flow tier dispatches P per run).  Everything here varies run
-// to run; it is excluded from cached and golden documents by
-// construction (see RunDoc.Host).
+// cost and simulation rate, the parallel-execution outcome when the run
+// requested one, and the work behind them.  The rates are simulated
+// references (reads + writes) and messages per host second — the
+// benchmark's refs_per_s and msgs_per_s, units that mean the same on
+// every tier (engine events do not: the flow tier dispatches P per run).
+// Everything here but Work varies run to run, and Work with the way the
+// run was driven; the block is excluded from cached and golden documents
+// by construction (see RunDoc.Host).
 type HostDoc struct {
 	WallMS     float64 `json:"wall_ms"`
 	RefsPerSec float64 `json:"refs_per_sec"`
@@ -68,11 +69,34 @@ type HostDoc struct {
 	// Fallback is the reason a requested parallel run used the
 	// sequential kernel instead (empty when Parallel or never requested).
 	Fallback string `json:"fallback,omitempty"`
+	// Work is the one deterministic part of the block.
+	Work WorkDoc `json:"work"`
+}
+
+// WorkDoc is the simulator's work behind a run, in units no host
+// changes (stats.Work): a change that claims a speed-up states first
+// which of these it moved.  It depends on how the run was driven and
+// observed, so it stays out of the cached document with the rest of the
+// host block.
+type WorkDoc struct {
+	// Events and Switches are the engine's: events dispatched, and
+	// coroutine switches (two per resume; none in a stackless run).
+	Events   uint64 `json:"events"`
+	Switches uint64 `json:"switches"`
+	// The profiler's, all zero on an unprofiled run: link samples
+	// charged, epochs closed and resolution halvings.
+	ProbeLinkSamples uint64 `json:"probe_link_samples"`
+	ProbeEpochs      uint64 `json:"probe_epochs"`
+	ProbeRescales    uint64 `json:"probe_rescales"`
 }
 
 // AttachHost fills doc.Host from the result's host-side measurements.
 func AttachHost(doc *RunDoc, res *app.Result) {
-	h := &HostDoc{WallMS: float64(res.Stats.Wall.Microseconds()) / 1e3}
+	w := &res.Stats.Work
+	h := &HostDoc{WallMS: float64(res.Stats.Wall.Microseconds()) / 1e3, Work: WorkDoc{
+		Events: res.Stats.SimEvents, Switches: w.Switches,
+		ProbeLinkSamples: w.LinkSamples, ProbeEpochs: w.Epochs, ProbeRescales: w.Rescales,
+	}}
 	if wall := res.Stats.Wall.Seconds(); wall > 0 {
 		h.RefsPerSec = float64(doc.Reads+doc.Writes) / wall
 		h.MsgsPerSec = float64(doc.Messages) / wall

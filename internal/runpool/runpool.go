@@ -1,9 +1,10 @@
 // Package runpool pools the per-run construction state of a simulation —
-// the discrete-event engine, the address space, the machine model, and
-// the host arena the program's values live in — so sweep workloads pay
-// topology route tables, fabric resource arrays, flattened cache-line
-// arrays, directory chunk allocation and the program's host arrays once
-// per (configuration) key instead of once per run.
+// the discrete-event engine, the address space, the machine model, the
+// host arena the program's values live in, and the profiler's tables —
+// so sweep workloads pay topology route tables, fabric resource arrays,
+// flattened cache-line arrays, directory chunk allocation, the program's
+// host arrays and the profiler's epoch slab and link tables once per
+// (configuration) key instead of once per run.
 //
 // A context is keyed by machine.Config.Canonical(): machine kind,
 // topology, node count, cache geometry, costs, and network parameters.
@@ -18,7 +19,10 @@
 // The pool is a bounded freelist rather than a sync.Pool: contexts are
 // worth keeping across GC cycles (their value is precisely that they
 // survive from run to run), and a hard idle cap bounds peak memory on
-// sweeps that touch many configurations.
+// sweeps that touch many configurations.  Per-run state of any layer
+// that is sized by the configuration belongs in a context for the same
+// reason: a sync.Pool of its own is emptied by every GC, and hands a
+// table sized for one P to a run of another.
 package runpool
 
 import (
@@ -38,11 +42,12 @@ const DefaultMaxIdle = 16
 
 // Ctx is one pooled run context: an engine, an address space and a host
 // arena ready for an application's Setup, the runner's per-processor
-// driver state, and the reusable machine that binds to the space
-// afterwards.  Between Get and Put the context belongs exclusively to one
-// caller; the Engine, Space, Host and Drivers it hands out are reset, so
-// a run on a pooled context is observationally identical to one on fresh
-// state.
+// driver state, an instrument's tables, and the reusable machine that
+// binds to the space afterwards.  Between Get and Put the context belongs
+// exclusively to one caller; the Engine, Space, Host and Drivers it hands
+// out are reset, and the instrument resets its own tables when it
+// attaches, so a run on a pooled context is observationally identical to
+// one on fresh state.
 type Ctx struct {
 	cfg        machine.Config // canonical
 	blockBytes int
@@ -54,6 +59,12 @@ type Ctx struct {
 	// stream run's feeds and tallies): nil until a run sets it, zeroed by
 	// every Get that reuses the context.
 	Drivers interface{ Reset() }
+	// Instrument is the working state an app.Instrument keeps with the
+	// context between runs (the profiler's epoch slab, link tables, chain
+	// heads and snapshots, sized for the context's P): nil until a
+	// profiled run sets it.  Get leaves it as the last run did; the
+	// instrument resets what it reuses when it attaches.
+	Instrument any
 
 	reusable *machine.Reusable
 }

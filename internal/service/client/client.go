@@ -319,6 +319,10 @@ func terminal(s service.State) bool {
 // events are provisional live telemetry (a profile rescale re-emits the
 // covered timeline at a coarser resolution); the "result" event carries
 // the terminal RunStatus.
+//
+// Data is valid only until the onEvent call that receives it returns:
+// RunStream parses every event of a stream into one buffer, the contract
+// bufio.Scanner.Bytes has.  A caller that keeps the payload copies it.
 type StreamEvent struct {
 	Event string
 	Data  json.RawMessage
@@ -368,6 +372,7 @@ func (c *Client) RunStream(ctx context.Context, req service.RunRequest, onEvent 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 4<<10), 16<<20)
 	var ev StreamEvent
+	data := make([]byte, 0, 1<<10) // every event's Data, in turn
 	flush := func() error {
 		if ev.Event == "" && ev.Data == nil {
 			return nil
@@ -402,15 +407,16 @@ func (c *Client) RunStream(ctx context.Context, req service.RunRequest, onEvent 
 		value, _ = bytes.CutPrefix(value, []byte(" "))
 		switch string(field) {
 		case "event":
-			ev.Event = string(value)
+			ev.Event = eventName(value)
 		case "data":
 			// Data lines join with newlines.
 			if ev.Data == nil {
-				ev.Data = make([]byte, 0, len(value))
+				data = data[:0]
 			} else {
-				ev.Data = append(ev.Data, '\n')
+				data = append(data, '\n')
 			}
-			ev.Data = append(ev.Data, value...)
+			data = append(data, value...)
+			ev.Data = data
 		}
 	}
 	if err := flush(); err != nil {
@@ -423,6 +429,17 @@ func (c *Client) RunStream(ctx context.Context, req service.RunRequest, onEvent 
 		return nil, errors.New("client: stream ended without a result event")
 	}
 	return final, nil
+}
+
+// eventName returns an SSE event field's value as a string, without
+// allocating for the names the server sends.
+func eventName(b []byte) string {
+	for _, name := range [...]string{"state", "epoch", "result"} {
+		if string(b) == name {
+			return name
+		}
+	}
+	return string(b)
 }
 
 // DecodeResult unpacks a completed run's statistics document.

@@ -80,7 +80,7 @@ func FuzzStream(f *testing.F) {
 		var last json.RawMessage
 		st, err := c.RunStream(ctx, service.RunRequest{}, func(ev StreamEvent) error {
 			if ev.Event == "result" {
-				last = ev.Data
+				last = append(last[:0], ev.Data...) // Data is reused after the callback
 			}
 			return nil
 		})

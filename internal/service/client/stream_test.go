@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -27,6 +28,7 @@ func TestStreamDataLines(t *testing.T) {
 
 	var got []StreamEvent
 	st, err := New(ts.URL).RunStream(ctx, service.RunRequest{}, func(ev StreamEvent) error {
+		ev.Data = bytes.Clone(ev.Data) // valid only until the callback returns
 		got = append(got, ev)
 		return nil
 	})

@@ -235,6 +235,10 @@ func (e *Engine) Now() Time { return e.now }
 // Procs returns the processes spawned on the engine, in spawn order.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
+// Switches reports the coroutine switches of the last run's sequential
+// dispatch, two per resume; a run of stackless processes makes none.
+func (e *Engine) Switches() uint64 { return e.switches }
+
 // schedule enqueues a resumption of p at time at (>= now).  Bumping
 // p.gen invalidates any earlier pending event for p at push time: a
 // stale wakeup is recognized by its generation mismatch when popped, so

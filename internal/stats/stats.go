@@ -109,6 +109,28 @@ type Run struct {
 	// Wall is the host wall-clock duration of the simulation, the
 	// paper's "speed of simulation" metric.
 	Wall time.Duration
+	// Work counts what the simulator did beyond the events above.
+	Work Work
+}
+
+// Work is the simulator's own work behind a run, in units no host
+// changes: the same spec, driven and observed the same way, always counts
+// the same.  Unlike the statistics it depends on how the run was driven
+// (a stackless run makes no coroutine switches) and observed (only a
+// profiled run charges link samples), so no result document carries it.
+type Work struct {
+	// Switches counts the coroutine switches of sequential dispatch, two
+	// per resume.
+	Switches uint64
+	// LinkSamples counts the per-link samples the profiler charged: one
+	// for each link of a message's route in each epoch its occupancy
+	// reaches, and one more where its departure epoch is not among them.
+	LinkSamples uint64
+	// Epochs counts the epochs the profiler closed, each at the
+	// resolution current when it closed.
+	Epochs uint64
+	// Rescales counts the times the profiler halved its resolution.
+	Rescales uint64
 }
 
 // NewRun returns a Run with p processor slots.
