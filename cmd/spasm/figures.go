@@ -68,7 +68,7 @@ func (c *cli) figures(args []string) error {
 	if *accuracy {
 		rows := spasm.Accuracy(frs)
 		fmt.Fprintln(c.out, report.AccuracyTable(rows))
-		fmt.Fprintln(c.out, report.AccuracySummaryTable(spasm.Summarize(rows)))
+		fmt.Fprintln(c.out, report.AccuracySummaryTable("figs", spasm.Summarize(rows)))
 	}
 	return nil
 }

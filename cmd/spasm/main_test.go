@@ -84,6 +84,7 @@ func TestSubcommandsMatchRecordedOutput(t *testing.T) {
 		args []string
 	}{
 		{"accuracy.txt", nil, []string{"figures", "-accuracy", "-format", "", "-scale", "tiny", "-procs", "2,4"}},
+		{"errors.txt", nil, []string{"study", "error", "-scale", "tiny", "-procs", "2,4"}},
 		{"batch.txt", nil, []string{"study", "batch", "-scale", "tiny", "-procs", "2", "-points", "fft:mesh:target:4,ep:full:logp:2"}},
 		{"run.txt", wallClock, []string{"-app", "fft", "-machine", "target", "-topo", "mesh", "-p", "4", "-scale", "tiny", "-v", "-phases"}},
 	} {

@@ -83,7 +83,7 @@ func TestDocBudget(t *testing.T) {
 	for path, kb := range map[string]int64{
 		"README.md":         14,
 		"DESIGN.md":         23,
-		"EXPERIMENTS.md":    16,
+		"EXPERIMENTS.md":    15,
 		"docs/INTERNALS.md": 52,
 		"docs/SERVICE.md":   22,
 	} {
@@ -94,5 +94,48 @@ func TestDocBudget(t *testing.T) {
 		if fi.Size() > kb<<10 {
 			t.Errorf("%s is %d bytes, over its %d KB budget", path, fi.Size(), kb)
 		}
+	}
+}
+
+// TestDashboardMatchesResults: EXPERIMENTS.md's accuracy dashboard quotes
+// the summary of results/accuracy.txt cell for cell, so a regeneration
+// that moves a number cannot leave the prose behind.  It runs no
+// simulation; CI's drift step keeps results/ itself current.
+func TestDashboardMatchesResults(t *testing.T) {
+	norm := strings.NewReplacer("**", "", "×", "x", " %", "%")
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dash, _ := strings.Cut(string(doc), "## Abstraction-accuracy dashboard")
+	dash, _, _ = strings.Cut(dash, "\n## ")
+	var want []string
+	for _, line := range strings.Split(dash, "\n") {
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		if len(cells) != 6 || strings.Contains(line, "---") || strings.Contains(line, "metric") {
+			continue
+		}
+		for i := range cells {
+			cells[i] = norm.Replace(strings.TrimSpace(cells[i]))
+		}
+		want = append(want, strings.Join(cells, " | "))
+	}
+
+	res, err := os.ReadFile(filepath.Join("results", "accuracy.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, summary, _ := strings.Cut(string(res), "summary by metric:")
+	var got []string
+	gap := regexp.MustCompile(`\s{2,}`) // "execution time" is one cell
+	for _, line := range strings.Split(summary, "\n") {
+		cells := gap.Split(strings.TrimSpace(line), -1)
+		if len(cells) == 6 && cells[0] != "metric" {
+			got = append(got, strings.Join(cells, " | "))
+		}
+	}
+	if len(got) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("EXPERIMENTS.md dashboard:\n%s\nresults/accuracy.txt summary:\n%s",
+			strings.Join(want, "\n"), strings.Join(got, "\n"))
 	}
 }

@@ -2,10 +2,12 @@ package exp
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"spasm/internal/apps"
 	"spasm/internal/machine"
+	"spasm/internal/stats"
 )
 
 func syntheticResult(num int, target, clogp, logp []float64) *FigureResult {
@@ -112,5 +114,62 @@ func TestAccuracyEndToEnd(t *testing.T) {
 		if sum.CLogPTrendPct < 80 {
 			t.Errorf("CLogP latency trend agreement only %.0f%%", sum.CLogPTrendPct)
 		}
+	}
+}
+
+// TestErrorMatrixAddsNoRepeatRun: the figures' points are a subset of
+// the error matrix, so after AllFigures the matrix, at the same options,
+// simulates only the cube sweeps no figure plots (cg, cholesky, ep and
+// is), and no point twice.
+func TestErrorMatrixAddsNoRepeatRun(t *testing.T) {
+	opt := Options{Scale: apps.Tiny, Procs: []int{2, 4}, Parallel: 2}
+	direct := NewSession(opt)
+	var mu sync.Mutex
+	runs := map[BatchPoint]int{}
+	opt.Runner = func(pt BatchPoint) (*stats.Run, error) {
+		mu.Lock()
+		runs[pt.key()]++
+		mu.Unlock()
+		return direct.Run(pt)
+	}
+	s := NewSession(opt)
+	if _, err := s.AllFigures(); err != nil {
+		t.Fatal(err)
+	}
+	figures := len(runs)
+	if _, err := s.ErrorMatrix("", ""); err != nil {
+		t.Fatal(err)
+	}
+	added := map[string]bool{}
+	for pt, n := range runs {
+		if n != 1 {
+			t.Errorf("%+v simulated %d times", pt, n)
+		}
+		if pt.Topology == "cube" && pt.App != "fft" {
+			added[pt.App] = true
+		}
+	}
+	want := 4 * len(opt.Procs) * 3 // four cube sweeps, three machines
+	if got := len(runs) - figures; got != want || len(added) != 4 {
+		t.Errorf("matrix added %d runs (cube sweeps of %v), want %d: the cube sweeps of cg, cholesky, ep and is",
+			got, added, want)
+	}
+}
+
+// TestSummarizeLeavesOutNaRows: a row with no sweep point where both
+// values are positive has no ratio; the summary leaves it out and counts
+// it, rather than folding a NaN into the mean.
+func TestSummarizeLeavesOutNaRows(t *testing.T) {
+	frs := []*FigureResult{
+		syntheticResult(6, []float64{100, 200}, []float64{200, 400}, []float64{300, 600}), // contention
+		syntheticResult(10, []float64{0, 0}, []float64{50, 60}, []float64{70, 80}),        // contention, target silent
+	}
+	rows := Accuracy(frs)
+	if !math.IsNaN(rows[1].CLogPRatio) || !math.IsNaN(rows[1].LogPRatio) {
+		t.Fatalf("row without a positive pair: %+v", rows[1])
+	}
+	sums := Summarize(rows)
+	if len(sums) != 1 || sums[0].N != 1 || sums[0].Skipped != 1 || math.Abs(sums[0].CLogPRatio-2) > 1e-12 {
+		t.Errorf("summary %+v, want the one real row counted and the other left out", sums)
 	}
 }

@@ -32,6 +32,9 @@ const (
 	// ContentionOvh is the summed waiting overhead — links on the
 	// target, the g-gap on the LogP machines.
 	ContentionOvh
+	// MessageCount is the number of network messages: a column of the
+	// error matrix, not of a paper figure.
+	MessageCount
 )
 
 func (m Metric) String() string {
@@ -42,6 +45,8 @@ func (m Metric) String() string {
 		return "latency"
 	case ContentionOvh:
 		return "contention"
+	case MessageCount:
+		return "messages"
 	}
 	return fmt.Sprintf("Metric(%d)", int(m))
 }
@@ -114,7 +119,7 @@ var Figures = []Figure{
 func (f Figure) Points(opt Options) []BatchPoint {
 	var out []BatchPoint
 	for _, kind := range opt.Machines {
-		for _, p := range opt.Procs {
+		for _, p := range opt.procsFor(f.App) {
 			out = append(out, point(f.App, f.Topology, kind, p))
 		}
 	}
@@ -174,6 +179,19 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// procsFor is the processor sweep without the counts appName cannot run
+// on at the options' scale (apps.MaxP): a figure or an error-matrix row
+// plots only points that exist.
+func (o Options) procsFor(appName string) []int {
+	var out []int
+	for _, p := range o.Procs {
+		if max := apps.MaxP(appName, o.Scale); max == 0 || p <= max {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // Point is one sweep sample.
 type Point struct {
 	P     int
@@ -193,7 +211,7 @@ type FigureResult struct {
 	Series []Series
 }
 
-// Value extracts a figure metric from a run, in microseconds.
+// Value extracts a metric from a run: microseconds, or a count.
 func Value(m Metric, r *stats.Run) float64 {
 	switch m {
 	case ExecTime:
@@ -202,6 +220,8 @@ func Value(m Metric, r *stats.Run) float64 {
 		return sim.Time(r.Sum(stats.Latency)).Micros()
 	case ContentionOvh:
 		return sim.Time(r.Sum(stats.Contention)).Micros()
+	case MessageCount:
+		return float64(r.Messages())
 	}
 	panic(fmt.Sprintf("exp: bad metric %d", m))
 }
@@ -265,7 +285,7 @@ func (s *Session) Figure(fig Figure) (*FigureResult, error) {
 	out := &FigureResult{Figure: fig}
 	for _, kind := range s.opt.Machines {
 		series := Series{Machine: kind}
-		for _, p := range s.opt.Procs {
+		for _, p := range s.opt.procsFor(fig.App) {
 			r, err := s.Run(point(fig.App, fig.Topology, kind, p))
 			if err != nil {
 				return nil, fmt.Errorf("%s (p=%d, %v): %w", fig.ID(), p, kind, err)

@@ -419,3 +419,24 @@ func TestStudiesShareTheSession(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureDropsUnrunnableP: a sweep past what an application can run
+// on (FFT needs a row per processor: 16 at tiny) plots the points that
+// exist, in the figure and in the points a service pre-submits, instead
+// of failing the whole figure.
+func TestFigureDropsUnrunnableP(t *testing.T) {
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{16, 32}})
+	fig, _ := ByNumber(1)
+	fr, err := s.Figure(fig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range fr.Series {
+		if len(series.Points) != 1 || series.Points[0].P != 16 {
+			t.Errorf("%v series %+v, want the p16 point alone", series.Machine, series.Points)
+		}
+	}
+	if pts := fig.Points(s.Options()); len(pts) != 3 {
+		t.Errorf("%d points to submit, want one per machine", len(pts))
+	}
+}

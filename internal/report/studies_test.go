@@ -64,7 +64,7 @@ func TestAccuracyTables(t *testing.T) {
 	fig, _ := exp.ByNumber(7)
 	rows := []exp.AccuracyRow{{Figure: fig, CLogPRatio: 3.41, LogPRatio: 21.149, CLogPTrend: true}}
 	wantRow(t, AccuracyTable(rows), "fig07", "IS on Mesh: Contention", "3.41x", "true", "21.15x", "false")
-	wantRow(t, AccuracySummaryTable([]exp.AccuracySummary{{Metric: exp.ExecTime, N: 7,
+	wantRow(t, AccuracySummaryTable("figs", []exp.AccuracySummary{{Metric: exp.ExecTime, N: 7,
 		CLogPRatio: 1.53, LogPRatio: 4.8, CLogPTrendPct: 85.7, LogPTrendPct: 57.1}}),
 		"execution time", "7", "1.53x", "86%", "4.80x", "57%")
 }

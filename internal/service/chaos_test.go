@@ -344,14 +344,14 @@ func TestChaosProfileDerivation(t *testing.T) {
 	before := poolRuns()
 
 	restore := faults.Set(faults.RunExec, func() error { return fmt.Errorf("injected profile fault") })
-	if _, _, err := svc.Profile(j.ID()); err == nil || !strings.Contains(err.Error(), "injected profile fault") {
+	if _, _, err := svc.Profile(j.ID(), ""); err == nil || !strings.Contains(err.Error(), "injected profile fault") {
 		t.Fatalf("profile derivation bypassed the RunExec fault point: err = %v", err)
 	}
 	restore()
 
 	// The server keeps serving, the failure was not memoized, and the
 	// derivation draws its context from the pool.
-	if _, raw, err := svc.Profile(j.ID()); err != nil || len(raw) == 0 {
+	if _, raw, err := svc.Profile(j.ID(), ""); err != nil || len(raw) == 0 {
 		t.Fatalf("profile after restore: %d bytes, %v", len(raw), err)
 	}
 	if got := poolRuns(); got != before+1 {

@@ -125,7 +125,7 @@ func TestProfileSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			_, raw, err := svc.Profile(j.ID())
+			_, raw, err := svc.Profile(j.ID(), "")
 			raws[k], errs[k] = raw, err
 		}(k)
 	}

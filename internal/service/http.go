@@ -212,9 +212,12 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // compact binary encoding (byte-identical for identical specs).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	prof, raw, err := s.Profile(id)
+	prof, raw, err := s.Profile(id, tenantOf(r))
 	switch {
 	case err == nil:
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantQuota):
+		s.submitStatus(w, nil, err)
+		return
 	case errors.Is(err, ErrUnknownRun):
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such run %q", id))
 		return

@@ -158,13 +158,13 @@ func TestProfileErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.Profile(block.ID()); err != nil && !errors.Is(err, service.ErrRunActive) {
+	if _, _, err := svc.Profile(block.ID(), ""); err != nil && !errors.Is(err, service.ErrRunActive) {
 		t.Errorf("in-flight profile: %v, want ErrRunActive or success", err)
 	}
 	<-block.Done()
 
 	// Server-side API: an unknown id is ErrUnknownRun.
-	if _, _, err := svc.Profile("deadbeef"); !errors.Is(err, service.ErrUnknownRun) {
+	if _, _, err := svc.Profile("deadbeef", ""); !errors.Is(err, service.ErrUnknownRun) {
 		t.Errorf("unknown id via API: %v, want ErrUnknownRun", err)
 	}
 }

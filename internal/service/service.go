@@ -181,6 +181,12 @@ type Job struct {
 	// negative, or the disk store — so the HTTP layer can report 200
 	// instead of 202.
 	cached bool
+	// profileOf, when set, makes the job a profile derivation: it
+	// re-runs that finished run's spec with the probe attached and, on
+	// success, memoizes the profile on the run's cache entry instead of
+	// publishing a result of its own.  Its id is profileKey(profileOf).
+	profileOf string
+
 	// waiters and pinned drive pre-execution cancellation: waiters
 	// counts the submitWaited registrations still attached, and pinned
 	// marks a job with at least one plain Submit (poll-based clients
@@ -206,12 +212,11 @@ type Server struct {
 	metrics *Metrics
 	results *resultTier // finished runs: LRU, durable store, negative cache
 
-	mu         sync.Mutex
-	cond       *sync.Cond      // signals workers on fq.push and on drain
-	active     map[string]*Job // pending + running jobs by ID
-	fq         *fairQueue      // pending jobs, weighted-fair across tenants
-	draining   bool
-	profFlight map[string]*profFlight // in-flight profile computations by ID
+	mu       sync.Mutex
+	cond     *sync.Cond      // signals workers on fq.push and on drain
+	active   map[string]*Job // pending + running jobs by ID
+	fq       *fairQueue      // pending jobs, weighted-fair across tenants
+	draining bool
 
 	// pool holds reusable run contexts shared by the workers, so the
 	// daemon amortizes machine construction across the jobs it executes;
@@ -219,17 +224,6 @@ type Server struct {
 	pool *spasm.RunPool
 
 	workers sync.WaitGroup
-}
-
-// profFlight is one in-flight profile computation.  The leader fills
-// the result fields before closing done, so waiters read their answer
-// from the flight itself — never from the cache entry, which the LRU
-// may have evicted while the computation ran.
-type profFlight struct {
-	done chan struct{}
-	prof *probe.Profile
-	raw  []byte
-	err  error
 }
 
 // New starts a Server with cfg.Workers worker goroutines.
@@ -240,13 +234,12 @@ func New(cfg Config) *Server {
 		idle = 16
 	}
 	s := &Server{
-		cfg:        cfg,
-		metrics:    newMetrics(time.Now(), cfg.Workers),
-		results:    newResultTier(cfg),
-		active:     make(map[string]*Job),
-		fq:         newFairQueue(cfg),
-		profFlight: make(map[string]*profFlight),
-		pool:       spasm.NewRunPool(idle),
+		cfg:     cfg,
+		metrics: newMetrics(time.Now(), cfg.Workers),
+		results: newResultTier(cfg),
+		active:  make(map[string]*Job),
+		fq:      newFairQueue(cfg),
+		pool:    spasm.NewRunPool(idle),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -308,9 +301,6 @@ func (s *Server) submit(spec spasm.Spec, opt submitOpts) (job *Job, hit bool, er
 	if err := spec.Validate(); err != nil {
 		return nil, false, &RequestError{Err: err}
 	}
-	if opt.tenant == "" {
-		opt.tenant = DefaultTenant
-	}
 	id := spec.Hash()
 
 	s.mu.Lock()
@@ -333,10 +323,6 @@ func (s *Server) submit(spec spasm.Spec, opt submitOpts) (job *Job, hit bool, er
 		s.mu.Unlock()
 		return cachedJob(e), e.err == "", nil
 	}
-	if s.draining {
-		s.mu.Unlock()
-		return nil, false, ErrDraining
-	}
 	j := &Job{id: id, spec: spec, req: RequestFromSpec(spec), state: StatePending,
 		done: make(chan struct{}), tenant: opt.tenant, bytes: opt.bytes}
 	if opt.pin {
@@ -347,22 +333,38 @@ func (s *Server) submit(spec spasm.Spec, opt submitOpts) (job *Job, hit bool, er
 	if opt.stream {
 		j.hub = newStreamHub()
 	}
-	if err := s.fq.push(j); err != nil {
-		tenant := j.tenant
-		s.mu.Unlock()
-		if errors.Is(err, ErrTenantQuota) {
-			s.metrics.tenantRejected(tenant)
-		} else {
-			s.metrics.jobRejected()
-		}
+	if err := s.enqueue(j); err != nil {
 		return nil, false, err
 	}
-	s.active[id] = j
-	s.cond.Signal()
-	s.mu.Unlock()
-	s.metrics.jobSubmitted()
-	s.metrics.tenantSubmitted(j.tenant)
 	return j, false, nil
+}
+
+// enqueue admits a new job to the fair queue and the active set, under
+// DefaultTenant when it names none.  The caller holds s.mu; enqueue
+// releases it and counts the outcome.
+func (s *Server) enqueue(j *Job) error {
+	if j.tenant == "" {
+		j.tenant = DefaultTenant
+	}
+	err := ErrDraining
+	if !s.draining {
+		if err = s.fq.push(j); err == nil {
+			s.active[j.id] = j
+			s.cond.Signal()
+		}
+	}
+	tenant := j.tenant // push may rewrite it to the overflow bucket
+	s.mu.Unlock()
+	switch {
+	case err == nil:
+		s.metrics.jobSubmitted()
+		s.metrics.tenantSubmitted(tenant)
+	case errors.Is(err, ErrTenantQuota):
+		s.metrics.tenantRejected(tenant)
+	case !errors.Is(err, ErrDraining):
+		s.metrics.jobRejected()
+	}
+	return err
 }
 
 // cachedJob wraps a finished run as an already-completed job.
@@ -445,6 +447,8 @@ func (s *Server) execute(job *Job) {
 	var live *spasm.ProfileConfig
 	if hub != nil {
 		live = s.liveProfile(hub)
+	} else if job.profileOf != "" {
+		live = &spasm.ProfileConfig{}
 	}
 	res, prof, err := s.runSafely(job.spec, live)
 	if err == nil {
@@ -514,7 +518,11 @@ func (s *Server) finish(job *Job, e *entry, timedOut bool) {
 	// done channel, the stream hub): a client that learns of the result
 	// and then reads /metrics must find it already counted.
 	s.metrics.jobFinished(e.err == "", timedOut)
-	s.results.publish(e)
+	if job.profileOf == "" {
+		s.results.publish(e)
+	} else if e.prof != nil {
+		s.results.memoize(job.profileOf, e.prof, e.profBytes)
+	}
 	s.mu.Lock()
 	job.entry = e
 	job.state = e.state()
@@ -582,79 +590,62 @@ func (s *Server) runStats(ctx context.Context, spec spasm.Spec, tenant string) (
 // request — by re-running the spec with the probe attached, which is
 // sound because profiles are deterministic — and memoized on the run's
 // cache entry (streamed runs arrive pre-memoized; the durable store
-// warms it across restarts).  Concurrent requests for the same id
-// coalesce onto one computation (singleflight): waiters block on the
-// leader and read the flight's own result, so an LRU eviction racing
-// the computation can neither lose the answer nor double-count the
-// derivation.  It returns ErrUnknownRun for ids that are neither active
-// nor cached, ErrRunActive while the run is still in flight, and the
-// run's own error for failed runs.
-func (s *Server) Profile(id string) (*probe.Profile, []byte, error) {
+// warms it across restarts).  The derivation is a job on the queue,
+// charged to tenant, so Workers bounds it like every other simulation;
+// concurrent requests for one id join that one job and read its own
+// entry, so an LRU eviction racing the derivation can neither lose the
+// answer nor double-count it.  It returns ErrUnknownRun for ids that are
+// neither active nor cached, ErrRunActive while the run is still in
+// flight, the queue's admission errors, and the run's own error for
+// failed runs.
+func (s *Server) Profile(id, tenant string) (*probe.Profile, []byte, error) {
 	// Each request is counted exactly once: a hit (memoized encoding was
-	// already there), a miss (this request computed it), or coalesced
-	// (waited on another request's computation).
+	// already there), a miss (this request queued the derivation), or
+	// coalesced (joined another request's derivation).
 	s.mu.Lock()
 	if _, ok := s.active[id]; ok {
 		s.mu.Unlock()
 		return nil, nil, ErrRunActive
 	}
-	if fl, inFlight := s.profFlight[id]; inFlight {
-		// Join the in-flight computation before consulting the cache:
-		// the flight proves the run exists even if the LRU has since
-		// evicted its entry, and the flight's own fields carry the answer.
+	j, joined := s.active[profileKey(id)]
+	if joined {
 		s.mu.Unlock()
 		s.metrics.profileCoalesced()
-		<-fl.done
-		return fl.prof, fl.raw, fl.err
+	} else {
+		e, ok := s.results.profile(id)
+		switch {
+		case !ok:
+			s.mu.Unlock()
+			return nil, nil, ErrUnknownRun
+		case e.err != "":
+			s.mu.Unlock()
+			return nil, nil, fmt.Errorf("service: run %s failed: %s", id[:12], e.err)
+		case e.prof != nil:
+			s.mu.Unlock()
+			s.metrics.profileServed(true)
+			return e.prof, e.profBytes, nil
+		}
+		spec, err := e.req.Spec()
+		if err != nil {
+			s.mu.Unlock()
+			return nil, nil, err
+		}
+		j = &Job{id: profileKey(id), spec: spec, req: e.req, profileOf: id, state: StatePending,
+			done: make(chan struct{}), tenant: tenant, pinned: true}
+		if err := s.enqueue(j); err != nil {
+			return nil, nil, err
+		}
+		s.metrics.profileServed(false)
 	}
-	e, ok := s.results.profile(id)
-	var fl *profFlight
-	if ok && e.err == "" && e.prof == nil {
-		fl = &profFlight{done: make(chan struct{})}
-		s.profFlight[id] = fl
+	<-j.done
+	if j.entry.err != "" {
+		return nil, nil, errors.New(j.entry.err)
 	}
-	s.mu.Unlock()
-	switch {
-	case !ok:
-		return nil, nil, ErrUnknownRun
-	case e.err != "":
-		return nil, nil, fmt.Errorf("service: run %s failed: %s", id[:12], e.err)
-	case e.prof != nil:
-		s.metrics.profileServed(true)
-		return e.prof, e.profBytes, nil
-	}
-	s.metrics.profileServed(false)
-
-	fl.prof, fl.raw, fl.err = s.deriveProfile(e.req)
-	if fl.err == nil {
-		s.results.memoize(id, fl.prof, fl.raw)
-	}
-
-	// Release the flight so waiters can read the result.
-	s.mu.Lock()
-	delete(s.profFlight, id)
-	s.mu.Unlock()
-	close(fl.done)
-	return fl.prof, fl.raw, fl.err
+	return j.entry.prof, j.entry.profBytes, nil
 }
 
-// deriveProfile re-runs a finished run's request with the probe attached
-// and encodes the profile canonically.
-func (s *Server) deriveProfile(req RunRequest) (*probe.Profile, []byte, error) {
-	spec, err := req.Spec()
-	if err != nil {
-		return nil, nil, err
-	}
-	_, prof, err := s.runSafely(spec, &spasm.ProfileConfig{})
-	if err != nil {
-		return nil, nil, err
-	}
-	raw, err := encodeProfile(prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prof, raw, nil
-}
+// profileKey is the active-set key of the job deriving run id's profile.
+func profileKey(id string) string { return "profile/" + id }
 
 // encodeProfile returns prof's canonical encoding in a buffer sized once.
 func encodeProfile(prof *probe.Profile) ([]byte, error) {

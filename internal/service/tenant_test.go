@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spasm"
+	"spasm/internal/faults"
 )
 
 func fqJob(tenant string, n int, size int64) *Job {
@@ -169,12 +171,13 @@ func TestFairQueueOverflowBucket(t *testing.T) {
 }
 
 // TestProfileFlightSurvivesEviction pins the singleflight regression:
-// a Profile request joining an in-flight computation must get the
-// flight's result even when the LRU evicted the run's cache entry
+// a Profile request joining an in-flight derivation must get the
+// derivation's result even when the LRU evicted the run's cache entry
 // mid-derivation (previously it re-checked the cache after the flight
 // closed and reported ErrUnknownRun despite a successful derivation).
 func TestProfileFlightSurvivesEviction(t *testing.T) {
-	svc := New(Config{Workers: 1, CacheSize: 1})
+	defer faults.Reset()
+	svc := New(Config{Workers: 2, CacheSize: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	defer svc.Shutdown(ctx)
@@ -187,11 +190,28 @@ func TestProfileFlightSurvivesEviction(t *testing.T) {
 	<-j.done
 	id := j.id
 
-	// Simulate a leader mid-derivation, then evict the entry under it.
-	fl := &profFlight{done: make(chan struct{})}
-	svc.mu.Lock()
-	svc.profFlight[id] = fl
-	svc.mu.Unlock()
+	// Hold the derivation inside its simulation, then evict the entry
+	// under it.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	faults.Set(faults.RunExec, func() error {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-gate
+		}
+		return nil
+	})
+	type answer struct {
+		raw []byte
+		err error
+	}
+	got := make(chan answer, 2)
+	ask := func() {
+		_, raw, err := svc.Profile(id, "")
+		got <- answer{raw, err}
+	}
+	go ask()
+	<-entered
 	evict, _, err := svc.Submit(spasm.Spec{App: "fft", Scale: spasm.Tiny, Machine: spasm.Target, Topology: "mesh", P: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -201,17 +221,9 @@ func TestProfileFlightSurvivesEviction(t *testing.T) {
 		t.Fatal("entry not evicted; test setup needs a smaller cache")
 	}
 
-	got := make(chan error, 1)
-	var gotRaw []byte
-	go func() {
-		_, raw, err := svc.Profile(id)
-		gotRaw = raw
-		got <- err
-	}()
-
-	// Wait until the request has actually joined the flight (the
-	// coalesced counter ticks just before it blocks), then resolve the
-	// flight the way a leader does and check the waiter received it.
+	// The second request joins the derivation (the coalesced counter
+	// ticks just before it blocks); then the derivation finishes.
+	go ask()
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		svc.metrics.mu.Lock()
 		joined := svc.metrics.profCoalesced > 0
@@ -220,26 +232,69 @@ func TestProfileFlightSurvivesEviction(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("Profile request never joined the in-flight computation")
+			t.Fatal("Profile request never joined the in-flight derivation")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	want := []byte("profile-bytes")
-	fl.raw = want
-	svc.mu.Lock()
-	delete(svc.profFlight, id)
-	svc.mu.Unlock()
-	close(fl.done)
-	if err := <-got; err != nil {
-		t.Fatalf("waiter after eviction: %v, want flight result", err)
+	close(gate)
+	a, b := <-got, <-got
+	if a.err != nil || b.err != nil {
+		t.Fatalf("requests across an eviction: %v / %v, want the derivation's result", a.err, b.err)
 	}
-	if !bytes.Equal(gotRaw, want) {
-		t.Fatalf("waiter got %q, want the flight's bytes", gotRaw)
+	if len(a.raw) == 0 || !bytes.Equal(a.raw, b.raw) {
+		t.Fatalf("requests got %d and %d bytes, want the same derived profile", len(a.raw), len(b.raw))
 	}
 	svc.metrics.mu.Lock()
 	coalesced := svc.metrics.profCoalesced
 	svc.metrics.mu.Unlock()
 	if coalesced != 1 {
 		t.Fatalf("profCoalesced = %d, want 1", coalesced)
+	}
+}
+
+// TestProfileDerivationsShareWorkers: deriving a missing profile is a
+// simulation, so it runs on the worker pool like every other: with one
+// worker, concurrent profile requests for distinct cached runs simulate
+// one at a time (they once ran on their HTTP handlers, all at once).
+func TestProfileDerivationsShareWorkers(t *testing.T) {
+	defer faults.Reset()
+	svc := New(Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	defer svc.Shutdown(ctx)
+
+	var ids []string
+	for _, p := range []int{2, 4, 8} {
+		j, _, err := svc.Submit(spasm.Spec{App: "ep", Scale: spasm.Tiny, Machine: spasm.CLogP, Topology: "full", P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.done
+		ids = append(ids, j.id)
+	}
+
+	var inFlight, most atomic.Int32
+	faults.Set(faults.RunExec, func() error {
+		n := inFlight.Add(1)
+		for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+		}
+		time.Sleep(20 * time.Millisecond)
+		inFlight.Add(-1)
+		return nil
+	})
+	errs := make(chan error, len(ids))
+	for _, id := range ids {
+		go func(id string) {
+			_, _, err := svc.Profile(id, "team-a")
+			errs <- err
+		}(id)
+	}
+	for range ids {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := most.Load(); m > 1 {
+		t.Errorf("%d profile derivations simulated at once on a 1-worker server", m)
 	}
 }

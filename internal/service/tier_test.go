@@ -90,7 +90,7 @@ func TestTierPrecedenceUniform(t *testing.T) {
 			return st.State
 		}},
 		{"profile", func(t *testing.T, svc *Server) State {
-			if _, _, err := svc.Profile(id); err != nil {
+			if _, _, err := svc.Profile(id, ""); err != nil {
 				t.Logf("Profile: %v", err)
 				return StateFailed
 			}
@@ -128,7 +128,7 @@ func TestTierRetiresOlderModel(t *testing.T) {
 		if st, err := svc.Wait(ctx, j); err != nil || st.State != StateDone {
 			t.Fatalf("run %+v: state %v, err %v", spec, st.State, err)
 		}
-		_, raw, err := svc.Profile(j.id)
+		_, raw, err := svc.Profile(j.id, "")
 		if err != nil {
 			t.Fatal(err)
 		}
