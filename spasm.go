@@ -295,7 +295,7 @@ const (
 type (
 	// ProtocolRow compares Berkeley and MSI execution for one app.
 	ProtocolRow = exp.ProtocolRow
-	// AccuracyRow summarizes one figure's abstraction error.
+	// AccuracyRow is one figure's row of the abstraction-error matrix.
 	AccuracyRow = exp.AccuracyRow
 	// AccuracySummary aggregates abstraction error by metric.
 	AccuracySummary = exp.AccuracySummary
