@@ -207,7 +207,7 @@ func TestRunDocsBitIdentical(t *testing.T) {
 // TestPooledStreamStateStartsClean: a pooled context keeps a stream run's
 // feeds and tallies for the next stream run, so a cursor, pointer or
 // count one run leaves behind must never reach the next.  On one context
-// per driver — LogP's stackless feeds, Flow's coroutines running
+// per driver — LogP's stackless feeds, CLogP's coroutines running
 // app.Drive — every stream workload runs at p64 at two seeds, the
 // workloads alternating, twice over; each RunDoc must equal the fresh
 // run's, and each stream check must pass.
@@ -225,7 +225,7 @@ func TestPooledStreamStateStartsClean(t *testing.T) {
 		}
 		return string(b)
 	}
-	for _, kind := range []machine.Kind{machine.LogP, machine.Flow} {
+	for _, kind := range []machine.Kind{machine.LogP, machine.CLogP} {
 		cfg := machine.Config{Kind: kind, Topology: "cube", P: 64}
 		want := make([]string, len(programs))
 		for i, prog := range programs {
@@ -254,35 +254,49 @@ func TestPooledStreamStateStartsClean(t *testing.T) {
 	}
 }
 
-// TestWorkVectorPinned pins the work block of one profiled spec — the
-// engine's events and coroutine switches, the probe's link samples,
-// epochs and rescales — fresh and on a context a larger profiled run
-// dirtied, and checks that the deterministic document never carries it.
+// TestWorkVectorPinned pins the work block of a run — the engine's events
+// and coroutine switches, the probe's link samples, epochs and rescales —
+// fresh and on a context a larger run of the same kind dirtied, and
+// checks that the deterministic document never carries it.  The rows are
+// one profiled paper application and a reference stream on each machine
+// that prices it at issue without ever making it wait: one event a
+// processor and no coroutine switch.
 func TestWorkVectorPinned(t *testing.T) {
-	spec := Spec{App: "fft", Scale: Tiny, Seed: 1, Machine: Target, Topology: "mesh", P: 16}
-	want := report.WorkDoc{Events: 5374, Switches: 4454, ProbeLinkSamples: 14231, ProbeEpochs: 221, ProbeRescales: 1}
-	pool := NewRunPool(1)
-	big := spec
-	big.Scale = Small
-	if _, _, err := Execute(big, RunOptions{Pool: pool, Profile: &ProfileConfig{}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*RunPool{nil, pool} {
-		res, _, err := Execute(spec, RunOptions{Pool: p, Profile: &ProfileConfig{}})
-		if err != nil {
+	for _, c := range []struct {
+		spec    Spec
+		profile *ProfileConfig
+		want    report.WorkDoc
+	}{
+		{Spec{App: "fft", Scale: Tiny, Seed: 1, Machine: Target, Topology: "mesh", P: 16}, &ProfileConfig{},
+			report.WorkDoc{Events: 5374, Switches: 4454, ProbeLinkSamples: 14231, ProbeEpochs: 221, ProbeRescales: 1}},
+		{Spec{App: "uniform", Scale: Tiny, Seed: 1, Machine: Flow, Topology: "torus", P: 64}, nil,
+			report.WorkDoc{Events: 64, Switches: 0}},
+		{Spec{App: "uniform", Scale: Tiny, Seed: 1, Machine: Ideal, Topology: "torus", P: 64}, nil,
+			report.WorkDoc{Events: 64, Switches: 0}},
+	} {
+		pool := NewRunPool(1)
+		big := c.spec
+		big.Scale = Small
+		if _, _, err := Execute(big, RunOptions{Pool: pool, Profile: c.profile}); err != nil {
 			t.Fatal(err)
 		}
-		doc := report.RunJSON(res)
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if doc.Host != nil || bytes.Contains(raw, []byte(`"work"`)) {
-			t.Errorf("RunJSON carries a host or work block: %s", raw)
-		}
-		report.AttachHost(&doc, res)
-		if got := doc.Host.Work; got != want {
-			t.Errorf("pooled %v: work %+v, pinned %+v", p != nil, got, want)
+		for _, p := range []*RunPool{nil, pool} {
+			res, _, err := Execute(c.spec, RunOptions{Pool: p, Profile: c.profile})
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc := report.RunJSON(res)
+			raw, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if doc.Host != nil || bytes.Contains(raw, []byte(`"work"`)) {
+				t.Errorf("RunJSON carries a host or work block: %s", raw)
+			}
+			report.AttachHost(&doc, res)
+			if got := doc.Host.Work; got != c.want {
+				t.Errorf("%s on %v, pooled %v: work %+v, pinned %+v", c.spec.App, c.spec.Machine, p != nil, got, c.want)
+			}
 		}
 	}
 }

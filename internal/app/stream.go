@@ -92,11 +92,12 @@ func (c *Ctx) feed(id int, s Stream) *feed {
 
 // run is the one compute/issue/checksum loop.  On a machine priced at
 // issue (ctx.at) it makes the clock calls Read or Write would, and returns
-// at the first reference to leave the node, to be resumed when its reply
-// lands.  Otherwise the references block inside the machine: it returns
-// once, done.
+// at the first reference the process waits for, to be resumed when it
+// completes.  Otherwise the references block inside the machine: it
+// returns once, done.
 func (f *feed) run(s Stream) (wake sim.Time, done bool) {
 	c, sp, st := f.ctx, f.sp, f.st
+	at := sp.Now() // no local time owed yet: the clock of this dispatch
 	for {
 		var r Ref
 		var ok bool
@@ -111,11 +112,11 @@ func (f *feed) run(s Stream) (wake sim.Time, done bool) {
 		case c.at != nil:
 			now := sp.Now()
 			var end sim.Time
-			var remote bool
+			var wait bool
 			// The machine is what processes share: a parallel window
 			// prices references in sequential dispatch order.
-			sp.Ordered(func() { end, remote = c.at.Issue(st, now, f.id, r.Addr, r.Write) })
-			if remote && end > now {
+			sp.Ordered(func() { end, wait = c.at.Issue(st, at, now, f.id, r.Addr, r.Write) })
+			if wait && end > now {
 				return end, false
 			}
 			sp.Defer(end - now)

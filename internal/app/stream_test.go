@@ -81,7 +81,9 @@ func TestStreamDriverChosenFromTheRun(t *testing.T) {
 		{"logp, two workers", logp, Options{Workers: 2}, true, true},
 		{"logp behind a decorator, two workers", logp, Options{Wrap: hidden, Workers: 2}, false, false},
 		{"target", machine.Config{Kind: machine.Target, Topology: "cube", P: P}, Options{}, false, false},
-		{"flow, two workers", machine.Config{Kind: machine.Flow, Topology: "cube", P: P}, Options{Workers: 2}, false, false},
+		{"flow, two workers", machine.Config{Kind: machine.Flow, Topology: "cube", P: P}, Options{Workers: 2}, true, true},
+		{"ideal, two workers", machine.Config{Kind: machine.Ideal, P: P}, Options{Workers: 2}, true, true},
+		{"clogp, two workers", machine.Config{Kind: machine.CLogP, Topology: "cube", P: P}, Options{Workers: 2}, false, false},
 	} {
 		base := runtime.NumGoroutine()
 		prog := &strider{refs: 200}

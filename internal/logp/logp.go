@@ -28,6 +28,9 @@ import (
 
 // DefaultL is the paper's L parameter: the transmission time of a
 // maximum-size 32-byte message on a 20 MB/s link, 1.6 microseconds.
+// Machines take L from machine.Config, whose default is the same product
+// (a machine test holds them equal); only the benchmark's LogP layer,
+// which builds a bare network, reads it.
 const DefaultL = sim.Time(32) * sim.SerialByte
 
 // PortMode selects the gap-accounting discipline.

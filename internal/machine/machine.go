@@ -86,18 +86,34 @@ type Machine interface {
 }
 
 // PricedAtIssue is implemented by machines that price a whole reference
-// from the state of the model when it is issued — the LogP machine, a
-// closed form of L, g and the port calendars — so nothing has to wait
-// inside them, and a processor whose references are known without running
-// it (app.Stream) needs no coroutine.  Decorators (trace recording, fault
-// injection) hide it: a wrapped machine is driven through Read and Write.
+// from the state of the model when it is issued — LogP from L, g and its
+// port calendars, Flow from the bandwidth shares of the flows in flight,
+// Ideal from its unit cost — so nothing has to wait inside them, and a
+// processor whose references are known without running it (app.Stream)
+// needs no coroutine.  Decorators (trace recording, fault injection) hide
+// it: a wrapped machine is driven through Read and Write.
 type PricedAtIssue interface {
 	Machine
 	// Issue prices a read or write of addr issued by node at its local
 	// time now, without blocking: it books the reference's messages,
-	// accounts it into st, and returns when it completes and whether it
-	// left the node.
-	Issue(st *stats.Proc, now sim.Time, node int, addr mem.Addr, write bool) (done sim.Time, remote bool)
+	// accounts it into st, and returns when it completes and whether the
+	// process waits for that as an engine event — a remote reference on
+	// LogP — or defers it as local time and reads on, as every reference
+	// on Flow and Ideal does.  at is the engine clock when the issuing
+	// process was dispatched, a floor under every processor's local clock.
+	Issue(st *stats.Proc, at, now sim.Time, node int, addr mem.Addr, write bool) (done sim.Time, wait bool)
+}
+
+// issue is Read or Write on a machine priced at issue: a coroutine's
+// engine clock is the one it was dispatched at, since no parallel window
+// runs coroutines.
+func issue(m PricedAtIssue, p *sim.Proc, st *stats.Proc, node int, addr mem.Addr, write bool) {
+	done, wait := m.Issue(st, p.Engine().Now(), p.Now(), node, addr, write)
+	if wait {
+		p.HoldUntil(done)
+		return
+	}
+	p.Defer(done - p.Now())
 }
 
 // Config selects and parameterizes a machine.
@@ -220,16 +236,28 @@ type ideal struct {
 func (m *ideal) Kind() Kind { return Ideal }
 func (m *ideal) P() int     { return m.p }
 
-func (m *ideal) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	st.Reads++
+// Issue implements PricedAtIssue: every reference is local work.
+func (m *ideal) Issue(st *stats.Proc, _, now sim.Time, _ int, _ mem.Addr, write bool) (sim.Time, bool) {
+	count(st, write)
 	st.Add(stats.Memory, m.unit)
-	p.Defer(m.unit)
+	return now + m.unit, false
+}
+
+func (m *ideal) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
+	issue(m, p, st, node, addr, false)
 }
 
 func (m *ideal) Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	st.Writes++
-	st.Add(stats.Memory, m.unit)
-	p.Defer(m.unit)
+	issue(m, p, st, node, addr, true)
+}
+
+// count tallies a reference as a read or a write.
+func count(st *stats.Proc, write bool) {
+	if write {
+		st.Writes++
+	} else {
+		st.Reads++
+	}
 }
 
 // logpMachine is the cache-less LogP machine: local references cost a
@@ -261,13 +289,9 @@ func (m *logpMachine) roundTrip(st *stats.Proc, now sim.Time, node, home int) si
 	return done
 }
 
-// Issue implements PricedAtIssue.
-func (m *logpMachine) Issue(st *stats.Proc, now sim.Time, node int, addr mem.Addr, write bool) (sim.Time, bool) {
-	if write {
-		st.Writes++
-	} else {
-		st.Reads++
-	}
+// Issue implements PricedAtIssue: a remote reference waits for its reply.
+func (m *logpMachine) Issue(st *stats.Proc, _, now sim.Time, node int, addr mem.Addr, write bool) (sim.Time, bool) {
+	count(st, write)
 	st.Add(stats.Memory, m.costs.Mem)
 	if home := m.space.Home(addr); home != node {
 		return m.roundTrip(st, now, node, home), true
@@ -276,23 +300,11 @@ func (m *logpMachine) Issue(st *stats.Proc, now sim.Time, node int, addr mem.Add
 }
 
 func (m *logpMachine) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	done, remote := m.Issue(st, p.Now(), node, addr, false)
-	awaitIssued(p, done, remote)
+	issue(m, p, st, node, addr, false)
 }
 
 func (m *logpMachine) Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	done, remote := m.Issue(st, p.Now(), node, addr, true)
-	awaitIssued(p, done, remote)
-}
-
-// awaitIssued blocks p for a reference priced at issue: until the reply
-// of a remote one lands, or, for a local one, as deferred local work.
-func awaitIssued(p *sim.Proc, done sim.Time, remote bool) {
-	if remote {
-		p.HoldUntil(done)
-		return
-	}
-	p.Defer(done - p.Now())
+	issue(m, p, st, node, addr, true)
 }
 
 // flowMachine is the cache-less flow-abstracted machine: like the LogP
@@ -317,17 +329,18 @@ func (m *flowMachine) P() int     { return m.net.P() }
 // FlowNet exposes the flow network (for telemetry).
 func (m *flowMachine) FlowNet() *flow.Net { return m.net }
 
-func (m *flowMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
+// Issue implements PricedAtIssue: the round trip is priced on the local
+// clock and never waited for.
+func (m *flowMachine) Issue(st *stats.Proc, at, now sim.Time, node int, addr mem.Addr, write bool) (sim.Time, bool) {
+	count(st, write)
+	st.Add(stats.Memory, m.costs.Mem)
 	home := m.space.Home(addr)
 	if home == node {
-		st.Add(stats.Memory, m.costs.Mem)
-		p.Defer(m.costs.Mem)
-		return
+		return now + m.costs.Mem, false
 	}
-	now := p.Now()
-	// The engine clock bounds every processor's local clock from below,
-	// so flows settled before it can never compete again.
-	m.net.Settle(p.Engine().Now())
+	// at bounds every processor's local clock from below, so flows
+	// settled before it can never compete again.
+	m.net.Settle(at)
 	req := m.net.Transfer(now, node, home, m.costs.CtrlBytes)
 	rep := m.net.Transfer(req.End+m.costs.Mem, home, node, m.costs.DataBytes)
 	st.Messages += 2
@@ -335,18 +348,15 @@ func (m *flowMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Add
 	st.NetAccesses++
 	st.Add(stats.Latency, req.Latency+rep.Latency)
 	st.Add(stats.Contention, req.Wait+rep.Wait)
-	st.Add(stats.Memory, m.costs.Mem)
-	p.Defer(rep.End - now)
+	return rep.End, false
 }
 
 func (m *flowMachine) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	st.Reads++
-	m.access(p, st, node, addr)
+	issue(m, p, st, node, addr, false)
 }
 
 func (m *flowMachine) Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	st.Writes++
-	m.access(p, st, node, addr)
+	issue(m, p, st, node, addr, true)
 }
 
 // Networked is implemented by the Target machine, exposing its detailed

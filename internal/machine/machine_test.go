@@ -97,6 +97,14 @@ func TestLogPLocalVsRemote(t *testing.T) {
 	}
 }
 
+// TestDefaultLIsTheConfigs: logp.DefaultL, read by the benchmark's bare
+// LogP network, is the L every machine gets from a default Config.
+func TestDefaultLIsTheConfigs(t *testing.T) {
+	if l := (Config{}).Canonical().L; l != logp.DefaultL {
+		t.Errorf("default Config L = %v, logp.DefaultL = %v", l, logp.DefaultL)
+	}
+}
+
 func TestLogPEveryRemoteReferenceCrossesNetwork(t *testing.T) {
 	// No cache: re-reading the same remote word pays the network every
 	// time — the heart of the paper's locality argument.

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"spasm/internal/coherence"
 	"spasm/internal/flow"
 	"spasm/internal/logp"
 	"spasm/internal/network"
@@ -147,8 +148,9 @@ func NetworkTiers() []NetworkTier {
 			if err != nil {
 				return nil, err
 			}
-			g := logp.GapFor(t, 32, sim.SerialByte)
-			return &logpNet{net: logp.New(p, logp.DefaultL, g, logp.Combined)}, nil
+			d := Config{}.withDefaults()
+			g := logp.GapFor(t, coherence.DefaultCosts().DataBytes, d.LinkByteTime)
+			return &logpNet{net: logp.New(p, d.L, g, logp.Combined)}, nil
 		}},
 		{Name: "detailed", New: func(topoName string, p int) (Network, error) {
 			t, err := network.New(topoName, p)

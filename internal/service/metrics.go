@@ -220,7 +220,7 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, 
 	fmt.Fprintf(b, "spasmd_jobs_rejected_total %d\n", m.rejected)
 	// Parallel-execution outcomes: runs that asked for workers > 1 and ran
 	// on the windowed kernel, vs ones that fell back to the sequential
-	// kernel (not a stream on LogP, probes attached, ...).
+	// kernel (not a stream on LogP, Flow or Ideal, probes attached, ...).
 	fmt.Fprintf(b, "spasmd_runs_parallel_total %d\n", m.runsParallel)
 	fmt.Fprintf(b, "spasmd_par_fallbacks_total %d\n", m.parFallbacks)
 	fmt.Fprintf(b, "spasmd_profile_cache_hits_total %d\n", m.profHits)

@@ -25,22 +25,22 @@ import (
 // holds the whole run, set-up included, to an allocation budget of 1.1x
 // its measured cost (logged below).  The measurement is repeatable to
 // 0.3 % and highest as the first test of a process — where processors are
-// coroutines (every tier but LogP), by about 1,000 objects and 0.5 MB,
+// coroutines (CLogP and Target), by about 1,000 objects and 0.5 MB,
 // until the runtime has 1024 dead goroutine descriptors on hand.  The
 // first-run figures:
 //
-//	flow   24,561 objects   6.91 MB
+//	flow    8,182 objects   5.88 MB
 //	logp    1,185           1.77 MB
 //	clogp  25,096          23.98 MB
 //	target 24,392          23.26 MB
 //
 // A stream is drawn by value, by the driver and by Check, from a cursor:
 // with a stream object for each it cost 2,048 objects more on flow and
-// logp.  The LogP run is stackless, its processes' kernel and driver
-// state three arrays (the engine's slab of sim.Proc, the run's feeds and
-// tallies): an object each for either coming back is +1,024 objects and
-// fails here, as does a coroutine per processor (the run cost 17.6 k
-// objects when it had them).
+// logp.  The LogP and Flow runs are stackless, their processes' kernel
+// and driver state three arrays (the engine's slab of sim.Proc, the run's
+// feeds and tallies): an object each for either coming back is +1,024
+// objects and fails here, as does a coroutine per processor (the LogP run
+// cost 17.6 k objects when it had them, the Flow run 24.6 k).
 // The coherent tiers' bytes are their caches — 16 MB of tag store, 16 KB a
 // node at one 8-byte word a line; the 24-byte line that preceded it is
 // +32 MB and fails here — and their run must leave directory and caches
@@ -81,7 +81,7 @@ func run1024(t *testing.T, kind Kind, maxObjects, maxBytes uint64) {
 	}
 }
 
-func TestFlow1024Procs(t *testing.T)   { run1024(t, Flow, 27000, 7610e3) }
+func TestFlow1024Procs(t *testing.T)   { run1024(t, Flow, 8990, 6460e3) }
 func TestLogP1024Procs(t *testing.T)   { run1024(t, LogP, 1304, 1944e3) }
 func TestCLogP1024Procs(t *testing.T)  { run1024(t, CLogP, 27600, 26400e3) }
 func TestTarget1024Procs(t *testing.T) { run1024(t, Target, 26800, 25600e3) }
@@ -142,26 +142,28 @@ func TestFlow1024PooledIdentical(t *testing.T) {
 }
 
 // TestFlow256ProcsParallelIdentical drives a 256-processor flow-tier
-// spec through the parallel-workers path: flow does not price at issue,
-// so the run falls back to the sequential kernel and stays bit-identical.
+// spec through the parallel-workers path: flow prices a reference at
+// issue, so its stream runs in the parallel kernel, and the result
+// document must be the sequential run's bytes.
 func TestFlow256ProcsParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor runs")
 	}
-	seq, err := RunSpec(Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256})
-	if err != nil {
-		t.Fatal(err)
+	var docs [2][]byte
+	for i, workers := range []int{0, 4} {
+		res, err := RunSpec(Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers > 1 && (res.Par == nil || !res.Par.Parallel) {
+			t.Fatalf("flow with workers: parallel report %+v, want a parallel run", res.Par)
+		}
+		if docs[i], err = json.Marshal(report.RunJSON(res)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	par, err := RunSpec(Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Par == nil || par.Par.Parallel || par.Par.Fallback == "" {
-		t.Fatalf("flow with workers: parallel report %+v, want a fallback", par.Par)
-	}
-	if seq.Stats.Total != par.Stats.Total || seq.Stats.Messages() != par.Stats.Messages() {
-		t.Fatalf("parallel run diverged: %v/%d vs %v/%d",
-			par.Stats.Total, par.Stats.Messages(), seq.Stats.Total, seq.Stats.Messages())
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatalf("parallel run diverged\nsequential: %s\nparallel:   %s", docs[0], docs[1])
 	}
 }
 

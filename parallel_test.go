@@ -1,10 +1,10 @@
 package spasm
 
 // Parallel-execution determinism lock: the conservative parallel kernel
-// (Spec.Workers > 1) runs reference streams on LogP — exactly the runs
-// that are stackless with one worker — and must produce byte-identical
-// report documents to the sequential kernel there; every other spec must
-// fall back, visibly via Result.Par, to the same bytes.  Parallelism is
+// (Spec.Workers > 1) runs reference streams on LogP, Flow and Ideal —
+// exactly the runs that are stackless with one worker — and must produce
+// byte-identical report documents to the sequential kernel there; every
+// other spec must fall back, visibly via Result.Par, to the same bytes.  Parallelism is
 // an execution detail, never a source of divergence.
 
 import (
@@ -86,9 +86,10 @@ func TestParallelFallbackBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOrderedSites: a parallel window runs reference streams on LogP, and
-// those touch state another process sees in one place — the machine, which
-// a stream's feed prices each reference on inside an Ordered section.  A
+// TestOrderedSites: a parallel window runs reference streams on the
+// machines priced at issue, and those touch state another process sees in
+// one place — the machine, which a stream's feed prices each reference on
+// inside an Ordered section.  A
 // second call site in non-test code means something else is meant to run
 // in a window; that is a design change, not a one-line addition.
 func TestOrderedSites(t *testing.T) {

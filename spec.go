@@ -49,8 +49,8 @@ type Spec struct {
 	// identical by construction, Workers is an execution knob, not part of
 	// the run's identity: it is excluded from Key and Hash, and two specs
 	// differing only in Workers share one content address.  Only a
-	// reference stream on LogP runs parallel; every other spec falls back
-	// to the sequential kernel, and Result.Par says why.
+	// reference stream on LogP, Flow or Ideal runs parallel; every other
+	// spec falls back to the sequential kernel, and Result.Par says why.
 	Workers int
 }
 
