@@ -28,7 +28,7 @@ var (
 // matrixRow returns the error-matrix row of (app, topo, metric) on s.
 func matrixRow(t *testing.T, s *Session, app, topo string, m Metric) AccuracyRow {
 	t.Helper()
-	rows, err := s.ErrorMatrix(app, topo)
+	rows, err := s.ErrorMatrix(exp.Selection{Apps: []string{app}, Topologies: []string{topo}})
 	if err != nil {
 		t.Fatal(err)
 	}

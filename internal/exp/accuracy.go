@@ -1,10 +1,17 @@
 package exp
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
+	"spasm/internal/app"
 	"spasm/internal/apps"
+	"spasm/internal/logp"
 	"spasm/internal/machine"
+	"spasm/internal/network"
+	"spasm/internal/sim"
+	"spasm/internal/stats"
 )
 
 // AccuracyRow is one row of the error matrix: an (application,
@@ -17,9 +24,11 @@ import (
 // values positive.  TrendAgrees reports whether the abstraction's curve
 // moves in the same direction as the target's between every pair of
 // consecutive sweep points — the paper's notion of "displaying a similar
-// trend (shape of the curve)".
+// trend (shape of the curve)".  Variant names the run change the row's
+// sweep ran under; it is empty on the paper's rows.
 type AccuracyRow struct {
 	Figure      Figure
+	Variant     string
 	CLogPRatio  float64
 	LogPRatio   float64
 	CLogPTrend  bool
@@ -62,33 +71,161 @@ func Accuracy(frs []*FigureResult) []AccuracyRow {
 	return out
 }
 
-// ErrorMatrix computes the abstraction-error matrix: every paper
-// application on the full, cube and mesh networks (or just appName and
-// topo when set), for execution time, latency, contention and messages,
-// over the session's sweep: the Accuracy of those figures.  Every run
-// goes through the session's cache, so the paper figures' points cost
-// nothing again.
-func (s *Session) ErrorMatrix(appName, topo string) ([]AccuracyRow, error) {
-	names, topos := apps.Names(), []string{"full", "cube", "mesh"}
-	if appName != "" {
-		names = []string{appName}
+// Selection picks rows of the error matrix.  A nil field selects the
+// paper's: its five applications; the full, cube and mesh networks; and
+// execution time, latency, contention and messages.  Each named variant
+// adds a row beside the paper's for every (application, topology,
+// metric).
+type Selection struct {
+	Apps, Topologies []string
+	Metrics          []Metric
+	Variants         []string
+}
+
+// variant is a named change to the runs of an error-matrix sweep: a
+// remedy the paper proposes, or a machine it did not build.  The zero
+// variant is the paper's machines.
+type variant struct {
+	name string
+	// portMode, adaptiveG and measuredL change the abstractions (LogP
+	// and CLogP) only, so a variant's Target points are the paper's.
+	portMode  logp.PortMode
+	adaptiveG bool
+	measuredL bool    // L from the Target run's mean message size (section 6.1)
+	linkMBps  float64 // every machine's links, with L and g derived from them
+	slowLink  int     // one Target mesh link this many times slower
+}
+
+// variants is the matrix's variant axis: the per-class and
+// history-scaled g of section 7, the measured L of section 6.1, faster
+// links, and a slow link no L/g model can express.
+var variants = []variant{
+	{name: "per-class g", portMode: logp.PerClass},
+	{name: "adaptive g", adaptiveG: true},
+	{name: "measured L", measuredL: true},
+	{name: "links 40 MB/s", linkMBps: 40},
+	{name: "links 80 MB/s", linkMBps: 80},
+	{name: "links 160 MB/s", linkMBps: 160},
+	{name: "links 320 MB/s", linkMBps: 320},
+	{name: "one link 2x slower", slowLink: 2},
+	{name: "one link 4x slower", slowLink: 4},
+	{name: "one link 8x slower", slowLink: 8},
+}
+
+// ErrorMatrix computes the selected rows of the abstraction-error
+// matrix over the session's sweep: for each application and topology,
+// the paper's row and each variant's, metric by metric.  Every run but
+// the slow link's goes through the session's cache, so the paper
+// figures' points cost nothing again and a variant that changes only
+// the abstractions runs no Target point.
+func (s *Session) ErrorMatrix(sel Selection) ([]AccuracyRow, error) {
+	names, topos, metrics := sel.Apps, sel.Topologies, sel.Metrics
+	if names == nil {
+		names = apps.Names()
 	}
-	if topo != "" {
-		topos = []string{topo}
+	if topos == nil {
+		topos = []string{"full", "cube", "mesh"}
 	}
-	var frs []*FigureResult
+	if metrics == nil {
+		metrics = []Metric{ExecTime, LatencyOvh, ContentionOvh, MessageCount}
+	}
+	vs := []variant{{}}
+	for _, name := range sel.Variants {
+		i := slices.IndexFunc(variants, func(v variant) bool { return v.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("exp: no variant %q", name)
+		}
+		vs = append(vs, variants[i])
+	}
+	var out []AccuracyRow
 	for _, name := range names {
 		for _, t := range topos {
-			for _, m := range []Metric{ExecTime, LatencyOvh, ContentionOvh, MessageCount} {
-				fr, err := s.Figure(Figure{App: name, Topology: t, Metric: m})
+			sweeps := make([]*FigureResult, len(vs))
+			for i, v := range vs {
+				fr, err := s.figure(Figure{App: name, Topology: t}, v)
 				if err != nil {
 					return nil, err
 				}
-				frs = append(frs, fr)
+				sweeps[i] = fr
+			}
+			for _, m := range metrics {
+				for i, fr := range sweeps {
+					if row, ok := errorRow(fr.as(m)); ok {
+						row.Variant = vs[i].name
+						out = append(out, row)
+					}
+				}
 			}
 		}
 	}
-	return Accuracy(frs), nil
+	return out, nil
+}
+
+// runUnder simulates pt under the variant.
+func (s *Session) runUnder(pt BatchPoint, v variant) (*stats.Run, error) {
+	switch {
+	case v.slowLink > 1 && pt.Kind == machine.Target:
+		return s.slowLink(pt, v.slowLink)
+	case v.linkMBps > 0:
+		// 1e6/m bytes/s in Time units: 20 MB/s = 33 units.
+		pt.LinkByteTime = max(sim.Micros(1/v.linkMBps), 1)
+	case pt.Kind != machine.LogP && pt.Kind != machine.CLogP:
+	case v.measuredL:
+		tgt, err := s.Run(point(pt.App, pt.Topology, machine.Target, pt.P))
+		if err != nil {
+			return nil, err
+		}
+		mean := 0.0
+		if msgs := tgt.Messages(); msgs > 0 {
+			mean = float64(tgt.Count(func(q *stats.Proc) uint64 { return q.NetBytes })) / float64(msgs)
+		}
+		pt.L = max(sim.Time(mean*float64(sim.SerialByte)), 1)
+	default:
+		pt.PortMode, pt.AdaptiveG = v.portMode, v.adaptiveG
+	}
+	return s.Run(pt)
+}
+
+// slowLink runs a Target mesh point with one link factor times slower:
+// the east link of node (0, cols/2-1), on the row-0 path X-first
+// routing funnels traffic through.  A wrapped machine is no point's, so
+// the run bypasses the session.
+func (s *Session) slowLink(pt BatchPoint, factor int) (*stats.Run, error) {
+	topo, err := network.New(pt.Topology, pt.P)
+	if err != nil {
+		return nil, err
+	}
+	mesh, ok := topo.(*network.Mesh)
+	if !ok {
+		return nil, fmt.Errorf("exp: a slow link is placed on the mesh, not %s", pt.Topology)
+	}
+	victim := (mesh.Cols()/2 - 1) * 4
+	prog, err := apps.Lookup(pt.App, s.opt.Scale, s.opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	res, err := app.Execute(prog, pt.Config, app.Options{Wrap: func(m machine.Machine) machine.Machine {
+		m.(machine.Networked).Fabric().Degrade(victim, factor)
+		return m
+	}})
+	if err != nil {
+		return nil, err
+	}
+	return res.Stats, nil
+}
+
+// as returns the sweep valued by metric m.
+func (fr *FigureResult) as(m Metric) *FigureResult {
+	out := &FigureResult{Figure: fr.Figure}
+	out.Figure.Metric = m
+	for _, sr := range fr.Series {
+		pts := make([]Point, len(sr.Points))
+		for i, pt := range sr.Points {
+			pts[i] = Point{P: pt.P, Value: Value(m, pt.Run), Run: pt.Run}
+		}
+		out.Series = append(out.Series, Series{Machine: sr.Machine, Points: pts})
+	}
+	return out
 }
 
 // AccuracySummary aggregates rows into one verdict per machine and
@@ -107,7 +244,8 @@ type AccuracySummary struct {
 }
 
 // Summarize groups accuracy rows by metric: the one per-metric summary
-// of abstraction error, of the figures and of the matrix alike.
+// of abstraction error, of the figures and of the matrix alike.  Variant
+// rows ask about a changed machine, so they are left out.
 func Summarize(rows []AccuracyRow) []AccuracySummary {
 	var out []AccuracySummary
 	for _, m := range []Metric{LatencyOvh, ContentionOvh, ExecTime, MessageCount} {
@@ -116,7 +254,7 @@ func Summarize(rows []AccuracyRow) []AccuracySummary {
 		var cTrend, lTrend int
 		for _, r := range rows {
 			switch {
-			case r.Figure.Metric != m:
+			case r.Figure.Metric != m || r.Variant != "":
 			case math.IsNaN(r.CLogPRatio) || math.IsNaN(r.LogPRatio):
 				s.Skipped++
 			default:

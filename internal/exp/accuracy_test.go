@@ -137,7 +137,7 @@ func TestErrorMatrixAddsNoRepeatRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	figures := len(runs)
-	if _, err := s.ErrorMatrix("", ""); err != nil {
+	if _, err := s.ErrorMatrix(Selection{}); err != nil {
 		t.Fatal(err)
 	}
 	added := map[string]bool{}

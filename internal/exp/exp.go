@@ -281,12 +281,15 @@ func (s *Session) Run(pt BatchPoint) (*stats.Run, error) {
 }
 
 // Figure regenerates one paper figure.
-func (s *Session) Figure(fig Figure) (*FigureResult, error) {
+func (s *Session) Figure(fig Figure) (*FigureResult, error) { return s.figure(fig, variant{}) }
+
+// figure sweeps the figure's points under a variant of the machines.
+func (s *Session) figure(fig Figure, v variant) (*FigureResult, error) {
 	out := &FigureResult{Figure: fig}
 	for _, kind := range s.opt.Machines {
 		series := Series{Machine: kind}
 		for _, p := range s.opt.procsFor(fig.App) {
-			r, err := s.Run(point(fig.App, fig.Topology, kind, p))
+			r, err := s.runUnder(point(fig.App, fig.Topology, kind, p), v)
 			if err != nil {
 				return nil, fmt.Errorf("%s (p=%d, %v): %w", fig.ID(), p, kind, err)
 			}

@@ -355,7 +355,7 @@ func TestSessionCachesByCanonicalConfig(t *testing.T) {
 // program, a degraded-link wrap, a mutated program — are the exceptions.
 func TestOneExperimentPath(t *testing.T) {
 	allowed := map[string]bool{
-		"simulate": true, "TraceDrivenStudy": true, "DegradedLinkStudy": true, "PlacementStudy": true,
+		"simulate": true, "TraceDrivenStudy": true, "DegradedLinkStudy": true, "slowLink": true, "PlacementStudy": true,
 	}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")

@@ -209,6 +209,18 @@ type StudyArgs struct {
 	P         int
 }
 
+// selection is sel with -app and -topo, where given, in place of its
+// applications and topologies.
+func (a StudyArgs) selection(sel exp.Selection) exp.Selection {
+	if a.App != "" {
+		sel.Apps = []string{a.App}
+	}
+	if a.Topo != "" {
+		sel.Topologies = []string{a.Topo}
+	}
+	return sel
+}
+
 // Study is one experiment reported in text rather than as a figure: an
 // extension study (a sensitivity or validation experiment grounded in a
 // claim or proposal of the paper) or one of the paper's own textual
@@ -376,7 +388,7 @@ func Studies() []Study {
 			}},
 		{Name: "error", Claim: "abstraction error: five apps x {full, cube, mesh} x exec, latency, contention, messages",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
-				rows, err := s.ErrorMatrix(a.App, a.Topo)
+				rows, err := s.ErrorMatrix(a.selection(exp.Selection{}))
 				return ErrorTable(s.Options().Procs, rows), err
 			}},
 		{Name: "speed", Claim: "simulation cost per machine: events and host time (section 7)", Topo: "full",
