@@ -109,7 +109,7 @@ func TestUnsupportedP(t *testing.T) {
 		{"run", "-app", "ep", "-p", "3", "-scale", "tiny"},
 		{"run", "-app", "ep", "-p", "1", "-scale", "tiny"},
 		{"run", "-app", "ep", "-p", "6", "-topo", "torus", "-scale", "tiny"},
-		{"study", "topo", "-p", "3", "-scale", "tiny"},
+		{"study", "topo", "-procs", "3", "-scale", "tiny"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 1 {
@@ -137,7 +137,7 @@ func TestStudyAllMatchesSweep(t *testing.T) {
 	}
 	sameCells(t, got[:i], golden(t, "study_all.txt"), nil)
 
-	one := spasmRun(t, "study", "fault", "-scale", "tiny", "-p", "4")
+	one := spasmRun(t, "study", "fault", "-scale", "tiny", "-procs", "2,4")
 	if !strings.Contains(got, one) {
 		t.Errorf("\"study fault\" is not a slice of \"study all\":\n%s", one)
 	}

@@ -59,6 +59,8 @@ func ExampleGapTable() {
 	// full: 0.200 us
 	// cube: 1.600 us
 	// mesh: 3.200 us
+	// ring: 6.400 us
+	// torus: 1.600 us
 }
 
 // Regenerating a paper figure as CSV.
@@ -113,15 +115,19 @@ func ExampleRecordTrace() {
 	// replayed 2204 events: true
 }
 
-// Running the section-7 gap-discipline ablation.
-func ExampleGapAblation() {
-	rows, err := spasm.GapAblation(spasm.NewSession(spasm.Options{Scale: spasm.Tiny, Procs: []int{8}}))
+// Running the section-7 gap-discipline ablation: the per-class g row of
+// the abstraction-error matrix beside the paper's, FFT on the cube.
+func ExampleSession_ErrorMatrix() {
+	s := spasm.NewSession(spasm.Options{Scale: spasm.Tiny, Procs: []int{8}})
+	rows, err := s.ErrorMatrix(spasm.Selection{
+		Apps: []string{"fft"}, Topologies: []string{"cube"},
+		Metrics: []spasm.Metric{spasm.ContentionOvh}, Variants: []string{"per-class g"},
+	})
 	if err != nil {
 		panic(err)
 	}
-	r := rows[0]
-	fmt.Printf("per-class gap closer to target: %v\n",
-		r.PerClassGap-r.Target < r.CombinedGap-r.Target)
+	combined, perClass := rows[0], rows[1]
+	fmt.Printf("per-class gap closer to target: %v\n", perClass.CLogPRatio < combined.CLogPRatio)
 	// Output:
 	// per-class gap closer to target: true
 }

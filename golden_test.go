@@ -172,15 +172,17 @@ func TestGoldenSimulationCostOrdering(t *testing.T) {
 // target, per-class 1.27–1.47×, so per-class keeps 19–32 % of the
 // strict gap's excess; bands ≥ 2.2, ≤ 1.6 and ≤ 45 %.
 func TestGoldenAblationReducesPessimism(t *testing.T) {
-	rows, err := GapAblation(tinySession())
+	rows, err := tinySession().ErrorMatrix(exp.Selection{Apps: []string{"fft"}, Topologies: []string{"cube"},
+		Metrics: []Metric{ContentionOvh}, Variants: []string{"per-class g"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		inBand(t, r.CombinedGap/r.Target, 2.2, math.Inf(1), "strict-gap/Target contention at p%d", r.P)
-		inBand(t, r.PerClassGap/r.Target, 1, 1.6, "per-class/Target contention at p%d", r.P)
-		inBand(t, (r.PerClassGap-r.Target)/(r.CombinedGap-r.Target), 0, 0.45,
-			"per-class share of the strict gap's excess at p%d", r.P)
+	strict, perClass := rows[0], rows[1]
+	for i, p := range strict.P {
+		inBand(t, strict.CLogP[i], 2.2, math.Inf(1), "strict-gap/Target contention at p%d", p)
+		inBand(t, perClass.CLogP[i], 1, 1.6, "per-class/Target contention at p%d", p)
+		inBand(t, (perClass.CLogP[i]-1)/(strict.CLogP[i]-1), 0, 0.45,
+			"per-class share of the strict gap's excess at p%d", p)
 	}
 }
 

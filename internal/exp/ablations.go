@@ -7,20 +7,18 @@ import (
 	"spasm/internal/apps"
 	"spasm/internal/cache"
 	"spasm/internal/coherence"
-	"spasm/internal/logp"
 	"spasm/internal/machine"
 	"spasm/internal/mem"
-	"spasm/internal/network"
 	"spasm/internal/sim"
 	"spasm/internal/stats"
 	"spasm/internal/trace"
 )
 
-// This file implements the reproduction's extension studies — each one
-// grounded in a specific claim or proposal in the paper, each simulating
-// through the session (so a point another study already ran is not run
-// again) except where its run is not a function of (application,
-// machine configuration):
+// This file implements the reproduction's extension studies that are not
+// rows of the error matrix — each one grounded in a specific claim or
+// proposal in the paper, each simulating through the session (so a point
+// another study already ran is not run again) except where its run is
+// not a function of (application, machine configuration):
 //
 //   - ProtocolComparison (section 7, citing Wood et al.): performance
 //     should not be very sensitive to the coherence protocol.  Compared:
@@ -28,20 +26,15 @@ import (
 //     claim's invalidation-protocol scope ends — write-update.
 //   - CacheSweep (section 2, citing Rothberg/Singh/Gupta): a 64 KB
 //     cache captures the important working set of these applications.
-//   - AdaptiveGapStudy (section 7 future work): g scaled online by the
-//     observed fraction of bisection-crossing traffic.
-//   - EffectiveLStudy (section 6.1): L's fixed 32-byte pricing separated
-//     from its missing-coherence-traffic optimism.
 //   - TraceDrivenStudy: execution-driven vs trace-driven methodology.
 //   - BandwidthStudy: per-application communication demand (the
 //     authors' companion TR).
-//   - TechnologyStudy: link-bandwidth scaling vs abstraction accuracy.
-//   - DegradedLinkStudy: a per-link fault the L/g abstraction cannot
-//     express.
-//   - TopologyStudy: the accuracy question asked of ring and torus.
 //   - PlacementStudy: blocked vs interleaved data placement.
-//   - ExtendedAppStudy: out-of-sample validation on the multigrid
-//     workload.
+//
+// The studies that ask how far an abstraction sits from the target under
+// a changed machine (remedies for g and L, link speed, a slow link,
+// topology, an application outside the suite) are variant rows and
+// selections of the error matrix (accuracy.go).
 
 // TraceRow compares execution-driven and trace-driven simulation of one
 // application on the evaluation machine.
@@ -242,134 +235,6 @@ func (s *Session) CacheSweep(appName, topo string, p int, sizesKB []int) ([]Cach
 	return out, nil
 }
 
-// AdaptiveRow is one sweep point of the adaptive-g study.
-type AdaptiveRow struct {
-	P        int
-	Target   float64 // detailed-network contention, us
-	Static   float64 // CLogP contention with the bisection-derived g
-	Adaptive float64 // CLogP contention with history-scaled g
-}
-
-// AdaptiveGapStudy evaluates the paper's proposed history-based g
-// estimation for one application and topology: the adaptive gap should
-// land between the static estimate and the target, recovering the
-// communication locality the static derivation ignores.
-func (s *Session) AdaptiveGapStudy(appName, topo string, procs []int) ([]AdaptiveRow, error) {
-	var out []AdaptiveRow
-	for _, p := range procs {
-		tgt, err := s.Run(point(appName, topo, machine.Target, p))
-		if err != nil {
-			return nil, err
-		}
-		static, err := s.Run(point(appName, topo, machine.CLogP, p))
-		if err != nil {
-			return nil, err
-		}
-		adaptivePt := point(appName, topo, machine.CLogP, p)
-		adaptivePt.AdaptiveG = true
-		adaptive, err := s.Run(adaptivePt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AdaptiveRow{
-			P:        p,
-			Target:   Value(ContentionOvh, tgt),
-			Static:   Value(ContentionOvh, static),
-			Adaptive: Value(ContentionOvh, adaptive),
-		})
-	}
-	return out, nil
-}
-
-// ExtendedAppRow is one sweep point of the out-of-suite validation.
-type ExtendedAppRow struct {
-	P          int
-	TargetExec float64
-	CLogPExec  float64
-	LogPExec   float64
-	// CLogPLatencyRatio is CLogP/Target latency overhead — the
-	// paper's primary accuracy measure, asked of a workload the paper
-	// never ran.
-	CLogPLatencyRatio float64
-}
-
-// ExtendedAppStudy runs an extension workload (e.g. the hierarchical
-// multigrid solver) through the paper's machine comparison: an
-// out-of-sample test of the abstractions on communication structure the
-// original suite does not contain.
-func (s *Session) ExtendedAppStudy(appName, topo string, procs []int) ([]ExtendedAppRow, error) {
-	var out []ExtendedAppRow
-	for _, p := range procs {
-		tgt, err := s.Run(point(appName, topo, machine.Target, p))
-		if err != nil {
-			return nil, err
-		}
-		cl, err := s.Run(point(appName, topo, machine.CLogP, p))
-		if err != nil {
-			return nil, err
-		}
-		lp, err := s.Run(point(appName, topo, machine.LogP, p))
-		if err != nil {
-			return nil, err
-		}
-		row := ExtendedAppRow{
-			P:          p,
-			TargetExec: tgt.Total.Micros(),
-			CLogPExec:  cl.Total.Micros(),
-			LogPExec:   lp.Total.Micros(),
-		}
-		if tl := Value(LatencyOvh, tgt); tl > 0 {
-			row.CLogPLatencyRatio = Value(LatencyOvh, cl) / tl
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// TopologyRow is one point of the extended-topology comparison.
-type TopologyRow struct {
-	Topology   string
-	TargetExec float64 // detailed-network execution time, us
-	CLogPExec  float64 // abstraction execution time, us
-	Ratio      float64 // CLogP / Target
-	G          sim.Time
-}
-
-// TopologyStudy runs one application on the target and CLogP machines
-// across every available topology (the paper's three plus ring and
-// torus), asking the paper's accuracy question of networks it did not
-// measure.  Expectation from the paper's analysis: the lower the
-// connectivity (ring worst), the more pessimistic the
-// bisection-derived g makes the abstraction.
-func (s *Session) TopologyStudy(appName string, p int) ([]TopologyRow, error) {
-	var out []TopologyRow
-	for _, topo := range network.Names() {
-		tgt, err := s.Run(point(appName, topo, machine.Target, p))
-		if err != nil {
-			return nil, err
-		}
-		cl, err := s.Run(point(appName, topo, machine.CLogP, p))
-		if err != nil {
-			return nil, err
-		}
-		t, err := network.New(topo, p)
-		if err != nil {
-			return nil, err
-		}
-		row := TopologyRow{
-			Topology:   topo,
-			TargetExec: tgt.Total.Micros(),
-			CLogPExec:  cl.Total.Micros(),
-			G:          logp.GapFor(t, 32, sim.SerialByte),
-		}
-		if row.TargetExec > 0 {
-			row.Ratio = row.CLogPExec / row.TargetExec
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
 // PlacementRow is one point of the data-placement study.
 type PlacementRow struct {
 	Placement  mem.Policy
@@ -403,164 +268,6 @@ func (s *Session) PlacementStudy(topo string, p int) ([]PlacementRow, error) {
 			TargetExec: r.Total.Micros(),
 			Latency:    sim.Time(r.Sum(stats.Latency)).Micros(),
 			Misses:     r.Count(func(q *stats.Proc) uint64 { return q.Misses }),
-		})
-	}
-	return out, nil
-}
-
-// FaultRow is one point of the degraded-link study.
-type FaultRow struct {
-	// Factor is the slowdown of the degraded link (1 = healthy).
-	Factor int
-	// TargetExec is the execution time on the detailed network, which
-	// routes real circuits through the degraded link (us).
-	TargetExec float64
-	// CLogPExec is the abstraction's execution time — unchanged by
-	// construction, since L and g carry no per-link information.
-	CLogPExec float64
-}
-
-// DegradedLinkStudy injects a slow link into the middle of the mesh and
-// measures the impact: the detailed target simulation sees circuits
-// queueing behind the degraded link, while the L/g abstraction is
-// structurally blind to any single-link property — a concrete boundary
-// of the network abstraction the paper evaluates.
-func (s *Session) DegradedLinkStudy(appName string, p int, factors []int) ([]FaultRow, error) {
-	topo, err := network.New("mesh", p)
-	if err != nil {
-		return nil, err
-	}
-	mesh := topo.(*network.Mesh)
-	// Degrade an east link in the middle of the mesh, on the row-0
-	// path that X-first routing funnels traffic through.
-	victim := (mesh.Cols()/2 - 1) * 4 // node (0, cols/2-1), east direction
-
-	cl, err := s.Run(point(appName, "mesh", machine.CLogP, p))
-	if err != nil {
-		return nil, err
-	}
-	var out []FaultRow
-	for _, factor := range factors {
-		prog, err := apps.New(appName, s.opt.Scale, s.opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		// The degraded link is a machine wrap, not a session point.
-		factor := factor
-		res, err := app.Execute(prog, machine.Config{
-			Kind: machine.Target, Topology: "mesh", P: p,
-		}, app.Options{Wrap: func(m machine.Machine) machine.Machine {
-			if factor > 1 {
-				m.(machine.Networked).Fabric().Degrade(victim, factor)
-			}
-			return m
-		}})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, FaultRow{
-			Factor:     factor,
-			TargetExec: res.Stats.Total.Micros(),
-			CLogPExec:  cl.Total.Micros(),
-		})
-	}
-	return out, nil
-}
-
-// TechRow is one point of the technology-scaling study.
-type TechRow struct {
-	LinkMBps float64
-	// TargetExec and CLogPExec are execution times (us) at this link
-	// speed; Ratio is CLogP/Target — how the abstraction's accuracy
-	// moves as the network gets faster relative to the processor.
-	TargetExec float64
-	CLogPExec  float64
-	Ratio      float64
-}
-
-// TechnologyStudy re-runs one application while scaling the link
-// bandwidth (and, coherently, L and g, which are derived from it): as
-// the network speeds up relative to the fixed 33 MHz processor, network
-// overheads shrink and the abstractions converge on the target.
-func (s *Session) TechnologyStudy(appName, topo string, p int, mbps []float64) ([]TechRow, error) {
-	var out []TechRow
-	for _, m := range mbps {
-		// byteTime = 1e6/m bytes/s in Time units: 20 MB/s = 33 units.
-		byteTime := sim.Micros(1.0 / m)
-		if byteTime < 1 {
-			byteTime = 1
-		}
-		at := func(kind machine.Kind) (*stats.Run, error) {
-			pt := point(appName, topo, kind, p)
-			pt.LinkByteTime = byteTime
-			return s.Run(pt)
-		}
-		tgt, err := at(machine.Target)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := at(machine.CLogP)
-		if err != nil {
-			return nil, err
-		}
-		row := TechRow{
-			LinkMBps:   m,
-			TargetExec: tgt.Total.Micros(),
-			CLogPExec:  cl.Total.Micros(),
-		}
-		if row.TargetExec > 0 {
-			row.Ratio = row.CLogPExec / row.TargetExec
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// LRow is one sweep point of the effective-L study.
-type LRow struct {
-	P             int
-	MeanMsgBytes  float64
-	TargetLatency float64 // us
-	L32Latency    float64 // CLogP latency with the paper's 32-byte L
-	EffLatency    float64 // CLogP latency with L from measured mean size
-}
-
-// EffectiveLStudy measures the target machine's mean message size for an
-// application and re-derives L from it, quantifying how much of the
-// L-parameter's latency pessimism is the fixed 32-byte assumption.
-func (s *Session) EffectiveLStudy(appName, topo string, procs []int) ([]LRow, error) {
-	var out []LRow
-	for _, p := range procs {
-		tgt, err := s.Run(point(appName, topo, machine.Target, p))
-		if err != nil {
-			return nil, err
-		}
-		msgs := tgt.Messages()
-		bytes := tgt.Count(func(q *stats.Proc) uint64 { return q.NetBytes })
-		mean := 0.0
-		if msgs > 0 {
-			mean = float64(bytes) / float64(msgs)
-		}
-		l32, err := s.Run(point(appName, topo, machine.CLogP, p))
-		if err != nil {
-			return nil, err
-		}
-		leff := sim.Time(mean * float64(sim.SerialByte))
-		if leff < 1 {
-			leff = 1
-		}
-		effPt := point(appName, topo, machine.CLogP, p)
-		effPt.L = leff
-		eff, err := s.Run(effPt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, LRow{
-			P:             p,
-			MeanMsgBytes:  mean,
-			TargetLatency: Value(LatencyOvh, tgt),
-			L32Latency:    Value(LatencyOvh, l32),
-			EffLatency:    Value(LatencyOvh, eff),
 		})
 	}
 	return out, nil

@@ -1,9 +1,15 @@
 package exp
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"spasm/internal/apps"
+	"spasm/internal/machine"
 	"spasm/internal/mem"
+	"spasm/internal/network"
+	"spasm/internal/stats"
 )
 
 func TestTraceDrivenStudyRuns(t *testing.T) {
@@ -21,51 +27,70 @@ func TestTraceDrivenStudyRuns(t *testing.T) {
 	}
 }
 
-func TestExtendedAppStudyMG(t *testing.T) {
-	rows, err := tinySession().ExtendedAppStudy("mg", "cube", []int{4, 8})
+// matrixRows computes one (application, topology, metric) selection of
+// the error matrix on the session: the paper's row, then each variant's.
+func matrixRows(t *testing.T, s *Session, app, topo string, m Metric, variants ...string) []AccuracyRow {
+	t.Helper()
+	rows, err := s.ErrorMatrix(Selection{Apps: []string{app}, Topologies: []string{topo}, Metrics: []Metric{m}, Variants: variants})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	if len(rows) != 1+len(variants) {
+		t.Fatalf("%d rows for %s on %s, want %d", len(rows), app, topo, 1+len(variants))
 	}
-	for _, r := range rows {
-		if r.TargetExec <= 0 || r.CLogPExec <= 0 || r.LogPExec <= 0 {
-			t.Errorf("p=%d: degenerate row %+v", r.P, r)
+	return rows
+}
+
+// cell is the row's CLogP and LogP ratio over the target at p.
+func cell(t *testing.T, r AccuracyRow, p int) (clogp, logp float64) {
+	t.Helper()
+	k := slices.Index(r.P, p)
+	if k < 0 {
+		t.Fatalf("%s/%s %v %q: no p%d cell", r.Figure.App, r.Figure.Topology, r.Figure.Metric, r.Variant, p)
+	}
+	return r.CLogP[k], r.LogP[k]
+}
+
+// Out-of-suite validation: the paper's accuracy result extends to the
+// hierarchical workload — CLogP latency within a small factor of the
+// target, and LogP slower than CLogP (locality matters here too).
+// Measured CLogP/Target latency 1.10 at p4 and 1.19 at p8 (tiny); band
+// [1.0, 1.3], was [0.5, 4].
+func TestExtendedAppStudyMG(t *testing.T) {
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{4, 8}})
+	exec := matrixRows(t, s, "mg", "cube", ExecTime)[0]
+	lat := matrixRows(t, s, "mg", "cube", LatencyOvh)[0]
+	for _, p := range []int{4, 8} {
+		c, l := cell(t, exec, p)
+		if !(c > 0 && l > 0) {
+			t.Errorf("p=%d: degenerate exec cells %v/%v", p, c, l)
 		}
-		// The paper's accuracy result must extend to the hierarchical
-		// workload: CLogP latency within a small factor of the target,
-		// and LogP slower than CLogP (locality matters here too).
-		if r.CLogPLatencyRatio < 0.5 || r.CLogPLatencyRatio > 4 {
-			t.Errorf("p=%d: CLogP latency ratio %.2f outside [0.5, 4]", r.P, r.CLogPLatencyRatio)
+		if l <= c {
+			t.Errorf("p=%d: LogP exec %.2fx not above CLogP %.2fx", p, l, c)
 		}
-		if r.LogPExec <= r.CLogPExec {
-			t.Errorf("p=%d: LogP exec %.0f not above CLogP %.0f", r.P, r.LogPExec, r.CLogPExec)
+		if c, _ := cell(t, lat, p); c < 1.0 || c > 1.3 {
+			t.Errorf("p=%d: CLogP latency ratio %.2f outside [1.0, 1.3]", p, c)
 		}
 	}
 }
 
+// The paper's connectivity argument, extended to ring and torus: at p8
+// the full network's abstraction ratio is the best of the five.
 func TestTopologyStudy(t *testing.T) {
-	rows, err := tinySession().TopologyStudy("is", 8)
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{8}})
+	rows, err := s.ErrorMatrix(Selection{Apps: []string{"is"}, Topologies: network.Names(), Metrics: []Metric{ExecTime}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	byTopo := map[string]TopologyRow{}
+	full, _ := cell(t, rows[0], 8)
 	for _, r := range rows {
-		if r.TargetExec <= 0 || r.CLogPExec <= 0 || r.G <= 0 {
-			t.Errorf("%s: degenerate row %+v", r.Topology, r)
-		}
-		byTopo[r.Topology] = r
-	}
-	// The paper's connectivity argument, extended: the full network's
-	// abstraction ratio is the best of the five.
-	for _, topo := range []string{"cube", "mesh", "ring", "torus"} {
-		if byTopo["full"].Ratio > byTopo[topo].Ratio {
-			t.Errorf("full ratio %.2f above %s ratio %.2f",
-				byTopo["full"].Ratio, topo, byTopo[topo].Ratio)
+		if c, l := cell(t, r, 8); !(c > 0 && l > 0) {
+			t.Errorf("%s: degenerate cells %v/%v", r.Figure.Topology, c, l)
+		} else if full > c {
+			t.Errorf("full ratio %.2f above %s ratio %.2f", full, r.Figure.Topology, c)
 		}
 	}
 }
@@ -94,49 +119,48 @@ func TestPlacementStudy(t *testing.T) {
 	}
 }
 
+// The detailed simulation slows down behind a degraded link, while the
+// abstraction is structurally blind to it: the variant's LogP and CLogP
+// runs are the paper's, so only the target's time moves the ratios.
 func TestDegradedLinkStudy(t *testing.T) {
-	rows, err := tinySession().DegradedLinkStudy("fft", 16, []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{16}})
+	rows := matrixRows(t, s, "fft", "mesh", ExecTime, "one link 8x slower")
+	hc, hl := cell(t, rows[0], 16)
+	dc, dl := cell(t, rows[1], 16)
+	if dc >= hc {
+		t.Errorf("degraded link invisible to target: clogp/target %.2f vs healthy %.2f", dc, hc)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	healthy, degraded := rows[0], rows[1]
-	// The detailed simulation must slow down behind the degraded link.
-	if degraded.TargetExec <= healthy.TargetExec {
-		t.Errorf("degraded link invisible to target: %.0f vs %.0f",
-			degraded.TargetExec, healthy.TargetExec)
-	}
-	// The abstraction is structurally blind to a single slow link.
-	if degraded.CLogPExec != healthy.CLogPExec {
-		t.Errorf("abstraction changed without link information: %.0f vs %.0f",
-			degraded.CLogPExec, healthy.CLogPExec)
+	if math.Abs(dl/dc-hl/hc) > 1e-12*hl/hc {
+		t.Errorf("abstraction changed without link information: logp/clogp %v vs %v", dl/dc, hl/hc)
 	}
 }
 
+// Faster links make both machines faster, and as network overheads
+// shrink the abstraction converges on the target (ratio toward 1).
 func TestTechnologyStudy(t *testing.T) {
-	rows, err := tinySession().TechnologyStudy("is", "mesh", 8, []float64{20, 80, 320})
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{8}})
+	fig := Figure{App: "is", Topology: "mesh", Metric: ExecTime}
+	speeds := []string{"links 80 MB/s", "links 320 MB/s"}
+	rows := matrixRows(t, s, "is", "mesh", ExecTime, speeds...)
+	prev, err := s.Figure(fig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	// Faster links => faster execution on both machines.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].TargetExec >= rows[i-1].TargetExec {
-			t.Errorf("target exec did not improve: %.0f -> %.0f at %g MB/s",
-				rows[i-1].TargetExec, rows[i].TargetExec, rows[i].LinkMBps)
+	for _, name := range speeds {
+		i := slices.IndexFunc(variants, func(v variant) bool { return v.name == name })
+		fr, err := s.figure(fig, variants[i])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rows[i].CLogPExec >= rows[i-1].CLogPExec {
-			t.Errorf("clogp exec did not improve: %.0f -> %.0f at %g MB/s",
-				rows[i-1].CLogPExec, rows[i].CLogPExec, rows[i].LinkMBps)
+		for _, kind := range []machine.Kind{machine.Target, machine.CLogP} {
+			if was, now := seriesOf(prev, kind).Points[0].Value, seriesOf(fr, kind).Points[0].Value; now >= was {
+				t.Errorf("%v exec did not improve: %.0f -> %.0f with %s", kind, was, now, name)
+			}
 		}
+		prev = fr
 	}
-	// As network overheads shrink, the abstraction converges on the
-	// target (ratio moves toward 1).
-	first, last := rows[0].Ratio, rows[len(rows)-1].Ratio
+	first, _ := cell(t, rows[0], 8)
+	last, _ := cell(t, rows[len(rows)-1], 8)
 	if dist(first) < dist(last) {
 		t.Errorf("abstraction did not converge: ratio %.2f -> %.2f", first, last)
 	}
@@ -225,51 +249,49 @@ func TestCacheSweepMissRateMonotone(t *testing.T) {
 	}
 }
 
+// EP on the mesh is the paper's worst case for the static g.  The
+// adaptive estimate recovers communication locality, so its contention
+// sits below the static one.  Measured adaptive/static 0.74 at p8 and
+// 0.72 at p16 (tiny); band (0, 0.8], was <= 1.01 with p16 strictly below.
 func TestAdaptiveGapBetweenStaticAndZero(t *testing.T) {
-	// EP on the mesh is the paper's worst case for the static g.  The
-	// adaptive estimate must not exceed the static one, and should be
-	// strictly below it once communication locality exists.
-	rows, err := tinySession().AdaptiveGapStudy("ep", "mesh", []int{8, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Adaptive > r.Static*1.01 {
-			t.Errorf("p=%d: adaptive contention %.0f above static %.0f", r.P, r.Adaptive, r.Static)
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{8, 16}})
+	rows := matrixRows(t, s, "ep", "mesh", ContentionOvh, "adaptive g")
+	for _, p := range []int{8, 16} {
+		static, _ := cell(t, rows[0], p)
+		adaptive, _ := cell(t, rows[1], p)
+		if r := adaptive / static; !(r > 0 && r <= 0.8) {
+			t.Errorf("p=%d: adaptive/static contention %.2f outside (0, 0.8]", p, r)
 		}
-	}
-	last := rows[len(rows)-1]
-	if last.Adaptive >= last.Static {
-		t.Errorf("adaptive g recovered no locality: %.0f vs %.0f", last.Adaptive, last.Static)
 	}
 }
 
+// Section 6.1 identifies two counteracting effects in L: pessimism from
+// pricing every message at 32 bytes, and optimism from not carrying
+// coherence traffic.  Deriving L from the target's measured mean message
+// size removes the first effect, so the CLogP latency must drop below the
+// fixed-L value — and, with the size pessimism gone, the remaining
+// difference from the target is the coherence-traffic optimism (CLogP at
+// or below the target).
 func TestEffectiveLSeparatesCounteractingEffects(t *testing.T) {
-	// Section 6.1 identifies two counteracting effects in L: pessimism
-	// from pricing every message at 32 bytes, and optimism from not
-	// carrying coherence traffic.  Deriving L from the target's
-	// measured mean message size removes the first effect, so the
-	// CLogP latency must drop below the fixed-L value — and, with the
-	// size pessimism gone, the remaining difference from the target is
-	// the coherence-traffic optimism (CLogP at or below the target).
-	rows, err := tinySession().EffectiveLStudy("fft", "full", []int{8})
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{8}})
+	tgt, err := s.Run(point("fft", "full", machine.Target, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
-	if r.MeanMsgBytes <= 0 || r.MeanMsgBytes > 32 {
-		t.Errorf("mean message bytes = %.1f", r.MeanMsgBytes)
+	mean := float64(tgt.Count(func(q *stats.Proc) uint64 { return q.NetBytes })) / float64(tgt.Messages())
+	if mean <= 0 || mean > 32 {
+		t.Errorf("mean message bytes = %.1f", mean)
 	}
-	if r.EffLatency >= r.L32Latency {
-		t.Errorf("effective L %.0f did not reduce the fixed-L latency %.0f",
-			r.EffLatency, r.L32Latency)
+	rows := matrixRows(t, s, "fft", "full", LatencyOvh, "measured L")
+	l32, _ := cell(t, rows[0], 8)
+	eff, _ := cell(t, rows[1], 8)
+	if eff >= l32 {
+		t.Errorf("effective L %.2fx did not reduce the fixed-L latency %.2fx", eff, l32)
 	}
-	if r.L32Latency <= r.TargetLatency {
-		t.Errorf("fixed 32-byte L not pessimistic: %.0f vs target %.0f",
-			r.L32Latency, r.TargetLatency)
+	if l32 <= 1 {
+		t.Errorf("fixed 32-byte L not pessimistic: %.2fx the target", l32)
 	}
-	if r.EffLatency > r.TargetLatency*1.05 {
-		t.Errorf("size-corrected L still above target: %.0f vs %.0f",
-			r.EffLatency, r.TargetLatency)
+	if eff > 1.05 {
+		t.Errorf("size-corrected L still above target: %.2fx", eff)
 	}
 }

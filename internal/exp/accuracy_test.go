@@ -173,3 +173,38 @@ func TestSummarizeLeavesOutNaRows(t *testing.T) {
 		t.Errorf("summary %+v, want the one real row counted and the other left out", sums)
 	}
 }
+
+// TestVariantsAskNoTargetPoint: a variant that changes only the
+// abstractions reads the paper's Target points, so after the paper's
+// rows the per-class g, adaptive g and measured L rows ask the session
+// for LogP and CLogP points alone, and for no point twice.
+func TestVariantsAskNoTargetPoint(t *testing.T) {
+	opt := Options{Scale: apps.Tiny, Procs: []int{2, 4}}
+	direct := NewSession(opt)
+	runs := map[BatchPoint]int{}
+	opt.Runner = func(pt BatchPoint) (*stats.Run, error) {
+		runs[pt.key()]++
+		return direct.Run(pt)
+	}
+	s := NewSession(opt)
+	if _, err := s.ErrorMatrix(Selection{}); err != nil {
+		t.Fatal(err)
+	}
+	paper := len(runs)
+	if _, err := s.ErrorMatrix(Selection{Variants: []string{"per-class g", "adaptive g", "measured L"}}); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[machine.Kind]int{}
+	for pt, n := range runs {
+		if n != 1 {
+			t.Errorf("%+v simulated %d times", pt, n)
+		}
+		kinds[pt.Kind]++
+	}
+	// Five applications on three networks at two p: 30 points per
+	// machine for the paper, and three variants' worth more for each
+	// abstraction.
+	if paper != 90 || kinds[machine.Target] != 30 || kinds[machine.LogP] != 120 || kinds[machine.CLogP] != 120 {
+		t.Errorf("paper rows ran %d points; with the variants, points per machine %v", paper, kinds)
+	}
+}

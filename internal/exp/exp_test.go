@@ -140,11 +140,13 @@ func TestMetricNames(t *testing.T) {
 }
 
 func TestGapTableMatchesPaper(t *testing.T) {
-	rows := GapTable([]int{16, 64})
+	rows := GapTable([]int{8, 16, 64})
 	want := map[string]map[int]sim.Time{
-		"full": {16: sim.Micros(0.2), 64: sim.Micros(0.05)},
-		"cube": {16: sim.Micros(1.6), 64: sim.Micros(1.6)},
-		"mesh": {16: sim.Micros(3.2), 64: sim.Micros(6.4)},
+		"full":  {16: sim.Micros(0.2), 64: sim.Micros(0.05)},
+		"cube":  {16: sim.Micros(1.6), 64: sim.Micros(1.6)},
+		"mesh":  {16: sim.Micros(3.2), 64: sim.Micros(6.4)},
+		"ring":  {8: sim.Micros(3.2), 16: sim.Micros(6.4)},
+		"torus": {8: sim.Micros(1.6), 16: sim.Micros(1.6)},
 	}
 	seen := 0
 	for _, r := range rows {
@@ -155,8 +157,8 @@ func TestGapTableMatchesPaper(t *testing.T) {
 			}
 		}
 	}
-	if seen != 6 {
-		t.Errorf("gap table missing entries: %d of 6", seen)
+	if seen != 10 {
+		t.Errorf("gap table missing entries: %d of 10", seen)
 	}
 }
 
@@ -176,19 +178,17 @@ func TestSimulationCost(t *testing.T) {
 	}
 }
 
+// TestGapAblationShape: the per-class discipline can only reduce
+// gap-induced contention relative to the combined port, so FFT on the
+// cube's per-class g row sits at or below the paper's row.
 func TestGapAblationShape(t *testing.T) {
-	rows, err := NewSession(Options{Scale: apps.Tiny, Procs: []int{4, 8}}).GapAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		// The per-class discipline can only reduce gap-induced
-		// contention relative to the combined port.
-		if r.PerClassGap > r.CombinedGap {
-			t.Errorf("p=%d: per-class %v > combined %v", r.P, r.PerClassGap, r.CombinedGap)
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{4, 8}})
+	rows := matrixRows(t, s, "fft", "cube", ContentionOvh, "per-class g")
+	for _, p := range []int{4, 8} {
+		combined, _ := cell(t, rows[0], p)
+		perClass, _ := cell(t, rows[1], p)
+		if perClass > combined {
+			t.Errorf("p=%d: per-class %.2fx > combined %.2fx", p, perClass, combined)
 		}
 	}
 }
@@ -350,12 +350,12 @@ func TestSessionCachesByCanonicalConfig(t *testing.T) {
 }
 
 // TestOneExperimentPath: the experiment layer simulates through
-// Session.simulate only.  The three studies whose runs are not a function
-// of (application, machine configuration) — a recorder wrap and a replay
-// program, a degraded-link wrap, a mutated program — are the exceptions.
+// Session.simulate only.  The three runs that are not a function of
+// (application, machine configuration) — a recorder wrap and a replay
+// program, the slow-link wrap, a mutated program — are the exceptions.
 func TestOneExperimentPath(t *testing.T) {
 	allowed := map[string]bool{
-		"simulate": true, "TraceDrivenStudy": true, "DegradedLinkStudy": true, "slowLink": true, "PlacementStudy": true,
+		"simulate": true, "TraceDrivenStudy": true, "slowLink": true, "PlacementStudy": true,
 	}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -391,16 +391,14 @@ func TestOneExperimentPath(t *testing.T) {
 func TestStudiesShareTheSession(t *testing.T) {
 	asked := map[BatchPoint]int{}
 	inner := tinySession()
-	s := NewSession(Options{Scale: apps.Tiny, Runner: func(pt BatchPoint) (*stats.Run, error) {
+	s := NewSession(Options{Scale: apps.Tiny, Procs: []int{4}, Runner: func(pt BatchPoint) (*stats.Run, error) {
 		asked[pt.key()]++
 		return inner.Run(pt)
 	}})
 
-	if _, err := s.DegradedLinkStudy("fft", 4, []int{1, 2, 4, 8}); err != nil {
-		t.Fatal(err)
-	}
-	if ref := point("fft", "mesh", machine.CLogP, 4).key(); len(asked) != 1 || asked[ref] != 1 {
-		t.Errorf("fault study asked for %v, want its CLogP reference once", asked)
+	matrixRows(t, s, "fft", "mesh", ExecTime, "one link 2x slower", "one link 4x slower", "one link 8x slower")
+	if len(asked) != 3 {
+		t.Errorf("fault rows asked for %v, want the paper's three p4 points: a slow link runs the target's own machine", asked)
 	}
 
 	if _, err := s.ProtocolComparison("full", 4); err != nil {

@@ -17,11 +17,11 @@ import (
 //     machine characterization — the paper's CLogP simulation is 25-30%
 //     faster than the target's, while the LogP simulation is *slower*
 //     because ignoring locality multiplies network events.
-//   - S2 (section 7): the gap-accounting ablation — enforcing g only
-//     between identical communication events brings the contention
-//     estimate much closer to the real network (FFT on the cube).
 //   - S3 (section 5): the g-parameter table derived from bisection
 //     bandwidth.
+//
+// S2, the section-7 gap ablation, is the error matrix's per-class g
+// variant of FFT on the cube (accuracy.go).
 
 // CostRow reports the cost of simulating one machine characterization.
 type CostRow struct {
@@ -54,46 +54,6 @@ func (s *Session) SimulationCost(topo string, p int) ([]CostRow, error) {
 	return out, nil
 }
 
-// AblationRow is one sweep point of the gap-discipline ablation.
-type AblationRow struct {
-	P           int
-	Target      float64 // contention on the detailed network, us
-	CombinedGap float64 // CLogP contention, strict LogP gap
-	PerClassGap float64 // CLogP contention, per-event-class gap
-}
-
-// GapAblation reproduces the section-7 experiment over the session's
-// processor sweep: FFT on the cube, with the g gap enforced between all
-// network events (the LogP definition) versus only between identical
-// events.  The per-class discipline should sit much closer to the target
-// machine's contention.
-func (s *Session) GapAblation() ([]AblationRow, error) {
-	var out []AblationRow
-	for _, p := range s.opt.Procs {
-		tgt, err := s.Run(point("fft", "cube", machine.Target, p))
-		if err != nil {
-			return nil, err
-		}
-		com, err := s.Run(point("fft", "cube", machine.CLogP, p))
-		if err != nil {
-			return nil, err
-		}
-		perClass := point("fft", "cube", machine.CLogP, p)
-		perClass.PortMode = logp.PerClass
-		per, err := s.Run(perClass)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationRow{
-			P:           p,
-			Target:      Value(ContentionOvh, tgt),
-			CombinedGap: Value(ContentionOvh, com),
-			PerClassGap: Value(ContentionOvh, per),
-		})
-	}
-	return out, nil
-}
-
 // GapRow is one entry of the g-parameter table.
 type GapRow struct {
 	Topology string
@@ -103,10 +63,11 @@ type GapRow struct {
 
 // GapTable computes the paper's g parameters (section 5) for every
 // topology and processor count: 3.2/p us on the full network, 1.6 us on
-// the cube, 0.8*columns us on the mesh.
+// the cube, 0.8*columns us on the mesh, and the same derivation for the
+// ring and torus.
 func GapTable(procs []int) []GapRow {
 	var out []GapRow
-	for _, topo := range []string{"full", "cube", "mesh"} {
+	for _, topo := range network.Names() {
 		for _, p := range procs {
 			t, err := network.New(topo, p)
 			if err != nil {

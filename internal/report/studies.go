@@ -1,6 +1,7 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"spasm/internal/app"
 	"spasm/internal/exp"
 	"spasm/internal/machine"
+	"spasm/internal/network"
 	"spasm/internal/stats"
 )
 
@@ -43,26 +45,23 @@ func CostTable(topo string, p int, rows []exp.CostRow) *Table {
 	return t
 }
 
-// AblationTable renders the gap-discipline ablation (S2).
-func AblationTable(rows []exp.AblationRow) *Table {
-	t := &Table{
-		Title:   "g-discipline ablation — FFT on cube, contention overhead (section 7):",
-		Headers: []string{"p", "target_us", "combined_us", "perclass_us"},
-	}
-	for _, r := range rows {
-		t.Add(r.P, r.Target, r.CombinedGap, r.PerClassGap)
-	}
-	return t
-}
-
-// GapParamTable renders the g-parameter table (S3).
+// GapParamTable renders the g-parameter table (S3): the paper's three
+// networks, and under them the same derivation for ring and torus.
 func GapParamTable(rows []exp.GapRow) *Table {
 	t := &Table{
 		Title:   "g parameters from per-processor bisection bandwidth (section 5):",
 		Headers: []string{"topo", "p", "g_us"},
 	}
+	ext := &Table{Title: "the same derivation for the extension topologies:", Headers: t.Headers}
 	for _, r := range rows {
-		t.Add(r.Topology, r.P, fixed(r.G.Micros(), 3))
+		in := t
+		if r.Topology == "ring" || r.Topology == "torus" {
+			in = ext
+		}
+		in.Add(r.Topology, r.P, fixed(r.G.Micros(), 3))
+	}
+	if len(ext.Rows) > 0 {
+		t.Note = "\n" + strings.TrimSuffix(ext.String(), "\n")
 	}
 	return t
 }
@@ -101,14 +100,19 @@ func AccuracySummaryTable(unit string, sums []exp.AccuracySummary) *Table {
 }
 
 // ErrorTable renders the abstraction-error matrix, one row per
-// (application, network, metric): the clogp/logp ratios over the target
-// at each of procs ("-" where the application cannot run), each
+// (application, network, metric, variant): the clogp/logp ratios over the
+// target at each of procs ("-" where the application cannot run), each
 // abstraction's geometric mean and trend agreement, and the per-metric
-// summary under it.
+// summary of the paper's rows under it.  The variant column appears when
+// a row has one.
 func ErrorTable(procs []int, rows []exp.AccuracyRow) *Table {
 	t := &Table{
 		Title:   "abstraction error matrix (clogp/logp over target at each p; geometric mean over p; 1.00 = exact):",
 		Headers: []string{"app", "topo", "metric"},
+	}
+	variants := slices.ContainsFunc(rows, func(r exp.AccuracyRow) bool { return r.Variant != "" })
+	if variants {
+		t.Headers = append(t.Headers, "variant")
 	}
 	for _, p := range procs {
 		t.Headers = append(t.Headers, fmt.Sprintf("p%d", p))
@@ -116,6 +120,9 @@ func ErrorTable(procs []int, rows []exp.AccuracyRow) *Table {
 	t.Headers = append(t.Headers, "clogp", "trend", "logp", "trend")
 	for _, r := range rows {
 		cells := []interface{}{r.Figure.App, r.Figure.Topology, r.Figure.Metric}
+		if variants {
+			cells = append(cells, cmp.Or(r.Variant, "paper"))
+		}
 		for _, p := range procs {
 			c := "-"
 			if k := slices.Index(r.P, p); k >= 0 {
@@ -202,8 +209,8 @@ func ProtocolTable(topo string, p int, rows []exp.ProtocolRow) *Table {
 }
 
 // StudyArgs are the knobs a study reads beside its session: single-point
-// studies run at P, sweep studies over the session's Procs.  An empty App
-// or Topo selects the study's default.
+// studies run at P, sweep studies and error-matrix selections over the
+// session's Procs.  An empty App or Topo selects the study's default.
 type StudyArgs struct {
 	App, Topo string
 	P         int
@@ -233,6 +240,9 @@ type Study struct {
 	// empty where the study fixes or sweeps that dimension itself.
 	App, Topo string
 
+	// rows, when set, makes the study a selection of error-matrix rows
+	// rendered by ErrorTable; otherwise table renders it.
+	rows  *exp.Selection
 	table func(*exp.Session, StudyArgs) (*Table, error)
 }
 
@@ -246,13 +256,22 @@ func (s Study) Run(sess *exp.Session, a StudyArgs) (*Table, error) {
 	if a.Topo == "" {
 		a.Topo = s.Topo
 	}
-	return s.table(sess, a)
+	if s.rows == nil {
+		return s.table(sess, a)
+	}
+	sel := a.selection(*s.rows)
+	rows, err := sess.ErrorMatrix(sel)
+	t := ErrorTable(sess.Options().Procs, rows)
+	t.Title = fmt.Sprintf("%s — %s on %s, clogp/logp over target at each p:",
+		s.Claim, strings.Join(sel.Apps, ","), strings.Join(sel.Topologies, ","))
+	return t, err
 }
 
 // Studies lists the studies in presentation order: the extension studies,
 // then the paper's textual experiments.  The typed exp.Session methods do
 // the simulation; each entry only names the study, fixes its parameter
-// grid, and lays the rows out.
+// grid, and lays the rows out — or, for a study that asks how far the
+// abstractions sit from the target, selects error-matrix rows.
 func Studies() []Study {
 	return []Study{
 		{Name: "protocol", Claim: "Berkeley vs MSI vs write-update (section 7 insensitivity claim)", Topo: "full",
@@ -273,17 +292,7 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "adaptive", Claim: "history-based g (section 7 future work)", App: "ep", Topo: "mesh",
-			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
-				rows, err := s.AdaptiveGapStudy(a.App, a.Topo, s.Options().Procs)
-				t := &Table{
-					Title:   fmt.Sprintf("adaptive g — %s on %s, contention overhead (us):", a.App, a.Topo),
-					Headers: []string{"p", "target", "static_g", "adaptive_g"},
-				}
-				for _, r := range rows {
-					t.Add(r.P, r.Target, r.Static, r.Adaptive)
-				}
-				return t, err
-			}},
+			rows: &exp.Selection{Metrics: []exp.Metric{exp.ContentionOvh}, Variants: []string{"adaptive g"}}},
 		{Name: "trace", Claim: "trace-driven vs execution-driven simulation", Topo: "full",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
 				rows, err := s.TraceDrivenStudy(a.Topo, a.P)
@@ -309,42 +318,13 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "tech", Claim: "link-bandwidth scaling vs abstraction accuracy", App: "is", Topo: "mesh",
-			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
-				rows, err := s.TechnologyStudy(a.App, a.Topo, a.P, []float64{20, 40, 80, 160, 320})
-				t := &Table{
-					Title:   fmt.Sprintf("technology scaling — %s on %s, p=%d:", a.App, a.Topo, a.P),
-					Headers: []string{"link_mbps", "target_us", "clogp_us", "clogp/target"},
-				}
-				for _, r := range rows {
-					t.Add(fixed(r.LinkMBps, 0), r.TargetExec, r.CLogPExec, times(r.Ratio))
-				}
-				return t, err
-			}},
+			rows: &exp.Selection{Metrics: []exp.Metric{exp.ExecTime},
+				Variants: []string{"links 40 MB/s", "links 80 MB/s", "links 160 MB/s", "links 320 MB/s"}}},
 		{Name: "fault", Claim: "degraded-link injection (abstraction blindness)", App: "fft",
-			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
-				rows, err := s.DegradedLinkStudy(a.App, a.P, []int{1, 2, 4, 8})
-				t := &Table{
-					Title:   fmt.Sprintf("degraded-link injection — %s on mesh, p=%d:", a.App, a.P),
-					Headers: []string{"slowdown", "target_us", "clogp_us"},
-					Note:    "(the L/g abstraction cannot represent a single slow link)",
-				}
-				for _, r := range rows {
-					t.Add(fmt.Sprintf("%dx", r.Factor), r.TargetExec, r.CLogPExec)
-				}
-				return t, err
-			}},
+			rows: &exp.Selection{Topologies: []string{"mesh"}, Metrics: []exp.Metric{exp.ExecTime},
+				Variants: []string{"one link 2x slower", "one link 4x slower", "one link 8x slower"}}},
 		{Name: "topo", Claim: "abstraction accuracy across all five topologies", App: "is",
-			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
-				rows, err := s.TopologyStudy(a.App, a.P)
-				t := &Table{
-					Title:   fmt.Sprintf("topology comparison — %s, p=%d (clogp/target execution ratio):", a.App, a.P),
-					Headers: []string{"topo", "g_us", "target_us", "clogp_us", "ratio"},
-				}
-				for _, r := range rows {
-					t.Add(r.Topology, fixed(r.G.Micros(), 3), r.TargetExec, r.CLogPExec, times(r.Ratio))
-				}
-				return t, err
-			}},
+			rows: &exp.Selection{Topologies: network.Names(), Metrics: []exp.Metric{exp.ExecTime}}},
 		{Name: "placement", Claim: "blocked vs interleaved data placement", Topo: "cube",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
 				rows, err := s.PlacementStudy(a.Topo, a.P)
@@ -358,29 +338,9 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "mg", Claim: "out-of-suite validation (multigrid workload)", Topo: "cube",
-			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
-				rows, err := s.ExtendedAppStudy("mg", a.Topo, s.Options().Procs)
-				t := &Table{
-					Title:   fmt.Sprintf("out-of-suite validation — multigrid on %s:", a.Topo),
-					Headers: []string{"p", "target_us", "clogp_us", "logp_us", "lat clogp/tgt"},
-				}
-				for _, r := range rows {
-					t.Add(r.P, r.TargetExec, r.CLogPExec, r.LogPExec, times(r.CLogPLatencyRatio))
-				}
-				return t, err
-			}},
+			rows: &exp.Selection{Apps: []string{"mg"}, Metrics: []exp.Metric{exp.ExecTime, exp.LatencyOvh}}},
 		{Name: "leff", Claim: "effective L from measured message sizes (section 6.1)", App: "fft", Topo: "full",
-			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
-				rows, err := s.EffectiveLStudy(a.App, a.Topo, s.Options().Procs)
-				t := &Table{
-					Title:   fmt.Sprintf("effective L — %s on %s, latency overhead (us):", a.App, a.Topo),
-					Headers: []string{"p", "mean_bytes", "target", "L=32B", "L=measured"},
-				}
-				for _, r := range rows {
-					t.Add(r.P, r.MeanMsgBytes, r.TargetLatency, r.L32Latency, r.EffLatency)
-				}
-				return t, err
-			}},
+			rows: &exp.Selection{Metrics: []exp.Metric{exp.LatencyOvh}, Variants: []string{"measured L"}}},
 		{Name: "speedup", Claim: "overhead-separated scalability: algorithmic vs architectural loss", App: "cg", Topo: "mesh",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
 				rows, err := s.Speedup(a.App, a.Topo, machine.Target, s.Options().Procs)
@@ -397,10 +357,8 @@ func Studies() []Study {
 				return CostTable(a.Topo, a.P, rows), err
 			}},
 		{Name: "ablation", Claim: "g between identical events only: FFT on cube (section 7)",
-			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
-				rows, err := s.GapAblation()
-				return AblationTable(rows), err
-			}},
+			rows: &exp.Selection{Apps: []string{"fft"}, Topologies: []string{"cube"},
+				Metrics: []exp.Metric{exp.ContentionOvh}, Variants: []string{"per-class g"}}},
 		{Name: "gtable", Claim: "g from per-processor bisection bandwidth (section 5)",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
 				return GapParamTable(exp.GapTable(s.Options().Procs)), nil

@@ -53,9 +53,17 @@ func TestCostTable(t *testing.T) {
 	}
 }
 
+// TestAblationAndGapTables: the ablation is an error-matrix variant row,
+// which brings its own column and stays out of the summary under it.
 func TestAblationAndGapTables(t *testing.T) {
-	wantRow(t, AblationTable([]exp.AblationRow{{P: 8, Target: 1, CombinedGap: 2, PerClassGap: 1.5}}),
-		"8", "1.0", "2.0", "1.5")
+	tb := ErrorTable([]int{8}, []exp.AccuracyRow{{
+		Figure: exp.Figure{App: "fft", Topology: "cube", Metric: exp.ContentionOvh}, Variant: "per-class g",
+		P: []int{8}, CLogP: []float64{1.27}, LogP: []float64{2.39}, CLogPRatio: 1.27, LogPRatio: 2.39, CLogPTrend: true,
+	}})
+	wantRow(t, tb, "fft", "cube", "contention", "per-class g", "1.27x/2.39x", "1.27x", "true", "2.39x", "false")
+	if strings.Contains(tb.Note, "contention") {
+		t.Errorf("variant row counted in the summary:\n%s", tb)
+	}
 	wantRow(t, GapParamTable([]exp.GapRow{{Topology: "mesh", P: 16, G: sim.Micros(3.2)}}),
 		"mesh", "16", "3.200")
 }
@@ -156,13 +164,14 @@ func TestStudies(t *testing.T) {
 			t.Errorf("protocol %s msi_us = %s, typed row says %s", r.App, got, want)
 		}
 	}
-	leff, err := session().EffectiveLStudy("fft", "full", []int{2, 4})
+	leff, err := session().ErrorMatrix(exp.Selection{Apps: []string{"fft"}, Topologies: []string{"full"},
+		Metrics: []exp.Metric{exp.LatencyOvh}, Variants: []string{"measured L"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range leff {
-		if got, want := tables["leff"].Rows[i][4], fmt.Sprintf("%.1f", r.EffLatency); got != want {
-			t.Errorf("leff p=%d L=measured = %s, typed row says %s", r.P, got, want)
+		if got, want := tables["leff"].Rows[i][5], times(r.CLogP[1])+"/"+times(r.LogP[1]); got != want {
+			t.Errorf("leff %q p4 = %s, matrix row says %s", r.Variant, got, want)
 		}
 	}
 }

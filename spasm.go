@@ -159,8 +159,9 @@ type (
 	Metric = exp.Metric
 	// CostRow reports a machine's simulation cost.
 	CostRow = exp.CostRow
-	// AblationRow is one point of the g-discipline ablation.
-	AblationRow = exp.AblationRow
+	// Selection picks rows of the abstraction-error matrix, paper
+	// variants included (Session.ErrorMatrix).
+	Selection = exp.Selection
 	// GapRow is one entry of the g-parameter table.
 	GapRow = exp.GapRow
 	// PortMode selects the LogP gap discipline.
@@ -218,12 +219,8 @@ func RunProgram(prog Program, cfg Config) (*Result, error) {
 func NewSession(opt Options) *Session { return exp.NewSession(opt) }
 
 // GapTable computes the paper's g parameters for the given processor
-// counts on all three topologies.
+// counts on every topology.
 func GapTable(procs []int) []GapRow { return exp.GapTable(procs) }
-
-// GapAblation reproduces the section-7 gap-discipline experiment (FFT on
-// the cube) over the session's processor sweep.
-func GapAblation(s *Session) ([]AblationRow, error) { return s.GapAblation() }
 
 // FigureTable renders a regenerated figure as a fixed-width table.
 func FigureTable(fr *FigureResult) string { return report.FigureTable(fr).String() }

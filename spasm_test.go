@@ -54,11 +54,12 @@ func TestFacadeFigurePipeline(t *testing.T) {
 
 func TestFacadeGapHelpers(t *testing.T) {
 	rows := GapTable([]int{16})
-	if len(rows) != 3 {
+	if len(rows) != 5 {
 		t.Errorf("gap rows = %d", len(rows))
 	}
-	ab, err := GapAblation(NewSession(Options{Scale: Tiny, Procs: []int{4}}))
-	if err != nil || len(ab) != 1 {
+	ab, err := NewSession(Options{Scale: Tiny, Procs: []int{4}}).ErrorMatrix(Selection{Apps: []string{"fft"},
+		Topologies: []string{"cube"}, Metrics: []Metric{ContentionOvh}, Variants: []string{"per-class g"}})
+	if err != nil || len(ab) != 2 || ab[1].Variant != "per-class g" {
 		t.Errorf("ablation: %v, %v", ab, err)
 	}
 }
