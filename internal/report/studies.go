@@ -240,10 +240,10 @@ type Study struct {
 	// empty where the study fixes or sweeps that dimension itself.
 	App, Topo string
 
-	// rows, when set, makes the study a selection of error-matrix rows
-	// rendered by ErrorTable; otherwise table renders it.
-	rows  *exp.Selection
+	// table renders the study; a study without one is the selection
+	// rows of the error matrix, rendered by ErrorTable.
 	table func(*exp.Session, StudyArgs) (*Table, error)
+	rows  exp.Selection
 }
 
 // Run executes the study on the session and renders its table.  Studies
@@ -256,10 +256,10 @@ func (s Study) Run(sess *exp.Session, a StudyArgs) (*Table, error) {
 	if a.Topo == "" {
 		a.Topo = s.Topo
 	}
-	if s.rows == nil {
+	if s.table != nil {
 		return s.table(sess, a)
 	}
-	sel := a.selection(*s.rows)
+	sel := a.selection(s.rows)
 	rows, err := sess.ErrorMatrix(sel)
 	t := ErrorTable(sess.Options().Procs, rows)
 	t.Title = fmt.Sprintf("%s — %s on %s, clogp/logp over target at each p:",
@@ -292,7 +292,7 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "adaptive", Claim: "history-based g (section 7 future work)", App: "ep", Topo: "mesh",
-			rows: &exp.Selection{Metrics: []exp.Metric{exp.ContentionOvh}, Variants: []string{"adaptive g"}}},
+			rows: exp.Selection{Metrics: []exp.Metric{exp.ContentionOvh}, Variants: []string{"adaptive g"}}},
 		{Name: "trace", Claim: "trace-driven vs execution-driven simulation", Topo: "full",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
 				rows, err := s.TraceDrivenStudy(a.Topo, a.P)
@@ -318,13 +318,13 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "tech", Claim: "link-bandwidth scaling vs abstraction accuracy", App: "is", Topo: "mesh",
-			rows: &exp.Selection{Metrics: []exp.Metric{exp.ExecTime},
+			rows: exp.Selection{Metrics: []exp.Metric{exp.ExecTime},
 				Variants: []string{"links 40 MB/s", "links 80 MB/s", "links 160 MB/s", "links 320 MB/s"}}},
 		{Name: "fault", Claim: "degraded-link injection (abstraction blindness)", App: "fft",
-			rows: &exp.Selection{Topologies: []string{"mesh"}, Metrics: []exp.Metric{exp.ExecTime},
+			rows: exp.Selection{Topologies: []string{"mesh"}, Metrics: []exp.Metric{exp.ExecTime},
 				Variants: []string{"one link 2x slower", "one link 4x slower", "one link 8x slower"}}},
 		{Name: "topo", Claim: "abstraction accuracy across all five topologies", App: "is",
-			rows: &exp.Selection{Topologies: network.Names(), Metrics: []exp.Metric{exp.ExecTime}}},
+			rows: exp.Selection{Topologies: network.Names(), Metrics: []exp.Metric{exp.ExecTime}}},
 		{Name: "placement", Claim: "blocked vs interleaved data placement", Topo: "cube",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
 				rows, err := s.PlacementStudy(a.Topo, a.P)
@@ -338,9 +338,9 @@ func Studies() []Study {
 				return t, err
 			}},
 		{Name: "mg", Claim: "out-of-suite validation (multigrid workload)", Topo: "cube",
-			rows: &exp.Selection{Apps: []string{"mg"}, Metrics: []exp.Metric{exp.ExecTime, exp.LatencyOvh}}},
+			rows: exp.Selection{Apps: []string{"mg"}, Metrics: []exp.Metric{exp.ExecTime, exp.LatencyOvh}}},
 		{Name: "leff", Claim: "effective L from measured message sizes (section 6.1)", App: "fft", Topo: "full",
-			rows: &exp.Selection{Metrics: []exp.Metric{exp.LatencyOvh}, Variants: []string{"measured L"}}},
+			rows: exp.Selection{Metrics: []exp.Metric{exp.LatencyOvh}, Variants: []string{"measured L"}}},
 		{Name: "speedup", Claim: "overhead-separated scalability: algorithmic vs architectural loss", App: "cg", Topo: "mesh",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
 				rows, err := s.Speedup(a.App, a.Topo, machine.Target, s.Options().Procs)
@@ -357,7 +357,7 @@ func Studies() []Study {
 				return CostTable(a.Topo, a.P, rows), err
 			}},
 		{Name: "ablation", Claim: "g between identical events only: FFT on cube (section 7)",
-			rows: &exp.Selection{Apps: []string{"fft"}, Topologies: []string{"cube"},
+			rows: exp.Selection{Apps: []string{"fft"}, Topologies: []string{"cube"},
 				Metrics: []exp.Metric{exp.ContentionOvh}, Variants: []string{"per-class g"}}},
 		{Name: "gtable", Claim: "g from per-processor bisection bandwidth (section 5)",
 			table: func(s *exp.Session, a StudyArgs) (*Table, error) {
