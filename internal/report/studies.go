@@ -216,13 +216,13 @@ type StudyArgs struct {
 	P         int
 }
 
-// selection is sel with -app and -topo, where given, in place of its
-// applications and topologies.
+// selection is sel with -app and -topo, where given, as the applications
+// and topologies it leaves open; those it names are the study's own.
 func (a StudyArgs) selection(sel exp.Selection) exp.Selection {
-	if a.App != "" {
+	if a.App != "" && sel.Apps == nil {
 		sel.Apps = []string{a.App}
 	}
-	if a.Topo != "" {
+	if a.Topo != "" && sel.Topologies == nil {
 		sel.Topologies = []string{a.Topo}
 	}
 	return sel

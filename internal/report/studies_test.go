@@ -143,15 +143,17 @@ func TestStudies(t *testing.T) {
 	over := args
 	over.App, over.Topo = "fft", "cube"
 	for _, s := range Studies() {
-		if s.Name != "cache" {
-			continue
-		}
+		// Every study runs under "study all -app fft -topo cube"; one that
+		// fixes the application or the network keeps its own.
 		tb, err := s.Run(sess, over)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("study %s under -app fft -topo cube: %v", s.Name, err)
 		}
-		if !strings.Contains(tb.Title, "fft on target/cube") {
+		if s.Name == "cache" && !strings.Contains(tb.Title, "fft on target/cube") {
 			t.Errorf("cache study ignored -app/-topo: %q", tb.Title)
+		}
+		if s.Name == "fault" && !strings.Contains(tb.Title, "fft on mesh") {
+			t.Errorf("fault study left the mesh: %q", tb.Title)
 		}
 	}
 
