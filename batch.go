@@ -8,7 +8,7 @@ import (
 
 // Batched sweeps and pooled run contexts.
 type (
-	// BatchPoint is one sweep point for RunMany/Session.RunBatch: an
+	// BatchPoint is one sweep point for Session.RunBatch: an
 	// (application, topology, machine, P) combination at the batch's
 	// scale and seed.
 	BatchPoint = exp.BatchPoint
@@ -25,17 +25,8 @@ type (
 // contexts (a sensible default when maxIdle <= 0).
 func NewRunPool(maxIdle int) *RunPool { return runpool.New(maxIdle) }
 
-// RunMany executes a batch of sweep points on a bounded worker pool
-// (Options.Parallel workers) with per-worker context reuse, returning
-// statistics in input order.  Duplicate points are simulated once, and
-// results are bit-identical to individual Run calls regardless of worker
-// count.  It is the one-shot form of Session.RunBatch.
-func RunMany(opt Options, points []BatchPoint) ([]*RunStats, error) {
-	return exp.RunMany(opt, points)
-}
-
-// RunSpecOn is RunSpec on a pooled context (RunOptions.Pool); a nil
-// pool behaves like RunSpec.
+// RunSpecOn is Execute on a pooled context (RunOptions.Pool); a nil
+// pool runs on a fresh one.
 func RunSpecOn(spec Spec, pool *RunPool) (*Result, error) {
 	return resultOf(Execute(spec, RunOptions{Pool: pool}))
 }

@@ -153,6 +153,21 @@ func TestTraceRoundTrip(t *testing.T) {
 	sameCells(t, spasmRun(t, "trace", "replay", "-machine", "target", "-topo", "mesh", path), golden(t, "trace_replay.txt"), nil)
 }
 
+// TestTraceRecordsExtensionWorkloads: "trace record -app" takes every
+// name its help lists, the extension workloads too, and the file it
+// writes reads back with the run's processor count and regions.
+func TestTraceRecordsExtensionWorkloads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mg.trace")
+	rec := spasmRun(t, "trace", "record", "-app", "mg", "-machine", "clogp", "-topo", "full", "-p", "4", "-scale", "tiny", "-o", path)
+	if !strings.Contains(rec, "from mg on clogp/full p=4") {
+		t.Errorf("trace record -app mg printed:\n%s", rec)
+	}
+	info := spasmRun(t, "trace", "info", path)
+	if !strings.HasPrefix(info, path+": p=4, ") || !strings.Contains(info, "region mg.") {
+		t.Errorf("trace info of an mg trace printed:\n%s", info)
+	}
+}
+
 // TestRunJSONIsTheServiceDocument: "run -json" emits the document spasmd
 // serves (so client.DecodeResult reads it) plus the host block.
 func TestRunJSONIsTheServiceDocument(t *testing.T) {

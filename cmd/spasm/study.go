@@ -26,9 +26,9 @@ func studyUsage() string {
 // study is "spasm study": the extension studies and the paper's textual
 // experiments, looped over the report.Studies registry on one session, so
 // a point several of them need is simulated once.  "batch" is not a
-// study: it runs explicit points on spasm.RunMany — the bounded worker
-// pool with pooled run contexts — and prints one row per point in input
-// order.
+// study: it runs explicit points on a session's RunBatch — the bounded
+// worker pool with pooled run contexts — and prints one row per point in
+// input order.
 func (c *cli) study(args []string) error {
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
 		return usageError{"study needs a name", studyUsage()}
@@ -62,7 +62,7 @@ func (c *cli) study(args []string) error {
 			return err
 		}
 		opt.Parallel = *parallel
-		runs, err := spasm.RunMany(opt, pts)
+		runs, err := spasm.NewSession(opt).RunBatch(pts)
 		if err != nil {
 			return err
 		}

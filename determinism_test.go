@@ -128,7 +128,7 @@ func TestPooledHostArraysStartClean(t *testing.T) {
 	want := map[Spec]string{}
 	for _, app := range workloads {
 		for i := range steps {
-			res, err := RunSpec(spec(app, i))
+			res, _, err := Execute(spec(app, i), RunOptions{})
 			if err != nil {
 				t.Fatalf("fresh %s: %v", spec(app, i).Key(), err)
 			}
@@ -229,7 +229,7 @@ func TestPooledStreamStateStartsClean(t *testing.T) {
 		cfg := machine.Config{Kind: kind, Topology: "cube", P: 64}
 		want := make([]string, len(programs))
 		for i, prog := range programs {
-			res, err := app.Run(prog(), cfg)
+			res, err := app.Execute(prog(), cfg, app.Options{})
 			if err != nil {
 				t.Fatalf("%v: fresh run %d: %v", kind, i, err)
 			}

@@ -31,7 +31,7 @@ func (t *testProg) Check() error {
 func runProg(t *testing.T, p int, kind machine.Kind, setup func(*Ctx), body func(*Proc)) *stats.Run {
 	t.Helper()
 	prog := &testProg{name: "test", setup: setup, body: body}
-	res, err := Run(prog, machine.Config{Kind: kind, Topology: "full", P: p})
+	res, err := Execute(prog, machine.Config{Kind: kind, Topology: "full", P: p}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestUnlockByNonHolderFailsRun(t *testing.T) {
 			l.Unlock(p)
 		},
 	}
-	if _, err := Run(prog, machine.Config{Kind: machine.Ideal, P: 2}); err == nil {
+	if _, err := Execute(prog, machine.Config{Kind: machine.Ideal, P: 2}, Options{}); err == nil {
 		t.Error("misuse panic not surfaced as run error")
 	}
 }
@@ -337,17 +337,17 @@ func TestRunPropagatesCheckError(t *testing.T) {
 		body:  func(*Proc) {},
 		check: func() error { return fmt.Errorf("wrong answer") },
 	}
-	if _, err := Run(prog, machine.Config{Kind: machine.Ideal, P: 2}); err == nil {
+	if _, err := Execute(prog, machine.Config{Kind: machine.Ideal, P: 2}, Options{}); err == nil {
 		t.Error("check error not propagated")
 	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	prog := &testProg{name: "x", setup: func(*Ctx) {}, body: func(*Proc) {}}
-	if _, err := Run(prog, machine.Config{Kind: machine.Ideal, P: 0}); err == nil {
+	if _, err := Execute(prog, machine.Config{Kind: machine.Ideal, P: 0}, Options{}); err == nil {
 		t.Error("P=0 accepted")
 	}
-	if _, err := Run(prog, machine.Config{Kind: machine.Target, Topology: "nope", P: 2}); err == nil {
+	if _, err := Execute(prog, machine.Config{Kind: machine.Target, Topology: "nope", P: 2}, Options{}); err == nil {
 		t.Error("bad topology accepted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 func runPhased(t *testing.T, p int, kind machine.Kind, setup func(*Ctx), body func(*Proc)) *Result {
 	t.Helper()
 	prog := &testProg{name: "phased", setup: setup, body: body}
-	res, err := Run(prog, machine.Config{Kind: kind, Topology: "full", P: p})
+	res, err := Execute(prog, machine.Config{Kind: kind, Topology: "full", P: p}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,21 +123,22 @@ type Result struct {
 // Attach; everything an Instrument records must be a function of the
 // run's configuration alone, so instrumented runs stay deterministic.
 //
-// keep is the pooled context's slot for the instrument's working state
+// keep is the run context's slot for the instrument's working state
 // (runpool.Ctx.Instrument): what the instrument leaves there, the next
 // run on the context finds, whatever the garbage collector did in
-// between.  It is nil on an unpooled run, which builds its state fresh.
+// between.  It is never nil; on a context's first run it holds nil.
 type Instrument interface {
 	Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, keep *any)
 	Finish(res *Result)
 }
 
 // Options selects how Execute runs a program.  The zero value is a
-// fresh, unbounded, undecorated run — exactly Run.
+// fresh, unbounded, undecorated run.
 type Options struct {
-	// Pool, when non-nil, supplies the engine, address space, host arena,
-	// a Stream's per-processor driver state, the Instrument's tables and
-	// the machine (reset in place) instead of constructing them, so a
+	// Pool supplies the run's context: the engine, address space, host
+	// arena, a Stream's per-processor driver state, the Instrument's
+	// tables and the machine.  A nil pool builds them fresh; a pool hands
+	// out what an earlier run left (the machine reset in place), so a
 	// sweep pays machine construction, the program's host arrays, the
 	// run's feeds and the profiler's tables once per configuration.  The
 	// Result's Machine and Space, the program's host values and Ctx.Issued
@@ -159,8 +160,8 @@ type Options struct {
 	// sequentially.  0 or 1 means sequential.
 	Workers int
 	// Wrap, when non-nil, receives the configured machine and returns
-	// the machine the program actually drives — the hook used by trace
-	// recording and fault injection.
+	// the machine the program actually drives: the trace recorder's
+	// decorator, or the slow-link variant's in-place fabric degradation.
 	Wrap func(machine.Machine) machine.Machine
 	// Instrument, when non-nil, observes the run from the inside.  It
 	// sees the *underlying* machine (before Wrap), so a decorator like
@@ -168,40 +169,19 @@ type Options struct {
 	Instrument Instrument
 }
 
-// Run executes prog on a machine built from cfg with cfg.P processors
-// and returns the accumulated statistics.  The simulation is
+// Execute is the one run entrypoint: it runs prog on a machine built
+// from cfg with cfg.P processors, with every optional behaviour selected
+// by opt, and returns the accumulated statistics.  The simulation is
 // deterministic: identical programs and configurations produce identical
-// results.
-func Run(prog Program, cfg machine.Config) (*Result, error) {
-	return Execute(prog, cfg, Options{})
-}
-
-// Execute is the one run entrypoint: Run with every optional behaviour
-// selected by opt.  Pooled, controlled, wrapped and instrumented runs
-// are bit-for-bit identical to plain ones.
+// results, and pooled, controlled, wrapped and instrumented runs are
+// bit-for-bit identical to plain ones.  Every run takes its context from
+// opt.Pool; a nil pool builds a fresh one and keeps nothing.
 func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
-	if opt.Pool == nil {
-		if cfg.P < 1 {
-			return nil, fmt.Errorf("app: run with P=%d", cfg.P)
-		}
-		blockBytes := cfg.Cache.BlockBytes
-		if blockBytes == 0 {
-			blockBytes = mem.DefaultBlockBytes
-		}
-		space := mem.NewSpace(cfg.P, blockBytes)
-		bind := func() (machine.Machine, error) { return machine.New(cfg, space) }
-		return runOn(prog, cfg, space, new(mem.Arena), sim.NewEngine(), bind, new(drivers), nil, opt)
-	}
 	ctx, err := opt.Pool.Get(cfg)
 	if err != nil {
 		return nil, err
 	}
-	d, _ := ctx.Drivers.(*drivers)
-	if d == nil {
-		d = new(drivers)
-		ctx.Drivers = d
-	}
-	res, err := runOn(prog, cfg, ctx.Space, ctx.Host, ctx.Eng, ctx.Bind, d, &ctx.Instrument, opt)
+	res, err := runOn(prog, cfg, ctx, opt)
 	if err != nil {
 		opt.Pool.Discard(ctx)
 		return nil, err
@@ -210,11 +190,11 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// runOn is the shared run core: set up the program in space, bind the
-// machine (construction for fresh runs, an in-place reset for pooled
-// ones — deferred until after Setup because the coherence directory is
-// sized from the space footprint), spawn one process per node, and drive
-// the event loop to completion.
+// runOn is the run core: set up the program in rc's space, bind rc's
+// machine (construction on the context's first run, an in-place reset on
+// every later one — deferred until after Setup because the coherence
+// directory is sized from the space footprint), spawn one process per
+// node, and drive the event loop to completion.
 //
 // A process is a coroutine running Body, except where the run shows it
 // need not be: a Stream, on a machine that as the program will drive it
@@ -231,13 +211,18 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // ErrRunCanceled.  The watchdog is joined before runOn returns, so a
 // late Interrupt can never poison a subsequent run on the same (pooled)
 // engine.
-func runOn(prog Program, cfg machine.Config, space *mem.Space, host *mem.Arena, eng *sim.Engine,
-	bind func() (machine.Machine, error), d *drivers, keep *any, opt Options) (*Result, error) {
+func runOn(prog Program, cfg machine.Config, rc *runpool.Ctx, opt Options) (*Result, error) {
 	wrap, inst, ctl, workers := opt.Wrap, opt.Instrument, opt.Control, opt.Workers
+	eng, space := rc.Eng, rc.Space
 	run := stats.NewRun(cfg.P)
-	ctx := &Ctx{P: cfg.P, Space: space, Host: host, Run: run, Eng: eng, Phases: newPhaseProfile()}
+	ctx := &Ctx{P: cfg.P, Space: space, Host: rc.Host, Run: run, Eng: eng, Phases: newPhaseProfile()}
 	stream, _ := prog.(Stream)
 	if stream != nil {
+		d, _ := rc.Drivers.(*drivers)
+		if d == nil {
+			d = new(drivers)
+			rc.Drivers = d
+		}
 		if d.feeds == nil {
 			d.feeds, d.issued = make([]feed, cfg.P), make([]Tally, cfg.P)
 		}
@@ -248,14 +233,14 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, host *mem.Arena, 
 		return nil, err
 	}
 
-	m, err := bind()
+	m, err := rc.Bind()
 	if err != nil {
 		return nil, err
 	}
 	base := m // the underlying machine: instruments and the network
 	// backend readout see it even when a decorator wraps the run.
 	if inst != nil {
-		inst.Attach(cfg, eng, run, m, keep)
+		inst.Attach(cfg, eng, run, m, &rc.Instrument)
 	}
 	if wrap != nil {
 		m = wrap(m)

@@ -69,7 +69,7 @@ func TestSyncStressProperty(t *testing.T) {
 				}
 			},
 		}
-		if _, err := Run(prog, machine.Config{Kind: kind, Topology: "mesh", P: p}); err != nil {
+		if _, err := Execute(prog, machine.Config{Kind: kind, Topology: "mesh", P: p}, Options{}); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}

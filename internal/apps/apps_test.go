@@ -17,7 +17,7 @@ func run(t *testing.T, name string, kind machine.Kind, topo string, p int) *stat
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := app.Run(prog, machine.Config{Kind: kind, Topology: topo, P: p})
+	res, err := app.Execute(prog, machine.Config{Kind: kind, Topology: topo, P: p}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCholeskyDynamicLoadBalancing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := app.Run(prog, machine.Config{Kind: machine.Target, Topology: "full", P: 4})
+	res, err := app.Execute(prog, machine.Config{Kind: machine.Target, Topology: "full", P: 4}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTargetInvariantsAfterApps(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := machine.Config{Kind: machine.Target, Topology: "cube", P: 4}
-		res, err := app.Run(prog, cfg)
+		res, err := app.Execute(prog, cfg, app.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -227,7 +227,7 @@ func TestDifferentSeedsDifferentWork(t *testing.T) {
 	totals := map[string]bool{}
 	for seed := int64(1); seed <= 3; seed++ {
 		prog, _ := New("cg", Tiny, seed)
-		res, err := app.Run(prog, machine.Config{Kind: machine.CLogP, Topology: "full", P: 4})
+		res, err := app.Execute(prog, machine.Config{Kind: machine.CLogP, Topology: "full", P: 4}, app.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

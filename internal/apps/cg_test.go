@@ -12,7 +12,7 @@ import (
 func runCG(t *testing.T, kind machine.Kind, p, n, iters int) (*CG, *stats.Run) {
 	t.Helper()
 	cg := &CG{N: n, Extra: 3, Iters: iters, Seed: 1}
-	res, err := app.Run(cg, machine.Config{Kind: kind, Topology: "full", P: p})
+	res, err := app.Execute(cg, machine.Config{Kind: kind, Topology: "full", P: p}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

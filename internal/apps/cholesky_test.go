@@ -12,7 +12,7 @@ import (
 func runChol(t *testing.T, kind machine.Kind, p, n int) (*Cholesky, *stats.Run) {
 	t.Helper()
 	ch := &Cholesky{N: n, Extra: 2, Seed: 1}
-	res, err := app.Run(ch, machine.Config{Kind: kind, Topology: "full", P: p})
+	res, err := app.Execute(ch, machine.Config{Kind: kind, Topology: "full", P: p}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

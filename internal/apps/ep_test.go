@@ -11,7 +11,7 @@ import (
 func runEP(t *testing.T, kind machine.Kind, p int, pairs int) (*EP, *stats.Run) {
 	t.Helper()
 	ep := &EP{Pairs: pairs, PairCycles: 120, Seed: 1}
-	res, err := app.Run(ep, machine.Config{Kind: kind, Topology: "full", P: p})
+	res, err := app.Execute(ep, machine.Config{Kind: kind, Topology: "full", P: p}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestEPSignallingChainIsNeighbourly(t *testing.T) {
 	// communication locality that makes the paper's Figure 11 g
 	// estimate so pessimistic.  Verify the flags' homes.
 	ep := NewEP(Tiny, 1).(*EP)
-	res, err := app.Run(ep, machine.Config{Kind: machine.Ideal, Topology: "full", P: 8})
+	res, err := app.Execute(ep, machine.Config{Kind: machine.Ideal, Topology: "full", P: 8}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEPOracleStillBites(t *testing.T) {
 		"lost": func(s *epTally) { *s = epTally{} },
 	} {
 		ep := &EP{Pairs: 2048, PairCycles: 120, Seed: 1}
-		_, err := app.Run(lossyEP{ep, corrupt}, machine.Config{Kind: machine.Target, Topology: "full", P: 4})
+		_, err := app.Execute(lossyEP{ep, corrupt}, machine.Config{Kind: machine.Target, Topology: "full", P: 4}, app.Options{})
 		if err == nil {
 			t.Errorf("%s: Check accepted a corrupted merge", name)
 		}

@@ -11,7 +11,7 @@ import (
 func runFFT(t *testing.T, kind machine.Kind, p, n int) (*FFT, *stats.Run) {
 	t.Helper()
 	f := &FFT{N: n, Seed: 1}
-	res, err := app.Run(f, machine.Config{Kind: kind, Topology: "full", P: p})
+	res, err := app.Execute(f, machine.Config{Kind: kind, Topology: "full", P: p}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFFTRemoteReadsAreConsecutive(t *testing.T) {
 
 func TestFFTPanicsWhenTooSmallForP(t *testing.T) {
 	f := &FFT{N: 64, Seed: 1} // R=8: cannot split across 16 procs
-	_, err := app.Run(f, machine.Config{Kind: machine.Ideal, Topology: "full", P: 16})
+	_, err := app.Execute(f, machine.Config{Kind: machine.Ideal, Topology: "full", P: 16}, app.Options{})
 	if err == nil {
 		t.Error("undersized FFT accepted")
 	}

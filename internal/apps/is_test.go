@@ -12,7 +12,7 @@ import (
 func runIS(t *testing.T, kind machine.Kind, p, n, k int) (*IS, *stats.Run) {
 	t.Helper()
 	is := &IS{N: n, K: k, Seed: 1}
-	res, err := app.Run(is, machine.Config{Kind: kind, Topology: "full", P: p})
+	res, err := app.Execute(is, machine.Config{Kind: kind, Topology: "full", P: p}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

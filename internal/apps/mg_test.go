@@ -12,7 +12,7 @@ import (
 func runMG(t *testing.T, kind machine.Kind, p, n, cycles int) (*MG, *stats.Run, *app.Result) {
 	t.Helper()
 	mg := &MG{N: n, Cycles: cycles, Pre: 2, Post: 2, Seed: 1}
-	res, err := app.Run(mg, machine.Config{Kind: kind, Topology: "mesh", P: p})
+	res, err := app.Execute(mg, machine.Config{Kind: kind, Topology: "mesh", P: p}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMGExtendedRegistry(t *testing.T) {
 
 func TestMGRejectsNonNestingSize(t *testing.T) {
 	mg := &MG{N: 256, Cycles: 1, Pre: 1, Post: 1, Seed: 1}
-	if _, err := app.Run(mg, machine.Config{Kind: machine.Ideal, P: 2}); err == nil {
+	if _, err := app.Execute(mg, machine.Config{Kind: machine.Ideal, P: 2}, app.Options{}); err == nil {
 		t.Error("non-nesting grid size accepted")
 	}
 }

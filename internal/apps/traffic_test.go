@@ -35,7 +35,7 @@ func micro(r *rule, think int64) *traffic {
 
 func runTraffic(t *testing.T, prog *traffic, cfg machine.Config) *app.Result {
 	t.Helper()
-	res, err := app.Run(prog, cfg)
+	res, err := app.Execute(prog, cfg, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,18 +137,14 @@ func TestMicroNeighborIsLocalised(t *testing.T) {
 	// processors are mesh-adjacent except at row boundaries).
 	topo := network.NewMesh(16)
 	meanHops := func(r *rule) float64 {
-		var rec *trace.Recorder
-		res, err := app.Execute(micro(r, 50), machine.Config{
+		tr, res, err := trace.Record(micro(r, 50), machine.Config{
 			Kind: machine.CLogP, Topology: "mesh", P: 16,
-		}, app.Options{Wrap: func(m machine.Machine) machine.Machine {
-			rec = trace.NewRecorder(m)
-			return rec
-		}})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hops, n := 0, 0
-		for _, e := range rec.Events {
+		for _, e := range tr.Events {
 			home := res.Space.Home(e.Addr)
 			if home != int(e.Proc) {
 				hops += topo.Hops(int(e.Proc), home)

@@ -69,25 +69,20 @@ func (s *Session) TraceDrivenStudy(topo string, p int) ([]TraceRow, error) {
 		}
 		// Recording wraps the machine and replaying runs a trace, not
 		// an application: neither is a session point.
-		var rec *trace.Recorder
-		recRes, err := app.Execute(prog, machine.Config{
+		tr, _, err := trace.Record(prog, machine.Config{
 			Kind: machine.CLogP, Topology: topo, P: p,
-		}, app.Options{Wrap: func(m machine.Machine) machine.Machine {
-			rec = trace.NewRecorder(m)
-			return rec
-		}})
+		})
 		if err != nil {
 			return nil, err
 		}
-		tr := rec.Trace(recRes.Space)
 
 		execDriven, err := s.Run(point(name, topo, machine.Target, p))
 		if err != nil {
 			return nil, err
 		}
-		replayed, err := app.Run(trace.Replay(tr), machine.Config{
+		replayed, err := app.Execute(trace.Replay(tr), machine.Config{
 			Kind: machine.Target, Topology: topo, P: p,
-		})
+		}, app.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -256,9 +251,9 @@ func (s *Session) PlacementStudy(topo string, p int) ([]PlacementRow, error) {
 		}
 		// A mutated program is not a session point.
 		prog.(*apps.CG).Placement = pol
-		res, err := app.Run(prog, machine.Config{
+		res, err := app.Execute(prog, machine.Config{
 			Kind: machine.Target, Topology: topo, P: p,
-		})
+		}, app.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -116,13 +116,6 @@ func (s *Session) RunBatch(points []BatchPoint) ([]*stats.Run, error) {
 	return out, nil
 }
 
-// RunMany executes the sweep points in a fresh session with the given
-// options and returns their statistics in input order — the one-shot
-// form of Session.RunBatch for callers without a session to share.
-func RunMany(opt Options, points []BatchPoint) ([]*stats.Run, error) {
-	return NewSession(opt).RunBatch(points)
-}
-
 // simulate executes one point, bypassing the session cache: the
 // experiment layer's one call into the simulator.  With a Runner
 // injected (the service layer) the point is delegated to it; otherwise

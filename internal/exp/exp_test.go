@@ -375,9 +375,9 @@ func TestOneExperimentPath(t *testing.T) {
 					if !ok {
 						return true
 					}
-					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "app" &&
-						(sel.Sel.Name == "Execute" || sel.Sel.Name == "Run") {
-						t.Errorf("%s: %s calls app.%s; simulate through the session", name, fn.Name.Name, sel.Sel.Name)
+					if pkg, ok := sel.X.(*ast.Ident); ok &&
+						(pkg.Name == "app" && sel.Sel.Name == "Execute" || pkg.Name == "trace" && sel.Sel.Name == "Record") {
+						t.Errorf("%s: %s calls %s.%s; simulate through the session", name, fn.Name.Name, pkg.Name, sel.Sel.Name)
 					}
 					return true
 				})

@@ -136,9 +136,8 @@ func TestFlowRebindClearsState(t *testing.T) {
 	}
 	want := drive(fresh, s1, a1)
 
-	r := NewReusable(Config{Kind: Flow, Topology: "mesh"})
 	s2, a2 := setup()
-	m, err := r.Bind(s2)
+	m, err := New(Config{Kind: Flow, Topology: "mesh"}, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +147,14 @@ func TestFlowRebindClearsState(t *testing.T) {
 	// Rebind without the run in between having been "clean": the flow
 	// table still holds the previous run's flows until Reset clears it.
 	s3, a3 := setup()
-	m, err = r.Bind(s3)
-	if err != nil {
+	if err := Rebind(m, s3); err != nil {
 		t.Fatal(err)
 	}
 	if got := drive(m, s3, a3); got != want {
 		t.Fatalf("rebound run diverged from fresh:\n got %s\nwant %s", got, want)
+	}
+	// A machine keeps its node count.
+	if err := Rebind(m, mem.NewSpace(4, 32)); err == nil {
+		t.Fatal("rebound an 8-node machine to a 4-node space")
 	}
 }

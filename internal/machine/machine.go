@@ -90,8 +90,8 @@ type Machine interface {
 // port calendars, Flow from the bandwidth shares of the flows in flight,
 // Ideal from its unit cost — so nothing has to wait inside them, and a
 // processor whose references are known without running it (app.Stream)
-// needs no coroutine.  Decorators (trace recording, fault injection) hide
-// it: a wrapped machine is driven through Read and Write.
+// needs no coroutine.  A decorator — the trace recorder — hides it: a
+// recorded machine is driven through Read and Write.
 type PricedAtIssue interface {
 	Machine
 	// Issue prices a read or write of addr issued by node at its local

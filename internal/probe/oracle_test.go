@@ -72,7 +72,7 @@ func (t tee) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machi
 	var flows []func(sim.Time, flow.Xmit, int, int, int)
 	var nets []func(sim.Time, logp.Xmit, int, int)
 	for _, in := range t {
-		in.Attach(cfg, eng, run, m, nil)
+		in.Attach(cfg, eng, run, m, new(any))
 		if nm, ok := m.(machine.Networked); ok && nm.Fabric() != nil && nm.Fabric().Observer != nil {
 			fabs = append(fabs, nm.Fabric().Observer)
 		} else if fm, ok := m.(machine.Flowed); ok && fm.FlowNet() != nil && fm.FlowNet().Observer != nil {

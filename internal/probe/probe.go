@@ -326,12 +326,11 @@ func (e *epochAcc) held() int {
 // every rescale, so a slot's capacity fits what that epoch of the run
 // needs.  Finish copies the finished profile out of it.
 //
-// On a pooled run the acc lives in the run context's instrument slot
+// The acc lives in the run context's instrument slot
 // (runpool.Ctx.Instrument), so it is sized for that context's P and
-// survives garbage collection: once a context's tables have grown to the
-// shapes its runs take, a profiled run on it allocates what its Profile
-// keeps and little else.  An unpooled run builds an acc of its own and
-// drops it with the Profiler.
+// survives garbage collection: once a pooled context's tables have grown
+// to the shapes its runs take, a profiled run on it allocates what its
+// Profile keeps and little else.  A fresh context's acc goes with it.
 type acc struct {
 	procs    []ProcSample // epoch i's samples are procs[i*P : (i+1)*P]
 	epochs   []epochAcc   // past len: tables kept, with their capacity, for reuse
@@ -410,9 +409,6 @@ func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, 
 		am.Net().Observer = pr.netXmit
 	}
 
-	if keep == nil {
-		keep = new(any) // an unpooled run: tables of its own
-	}
 	a, _ := (*keep).(*acc)
 	if a == nil {
 		a = new(acc)

@@ -42,8 +42,8 @@ const DefaultMaxIdle = 16
 
 // Ctx is one pooled run context: an engine, an address space and a host
 // arena ready for an application's Setup, the runner's per-processor
-// driver state, an instrument's tables, and the reusable machine that
-// binds to the space afterwards.  Between Get and Put the context belongs
+// driver state, an instrument's tables, and the machine that binds to
+// the space afterwards.  Between Get and Put the context belongs
 // exclusively to one caller; the Engine, Space, Host and Drivers it hands
 // out are reset, and the instrument resets its own tables when it
 // attaches, so a run on a pooled context is observationally identical to
@@ -66,15 +66,24 @@ type Ctx struct {
 	// instrument resets what it reuses when it attaches.
 	Instrument any
 
-	reusable *machine.Reusable
+	m machine.Machine // nil until the first Bind
 }
 
 // Bind returns the context's machine attached to its (set-up) address
-// space.  Call it after the application's Setup has allocated, because
-// machine construction sizes the coherence directory from the space
-// footprint.
+// space: built with machine.New on the context's first run, reset in
+// place with machine.Rebind on every later one.  Call it after the
+// application's Setup has allocated, because machine construction sizes
+// the coherence directory from the space footprint.
 func (c *Ctx) Bind() (machine.Machine, error) {
-	return c.reusable.Bind(c.Space)
+	if c.m == nil {
+		var err error
+		c.m, err = machine.New(c.cfg, c.Space)
+		return c.m, err
+	}
+	if err := machine.Rebind(c.m, c.Space); err != nil {
+		return nil, err
+	}
+	return c.m, nil
 }
 
 // Stats is a snapshot of a pool's reuse counters.
@@ -93,7 +102,10 @@ type Stats struct {
 
 // Pool is a bounded freelist of run contexts keyed by canonical machine
 // configuration.  It is safe for concurrent use; the contexts it hands
-// out are not (each belongs to one caller between Get and Put).
+// out are not (each belongs to one caller between Get and Put).  A nil
+// *Pool keeps nothing: its Get builds a fresh context every time, and its
+// Put and Discard drop the context, so a fresh run is the first run of a
+// context nobody keeps.
 type Pool struct {
 	mu      sync.Mutex
 	free    map[machine.Config][]*Ctx
@@ -128,6 +140,9 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 		return nil, fmt.Errorf("runpool: Get with P=%d", cfg.P)
 	}
 	key := cfg.Canonical()
+	if p == nil {
+		return newCtx(key), nil
+	}
 	p.mu.Lock()
 	if l := p.free[key]; len(l) > 0 {
 		ctx := l[len(l)-1]
@@ -147,6 +162,11 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 	p.misses++
 	p.created++
 	p.mu.Unlock()
+	return newCtx(key), nil
+}
+
+// newCtx builds a context for the canonical configuration key.
+func newCtx(key machine.Config) *Ctx {
 	bb := key.Cache.BlockBytes
 	if bb == 0 {
 		bb = mem.DefaultBlockBytes
@@ -157,8 +177,7 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 		Eng:        sim.NewEngine(),
 		Space:      mem.NewSpace(key.P, bb),
 		Host:       new(mem.Arena),
-		reusable:   machine.NewReusable(key),
-	}, nil
+	}
 }
 
 // Put returns a context to the pool for reuse.  If the pool is at its
@@ -168,7 +187,7 @@ func (p *Pool) Get(cfg machine.Config) (*Ctx, error) {
 // readable until the context is next handed out, at which point Get/Bind
 // reset it.
 func (p *Pool) Put(c *Ctx) {
-	if c == nil {
+	if p == nil || c == nil {
 		return
 	}
 	p.mu.Lock()
@@ -190,7 +209,7 @@ func (p *Pool) Put(c *Ctx) {
 // configuration a fresh construction, which is exactly the price of not
 // reasoning about half-finished state.
 func (p *Pool) Discard(c *Ctx) {
-	if c == nil {
+	if p == nil || c == nil {
 		return
 	}
 	p.mu.Lock()

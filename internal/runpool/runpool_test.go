@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spasm/internal/machine"
+	"spasm/internal/mem"
 )
 
 func TestGetPutReuse(t *testing.T) {
@@ -45,6 +46,45 @@ func TestGetPutReuse(t *testing.T) {
 	st := p.Stats()
 	if st.Hits != 1 || st.Misses != 2 || st.Live != 2 {
 		t.Fatalf("stats %+v, want hits 1, misses 2, live 2", st)
+	}
+}
+
+// A nil pool keeps nothing: every Get builds a fresh context that binds
+// a working machine, and Put and Discard drop it.
+func TestNilPoolKeepsNothing(t *testing.T) {
+	var p *Pool
+	cfg := machine.Config{Kind: machine.Target, Topology: "mesh", P: 4}
+	var prev *Ctx
+	for run := 0; run < 2; run++ {
+		c, err := p.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == prev {
+			t.Fatal("a nil pool handed out a context twice")
+		}
+		if c.Space.P() != 4 || c.Instrument != nil || c.Drivers != nil {
+			t.Fatalf("run %d: context not fresh: P=%d instrument=%v drivers=%v",
+				run, c.Space.P(), c.Instrument, c.Drivers)
+		}
+		c.Space.Alloc("x", 64, 8, mem.Blocked)
+		m, err := c.Bind()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Kind() != machine.Target || m.P() != 4 {
+			t.Fatalf("bound %v with P=%d, want target with 4", m.Kind(), m.P())
+		}
+		c.Instrument = "left by the run"
+		if run == 0 {
+			p.Put(c)
+		} else {
+			p.Discard(c)
+		}
+		prev = c
+	}
+	if _, err := p.Get(machine.Config{Kind: machine.Ideal}); err == nil {
+		t.Fatal("a nil pool's Get accepted a configuration with no processors")
 	}
 }
 

@@ -491,7 +491,7 @@ func TestChaosParallelRuns(t *testing.T) {
 	// The survivor runs' documents match the sequential oracle.
 	seq := parSpec(1)
 	seq.Workers = 0
-	direct, err := spasm.RunSpec(seq)
+	direct, _, err := spasm.Execute(seq, spasm.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,9 +70,9 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Byte-identical to a direct run of the same canonical spec.
-	direct, err := spasm.RunSpec(spasm.Spec{
+	direct, _, err := spasm.Execute(spasm.Spec{
 		App: "fft", Scale: spasm.Tiny, Seed: 1, Machine: spasm.Target, Topology: "full", P: 4,
-	})
+	}, spasm.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestParallelRunOverWire(t *testing.T) {
 	if seqSpec.Hash() != parSpec.Hash() {
 		t.Fatalf("workers changed the content address: %s vs %s", seqSpec.Hash(), parSpec.Hash())
 	}
-	direct, err := spasm.RunSpec(seqSpec)
+	direct, _, err := spasm.Execute(seqSpec, spasm.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

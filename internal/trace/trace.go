@@ -10,10 +10,9 @@
 // authors examined in their companion work.  This package provides the
 // apparatus to demonstrate that on any pair of machine models:
 //
-//	rec := trace.NewRecorder(machine)     // wrap any Machine
-//	...run a program...                   // rec.Events holds the trace
-//	prog := trace.Replay(rec.Trace(space))
-//	...run prog on another machine...
+//	tr, res, err := trace.Record(prog, cfg) // run prog, recording its references
+//	replay := trace.Replay(tr)              // a Program that replays them
+//	...run replay on another machine...
 //
 // A trace carries the original run's address-space layout (every region
 // with its placement policy), so the replay sees byte-identical homing.
@@ -73,42 +72,19 @@ func (t *Trace) PerProc() [][]Event {
 	return out
 }
 
-// Recorder wraps a Machine and appends every reference to Events.
-type Recorder struct {
-	inner  machine.Machine
-	Events []Event
-}
-
-// NewRecorder wraps m.
-func NewRecorder(m machine.Machine) *Recorder { return &Recorder{inner: m} }
-
-// Kind implements machine.Machine.
-func (r *Recorder) Kind() machine.Kind { return r.inner.Kind() }
-
-// P implements machine.Machine.
-func (r *Recorder) P() int { return r.inner.P() }
-
-// Read implements machine.Machine, logging the reference.
-func (r *Recorder) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	e := Event{Proc: int32(node), Addr: addr, At: p.Now()}
-	r.inner.Read(p, st, node, addr)
-	e.Done = p.Now()
-	r.Events = append(r.Events, e)
-}
-
-// Write implements machine.Machine, logging the reference.
-func (r *Recorder) Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
-	e := Event{Proc: int32(node), Write: true, Addr: addr, At: p.Now()}
-	r.inner.Write(p, st, node, addr)
-	e.Done = p.Now()
-	r.Events = append(r.Events, e)
-}
-
-// Trace packages the recorded events together with the layout of the
-// space the run allocated.
-func (r *Recorder) Trace(space *mem.Space) *Trace {
-	t := &Trace{P: r.inner.P(), Events: r.Events}
-	for _, a := range space.Regions() {
+// Record runs prog on the machine cfg describes with a recorder wrapped
+// around it, and returns the reference trace alongside the run result.
+func Record(prog app.Program, cfg machine.Config) (*Trace, *app.Result, error) {
+	var rec *recorder
+	res, err := app.Execute(prog, cfg, app.Options{Wrap: func(m machine.Machine) machine.Machine {
+		rec = &recorder{inner: m}
+		return rec
+	}})
+	if err != nil {
+		return nil, nil, err
+	}
+	t := &Trace{P: rec.inner.P(), Events: rec.events}
+	for _, a := range res.Space.Regions() {
 		t.Regions = append(t.Regions, Region{
 			Name:     a.Name,
 			N:        a.N,
@@ -118,7 +94,35 @@ func (r *Recorder) Trace(space *mem.Space) *Trace {
 			Base:     a.Base,
 		})
 	}
-	return t
+	return t, res, nil
+}
+
+// recorder wraps a Machine and appends every reference to events.
+type recorder struct {
+	inner  machine.Machine
+	events []Event
+}
+
+// Kind implements machine.Machine.
+func (r *recorder) Kind() machine.Kind { return r.inner.Kind() }
+
+// P implements machine.Machine.
+func (r *recorder) P() int { return r.inner.P() }
+
+// Read implements machine.Machine, logging the reference.
+func (r *recorder) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
+	e := Event{Proc: int32(node), Addr: addr, At: p.Now()}
+	r.inner.Read(p, st, node, addr)
+	e.Done = p.Now()
+	r.events = append(r.events, e)
+}
+
+// Write implements machine.Machine, logging the reference.
+func (r *recorder) Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
+	e := Event{Proc: int32(node), Write: true, Addr: addr, At: p.Now()}
+	r.inner.Write(p, st, node, addr)
+	e.Done = p.Now()
+	r.events = append(r.events, e)
 }
 
 // Binary format constants.

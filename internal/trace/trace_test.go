@@ -12,23 +12,18 @@ import (
 	"spasm/internal/stats"
 )
 
-// record runs an app on the given machine kind with a Recorder attached.
+// record runs an app on the given machine kind with a recorder attached.
 func record(t *testing.T, appName string, kind machine.Kind, p int) (*Trace, *app.Result) {
 	t.Helper()
 	prog, err := apps.New(appName, apps.Tiny, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec *Recorder
-	res, err := app.Execute(prog, machine.Config{Kind: kind, Topology: "full", P: p},
-		app.Options{Wrap: func(m machine.Machine) machine.Machine {
-			rec = NewRecorder(m)
-			return rec
-		}})
+	tr, res, err := Record(prog, machine.Config{Kind: kind, Topology: "full", P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec.Trace(res.Space), res
+	return tr, res
 }
 
 func TestRecorderCapturesEveryReference(t *testing.T) {
@@ -112,7 +107,7 @@ func TestDecodeRejectsEveryTruncation(t *testing.T) {
 func TestReplayReissuesAllEvents(t *testing.T) {
 	tr, _ := record(t, "fft", machine.CLogP, 4)
 	prog := Replay(tr)
-	res, err := app.Run(prog, machine.Config{Kind: machine.CLogP, Topology: "full", P: 4})
+	res, err := app.Execute(prog, machine.Config{Kind: machine.CLogP, Topology: "full", P: 4}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +120,7 @@ func TestReplayReissuesAllEvents(t *testing.T) {
 func TestReplayOnWrongPFails(t *testing.T) {
 	tr, _ := record(t, "ep", machine.CLogP, 4)
 	prog := Replay(tr)
-	if _, err := app.Run(prog, machine.Config{Kind: machine.CLogP, Topology: "full", P: 8}); err == nil {
+	if _, err := app.Execute(prog, machine.Config{Kind: machine.CLogP, Topology: "full", P: 8}, app.Options{}); err == nil {
 		t.Error("replay accepted wrong processor count")
 	}
 }
@@ -135,7 +130,7 @@ func TestReplayOnWrongPFails(t *testing.T) {
 // produce a similar reference mix and a comparable execution time.
 func TestTraceDrivenCloseForStaticApp(t *testing.T) {
 	tr, orig := record(t, "ep", machine.CLogP, 4)
-	res, err := app.Run(Replay(tr), machine.Config{Kind: machine.CLogP, Topology: "full", P: 4})
+	res, err := app.Execute(Replay(tr), machine.Config{Kind: machine.CLogP, Topology: "full", P: 4}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +173,7 @@ func TestReplayPreservesHoming(t *testing.T) {
 	// so trace-driven runs see the same local/remote split.
 	tr, orig := record(t, "is", machine.CLogP, 4)
 	prog := Replay(tr)
-	res, err := app.Run(prog, machine.Config{Kind: machine.CLogP, Topology: "full", P: 4})
+	res, err := app.Execute(prog, machine.Config{Kind: machine.CLogP, Topology: "full", P: 4}, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,5 +191,5 @@ func min(a, b int) int {
 	return b
 }
 
-var _ machine.Machine = (*Recorder)(nil)
+var _ machine.Machine = (*recorder)(nil)
 var _ = mem.Addr(0)

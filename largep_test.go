@@ -151,7 +151,7 @@ func TestFlow256ProcsParallelIdentical(t *testing.T) {
 	}
 	var docs [2][]byte
 	for i, workers := range []int{0, 4} {
-		res, err := RunSpec(Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256, Workers: workers})
+		res, _, err := Execute(Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256, Workers: workers}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,12 +207,12 @@ func Run(appName string, scale Scale, seed int64, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return app.Run(prog, cfg)
+	return app.Execute(prog, cfg, app.Options{})
 }
 
 // RunProgram simulates a user-supplied Program on the configured machine.
 func RunProgram(prog Program, cfg Config) (*Result, error) {
-	return app.Run(prog, cfg)
+	return app.Execute(prog, cfg, app.Options{})
 }
 
 // NewSession returns an experiment session.
@@ -343,28 +343,21 @@ func ProfileTable(p *Profile) string { return report.ProfileTable(p).String() }
 // methodology).
 type Trace = trace.Trace
 
-// RecordTrace runs the named application with a reference-trace recorder
-// attached and returns the trace alongside the run result.
+// RecordTrace runs the named application (paper suite or extension
+// workload) with a reference-trace recorder attached and returns the
+// trace alongside the run result.
 func RecordTrace(appName string, scale Scale, seed int64, cfg Config) (*Trace, *Result, error) {
-	prog, err := apps.New(appName, scale, seed)
+	prog, err := apps.Lookup(appName, scale, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	var rec *trace.Recorder
-	res, err := app.Execute(prog, cfg, app.Options{Wrap: func(m machine.Machine) machine.Machine {
-		rec = trace.NewRecorder(m)
-		return rec
-	}})
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec.Trace(res.Space), res, nil
+	return trace.Record(prog, cfg)
 }
 
 // ReplayTrace replays a recorded trace on the configured machine
 // (trace-driven simulation).
 func ReplayTrace(t *Trace, cfg Config) (*Result, error) {
-	return app.Run(trace.Replay(t), cfg)
+	return app.Execute(trace.Replay(t), cfg, app.Options{})
 }
 
 // DecodeTrace reads a trace serialized with Trace.Encode.

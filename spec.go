@@ -229,11 +229,6 @@ func Execute(spec Spec, opt RunOptions) (*Result, *Profile, error) {
 // resultOf drops Execute's profile for the unprofiled wrappers.
 func resultOf(res *Result, _ *Profile, err error) (*Result, error) { return res, err }
 
-// RunSpec is Execute with no options: a fresh, unbounded run.
-func RunSpec(spec Spec) (*Result, error) {
-	return resultOf(Execute(spec, RunOptions{}))
-}
-
 // RunSpecProfiled is Execute with a default-configured profiler.
 func RunSpecProfiled(spec Spec) (*Result, *Profile, error) {
 	return Execute(spec, RunOptions{Profile: &ProfileConfig{}})

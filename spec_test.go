@@ -183,10 +183,10 @@ func TestSpecValidateAppMaxP(t *testing.T) {
 	}
 	// The limit is where Setup stops: fft runs at it and validation, not a
 	// panic, stops it one step past.
-	if _, err := spasm.RunSpec(spasm.Spec{App: "fft", Scale: spasm.Tiny, Machine: spasm.Ideal, Topology: "cube", P: 16}); err != nil {
+	if _, _, err := spasm.Execute(spasm.Spec{App: "fft", Scale: spasm.Tiny, Machine: spasm.Ideal, Topology: "cube", P: 16}, spasm.RunOptions{}); err != nil {
 		t.Errorf("fft at its tiny limit: %v", err)
 	}
-	if _, err := spasm.RunSpec(spasm.Spec{App: "fft", Scale: spasm.Tiny, Machine: spasm.Ideal, Topology: "cube", P: 32}); err == nil || strings.Contains(err.Error(), "panicked") {
+	if _, _, err := spasm.Execute(spasm.Spec{App: "fft", Scale: spasm.Tiny, Machine: spasm.Ideal, Topology: "cube", P: 32}, spasm.RunOptions{}); err == nil || strings.Contains(err.Error(), "panicked") {
 		t.Errorf("fft one step past its tiny limit: %v, want a validation error", err)
 	}
 }
@@ -221,11 +221,11 @@ func TestSpecValidateEnums(t *testing.T) {
 	}
 }
 
-// TestRunSpecMatchesRun: RunSpec is the same deterministic run as the
-// positional Run API.
+// TestRunSpecMatchesRun: running a spec with Execute is the same
+// deterministic run as the positional Run API.
 func TestRunSpecMatchesRun(t *testing.T) {
 	spec := spasm.Spec{App: "fft", Scale: spasm.Tiny, Seed: 1, Machine: spasm.LogP, Topology: "cube", P: 4}
-	a, err := spasm.RunSpec(spec)
+	a, _, err := spasm.Execute(spec, spasm.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +234,14 @@ func TestRunSpecMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Stats.Total != b.Stats.Total {
-		t.Fatalf("total differs: RunSpec %v, Run %v", a.Stats.Total, b.Stats.Total)
+		t.Fatalf("total differs: Execute %v, Run %v", a.Stats.Total, b.Stats.Total)
 	}
 	for _, bkt := range []spasm.Bucket{spasm.Compute, spasm.Memory, spasm.Latency, spasm.Contention, spasm.Sync} {
 		if a.Stats.Sum(bkt) != b.Stats.Sum(bkt) {
-			t.Fatalf("%v differs: RunSpec %v, Run %v", bkt, a.Stats.Sum(bkt), b.Stats.Sum(bkt))
+			t.Fatalf("%v differs: Execute %v, Run %v", bkt, a.Stats.Sum(bkt), b.Stats.Sum(bkt))
 		}
 	}
 	if a.Stats.Messages() != b.Stats.Messages() {
-		t.Fatalf("messages differ: RunSpec %d, Run %d", a.Stats.Messages(), b.Stats.Messages())
+		t.Fatalf("messages differ: Execute %d, Run %d", a.Stats.Messages(), b.Stats.Messages())
 	}
 }

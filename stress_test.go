@@ -79,7 +79,7 @@ func TestRunBatchStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runs, err := RunMany(Options{Scale: Tiny, Parallel: 3}, points)
+			runs, err := NewSession(Options{Scale: Tiny, Parallel: 3}).RunBatch(points)
 			if err != nil {
 				errs <- err
 				return

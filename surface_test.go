@@ -22,16 +22,17 @@ import (
 
 // TestRunSurface locks the exported run entrypoints of the façade and of
 // internal/app.  There is one way to run a spec (Execute) and one way to
-// run a Program (app.Execute); everything else listed here is a
-// one-return wrapper.  A new Run* variant fails this test: add a field
-// to RunOptions / app.Options instead, or delete a wrapper first.
+// run a Program (app.Execute); the façade's Run and RunProgram build a
+// Program from their arguments, and RunSpecOn and RunSpecProfiled are
+// what bench/ calls.  A new Run* variant fails this test: add a field to
+// RunOptions / app.Options instead, or delete a wrapper first.
 func TestRunSurface(t *testing.T) {
 	for _, tc := range []struct {
 		dir  string
 		want []string
 	}{
-		{".", []string{"Execute", "Run", "RunMany", "RunProgram", "RunSpec", "RunSpecOn", "RunSpecProfiled"}},
-		{"internal/app", []string{"Execute", "Run"}},
+		{".", []string{"Execute", "Run", "RunProgram", "RunSpecOn", "RunSpecProfiled"}},
+		{"internal/app", []string{"Execute"}},
 	} {
 		pkgs, err := parser.ParseDir(token.NewFileSet(), tc.dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
