@@ -223,6 +223,30 @@ func TestTargetInvariantsAfterApps(t *testing.T) {
 	}
 }
 
+// TestSeamStatsMatchRun: after a run, the machine's network seam counts
+// the messages and bytes the run's processors account, on every
+// networked machine — a seam that lost its counters (or built a fresh
+// backend per call) would read zero here.
+func TestSeamStatsMatchRun(t *testing.T) {
+	for _, kind := range []machine.Kind{machine.Flow, machine.LogP, machine.CLogP, machine.Target} {
+		prog, err := New("fft", Tiny, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := app.Execute(prog, machine.Config{Kind: kind, Topology: "mesh", P: 16}, app.Options{})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		st := res.Machine.(machine.Backend).Network().Stats()
+		msgs := res.Stats.Messages()
+		bytes := res.Stats.Count(func(p *stats.Proc) uint64 { return p.NetBytes })
+		if msgs == 0 || st.Messages != msgs || st.Bytes != bytes {
+			t.Errorf("%v: seam counted %d messages, %d bytes; the run %d, %d",
+				kind, st.Messages, st.Bytes, msgs, bytes)
+		}
+	}
+}
+
 func TestDifferentSeedsDifferentWork(t *testing.T) {
 	totals := map[string]bool{}
 	for seed := int64(1); seed <= 3; seed++ {

@@ -149,10 +149,11 @@ type Net struct {
 	Bytes      uint64
 	Recomputes uint64
 
-	// Observer, when non-nil, is invoked from Transfer for every flow
-	// the network carries, with the requested departure time and the
-	// resulting schedule.
-	Observer func(now sim.Time, x Xmit, src, dst, bytes int)
+	// Observer, when non-nil, is shown every flow the network carries,
+	// with its bottleneck resource as its one link (kept in bneck, so
+	// showing it allocates nothing).
+	Observer network.Observer
+	bneck    [1]int
 }
 
 // New returns a flow network over the given topology with the paper's
@@ -485,7 +486,9 @@ func (n *Net) Transfer(now sim.Time, src, dst, bytes int) Xmit {
 		Bottleneck: bottleneck,
 	}
 	if n.Observer != nil {
-		n.Observer(now, x, src, dst, bytes)
+		n.bneck[0] = bottleneck
+		n.Observer(now, network.Xmit{Start: x.Start, End: x.End, Latency: x.Latency, Wait: x.Wait},
+			src, dst, bytes, n.bneck[:])
 	}
 	return x
 }

@@ -94,15 +94,16 @@ type Net struct {
 	stamp []uint32 // port-validity generation per node
 	gen   uint32   // current generation (never 0 while live)
 
-	// Messages counts every message carried; Crossing counts those
-	// that crossed the bisection (adaptive mode only).
+	// Messages and Bytes count every message carried and its size;
+	// Crossing counts those that crossed the bisection (adaptive mode
+	// only).
 	Messages uint64
+	Bytes    uint64
 	Crossing uint64
 
-	// Observer, when non-nil, is invoked for every message the abstract
-	// network carries (Message or Deliver), with the requested departure
-	// time and the resulting schedule.
-	Observer func(now sim.Time, x Xmit, src, dst int)
+	// Observer, when non-nil, is shown every message the abstract
+	// network carries, with no links.
+	Observer network.Observer
 }
 
 // New returns a LogP network over p nodes with the given parameters.
@@ -157,6 +158,7 @@ func (n *Net) Reset() {
 		n.gen = 1
 	}
 	n.Messages = 0
+	n.Bytes = 0
 	n.Crossing = 0
 	n.Observer = nil
 }
@@ -177,7 +179,7 @@ func (n *Net) effectiveG() sim.Time {
 
 // gate returns the earliest time >= at that node may perform an event on
 // the port whose calendar is ports (n.send or n.recv), and records the
-// event.  Small enough to inline: a message is one call, book.
+// event.  Small enough to inline: a message is one call, Xfer.
 func (n *Net) gate(ports []sim.Time, node int, at, g sim.Time) sim.Time {
 	if n.stamp[node] != n.gen {
 		n.open(node)
@@ -211,47 +213,39 @@ type Xmit struct {
 // Message transfers one message from src to dst, departing no earlier
 // than now, and returns its schedule.  It does not block any process;
 // callers advance their process to Deliver (or compose further legs).
+// The message is booked with no size.
 func (n *Net) Message(now sim.Time, src, dst int) Xmit {
-	sendAt, deliver := n.book(now, src, dst)
-	return n.xmit(now, sendAt, deliver)
+	x := n.Xfer(now, src, dst, 0)
+	return Xmit{SendAt: x.Start, Arrive: x.Start + n.L, Deliver: x.End, Latency: n.L, Wait: x.Wait}
 }
 
-// Deliver is Message for a caller that needs only when the message is
-// delivered and how long the gap held it up (Xmit.Deliver, Xmit.Wait): the
-// same booking, and no 40-byte schedule written out to be read back for
-// two words of it.
-func (n *Net) Deliver(now sim.Time, src, dst int) (deliver, wait sim.Time) {
-	_, deliver = n.book(now, src, dst)
-	return deliver, deliver - now - n.L
+// Deliver is Xfer for a caller that needs only when the message is
+// delivered and how long the gap held it up.
+func (n *Net) Deliver(now sim.Time, src, dst, bytes int) (deliver, wait sim.Time) {
+	x := n.Xfer(now, src, dst, bytes)
+	return x.End, x.Wait
 }
 
-// book carries one message: it gates it through both endpoints' ports,
-// counts it and shows it to the Observer — all there is to the model.
-func (n *Net) book(now sim.Time, src, dst int) (sendAt, deliver sim.Time) {
+// Xfer carries one message of the given size from src to dst, departing
+// no earlier than now: it gates it through both endpoints' ports, counts
+// it and shows it to the Observer — all there is to the model.  The
+// schedule starts when the source's port admits the send; the size is
+// counted but does not affect timing.
+func (n *Net) Xfer(now sim.Time, src, dst, bytes int) network.Xmit {
 	if src == dst {
 		panic(fmt.Sprintf("logp: message to self at node %d", src))
 	}
 	g := n.effectiveG()
-	sendAt = n.gate(n.send, src, now, g)
-	deliver = n.gate(n.recv, dst, sendAt+n.L, g)
+	sendAt := n.gate(n.send, src, now, g)
+	deliver := n.gate(n.recv, dst, sendAt+n.L, g)
 	n.Messages++
+	n.Bytes += uint64(bytes)
 	if n.Crosses != nil && n.Crosses(src, dst) {
 		n.Crossing++
 	}
+	x := network.Xmit{Start: sendAt, End: deliver, Latency: n.L, Wait: deliver - now - n.L}
 	if n.Observer != nil {
-		n.Observer(now, n.xmit(now, sendAt, deliver), src, dst)
+		n.Observer(now, x, src, dst, bytes, nil)
 	}
-	return sendAt, deliver
-}
-
-// xmit writes out the schedule of a message booked at now.
-func (n *Net) xmit(now, sendAt, deliver sim.Time) Xmit {
-	arrive := sendAt + n.L
-	return Xmit{
-		SendAt:  sendAt,
-		Arrive:  arrive,
-		Deliver: deliver,
-		Latency: n.L,
-		Wait:    (sendAt - now) + (deliver - arrive),
-	}
+	return x
 }

@@ -254,7 +254,7 @@ func TestResetIdentity(t *testing.T) {
 		want := traffic(n)
 		for round := 0; round < 3; round++ {
 			n.Reset()
-			if n.Messages != 0 || n.Crossing != 0 || n.Observer != nil {
+			if n.Messages != 0 || n.Bytes != 0 || n.Crossing != 0 || n.Observer != nil {
 				t.Fatalf("%v round %d: counters survived Reset", mode, round)
 			}
 			got := traffic(n)
@@ -287,14 +287,14 @@ func TestResetGenerationWraparound(t *testing.T) {
 }
 
 // TestDeliverIsMessage: Deliver is Message without the schedule written
-// out.  Twin nets carry the same seeded traffic, one through each call,
+// out, counting the size Message books as none.  Twin nets carry the same seeded traffic, one through each call,
 // in both port modes, with the adaptive g off and on, an Observer attached:
 // every delivery time and wait, the Messages and Crossing counters after
 // every message, and every Observer call are the same.
 func TestDeliverIsMessage(t *testing.T) {
 	type seen struct {
 		now      sim.Time
-		x        Xmit
+		x        network.Xmit
 		src, dst int
 	}
 	const p = 16
@@ -308,7 +308,10 @@ func TestDeliverIsMessage(t *testing.T) {
 					if adaptive {
 						n.Crosses = func(src, dst int) bool { return src < p/2 != (dst < p/2) }
 					}
-					n.Observer = func(now sim.Time, x Xmit, src, dst int) {
+					n.Observer = func(now sim.Time, x network.Xmit, src, dst, bytes int, links []int) {
+						if links != nil {
+							t.Fatalf("LogP showed links %v", links)
+						}
 						calls[i] = append(calls[i], seen{now, x, src, dst})
 					}
 					nets[i] = n
@@ -322,7 +325,7 @@ func TestDeliverIsMessage(t *testing.T) {
 						dst = (src + 1) % p // a hot pair: the gap bites
 					}
 					x := nets[0].Message(now, src, dst)
-					deliver, wait := nets[1].Deliver(now, src, dst)
+					deliver, wait := nets[1].Deliver(now, src, dst, 8)
 					if deliver != x.Deliver || wait != x.Wait {
 						t.Fatalf("%v adaptive=%v seed %d message %d: Deliver = (%v, %v), Message = %+v",
 							mode, adaptive, seed, k, deliver, wait, x)
@@ -339,6 +342,10 @@ func TestDeliverIsMessage(t *testing.T) {
 					t.Fatalf("%v adaptive=%v seed %d: the Observer saw %d messages through Deliver, %d through Message, or not the same ones",
 						mode, adaptive, seed, len(calls[1]), len(calls[0]))
 				}
+				if nets[0].Bytes != 0 || nets[1].Bytes != 8*400 {
+					t.Fatalf("%v adaptive=%v seed %d: counted %d bytes through Message, %d through Deliver; want 0 and %d",
+						mode, adaptive, seed, nets[0].Bytes, nets[1].Bytes, 8*400)
+				}
 				if adaptive && (nets[1].Crossing == 0 || nets[1].Crossing == nets[1].Messages) {
 					t.Fatalf("%v seed %d: %d of %d messages crossed; the adaptive gap was not exercised", mode, seed, nets[1].Crossing, nets[1].Messages)
 				}
@@ -351,6 +358,6 @@ func TestDeliverIsMessage(t *testing.T) {
 				t.Errorf("Deliver to self panicked with %v", r)
 			}
 		}()
-		New(p, DefaultL, 0, Combined).Deliver(0, 3, 3)
+		New(p, DefaultL, 0, Combined).Deliver(0, 3, 3, 8)
 	}()
 }

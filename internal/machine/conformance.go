@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spasm/internal/mem"
+	"spasm/internal/network"
 	"spasm/internal/sim"
 	"spasm/internal/stats"
 )
@@ -131,12 +132,16 @@ func CheckInvariants(m Machine) error {
 	return nil
 }
 
-// NetworkConformance checks that a network backend obeys the contract
-// every tier — detailed, LogP, flow — must satisfy behind the Network
-// interface, independent of its timing model:
+// NetworkConformance checks that the network a machine of the given
+// kind builds obeys the contract every tier — detailed, LogP, flow —
+// must satisfy behind the Network interface, independent of its timing
+// model:
 //
 //  1. conservation: every message handed to the backend is counted,
-//     and counted exactly once, in its traffic statistics;
+//     and counted exactly once, in its traffic statistics, and every
+//     attached observer sees it exactly once, in attach order, with the
+//     schedule Xfer returned and links inside [0, Links()); Reset drops
+//     the observers;
 //  2. monotone delivery: a message is never delivered before it was
 //     sent plus its contention-free latency, waiting is never negative,
 //     and back-to-back messages on the same (src, dst) pair issued at
@@ -146,24 +151,51 @@ func CheckInvariants(m Machine) error {
 //     and so does the same backend after a Reset, which is the runpool
 //     rebind contract.
 //
-// Tests call it once per registered tier (see NetworkTiers).
-func NetworkConformance(tier NetworkTier, topoName string, p int) error {
-	if err := netConservation(tier, topoName, p); err != nil {
-		return err
+// The network is the one machine.New builds over a bare p-node space.
+func NetworkConformance(kind Kind, topoName string, p int) error {
+	cfg := Config{Kind: kind, Topology: topoName, P: p}
+	m, err := New(cfg, mem.NewSpace(p, 32))
+	if err != nil {
+		return fmt.Errorf("net-conformance/%v: %w", kind, err)
 	}
-	if err := netMonotone(tier, topoName, p); err != nil {
-		return err
+	if _, ok := m.(Backend); !ok {
+		return fmt.Errorf("net-conformance/%v: the machine has no network", kind)
 	}
-	return netReplay(tier, topoName, p)
+	fresh := func() Network {
+		m, _ := New(cfg, mem.NewSpace(p, 32)) // built once above: cannot fail
+		return m.(Backend).Network()
+	}
+	for _, check := range []func(func() Network) error{netConservation, netMonotone, netReplay} {
+		if err := check(fresh); err != nil {
+			return fmt.Errorf("net-conformance/%v: %w", kind, err)
+		}
+	}
+	return nil
 }
 
-func netConservation(tier NetworkTier, topoName string, p int) error {
-	n, err := tier.New(topoName, p)
-	if err != nil {
-		return fmt.Errorf("net-conformance/%s: %w", tier.Name, err)
+func netConservation(fresh func() Network) error {
+	n := fresh()
+	type sight struct {
+		who            int
+		now            sim.Time
+		x              network.Xmit
+		src, dst, size int
 	}
+	var seen []sight
+	var bad error
+	for who := 0; who < 3; who++ {
+		n.Observe(func(now sim.Time, x network.Xmit, src, dst, bytes int, links []int) {
+			seen = append(seen, sight{who, now, x, src, dst, bytes})
+			for _, l := range links {
+				if (l < 0 || l >= n.Links()) && bad == nil {
+					bad = fmt.Errorf("observer shown link %d outside [0, %d)", l, n.Links())
+				}
+			}
+		})
+	}
+	p := n.P()
 	var now sim.Time
-	var sent, bytes uint64
+	var bytes uint64
 	for i := 0; i < 100; i++ {
 		src := i % p
 		dst := (i*3 + 1) % p
@@ -171,46 +203,52 @@ func netConservation(tier NetworkTier, topoName string, p int) error {
 			dst = (dst + 1) % p
 		}
 		size := 8 + i%25
-		d := n.Xfer(now, src, dst, size)
-		sent++
+		seen = seen[:0]
+		x := n.Xfer(now, src, dst, size)
 		bytes += uint64(size)
-		if d.At > now {
-			now = d.At
+		if bad != nil {
+			return bad
+		}
+		if len(seen) != 3 {
+			return fmt.Errorf("message %d seen %d times by 3 observers", i, len(seen))
+		}
+		for who, s := range seen {
+			if want := (sight{who, now, x, src, dst, size}); s != want {
+				return fmt.Errorf("message %d: observer %d saw %+v, want %+v", i, who, s, want)
+			}
+		}
+		if i%2 == 0 {
+			now = max(now, x.End) // odd messages depart with the one before
 		}
 	}
-	st := n.Stats()
-	if st.Messages != sent {
-		return fmt.Errorf("net-conformance/%s: carried %d messages, counted %d",
-			tier.Name, sent, st.Messages)
+	if st := n.Stats(); st.Messages != 100 || st.Bytes != bytes {
+		return fmt.Errorf("carried 100 messages of %d bytes, counted %d of %d", bytes, st.Messages, st.Bytes)
 	}
-	if st.Bytes != bytes {
-		return fmt.Errorf("net-conformance/%s: carried %d bytes, counted %d",
-			tier.Name, bytes, st.Bytes)
+	n.Reset()
+	seen = seen[:0]
+	n.Xfer(0, 0, p-1, 8)
+	if len(seen) != 0 {
+		return fmt.Errorf("Reset kept %d observers", len(seen))
 	}
 	return nil
 }
 
-func netMonotone(tier NetworkTier, topoName string, p int) error {
-	n, err := tier.New(topoName, p)
-	if err != nil {
-		return fmt.Errorf("net-conformance/%s: %w", tier.Name, err)
-	}
+func netMonotone(fresh func() Network) error {
+	n := fresh()
 	var now, lastAt sim.Time
 	for i := 0; i < 50; i++ {
-		d := n.Xfer(now, 0, p-1, 16)
-		if d.At < now+d.Latency {
-			return fmt.Errorf("net-conformance/%s: message %d delivered at %v, before send %v + latency %v",
-				tier.Name, i, d.At, now, d.Latency)
+		d := n.Xfer(now, 0, n.P()-1, 16)
+		if d.End < now+d.Latency {
+			return fmt.Errorf("message %d delivered at %v, before send %v + latency %v",
+				i, d.End, now, d.Latency)
 		}
 		if d.Wait < 0 {
-			return fmt.Errorf("net-conformance/%s: message %d has negative wait %v",
-				tier.Name, i, d.Wait)
+			return fmt.Errorf("message %d has negative wait %v", i, d.Wait)
 		}
-		if d.At < lastAt {
-			return fmt.Errorf("net-conformance/%s: delivery went backwards (%v after %v)",
-				tier.Name, d.At, lastAt)
+		if d.End < lastAt {
+			return fmt.Errorf("delivery went backwards (%v after %v)", d.End, lastAt)
 		}
-		lastAt = d.At
+		lastAt = d.End
 		now += 5 // issue faster than the link drains: forces queueing/sharing
 	}
 	return nil
@@ -218,7 +256,8 @@ func netMonotone(tier NetworkTier, topoName string, p int) error {
 
 // netDrive runs one fixed pseudo-random pattern and fingerprints the
 // resulting schedule.
-func netDrive(n Network, p int) (sum sim.Time, st NetStats) {
+func netDrive(n Network) (sum sim.Time, st NetStats) {
+	p := n.P()
 	var now sim.Time
 	for i := 0; i < 300; i++ {
 		src := (i * 5) % p
@@ -231,37 +270,26 @@ func netDrive(n Network, p int) (sum sim.Time, st NetStats) {
 			n.Settle(now)
 		}
 		d := n.Xfer(at, src, dst, 8+(i*13)%25)
-		sum += d.At + d.Wait
-		if i%4 == 0 && d.At > now {
-			now = d.At
+		sum += d.End + d.Wait
+		if i%4 == 0 && d.End > now {
+			now = d.End
 		}
 	}
-	st = n.Stats()
-	return sum, st
+	return sum, n.Stats()
 }
 
-func netReplay(tier NetworkTier, topoName string, p int) error {
-	fresh := func() (Network, error) { return tier.New(topoName, p) }
-	a, err := fresh()
-	if err != nil {
-		return fmt.Errorf("net-conformance/%s: %w", tier.Name, err)
-	}
-	b, err := fresh()
-	if err != nil {
-		return fmt.Errorf("net-conformance/%s: %w", tier.Name, err)
-	}
-	sumA, stA := netDrive(a, p)
-	sumB, stB := netDrive(b, p)
+func netReplay(fresh func() Network) error {
+	a := fresh()
+	sumA, stA := netDrive(a)
+	sumB, stB := netDrive(fresh())
 	if sumA != sumB || stA != stB {
-		return fmt.Errorf("net-conformance/%s: replay diverged (%v/%+v vs %v/%+v)",
-			tier.Name, sumA, stA, sumB, stB)
+		return fmt.Errorf("replay diverged (%v/%+v vs %v/%+v)", sumA, stA, sumB, stB)
 	}
 	// Reset must restore the post-construction state exactly.
 	a.Reset()
-	sumR, stR := netDrive(a, p)
+	sumR, stR := netDrive(a)
 	if sumR != sumA || stR != stA {
-		return fmt.Errorf("net-conformance/%s: run after Reset diverged (%v/%+v vs %v/%+v)",
-			tier.Name, sumR, stR, sumA, stA)
+		return fmt.Errorf("run after Reset diverged (%v/%+v vs %v/%+v)", sumR, stR, sumA, stA)
 	}
 	return nil
 }

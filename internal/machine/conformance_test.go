@@ -51,16 +51,23 @@ func TestAllMachinesConform(t *testing.T) {
 	}
 }
 
-// TestNetworkTiersConform runs every registered network backend —
+// networkTiers names each network tier by a machine that builds it, in
+// increasing level of detail.
+var networkTiers = []struct {
+	name string
+	kind Kind
+}{{"flow", Flow}, {"logp", LogP}, {"clogp", CLogP}, {"detailed", Target}}
+
+// TestNetworkTiersConform runs the network of every networked machine —
 // detailed, logp, flow — through the same invariant checks (message
 // conservation, monotone delivery, deterministic replay x2 plus a
-// post-Reset replay), on every topology.
+// post-Reset replay, the observer contract), on every topology.
 func TestNetworkTiersConform(t *testing.T) {
-	for _, tier := range NetworkTiers() {
+	for _, tier := range networkTiers {
 		for _, topo := range []string{"full", "cube", "mesh", "ring", "torus"} {
 			tier, topo := tier, topo
-			t.Run(tier.Name+"/"+topo, func(t *testing.T) {
-				if err := NetworkConformance(tier, topo, 8); err != nil {
+			t.Run(tier.name+"/"+topo, func(t *testing.T) {
+				if err := NetworkConformance(tier.kind, topo, 8); err != nil {
 					t.Error(err)
 				}
 			})
@@ -95,10 +102,10 @@ func TestLargePConformance(t *testing.T) {
 			}
 		})
 	}
-	for _, tier := range NetworkTiers() {
+	for _, tier := range networkTiers {
 		tier := tier
-		t.Run("net/"+tier.Name, func(t *testing.T) {
-			if err := NetworkConformance(tier, "mesh", p); err != nil {
+		t.Run("net/"+tier.name, func(t *testing.T) {
+			if err := NetworkConformance(tier.kind, "mesh", p); err != nil {
 				t.Error(err)
 			}
 		})
@@ -112,14 +119,14 @@ func TestLargePConformance(t *testing.T) {
 // delivery schedules must be identical.
 func TestFlowRebindClearsState(t *testing.T) {
 	drive := func(m Machine, s *mem.Space, a *mem.Array) string {
-		fm := m.(Flowed).FlowNet()
+		net := m.(Backend).Network()
 		var log string
 		for i := 0; i < 40; i++ {
 			dst := (i*3 + 1) % 8
 			if dst == 0 {
 				dst = 1
 			}
-			x := fm.Transfer(sim.Time(i*10), 0, dst, 16)
+			x := net.Xfer(sim.Time(i*10), 0, dst, 16)
 			log += x.End.String() + ","
 		}
 		return log

@@ -272,15 +272,12 @@ type logpMachine struct {
 func (m *logpMachine) Kind() Kind { return LogP }
 func (m *logpMachine) P() int     { return m.net.P() }
 
-// Net exposes the abstract network (for parameter inspection in tools).
-func (m *logpMachine) Net() *logp.Net { return m.net }
-
 // roundTrip books and accounts the request/reply pair of a remote
 // reference — the LogP machine's whole model, written down once — and
 // returns when the reply is delivered.
 func (m *logpMachine) roundTrip(st *stats.Proc, now sim.Time, node, home int) sim.Time {
-	asked, reqWait := m.net.Deliver(now, node, home)
-	done, repWait := m.net.Deliver(asked+m.costs.Mem, home, node)
+	asked, reqWait := m.net.Deliver(now, node, home, m.costs.CtrlBytes)
+	done, repWait := m.net.Deliver(asked+m.costs.Mem, home, node, m.costs.DataBytes)
 	st.Messages += 2
 	st.NetBytes += uint64(m.costs.CtrlBytes + m.costs.DataBytes)
 	st.NetAccesses++
@@ -326,9 +323,6 @@ type flowMachine struct {
 func (m *flowMachine) Kind() Kind { return Flow }
 func (m *flowMachine) P() int     { return m.net.P() }
 
-// FlowNet exposes the flow network (for telemetry).
-func (m *flowMachine) FlowNet() *flow.Net { return m.net }
-
 // Issue implements PricedAtIssue: the round trip is priced on the local
 // clock and never waited for.
 func (m *flowMachine) Issue(st *stats.Proc, at, now sim.Time, node int, addr mem.Addr, write bool) (sim.Time, bool) {
@@ -360,30 +354,17 @@ func (m *flowMachine) Write(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr
 }
 
 // Networked is implemented by the Target machine, exposing its detailed
-// fabric (for fault injection and traffic inspection).
+// fabric for fault injection (Degrade), the one fabric-only operation;
+// everything else reaches a network through Backend.
 type Networked interface {
 	Fabric() *network.Fabric
-}
-
-// Abstracted is implemented by machines carrying a LogP-abstracted
-// network (LogP and CLogP), exposing it for parameter inspection and
-// instrumentation.  Implementations may return nil (the Target machine's
-// cached wrapper satisfies the interface but has no abstract network).
-type Abstracted interface {
-	Net() *logp.Net
-}
-
-// Flowed is implemented by the Flow machine, exposing its
-// bandwidth-sharing network for telemetry.
-type Flowed interface {
-	FlowNet() *flow.Net
 }
 
 // Network exposes the flow machine's backend behind the uniform seam.
 func (m *flowMachine) Network() Network { return flowNet{net: m.net} }
 
 // Network exposes the LogP machine's backend behind the uniform seam.
-func (m *logpMachine) Network() Network { return &logpNet{net: m.net} }
+func (m *logpMachine) Network() Network { return logpNet{net: m.net} }
 
 // Network exposes a cached machine's backend behind the uniform seam:
 // the detailed fabric for Target, the LogP net for CLogP.
@@ -391,10 +372,7 @@ func (m *cachedMachine) Network() Network {
 	if m.fab != nil {
 		return fabricNet{fab: m.fab}
 	}
-	if m.net != nil {
-		return &logpNet{net: m.net}
-	}
-	return nil
+	return logpNet{net: m.net}
 }
 
 // cachedMachine wraps the shared coherence engine for Target and CLogP.
@@ -411,9 +389,6 @@ func (m *cachedMachine) P() int     { return m.space.P() }
 
 // Fabric exposes the detailed network of a Target machine (nil otherwise).
 func (m *cachedMachine) Fabric() *network.Fabric { return m.fab }
-
-// Net exposes the abstract network of a CLogP machine (nil otherwise).
-func (m *cachedMachine) Net() *logp.Net { return m.net }
 
 func (m *cachedMachine) Read(p *sim.Proc, st *stats.Proc, node int, addr mem.Addr) {
 	m.eng.Read(p, st, node, addr)
@@ -444,6 +419,6 @@ func (t *clogpTransport) Message(now sim.Time, src, dst, bytes int, class cohere
 	if !class.MovesData() {
 		return coherence.Delivery{At: now}
 	}
-	at, wait := t.net.Deliver(now, src, dst)
+	at, wait := t.net.Deliver(now, src, dst, bytes)
 	return coherence.Delivery{At: at, Latency: t.net.L, Wait: wait, Sent: true}
 }

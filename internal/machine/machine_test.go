@@ -192,7 +192,7 @@ func TestGDerivedFromTopology(t *testing.T) {
 		"mesh": sim.Micros(3.2), // 0.8 * 4 columns
 	} {
 		m := build(t, Config{Kind: LogP, Topology: topo}, s)
-		if g := m.(*logpMachine).Net().G; g != wantG {
+		if g := m.(*logpMachine).net.G; g != wantG {
 			t.Errorf("g(%s) = %v, want %v", topo, g, wantG)
 		}
 	}
@@ -203,7 +203,7 @@ func TestGDerivedFromTopology(t *testing.T) {
 func TestExplicitLOverride(t *testing.T) {
 	s, _ := newSpace(4)
 	m := build(t, Config{Kind: LogP, Topology: "full", L: 500}, s)
-	n := m.(*logpMachine).Net()
+	n := m.(*logpMachine).net
 	if want := sim.Micros(3.2 / 4); n.L != 500 || n.G != want {
 		t.Errorf("L=%v G=%v, want 500 and %v", n.L, n.G, want)
 	}
@@ -225,7 +225,7 @@ func TestConfigErrors(t *testing.T) {
 func TestAdaptiveGPlumbing(t *testing.T) {
 	s, a := newSpace(8)
 	m := build(t, Config{Kind: LogP, Topology: "mesh", AdaptiveG: true}, s)
-	net := m.(*logpMachine).Net()
+	net := m.(*logpMachine).net
 	if net.Crosses == nil {
 		t.Fatal("adaptive predicate not wired")
 	}
@@ -260,7 +260,7 @@ func TestLinkByteTimePlumbing(t *testing.T) {
 	// And the LogP default L scales with it: 32 bytes x 8 units.
 	s2, _ := newSpace(4)
 	lp := build(t, Config{Kind: LogP, Topology: "full", LinkByteTime: 8}, s2)
-	if got := lp.(*logpMachine).Net().L; got != 256 {
+	if got := lp.(*logpMachine).net.L; got != 256 {
 		t.Errorf("scaled L = %v, want 256", got)
 	}
 }

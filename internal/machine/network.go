@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"spasm/internal/coherence"
 	"spasm/internal/flow"
 	"spasm/internal/logp"
 	"spasm/internal/network"
@@ -13,15 +12,19 @@ import (
 // abstraction, and the flow-based bandwidth-sharing tier.  The machine
 // characterizations drive their backends through concrete types on the
 // hot paths (the devirtualized calls the event-kernel benchmarks pin),
-// but every backend is also reachable behind this one seam: the
-// conformance suite exercises all registered tiers through it, run
-// results read model-cost counters through it, and tooling can swap
-// tiers without knowing which machine wraps them.
+// but every backend is reached for anything else through this one seam:
+// the conformance suite exercises each machine's backend through it, the
+// probe observes it, and run results read model-cost counters from it.
 type Network interface {
 	// P reports the number of nodes.
 	P() int
+	// Links reports the size of the id space an Observer's links are
+	// drawn from: the fabric's directed links, the flow tier's resources
+	// (links, then injection and ejection ports), none on LogP.
+	Links() int
 	// Reset returns the backend to its post-construction state in place
-	// (the runpool rebind contract, docs/INTERNALS.md §9).
+	// (the runpool rebind contract, docs/INTERNALS.md §9), dropping every
+	// observer.
 	Reset()
 	// Settle tells the backend no future Xfer departs earlier than upTo
 	// (a lower bound from the engine's global clock).  Backends that
@@ -29,20 +32,12 @@ type Network interface {
 	Settle(upTo sim.Time)
 	// Xfer carries one message of the given size from src to dst,
 	// departing no earlier than now, and returns its schedule.
-	Xfer(now sim.Time, src, dst, bytes int) NetDelivery
+	Xfer(now sim.Time, src, dst, bytes int) network.Xmit
+	// Observe shows fn every message the backend carries from now on,
+	// after the observers attached before it, as Engine.Tick hooks chain.
+	Observe(fn network.Observer)
 	// Stats reports the backend's cumulative traffic and model cost.
 	Stats() NetStats
-}
-
-// NetDelivery is one message's schedule as a Network backend reports it.
-type NetDelivery struct {
-	// At is when the message is fully delivered.
-	At sim.Time
-	// Latency is the contention-free component of the transfer.
-	Latency sim.Time
-	// Wait is the contention-induced component (resource waiting,
-	// port-gap stalls, or bandwidth-sharing stretch).
-	Wait sim.Time
 }
 
 // NetStats summarizes a backend's cumulative traffic and model cost.
@@ -58,55 +53,64 @@ type NetStats struct {
 	ModelEvents uint64
 }
 
+// chain returns an observer that calls prev, when there is one, then fn.
+func chain(prev, fn network.Observer) network.Observer {
+	if prev == nil {
+		return fn
+	}
+	return func(now sim.Time, x network.Xmit, src, dst, bytes int, links []int) {
+		prev(now, x, src, dst, bytes, links)
+		fn(now, x, src, dst, bytes, links)
+	}
+}
+
 // fabricNet adapts the detailed fabric to the Network interface.
 type fabricNet struct{ fab *network.Fabric }
 
-func (a fabricNet) P() int               { return a.fab.Topology().P() }
-func (a fabricNet) Reset()               { a.fab.Reset() }
-func (a fabricNet) Settle(upTo sim.Time) {}
+func (a fabricNet) P() int                      { return a.fab.Topology().P() }
+func (a fabricNet) Links() int                  { return a.fab.Topology().NumLinks() }
+func (a fabricNet) Reset()                      { a.fab.Reset() }
+func (a fabricNet) Settle(upTo sim.Time)        {}
+func (a fabricNet) Observe(fn network.Observer) { a.fab.Observer = chain(a.fab.Observer, fn) }
 
-func (a fabricNet) Xfer(now sim.Time, src, dst, bytes int) NetDelivery {
-	x := a.fab.Reserve(now, src, dst, bytes)
-	return NetDelivery{At: x.End, Latency: x.Latency, Wait: x.Wait}
+func (a fabricNet) Xfer(now sim.Time, src, dst, bytes int) network.Xmit {
+	return a.fab.Reserve(now, src, dst, bytes)
 }
 
 func (a fabricNet) Stats() NetStats {
 	return NetStats{Messages: a.fab.Messages, Bytes: a.fab.Bytes, ModelEvents: a.fab.HopEvents}
 }
 
-// logpNet adapts the LogP abstraction to the Network interface.  The
-// LogP model prices every message at L regardless of size, so bytes is
-// accounted but does not affect timing.
-type logpNet struct {
-	net   *logp.Net
-	bytes uint64
+// logpNet adapts the LogP abstraction to the Network interface.
+type logpNet struct{ net *logp.Net }
+
+func (a logpNet) P() int                      { return a.net.P() }
+func (a logpNet) Links() int                  { return 0 }
+func (a logpNet) Reset()                      { a.net.Reset() }
+func (a logpNet) Settle(upTo sim.Time)        {}
+func (a logpNet) Observe(fn network.Observer) { a.net.Observer = chain(a.net.Observer, fn) }
+
+func (a logpNet) Xfer(now sim.Time, src, dst, bytes int) network.Xmit {
+	return a.net.Xfer(now, src, dst, bytes)
 }
 
-func (a *logpNet) P() int               { return a.net.P() }
-func (a *logpNet) Reset()               { a.net.Reset(); a.bytes = 0 }
-func (a *logpNet) Settle(upTo sim.Time) {}
-
-func (a *logpNet) Xfer(now sim.Time, src, dst, bytes int) NetDelivery {
-	at, wait := a.net.Deliver(now, src, dst)
-	a.bytes += uint64(bytes)
-	return NetDelivery{At: at, Latency: a.net.L, Wait: wait}
-}
-
-func (a *logpNet) Stats() NetStats {
+func (a logpNet) Stats() NetStats {
 	// Two port gatings (send and receive) per message.
-	return NetStats{Messages: a.net.Messages, Bytes: a.bytes, ModelEvents: 2 * a.net.Messages}
+	return NetStats{Messages: a.net.Messages, Bytes: a.net.Bytes, ModelEvents: 2 * a.net.Messages}
 }
 
 // flowNet adapts the flow tier to the Network interface.
 type flowNet struct{ net *flow.Net }
 
-func (a flowNet) P() int               { return a.net.P() }
-func (a flowNet) Reset()               { a.net.Reset() }
-func (a flowNet) Settle(upTo sim.Time) { a.net.Settle(upTo) }
+func (a flowNet) P() int                      { return a.net.P() }
+func (a flowNet) Links() int                  { return a.net.LinkSpace() }
+func (a flowNet) Reset()                      { a.net.Reset() }
+func (a flowNet) Settle(upTo sim.Time)        { a.net.Settle(upTo) }
+func (a flowNet) Observe(fn network.Observer) { a.net.Observer = chain(a.net.Observer, fn) }
 
-func (a flowNet) Xfer(now sim.Time, src, dst, bytes int) NetDelivery {
+func (a flowNet) Xfer(now sim.Time, src, dst, bytes int) network.Xmit {
 	x := a.net.Transfer(now, src, dst, bytes)
-	return NetDelivery{At: x.End, Latency: x.Latency, Wait: x.Wait}
+	return network.Xmit{Start: x.Start, End: x.End, Latency: x.Latency, Wait: x.Wait}
 }
 
 func (a flowNet) Stats() NetStats {
@@ -118,46 +122,4 @@ func (a flowNet) Stats() NetStats {
 // one (Ideal) do not implement it.
 type Backend interface {
 	Network() Network
-}
-
-// NetworkTier is one registered network backend, constructible on its
-// own for conformance checks and tooling.
-type NetworkTier struct {
-	// Name identifies the tier: "detailed", "logp" or "flow".
-	Name string
-	// New builds the tier over the named topology with the paper's
-	// default parameters.
-	New func(topoName string, p int) (Network, error)
-}
-
-// NetworkTiers lists every registered network backend in increasing
-// level of detail: the flow tier, the LogP abstraction, the detailed
-// fabric.  The conformance suite runs all of them through the same
-// invariant checks.
-func NetworkTiers() []NetworkTier {
-	return []NetworkTier{
-		{Name: "flow", New: func(topoName string, p int) (Network, error) {
-			t, err := network.New(topoName, p)
-			if err != nil {
-				return nil, err
-			}
-			return flowNet{net: flow.New(t)}, nil
-		}},
-		{Name: "logp", New: func(topoName string, p int) (Network, error) {
-			t, err := network.New(topoName, p)
-			if err != nil {
-				return nil, err
-			}
-			d := Config{}.withDefaults()
-			g := logp.GapFor(t, coherence.DefaultCosts().DataBytes, d.LinkByteTime)
-			return &logpNet{net: logp.New(p, d.L, g, logp.Combined)}, nil
-		}},
-		{Name: "detailed", New: func(topoName string, p int) (Network, error) {
-			t, err := network.New(topoName, p)
-			if err != nil {
-				return nil, err
-			}
-			return fabricNet{fab: network.NewFabric(t)}, nil
-		}},
-	}
 }

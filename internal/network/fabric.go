@@ -41,11 +41,9 @@ type Fabric struct {
 	// lookups.  Entries are 0 for healthy links, >= 1 for degraded ones.
 	slow []int32
 
-	// Observer, when non-nil, is invoked from Reserve for every message
-	// the fabric carries: the requested departure time, the resulting
-	// schedule, the endpoints and size, and the links of the route.
-	// The route slice is only valid for the duration of the call.
-	Observer func(now sim.Time, x Xmit, src, dst, bytes int, route []int)
+	// Observer, when non-nil, is shown every message the fabric carries,
+	// with the links of its route.
+	Observer Observer
 
 	// Messages and Bytes count all traffic carried by the fabric.
 	Messages uint64
@@ -118,16 +116,29 @@ func (f *Fabric) Degrade(link, factor int) {
 	f.slow[link] = int32(factor)
 }
 
-// Xmit is the result of reserving the fabric for one message.
+// Xmit is one message's schedule on a network: the fabric's, and the
+// one every tier reports through its Observer.
 type Xmit struct {
-	Start sim.Time // when the circuit was established
+	// Start is when the network took the message: the circuit's
+	// establishment on the fabric, the send port's admission on LogP,
+	// the requested departure on the flow tier.
+	Start sim.Time
 	End   sim.Time // when the last byte arrived
-	// Latency is the contention-free transmission time (End - Start).
+	// Latency is the contention-free component (on the fabric, End -
+	// Start).
 	Latency sim.Time
-	// Wait is the time the message waited for resources (Start - the
-	// requested departure time); it is charged to contention.
+	// Wait is the contention-induced component (resource waiting,
+	// port-gap stalls, or bandwidth-sharing stretch); it is charged to
+	// contention.
 	Wait sim.Time
 }
+
+// Observer is shown every message a network carries: the requested
+// departure time, the resulting schedule, the endpoints and size, and
+// the resources it is charged to — the route's links on the fabric,
+// the bottleneck on the flow tier, none on LogP.  links is only valid
+// for the duration of the call.
+type Observer func(now sim.Time, x Xmit, src, dst, bytes int, links []int)
 
 // Reserve books the circuit for a message of the given size from src to
 // dst, departing no earlier than now.  It updates resource availability

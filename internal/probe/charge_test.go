@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spasm/internal/app"
-	"spasm/internal/flow"
 	"spasm/internal/network"
 	"spasm/internal/sim"
 	"spasm/internal/stats"
@@ -48,15 +47,16 @@ func TestChargeMatchesReference(t *testing.T) {
 				end += sim.Time(rng.Intn(int(DefaultEpoch) * 4 * maxEpochs))
 			}
 			if rng.Intn(3) == 0 {
-				x := flow.Xmit{Start: start, End: end, Wait: end - start, Bottleneck: rng.Intn(numLinks)}
-				pr.flowXmit(now, x, 0, 1, 8)
-				ref.flowXmit(now, x, 0, 1, 8)
+				x := network.Xmit{Start: start, End: end, Wait: end - start}
+				bottleneck := []int{rng.Intn(numLinks)}
+				pr.xmit(now, x, 0, 1, 8, bottleneck)
+				ref.xmit(now, x, 0, 1, 8, bottleneck)
 				continue
 			}
 			route := rng.Perm(numLinks)[:1+rng.Intn(min(4, numLinks))]
 			x := network.Xmit{Start: start, End: end, Wait: start - now}
-			pr.fabricXmit(now, x, 0, 1, 32, route)
-			ref.fabricXmit(now, x, 0, 1, 32, route)
+			pr.xmit(now, x, 0, 1, 32, route)
+			ref.xmit(now, x, 0, 1, 32, route)
 			run.Total = max(run.Total, end, now)
 		}
 		res := &app.Result{Program: "synthetic"}

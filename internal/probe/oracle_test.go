@@ -10,10 +10,7 @@ import (
 	"spasm"
 	"spasm/internal/app"
 	"spasm/internal/apps"
-	"spasm/internal/flow"
-	"spasm/internal/logp"
 	"spasm/internal/machine"
-	"spasm/internal/network"
 	"spasm/internal/probe"
 	"spasm/internal/sim"
 	"spasm/internal/stats"
@@ -60,46 +57,15 @@ func oracleSpecs() []spasm.Spec {
 }
 
 // tee attaches several instruments to one run: each hooks the engine
-// clock in turn (the hooks chain), and the network observer each sets is
-// gathered into one that calls them all in attach order.  The observers
-// only read the run, so every instrument sees what it would see alone.
-// None of them keeps state with a context: one slot cannot hold the
-// tables of several profilers at once.
+// clock and observes the network in turn (both chain, in attach order).
+// The hooks only read the run, so every instrument sees what it would
+// see alone.  None of them keeps state with a context: one slot cannot
+// hold the tables of several profilers at once.
 type tee []app.Instrument
 
 func (t tee) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, _ *any) {
-	var fabs []func(sim.Time, network.Xmit, int, int, int, []int)
-	var flows []func(sim.Time, flow.Xmit, int, int, int)
-	var nets []func(sim.Time, logp.Xmit, int, int)
 	for _, in := range t {
 		in.Attach(cfg, eng, run, m, new(any))
-		if nm, ok := m.(machine.Networked); ok && nm.Fabric() != nil && nm.Fabric().Observer != nil {
-			fabs = append(fabs, nm.Fabric().Observer)
-		} else if fm, ok := m.(machine.Flowed); ok && fm.FlowNet() != nil && fm.FlowNet().Observer != nil {
-			flows = append(flows, fm.FlowNet().Observer)
-		} else if am, ok := m.(machine.Abstracted); ok && am.Net() != nil && am.Net().Observer != nil {
-			nets = append(nets, am.Net().Observer)
-		}
-	}
-	switch {
-	case len(fabs) > 0:
-		m.(machine.Networked).Fabric().Observer = func(now sim.Time, x network.Xmit, src, dst, bytes int, route []int) {
-			for _, f := range fabs {
-				f(now, x, src, dst, bytes, route)
-			}
-		}
-	case len(flows) > 0:
-		m.(machine.Flowed).FlowNet().Observer = func(now sim.Time, x flow.Xmit, src, dst, bytes int) {
-			for _, f := range flows {
-				f(now, x, src, dst, bytes)
-			}
-		}
-	case len(nets) > 0:
-		m.(machine.Abstracted).Net().Observer = func(now sim.Time, x logp.Xmit, src, dst int) {
-			for _, f := range nets {
-				f(now, x, src, dst)
-			}
-		}
 	}
 }
 

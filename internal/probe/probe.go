@@ -40,8 +40,6 @@ import (
 	"slices"
 
 	"spasm/internal/app"
-	"spasm/internal/flow"
-	"spasm/internal/logp"
 	"spasm/internal/machine"
 	"spasm/internal/network"
 	"spasm/internal/sim"
@@ -141,10 +139,10 @@ func (a *ProcSample) scale(frac float64) ProcSample {
 	return c
 }
 
-// LinkSample is one directed link's activity within one epoch (target
-// machine only).
+// LinkSample is one link's activity within one epoch: a directed link of
+// the target fabric, or a resource of the flow tier.
 type LinkSample struct {
-	// Link is the directed link id in the topology's id space.
+	// Link is the link id in the network's id space.
 	Link int
 	// Busy is the time the link spent occupied by circuits within the
 	// epoch; Busy/EpochLen is the link's utilization.
@@ -165,7 +163,8 @@ type Epoch struct {
 	// Procs has one sample per processor.
 	Procs []ProcSample
 	// Links holds the samples of links with any activity this epoch,
-	// sorted by link id.  Empty on machines without a detailed fabric.
+	// sorted by link id.  Empty on machines whose network charges no
+	// links (LogP, CLogP).
 	Links []LinkSample
 	// Hist is the log₂ histogram of end-to-end message delays
 	// (contention-free latency plus waiting) of messages departing in
@@ -179,8 +178,8 @@ type Profile struct {
 	App      string
 	Machine  string
 	Topology string
-	// P is the number of processors; NumLinks the size of the detailed
-	// fabric's directed-link id space (0 without one).
+	// P is the number of processors; NumLinks the size of the network's
+	// link id space (machine.Network.Links; 0 without a network).
 	P        int
 	NumLinks int
 	// EpochLen is the final epoch length; epoch i covers simulated
@@ -215,9 +214,9 @@ func (p *Profile) Peak(b stats.Bucket) (epoch int, total sim.Time) {
 	return epoch, total
 }
 
-// Utilization returns the mean utilization of the detailed fabric's
-// links during epoch i, and the single busiest link's utilization.
-// Both are 0 on machines without a detailed network (or, in a profile
+// Utilization returns the mean utilization of the network's links
+// during epoch i, and the single busiest link's utilization.  Both are
+// 0 on machines whose network charges no links (or, in a profile
 // no probe wrote, with no epoch length).
 func (p *Profile) Utilization(i int) (mean, max float64) {
 	if p.NumLinks == 0 || p.EpochLen == 0 {
@@ -379,9 +378,9 @@ func New(cfg Config) *Profiler {
 }
 
 // Attach implements app.Instrument: it hooks the engine clock and, when
-// the machine has one, the detailed fabric or the abstract network.  It
-// takes its tables from keep when a run on the context left them there,
-// and leaves them there for the next.
+// the machine has one, observes its network.  It takes its tables from
+// keep when a run on the context left them there, and leaves them there
+// for the next.
 func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, keep *any) {
 	pr.run = run
 	pr.eng = eng
@@ -397,16 +396,10 @@ func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, 
 		pr.tick(now)
 	}
 
-	if nm, ok := m.(machine.Networked); ok && nm.Fabric() != nil {
-		fab := nm.Fabric()
-		pr.numLinks = fab.Topology().NumLinks()
-		fab.Observer = pr.fabricXmit
-	} else if fm, ok := m.(machine.Flowed); ok && fm.FlowNet() != nil {
-		fn := fm.FlowNet()
-		pr.numLinks = fn.LinkSpace()
-		fn.Observer = pr.flowXmit
-	} else if am, ok := m.(machine.Abstracted); ok && am.Net() != nil {
-		am.Net().Observer = pr.netXmit
+	if b, ok := m.(machine.Backend); ok {
+		net := b.Network()
+		pr.numLinks = net.Links()
+		net.Observe(pr.xmit)
 	}
 
 	a, _ := (*keep).(*acc)
@@ -751,31 +744,19 @@ func (pr *Profiler) charge(route []int, dep int, bytes int, wait, start, end sim
 	}
 }
 
-// fabricXmit is the detailed fabric's observer: it attributes the
-// message's delay to the departure epoch's histogram and spreads the
-// circuit's occupancy over the epochs it spans, per link.
-func (pr *Profiler) fabricXmit(now sim.Time, x network.Xmit, src, dst, bytes int, route []int) {
-	dep := pr.epochAt(now)
-	pr.epochs[dep].hist[histBucket(x.End-now)]++
-	pr.charge(route, dep, bytes, x.Wait, x.Start, x.End)
-}
-
-// flowXmit is the flow tier's observer: it attributes the flow's delay
-// to the admission epoch's histogram and charges the flow's occupancy
-// and waiting to its bottleneck resource.  The resource id space is the
-// flow net's LinkSpace (directed links, then injection ports, then
-// ejection ports), so per-link telemetry shows *which* resource the
+// xmit is the network's observer: it attributes the message's delay to
+// the departure epoch's histogram and, when the message is charged to
+// links, spreads its occupancy over the epochs it spans, per link.  On
+// the flow tier the one link is the flow's bottleneck resource, in the
+// flow net's resource id space (directed links, then injection ports,
+// then ejection ports), so per-link telemetry shows *which* resource the
 // sharing happened on, through the unchanged encode format.
-func (pr *Profiler) flowXmit(now sim.Time, x flow.Xmit, src, dst, bytes int) {
+func (pr *Profiler) xmit(now sim.Time, x network.Xmit, src, dst, bytes int, links []int) {
 	dep := pr.epochAt(now)
 	pr.epochs[dep].hist[histBucket(x.End-now)]++
-	route := [1]int{x.Bottleneck}
-	pr.charge(route[:], dep, bytes, x.Wait, x.Start, x.End)
-}
-
-// netXmit is the abstract network's observer: delays only, no links.
-func (pr *Profiler) netXmit(now sim.Time, x logp.Xmit, src, dst int) {
-	pr.epochs[pr.epochAt(now)].hist[histBucket(x.Deliver-now)]++
+	if len(links) > 0 {
+		pr.charge(links, dep, bytes, x.Wait, x.Start, x.End)
+	}
 }
 
 // Finish implements app.Instrument: it closes the final partial epoch,

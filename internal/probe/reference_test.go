@@ -13,8 +13,6 @@ import (
 	"slices"
 
 	"spasm/internal/app"
-	"spasm/internal/flow"
-	"spasm/internal/logp"
 	"spasm/internal/machine"
 	"spasm/internal/network"
 	"spasm/internal/sim"
@@ -187,7 +185,7 @@ func (pr *refProfiler) linkAt(e *refEpoch, id int) *LinkSample {
 }
 
 // Attach implements app.Instrument: it hooks the engine clock and, when
-// the machine has one, the detailed fabric or the abstract network.
+// the machine has one, observes its network.
 func (pr *refProfiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, _ *any) {
 	pr.run = run
 	pr.eng = eng
@@ -204,16 +202,10 @@ func (pr *refProfiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Ru
 		pr.tick(now)
 	}
 
-	if nm, ok := m.(machine.Networked); ok && nm.Fabric() != nil {
-		fab := nm.Fabric()
-		pr.numLinks = fab.Topology().NumLinks()
-		fab.Observer = pr.fabricXmit
-	} else if fm, ok := m.(machine.Flowed); ok && fm.FlowNet() != nil {
-		fn := fm.FlowNet()
-		pr.numLinks = fn.LinkSpace()
-		fn.Observer = pr.flowXmit
-	} else if am, ok := m.(machine.Abstracted); ok && am.Net() != nil {
-		am.Net().Observer = pr.netXmit
+	if b, ok := m.(machine.Backend); ok {
+		net := b.Network()
+		pr.numLinks = net.Links()
+		net.Observe(pr.xmit)
 	}
 }
 
@@ -362,20 +354,23 @@ func (pr *refProfiler) rescale() {
 	pr.emitted /= 2
 }
 
-// fabricXmit is the detailed fabric's observer: it attributes the
-// message's delay to the departure epoch's histogram and spreads the
-// circuit's occupancy over the epochs it spans, per link.
-func (pr *refProfiler) fabricXmit(now sim.Time, x network.Xmit, src, dst, bytes int, route []int) {
+// xmit is the network's observer: it attributes the message's delay to
+// the departure epoch's histogram and, when the message is charged to
+// links, spreads its occupancy over the epochs it spans, per link.
+func (pr *refProfiler) xmit(now sim.Time, x network.Xmit, src, dst, bytes int, links []int) {
 	dep := pr.epochAt(now)
 	dep.hist[histBucket(x.End-now)]++
+	if len(links) == 0 {
+		return
+	}
 	// Message counters and waiting charge to the departure epoch.
-	for _, id := range route {
+	for _, id := range links {
 		l := pr.linkAt(dep, id)
 		l.Messages++
 		l.Bytes += uint64(bytes)
 		l.Wait += x.Wait
 	}
-	pr.addSpan(route, x.Start, x.End)
+	pr.addSpan(links, x.Start, x.End)
 }
 
 // addSpan spreads a circuit's [start, end) occupancy across the epochs
@@ -394,28 +389,6 @@ func (pr *refProfiler) addSpan(route []int, start, end sim.Time) {
 		}
 		t = edge
 	}
-}
-
-// flowXmit is the flow tier's observer: it attributes the flow's delay
-// to the admission epoch's histogram and charges the flow's occupancy
-// and waiting to its bottleneck resource.  The resource id space is the
-// flow net's LinkSpace (directed links, then injection ports, then
-// ejection ports), so per-link telemetry shows *which* resource the
-// sharing happened on, through the unchanged encode format.
-func (pr *refProfiler) flowXmit(now sim.Time, x flow.Xmit, src, dst, bytes int) {
-	dep := pr.epochAt(now)
-	dep.hist[histBucket(x.End-now)]++
-	l := pr.linkAt(dep, x.Bottleneck)
-	l.Messages++
-	l.Bytes += uint64(bytes)
-	l.Wait += x.Wait
-	route := [1]int{x.Bottleneck}
-	pr.addSpan(route[:], x.Start, x.End)
-}
-
-// netXmit is the abstract network's observer: delays only, no links.
-func (pr *refProfiler) netXmit(now sim.Time, x logp.Xmit, src, dst int) {
-	pr.epochAt(now).hist[histBucket(x.Deliver-now)]++
 }
 
 // Finish implements app.Instrument: it closes the final partial epoch

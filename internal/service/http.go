@@ -269,7 +269,7 @@ func (s *Server) sweepOptions(r *http.Request) (exp.Options, error) {
 	}
 	if v := q.Get("machines"); v != "" {
 		var kinds []machine.Kind
-		for _, name := range splitComma(v) {
+		for _, name := range strings.FieldsFunc(v, func(r rune) bool { return r == ',' }) {
 			k, err := spasm.ParseKind(name)
 			if err != nil {
 				return opt, err
@@ -279,20 +279,6 @@ func (s *Server) sweepOptions(r *http.Request) (exp.Options, error) {
 		opt.Machines = kinds
 	}
 	return opt, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // figureResult regenerates a figure through the job queue: every

@@ -272,7 +272,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 	allowed := map[string]string{
 		"machine.Conformance":        "test oracle",
 		"machine.NetworkConformance": "test oracle",
-		"machine.NetworkTiers":       "test oracle",
 		"machine.CheckInvariants":    "test oracle",
 		"faults.Set":                 "test-injection hook",
 		"faults.Reset":               "test-injection hook",
