@@ -84,7 +84,7 @@ func TestDocBudget(t *testing.T) {
 		"README.md":         14,
 		"DESIGN.md":         23,
 		"EXPERIMENTS.md":    15,
-		"docs/INTERNALS.md": 48,
+		"docs/INTERNALS.md": 47,
 		"docs/SERVICE.md":   22,
 	} {
 		fi, err := os.Stat(path)

@@ -58,16 +58,26 @@ func (c *Ctx) NewLock(name string, home int) *SpinLock {
 // charged to Sync.
 func (l *SpinLock) Lock(p *Proc) {
 	p.S.FlushLag() // materialize local time before competing for the lock
+	p.spinUntil(l.addr, func() bool { return !l.held }, &l.q)
+	// The set half of the test&set: claim the word, then pay the write
+	// that makes the claim globally visible.
+	l.held = true
+	l.owner = p.ID
+	p.Write(l.addr)
+	p.St.LockOps++
+}
+
+// spinUntil probes the word at addr until ready reports true: SpinRounds
+// spin rounds, then a park on q until the writer wakes it, and again.
+// Before parking it materializes local time and re-checks, so a write
+// during the flush is not missed; the parked time is charged to Sync.
+// It returns right after the probe that saw ready, so the caller acts on
+// what it saw before any other process runs.
+func (p *Proc) spinUntil(addr mem.Addr, ready func() bool, q *sim.Queue) {
 	spins := 0
 	for {
-		p.Read(l.addr) // test
-		if !l.held {
-			// The set half of the test&set: claim the word, then pay the
-			// write that makes the claim globally visible.
-			l.held = true
-			l.owner = p.ID
-			p.Write(l.addr)
-			p.St.LockOps++
+		p.Read(addr)
+		if ready() {
 			return
 		}
 		if spins < SpinRounds {
@@ -75,13 +85,10 @@ func (l *SpinLock) Lock(p *Proc) {
 			p.spin(SpinCost)
 			continue
 		}
-		// Park until the holder's release.  Materialize local time
-		// first and re-check: a release during the flush must not be
-		// missed.
 		p.S.FlushLag()
-		if l.held {
+		if !ready() {
 			t0 := p.Now()
-			l.q.Wait(p.S)
+			q.Wait(p.S)
 			p.St.Add(stats.Sync, p.Now()-t0)
 		}
 		spins = 0
@@ -122,26 +129,7 @@ func (c *Ctx) NewFlag(name string, home int) *Flag {
 // references on the cached machines.
 func (f *Flag) Wait(p *Proc) {
 	p.S.FlushLag() // materialize local time before sampling the flag
-	spins := 0
-	for {
-		p.Read(f.addr)
-		if f.set {
-			return
-		}
-		if spins < SpinRounds {
-			spins++
-			p.spin(SpinCost)
-			continue
-		}
-		// Flush-then-recheck so a Set during the flush is not missed.
-		p.S.FlushLag()
-		if !f.set {
-			t0 := p.Now()
-			f.q.Wait(p.S)
-			p.St.Add(stats.Sync, p.Now()-t0)
-		}
-		spins = 0
-	}
+	p.spinUntil(f.addr, func() bool { return f.set }, &f.q)
 }
 
 // Set raises the flag with an invalidating write and wakes waiters.
@@ -201,26 +189,6 @@ func (b *Barrier) Arrive(p *Proc) {
 		p.St.BarrierOps++
 		return
 	}
-	spins := 0
-	for {
-		p.Read(b.flagAddr)
-		if b.sense == my {
-			break
-		}
-		if spins < SpinRounds {
-			spins++
-			p.spin(SpinCost)
-			continue
-		}
-		// Flush-then-recheck so a release during the flush is not
-		// missed.
-		p.S.FlushLag()
-		if b.sense != my {
-			t0 := p.Now()
-			b.q.Wait(p.S)
-			p.St.Add(stats.Sync, p.Now()-t0)
-		}
-		spins = 0
-	}
+	p.spinUntil(b.flagAddr, func() bool { return b.sense == my }, &b.q)
 	p.St.BarrierOps++
 }

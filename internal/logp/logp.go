@@ -82,17 +82,10 @@ type Net struct {
 	// mode has one port a node, so there recv is the same array as send
 	// and every event gaps against the node's last of either class;
 	// allocating only what the mode gates keeps the per-node footprint flat
-	// at large P (one port array at 1024 nodes instead of three).
-	//
-	// Slots are initialized lazily: a node's ports are valid only while
-	// stamp[node] == gen.  gate re-stamps a node to -g on first touch
-	// after a Reset, which makes Reset O(1) instead of O(p) — at large P
-	// a pooled net is reset far more often than most nodes communicate.
-	p     int
-	send  []sim.Time
-	recv  []sim.Time
-	stamp []uint32 // port-validity generation per node
-	gen   uint32   // current generation (never 0 while live)
+	// at large P (one port array at 1024 nodes instead of two).
+	p    int
+	send []sim.Time
+	recv []sim.Time
 
 	// Messages and Bytes count every message carried and its size;
 	// Crossing counts those that crossed the bisection (adaptive mode
@@ -114,24 +107,21 @@ func New(p int, l, g sim.Time, mode PortMode) *Net {
 	if l < 0 || g < 0 {
 		panic("logp: negative L or g")
 	}
-	n := &Net{L: l, G: g, p: p, gen: 1}
+	n := &Net{L: l, G: g, p: p}
 	n.send = make([]sim.Time, p)
 	n.recv = n.send
 	if mode == PerClass {
 		n.recv = make([]sim.Time, p)
 	}
-	// Zero never equals a live generation (gen starts at 1 and skips 0
-	// on wrap), so the zeroed stamps mark every node's ports
-	// uninitialized.
-	n.stamp = make([]uint32, p)
+	n.open()
 	return n
 }
 
 // Release drops the net's per-node arrays so a discarded net does not
 // pin them.  The traffic counters stay readable, but any further Message
-// or Reset panics.
+// panics: the ports are gone.
 func (n *Net) Release() {
-	n.send, n.recv, n.stamp = nil, nil, nil
+	n.send, n.recv = nil, nil
 }
 
 // P returns the number of nodes.
@@ -143,20 +133,8 @@ func (n *Net) P() int { return n.p }
 // is send's array) and the Crosses predicate are configuration — derived
 // from the machine and topology the pooled context is keyed by — and are
 // left alone.
-//
-// Reset is O(1): it bumps the port-validity generation, invalidating
-// every stamp at once; gate lazily re-initializes a node's slots on its
-// first event of the new run.  Only on uint32 wraparound (once per 2^32
-// resets) does it pay an O(p) stamp clear, to keep a stamp left over
-// from four billion runs ago from reading as current.
 func (n *Net) Reset() {
-	n.gen++
-	if n.gen == 0 {
-		for i := range n.stamp {
-			n.stamp[i] = 0
-		}
-		n.gen = 1
-	}
+	n.open()
 	n.Messages = 0
 	n.Bytes = 0
 	n.Crossing = 0
@@ -181,21 +159,18 @@ func (n *Net) effectiveG() sim.Time {
 // the port whose calendar is ports (n.send or n.recv), and records the
 // event.  Small enough to inline: a message is one call, Xfer.
 func (n *Net) gate(ports []sim.Time, node int, at, g sim.Time) sim.Time {
-	if n.stamp[node] != n.gen {
-		n.open(node)
-	}
-	ready := max(ports[node]+g, at)
-	ports[node] = ready
-	return ready
+	ports[node] = max(ports[node]+g, at)
+	return ports[node]
 }
 
-// open initializes the ports of a node whose stamp predates the current
-// generation to -g (the static G, as New stamped them), so its first event
-// may happen at time zero.
-func (n *Net) open(node int) {
-	n.stamp[node] = n.gen
-	n.send[node] = -n.G
-	n.recv[node] = -n.G
+// open sets every node's ports to -G, the static gap, so each node's
+// first event may happen at time zero.  In Combined mode recv is send,
+// and the copy moves nothing.
+func (n *Net) open() {
+	for i := range n.send {
+		n.send[i] = -n.G
+	}
+	copy(n.recv, n.send)
 }
 
 // Xmit describes one message on the abstract network.

@@ -132,6 +132,44 @@ func TestAbortSurvivesCleanupWakes(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
+// TestAbortDispatchesWokenProcessOnce: a process woken by a waker that
+// then panics in the same event has two events queued — the wake, and
+// the abort's unwind resumption that beginAbort schedules because the
+// process has not run since.  The older one is stale: the process is
+// dispatched once, on both queues, and the run reports the panic.
+func TestAbortDispatchesWokenProcessOnce(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		procs  int
+		events uint64
+	}{
+		{2, 4},             // the binary heap
+		{ladderProcs, 258}, // the ladder queue
+	} {
+		e := NewEngine()
+		var q Queue
+		e.Spawn("waiter", func(p *Proc) { q.Wait(p) })
+		e.Spawn("waker", func(p *Proc) {
+			p.Hold(1)
+			q.WakeAll()
+			panic(boom)
+		})
+		for i := 2; i < c.procs; i++ {
+			e.Spawn("pad", func(*Proc) {})
+		}
+		err := e.Run()
+		if !errors.Is(err, boom) {
+			t.Fatalf("%d procs: run error %v, want the waker's panic", c.procs, err)
+		}
+		if e.Events != c.events {
+			t.Errorf("%d procs: %d events, want %d: a stale event was dispatched", c.procs, e.Events, c.events)
+		}
+		if c.procs >= ladderProcs && e.q != &e.lad {
+			t.Errorf("%d procs: run did not select the ladder queue", c.procs)
+		}
+	}
+}
+
 // TestResetAfterInterrupt: an aborted engine resets to a clean state —
 // the stop flag does not leak into the next run.
 func TestResetAfterInterrupt(t *testing.T) {

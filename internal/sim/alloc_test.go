@@ -62,8 +62,8 @@ func TestEventDispatchAllocBudget(t *testing.T) {
 
 // scanRetained reports every backing slot — including slots beyond the
 // live length, up to capacity — of the engine's event structures that
-// still references a *Proc: the heap, the same-timestamp FIFO, the
-// ladder queue (bottom run, rung buckets, top).
+// still references a *Proc: the heap and the ladder queue (bottom run,
+// rung buckets, top).
 func scanRetained(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	check := func(where string, s []event) {
@@ -76,7 +76,6 @@ func scanRetained(t *testing.T, e *Engine, when string) {
 		}
 	}
 	check("heap", e.heap.s)
-	check("nowQ", e.nowQ)
 	check("ladder bottom", e.lad.bot)
 	check("ladder top", e.lad.top)
 	rungs := e.lad.rungs[:cap(e.lad.rungs)]
@@ -89,8 +88,8 @@ func scanRetained(t *testing.T, e *Engine, when string) {
 }
 
 // TestQueueRetainsNoProcsAfterRun guards the memory-pin fix: after Run
-// drains, none of the event structures' backing arrays — heap,
-// same-timestamp FIFO, or any part of the ladder queue — may still
+// drains, none of the event structures' backing arrays — the heap or
+// any part of the ladder queue — may still
 // reference a *Proc.  A retained reference would pin the process (and
 // transitively its closure and goroutine allocations) for the lifetime
 // of the engine — a real leak for long-lived services that keep engines

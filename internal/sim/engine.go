@@ -11,7 +11,6 @@ import (
 type event struct {
 	at  Time
 	seq uint64 // creation order; breaks timestamp ties deterministically
-	gen uint64 // p.gen at schedule time; a mismatch at pop marks it stale
 	p   *Proc
 }
 
@@ -94,17 +93,6 @@ type Engine struct {
 	heap eventHeap
 	lad  ladderQueue
 
-	// nowQ is the same-timestamp fast path: events scheduled at the
-	// current simulated time bypass the heap entirely and are dispatched
-	// FIFO, which is exactly their (at, seq) order — every event already
-	// in the heap with the same timestamp predates them in seq (it was
-	// pushed before the clock advanced here), and the heap can gain no
-	// new events at the current time while nowQ drains.  Wake storms
-	// (barrier releases, lock convoys) and process starts all hit this
-	// path.
-	nowQ    []event
-	nowHead int
-
 	nLive int // spawned but not yet terminated processes
 	procs []*Proc
 	// slabs backs the Procs of stackless processes (SpawnStep): one array
@@ -168,14 +156,13 @@ func NewEngine() *Engine {
 }
 
 // Reset returns the engine to its post-NewEngine state while keeping the
-// backing arrays of the event heap, the same-timestamp FIFO, the process
-// table and the slabs of stackless Procs, so a pooled engine re-runs
-// without reallocating them.  All retained slots are cleared so no *Proc
-// (and hence no coroutine stack, no Stepper) from the previous run stays
-// reachable; a slab's Procs are handed out again, so a *Proc of a
-// stackless process is dead once its engine is Reset.  The per-run hook
-// Tick is cleared too: it is configuration of one run, not of the
-// engine.
+// backing arrays of the event queues, the process table and the slabs of
+// stackless Procs, so a pooled engine re-runs without reallocating them.
+// All retained slots are cleared so no *Proc (and hence no coroutine
+// stack, no Stepper) from the previous run stays reachable; a slab's
+// Procs are handed out again, so a *Proc of a stackless process is dead
+// once its engine is Reset.  The per-run hook Tick is cleared too: it is
+// configuration of one run, not of the engine.
 //
 // Reset must not be called while Run is in flight.  A failed run
 // (deadlock, panic, Interrupt) unwinds every process
@@ -187,11 +174,6 @@ func (e *Engine) Reset() {
 	e.heap.reset()
 	e.lad.reset()
 	e.q = &e.heap
-	for i := range e.nowQ {
-		e.nowQ[i] = event{}
-	}
-	e.nowQ = e.nowQ[:0]
-	e.nowHead = 0
 	for i := range e.procs {
 		e.procs[i] = nil
 	}
@@ -239,11 +221,12 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // dispatch, two per resume; a run of stackless processes makes none.
 func (e *Engine) Switches() uint64 { return e.switches }
 
-// schedule enqueues a resumption of p at time at (>= now).  Bumping
-// p.gen invalidates any earlier pending event for p at push time: a
-// stale wakeup is recognized by its generation mismatch when popped, so
-// the queue never needs scanning.  A parallel window schedules in span
-// instead, under its commit gate.
+// schedule enqueues a resumption of p at time at (>= now).  The new
+// event's seq becomes p.live, which makes any earlier pending event for
+// p stale at push time: advance recognizes it by the mismatch when it
+// pops, so the queue never needs scanning.  A push at now sorts after
+// every queued event at now, by seq.  A parallel window schedules in
+// span instead, under its commit gate.
 func (e *Engine) schedule(at Time, p *Proc) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", at, e.now))
@@ -252,37 +235,8 @@ func (e *Engine) schedule(at Time, p *Proc) {
 		p.sched = at
 	}
 	e.seq++
-	p.gen++
-	ev := event{at: at, seq: e.seq, gen: p.gen, p: p}
-	if at == e.now {
-		e.nowQ = append(e.nowQ, ev)
-	} else {
-		e.q.push(ev)
-	}
-}
-
-// next pops the next event in (at, seq) order, merging the queue with
-// the same-timestamp FIFO.  Queue entries at the current time always
-// predate nowQ entries (see the nowQ field comment), so they drain
-// first.
-func (e *Engine) next() (event, bool) {
-	if top := e.q.peek(); top != nil && top.at == e.now {
-		return e.q.pop(), true
-	}
-	if e.nowHead < len(e.nowQ) {
-		ev := e.nowQ[e.nowHead]
-		e.nowQ[e.nowHead] = event{} // no stale *Proc reference
-		e.nowHead++
-		if e.nowHead == len(e.nowQ) {
-			e.nowQ = e.nowQ[:0]
-			e.nowHead = 0
-		}
-		return ev, true
-	}
-	if e.q.len() > 0 {
-		return e.q.pop(), true
-	}
-	return event{}, false
+	p.live = e.seq
+	e.q.push(event{at: at, seq: e.seq, p: p})
 }
 
 // advance dispatches the next runnable event and records its owner in
@@ -299,8 +253,7 @@ func (e *Engine) advance(cur *Proc) bool {
 		e.beginAbort(&AbortError{At: e.now})
 	}
 	for {
-		ev, ok := e.next()
-		if !ok {
+		if e.q.len() == 0 {
 			if !e.aborting && e.nLive > 0 {
 				// Deadlock: record it, then unwind the blocked processes
 				// instead of abandoning their coroutines.
@@ -310,7 +263,8 @@ func (e *Engine) advance(cur *Proc) bool {
 			e.running = nil
 			return false
 		}
-		if ev.gen != ev.p.gen {
+		ev := e.q.pop()
+		if ev.seq != ev.p.live {
 			continue // stale wakeup, superseded at push time
 		}
 		if ev.at > e.now {
@@ -435,7 +389,7 @@ func (p *Proc) run(fn func(*Proc)) {
 
 // steps runs a stackless process from one of its events.  It makes the
 // engine calls a coroutine looping over HoldUntil would — schedule, then
-// advance — so seq, gen, Events and the dispatch order evolve identically,
+// advance — so seq, live, Events and the dispatch order evolve identically,
 // and like block it stays in place while the next event is p's own.  An
 // abort ends the process at its next event: there is nothing to unwind.
 func (p *Proc) steps() {
@@ -473,7 +427,7 @@ func (p *Proc) exit(r any) {
 		}
 	}
 	p.terminated = true
-	p.gen++ // any still-queued wakeup for p is now stale
+	p.live = 0 // any still-queued wakeup for p is now stale: no event has seq 0
 	e.nLive--
 	if e.failure != nil && !e.aborting {
 		// A panic fails the run, but the remaining processes are

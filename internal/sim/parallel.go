@@ -108,16 +108,6 @@ func (e *Engine) runParallel() {
 	g.turn.L = &g.mu
 	e.par = g
 	e.parRan = true
-	// Events scheduled before Run (process starts) sit in the sequential
-	// same-timestamp FIFO; a window schedules and releases through e.q
-	// only, so move them there.  Queue order on equal timestamps is seq
-	// order — the FIFO order — so dispatch order is unchanged.
-	for i := e.nowHead; i < len(e.nowQ); i++ {
-		e.q.push(e.nowQ[i])
-		e.nowQ[i] = event{}
-	}
-	e.nowQ = e.nowQ[:0]
-	e.nowHead = 0
 	g.mu.Lock()
 	e.parReleaseLocked()
 	g.mu.Unlock()
@@ -173,13 +163,13 @@ func (e *Engine) span(p *Proc) {
 	}
 	if done || g.stopping {
 		p.terminated = true
-		p.gen++ // any still-queued wakeup for p is now stale
+		p.live = 0 // any still-queued wakeup for p is now stale
 		e.nLive--
 	} else {
 		p.sched = max(wake, p.Now()) // never before the span: no past to check
 		e.seq++
-		p.gen++
-		e.q.push(event{at: p.sched, seq: e.seq, gen: p.gen, p: p})
+		p.live = e.seq
+		e.q.push(event{at: p.sched, seq: e.seq, p: p})
 	}
 	p.lag = 0
 	e.retireLocked()

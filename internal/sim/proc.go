@@ -24,7 +24,7 @@ type Proc struct {
 	// step is the body of a stackless process (SpawnStep): Run's loop
 	// steps it in place.  nil for a coroutine.
 	step       Stepper
-	gen        uint64 // generation counter; events with an older gen are stale
+	live       uint64 // seq of the one live event; any other event for p is stale
 	lag        Time   // local clock advance not yet materialized
 	sched      Time   // latest scheduled resumption (see Horizon)
 	indexed    bool   // spawned by SpawnIndexed: the name is name + ID

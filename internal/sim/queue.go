@@ -86,9 +86,8 @@ func (h *eventHeap) reset() {
 // interval its timestamp belongs to, or (below every rung's consumption
 // point) is sorted into the bottom run directly; within a bucket, events
 // are ordered by a full (at, seq) sort when the bucket reaches the
-// bottom.  Same-timestamp events therefore pop in seq order — exactly
-// the FIFO order the engine's nowQ fast path produces — and the total
-// pop order equals the heap's.
+// bottom.  Same-timestamp events therefore pop in seq order — the order
+// they were scheduled in — and the total pop order equals the heap's.
 type ladderQueue struct {
 	n int // total pending events
 

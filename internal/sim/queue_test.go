@@ -16,9 +16,9 @@ func qhead(q eventQueue) (event, bool) {
 	return *ev, true
 }
 
-// differentialStream replays one randomized push/pop/invalidate stream
-// through the binary heap and the ladder queue and requires identical
-// behavior at every step: same pops (at, seq, gen, proc), same peeks,
+// differentialStream replays one randomized push/pop stream through the
+// binary heap and the ladder queue and requires identical behavior at
+// every step: same pops (at, seq, proc), same peeks,
 // same lengths.  The stream respects the kernel's invariants — pushes
 // never go behind the time of the last popped event, and seq is
 // globally monotone — which are exactly the conditions the ladder's
@@ -26,19 +26,16 @@ func qhead(q eventQueue) (event, bool) {
 func differentialStream(t *testing.T, rng *rand.Rand, h *eventHeap, l *ladderQueue, steps int) {
 	t.Helper()
 	var (
-		now  Time
-		seq  uint64
-		gens [16]uint64 // stand-in per-proc generation counters
+		now Time
+		seq uint64
 	)
-	procs := make([]*Proc, len(gens))
+	procs := make([]*Proc, 16)
 	for i := range procs {
 		procs[i] = &Proc{name: fmt.Sprintf("q%d", i)}
 	}
 	push := func(at Time) {
 		seq++
-		pi := rng.Intn(len(procs))
-		gens[pi]++
-		ev := event{at: at, seq: seq, gen: gens[pi], p: procs[pi]}
+		ev := event{at: at, seq: seq, p: procs[rng.Intn(len(procs))]}
 		h.push(ev)
 		l.push(ev)
 	}
@@ -48,7 +45,7 @@ func differentialStream(t *testing.T, rng *rand.Rand, h *eventHeap, l *ladderQue
 	delta := func() Time {
 		switch rng.Intn(10) {
 		case 0, 1, 2:
-			return 0 // same-timestamp FIFO
+			return 0 // a same-timestamp storm
 		case 3, 4, 5:
 			return Time(rng.Intn(8))
 		case 6, 7:
@@ -63,22 +60,18 @@ func differentialStream(t *testing.T, rng *rand.Rand, h *eventHeap, l *ladderQue
 		if h.len() != l.len() {
 			t.Fatalf("step %d: length diverged: heap %d, ladder %d", i, h.len(), l.len())
 		}
-		switch op := rng.Intn(10); {
-		case op < 5 || h.len() == 0: // push
+		if op := rng.Intn(9); op < 5 || h.len() == 0 {
 			push(now + delta())
-		case op < 9: // pop
+		} else {
 			a, b := h.pop(), l.pop()
 			if a != b {
-				t.Fatalf("step %d: pop diverged: heap (at=%v seq=%d gen=%d %s), ladder (at=%v seq=%d gen=%d %s)",
-					i, a.at, a.seq, a.gen, a.p.Name(), b.at, b.seq, b.gen, b.p.Name())
+				t.Fatalf("step %d: pop diverged: heap (at=%v seq=%d %s), ladder (at=%v seq=%d %s)",
+					i, a.at, a.seq, a.p.Name(), b.at, b.seq, b.p.Name())
 			}
 			if a.at < now {
 				t.Fatalf("step %d: pop went backwards: %v < %v", i, a.at, now)
 			}
 			now = a.at
-		default: // invalidate: a later push supersedes an earlier event
-			pi := rng.Intn(len(procs))
-			gens[pi]++ // queued events for pi are now stale; order must not change
 		}
 		if (i & 7) == 0 {
 			ah, aok := qhead(h)
@@ -149,7 +142,7 @@ func TestLadderOrderProperty(t *testing.T) {
 			for i := 0; i < 20000; i++ {
 				if pending == 0 || rng.Intn(3) > 0 {
 					seq++
-					l.push(event{at: shape.at(rng, i, now), seq: seq, gen: 1, p: p})
+					l.push(event{at: shape.at(rng, i, now), seq: seq, p: p})
 					pending++
 					continue
 				}

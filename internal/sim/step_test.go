@@ -228,10 +228,10 @@ func TestStepRunsSequentially(t *testing.T) {
 }
 
 // TestProcHotFieldsFitOneLine: what an event of a stackless process reads
-// and writes in its Proc — the engine, the body, the generation, the two
+// and writes in its Proc — the engine, the body, the live seq, the two
 // clocks, the flags — lies in the first 64 bytes, one host cache line's
-// worth, and the Procs of SpawnStep come out of the engine's slab next to
-// one another, not one object each.
+// worth; an event is 24 bytes; and the Procs of SpawnStep come out of the
+// engine's slab next to one another, not one object each.
 func TestProcHotFieldsFitOneLine(t *testing.T) {
 	var p Proc
 	for _, f := range []struct {
@@ -240,7 +240,7 @@ func TestProcHotFieldsFitOneLine(t *testing.T) {
 	}{
 		{"eng", unsafe.Offsetof(p.eng), unsafe.Sizeof(p.eng)},
 		{"step", unsafe.Offsetof(p.step), unsafe.Sizeof(p.step)},
-		{"gen", unsafe.Offsetof(p.gen), unsafe.Sizeof(p.gen)},
+		{"live", unsafe.Offsetof(p.live), unsafe.Sizeof(p.live)},
 		{"lag", unsafe.Offsetof(p.lag), unsafe.Sizeof(p.lag)},
 		{"sched", unsafe.Offsetof(p.sched), unsafe.Sizeof(p.sched)},
 		{"parked", unsafe.Offsetof(p.parked), unsafe.Sizeof(p.parked)},
@@ -250,6 +250,9 @@ func TestProcHotFieldsFitOneLine(t *testing.T) {
 		if f.off+f.size > 64 {
 			t.Errorf("Proc.%s ends at byte %d, past the first 64", f.name, f.off+f.size)
 		}
+	}
+	if size := unsafe.Sizeof(event{}); size != 24 {
+		t.Errorf("an event is %d bytes, want 24: at, seq and the *Proc", size)
 	}
 
 	e := NewEngine()
@@ -266,12 +269,13 @@ func TestProcHotFieldsFitOneLine(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// A pooled engine hands the same slots out again, zeroed.
+	// A pooled engine hands the same slots out again, zeroed, each live
+	// on the seq of its first event.
 	e.Reset()
 	if allocs := testing.AllocsPerRun(1, func() {
 		for i := range procs {
-			if p := e.SpawnStep("s", quit); p != procs[i] || p.gen != 1 || p.terminated {
-				t.Fatalf("after Reset, stackless Proc %d is %p (gen %d), was %p", i, p, p.gen, procs[i])
+			if p := e.SpawnStep("s", quit); p != procs[i] || p.live != e.seq || p.terminated {
+				t.Fatalf("after Reset, stackless Proc %d is %p (live %d, first event seq %d), was %p", i, p, p.live, e.seq, procs[i])
 			}
 		}
 		e.Reset()
