@@ -75,17 +75,17 @@ type Net struct {
 	// bisection, so the effective gap is scaled by the observed
 	// fraction of traffic that actually does.  The predicate reports
 	// whether a src->dst message crosses the bisection of the
-	// topology g was derived from.
+	// topology g was derived from.  A port holds the g in force when it
+	// booked: a later change of g does not stretch a booked gap.
 	Crosses func(src, dst int) bool
 
-	// Port state: when each node last sent and last received.  Combined
-	// mode has one port a node, so there recv is the same array as send
-	// and every event gaps against the node's last of either class;
-	// allocating only what the mode gates keeps the per-node footprint flat
-	// at large P (one port array at 1024 nodes instead of two).
-	p    int
-	send []sim.Time
-	recv []sim.Time
+	// ports books each node's port: a send books port src, a receive port
+	// dst + recvBase.  recvBase is 0 in Combined mode, where a node has
+	// one port and every event gaps against its last of either class,
+	// and P in PerClass mode, where receives have ports of their own.
+	p        int
+	recvBase int
+	ports    network.Calendar
 
 	// Messages and Bytes count every message carried and its size;
 	// Crossing counts those that crossed the bisection (adaptive mode
@@ -108,20 +108,18 @@ func New(p int, l, g sim.Time, mode PortMode) *Net {
 		panic("logp: negative L or g")
 	}
 	n := &Net{L: l, G: g, p: p}
-	n.send = make([]sim.Time, p)
-	n.recv = n.send
 	if mode == PerClass {
-		n.recv = make([]sim.Time, p)
+		n.recvBase = p
 	}
-	n.open()
+	n.ports = network.NewCalendar(p + n.recvBase)
 	return n
 }
 
-// Release drops the net's per-node arrays so a discarded net does not
-// pin them.  The traffic counters stay readable, but any further Message
+// Release drops the net's port calendar so a discarded net does not pin
+// it.  The traffic counters stay readable, but any further Message
 // panics: the ports are gone.
 func (n *Net) Release() {
-	n.send, n.recv = nil, nil
+	n.ports = network.Calendar{}
 }
 
 // P returns the number of nodes.
@@ -129,12 +127,11 @@ func (n *Net) P() int { return n.p }
 
 // Reset returns the net to its post-New state in place: every node's
 // ports again admit their first event at time zero, traffic counters are
-// zeroed, and the Observer is dropped.  L, G, the port mode (whether recv
-// is send's array) and the Crosses predicate are configuration — derived
-// from the machine and topology the pooled context is keyed by — and are
-// left alone.
+// zeroed, and the Observer is dropped.  L, G, the port mode (recvBase)
+// and the Crosses predicate are configuration — derived from the machine
+// and topology the pooled context is keyed by — and are left alone.
 func (n *Net) Reset() {
-	n.open()
+	n.ports.Reset()
 	n.Messages = 0
 	n.Bytes = 0
 	n.Crossing = 0
@@ -153,24 +150,6 @@ func (n *Net) effectiveG() sim.Time {
 		return n.G
 	}
 	return sim.Time(uint64(n.G) * n.Crossing / n.Messages)
-}
-
-// gate returns the earliest time >= at that node may perform an event on
-// the port whose calendar is ports (n.send or n.recv), and records the
-// event.  Small enough to inline: a message is one call, Xfer.
-func (n *Net) gate(ports []sim.Time, node int, at, g sim.Time) sim.Time {
-	ports[node] = max(ports[node]+g, at)
-	return ports[node]
-}
-
-// open sets every node's ports to -G, the static gap, so each node's
-// first event may happen at time zero.  In Combined mode recv is send,
-// and the copy moves nothing.
-func (n *Net) open() {
-	for i := range n.send {
-		n.send[i] = -n.G
-	}
-	copy(n.recv, n.send)
 }
 
 // Xmit describes one message on the abstract network.
@@ -210,9 +189,11 @@ func (n *Net) Xfer(now sim.Time, src, dst, bytes int) network.Xmit {
 	if src == dst {
 		panic(fmt.Sprintf("logp: message to self at node %d", src))
 	}
-	g := n.effectiveG()
-	sendAt := n.gate(n.send, src, now, g)
-	deliver := n.gate(n.recv, dst, sendAt+n.L, g)
+	g, rp := n.effectiveG(), dst+n.recvBase
+	sendAt := max(now, n.ports.Free(src))
+	n.ports.Hold(src, sendAt+g)
+	deliver := max(sendAt+n.L, n.ports.Free(rp))
+	n.ports.Hold(rp, deliver+g)
 	n.Messages++
 	n.Bytes += uint64(bytes)
 	if n.Crosses != nil && n.Crosses(src, dst) {

@@ -20,18 +20,11 @@ type Fabric struct {
 	// (defaults to sim.SerialByte, i.e. 20 MB/s).
 	ByteTime sim.Time
 
-	linkFree []sim.Time
-	injFree  []sim.Time
-	ejFree   []sim.Time
-
-	// touched records the links whose linkFree entry has been written
-	// since the last Reset, so Reset clears O(messages' footprint)
-	// instead of sweeping all NumLinks entries — on the fully connected
-	// topology that sweep is O(p²), which dominates pooled small runs at
-	// large p.  A link is recorded the first time it leaves the zero
-	// state; duplicates (possible only when a transmission ends at time
-	// zero) merely clear twice.
-	touched []int32
+	// res books the fabric's resources in the flow tier's order: links
+	// [0, NumLinks), then P injection ports from inj, then P ejection
+	// ports from ej.
+	res     Calendar
+	inj, ej int
 
 	// slow holds the per-link slowdown factor for degraded links (fault
 	// injection: a link that transmits N times slower than nominal).
@@ -60,12 +53,13 @@ type Fabric struct {
 // NewFabric returns a fabric over the given topology with the paper's
 // link parameters (20 MB/s serial links, zero switching delay).
 func NewFabric(t Topology) *Fabric {
+	links, p := t.NumLinks(), t.P()
 	return &Fabric{
 		topo:     t,
 		ByteTime: sim.SerialByte,
-		linkFree: make([]sim.Time, t.NumLinks()),
-		injFree:  make([]sim.Time, t.P()),
-		ejFree:   make([]sim.Time, t.P()),
+		res:      NewCalendar(links + 2*p),
+		inj:      links,
+		ej:       links + p,
 	}
 }
 
@@ -75,22 +69,13 @@ func (f *Fabric) Topology() Topology { return f.topo }
 // Reset returns the fabric to its post-NewFabric state in place: all
 // link, injection, and ejection ports free at time zero, traffic counters
 // zeroed, no Observer, and every link restored to nominal speed.  The
-// per-resource availability arrays — and the Degrade factor array, if one
-// was ever allocated — are cleared rather than reallocated, and the
-// topology (with its precomputed route tables) is reused as-is, since it
-// is immutable.  ByteTime is configuration of the pooled context and is
-// left alone.
+// calendar clears the resources the last run held, the Degrade factor
+// array (if one was ever allocated) is cleared rather than reallocated,
+// and the topology (with its precomputed route tables) is reused as-is,
+// since it is immutable.  ByteTime is configuration of the pooled context
+// and is left alone.
 func (f *Fabric) Reset() {
-	for _, l := range f.touched {
-		f.linkFree[l] = 0
-	}
-	f.touched = f.touched[:0]
-	for i := range f.injFree {
-		f.injFree[i] = 0
-	}
-	for i := range f.ejFree {
-		f.ejFree[i] = 0
-	}
+	f.res.Reset()
 	for i := range f.slow {
 		f.slow[i] = 0
 	}
@@ -104,14 +89,14 @@ func (f *Fabric) Reset() {
 // nominal (factor >= 1): fault injection for studying what per-link
 // detail the abstract network models cannot see.
 func (f *Fabric) Degrade(link, factor int) {
-	if link < 0 || link >= len(f.linkFree) {
+	if link < 0 || link >= f.inj {
 		panic(fmt.Sprintf("network: Degrade of link %d out of range", link))
 	}
 	if factor < 1 {
 		panic(fmt.Sprintf("network: Degrade factor %d < 1", factor))
 	}
 	if f.slow == nil {
-		f.slow = make([]int32, len(f.linkFree))
+		f.slow = make([]int32, f.inj)
 	}
 	f.slow[link] = int32(factor)
 }
@@ -161,26 +146,15 @@ func (f *Fabric) Reserve(now sim.Time, src, dst, bytes int) Xmit {
 		dur *= sim.Time(worst)
 	}
 
-	start := now
-	if t := f.injFree[src]; t > start {
-		start = t
-	}
-	if t := f.ejFree[dst]; t > start {
-		start = t
-	}
+	start := max(now, f.res.Free(f.inj+src), f.res.Free(f.ej+dst))
 	for _, l := range route {
-		if t := f.linkFree[l]; t > start {
-			start = t
-		}
+		start = max(start, f.res.Free(l))
 	}
 	end := start + dur
-	f.injFree[src] = end
-	f.ejFree[dst] = end
+	f.res.Hold(f.inj+src, end)
+	f.res.Hold(f.ej+dst, end)
 	for _, l := range route {
-		if f.linkFree[l] == 0 {
-			f.touched = append(f.touched, int32(l))
-		}
-		f.linkFree[l] = end
+		f.res.Hold(l, end)
 	}
 	f.Messages++
 	f.Bytes += uint64(bytes)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -154,5 +155,50 @@ func TestReserveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fabricTraffic drives seeded traffic, a quarter of it at one hot
+// destination, and returns every schedule.
+func fabricTraffic(f *Fabric, seed int64) []Xmit {
+	p := f.Topology().P()
+	rng := rand.New(rand.NewSource(seed))
+	var out []Xmit
+	now := sim.Time(0)
+	for i := 0; i < 300; i++ {
+		src := rng.Intn(p)
+		dst := (src + 1 + rng.Intn(p-1)) % p
+		if rng.Intn(4) == 0 && src != 0 {
+			dst = 0
+		}
+		out = append(out, f.Reserve(now, src, dst, 1+rng.Intn(32)))
+		now += sim.Time(rng.Intn(3)) * 200
+	}
+	return out
+}
+
+// TestFabricResetIdentity: a reset fabric must schedule exactly like a
+// fresh one, with no link, injection or ejection port of the previous run
+// still held, no link still degraded and every counter zeroed.
+func TestFabricResetIdentity(t *testing.T) {
+	for _, topo := range []Topology{NewMesh(16), NewFull(16)} {
+		for seed := int64(1); seed <= 5; seed++ {
+			want := fabricTraffic(NewFabric(topo), seed)
+			f := NewFabric(topo)
+			f.Observer = func(sim.Time, Xmit, int, int, int, []int) {}
+			fabricTraffic(f, seed+100)
+			f.Degrade(topo.Route(1, 0)[0], 3)
+			fabricTraffic(f, seed+200)
+			f.Reset()
+			if f.Messages != 0 || f.Bytes != 0 || f.HopEvents != 0 || f.Observer != nil {
+				t.Fatalf("%s seed %d: counters or Observer survived Reset", topo.Name(), seed)
+			}
+			got := fabricTraffic(f, seed)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d message %d: got %+v, want %+v", topo.Name(), seed, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

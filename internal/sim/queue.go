@@ -43,11 +43,6 @@ type eventQueue interface {
 	// pop removes and returns the earliest event in (at, seq) order.
 	// Call only when len() > 0.
 	pop() event
-	// peek returns the earliest event without removing it, or nil when
-	// the queue is empty.  The pointer is valid only until the next
-	// mutation (a peek may reorganize internal structure, but never
-	// changes contents).
-	peek() *event
 	len() int
 	// reset empties the queue in place, clearing every retained slot so
 	// no *Proc stays reachable, while keeping backing arrays for pooled
@@ -55,6 +50,8 @@ type eventQueue interface {
 	reset()
 }
 
+// peek returns the earliest event without removing it, or nil when the
+// heap is empty; only the parallel kernel's span heap reads it.
 func (h *eventHeap) peek() *event {
 	if len(h.s) == 0 {
 		return nil
@@ -198,16 +195,6 @@ func (l *ladderQueue) pop() event {
 		l.botHead = 0
 	}
 	return ev
-}
-
-func (l *ladderQueue) peek() *event {
-	if l.n == 0 {
-		return nil
-	}
-	if l.botHead == len(l.bot) {
-		l.surface()
-	}
-	return &l.bot[l.botHead]
 }
 
 // surface refills the empty bottom run from the innermost rung (or, with
