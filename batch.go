@@ -31,17 +31,13 @@ func RunSpecOn(spec Spec, pool *RunPool) (*Result, error) {
 	return resultOf(Execute(spec, RunOptions{Pool: pool}))
 }
 
-// RunControl carries the failure-containment knobs of one run: a
-// wall-clock Timeout and/or a Cancel channel, either of which aborts
-// the run cooperatively (every simulated-process goroutine unwinds; no
-// leaks).  The zero value means "run to completion" and costs nothing.
+// RunControl carries the failure-containment knob of one run: a
+// wall-clock Timeout that aborts the run cooperatively (every
+// simulated-process goroutine unwinds; no leaks).  The zero value means
+// "run to completion" and costs nothing.
 type RunControl = app.RunControl
 
-// Failure-containment sentinels: match these with errors.Is to tell a
-// bounded run's abort reason apart from a genuine simulation failure.
-var (
-	// ErrRunTimeout marks a run aborted by RunControl.Timeout.
-	ErrRunTimeout = app.ErrRunTimeout
-	// ErrRunCanceled marks a run aborted by RunControl.Cancel.
-	ErrRunCanceled = app.ErrRunCanceled
-)
+// ErrRunTimeout marks a run aborted by RunControl.Timeout: match it with
+// errors.Is to tell a bounded run's abort apart from a genuine
+// simulation failure.
+var ErrRunTimeout = app.ErrRunTimeout

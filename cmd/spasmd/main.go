@@ -46,22 +46,16 @@ func main() {
 		queue       = flag.Int("queue", 1024, "pending-job queue depth")
 		drain       = flag.Duration("drain", 10*time.Minute, "graceful-shutdown drain timeout")
 		runTimeout  = flag.Duration("run-timeout", 0, "per-job wall-clock simulation deadline (0 = unbounded)")
-		negCache    = flag.Int("neg-cache", 64, "failed-result cache capacity, in runs")
-		negTTL      = flag.Duration("neg-ttl", 30*time.Second, "failed-result cache entry lifetime")
 		storeDir    = flag.String("store", "", "durable result-store directory (empty = memory-only)")
 		maxBody     = flag.Int64("max-body", 1<<20, "request-body size cap, in bytes")
 		tenantRuns  = flag.Int("tenant-runs", 0, "per-tenant outstanding-run quota (0 = unlimited)")
 		tenantBytes = flag.Int64("tenant-bytes", 0, "per-tenant queued-body-bytes quota (0 = unlimited)")
-		weightsFlag = flag.String("tenant-weights", "", "per-tenant fair-share weights, e.g. alice=4,bob=1")
 	)
 	flag.Parse()
 
-	weights, err := service.ParseTenantWeights(*weightsFlag)
-	if err != nil {
-		log.Fatalf("spasmd: -tenant-weights: %v", err)
-	}
 	var st *store.Store
 	if *storeDir != "" {
+		var err error
 		if st, err = store.Open(*storeDir); err != nil {
 			log.Fatalf("spasmd: -store: %v", err)
 		}
@@ -70,9 +64,8 @@ func main() {
 
 	svc := service.New(service.Config{
 		Workers: *workers, CacheSize: *cacheSize, QueueDepth: *queue,
-		RunTimeout: *runTimeout, NegativeCacheSize: *negCache, NegativeTTL: *negTTL,
-		Store: st, MaxBodyBytes: *maxBody,
-		TenantWeights: weights, TenantQuotaRuns: *tenantRuns, TenantQuotaBytes: *tenantBytes,
+		RunTimeout: *runTimeout, Store: st, MaxBodyBytes: *maxBody,
+		TenantQuotaRuns: *tenantRuns, TenantQuotaBytes: *tenantBytes,
 	})
 	hs := &http.Server{Addr: *addr, Handler: svc.Handler()}
 

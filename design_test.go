@@ -81,11 +81,11 @@ func TestDesignInventory(t *testing.T) {
 // neither has a budget here.
 func TestDocBudget(t *testing.T) {
 	for path, kb := range map[string]int64{
-		"README.md":         14,
+		"README.md":         13,
 		"DESIGN.md":         23,
 		"EXPERIMENTS.md":    15,
-		"docs/INTERNALS.md": 47,
-		"docs/SERVICE.md":   22,
+		"docs/INTERNALS.md": 46,
+		"docs/SERVICE.md":   21,
 	} {
 		fi, err := os.Stat(path)
 		if err != nil {

@@ -54,21 +54,6 @@ func TestRunControlledTimeout(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-func TestRunControlledCancel(t *testing.T) {
-	base := runtime.NumGoroutine()
-	cancel := make(chan struct{})
-	go func() {
-		time.Sleep(time.Millisecond)
-		close(cancel)
-	}()
-	cfg := machine.Config{Kind: machine.Ideal, P: 4}
-	_, err := Execute(spinnerProg(), cfg, Options{Control: RunControl{Cancel: cancel}})
-	if !errors.Is(err, ErrRunCanceled) {
-		t.Fatalf("want ErrRunCanceled, got %v", err)
-	}
-	settleGoroutines(t, base+1) // the canceler itself may still be exiting
-}
-
 func TestRunControlledZeroValueCompletes(t *testing.T) {
 	cfg := machine.Config{Kind: machine.Target, Topology: "full", P: 2}
 	prog := &testProg{name: "ok", setup: func(*Ctx) {}, body: func(p *Proc) { p.Compute(50) }}
@@ -78,9 +63,9 @@ func TestRunControlledZeroValueCompletes(t *testing.T) {
 	}
 }
 
-// TestRunControlledGenerousTimeoutCompletes pins the watchdog-join
+// TestRunControlledGenerousTimeoutCompletes pins the timer-join
 // handshake: a run that finishes before its (ample) deadline must
-// succeed, and the late-armed watchdog must not poison anything.
+// succeed, and the stopped timer must not poison anything.
 func TestRunControlledGenerousTimeoutCompletes(t *testing.T) {
 	cfg := machine.Config{Kind: machine.Ideal, P: 2}
 	prog := &testProg{name: "quick", setup: func(*Ctx) {}, body: func(p *Proc) { p.Compute(10) }}
@@ -118,7 +103,7 @@ func TestPooledDiscardOnAbort(t *testing.T) {
 
 // TestPooledExpiredDeadline: a deadline that has expired before the
 // event loop first polls its stop flag still aborts the run — the
-// watchdog goroutine may never get the P — with the timeout sentinel; the
+// timer's callback may never get the P — with the timeout sentinel; the
 // pooled context is discarded and the next run on the pool completes.
 func TestPooledExpiredDeadline(t *testing.T) {
 	pool := runpool.New(4)

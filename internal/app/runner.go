@@ -13,41 +13,30 @@ import (
 	"spasm/internal/stats"
 )
 
-// Failure-containment sentinels: how a controlled run reports that it
-// was stopped rather than finished.  Both wrap the engine's cooperative
-// abort, so by the time either is returned every simulated-process
-// goroutine has unwound — a stopped run leaks nothing.
-var (
-	// ErrRunTimeout marks a run aborted by RunControl.Timeout.
-	ErrRunTimeout = errors.New("run exceeded its wall-clock timeout")
-	// ErrRunCanceled marks a run aborted by RunControl.Cancel.
-	ErrRunCanceled = errors.New("run canceled")
-)
+// ErrRunTimeout marks a run aborted by RunControl.Timeout.  It wraps
+// the engine's cooperative abort, so by the time it is returned every
+// simulated-process goroutine has unwound: a stopped run leaks nothing.
+var ErrRunTimeout = errors.New("run exceeded its wall-clock timeout")
 
-// RunControl carries the failure-containment knobs of one run.  The
-// zero value means "run to completion" and costs nothing — the watchdog
-// goroutine only exists when a knob is set.
+// RunControl carries the failure-containment knob of one run.  The zero
+// value means "run to completion" and costs nothing: the timer only
+// exists when Timeout is set.
 //
-// Abort latency: a deadline already past, or a Cancel already closed,
-// when the event loop is about to start aborts the run before its first
-// event.  One that lands mid-run is noticed by the watchdog goroutine,
-// which needs a P: with an idle P that is immediate, but the event loop
-// never enters the Go scheduler, so at GOMAXPROCS 1 the watchdog runs at
-// the runtime's next forced preemption (every 10 ms of a goroutine's
-// running).  The engine then aborts at its next event and ends every
-// process, O(P) — a coroutine unwinds; a stackless process (see runOn)
-// has nothing to: at p4096 on LogP the run returns 3-19 ms after the
-// deadline or the close, and TestAbortLatency holds that under 250 ms.
+// Abort latency: a deadline already past when the event loop is about to
+// start aborts the run before its first event.  One that lands mid-run
+// fires the timer's callback, which needs a P: with an idle P that is
+// immediate, but the event loop never enters the Go scheduler, so at
+// GOMAXPROCS 1 the callback runs at the runtime's next forced preemption
+// (every 10 ms of a goroutine's running).  The engine then aborts at its
+// next event and ends every process, O(P) — a coroutine unwinds; a
+// stackless process (see runOn) has nothing to: at p4096 on LogP the run
+// returns 3-19 ms after the deadline, and TestAbortLatency holds that
+// under 250 ms.
 type RunControl struct {
 	// Timeout bounds the run's wall-clock execution; past it the engine
 	// is interrupted and the run fails with ErrRunTimeout.
 	Timeout time.Duration
-	// Cancel, when non-nil, aborts the run with ErrRunCanceled once the
-	// channel is closed.
-	Cancel <-chan struct{}
 }
-
-func (c RunControl) enabled() bool { return c.Timeout > 0 || c.Cancel != nil }
 
 // Ctx is the shared context of one program run: the address space the
 // program allocates into, the machine it runs on, and the statistics it
@@ -150,7 +139,7 @@ type Options struct {
 	// invariants (docs/INTERNALS.md §9) only hold for state a run
 	// finished with.
 	Pool *runpool.Pool
-	// Control bounds the run (timeout, cancellation).
+	// Control bounds the run's wall-clock time.
 	Control RunControl
 	// Workers > 1 requests the conservative parallel mode (internal/sim):
 	// processes overlap on up to Workers goroutines while shared state
@@ -205,12 +194,11 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // engine's parallel mode overlaps those step functions; a run with
 // coroutines asking for workers runs sequentially, and Result.Par says so.
 //
-// When ctl is enabled, a watchdog goroutine interrupts the engine on
-// timeout or cancellation; the resulting cooperative abort unwinds every
-// process goroutine and the run fails with ErrRunTimeout or
-// ErrRunCanceled.  The watchdog is joined before runOn returns, so a
-// late Interrupt can never poison a subsequent run on the same (pooled)
-// engine.
+// When ctl sets a timeout, a timer's callback interrupts the engine at
+// the deadline; the resulting cooperative abort unwinds every process
+// goroutine and the run fails with ErrRunTimeout.  A callback that has
+// started is joined before runOn returns, so a late Interrupt can never
+// poison a subsequent run on the same (pooled) engine.
 func runOn(prog Program, cfg machine.Config, rc *runpool.Ctx, opt Options) (*Result, error) {
 	wrap, inst, ctl, workers := opt.Wrap, opt.Instrument, opt.Control, opt.Workers
 	eng, space := rc.Eng, rc.Space
@@ -269,61 +257,35 @@ func runOn(prog Program, cfg machine.Config, rc *runpool.Ctx, opt Options) (*Res
 	}
 	eng.SetParallel(workers) // the engine decides at Run time, and reports why not
 
-	var timedOut, wasCanceled atomic.Bool
-	if ctl.enabled() {
-		watch := make(chan struct{})
-		watchDone := make(chan struct{})
+	var timedOut atomic.Bool
+	if ctl.Timeout > 0 {
 		armed := time.Now()
-		var timer <-chan time.Time
-		var stop func() bool
-		if ctl.Timeout > 0 {
-			tm := time.NewTimer(ctl.Timeout)
-			timer = tm.C
-			stop = tm.Stop
-		}
-		abort := func(why *atomic.Bool) {
-			why.Store(true)
+		abort := func() {
+			timedOut.Store(true)
 			eng.Interrupt()
 		}
-		go func() {
-			defer close(watchDone)
-			select {
-			case <-timer:
-				abort(&timedOut)
-			case <-ctl.Cancel:
-				abort(&wasCanceled)
-			case <-watch:
-			}
-		}()
+		fired := make(chan struct{})
+		timer := time.AfterFunc(ctl.Timeout, func() {
+			abort()
+			close(fired)
+		})
 		defer func() {
-			close(watch)
-			<-watchDone
-			if stop != nil {
-				stop()
+			if !timer.Stop() {
+				<-fired
 			}
 		}()
-		// The watchdog gets no CPU from the event loop itself (see
-		// RunControl), so settle what is already due synchronously.
-		select {
-		case <-ctl.Cancel:
-			abort(&wasCanceled)
-		default:
-			if ctl.Timeout > 0 && time.Since(armed) >= ctl.Timeout {
-				abort(&timedOut)
-			}
+		// The callback gets no CPU from the event loop itself (see
+		// RunControl), so settle a deadline already past synchronously.
+		if time.Since(armed) >= ctl.Timeout {
+			abort()
 		}
 	}
 
 	t0 := time.Now()
 	if err := eng.Run(); err != nil {
 		var ab *sim.AbortError
-		if errors.As(err, &ab) {
-			switch {
-			case timedOut.Load():
-				err = fmt.Errorf("%w after %v (simulated time %v)", ErrRunTimeout, ctl.Timeout, ab.At)
-			case wasCanceled.Load():
-				err = fmt.Errorf("%w (simulated time %v)", ErrRunCanceled, ab.At)
-			}
+		if errors.As(err, &ab) && timedOut.Load() {
+			err = fmt.Errorf("%w after %v (simulated time %v)", ErrRunTimeout, ctl.Timeout, ab.At)
 		}
 		return nil, fmt.Errorf("app: %s on %v/%s p=%d: %w",
 			prog.Name(), cfg.Kind, cfg.Topology, cfg.P, err)

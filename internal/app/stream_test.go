@@ -139,10 +139,8 @@ func TestStreamFailuresAreRunErrors(t *testing.T) {
 		t.Errorf("endless stream under a timeout: %v", err)
 	}
 	settleGoroutines(t, base)
-	closed := make(chan struct{})
-	close(closed)
-	if _, err := Execute(&strider{refs: -1}, cfg, Options{Control: RunControl{Cancel: closed}}); !errors.Is(err, ErrRunCanceled) {
-		t.Errorf("endless stream under a closed Cancel: %v", err)
+	if _, err := Execute(&strider{refs: -1}, cfg, Options{Control: RunControl{Timeout: time.Nanosecond}}); !errors.Is(err, ErrRunTimeout) {
+		t.Errorf("endless stream under a deadline already past: %v", err)
 	}
 	settleGoroutines(t, base)
 }

@@ -56,7 +56,7 @@ func cheapSpec(seed int64) spasm.Spec {
 func TestChaosInjectedPanics(t *testing.T) {
 	defer faults.Reset()
 	base := runtime.NumGoroutine()
-	svc := service.New(service.Config{Workers: 2, NegativeCacheSize: 64})
+	svc := service.New(service.Config{Workers: 2})
 
 	var calls atomic.Int64
 	restore := faults.Set(faults.RunExec, func() error {
@@ -419,7 +419,7 @@ func TestShutdownSubmitRace(t *testing.T) {
 func TestChaosParallelRuns(t *testing.T) {
 	defer faults.Reset()
 	base := runtime.NumGoroutine()
-	svc := service.New(service.Config{Workers: 2, RunTimeout: time.Minute, NegativeCacheSize: 64})
+	svc := service.New(service.Config{Workers: 2, RunTimeout: time.Minute})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 

@@ -31,37 +31,42 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per request (default 4;
 	// 1 disables retrying).
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 50ms);
-	// subsequent delays double, with up to 50% random jitter so a
-	// thundering herd of clients decorrelates.
-	BaseDelay time.Duration
-	// MaxDelay caps each backoff step, including server Retry-After
-	// hints (default 2s).
-	MaxDelay time.Duration
 }
+
+// The retry backoff: baseDelay before the first retry, doubling after,
+// with up to 50% random jitter so a thundering herd of clients
+// decorrelates; maxDelay caps each step, server Retry-After hints
+// included.
+const (
+	baseDelay = 50 * time.Millisecond
+	maxDelay  = 2 * time.Second
+)
+
+// Run's polling: the pause between status polls, and how many
+// consecutive transient GetRun failures it tolerates before giving up.
+// Each poll already retries per the RetryPolicy, so the tolerance guards
+// against outages longer than one request's backoff budget.
+const (
+	pollInterval    = 25 * time.Millisecond
+	maxPollFailures = 3
+)
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
 	}
 	return p
 }
 
 // delay computes the backoff before retry number attempt (0-based),
 // honoring the server's Retry-After hint when one came back.
-func (p RetryPolicy) delay(attempt int, hint time.Duration) time.Duration {
-	d := p.BaseDelay << attempt
+func delay(attempt int, hint time.Duration) time.Duration {
+	d := baseDelay << attempt
 	if hint > 0 {
 		d = hint
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
+	if d > maxDelay {
+		d = maxDelay
 	}
 	// Up to 50% additive jitter; never below the base so a hinted delay
 	// stays at least as long as asked.
@@ -74,17 +79,10 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// PollInterval paces Run's status polling (default 25ms).
-	PollInterval time.Duration
 	// Retry bounds the transparent retrying of transient failures —
 	// transport errors and HTTP 503 back-pressure.  The zero value
 	// retries with the defaults; set MaxAttempts to 1 to disable.
 	Retry RetryPolicy
-	// MaxPollFailures is how many consecutive transient GetRun failures
-	// Run tolerates before giving up (default 3).  Each poll already
-	// retries per Retry, so this guards against outages longer than one
-	// request's backoff budget.
-	MaxPollFailures int
 	// Tenant, when set, is sent as the X-Spasm-Tenant header on every
 	// request, naming the fair-share bucket submissions queue under.
 	Tenant string
@@ -148,7 +146,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body []byte) ([
 	var lastErr error
 	for attempt := 0; attempt < policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			t := time.NewTimer(policy.delay(attempt-1, retryAfterHint(lastErr)))
+			t := time.NewTimer(delay(attempt-1, retryAfterHint(lastErr)))
 			select {
 			case <-t.C:
 			case <-ctx.Done():
@@ -270,7 +268,7 @@ func (c *Client) GetRun(ctx context.Context, id string) (*service.RunStatus, err
 // Run submits a run and polls until it reaches a terminal state — done,
 // failed, or canceled — or ctx ends.  A transient poll failure (server
 // briefly unreachable, 503 back-pressure past the per-request retry
-// budget) does not abandon the run: up to MaxPollFailures consecutive
+// budget) does not abandon the run: up to maxPollFailures consecutive
 // failed polls are tolerated before the last error is returned, and any
 // successful poll resets the count.  The job keeps running server-side
 // either way — a poll-based client that returns early can always poll
@@ -280,27 +278,19 @@ func (c *Client) Run(ctx context.Context, req service.RunRequest) (*service.RunS
 	if err != nil {
 		return nil, err
 	}
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	maxFail := c.MaxPollFailures
-	if maxFail < 1 {
-		maxFail = 3
-	}
 	id, failures := st.ID, 0
 	for !terminal(st.State) {
 		select {
 		case <-ctx.Done():
 			return st, ctx.Err()
-		case <-time.After(interval):
+		case <-time.After(pollInterval):
 		}
 		next, err := c.GetRun(ctx, id)
 		if err != nil {
 			if !transient(err) {
 				return nil, err
 			}
-			if failures++; failures >= maxFail {
+			if failures++; failures >= maxPollFailures {
 				return nil, fmt.Errorf("client: %d consecutive poll failures for run %s: %w", failures, id, err)
 			}
 			continue
@@ -455,13 +445,10 @@ func DecodeResult(st *service.RunStatus) (*report.RunDoc, error) {
 }
 
 // SweepOpts narrows a figure request; zero values mean the
-// server's defaults (scale small, seed 1, procs 2..64, the paper's
-// three machines).
+// server's defaults (scale small, procs 2..64).
 type SweepOpts struct {
-	Procs    []int
-	Scale    string
-	Seed     int64
-	Machines []string
+	Procs []int
+	Scale string
 }
 
 func (o SweepOpts) query() url.Values {
@@ -475,12 +462,6 @@ func (o SweepOpts) query() url.Values {
 	}
 	if o.Scale != "" {
 		q.Set("scale", o.Scale)
-	}
-	if o.Seed != 0 {
-		q.Set("seed", strconv.FormatInt(o.Seed, 10))
-	}
-	if len(o.Machines) > 0 {
-		q.Set("machines", strings.Join(o.Machines, ","))
 	}
 	return q
 }

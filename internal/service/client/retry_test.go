@@ -13,8 +13,9 @@ import (
 	"spasm/internal/service"
 )
 
-// fastRetry keeps test backoffs in the microsecond range.
-var fastRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+// fourTries is the default attempt budget, spelled out so a test can
+// count against it.
+var fourTries = RetryPolicy{MaxAttempts: 4}
 
 func doneStatus(id string) service.RunStatus {
 	return service.RunStatus{ID: id, State: service.StateDone, Result: json.RawMessage(`{}`)}
@@ -23,10 +24,11 @@ func doneStatus(id string) service.RunStatus {
 // TestRetriesTransient503: a submission that bounces off back-pressure
 // twice succeeds on the third attempt, transparently.
 func TestRetriesTransient503(t *testing.T) {
+	t.Parallel() // two hinted one-second backoffs
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1") // capped by MaxDelay, so the test stays fast
+			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte(`{"error":"service: job queue full"}`))
 			return
@@ -36,7 +38,7 @@ func TestRetriesTransient503(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = fastRetry
+	c.Retry = fourTries
 	st, err := c.SubmitRun(context.Background(), service.RunRequest{App: "ep", P: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -58,14 +60,14 @@ func TestGivesUpAfterMaxAttempts(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = fastRetry
+	c.Retry = fourTries
 	_, err := c.SubmitRun(context.Background(), service.RunRequest{App: "ep", P: 2})
 	var ae *apiError
 	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
 		t.Fatalf("want 503 apiError, got %v", err)
 	}
-	if calls.Load() != int64(fastRetry.MaxAttempts) {
-		t.Fatalf("calls = %d, want %d", calls.Load(), fastRetry.MaxAttempts)
+	if calls.Load() != int64(fourTries.MaxAttempts) {
+		t.Fatalf("calls = %d, want %d", calls.Load(), fourTries.MaxAttempts)
 	}
 }
 
@@ -81,7 +83,7 @@ func TestHardErrorsAreNotRetried(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = fastRetry
+	c.Retry = fourTries
 	_, err := c.SubmitRun(context.Background(), service.RunRequest{App: "nope", P: 2})
 	var ae *apiError
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
@@ -96,12 +98,13 @@ func TestHardErrorsAreNotRetried(t *testing.T) {
 // short instead of sleeping it out.
 func TestRetrySleepsAreContextBounded(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "3600") // a maxDelay backoff
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Hour, MaxDelay: time.Hour}
+	c.Retry = RetryPolicy{MaxAttempts: 3}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
@@ -109,7 +112,7 @@ func TestRetrySleepsAreContextBounded(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
-	if since := time.Since(t0); since > 5*time.Second {
+	if since := time.Since(t0); since >= maxDelay {
 		t.Fatalf("backoff ignored ctx: slept %v", since)
 	}
 }
@@ -136,8 +139,7 @@ func TestRunToleratesPollBlips(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = fastRetry
-	c.PollInterval = time.Millisecond
+	c.Retry = fourTries
 	st, err := c.Run(context.Background(), service.RunRequest{App: "ep", P: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -160,9 +162,7 @@ func TestRunGivesUpAfterConsecutivePollFailures(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
-	c.PollInterval = time.Millisecond
-	c.MaxPollFailures = 2
+	c.Retry = RetryPolicy{MaxAttempts: 1}
 	_, err := c.Run(context.Background(), service.RunRequest{App: "ep", P: 2})
 	var ae *apiError
 	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
@@ -182,8 +182,7 @@ func TestRunStopsOnCanceledState(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = fastRetry
-	c.PollInterval = time.Millisecond
+	c.Retry = fourTries
 	st, err := c.Run(context.Background(), service.RunRequest{App: "ep", P: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -224,6 +223,7 @@ func TestParseRetryAfter(t *testing.T) {
 // (the form the seconds-only parser used to drop) reaches the backoff
 // as a hint.
 func TestRetryHonorsHTTPDateHint(t *testing.T) {
+	t.Parallel() // one maxDelay backoff
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
@@ -237,16 +237,16 @@ func TestRetryHonorsHTTPDateHint(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = fastRetry // MaxDelay 5ms clamps the hour-long hint, keeping the test fast
+	c.Retry = fourTries
 	t0 := time.Now()
 	st, err := c.SubmitRun(context.Background(), service.RunRequest{App: "ep", P: 2})
 	if err != nil || st.State != service.StateDone {
 		t.Fatalf("st=%v err=%v", st, err)
 	}
 	// The hint was parsed (not treated as garbage) and clamped by
-	// MaxDelay rather than slept in full.
+	// maxDelay rather than slept in full.
 	if since := time.Since(t0); since > 10*time.Second {
-		t.Fatalf("hour-long hint escaped the MaxDelay clamp: %v", since)
+		t.Fatalf("hour-long hint escaped the maxDelay clamp: %v", since)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("calls = %d, want 2", calls.Load())
@@ -256,6 +256,7 @@ func TestRetryHonorsHTTPDateHint(t *testing.T) {
 // TestQuotaRejectionIsRetried: 429 (per-tenant quota) clears as the
 // tenant's own work drains, so the client retries it like 503.
 func TestQuotaRejectionIsRetried(t *testing.T) {
+	t.Parallel() // one hinted one-second backoff
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("X-Spasm-Tenant") != "alice" {
@@ -272,7 +273,7 @@ func TestQuotaRejectionIsRetried(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL)
-	c.Retry = fastRetry
+	c.Retry = fourTries
 	c.Tenant = "alice"
 	st, err := c.SubmitRun(context.Background(), service.RunRequest{App: "ep", P: 2})
 	if err != nil || st.State != service.StateDone {

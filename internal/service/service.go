@@ -23,8 +23,8 @@
 // when Config.Store is set, persisted to a disk-backed store below it:
 // byte-determinism makes results permanent, so a restarted daemon warms
 // from disk instead of re-simulating.  The pending queue is shared
-// fairly across tenants (weighted stride scheduling with per-tenant
-// admission quotas), and runs can be followed live over SSE.  Hits,
+// fairly across tenants (equal shares by stride scheduling, with
+// per-tenant admission quotas), and runs can be followed live over SSE.  Hits,
 // misses and evictions are exported on /metrics along with queue depth,
 // worker utilization and per-endpoint latency histograms.
 package service
@@ -64,15 +64,6 @@ type Config struct {
 	// error; its pooled run context is discarded rather than reused.
 	// Zero (the default) means unbounded.
 	RunTimeout time.Duration
-	// NegativeCacheSize bounds the failed-result side cache, in entries
-	// (default 64).  Failures are kept apart from successes so a burst
-	// of bad specs cannot evict good results.
-	NegativeCacheSize int
-	// NegativeTTL is how long a cached failure is served before the
-	// spec is retried (default 30s).  Deterministic failures come back
-	// identical; failures caused by operational limits (timeouts) age
-	// out and get a fresh chance.
-	NegativeTTL time.Duration
 	// Store, when set, is the durable result tier below the in-memory
 	// LRU: completed runs (and their profiles) are written through to
 	// it, and cache misses read through it before simulating.  Nil
@@ -81,10 +72,6 @@ type Config struct {
 	// MaxBodyBytes caps each request body (default 1 MiB); larger
 	// submissions are rejected with HTTP 413.
 	MaxBodyBytes int64
-	// TenantWeights sets per-tenant fair-share weights (default 1 per
-	// tenant): with a backlog, tenants receive worker dispatches in
-	// proportion to weight.
-	TenantWeights map[string]int
 	// TenantQuotaRuns bounds one tenant's outstanding (queued plus
 	// running) jobs; past it, submissions fail with ErrTenantQuota.
 	// Zero (the default) means unlimited.
@@ -92,9 +79,6 @@ type Config struct {
 	// TenantQuotaBytes bounds the sum of request-body bytes a tenant
 	// may hold queued.  Zero (the default) means unlimited.
 	TenantQuotaBytes int64
-	// MaxTenants caps the distinct tenant buckets tracked (default
-	// 256); further tenant names share one overflow bucket.
-	MaxTenants int
 }
 
 func (c Config) withDefaults() Config {
@@ -107,17 +91,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 1024
 	}
-	if c.NegativeCacheSize < 1 {
-		c.NegativeCacheSize = 64
-	}
-	if c.NegativeTTL <= 0 {
-		c.NegativeTTL = 30 * time.Second
-	}
 	if c.MaxBodyBytes < 1 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxTenants < 1 {
-		c.MaxTenants = 256
 	}
 	return c
 }
@@ -215,7 +190,7 @@ type Server struct {
 	mu       sync.Mutex
 	cond     *sync.Cond      // signals workers on fq.push and on drain
 	active   map[string]*Job // pending + running jobs by ID
-	fq       *fairQueue      // pending jobs, weighted-fair across tenants
+	fq       *fairQueue      // pending jobs, fair across tenants
 	draining bool
 
 	// pool holds reusable run contexts shared by the workers, so the

@@ -2,10 +2,7 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // DefaultTenant is the bucket for requests that carry no tenant header.
@@ -18,12 +15,14 @@ const DefaultTenant = "default"
 // again as soon as its own work drains.
 var ErrTenantQuota = errors.New("service: tenant over admission quota")
 
-// strideUnit is the stride numerator: a tenant of weight w advances its
-// pass by strideUnit/w per job scheduled, so relative throughput is
-// proportional to weight.  It is also the largest weight: a heavier
-// tenant's stride would be 0, and a pass that never advances wins every
-// dispatch.
-const strideUnit = 1 << 20
+// stride is how far a tenant's pass advances per job scheduled.  Every
+// tenant takes the same step, so backlogged tenants share the workers
+// equally.
+const stride = 1 << 20
+
+// maxTenantBuckets caps the distinct tenant buckets tracked; further
+// tenant names share one overflow bucket.
+const maxTenantBuckets = 256
 
 // validTenant reports whether name is one the HTTP edge routes to: 1 to
 // 64 characters of a filesystem- and metrics-label-safe alphabet.
@@ -40,37 +39,10 @@ func validTenant(name string) bool {
 	return true
 }
 
-// ParseTenantWeights parses "alice=4,bob=1" into Config.TenantWeights.
-// Each name must be one a request can carry and each weight an integer
-// from 1 to strideUnit; any other entry is an error rather than a weight
-// that silently never applies.
-func ParseTenantWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, errors.New("want tenant=weight pairs, e.g. alice=4,bob=1")
-		}
-		if !validTenant(name) {
-			return nil, fmt.Errorf("tenant name %q: want 1-64 characters of A-Z a-z 0-9 - _", name)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 || w > strideUnit {
-			return nil, fmt.Errorf("tenant %s: weight %q is not an integer from 1 to %d", name, val, strideUnit)
-		}
-		out[name] = w
-	}
-	return out, nil
-}
-
 // tenantQueue is one tenant's admission state: its FIFO of pending jobs
 // plus the accounting the quotas and the scheduler need.
 type tenantQueue struct {
-	name   string
-	weight int
+	name string
 	// pass is the tenant's stride-scheduling virtual time; the pending
 	// tenant with the smallest pass runs next.
 	pass uint64
@@ -84,19 +56,18 @@ type tenantQueue struct {
 }
 
 // fairQueue is the pending-job queue: per-tenant FIFOs scheduled by
-// stride (weighted fair sharing), bounded globally by depth and
+// stride (equal fair sharing), bounded globally by depth and
 // per-tenant by the run/byte quotas.  Like the caches it is not
 // self-locking — every method runs under the owning Server's mutex.
 //
 // The scheduling invariant: over any interval in which two tenants both
-// stay backlogged, the jobs dispatched to each are proportional to
-// their weights, regardless of how many requests either submits.  A
+// stay backlogged, each is dispatched the same number of jobs (within
+// one), regardless of how many requests either submits.  A
 // tenant arriving after an idle period starts at the queue's current
 // pass floor, so it cannot claim "catch-up" service for time it was
 // absent.
 type fairQueue struct {
 	depth      int
-	weights    map[string]int
 	quotaRuns  int
 	quotaBytes int64
 	maxTenants int
@@ -111,16 +82,15 @@ type fairQueue struct {
 func newFairQueue(cfg Config) *fairQueue {
 	return &fairQueue{
 		depth:      cfg.QueueDepth,
-		weights:    cfg.TenantWeights,
 		quotaRuns:  cfg.TenantQuotaRuns,
 		quotaBytes: cfg.TenantQuotaBytes,
-		maxTenants: cfg.MaxTenants,
+		maxTenants: maxTenantBuckets,
 		tenants:    make(map[string]*tenantQueue),
 	}
 }
 
 // bucket returns (creating if needed) the queue for tenant.  Beyond
-// MaxTenants distinct names, further tenants share one overflow bucket:
+// maxTenants distinct names, further tenants share one overflow bucket:
 // an attacker minting a tenant per request gets one tenant's share, not
 // an unbounded map.
 func (q *fairQueue) bucket(tenant string) *tenantQueue {
@@ -133,13 +103,12 @@ func (q *fairQueue) bucket(tenant string) *tenantQueue {
 		}
 		tenant = overflowTenant
 	}
-	w := min(max(q.weights[tenant], 1), strideUnit)
-	t := &tenantQueue{name: tenant, weight: w, pass: q.base}
+	t := &tenantQueue{name: tenant, pass: q.base}
 	q.tenants[tenant] = t
 	return t
 }
 
-// overflowTenant aggregates tenants past the MaxTenants cap.
+// overflowTenant aggregates tenants past the maxTenants cap.
 const overflowTenant = "~overflow"
 
 // push admits j (whose tenant and bytes fields are set) or rejects it
@@ -192,7 +161,7 @@ func (q *fairQueue) pop() *Job {
 	best.queuedBytes -= j.bytes
 	q.size--
 	q.base = best.pass
-	best.pass += strideUnit / uint64(best.weight)
+	best.pass += stride
 	return j
 }
 

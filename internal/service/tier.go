@@ -21,8 +21,9 @@ import (
 //     RunDoc, the canonical request, Wall-zeroed statistics, and the
 //     encoded profile — so a restarted daemon warms instead of
 //     re-simulating;
-//   - the negative cache holds failures, bounded and TTL'd, so a burst
-//     of bad specs cannot evict good results and an operational failure
+//   - the negative cache, a second LRU, holds failures for a fixed
+//     lifetime: a burst of bad specs cannot evict good results, a
+//     failed run's status outlives its job, and an operational failure
 //     (a run timeout) gets a fresh chance once it ages out.
 //
 // Every read goes through one order, LRU → store → negative: a success
@@ -36,15 +37,23 @@ type resultTier struct {
 	store *store.Store // nil without a durable tier
 
 	mu    sync.Mutex
-	cache *lru
-	neg   *negCache
+	cache *lru // successes; entries never expire
+	neg   *lru // failures, for negativeTTL each
 }
+
+// The negative cache's bounds: failures are deterministic, so a few are
+// worth remembering, but not forever — an operator may raise the run
+// deadline a timeout failed under.
+const (
+	negativeCacheSize = 64
+	negativeTTL       = 30 * time.Second
+)
 
 func newResultTier(cfg Config) *resultTier {
 	return &resultTier{
 		store: cfg.Store,
-		cache: newLRU(cfg.CacheSize),
-		neg:   newNegCache(cfg.NegativeCacheSize, cfg.NegativeTTL),
+		cache: newLRU(cfg.CacheSize, 0),
+		neg:   newLRU(negativeCacheSize, negativeTTL),
 	}
 }
 
@@ -60,14 +69,15 @@ func (t *resultTier) lookup(id string, count bool) (*entry, bool) {
 }
 
 func (t *resultTier) lookupLocked(id string, count bool) (*entry, bool) {
-	if e, ok := t.cache.get(id, count); ok {
+	now := time.Now()
+	if e, ok := t.cache.get(id, now, count); ok {
 		return e, true
 	}
 	if e, ok := t.storeGet(id); ok {
-		t.cache.add(e)
+		t.cache.add(e, now)
 		return e, true
 	}
-	return t.neg.get(id, time.Now(), count)
+	return t.neg.get(id, now, count)
 }
 
 // publish files a finished run: failures into the negative cache,
@@ -84,7 +94,7 @@ func (t *resultTier) publish(e *entry) {
 	}
 	t.storePut(e)
 	t.mu.Lock()
-	t.cache.add(e)
+	t.cache.add(e, time.Now())
 	t.mu.Unlock()
 }
 
@@ -113,7 +123,7 @@ func (t *resultTier) memoize(id string, prof *probe.Profile, raw []byte) {
 		t.store.PutProfile(id, raw)
 	}
 	t.mu.Lock()
-	if e, ok := t.cache.get(id, false); ok && e.prof == nil {
+	if e, ok := t.cache.get(id, time.Now(), false); ok && e.prof == nil {
 		t.memoLocked(e, prof, raw)
 	}
 	t.mu.Unlock()
@@ -123,7 +133,7 @@ func (t *resultTier) memoize(id string, prof *probe.Profile, raw []byte) {
 func (t *resultTier) memoLocked(e *entry, prof *probe.Profile, raw []byte) *entry {
 	c := *e
 	c.prof, c.profBytes = prof, raw
-	t.cache.add(&c)
+	t.cache.add(&c, time.Now())
 	return &c
 }
 
@@ -190,7 +200,7 @@ func (t *resultTier) counters() tierCounters {
 	var c tierCounters
 	t.mu.Lock()
 	c.hits, c.misses, c.evictions, c.entries = t.cache.counters()
-	c.negHits, c.negEntries = t.neg.counters()
+	c.negHits, _, _, c.negEntries = t.neg.counters()
 	t.mu.Unlock()
 	if t.store != nil {
 		ss := t.store.Stats()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"spasm"
+	"spasm/internal/faults"
 	"spasm/internal/service/store"
 )
 
@@ -180,5 +183,73 @@ func TestTierRetiresOlderModel(t *testing.T) {
 	}
 	if st := svc.results.counters().store; st.Errors != 0 {
 		t.Fatalf("store counted %d errors; an older version is a miss, not corruption", st.Errors)
+	}
+}
+
+// TestTierKeepsFailuresApart: successes and failures live in two LRUs,
+// so neither kind can push the other out.
+func TestTierKeepsFailuresApart(t *testing.T) {
+	good := func(i int) *entry { return &entry{id: fmt.Sprintf("good-%d", i)} }
+	bad := func(i int) *entry { return &entry{id: fmt.Sprintf("bad-%d", i), err: "boom"} }
+
+	t.Run("failures evict no success", func(t *testing.T) {
+		tier := newResultTier(Config{CacheSize: 4})
+		tier.publish(good(0))
+		for i := 0; i < 2*negativeCacheSize; i++ {
+			tier.publish(bad(i))
+		}
+		if e, ok := tier.lookup("good-0", false); !ok || e.err != "" {
+			t.Fatalf("success after %d failures: %+v ok=%v", 2*negativeCacheSize, e, ok)
+		}
+		if c := tier.counters(); c.negEntries != negativeCacheSize || c.evictions != 0 {
+			t.Fatalf("%d failures remembered, %d successes evicted; want %d and 0",
+				c.negEntries, c.evictions, negativeCacheSize)
+		}
+	})
+	t.Run("successes evict no failure", func(t *testing.T) {
+		tier := newResultTier(Config{CacheSize: 4})
+		tier.publish(bad(0))
+		for i := 0; i < 8; i++ {
+			tier.publish(good(i))
+		}
+		if e, ok := tier.lookup("bad-0", false); !ok || e.err != "boom" {
+			t.Fatalf("failure after 8 successes past a 4-entry cache: %+v ok=%v", e, ok)
+		}
+		if c := tier.counters(); c.evictions != 4 {
+			t.Fatalf("%d successes evicted, want 4", c.evictions)
+		}
+	})
+}
+
+// TestStatusServesFailureUntilTTL: a finished job leaves the active set,
+// so the negative cache is where Status finds a failed run — until
+// negativeTTL has passed.
+func TestStatusServesFailureUntilTTL(t *testing.T) {
+	defer faults.Set(faults.RunExec, func() error { return errors.New("injected run failure") })()
+	svc := New(Config{Workers: 1})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		svc.Shutdown(ctx)
+	})
+	j, _, err := svc.Submit(spasm.Spec{App: "ep", Scale: spasm.Tiny, Machine: spasm.LogP, P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.done
+	if st, ok := svc.Status(j.id); !ok || st.State != StateFailed {
+		t.Fatalf("status after the job ended: %+v ok=%v, want failed", st, ok)
+	}
+
+	svc.results.mu.Lock()
+	now := time.Now()
+	_, before := svc.results.neg.get(j.id, now.Add(negativeTTL-time.Second), false)
+	_, after := svc.results.neg.get(j.id, now.Add(negativeTTL+time.Second), false)
+	svc.results.mu.Unlock()
+	if !before || after {
+		t.Fatalf("served a second before the TTL: %v, a second after: %v; want true, false", before, after)
+	}
+	if st, ok := svc.Status(j.id); ok {
+		t.Fatalf("status past the TTL: %+v, want the run forgotten", st)
 	}
 }

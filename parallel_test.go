@@ -198,26 +198,8 @@ func TestParallelAbortChaos(t *testing.T) {
 		t.Skip("no deadline fired before completion; host too slow to observe aborts")
 	}
 
-	// Cancellation mid-flight, raced from a second goroutine.
-	cancels := 0
-	for i := 0; i < 5; i++ {
-		cancel := make(chan struct{})
-		go func(delay time.Duration) {
-			time.Sleep(delay)
-			close(cancel)
-		}(time.Duration(i) * 500 * time.Microsecond)
-		_, _, err := Execute(spec, RunOptions{Pool: pool, Control: RunControl{Cancel: cancel}})
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrRunCanceled):
-			cancels++
-		default:
-			t.Fatalf("cancel %d: unexpected error %v", i, err)
-		}
-	}
-
 	st := pool.Stats()
-	if want := timeouts + cancels; st.Discarded < want {
+	if want := timeouts; st.Discarded < want {
 		t.Fatalf("pool discarded %d contexts, want >= %d (one per aborted run)", st.Discarded, want)
 	}
 

@@ -45,9 +45,8 @@
 //
 // Runs described by a Spec go through Execute, whose RunOptions select
 // pooled contexts, a telemetry profile, and failure containment: a
-// RunControl Timeout or Cancel channel cooperatively aborts the run
-// (ErrRunTimeout, ErrRunCanceled), unwinding every simulated-process
-// goroutine before returning.
+// RunControl Timeout cooperatively aborts the run (ErrRunTimeout),
+// unwinding every simulated-process goroutine before returning.
 package spasm
 
 import (

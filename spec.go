@@ -185,7 +185,7 @@ type RunOptions struct {
 	// state, readable only until the pool reuses the context.  A failed
 	// or aborted run discards its context.
 	Pool *RunPool
-	// Control bounds the run (Timeout, Cancel).
+	// Control bounds the run's wall-clock time.
 	Control RunControl
 	// Profile, when non-nil, attaches a telemetry profiler with these
 	// parameters.  Profiling does not perturb the simulated execution,

@@ -290,6 +290,108 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
+// TestEveryOptionHasACaller: every exported field of an option struct (a
+// type named *Config, *Options, *Opts, *Policy or *Control, and
+// client.Client) is set by non-test code other than the type's own
+// methods: a composite-literal key, an assignment, or an address taken
+// (a flag bound to it).  A field only tests set is a knob whose value
+// never varies outside them; make it a constant, or delete it.
+func TestEveryOptionHasACaller(t *testing.T) {
+	allowed := map[string]string{}
+	m := loadModule(t)
+	for _, id := range m.unsetOptions() {
+		if _, ok := allowed[id]; ok {
+			delete(allowed, id)
+			continue
+		}
+		t.Errorf("%s: no non-test code sets this option", id)
+	}
+	for id := range allowed {
+		t.Errorf("%s is set or gone: drop it from the allow-list", id)
+	}
+}
+
+// optionType matches the names of option structs.
+var optionType = regexp.MustCompile(`(Config|Options|Opts|Policy|Control)$`)
+
+// unsetOptions lists, as "pkg.Type.Field", the exported fields of the
+// module's option structs that no non-test code sets outside the type's
+// own methods.
+func (m *typedModule) unsetOptions() []string {
+	owner := map[*types.Var]*types.TypeName{}
+	for path, pkg := range m.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !optionType.MatchString(name) &&
+				!(path == "spasm/internal/service/client" && name == "Client") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						owner[f] = tn
+					}
+				}
+			}
+		}
+	}
+	set := map[*types.Var]bool{}
+	for _, files := range m.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				var self *types.TypeName // the receiver's type, inside a method
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					self = receiverNamed(m.info.Defs[fd.Name]).Obj()
+				}
+				mark := func(obj types.Object) {
+					if v, ok := obj.(*types.Var); ok && owner[v] != nil && owner[v] != self {
+						set[v] = true
+					}
+				}
+				markSel := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						mark(m.info.Uses[sel.Sel])
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, _ := m.info.Types[n].Type.Underlying().(*types.Struct)
+						for i, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if key, ok := kv.Key.(*ast.Ident); ok {
+									mark(m.info.Uses[key])
+								}
+							} else if st != nil {
+								mark(st.Field(i))
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							markSel(lhs)
+						}
+					case *ast.IncDecStmt:
+						markSel(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							markSel(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var out []string
+	for f, tn := range owner {
+		if !set[f] {
+			out = append(out, tn.Pkg().Name()+"."+tn.Name()+"."+f.Name())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestSpecSurface locks what a run's description can say: the fields of
 // Spec and, name for name, the wire fields of service.RunRequest (read
 // from source — the service package imports this one).  Every field is
