@@ -3,7 +3,6 @@ package spasm
 import (
 	"spasm/internal/app"
 	"spasm/internal/exp"
-	"spasm/internal/runpool"
 )
 
 // Batched sweeps and pooled run contexts.
@@ -16,14 +15,14 @@ type (
 	// machine configuration; runs on a pool skip machine construction
 	// after the first run of each configuration while producing
 	// bit-identical results.  Safe for concurrent use.
-	RunPool = runpool.Pool
+	RunPool = app.Pool
 	// PoolStats is a snapshot of a pool's hit/miss/live counters.
-	PoolStats = runpool.Stats
+	PoolStats = app.PoolStats
 )
 
 // NewRunPool returns a run-context pool retaining at most maxIdle idle
 // contexts (a sensible default when maxIdle <= 0).
-func NewRunPool(maxIdle int) *RunPool { return runpool.New(maxIdle) }
+func NewRunPool(maxIdle int) *RunPool { return app.NewPool(maxIdle) }
 
 // RunSpecOn is Execute on a pooled context (RunOptions.Pool); a nil
 // pool runs on a fresh one.

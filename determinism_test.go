@@ -19,7 +19,6 @@ import (
 	"spasm/internal/app"
 	"spasm/internal/machine"
 	"spasm/internal/report"
-	"spasm/internal/runpool"
 )
 
 const runDocGoldenPath = "testdata/rundocs_tiny.golden.json"
@@ -235,7 +234,7 @@ func TestPooledStreamStateStartsClean(t *testing.T) {
 			}
 			want[i] = doc(res)
 		}
-		pool := runpool.New(1)
+		pool := app.NewPool(1)
 		for pass := 0; pass < 2; pass++ {
 			for i, prog := range programs {
 				res, err := app.Execute(prog(), cfg, app.Options{Pool: pool})

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"spasm/internal/machine"
-	"spasm/internal/runpool"
 )
 
 // spinnerProg runs forever, scheduling a real engine event per
@@ -80,7 +79,7 @@ func TestRunControlledGenerousTimeoutCompletes(t *testing.T) {
 // context — half-finished engine/space/machine state never re-enters the
 // freelist — while a subsequent clean run on the same pool still works.
 func TestPooledDiscardOnAbort(t *testing.T) {
-	pool := runpool.New(4)
+	pool := NewPool(4)
 	cfg := machine.Config{Kind: machine.Ideal, P: 4}
 	_, err := Execute(spinnerProg(), cfg, Options{Pool: pool, Control: RunControl{Timeout: 2 * time.Millisecond}})
 	if !errors.Is(err, ErrRunTimeout) {
@@ -106,7 +105,7 @@ func TestPooledDiscardOnAbort(t *testing.T) {
 // timer's callback may never get the P — with the timeout sentinel; the
 // pooled context is discarded and the next run on the pool completes.
 func TestPooledExpiredDeadline(t *testing.T) {
-	pool := runpool.New(4)
+	pool := NewPool(4)
 	cfg := machine.Config{Kind: machine.Target, Topology: "full", P: 4}
 	prog := &testProg{name: "finite", setup: func(*Ctx) {}, body: func(p *Proc) {
 		for i := 0; i < 100; i++ {
@@ -129,7 +128,7 @@ func TestPooledExpiredDeadline(t *testing.T) {
 // TestPooledDiscardOnFailure: non-abort failures (a failed result check)
 // also bypass the freelist.
 func TestPooledDiscardOnFailure(t *testing.T) {
-	pool := runpool.New(4)
+	pool := NewPool(4)
 	cfg := machine.Config{Kind: machine.Ideal, P: 2}
 	bad := &testProg{
 		name:  "bad",

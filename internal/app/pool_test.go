@@ -1,4 +1,4 @@
-package runpool
+package app
 
 import (
 	"testing"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestGetPutReuse(t *testing.T) {
-	p := New(0)
+	p := NewPool(0)
 	cfg := machine.Config{Kind: machine.Target, Topology: "mesh", P: 8}
 
 	c1, err := p.Get(cfg)
@@ -63,12 +63,12 @@ func TestNilPoolKeepsNothing(t *testing.T) {
 		if c == prev {
 			t.Fatal("a nil pool handed out a context twice")
 		}
-		if c.Space.P() != 4 || c.Instrument != nil || c.Drivers != nil {
-			t.Fatalf("run %d: context not fresh: P=%d instrument=%v drivers=%v",
-				run, c.Space.P(), c.Instrument, c.Drivers)
+		if c.Space.P() != 4 || c.Instrument != nil || c.feeds != nil {
+			t.Fatalf("run %d: context not fresh: P=%d instrument=%v feeds=%v",
+				run, c.Space.P(), c.Instrument, c.feeds)
 		}
 		c.Space.Alloc("x", 64, 8, mem.Blocked)
-		m, err := c.Bind()
+		m, err := c.bind()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestNilPoolKeepsNothing(t *testing.T) {
 // Get rewinds the host arena: a reused context hands its program zeroed
 // slices, cut from the storage the runs before it grew.
 func TestGetRewindsHostArena(t *testing.T) {
-	p := New(0)
+	p := NewPool(0)
 	cfg := machine.Config{Kind: machine.LogP, Topology: "full", P: 4}
 	var last *float64
 	for run := 0; run < 3; run++ {
@@ -115,7 +115,7 @@ func TestGetRewindsHostArena(t *testing.T) {
 }
 
 func TestCanonicalKeying(t *testing.T) {
-	p := New(0)
+	p := NewPool(0)
 	// Zero-value cost/network fields canonicalize to the defaults, so an
 	// explicit-default configuration must hit the same pool slot.
 	implicit := machine.Config{Kind: machine.LogP, Topology: "full", P: 4}
@@ -136,7 +136,7 @@ func TestCanonicalKeying(t *testing.T) {
 }
 
 func TestIdleCap(t *testing.T) {
-	p := New(2)
+	p := NewPool(2)
 	cfg := machine.Config{Kind: machine.Ideal, P: 2}
 	var ctxs []*Ctx
 	for i := 0; i < 4; i++ {
@@ -166,7 +166,7 @@ func TestIdleCap(t *testing.T) {
 }
 
 func TestGetRejectsInvalidP(t *testing.T) {
-	if _, err := New(0).Get(machine.Config{Kind: machine.Ideal}); err == nil {
+	if _, err := NewPool(0).Get(machine.Config{Kind: machine.Ideal}); err == nil {
 		t.Fatal("Get accepted a configuration with no processors")
 	}
 }
@@ -174,7 +174,7 @@ func TestGetRejectsInvalidP(t *testing.T) {
 // TestDiscard: a discarded context leaves the pool entirely — it is not
 // reusable, and the live count drops so leak checks see it gone.
 func TestDiscard(t *testing.T) {
-	p := New(0)
+	p := NewPool(0)
 	cfg := machine.Config{Kind: machine.Target, Topology: "mesh", P: 4}
 	c1, err := p.Get(cfg)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"spasm/internal/machine"
 	"spasm/internal/mem"
-	"spasm/internal/runpool"
 	"spasm/internal/sim"
 	"spasm/internal/stats"
 )
@@ -42,6 +41,10 @@ type RunControl struct {
 // program allocates into, the machine it runs on, and the statistics it
 // accumulates.  Programs allocate their shared data and synchronization
 // objects in Setup and keep references to them for Body.
+//
+// A Ctx is also what a Pool keeps between runs.  A run sets M, Run and
+// Phases afresh; the rest it finds reset on checkout (docs/INTERNALS.md
+// §9), the Instrument slot as the last run left it.
 type Ctx struct {
 	P     int
 	Space *mem.Space
@@ -55,14 +58,28 @@ type Ctx struct {
 	// Phases holds the per-phase overhead profile, populated when the
 	// program marks phase boundaries with Proc.Phase.
 	Phases *PhaseProfile
-	// Issued is what each processor issued of a Stream (nil otherwise).
-	// A pooled run's is its context's memory, like Host.
+	// Issued is what each processor issued of a Stream (empty otherwise):
+	// a slab the context keeps for its P, like feeds, cleared on checkout.
 	Issued []Tally
+	// Config is the context's canonical machine configuration, its pool
+	// key.
+	Config machine.Config
+	// Instrument is the working state an Instrument keeps with the
+	// context between runs (the profiler's epoch slab, link tables, chain
+	// heads and snapshots, sized for the context's P): nil until a
+	// profiled run sets it.  Checkout leaves it as the last run did; the
+	// instrument resets what it reuses when it attaches.
+	Instrument any
+
+	// m is the machine bind built, before any Wrap (nil until the first
+	// bind).
+	m machine.Machine
 	// at is M priced at issue when the run's processes are stackless (see
 	// runOn), nil when a Stream's references go through M.Read and M.Write.
 	at machine.PricedAtIssue
-	// stream and feeds are a Stream run's program and its processors'
-	// driver state (nil otherwise).
+	// stream is a Stream run's program (nil otherwise), and feeds its
+	// processors' driver state, made by the first Stream run on the
+	// context and cleared on checkout.
 	stream Stream
 	feeds  []feed
 }
@@ -112,12 +129,12 @@ type Result struct {
 // Attach; everything an Instrument records must be a function of the
 // run's configuration alone, so instrumented runs stay deterministic.
 //
-// keep is the run context's slot for the instrument's working state
-// (runpool.Ctx.Instrument): what the instrument leaves there, the next
-// run on the context finds, whatever the garbage collector did in
-// between.  It is never nil; on a context's first run it holds nil.
+// Attach receives the run's context with M the *underlying* machine
+// (before Options.Wrap).  What the instrument leaves in c.Instrument,
+// the next run on the context finds, whatever the garbage collector did
+// in between; on a context's first run it holds nil.
 type Instrument interface {
-	Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, keep *any)
+	Attach(c *Ctx)
 	Finish(res *Result)
 }
 
@@ -125,12 +142,11 @@ type Instrument interface {
 // fresh, unbounded, undecorated run.
 type Options struct {
 	// Pool supplies the run's context: the engine, address space, host
-	// arena, a Stream's per-processor driver state, the Instrument's
-	// tables and the machine.  A nil pool builds them fresh; a pool hands
-	// out what an earlier run left (the machine reset in place), so a
-	// sweep pays machine construction, the program's host arrays, the
-	// run's feeds and the profiler's tables once per configuration.  The
-	// Result's Machine and Space, the program's host values and Ctx.Issued
+	// arena, a Stream's slabs, the Instrument's tables and the machine.
+	// A nil pool builds them fresh; a pool hands out what an earlier run
+	// left (the machine reset in place), so a sweep pays machine
+	// construction, the program's host arrays, the run's feeds and the
+	// profiler's tables once per configuration.  The Result's Machine and Space, the program's host values and Ctx.Issued
 	// then reference pooled state, readable only until the pool hands the
 	// context to another run; Stats and Phases are freshly allocated and
 	// safe to keep.  A context whose run did not complete cleanly —
@@ -138,7 +154,7 @@ type Options struct {
 	// Discarded rather than returned to the freelist: the pool's reset
 	// invariants (docs/INTERNALS.md §9) only hold for state a run
 	// finished with.
-	Pool *runpool.Pool
+	Pool *Pool
 	// Control bounds the run's wall-clock time.
 	Control RunControl
 	// Workers > 1 requests the conservative parallel mode (internal/sim):
@@ -179,7 +195,7 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// runOn is the run core: set up the program in rc's space, bind rc's
+// runOn is the run core: set up the program in ctx's space, bind ctx's
 // machine (construction on the context's first run, an in-place reset on
 // every later one — deferred until after Setup because the coherence
 // directory is sized from the space footprint), spawn one process per
@@ -188,7 +204,7 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // A process is a coroutine running Body, except where the run shows it
 // need not be: a Stream, on a machine that as the program will drive it
 // (decorators included) prices a reference at issue, gets stackless
-// processes — their bodies the feeds of d, a cache line each — running
+// processes — their bodies the context's feeds, a cache line each — running
 // the loop Drive runs from the same feeds: the same engine calls in the
 // same order, so no result shows which one ran.  With Workers > 1 the
 // engine's parallel mode overlaps those step functions; a run with
@@ -199,41 +215,35 @@ func Execute(prog Program, cfg machine.Config, opt Options) (*Result, error) {
 // goroutine and the run fails with ErrRunTimeout.  A callback that has
 // started is joined before runOn returns, so a late Interrupt can never
 // poison a subsequent run on the same (pooled) engine.
-func runOn(prog Program, cfg machine.Config, rc *runpool.Ctx, opt Options) (*Result, error) {
+func runOn(prog Program, cfg machine.Config, ctx *Ctx, opt Options) (*Result, error) {
 	wrap, inst, ctl, workers := opt.Wrap, opt.Instrument, opt.Control, opt.Workers
-	eng, space := rc.Eng, rc.Space
+	eng, space := ctx.Eng, ctx.Space
 	run := stats.NewRun(cfg.P)
-	ctx := &Ctx{P: cfg.P, Space: space, Host: rc.Host, Run: run, Eng: eng, Phases: newPhaseProfile()}
 	stream, _ := prog.(Stream)
+	ctx.M, ctx.Run, ctx.Phases, ctx.stream, ctx.at = nil, run, newPhaseProfile(), stream, nil
 	if stream != nil {
-		d, _ := rc.Drivers.(*drivers)
-		if d == nil {
-			d = new(drivers)
-			rc.Drivers = d
+		if ctx.feeds == nil {
+			ctx.feeds, ctx.Issued = make([]feed, cfg.P), make([]Tally, 0, cfg.P)
 		}
-		if d.feeds == nil {
-			d.feeds, d.issued = make([]feed, cfg.P), make([]Tally, cfg.P)
-		}
-		ctx.stream, ctx.feeds, ctx.Issued = stream, d.feeds, d.issued
+		ctx.Issued = ctx.Issued[:cfg.P]
 	}
 
 	if err := setupSafely(prog, ctx); err != nil {
 		return nil, err
 	}
 
-	m, err := rc.Bind()
+	m, err := ctx.bind()
 	if err != nil {
 		return nil, err
 	}
-	base := m // the underlying machine: instruments and the network
-	// backend readout see it even when a decorator wraps the run.
+	ctx.M = m // instruments see the underlying machine, as the readout below does
 	if inst != nil {
-		inst.Attach(cfg, eng, run, m, &rc.Instrument)
+		inst.Attach(ctx)
 	}
 	if wrap != nil {
 		m = wrap(m)
+		ctx.M = m
 	}
-	ctx.M = m
 
 	prefix := prog.Name() + "/p"
 	at, stackless := m.(machine.PricedAtIssue)
@@ -294,7 +304,7 @@ func runOn(prog Program, cfg machine.Config, rc *runpool.Ctx, opt Options) (*Res
 	run.Complete()
 	run.SimEvents = eng.Events
 	run.Work.Switches = eng.Switches()
-	if b, ok := base.(machine.Backend); ok {
+	if b, ok := ctx.m.(machine.Backend); ok {
 		if net := b.Network(); net != nil {
 			run.NetEvents = net.Stats().ModelEvents
 		}

@@ -66,21 +66,6 @@ type feed struct {
 	id    int
 }
 
-// drivers is a Stream run's per-processor driver state, a feed and a
-// tally a processor.  A pooled context keeps it for its P
-// (runpool.Ctx.Drivers) and zeroes it on checkout, as it does Host; a
-// run's feed fills in the rest of a zero feed.
-type drivers struct {
-	feeds  []feed
-	issued []Tally
-}
-
-// Reset zeroes every feed and tally for the context's next run.
-func (d *drivers) Reset() {
-	clear(d.feeds)
-	clear(d.issued)
-}
-
 // feed returns processor id's feed, bound to this run and set at the
 // start of s; its tally counts on from the zero of a fresh or checked-out
 // slab.
@@ -138,7 +123,7 @@ func (f *feed) Step(sp *sim.Proc) (sim.Time, bool) {
 }
 
 // Drive is the Body of a Stream: p's references through Read and Write,
-// from p's feed in the run's slab.
+// from p's feed in the context's slab.
 func Drive(s Stream, p *Proc) {
 	f := p.Ctx.feed(p.ID, s)
 	f.sp = p.S

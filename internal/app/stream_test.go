@@ -12,7 +12,6 @@ import (
 
 	"spasm/internal/machine"
 	"spasm/internal/mem"
-	"spasm/internal/runpool"
 	"spasm/internal/sim"
 )
 
@@ -149,7 +148,7 @@ func TestStreamFailuresAreRunErrors(t *testing.T) {
 // reused, and the rerun is the same run; one a stackless run was aborted
 // on is discarded, and the pool serves the next run from a fresh one.
 func TestStreamPooledReuse(t *testing.T) {
-	pool := runpool.New(4)
+	pool := NewPool(4)
 	cfg := machine.Config{Kind: machine.LogP, Topology: "cube", P: 8}
 	run := func() *Result {
 		t.Helper()

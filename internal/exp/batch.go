@@ -30,7 +30,7 @@ func point(appName, topo string, kind machine.Kind, p int) BatchPoint {
 // in input order: out[i] is the result for points[i], whatever order the
 // workers finished in.  Duplicate points and points already in the
 // session cache are simulated once.  Workers draw run contexts from the
-// session's shared pool (internal/runpool) — each context belongs to one
+// session's shared pool (app.Pool) — each context belongs to one
 // worker between checkout and return, so a sweep pays machine
 // construction roughly once per configuration, not once per run, and
 // the pool's idle cap bounds peak memory on sweeps spanning many

@@ -13,9 +13,9 @@ import (
 	"strings"
 	"sync"
 
+	"spasm/internal/app"
 	"spasm/internal/apps"
 	"spasm/internal/machine"
-	"spasm/internal/runpool"
 	"spasm/internal/sim"
 	"spasm/internal/stats"
 )
@@ -237,7 +237,7 @@ type Session struct {
 	// figure sweep pays machine construction once per configuration
 	// rather than once per run.  It is safe for the session's worker
 	// pool; its idle cap bounds retained memory.
-	pool *runpool.Pool
+	pool *app.Pool
 }
 
 // NewSession returns a Session with the given options.
@@ -245,7 +245,7 @@ func NewSession(opt Options) *Session {
 	return &Session{
 		opt:   opt.WithDefaults(),
 		cache: map[BatchPoint]*stats.Run{},
-		pool:  runpool.New(0),
+		pool:  app.NewPool(0),
 	}
 }
 

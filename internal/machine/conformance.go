@@ -148,8 +148,8 @@ func CheckInvariants(m Machine) error {
 //     nondecreasing times are delivered at nondecreasing times;
 //  3. deterministic replay: driving a fresh backend twice through the
 //     same access pattern yields identical schedules and statistics —
-//     and so does the same backend after a Reset, which is the runpool
-//     rebind contract.
+//     and so does the same backend after a Reset, which is the pool's
+//     rebind contract (app.Pool).
 //
 // The network is the one machine.New builds over a bare p-node space.
 func NetworkConformance(kind Kind, topoName string, p int) error {

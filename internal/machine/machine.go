@@ -148,7 +148,7 @@ type Config struct {
 // Canonical returns the configuration with every defaulted field made
 // explicit (topology name, cache geometry, link speed, L).  Two
 // configurations that build identical machines canonicalize to the same
-// value, which is what makes Config usable as a pooling key: runpool
+// value, which is what makes Config usable as a pooling key: app.Pool
 // keys contexts by Canonical() so `Topology: ""` and `Topology: "full"`
 // share a context.  Canonical does not fill P — a machine cannot be
 // pooled without knowing its node count.

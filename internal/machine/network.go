@@ -23,7 +23,7 @@ type Network interface {
 	// (links, then injection and ejection ports), none on LogP.
 	Links() int
 	// Reset returns the backend to its post-construction state in place
-	// (the runpool rebind contract, docs/INTERNALS.md §9), dropping every
+	// (the run pool's rebind contract, docs/INTERNALS.md §9), dropping every
 	// observer.
 	Reset()
 	// Settle tells the backend no future Xfer departs earlier than upTo

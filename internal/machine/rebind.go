@@ -12,7 +12,7 @@ import (
 // link and port, and the coherence engine re-stamps every directory
 // entry, zeroes every block lock and clears every cache.  What New built
 // — route tables, fabric arrays, cache lines, directory chunks — is kept,
-// which internal/runpool relies on to make a reused context's run
+// which app.Pool relies on to make a reused context's run
 // observationally identical to its first.  A machine keeps the node count
 // New gave it, and is not safe for concurrent use.
 func Rebind(m Machine, space *mem.Space) error {

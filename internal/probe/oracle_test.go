@@ -10,10 +10,7 @@ import (
 	"spasm"
 	"spasm/internal/app"
 	"spasm/internal/apps"
-	"spasm/internal/machine"
 	"spasm/internal/probe"
-	"spasm/internal/sim"
-	"spasm/internal/stats"
 )
 
 // oracleCaps are the epoch and link caps every oracle spec runs under:
@@ -63,9 +60,11 @@ func oracleSpecs() []spasm.Spec {
 // hold the tables of several profilers at once.
 type tee []app.Instrument
 
-func (t tee) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, _ *any) {
+func (t tee) Attach(c *app.Ctx) {
 	for _, in := range t {
-		in.Attach(cfg, eng, run, m, new(any))
+		own := *c
+		own.Instrument = nil
+		in.Attach(&own)
 	}
 }
 

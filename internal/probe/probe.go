@@ -326,7 +326,7 @@ func (e *epochAcc) held() int {
 // needs.  Finish copies the finished profile out of it.
 //
 // The acc lives in the run context's instrument slot
-// (runpool.Ctx.Instrument), so it is sized for that context's P and
+// (app.Ctx.Instrument), so it is sized for that context's P and
 // survives garbage collection: once a pooled context's tables have grown
 // to the shapes its runs take, a profiled run on it allocates what its
 // Profile keeps and little else.  A fresh context's acc goes with it.
@@ -379,14 +379,15 @@ func New(cfg Config) *Profiler {
 
 // Attach implements app.Instrument: it hooks the engine clock and, when
 // the machine has one, observes its network.  It takes its tables from
-// keep when a run on the context left them there, and leaves them there
-// for the next.
-func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, keep *any) {
+// the context's instrument slot when a run on the context left them
+// there, and leaves them there for the next.
+func (pr *Profiler) Attach(c *app.Ctx) {
+	eng, run, m := c.Eng, c.Run, c.M
 	pr.run = run
 	pr.eng = eng
 	pr.p = run.P()
 	pr.kind = m.Kind().String()
-	pr.topo = cfg.Topology
+	pr.topo = c.Config.Topology
 
 	prev := eng.Tick
 	eng.Tick = func(now sim.Time) {
@@ -402,10 +403,10 @@ func (pr *Profiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, 
 		net.Observe(pr.xmit)
 	}
 
-	a, _ := (*keep).(*acc)
+	a, _ := c.Instrument.(*acc)
 	if a == nil {
 		a = new(acc)
-		*keep = a
+		c.Instrument = a
 	}
 	a.procs = a.procs[:min(cap(a.procs), pr.maxEpochs*pr.p)]
 	if cap(a.epochs) < pr.maxEpochs {

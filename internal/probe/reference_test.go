@@ -186,7 +186,8 @@ func (pr *refProfiler) linkAt(e *refEpoch, id int) *LinkSample {
 
 // Attach implements app.Instrument: it hooks the engine clock and, when
 // the machine has one, observes its network.
-func (pr *refProfiler) Attach(cfg machine.Config, eng *sim.Engine, run *stats.Run, m machine.Machine, _ *any) {
+func (pr *refProfiler) Attach(c *app.Ctx) {
+	cfg, eng, run, m := c.Config, c.Eng, c.Run, c.M
 	pr.run = run
 	pr.eng = eng
 	pr.p = run.P()

@@ -98,8 +98,8 @@ func (c *lru) get(id string, now time.Time, count bool) (*entry, bool) {
 }
 
 // add inserts (or refreshes, restarting its expiry) an entry and evicts
-// past capacity, returning how many entries were evicted.
-func (c *lru) add(e *entry, now time.Time) (evicted int) {
+// past capacity.
+func (c *lru) add(e *entry, now time.Time) {
 	s := &slot{e: e}
 	if c.ttl > 0 {
 		s.exp = now.Add(c.ttl)
@@ -107,7 +107,7 @@ func (c *lru) add(e *entry, now time.Time) (evicted int) {
 	if el, ok := c.byID[e.id]; ok {
 		el.Value = s
 		c.ll.MoveToFront(el)
-		return 0
+		return
 	}
 	c.byID[e.id] = c.ll.PushFront(s)
 	for c.ll.Len() > c.max {
@@ -115,9 +115,7 @@ func (c *lru) add(e *entry, now time.Time) (evicted int) {
 		c.ll.Remove(oldest)
 		delete(c.byID, oldest.Value.(*slot).e.id)
 		c.evictions++
-		evicted++
 	}
-	return evicted
 }
 
 // counters reports the cache statistics exported on /metrics.

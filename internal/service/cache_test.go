@@ -53,8 +53,9 @@ func TestLRURefreshDoesNotEvict(t *testing.T) {
 	c := newLRU(2, 0)
 	c.add(&entry{id: "a"}, time.Time{})
 	c.add(&entry{id: "b"}, time.Time{})
-	if evicted := c.add(&entry{id: "a", err: "updated"}, time.Time{}); evicted != 0 {
-		t.Fatalf("refreshing a resident entry evicted %d", evicted)
+	c.add(&entry{id: "a", err: "updated"}, time.Time{})
+	if _, _, evictions, _ := c.counters(); evictions != 0 {
+		t.Fatalf("refreshing a resident entry evicted %d", evictions)
 	}
 	e, ok := c.get("a", time.Time{}, false)
 	if !ok || e.err != "updated" {

@@ -169,7 +169,7 @@ func NewEngine() *Engine {
 // coroutine before Run returns, so nothing from the old run survives —
 // but its mid-flight machine and address-space state may, which is why
 // pooled contexts whose run did not complete cleanly are discarded
-// rather than reset (see internal/runpool.Pool.Discard).
+// rather than reset (see app.Pool.Discard).
 func (e *Engine) Reset() {
 	e.heap.reset()
 	e.lad.reset()
