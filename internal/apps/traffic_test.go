@@ -147,7 +147,7 @@ func TestMicroNeighborIsLocalised(t *testing.T) {
 		for _, e := range tr.Events {
 			home := res.Space.Home(e.Addr)
 			if home != int(e.Proc) {
-				hops += topo.Hops(int(e.Proc), home)
+				hops += len(topo.Route(int(e.Proc), home))
 				n++
 			}
 		}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"spasm/internal/sim"
@@ -14,10 +15,9 @@ import (
 
 func TestRouteZeroAllocs(t *testing.T) {
 	const p = 64
-	topos := []Topology{NewFull(p), NewCube(p), NewMesh(p), NewRing(p), NewTorus(p)}
-	for _, topo := range topos {
-		topo := topo
-		t.Run(topo.Name(), func(t *testing.T) {
+	for _, name := range Names() {
+		topo, _ := New(name, p)
+		t.Run(name, func(t *testing.T) {
 			var sink []int
 			allocs := testing.AllocsPerRun(100, func() {
 				for src := 0; src < p; src += 7 {
@@ -29,7 +29,7 @@ func TestRouteZeroAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s.Route allocates %.1f times per sweep; want 0", topo.Name(), allocs)
+				t.Errorf("%v.Route allocates %.1f times per sweep; want 0", topo, allocs)
 			}
 			_ = sink
 		})
@@ -38,9 +38,9 @@ func TestRouteZeroAllocs(t *testing.T) {
 
 func TestReserveZeroAllocs(t *testing.T) {
 	const p = 64
-	for _, topo := range []Topology{NewFull(p), NewCube(p), NewMesh(p)} {
-		topo := topo
-		t.Run(topo.Name(), func(t *testing.T) {
+	for _, name := range Names()[:3] { // the paper's three
+		topo, _ := New(name, p)
+		t.Run(name, func(t *testing.T) {
 			f := NewFabric(topo)
 			now := sim.Time(0)
 			allocs := testing.AllocsPerRun(100, func() {
@@ -51,7 +51,7 @@ func TestReserveZeroAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("Reserve on %s allocates %.1f times per sweep; want 0", topo.Name(), allocs)
+				t.Errorf("Reserve on %v allocates %.1f times per sweep; want 0", topo, allocs)
 			}
 		})
 	}
@@ -84,7 +84,7 @@ func TestReserveDegradedZeroAllocs(t *testing.T) {
 // topologies at several sizes.
 func TestRouteTableMatchesCompute(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 16, 64} {
-		topos := []Topology{NewFull(p), NewCube(p), NewMesh(p), NewRing(p), NewTorus(p)}
+		topos := []oracle{NewFull(p), NewCube(p), NewMesh(p), NewRing(p), NewTorus(p)}
 		for _, topo := range topos {
 			compute := topo.AppendRoute
 			for src := 0; src < p; src++ {
@@ -95,13 +95,13 @@ func TestRouteTableMatchesCompute(t *testing.T) {
 					got := topo.Route(src, dst)
 					want := compute(nil, src, dst)
 					if len(got) != len(want) {
-						t.Fatalf("%s(%d) route %d->%d: table %v != compute %v",
-							topo.Name(), p, src, dst, got, want)
+						t.Fatalf("%v route %d->%d: table %v != compute %v",
+							topo, src, dst, got, want)
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("%s(%d) route %d->%d: table %v != compute %v",
-								topo.Name(), p, src, dst, got, want)
+							t.Fatalf("%v route %d->%d: table %v != compute %v",
+								topo, src, dst, got, want)
 						}
 					}
 				}
@@ -122,6 +122,42 @@ func TestRouteTableAppendSafe(t *testing.T) {
 	for i := range neighbour {
 		if got[i] != neighbour[i] {
 			t.Fatalf("append to route 0->5 clobbered route 0->6: %v != %v", got, neighbour)
+		}
+	}
+}
+
+// TestRouteTableAllocBound pins what building a table-backed topology
+// allocates: the arena and the offsets at their final sizes, plus a few
+// small headers.  An arena grown by appending costs about five times its
+// size, and a topology that builds another one to learn its shape costs
+// that table again.
+func TestRouteTableAllocBound(t *testing.T) {
+	const slack = 16 << 10
+	for _, p := range []int{64, 128} {
+		for _, name := range Names() {
+			var spent uint64
+			var topo Topology
+			for try := 0; try < 3; try++ { // the least of three, past any stray allocation
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				topo, _ = New(name, p)
+				runtime.ReadMemStats(&after)
+				if n := after.TotalAlloc - before.TotalAlloc; try == 0 || n < spent {
+					spent = n
+				}
+			}
+			links := 0
+			for src := 0; src < p; src++ {
+				for dst := 0; dst < p; dst++ {
+					if src != dst {
+						links += len(topo.Route(src, dst))
+					}
+				}
+			}
+			if need := uint64(8*links + 4*(p*p+1)); spent > need+slack {
+				t.Errorf("%s(%d) allocates %d B for a %d-link arena and its offsets (%d B); want at most %d B",
+					name, p, spent, links, need, need+slack)
+			}
 		}
 	}
 }

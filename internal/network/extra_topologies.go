@@ -1,7 +1,5 @@
 package network
 
-import "fmt"
-
 // Extension topologies beyond the paper's three: the unidirectional
 // ring and the 2-D torus (the k-ary n-cube family analysed by Dally,
 // whom the paper cites).  They slot into every experiment — the g
@@ -11,20 +9,12 @@ import "fmt"
 
 // Ring is a bidirectional ring: each node links to both neighbours, and
 // messages take the shorter way around (ties go clockwise).
-type Ring struct {
-	p       int
-	rt      *routeTable
-	scratch []int
-}
+type Ring struct{ router }
 
 // NewRing returns a bidirectional ring over p nodes.
 func NewRing(p int) *Ring {
-	checkP(p)
-	r := &Ring{p: p}
-	r.rt = buildRouteTable(p, r.AppendRoute)
-	if r.rt == nil {
-		r.scratch = make([]int, 0, r.Diameter())
-	}
+	r := &Ring{newRouter("ring", p)}
+	r.build(r.AppendRoute, r.Diameter())
 	return r
 }
 
@@ -35,15 +25,7 @@ const (
 	ccw
 )
 
-func (r *Ring) Name() string  { return "ring" }
-func (r *Ring) P() int        { return r.p }
 func (r *Ring) NumLinks() int { return r.p * 2 }
-
-func (r *Ring) check(src, dst int) {
-	if src < 0 || src >= r.p || dst < 0 || dst >= r.p || src == dst {
-		panic(fmt.Sprintf("network: bad route %d -> %d on ring(%d)", src, dst, r.p))
-	}
-}
 
 // AppendRoute takes the shorter direction around the ring.
 func (r *Ring) AppendRoute(buf []int, src, dst int) []int {
@@ -67,31 +49,6 @@ func (r *Ring) AppendRoute(buf []int, src, dst int) []int {
 	return buf
 }
 
-// Route returns the shorter-way route from the precomputed table (or
-// the scratch buffer at large p).
-func (r *Ring) Route(src, dst int) []int {
-	r.check(src, dst)
-	if r.rt != nil {
-		return r.rt.route(src, dst)
-	}
-	r.scratch = r.AppendRoute(r.scratch[:0], src, dst)
-	return r.scratch
-}
-
-func (r *Ring) LinkEnds(id int) (from, to int) {
-	from = id / 2
-	if id%2 == cw {
-		return from, (from + 1) % r.p
-	}
-	return from, (from - 1 + r.p) % r.p
-}
-
-func (r *Ring) Hops(src, dst int) int {
-	r.check(src, dst)
-	_, dist := shorter(src, dst, r.p)
-	return dist
-}
-
 func (r *Ring) Diameter() int { return r.p / 2 }
 
 // BisectionLinks: cutting the ring in half severs two edges, each with a
@@ -112,35 +69,18 @@ func (r *Ring) CrossesBisection(src, dst int) bool {
 // canonical k-ary 2-cube.  Routing is dimension-ordered, taking the
 // shorter way around each dimension.
 type Torus struct {
-	p, rows, cols int
-	rt            *routeTable
-	scratch       []int
+	router
+	grid
 }
 
-// NewTorus returns a 2-D torus over p = 2^k nodes with the same aspect
-// ratio rule as the mesh.
+// NewTorus returns a 2-D torus over p = 2^k nodes with the mesh's shape.
 func NewTorus(p int) *Torus {
-	m := NewMesh(p)
-	t := &Torus{p: p, rows: m.Rows(), cols: m.Cols()}
-	t.rt = buildRouteTable(p, t.AppendRoute)
-	if t.rt == nil {
-		t.scratch = make([]int, 0, t.Diameter())
-	}
+	t := &Torus{newRouter("torus", p), newGrid(p)}
+	t.build(t.AppendRoute, t.Diameter())
 	return t
 }
 
-func (t *Torus) Name() string  { return "torus" }
-func (t *Torus) P() int        { return t.p }
 func (t *Torus) NumLinks() int { return t.p * 4 }
-
-func (t *Torus) node(r, c int) int       { return r*t.cols + c }
-func (t *Torus) coords(n int) (r, c int) { return n / t.cols, n % t.cols }
-
-func (t *Torus) check(src, dst int) {
-	if src < 0 || src >= t.p || dst < 0 || dst >= t.p || src == dst {
-		panic(fmt.Sprintf("network: bad route %d -> %d on torus(%d)", src, dst, t.p))
-	}
-}
 
 // shorter returns the signed step (+1/-1) and distance for the shorter
 // way from a to b modulo n (ties positive).
@@ -196,42 +136,6 @@ func (t *Torus) AppendRoute(buf []int, src, dst int) []int {
 		}
 	}
 	return buf
-}
-
-// Route returns the dimension-ordered route from the precomputed table
-// (or the scratch buffer at large p).
-func (t *Torus) Route(src, dst int) []int {
-	t.check(src, dst)
-	if t.rt != nil {
-		return t.rt.route(src, dst)
-	}
-	t.scratch = t.AppendRoute(t.scratch[:0], src, dst)
-	return t.scratch
-}
-
-func (t *Torus) LinkEnds(id int) (from, to int) {
-	from = id / 4
-	r, c := t.coords(from)
-	switch id % 4 {
-	case east:
-		c = (c + 1) % t.cols
-	case west:
-		c = (c - 1 + t.cols) % t.cols
-	case north:
-		r = (r - 1 + t.rows) % t.rows
-	default:
-		r = (r + 1) % t.rows
-	}
-	return from, t.node(r, c)
-}
-
-func (t *Torus) Hops(src, dst int) int {
-	t.check(src, dst)
-	sr, sc := t.coords(src)
-	dr, dc := t.coords(dst)
-	_, dx := shorter(sc, dc, t.cols)
-	_, dy := shorter(sr, dr, t.rows)
-	return dx + dy
 }
 
 func (t *Torus) Diameter() int { return t.rows/2 + t.cols/2 }

@@ -1,13 +1,14 @@
 package network
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func extraTopologies(p int) []Topology {
-	return []Topology{NewRing(p), NewTorus(p)}
+func extraTopologies(p int) []oracle {
+	return []oracle{NewRing(p), NewTorus(p)}
 }
 
 func TestExtraRoutesValid(t *testing.T) {
@@ -36,8 +37,8 @@ func TestExtraHopsWithinDiameter(t *testing.T) {
 					}
 					h := topo.Hops(src, dst)
 					if h < 1 || h > topo.Diameter() {
-						t.Fatalf("%s(%d): hops(%d,%d) = %d, diameter %d",
-							topo.Name(), p, src, dst, h, topo.Diameter())
+						t.Fatalf("%v: hops(%d,%d) = %d, diameter %d",
+							topo, src, dst, h, topo.Diameter())
 					}
 					if h > maxSeen {
 						maxSeen = h
@@ -45,8 +46,8 @@ func TestExtraHopsWithinDiameter(t *testing.T) {
 				}
 			}
 			if maxSeen != topo.Diameter() {
-				t.Errorf("%s(%d): max hops %d != diameter %d",
-					topo.Name(), p, maxSeen, topo.Diameter())
+				t.Errorf("%v: max hops %d != diameter %d",
+					topo, maxSeen, topo.Diameter())
 			}
 		}
 	}
@@ -121,7 +122,7 @@ func TestTorusMeanRouteShorterThanMesh(t *testing.T) {
 	// The torus's whole point: wraparound halves average distance.
 	for _, p := range []int{16, 64} {
 		tor, m := NewTorus(p), NewMesh(p)
-		sum := func(topo Topology) int {
+		sum := func(topo oracle) int {
 			total := 0
 			for s := 0; s < p; s++ {
 				for d := 0; d < p; d++ {
@@ -141,7 +142,7 @@ func TestTorusMeanRouteShorterThanMesh(t *testing.T) {
 func TestNewExtendedNames(t *testing.T) {
 	for _, name := range Names() {
 		topo, err := New(name, 8)
-		if err != nil || topo.Name() != name {
+		if err != nil || fmt.Sprint(topo) != name+"(8)" {
 			t.Errorf("New(%q) = %v, %v", name, topo, err)
 		}
 	}

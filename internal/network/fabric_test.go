@@ -191,12 +191,12 @@ func TestFabricResetIdentity(t *testing.T) {
 			fabricTraffic(f, seed+200)
 			f.Reset()
 			if f.Messages != 0 || f.Bytes != 0 || f.HopEvents != 0 || f.Observer != nil {
-				t.Fatalf("%s seed %d: counters or Observer survived Reset", topo.Name(), seed)
+				t.Fatalf("%v seed %d: counters or Observer survived Reset", topo, seed)
 			}
 			got := fabricTraffic(f, seed)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s seed %d message %d: got %+v, want %+v", topo.Name(), seed, i, got[i], want[i])
+					t.Fatalf("%v seed %d message %d: got %+v, want %+v", topo, seed, i, got[i], want[i])
 				}
 			}
 		}

@@ -13,8 +13,8 @@ import (
 // allocates per message.
 
 // largeTopos builds all five topologies at p.
-func largeTopos(p int) []Topology {
-	return []Topology{NewFull(p), NewCube(p), NewMesh(p), NewRing(p), NewTorus(p)}
+func largeTopos(p int) []oracle {
+	return []oracle{NewFull(p), NewCube(p), NewMesh(p), NewRing(p), NewTorus(p)}
 }
 
 // TestLargePRouteMatchesOracle cross-checks Route against the
@@ -36,13 +36,13 @@ func TestLargePRouteMatchesOracle(t *testing.T) {
 					got := topo.Route(src, dst)
 					want := topo.AppendRoute(nil, src, dst)
 					if len(got) != len(want) {
-						t.Fatalf("%s(%d) route %d->%d: Route %v != oracle %v",
-							topo.Name(), p, src, dst, got, want)
+						t.Fatalf("%v route %d->%d: Route %v != oracle %v",
+							topo, src, dst, got, want)
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("%s(%d) route %d->%d: Route %v != oracle %v",
-								topo.Name(), p, src, dst, got, want)
+							t.Fatalf("%v route %d->%d: Route %v != oracle %v",
+								topo, src, dst, got, want)
 						}
 					}
 					// The route must also be link-consistent: a walk
@@ -51,13 +51,13 @@ func TestLargePRouteMatchesOracle(t *testing.T) {
 					for _, l := range got {
 						from, to := topo.LinkEnds(l)
 						if from != cur {
-							t.Fatalf("%s(%d) route %d->%d: link %d starts at %d, not %d",
-								topo.Name(), p, src, dst, l, from, cur)
+							t.Fatalf("%v route %d->%d: link %d starts at %d, not %d",
+								topo, src, dst, l, from, cur)
 						}
 						cur = to
 					}
 					if cur != dst {
-						t.Fatalf("%s(%d) route %d->%d ends at %d", topo.Name(), p, src, dst, cur)
+						t.Fatalf("%v route %d->%d ends at %d", topo, src, dst, cur)
 					}
 				}
 			}
@@ -79,8 +79,8 @@ func TestLargePRouteZeroAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s(%d).Route allocates %.1f times per sweep; want 0",
-					topo.Name(), p, allocs)
+				t.Errorf("%v.Route allocates %.1f times per sweep; want 0",
+					topo, allocs)
 			}
 			_ = sink
 		}
@@ -110,8 +110,8 @@ func TestLargePReserveZeroAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("Reserve on %s(%d) allocates %.1f times per sweep; want 0",
-					topo.Name(), p, allocs)
+				t.Errorf("Reserve on %v allocates %.1f times per sweep; want 0",
+					topo, allocs)
 			}
 		}
 	}

@@ -8,16 +8,17 @@ package network
 // building off the fabric's hot path entirely.
 //
 // Above RouteTableMaxP nodes the table would cost O(p² · diameter)
-// memory, so construction instead preallocates a diameter-sized scratch
-// buffer per topology and Route computes each route on demand into it —
-// still zero allocations per call, at the price of the returned slice
-// being valid only until the next Route call (see Topology.Route); the
-// detailed fabric consumes each route within one Reserve call.
+// memory, so the router (topology.go) instead preallocates a
+// diameter-sized scratch buffer and Route computes each route on demand
+// into it — still zero allocations per call, at the price of the
+// returned slice being valid only until the next Route call (see
+// Topology.Route); the detailed fabric consumes each route within one
+// Reserve call.
 
 // RouteTableMaxP bounds precomputation: tables exist only for p values
 // up to this limit (128 leaves headroom for scaling studies while
-// keeping the largest table around a megabyte).  Larger machines use the
-// on-demand scratch path.
+// keeping the paper topologies' tables near a megabyte; the ring's is
+// 4 MB).  Larger machines use the on-demand scratch path.
 const RouteTableMaxP = 128
 
 // routeTable holds every src→dst route of a topology, concatenated into
@@ -35,19 +36,31 @@ type routeTable struct {
 // table (or, at large p, computes through it into reusable scratch).
 type appendRouter func(buf []int, src, dst int) []int
 
-// buildRouteTable materializes all p·(p-1) routes of a topology, or
-// returns nil when p exceeds RouteTableMaxP.
-func buildRouteTable(p int, route appendRouter) *routeTable {
+// buildRouteTable materializes all p·(p-1) routes of a topology whose
+// routes are at most diameter links long, or returns nil when p exceeds
+// RouteTableMaxP.  A first pass measures every route into a
+// diameter-sized buffer to set the offsets, so the arena is allocated
+// once at its final size and the second pass only fills it.
+func buildRouteTable(p, diameter int, route appendRouter) *routeTable {
 	if p > RouteTableMaxP {
 		return nil
 	}
 	rt := &routeTable{p: p, off: make([]int32, p*p+1)}
+	buf, n := make([]int, 0, diameter), 0
+	for src := 0; src < p; src++ {
+		for dst := 0; dst < p; dst++ {
+			if src != dst {
+				n += len(route(buf[:0], src, dst))
+			}
+			rt.off[src*p+dst+1] = int32(n)
+		}
+	}
+	rt.arena = make([]int, 0, n)
 	for src := 0; src < p; src++ {
 		for dst := 0; dst < p; dst++ {
 			if src != dst {
 				rt.arena = route(rt.arena, src, dst)
 			}
-			rt.off[src*p+dst+1] = int32(len(rt.arena))
 		}
 	}
 	return rt

@@ -18,10 +18,9 @@ import (
 )
 
 // Topology describes a point-to-point interconnection network over P
-// nodes with deterministic routing.
+// nodes with deterministic routing: what the detailed fabric, the flow
+// tier and the g derivation read of a network.
 type Topology interface {
-	// Name identifies the topology family: "full", "cube" or "mesh".
-	Name() string
 	// P returns the number of nodes.
 	P() int
 	// NumLinks returns the size of the directed-link id space (some
@@ -33,20 +32,8 @@ type Topology interface {
 	// (p <= RouteTableMaxP) or the topology's reusable scratch buffer
 	// (larger p); it must not be modified in place, and above
 	// RouteTableMaxP it is only valid until the next Route call on the
-	// same topology — callers that hold routes across calls must copy,
-	// or use AppendRoute with their own buffer.
+	// same topology — callers that hold routes across calls must copy.
 	Route(src, dst int) []int
-	// AppendRoute appends the links of the src→dst route to buf and
-	// returns the extended slice: the allocation-free routing primitive
-	// Route itself is built on.  A route is never longer than
-	// Diameter(), so a buffer with that capacity never grows.
-	AppendRoute(buf []int, src, dst int) []int
-	// LinkEnds returns the endpoints of directed link id.
-	LinkEnds(id int) (from, to int)
-	// Hops returns the routing distance from src to dst.
-	Hops(src, dst int) int
-	// Diameter returns the maximum routing distance.
-	Diameter() int
 	// BisectionLinks returns the number of directed links crossing the
 	// network bisection, counting both directions.  It is the quantity
 	// the paper's g-parameter derivation uses.
@@ -68,33 +55,66 @@ func CheckP(p int) error {
 	return nil
 }
 
-func checkP(p int) {
+// router is the route front end every topology embeds: the family name
+// and P a bad route's panic names, and Route, served from the route
+// table (p <= RouteTableMaxP) or computed by the topology's AppendRoute
+// into a scratch buffer as long as its diameter, so neither allocates.
+type router struct {
+	name    string
+	p       int
+	rt      *routeTable
+	compute appendRouter
+	scratch []int
+}
+
+// newRouter checks p and names the topology; build completes it once the
+// topology's geometry is set.
+func newRouter(name string, p int) router {
 	if err := CheckP(p); err != nil {
 		panic(err.Error())
+	}
+	return router{name: name, p: p}
+}
+
+// build installs the routing function, whose routes are at most diameter
+// links long, and the table or the scratch buffer it serves from.
+func (r *router) build(compute appendRouter, diameter int) {
+	r.compute = compute
+	if r.rt = buildRouteTable(r.p, diameter, compute); r.rt == nil {
+		r.scratch = make([]int, 0, diameter)
+	}
+}
+
+func (r *router) P() int { return r.p }
+
+// Route serves every topology's Topology.Route: from the table, or
+// computed into the scratch buffer above RouteTableMaxP.
+func (r *router) Route(src, dst int) []int {
+	r.check(src, dst)
+	if r.rt != nil {
+		return r.rt.route(src, dst)
+	}
+	r.scratch = r.compute(r.scratch[:0], src, dst)
+	return r.scratch
+}
+
+func (r *router) check(src, dst int) {
+	if src < 0 || src >= r.p || dst < 0 || dst >= r.p || src == dst {
+		panic(fmt.Sprintf("network: bad route %d -> %d on %s(%d)", src, dst, r.name, r.p))
 	}
 }
 
 // Full is the fully connected network: two serial links (one per
 // direction) between every pair of nodes.
-type Full struct {
-	p       int
-	rt      *routeTable
-	scratch []int
-}
+type Full struct{ router }
 
 // NewFull returns a fully connected network over p nodes.
 func NewFull(p int) *Full {
-	checkP(p)
-	f := &Full{p: p}
-	f.rt = buildRouteTable(p, f.AppendRoute)
-	if f.rt == nil {
-		f.scratch = make([]int, 0, f.Diameter())
-	}
+	f := &Full{newRouter("full", p)}
+	f.build(f.AppendRoute, f.Diameter())
 	return f
 }
 
-func (f *Full) Name() string  { return "full" }
-func (f *Full) P() int        { return f.p }
 func (f *Full) NumLinks() int { return f.p * f.p }
 
 // AppendRoute: the direct link src→dst.
@@ -102,18 +122,7 @@ func (f *Full) AppendRoute(buf []int, src, dst int) []int {
 	return append(buf, src*f.p+dst)
 }
 
-func (f *Full) Route(src, dst int) []int {
-	f.check(src, dst)
-	if f.rt != nil {
-		return f.rt.route(src, dst)
-	}
-	f.scratch = f.AppendRoute(f.scratch[:0], src, dst)
-	return f.scratch
-}
-
-func (f *Full) LinkEnds(id int) (from, to int) { return id / f.p, id % f.p }
-func (f *Full) Hops(src, dst int) int          { f.check(src, dst); return 1 }
-func (f *Full) Diameter() int                  { return 1 }
+func (f *Full) Diameter() int { return 1 }
 
 // BisectionLinks counts the links between the two halves in both
 // directions: 2 * (p/2)^2.
@@ -124,34 +133,20 @@ func (f *Full) CrossesBisection(src, dst int) bool {
 	return (src < f.p/2) != (dst < f.p/2)
 }
 
-func (f *Full) check(src, dst int) {
-	if src < 0 || src >= f.p || dst < 0 || dst >= f.p || src == dst {
-		panic(fmt.Sprintf("network: bad route %d -> %d on full(%d)", src, dst, f.p))
-	}
-}
-
 // Cube is the binary hypercube: each edge of the cube has a link in each
 // direction, and routing is dimension-ordered (e-cube).
 type Cube struct {
-	p       int
-	dims    int
-	rt      *routeTable
-	scratch []int
+	router
+	dims int
 }
 
 // NewCube returns a binary hypercube over p = 2^k nodes.
 func NewCube(p int) *Cube {
-	checkP(p)
-	c := &Cube{p: p, dims: bits.TrailingZeros(uint(p))}
-	c.rt = buildRouteTable(p, c.AppendRoute)
-	if c.rt == nil {
-		c.scratch = make([]int, 0, c.Diameter())
-	}
+	c := &Cube{newRouter("cube", p), bits.TrailingZeros(uint(p))}
+	c.build(c.AppendRoute, c.Diameter())
 	return c
 }
 
-func (c *Cube) Name() string  { return "cube" }
-func (c *Cube) P() int        { return c.p }
 func (c *Cube) NumLinks() int { return c.p * c.dims }
 
 // AppendRoute applies e-cube routing: correct differing address bits
@@ -168,28 +163,6 @@ func (c *Cube) AppendRoute(buf []int, src, dst int) []int {
 	return buf
 }
 
-// Route returns the e-cube route from the precomputed table (or the
-// scratch buffer at large p).
-func (c *Cube) Route(src, dst int) []int {
-	c.check(src, dst)
-	if c.rt != nil {
-		return c.rt.route(src, dst)
-	}
-	c.scratch = c.AppendRoute(c.scratch[:0], src, dst)
-	return c.scratch
-}
-
-func (c *Cube) LinkEnds(id int) (from, to int) {
-	from = id / c.dims
-	d := id % c.dims
-	return from, from ^ (1 << d)
-}
-
-func (c *Cube) Hops(src, dst int) int {
-	c.check(src, dst)
-	return bits.OnesCount(uint(src ^ dst))
-}
-
 func (c *Cube) Diameter() int { return c.dims }
 
 // BisectionLinks: splitting on the most significant address bit cuts one
@@ -202,24 +175,20 @@ func (c *Cube) CrossesBisection(src, dst int) bool {
 	return (src&msb != 0) != (dst&msb != 0)
 }
 
-func (c *Cube) check(src, dst int) {
-	if src < 0 || src >= c.p || dst < 0 || dst >= c.p || src == dst {
-		panic(fmt.Sprintf("network: bad route %d -> %d on cube(%d)", src, dst, c.p))
-	}
+// grid is the node layout the mesh and the torus share, numbered
+// row-major: for p an even power of two it is square; otherwise it has
+// twice as many columns as rows.
+type grid struct{ rows, cols int }
+
+func newGrid(p int) grid {
+	rows := 1 << (bits.TrailingZeros(uint(p)) / 2)
+	return grid{rows, p / rows}
 }
 
-// Mesh is the 2-D mesh of the paper (the Intel Touchstone Delta shape):
-// nodes in the interior have North/South/East/West neighbours; edges and
-// corners have fewer.  For p an even power of two the mesh is square;
-// otherwise it has twice as many columns as rows.  Routing is X-first
-// (along the row to the destination column, then along the column).
-type Mesh struct {
-	p, rows, cols int
-	rt            *routeTable
-	scratch       []int
-}
+func (g grid) node(r, c int) int       { return r*g.cols + c }
+func (g grid) coords(n int) (r, c int) { return n / g.cols, n % g.cols }
 
-// Directions for mesh link ids: link id = node*4 + direction.
+// Directions for mesh and torus link ids: link id = node*4 + direction.
 const (
 	east = iota
 	west
@@ -227,35 +196,25 @@ const (
 	south
 )
 
+// Mesh is the 2-D mesh of the paper (the Intel Touchstone Delta shape):
+// nodes in the interior have North/South/East/West neighbours; edges and
+// corners have fewer.  Routing is X-first (along the row to the
+// destination column, then along the column).
+type Mesh struct {
+	router
+	grid
+}
+
 // NewMesh returns the 2-D mesh over p = 2^k nodes with the paper's
 // aspect-ratio rule.
 func NewMesh(p int) *Mesh {
-	checkP(p)
-	k := bits.TrailingZeros(uint(p))
-	var rows, cols int
-	if k%2 == 0 {
-		rows = 1 << (k / 2)
-		cols = rows
-	} else {
-		rows = 1 << ((k - 1) / 2)
-		cols = 2 * rows
-	}
-	m := &Mesh{p: p, rows: rows, cols: cols}
-	m.rt = buildRouteTable(p, m.AppendRoute)
-	if m.rt == nil {
-		m.scratch = make([]int, 0, m.Diameter())
-	}
+	m := &Mesh{newRouter("mesh", p), newGrid(p)}
+	m.build(m.AppendRoute, m.Diameter())
 	return m
 }
 
-func (m *Mesh) Name() string  { return "mesh" }
-func (m *Mesh) P() int        { return m.p }
-func (m *Mesh) Rows() int     { return m.rows }
 func (m *Mesh) Cols() int     { return m.cols }
 func (m *Mesh) NumLinks() int { return m.p * 4 }
-
-func (m *Mesh) node(r, c int) int       { return r*m.cols + c }
-func (m *Mesh) coords(n int) (r, c int) { return n / m.cols, n % m.cols }
 
 // AppendRoute is X-first dimension-ordered: travel east/west to the
 // target column, then north/south to the target row.  A link id is
@@ -284,43 +243,6 @@ func (m *Mesh) AppendRoute(buf []int, src, dst int) []int {
 	return buf
 }
 
-// Route returns the X-first route from the precomputed table (or the
-// scratch buffer at large p).
-func (m *Mesh) Route(src, dst int) []int {
-	m.check(src, dst)
-	if m.rt != nil {
-		return m.rt.route(src, dst)
-	}
-	m.scratch = m.AppendRoute(m.scratch[:0], src, dst)
-	return m.scratch
-}
-
-func (m *Mesh) LinkEnds(id int) (from, to int) {
-	from = id / 4
-	r, c := m.coords(from)
-	switch id % 4 {
-	case east:
-		c++
-	case west:
-		c--
-	case north:
-		r--
-	default:
-		r++
-	}
-	if r < 0 || r >= m.rows || c < 0 || c >= m.cols {
-		panic(fmt.Sprintf("network: link %d leaves the mesh", id))
-	}
-	return from, m.node(r, c)
-}
-
-func (m *Mesh) Hops(src, dst int) int {
-	m.check(src, dst)
-	sr, sc := m.coords(src)
-	dr, dc := m.coords(dst)
-	return abs(sr-dr) + abs(sc-dc)
-}
-
 func (m *Mesh) Diameter() int { return m.rows - 1 + m.cols - 1 }
 
 // BisectionLinks: cutting between the two column halves severs one link
@@ -332,19 +254,6 @@ func (m *Mesh) CrossesBisection(src, dst int) bool {
 	_, sc := m.coords(src)
 	_, dc := m.coords(dst)
 	return (sc < m.cols/2) != (dc < m.cols/2)
-}
-
-func (m *Mesh) check(src, dst int) {
-	if src < 0 || src >= m.p || dst < 0 || dst >= m.p || src == dst {
-		panic(fmt.Sprintf("network: bad route %d -> %d on mesh(%d)", src, dst, m.p))
-	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // New returns the named topology over p nodes: the paper's "full",

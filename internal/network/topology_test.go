@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,29 +9,29 @@ import (
 
 var sizes = []int{2, 4, 8, 16, 32, 64}
 
-func topologies(p int) []Topology {
-	return []Topology{NewFull(p), NewCube(p), NewMesh(p)}
+func topologies(p int) []oracle {
+	return []oracle{NewFull(p), NewCube(p), NewMesh(p)}
 }
 
 // routeIsValid checks that a route's links connect src to dst link by link.
-func routeIsValid(t *testing.T, topo Topology, src, dst int) {
+func routeIsValid(t *testing.T, topo oracle, src, dst int) {
 	t.Helper()
 	route := topo.Route(src, dst)
 	if len(route) != topo.Hops(src, dst) {
-		t.Fatalf("%s(%d): route %d->%d has %d links, Hops says %d",
-			topo.Name(), topo.P(), src, dst, len(route), topo.Hops(src, dst))
+		t.Fatalf("%v: route %d->%d has %d links, Hops says %d",
+			topo, src, dst, len(route), topo.Hops(src, dst))
 	}
 	cur := src
 	for _, l := range route {
 		from, to := topo.LinkEnds(l)
 		if from != cur {
-			t.Fatalf("%s(%d): route %d->%d link %d starts at %d, expected %d",
-				topo.Name(), topo.P(), src, dst, l, from, cur)
+			t.Fatalf("%v: route %d->%d link %d starts at %d, expected %d",
+				topo, src, dst, l, from, cur)
 		}
 		cur = to
 	}
 	if cur != dst {
-		t.Fatalf("%s(%d): route %d->%d ends at %d", topo.Name(), topo.P(), src, dst, cur)
+		t.Fatalf("%v: route %d->%d ends at %d", topo, src, dst, cur)
 	}
 }
 
@@ -75,8 +76,8 @@ func TestHopsWithinDiameter(t *testing.T) {
 					}
 					h := topo.Hops(src, dst)
 					if h < 1 || h > topo.Diameter() {
-						t.Fatalf("%s(%d): hops(%d,%d) = %d, diameter %d",
-							topo.Name(), p, src, dst, h, topo.Diameter())
+						t.Fatalf("%v: hops(%d,%d) = %d, diameter %d",
+							topo, src, dst, h, topo.Diameter())
 					}
 					if h > maxSeen {
 						maxSeen = h
@@ -84,8 +85,8 @@ func TestHopsWithinDiameter(t *testing.T) {
 				}
 			}
 			if maxSeen != topo.Diameter() {
-				t.Errorf("%s(%d): max hops %d != diameter %d",
-					topo.Name(), p, maxSeen, topo.Diameter())
+				t.Errorf("%v: max hops %d != diameter %d",
+					topo, maxSeen, topo.Diameter())
 			}
 		}
 	}
@@ -146,8 +147,8 @@ func TestMeshShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		m := NewMesh(c.p)
-		if m.Rows() != c.rows || m.Cols() != c.cols {
-			t.Errorf("mesh(%d) = %dx%d, want %dx%d", c.p, m.Rows(), m.Cols(), c.rows, c.cols)
+		if m.rows != c.rows || m.cols != c.cols {
+			t.Errorf("mesh(%d) = %dx%d, want %dx%d", c.p, m.rows, m.cols, c.rows, c.cols)
 		}
 		if got := m.BisectionLinks(); got != 2*c.rows {
 			t.Errorf("mesh(%d) bisection = %d, want %d", c.p, got, 2*c.rows)
@@ -194,7 +195,7 @@ func TestMeshCornerDegrees(t *testing.T) {
 func TestNewByName(t *testing.T) {
 	for _, name := range []string{"full", "cube", "mesh"} {
 		topo, err := New(name, 8)
-		if err != nil || topo.Name() != name {
+		if err != nil || fmt.Sprint(topo) != name+"(8)" {
 			t.Errorf("New(%q) = %v, %v", name, topo, err)
 		}
 	}

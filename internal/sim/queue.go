@@ -44,10 +44,6 @@ type eventQueue interface {
 	// Call only when len() > 0.
 	pop() event
 	len() int
-	// reset empties the queue in place, clearing every retained slot so
-	// no *Proc stays reachable, while keeping backing arrays for pooled
-	// reuse.
-	reset()
 }
 
 // peek returns the earliest event without removing it, or nil when the
@@ -59,6 +55,9 @@ func (h *eventHeap) peek() *event {
 	return &h.s[0]
 }
 
+// reset empties the heap in place, clearing every retained slot so no
+// *Proc stays reachable, while keeping the backing array for pooled reuse.
+// Engine.Reset calls it, and the ladder's, on the concrete queues.
 func (h *eventHeap) reset() {
 	for i := range h.s {
 		h.s[i] = event{}
@@ -313,6 +312,7 @@ func (l *ladderQueue) addRung(start, width Time, nb int) *ladderRung {
 	return r
 }
 
+// reset empties the ladder in place as eventHeap.reset does the heap.
 func (l *ladderQueue) reset() {
 	clearEvents(l.bot)
 	l.bot = l.bot[:0]

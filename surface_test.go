@@ -290,6 +290,71 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
+// TestEveryInterfaceMethodHasACaller: every method of every interface the
+// module's non-test code declares is called through that interface by
+// non-test code (the module, bench/, cmd/ or examples/).  A method only
+// concrete calls or tests reach makes every implementation carry it for no
+// caller of the interface: cut it from the interface, and keep it as a
+// concrete method only where non-test code calls it.  A method through
+// which the interface satisfies a standard-library one (String, Error,
+// Write) counts as called: the library calls it.
+func TestEveryInterfaceMethodHasACaller(t *testing.T) {
+	for _, id := range loadModule(t).uncalledInterfaceMethods() {
+		t.Errorf("%s: no non-test code calls it through the interface", id)
+	}
+}
+
+// uncalledInterfaceMethods lists, as "pkg.Interface.Method", the methods
+// the module's named interfaces declare that no non-test code selects
+// through an interface value, unless the interface implements a
+// standard-library interface that declares the method too.
+func (m *typedModule) uncalledInterfaceMethods() []string {
+	called := map[types.Object]bool{}
+	for _, obj := range m.info.Uses {
+		called[obj] = true
+	}
+	declares := func(it *types.Interface, keep func(*types.Func) bool) bool {
+		for i := 0; i < it.NumMethods(); i++ {
+			if keep(it.Method(i)) {
+				return true
+			}
+		}
+		return false
+	}
+	var std []*types.Interface
+	for _, it := range m.interfaces() {
+		if it.NumMethods() > 0 && !declares(it, func(fn *types.Func) bool {
+			return fn.Pkg() != nil && m.pkgs[fn.Pkg().Path()] != nil
+		}) {
+			std = append(std, it)
+		}
+	}
+	var out []string
+	for ident, obj := range m.info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		it, ok := tn.Type().Underlying().(*types.Interface)
+		if !ok {
+			continue
+		}
+		for i := 0; i < it.NumExplicitMethods(); i++ {
+			fn := it.ExplicitMethod(i)
+			if called[fn] || slices.ContainsFunc(std, func(s *types.Interface) bool {
+				return types.Implements(tn.Type(), s) && declares(s, func(sf *types.Func) bool {
+					return sf.Name() == fn.Name()
+				})
+			}) {
+				continue
+			}
+			out = append(out, tn.Pkg().Name()+"."+ident.Name+"."+fn.Name())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestEveryOptionHasACaller: every exported field of an option struct (a
 // type named *Config, *Options, *Opts, *Policy or *Control, and
 // client.Client) is set by non-test code other than the type's own
@@ -617,7 +682,7 @@ func (m *typedModule) unused(prefix string) []string {
 	ifaces := m.interfaces()
 	var out []string
 	for obj, d := range decls {
-		if !used[obj] && !satisfiesInterface(obj, ifaces) {
+		if !used[obj] && !m.satisfiesInterface(obj, ifaces) {
 			out = append(out, d.id)
 		}
 	}
@@ -672,17 +737,34 @@ func (m *typedModule) interfaces() []*types.Interface {
 }
 
 // satisfiesInterface reports whether obj is a method that some interface
-// in ifaces declares and that the method's receiver type implements.
-func satisfiesInterface(obj types.Object, ifaces []*types.Interface) bool {
+// in ifaces declares and that the method's receiver type implements, or a
+// module type that embeds the receiver and promotes obj implements.
+func (m *typedModule) satisfiesInterface(obj types.Object, ifaces []*types.Interface) bool {
 	named := receiverNamed(obj)
 	if named == nil {
 		return false
 	}
+	owners := []*types.Named{named}
+	for _, pkg := range m.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || tn.Type() == named {
+				continue
+			}
+			if sel, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), false, obj.Pkg(), obj.Name()); sel == obj {
+				owners = append(owners, tn.Type().(*types.Named))
+			}
+		}
+	}
 	for _, it := range ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == obj.Name() &&
-				(types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
-				return true
+			if it.Method(i).Name() != obj.Name() {
+				continue
+			}
+			for _, t := range owners {
+				if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+					return true
+				}
 			}
 		}
 	}
