@@ -161,3 +161,32 @@ func TestRouteTableAllocBound(t *testing.T) {
 		}
 	}
 }
+
+// TestWhichTopologiesTable: up to RouteTableMaxP every topology keeps a
+// route table except the ring from p64 on, whose routes average about
+// p/4 links; it routes through its scratch buffer instead.
+func TestWhichTopologiesTable(t *testing.T) {
+	for p := 2; p <= RouteTableMaxP; p *= 2 {
+		for _, name := range Names() {
+			topo, _ := New(name, p)
+			var rt *routeTable
+			switch x := topo.(type) {
+			case *Full:
+				rt = x.rt
+			case *Cube:
+				rt = x.rt
+			case *Mesh:
+				rt = x.rt
+			case *Ring:
+				rt = x.rt
+			case *Torus:
+				rt = x.rt
+			default:
+				t.Fatalf("%s: unknown topology type %T", name, topo)
+			}
+			if want := !(name == "ring" && p >= 64); (rt != nil) != want {
+				t.Errorf("%s(%d): route table kept = %v, want %v", name, p, rt != nil, want)
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package network
 
+import "math/bits"
+
 // Route-table precomputation.  The topologies of the study are small
 // (the paper sweeps p ≤ 64) and their routing is deterministic, so every
 // route can be materialized once at construction into a single
@@ -13,12 +15,15 @@ package network
 // into it — still zero allocations per call, at the price of the
 // returned slice being valid only until the next Route call (see
 // Topology.Route); the detailed fabric consumes each route within one
-// Reserve call.
+// Reserve call.  The same holds below it for a topology whose routes
+// average more than 2·log2(p) links: the ring's mean route is about p/4
+// links, so from p = 64 on its table would cost more than any other
+// topology's and save only an O(hops) walk.
 
 // RouteTableMaxP bounds precomputation: tables exist only for p values
 // up to this limit (128 leaves headroom for scaling studies while
-// keeping the paper topologies' tables near a megabyte; the ring's is
-// 4 MB).  Larger machines use the on-demand scratch path.
+// keeping the paper topologies' tables near a megabyte).  Larger
+// machines use the on-demand scratch path.
 const RouteTableMaxP = 128
 
 // routeTable holds every src→dst route of a topology, concatenated into
@@ -38,29 +43,33 @@ type appendRouter func(buf []int, src, dst int) []int
 
 // buildRouteTable materializes all p·(p-1) routes of a topology whose
 // routes are at most diameter links long, or returns nil when p exceeds
-// RouteTableMaxP.  A first pass measures every route into a
-// diameter-sized buffer to set the offsets, so the arena is allocated
-// once at its final size and the second pass only fills it.
+// RouteTableMaxP or the routes average more than 2·log2(p) links.  A
+// first pass measures every route into a diameter-sized buffer, so the
+// arena is allocated once at its final size and the second pass only
+// fills it and the offsets.
 func buildRouteTable(p, diameter int, route appendRouter) *routeTable {
 	if p > RouteTableMaxP {
 		return nil
 	}
-	rt := &routeTable{p: p, off: make([]int32, p*p+1)}
 	buf, n := make([]int, 0, diameter), 0
+	maxLinks := 2 * bits.TrailingZeros(uint(p)) * p * (p - 1)
 	for src := 0; src < p; src++ {
 		for dst := 0; dst < p; dst++ {
 			if src != dst {
 				n += len(route(buf[:0], src, dst))
 			}
-			rt.off[src*p+dst+1] = int32(n)
+		}
+		if n > maxLinks {
+			return nil
 		}
 	}
-	rt.arena = make([]int, 0, n)
+	rt := &routeTable{p: p, off: make([]int32, p*p+1), arena: make([]int, 0, n)}
 	for src := 0; src < p; src++ {
 		for dst := 0; dst < p; dst++ {
 			if src != dst {
 				rt.arena = route(rt.arena, src, dst)
 			}
+			rt.off[src*p+dst+1] = int32(len(rt.arena))
 		}
 	}
 	return rt

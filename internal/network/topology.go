@@ -29,10 +29,10 @@ type Topology interface {
 	// Route returns the directed links a message from src to dst
 	// traverses, in order.  src must differ from dst.  The returned
 	// slice may alias a precomputed route table shared by all callers
-	// (p <= RouteTableMaxP) or the topology's reusable scratch buffer
-	// (larger p); it must not be modified in place, and above
-	// RouteTableMaxP it is only valid until the next Route call on the
-	// same topology — callers that hold routes across calls must copy.
+	// or the topology's reusable scratch buffer (where it keeps no
+	// table); it must not be modified in place, and it is only valid
+	// until the next Route call on the same topology — callers that
+	// hold routes across calls must copy.
 	Route(src, dst int) []int
 	// BisectionLinks returns the number of directed links crossing the
 	// network bisection, counting both directions.  It is the quantity
@@ -57,7 +57,7 @@ func CheckP(p int) error {
 
 // router is the route front end every topology embeds: the family name
 // and P a bad route's panic names, and Route, served from the route
-// table (p <= RouteTableMaxP) or computed by the topology's AppendRoute
+// table (see buildRouteTable) or computed by the topology's AppendRoute
 // into a scratch buffer as long as its diameter, so neither allocates.
 type router struct {
 	name    string
@@ -88,7 +88,7 @@ func (r *router) build(compute appendRouter, diameter int) {
 func (r *router) P() int { return r.p }
 
 // Route serves every topology's Topology.Route: from the table, or
-// computed into the scratch buffer above RouteTableMaxP.
+// computed into the scratch buffer where there is none.
 func (r *router) Route(src, dst int) []int {
 	r.check(src, dst)
 	if r.rt != nil {

@@ -219,9 +219,6 @@ func (p *Profile) Peak(b stats.Bucket) (epoch int, total sim.Time) {
 // 0 on machines whose network charges no links (or, in a profile
 // no probe wrote, with no epoch length).
 func (p *Profile) Utilization(i int) (mean, max float64) {
-	if p.NumLinks == 0 || p.EpochLen == 0 {
-		return 0, 0
-	}
 	var busy, peak sim.Time
 	for _, l := range p.Epochs[i].Links {
 		busy += l.Busy
@@ -229,8 +226,19 @@ func (p *Profile) Utilization(i int) (mean, max float64) {
 			peak = l.Busy
 		}
 	}
-	el := float64(p.EpochLen)
-	return float64(busy) / (el * float64(p.NumLinks)), float64(peak) / el
+	return utilization(busy, peak, p.EpochLen, p.NumLinks)
+}
+
+// utilization is the formula behind both Utilization methods: busy, an
+// epoch's summed link occupancy, averaged over numLinks links, and peak,
+// its busiest link's, each as a share of epochLen.  Both are 0 without
+// per-link telemetry or an epoch length.
+func utilization(busy, peak, epochLen sim.Time, numLinks int) (mean, max float64) {
+	if numLinks == 0 || epochLen == 0 {
+		return 0, 0
+	}
+	el := float64(epochLen)
+	return float64(busy) / (el * float64(numLinks)), float64(peak) / el
 }
 
 // Messages returns the total messages recorded in epoch i's histogram.

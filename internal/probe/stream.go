@@ -49,11 +49,7 @@ type EpochEvent struct {
 // Utilization returns the epoch's mean and single-busiest-link
 // utilization, both 0 without per-link telemetry.
 func (e *EpochEvent) Utilization() (mean, max float64) {
-	if e.NumLinks == 0 || e.EpochLen == 0 {
-		return 0, 0
-	}
-	el := float64(e.EpochLen)
-	return float64(e.LinkBusy) / (el * float64(e.NumLinks)), float64(e.LinkPeak) / el
+	return utilization(e.LinkBusy, e.LinkPeak, e.EpochLen, e.NumLinks)
 }
 
 // linkBusy adds one link's occupancy to the event's sum and peak.

@@ -74,49 +74,50 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorDoc{Error: err.Error()})
 }
 
-// writeUnavailable maps back-pressure errors to 503 with a Retry-After
-// hint: queue-full is transient (retry almost immediately), draining
-// means this instance is going away (give the balancer time to notice).
-func writeUnavailable(w http.ResponseWriter, err error) {
-	retry := "1"
-	if errors.Is(err, ErrDraining) {
-		retry = "5"
+// writeError writes err under the status its kind maps to, or fallback
+// for any other error: a client error is 400; back-pressure is 503 with
+// a Retry-After hint — queue-full is transient (retry almost at once),
+// draining means this instance is going away (give the balancer time to
+// notice); a saturated tenant is 429, retried as soon as some of its
+// own work drains; a profile of a run still in flight is 409.
+func writeError(w http.ResponseWriter, err error, fallback int) {
+	status, retry := fallback, ""
+	var reqErr *RequestError
+	switch {
+	case errors.As(err, &reqErr):
+		status = http.StatusBadRequest
+	case errors.Is(err, ErrDraining):
+		status, retry = http.StatusServiceUnavailable, "5"
+	case errors.Is(err, ErrQueueFull):
+		status, retry = http.StatusServiceUnavailable, "1"
+	case errors.Is(err, ErrTenantQuota):
+		status, retry = http.StatusTooManyRequests, "1"
+	case errors.Is(err, ErrRunActive):
+		status, retry = http.StatusConflict, "1"
 	}
-	w.Header().Set("Retry-After", retry)
-	writeErr(w, http.StatusServiceUnavailable, err)
+	if retry != "" {
+		w.Header().Set("Retry-After", retry)
+	}
+	writeErr(w, status, err)
 }
 
-// submitStatus maps a submission outcome to its HTTP form.
+// submitStatus maps a submission outcome to its HTTP form: 200 for a
+// job answered from a cache (a stored success or a remembered failure),
+// else 202 with the job's location.
 func (s *Server) submitStatus(w http.ResponseWriter, j *Job, err error) {
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
-		writeUnavailable(w, err)
-		return
-	case errors.Is(err, ErrTenantQuota):
-		// The tenant (not the service) is saturated: 429, and retry as
-		// soon as some of its own work drains.
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, err)
-		return
-	default:
-		writeErr(w, http.StatusBadRequest, err)
+	if err != nil {
+		writeError(w, err, http.StatusBadRequest)
 		return
 	}
-	// j.cached covers both cache flavours, stored successes and
-	// remembered failures — both are answered outright with 200.
-	if j.cached {
-		writeJSON(w, http.StatusOK, statusFromEntry(j.entry, true))
-		return
+	status := http.StatusOK
+	if !j.cached {
+		status = http.StatusAccepted
+		w.Header().Set("Location", "/v1/runs/"+j.id)
 	}
 	s.mu.Lock()
-	st := RunStatus{ID: j.id, State: j.state, Spec: j.req}
-	if j.entry != nil {
-		st = statusFromEntry(j.entry, false)
-	}
+	st := j.status()
 	s.mu.Unlock()
-	w.Header().Set("Location", "/v1/runs/"+j.id)
-	writeJSON(w, http.StatusAccepted, st)
+	writeJSON(w, status, st)
 }
 
 // tenantOf extracts the request's fair-share bucket from the
@@ -158,7 +159,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.metrics.bodyTooLarge()
+			s.metrics.bodyLimited.Add(1)
 			writeErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body over %d bytes", mbe.Limit))
 			return
@@ -213,20 +214,12 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	prof, raw, err := s.Profile(id, tenantOf(r))
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantQuota):
-		s.submitStatus(w, nil, err)
-		return
-	case errors.Is(err, ErrUnknownRun):
+	if errors.Is(err, ErrUnknownRun) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such run %q", id))
 		return
-	case errors.Is(err, ErrRunActive):
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusConflict, err)
-		return
-	default:
-		writeErr(w, http.StatusUnprocessableEntity, err)
+	}
+	if err != nil {
+		writeError(w, err, http.StatusUnprocessableEntity)
 		return
 	}
 	switch r.URL.Query().Get("format") {
@@ -324,22 +317,10 @@ func pointSpec(pt exp.BatchPoint, opt exp.Options) spasm.Spec {
 	}
 }
 
-// writeFigure maps figure/sweep errors onto HTTP statuses and writes
-// the figure document.
+// writeFigure writes the figure document, or the figure/sweep error.
 func writeFigure(w http.ResponseWriter, fr *exp.FigureResult, err error) {
 	if err != nil {
-		var reqErr *RequestError
-		switch {
-		case errors.As(err, &reqErr):
-			writeErr(w, http.StatusBadRequest, err)
-		case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
-			writeUnavailable(w, err)
-		case errors.Is(err, ErrTenantQuota):
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, err)
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
-		}
+		writeError(w, err, http.StatusInternalServerError)
 		return
 	}
 	writeJSON(w, http.StatusOK, report.FigureJSON(fr))

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spasm"
@@ -35,37 +36,39 @@ func (h *histogram) observe(seconds float64) {
 
 // Metrics aggregates the service's operational counters.  The cache and
 // queue counters live with their owners; Metrics covers jobs, workers
-// and HTTP latency.
+// and HTTP latency.  The scalar counters and gauges are atomics, updated
+// where the event happens; only the maps sit behind mu.
 type Metrics struct {
 	start   time.Time
 	workers int
 
-	mu            sync.Mutex
-	submitted     uint64
-	coalesced     uint64
-	done          uint64
-	failed        uint64
-	canceled      uint64 // jobs dropped before execution (all waiters gone)
-	runsParallel  uint64 // runs executed on the windowed parallel kernel
-	parFallbacks  uint64 // runs that requested parallel but fell back to sequential
-	timeouts      uint64 // failed jobs whose failure was the run deadline
-	rejected      uint64 // submissions bounced with ErrQueueFull
-	profHits      uint64 // profiles served from the memoized encoding
-	profMiss      uint64 // profiles computed on demand
-	profCoalesced uint64 // profile requests that waited on an in-flight computation
-	bodyLimited   uint64 // requests rejected 413 by the body-size cap
-	streamsOpened uint64 // SSE stream subscriptions accepted
-	streamsActive int    // SSE streams currently connected
-	streamEvents  uint64 // epoch events published to stream hubs
-	busy          int
-	byPath        map[string]*histogram
-	byTenant      map[string]*tenantCounters
+	submitted     atomic.Uint64
+	coalesced     atomic.Uint64
+	done          atomic.Uint64
+	failed        atomic.Uint64
+	canceled      atomic.Uint64 // jobs dropped before execution (all waiters gone)
+	runsParallel  atomic.Uint64 // runs executed on the windowed parallel kernel
+	parFallbacks  atomic.Uint64 // runs that requested parallel but fell back to sequential
+	timeouts      atomic.Uint64 // failed jobs whose failure was the run deadline
+	rejected      atomic.Uint64 // submissions bounced with ErrQueueFull
+	profHits      atomic.Uint64 // profiles served from the memoized encoding
+	profMiss      atomic.Uint64 // profiles computed on demand
+	profCoalesced atomic.Uint64 // profile requests that waited on an in-flight computation
+	bodyLimited   atomic.Uint64 // requests rejected 413 by the body-size cap
+	streamsOpened atomic.Uint64 // SSE stream subscriptions accepted
+	streamsActive atomic.Int64  // SSE streams currently connected
+	streamEvents  atomic.Uint64 // epoch events published to stream hubs
+	busy          atomic.Int64
+
+	mu       sync.Mutex
+	byPath   map[string]*histogram
+	byTenant map[string]*tenantCounters
 }
 
 // tenantCounters is one tenant's admission tally.
 type tenantCounters struct {
-	submitted uint64
-	rejected  uint64 // submissions bounced with ErrTenantQuota
+	submitted atomic.Uint64
+	rejected  atomic.Uint64 // submissions bounced with ErrTenantQuota
 }
 
 func newMetrics(start time.Time, workers int) *Metrics {
@@ -75,119 +78,16 @@ func newMetrics(start time.Time, workers int) *Metrics {
 	}
 }
 
-func (m *Metrics) jobSubmitted() {
-	m.mu.Lock()
-	m.submitted++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) jobCoalesced() {
-	m.mu.Lock()
-	m.coalesced++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) jobFinished(ok, timedOut bool) {
-	m.mu.Lock()
-	if ok {
-		m.done++
-	} else {
-		m.failed++
-		if timedOut {
-			m.timeouts++
-		}
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) jobCanceled() {
-	m.mu.Lock()
-	m.canceled++
-	m.mu.Unlock()
-}
-
-// runParallelOutcome records one run that requested parallel execution:
-// either it ran on the windowed kernel or it fell back to sequential.
-func (m *Metrics) runParallelOutcome(parallel bool) {
-	m.mu.Lock()
-	if parallel {
-		m.runsParallel++
-	} else {
-		m.parFallbacks++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) jobRejected() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) profileServed(hit bool) {
-	m.mu.Lock()
-	if hit {
-		m.profHits++
-	} else {
-		m.profMiss++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) profileCoalesced() {
-	m.mu.Lock()
-	m.profCoalesced++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) bodyTooLarge() {
-	m.mu.Lock()
-	m.bodyLimited++
-	m.mu.Unlock()
-}
-
-// streamOpen tracks the SSE subscription gauge; delta +1 also counts
-// toward the cumulative streams-started total.
-func (m *Metrics) streamOpen(delta int) {
-	m.mu.Lock()
-	m.streamsActive += delta
-	if delta > 0 {
-		m.streamsOpened++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) streamEventEmitted() {
-	m.mu.Lock()
-	m.streamEvents++
-	m.mu.Unlock()
-}
-
+// tenant returns name's admission tally, creating it on first use.
 func (m *Metrics) tenant(name string) *tenantCounters {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	t := m.byTenant[name]
 	if t == nil {
 		t = &tenantCounters{}
 		m.byTenant[name] = t
 	}
 	return t
-}
-
-func (m *Metrics) tenantSubmitted(name string) {
-	m.mu.Lock()
-	m.tenant(name).submitted++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) tenantRejected(name string) {
-	m.mu.Lock()
-	m.tenant(name).rejected++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) workerBusy(delta int) {
-	m.mu.Lock()
-	m.busy += delta
-	m.mu.Unlock()
 }
 
 func (m *Metrics) observe(path string, d time.Duration) {
@@ -209,23 +109,23 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, 
 	defer m.mu.Unlock()
 	fmt.Fprintf(b, "spasmd_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
 	fmt.Fprintf(b, "spasmd_workers %d\n", m.workers)
-	fmt.Fprintf(b, "spasmd_workers_busy %d\n", m.busy)
+	fmt.Fprintf(b, "spasmd_workers_busy %d\n", m.busy.Load())
 	fmt.Fprintf(b, "spasmd_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(b, "spasmd_jobs_submitted_total %d\n", m.submitted)
-	fmt.Fprintf(b, "spasmd_runs_coalesced_total %d\n", m.coalesced)
-	fmt.Fprintf(b, "spasmd_jobs_done_total %d\n", m.done)
-	fmt.Fprintf(b, "spasmd_jobs_failed_total %d\n", m.failed)
-	fmt.Fprintf(b, "spasmd_jobs_canceled_total %d\n", m.canceled)
-	fmt.Fprintf(b, "spasmd_jobs_timeout_total %d\n", m.timeouts)
-	fmt.Fprintf(b, "spasmd_jobs_rejected_total %d\n", m.rejected)
+	fmt.Fprintf(b, "spasmd_jobs_submitted_total %d\n", m.submitted.Load())
+	fmt.Fprintf(b, "spasmd_runs_coalesced_total %d\n", m.coalesced.Load())
+	fmt.Fprintf(b, "spasmd_jobs_done_total %d\n", m.done.Load())
+	fmt.Fprintf(b, "spasmd_jobs_failed_total %d\n", m.failed.Load())
+	fmt.Fprintf(b, "spasmd_jobs_canceled_total %d\n", m.canceled.Load())
+	fmt.Fprintf(b, "spasmd_jobs_timeout_total %d\n", m.timeouts.Load())
+	fmt.Fprintf(b, "spasmd_jobs_rejected_total %d\n", m.rejected.Load())
 	// Parallel-execution outcomes: runs that asked for workers > 1 and ran
 	// on the windowed kernel, vs ones that fell back to the sequential
 	// kernel (not a stream on LogP, Flow or Ideal, probes attached, ...).
-	fmt.Fprintf(b, "spasmd_runs_parallel_total %d\n", m.runsParallel)
-	fmt.Fprintf(b, "spasmd_par_fallbacks_total %d\n", m.parFallbacks)
-	fmt.Fprintf(b, "spasmd_profile_cache_hits_total %d\n", m.profHits)
-	fmt.Fprintf(b, "spasmd_profile_cache_misses_total %d\n", m.profMiss)
-	fmt.Fprintf(b, "spasmd_profiles_coalesced_total %d\n", m.profCoalesced)
+	fmt.Fprintf(b, "spasmd_runs_parallel_total %d\n", m.runsParallel.Load())
+	fmt.Fprintf(b, "spasmd_par_fallbacks_total %d\n", m.parFallbacks.Load())
+	fmt.Fprintf(b, "spasmd_profile_cache_hits_total %d\n", m.profHits.Load())
+	fmt.Fprintf(b, "spasmd_profile_cache_misses_total %d\n", m.profMiss.Load())
+	fmt.Fprintf(b, "spasmd_profiles_coalesced_total %d\n", m.profCoalesced.Load())
 	fmt.Fprintf(b, "spasmd_cache_hits_total %d\n", tier.hits)
 	fmt.Fprintf(b, "spasmd_cache_misses_total %d\n", tier.misses)
 	fmt.Fprintf(b, "spasmd_cache_evictions_total %d\n", tier.evictions)
@@ -243,10 +143,10 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, 
 		fmt.Fprintf(b, "spasmd_store_entries %d\n", st.Entries)
 		fmt.Fprintf(b, "spasmd_store_bytes %d\n", st.Bytes)
 	}
-	fmt.Fprintf(b, "spasmd_body_too_large_total %d\n", m.bodyLimited)
-	fmt.Fprintf(b, "spasmd_streams_started_total %d\n", m.streamsOpened)
-	fmt.Fprintf(b, "spasmd_streams_active %d\n", m.streamsActive)
-	fmt.Fprintf(b, "spasmd_stream_events_total %d\n", m.streamEvents)
+	fmt.Fprintf(b, "spasmd_body_too_large_total %d\n", m.bodyLimited.Load())
+	fmt.Fprintf(b, "spasmd_streams_started_total %d\n", m.streamsOpened.Load())
+	fmt.Fprintf(b, "spasmd_streams_active %d\n", m.streamsActive.Load())
+	fmt.Fprintf(b, "spasmd_stream_events_total %d\n", m.streamEvents.Load())
 	tenants := make([]string, 0, len(m.byTenant))
 	for t := range m.byTenant {
 		tenants = append(tenants, t)
@@ -254,8 +154,8 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, 
 	sort.Strings(tenants)
 	for _, t := range tenants {
 		tc := m.byTenant[t]
-		fmt.Fprintf(b, "spasmd_tenant_submitted_total{tenant=%q} %d\n", t, tc.submitted)
-		fmt.Fprintf(b, "spasmd_tenant_rejected_total{tenant=%q} %d\n", t, tc.rejected)
+		fmt.Fprintf(b, "spasmd_tenant_submitted_total{tenant=%q} %d\n", t, tc.submitted.Load())
+		fmt.Fprintf(b, "spasmd_tenant_rejected_total{tenant=%q} %d\n", t, tc.rejected.Load())
 	}
 	for _, td := range tenantQueued {
 		fmt.Fprintf(b, "spasmd_tenant_queued{tenant=%q} %d\n", td.name, td.depth)
@@ -281,14 +181,13 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, tier tierCounters, 
 	}
 }
 
-// Render returns the full metrics page; the Server method gathers the
+// RenderMetrics returns the full metrics page; it gathers the
 // result-tier, queue, and pool numbers under the locks that own them.
 func (s *Server) RenderMetrics() string {
 	s.mu.Lock()
-	tenantQueued := s.fq.queuedByTenant()
+	depth, tenantQueued := s.fq.size, s.fq.queuedByTenant()
 	s.mu.Unlock()
 	var b strings.Builder
-	s.metrics.render(&b, s.QueueDepth(), s.results.counters(),
-		s.pool.Stats(), tenantQueued)
+	s.metrics.render(&b, depth, s.results.counters(), s.pool.Stats(), tenantQueued)
 	return b.String()
 }

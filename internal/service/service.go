@@ -23,7 +23,7 @@
 // when Config.Store is set, persisted to a disk-backed store below it:
 // byte-determinism makes results permanent, so a restarted daemon warms
 // from disk instead of re-simulating.  The pending queue is shared
-// fairly across tenants (equal shares by stride scheduling, with
+// fairly across tenants (equal shares, served round robin, with
 // per-tenant admission quotas), and runs can be followed live over SSE.  Hits,
 // misses and evictions are exported on /metrics along with queue depth,
 // worker utilization and per-endpoint latency histograms.
@@ -172,6 +172,15 @@ type Job struct {
 	pinned  bool
 }
 
+// status is the job's wire status: its finished entry once it has one,
+// else its live state.  The caller holds the owning Server's mutex.
+func (j *Job) status() RunStatus {
+	if j.entry != nil {
+		return statusFromEntry(j.entry, j.cached)
+	}
+	return RunStatus{ID: j.id, State: j.state, Spec: j.req}
+}
+
 // closedChan is the pre-closed done channel shared by cache-hit jobs.
 var closedChan = func() chan struct{} {
 	ch := make(chan struct{})
@@ -289,7 +298,7 @@ func (s *Server) submit(spec spasm.Spec, opt submitOpts) (job *Job, hit bool, er
 			j.hub = newStreamHub()
 		}
 		s.mu.Unlock()
-		s.metrics.jobCoalesced()
+		s.metrics.coalesced.Add(1)
 		return j, false, nil
 	}
 	if e, ok := s.results.lookup(id, true); ok {
@@ -332,12 +341,12 @@ func (s *Server) enqueue(j *Job) error {
 	s.mu.Unlock()
 	switch {
 	case err == nil:
-		s.metrics.jobSubmitted()
-		s.metrics.tenantSubmitted(tenant)
+		s.metrics.submitted.Add(1)
+		s.metrics.tenant(tenant).submitted.Add(1)
 	case errors.Is(err, ErrTenantQuota):
-		s.metrics.tenantRejected(tenant)
+		s.metrics.tenant(tenant).rejected.Add(1)
 	case !errors.Is(err, ErrDraining):
-		s.metrics.jobRejected()
+		s.metrics.rejected.Add(1)
 	}
 	return err
 }
@@ -370,7 +379,7 @@ func (s *Server) releaseWaiter(j *Job) {
 		hub.publish(eventResult, statusFromEntry(e, false))
 		hub.finish()
 	}
-	s.metrics.jobCanceled()
+	s.metrics.canceled.Add(1)
 }
 
 // nextJob blocks until a job is dispatchable or the drained queue shuts
@@ -401,9 +410,9 @@ func (s *Server) worker() {
 			return
 		}
 		faults.Fire(faults.WorkerStall)
-		s.metrics.workerBusy(1)
+		s.metrics.busy.Add(1)
 		s.execute(job)
-		s.metrics.workerBusy(-1)
+		s.metrics.busy.Add(-1)
 	}
 }
 
@@ -427,8 +436,12 @@ func (s *Server) execute(job *Job) {
 	}
 	res, prof, err := s.runSafely(job.spec, live)
 	if err == nil {
-		if res.Par != nil {
-			s.metrics.runParallelOutcome(res.Par.Parallel)
+		switch {
+		case res.Par == nil:
+		case res.Par.Parallel:
+			s.metrics.runsParallel.Add(1)
+		default:
+			s.metrics.parFallbacks.Add(1)
 		}
 		err = faults.Fire(faults.Marshal)
 	}
@@ -454,7 +467,7 @@ func (s *Server) execute(job *Job) {
 func (s *Server) liveProfile(hub *streamHub) *spasm.ProfileConfig {
 	return &spasm.ProfileConfig{OnEpoch: func(ev probe.EpochEvent) {
 		hub.publishEpoch(ev)
-		s.metrics.streamEventEmitted()
+		s.metrics.streamEvents.Add(1)
 	}}
 }
 
@@ -492,7 +505,14 @@ func (s *Server) finish(job *Job, e *entry, timedOut bool) {
 	// Count before anything announces the outcome (the result tier, the
 	// done channel, the stream hub): a client that learns of the result
 	// and then reads /metrics must find it already counted.
-	s.metrics.jobFinished(e.err == "", timedOut)
+	if e.err == "" {
+		s.metrics.done.Add(1)
+	} else {
+		s.metrics.failed.Add(1)
+		if timedOut {
+			s.metrics.timeouts.Add(1)
+		}
+	}
 	if job.profileOf == "" {
 		s.results.publish(e)
 	} else if e.prof != nil {
@@ -528,7 +548,7 @@ func (s *Server) Status(id string) (RunStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.active[id]; ok {
-		return RunStatus{ID: j.id, State: j.state, Spec: j.req}, true
+		return j.status(), true
 	}
 	if e, ok := s.results.lookup(id, false); ok {
 		return statusFromEntry(e, false), true
@@ -585,7 +605,7 @@ func (s *Server) Profile(id, tenant string) (*probe.Profile, []byte, error) {
 	j, joined := s.active[profileKey(id)]
 	if joined {
 		s.mu.Unlock()
-		s.metrics.profileCoalesced()
+		s.metrics.profCoalesced.Add(1)
 	} else {
 		e, ok := s.results.profile(id)
 		switch {
@@ -597,7 +617,7 @@ func (s *Server) Profile(id, tenant string) (*probe.Profile, []byte, error) {
 			return nil, nil, fmt.Errorf("service: run %s failed: %s", id[:12], e.err)
 		case e.prof != nil:
 			s.mu.Unlock()
-			s.metrics.profileServed(true)
+			s.metrics.profHits.Add(1)
 			return e.prof, e.profBytes, nil
 		}
 		spec, err := e.req.Spec()
@@ -610,7 +630,7 @@ func (s *Server) Profile(id, tenant string) (*probe.Profile, []byte, error) {
 		if err := s.enqueue(j); err != nil {
 			return nil, nil, err
 		}
-		s.metrics.profileServed(false)
+		s.metrics.profMiss.Add(1)
 	}
 	<-j.done
 	if j.entry.err != "" {

@@ -261,17 +261,14 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *Job) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	s.metrics.streamOpen(1)
-	defer s.metrics.streamOpen(-1)
+	s.metrics.streamsOpened.Add(1)
+	s.metrics.streamsActive.Add(1)
+	defer s.metrics.streamsActive.Add(-1)
 
 	write := func(name string, data []byte) { w.Write(appendFrame(nil, name, data)) }
 
 	s.mu.Lock()
-	hub := j.hub
-	st := RunStatus{ID: j.id, State: j.state, Spec: j.req}
-	if j.entry != nil {
-		st = statusFromEntry(j.entry, j.cached)
-	}
+	hub, st := j.hub, j.status()
 	s.mu.Unlock()
 
 	if hub == nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"slices"
 	"sort"
 )
 
@@ -14,11 +15,6 @@ const DefaultTenant = "default"
 // tenants keep submitting normally, and the rejected tenant is admitted
 // again as soon as its own work drains.
 var ErrTenantQuota = errors.New("service: tenant over admission quota")
-
-// stride is how far a tenant's pass advances per job scheduled.  Every
-// tenant takes the same step, so backlogged tenants share the workers
-// equally.
-const stride = 1 << 20
 
 // maxTenantBuckets caps the distinct tenant buckets tracked; further
 // tenant names share one overflow bucket.
@@ -40,12 +36,9 @@ func validTenant(name string) bool {
 }
 
 // tenantQueue is one tenant's admission state: its FIFO of pending jobs
-// plus the accounting the quotas and the scheduler need.
+// plus the accounting the quotas need.
 type tenantQueue struct {
 	name string
-	// pass is the tenant's stride-scheduling virtual time; the pending
-	// tenant with the smallest pass runs next.
-	pass uint64
 	jobs []*Job
 	// queuedBytes is the request-body weight of the tenant's pending
 	// jobs (charged at enqueue, credited at dispatch or cancellation).
@@ -55,17 +48,16 @@ type tenantQueue struct {
 	outstanding int
 }
 
-// fairQueue is the pending-job queue: per-tenant FIFOs scheduled by
-// stride (equal fair sharing), bounded globally by depth and
-// per-tenant by the run/byte quotas.  Like the caches it is not
-// self-locking — every method runs under the owning Server's mutex.
+// fairQueue is the pending-job queue: per-tenant FIFOs served round
+// robin, bounded globally by depth and per-tenant by the run/byte
+// quotas.  Like the caches it is not self-locking — every method runs
+// under the owning Server's mutex.
 //
 // The scheduling invariant: over any interval in which two tenants both
 // stay backlogged, each is dispatched the same number of jobs (within
-// one), regardless of how many requests either submits.  A
-// tenant arriving after an idle period starts at the queue's current
-// pass floor, so it cannot claim "catch-up" service for time it was
-// absent.
+// one), regardless of how many requests either submits.  A tenant whose
+// queue empties leaves the ring and rejoins at its tail, so it cannot
+// claim "catch-up" service for time it was absent.
 type fairQueue struct {
 	depth      int
 	quotaRuns  int
@@ -73,10 +65,11 @@ type fairQueue struct {
 	maxTenants int
 
 	tenants map[string]*tenantQueue
-	size    int
-	// base is the pass floor: the pass of the most recently scheduled
-	// tenant, inherited by tenants joining (or rejoining) the queue.
-	base uint64
+	// ring holds the tenants with pending jobs in the order they are
+	// served: pop takes the head's oldest job and requeues the head at
+	// the tail while it has more.
+	ring []*tenantQueue
+	size int
 }
 
 func newFairQueue(cfg Config) *fairQueue {
@@ -103,7 +96,7 @@ func (q *fairQueue) bucket(tenant string) *tenantQueue {
 		}
 		tenant = overflowTenant
 	}
-	t := &tenantQueue{name: tenant, pass: q.base}
+	t := &tenantQueue{name: tenant}
 	q.tenants[tenant] = t
 	return t
 }
@@ -125,9 +118,8 @@ func (q *fairQueue) push(j *Job) error {
 	if q.quotaBytes > 0 && j.bytes > 0 && t.queuedBytes+j.bytes > q.quotaBytes {
 		return ErrTenantQuota
 	}
-	if len(t.jobs) == 0 && t.pass < q.base {
-		// Rejoining after an idle stretch: no retroactive credit.
-		t.pass = q.base
+	if len(t.jobs) == 0 {
+		q.ring = append(q.ring, t)
 	}
 	t.jobs = append(t.jobs, j)
 	t.queuedBytes += j.bytes
@@ -136,32 +128,23 @@ func (q *fairQueue) push(j *Job) error {
 	return nil
 }
 
-// pop dispatches the next job under stride scheduling — the pending
-// tenant with the smallest pass, ties broken by name so dispatch order
-// is deterministic — or nil when nothing is pending.
+// pop dispatches the head tenant's oldest job, or nil when nothing is
+// pending.
 func (q *fairQueue) pop() *Job {
-	var best *tenantQueue
-	for _, t := range q.tenants {
-		if len(t.jobs) == 0 {
-			continue
-		}
-		if best == nil || t.pass < best.pass ||
-			(t.pass == best.pass && t.name < best.name) {
-			best = t
-		}
-	}
-	if best == nil {
+	if len(q.ring) == 0 {
 		return nil
 	}
-	j := best.jobs[0]
-	best.jobs = best.jobs[1:]
-	if len(best.jobs) == 0 {
-		best.jobs = nil
+	t := q.ring[0]
+	q.ring = q.ring[1:]
+	j := t.jobs[0]
+	t.jobs = t.jobs[1:]
+	if len(t.jobs) == 0 {
+		t.jobs = nil
+	} else {
+		q.ring = append(q.ring, t)
 	}
-	best.queuedBytes -= j.bytes
+	t.queuedBytes -= j.bytes
 	q.size--
-	q.base = best.pass
-	best.pass += stride
 	return j
 }
 
@@ -178,6 +161,9 @@ func (q *fairQueue) remove(j *Job) {
 			t.queuedBytes -= j.bytes
 			t.outstanding--
 			q.size--
+			if len(t.jobs) == 0 {
+				q.ring = slices.DeleteFunc(q.ring, func(r *tenantQueue) bool { return r == t })
+			}
 			return
 		}
 	}

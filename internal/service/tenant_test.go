@@ -69,6 +69,35 @@ func TestFairQueueRejoinNoCatchUp(t *testing.T) {
 	}
 }
 
+// TestFairQueueArrivalOrder: backlogged tenants take turns in the order
+// they arrived, not by name, and a tenant that remove empties rejoins
+// behind the tenants already waiting.
+func TestFairQueueArrivalOrder(t *testing.T) {
+	pops := func(fq *fairQueue, n int) []string {
+		var got []string
+		for i := 0; i < n; i++ {
+			got = append(got, fq.pop().id)
+		}
+		return got
+	}
+	fq := newFairQueue(Config{QueueDepth: 100})
+	for _, j := range []*Job{fqJob("zeta", 0, 0), fqJob("zeta", 1, 0), fqJob("alpha", 0, 0), fqJob("alpha", 1, 0)} {
+		fq.push(j)
+	}
+	if got, want := fmt.Sprint(pops(fq, 4)), "[zeta-0 alpha-0 zeta-1 alpha-1]"; got != want {
+		t.Fatalf("dispatch order %s, want %s", got, want)
+	}
+
+	gone := fqJob("alpha", 2, 0)
+	fq.push(gone)
+	fq.push(fqJob("beta", 0, 0))
+	fq.remove(gone)
+	fq.push(fqJob("alpha", 3, 0))
+	if got, want := fmt.Sprint(pops(fq, 2)), "[beta-0 alpha-3]"; got != want {
+		t.Fatalf("after remove emptied alpha, dispatch order %s, want %s", got, want)
+	}
+}
+
 func TestFairQueueQuotas(t *testing.T) {
 	fq := newFairQueue(Config{QueueDepth: 100,
 		TenantQuotaRuns: 2, TenantQuotaBytes: 100})
@@ -185,10 +214,7 @@ func TestProfileFlightSurvivesEviction(t *testing.T) {
 	// ticks just before it blocks); then the derivation finishes.
 	go ask()
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		svc.metrics.mu.Lock()
-		joined := svc.metrics.profCoalesced > 0
-		svc.metrics.mu.Unlock()
-		if joined {
+		if svc.metrics.profCoalesced.Load() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -204,10 +230,7 @@ func TestProfileFlightSurvivesEviction(t *testing.T) {
 	if len(a.raw) == 0 || !bytes.Equal(a.raw, b.raw) {
 		t.Fatalf("requests got %d and %d bytes, want the same derived profile", len(a.raw), len(b.raw))
 	}
-	svc.metrics.mu.Lock()
-	coalesced := svc.metrics.profCoalesced
-	svc.metrics.mu.Unlock()
-	if coalesced != 1 {
+	if coalesced := svc.metrics.profCoalesced.Load(); coalesced != 1 {
 		t.Fatalf("profCoalesced = %d, want 1", coalesced)
 	}
 }
