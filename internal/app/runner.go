@@ -304,6 +304,7 @@ func runOn(prog Program, cfg machine.Config, ctx *Ctx, opt Options) (*Result, er
 	run.Complete()
 	run.SimEvents = eng.Events
 	run.Work.Switches = eng.Switches()
+	run.Work.QueueMoves, run.Work.QueueSorted = eng.QueueWork()
 	if b, ok := ctx.m.(machine.Backend); ok {
 		if net := b.Network(); net != nil {
 			run.NetEvents = net.Stats().ModelEvents

@@ -83,6 +83,10 @@ type WorkDoc struct {
 	// coroutine switches (two per resume; none in a stackless run).
 	Events   uint64 `json:"events"`
 	Switches uint64 `json:"switches"`
+	// The ladder queue's, zero on a run that stayed on the binary heap:
+	// event copies after a push landed, and events sorted.
+	QueueMoves  uint64 `json:"queue_moves"`
+	QueueSorted uint64 `json:"queue_sorted"`
 	// The profiler's, all zero on an unprofiled run: link samples
 	// charged, epochs closed and resolution halvings.
 	ProbeLinkSamples uint64 `json:"probe_link_samples"`
@@ -95,6 +99,7 @@ func AttachHost(doc *RunDoc, res *app.Result) {
 	w := &res.Stats.Work
 	h := &HostDoc{WallMS: float64(res.Stats.Wall.Microseconds()) / 1e3, Work: WorkDoc{
 		Events: res.Stats.SimEvents, Switches: w.Switches,
+		QueueMoves: w.QueueMoves, QueueSorted: w.QueueSorted,
 		ProbeLinkSamples: w.LinkSamples, ProbeEpochs: w.Epochs, ProbeRescales: w.Rescales,
 	}}
 	if wall := res.Stats.Wall.Seconds(); wall > 0 {

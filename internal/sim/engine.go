@@ -221,6 +221,12 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // dispatch, two per resume; a run of stackless processes makes none.
 func (e *Engine) Switches() uint64 { return e.switches }
 
+// QueueWork reports the last run's ladder-queue work: events copied
+// after their push landed (spread, moved to the bottom run, shifted by a
+// sort or an insertion) and events that went through a sort.  Both are
+// zero on a run that stayed on the binary heap.
+func (e *Engine) QueueWork() (moves, sorted uint64) { return e.lad.moves, e.lad.sorted }
+
 // schedule enqueues a resumption of p at time at (>= now).  The new
 // event's seq becomes p.live, which makes any earlier pending event for
 // p stale at push time: advance recognizes it by the mismatch when it

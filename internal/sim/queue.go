@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"slices"
 )
@@ -71,7 +72,7 @@ func (h *eventHeap) reset() {
 // geometrically decreasing width — partitions time as consumption
 // approaches, and a small sorted "bottom" run is what pop actually
 // drains.  Every event is touched a bounded number of times (append on
-// push, one move per rung level it descends, one sort in a
+// push, one move per rung level it descends, at most one sort in a
 // ladderSpread-bounded bucket), so the per-event cost stays flat as the
 // pending-event count grows — unlike the heap's O(log n) sift.
 //
@@ -80,10 +81,13 @@ func (h *eventHeap) reset() {
 // in time order — bottom < rungs[last] < ... < rungs[0] < top — and pop
 // consumes only from the sorted bottom.  A push either lands in the
 // interval its timestamp belongs to, or (below every rung's consumption
-// point) is sorted into the bottom run directly; within a bucket, events
-// are ordered by a full (at, seq) sort when the bucket reaches the
-// bottom.  Same-timestamp events therefore pop in seq order — the order
-// they were scheduled in — and the total pop order equals the heap's.
+// point) is sorted into the bottom run directly.  Every bucket and the
+// top hold their events in seq order (pushes carry the engine's
+// monotone seq, and every move copies in order), so a bucket of one
+// timestamp is already in (at, seq) order and any other is sorted when
+// it reaches the bottom.  Same-timestamp events therefore pop in seq
+// order — the order they were scheduled in — and the total pop order
+// equals the heap's.
 type ladderQueue struct {
 	n int // total pending events
 
@@ -105,22 +109,34 @@ type ladderQueue struct {
 	topStart Time
 	topMin   Time
 	topMax   Time
+
+	// moves and sorted are the queue's work (stats.Work): events copied
+	// after their push landed, and events that went through a sort.
+	moves, sorted uint64
 }
 
 // ladderRung is one bucket array: bucket i spans
-// [start+i*width, start+(i+1)*width).  Buckets before cur are empty
-// (already consumed or spread); n counts events in the rest.
+// [start+i*width, start+(i+1)*width), except the last, which runs to
+// end.  Buckets before cur are empty (already consumed or spread); n
+// counts events in the rest.
 type ladderRung struct {
 	start Time
 	width Time
+	end   Time
 	cur   int
 	n     int
 	bkt   [][]event
 }
 
 // curStart is the rung's consumption point: events at or past it still
-// route into this rung, earlier ones belong to inner structures.
-func (r *ladderRung) curStart() Time { return r.start + Time(r.cur)*r.width }
+// route into this rung, earlier ones belong to inner structures.  Once
+// every bucket is consumed it is end, so the rung covers nothing.
+func (r *ladderRung) curStart() Time {
+	if r.cur < len(r.bkt) {
+		return r.start + Time(r.cur)*r.width
+	}
+	return r.end
+}
 
 func (l *ladderQueue) len() int { return l.n }
 
@@ -143,16 +159,18 @@ func (l *ladderQueue) push(ev event) {
 	for i := range l.rungs {
 		r := &l.rungs[i]
 		if ev.at >= r.curStart() {
-			idx := int((ev.at - r.start) / r.width)
-			if idx >= len(r.bkt) {
-				idx = len(r.bkt) - 1
-			}
-			r.bkt[idx] = append(r.bkt[idx], ev)
+			bi := r.index(ev.at)
+			r.bkt[bi] = append(r.bkt[bi], ev)
 			r.n++
 			return
 		}
 	}
 	l.insertBottom(ev)
+}
+
+// index is the bucket of a time in [start, end).
+func (r *ladderRung) index(at Time) int {
+	return min(int((at-r.start)/r.width), len(r.bkt)-1)
 }
 
 // insertBottom places ev into the sorted bottom run.  The engine's seq
@@ -179,6 +197,7 @@ func (l *ladderQueue) insertBottom(ev event) {
 	l.bot = append(l.bot, event{})
 	copy(l.bot[lo+1:], l.bot[lo:])
 	l.bot[lo] = ev
+	l.moves += uint64(len(l.bot) - 1 - lo)
 }
 
 func (l *ladderQueue) pop() event {
@@ -198,9 +217,10 @@ func (l *ladderQueue) pop() event {
 
 // surface refills the empty bottom run from the innermost rung (or, with
 // no rungs, by spreading the top), so that the earliest pending events
-// become a sorted run.  Buckets small enough — or too fine to split
-// further — are sorted straight into the bottom; larger ones spawn a
-// finer rung.
+// become a sorted run.  A bucket of one timestamp is already in order
+// and moves to the bottom as it is; other buckets small enough — or past
+// the rung limit — are sorted into the bottom, and larger ones spawn a
+// finer rung over the times they hold.
 func (l *ladderQueue) surface() {
 	for l.botHead == len(l.bot) {
 		l.bot = l.bot[:0]
@@ -218,16 +238,21 @@ func (l *ladderQueue) surface() {
 				r.cur++
 			}
 			b := r.bkt[r.cur]
-			if len(b) <= ladderSpread || r.width <= 1 || len(l.rungs) >= ladderMaxRungs {
-				l.bot = append(l.bot, b...)
-				clearEvents(b)
-				r.bkt[r.cur] = b[:0]
-				r.n -= len(l.bot)
-				r.cur++
-				sortEvents(l.bot)
+			lo, hi := timeRange(b)
+			if lo < hi && len(b) > ladderSpread && len(l.rungs) < ladderMaxRungs {
+				l.spread(ri, lo, hi)
 				continue
 			}
-			l.spread(ri)
+			l.bot = append(l.bot, b...)
+			clearEvents(b)
+			r.bkt[r.cur] = b[:0]
+			r.n -= len(b)
+			r.cur++
+			l.moves += uint64(len(b))
+			if lo < hi {
+				l.sorted += uint64(len(b))
+				l.moves += uint64(sortEvents(l.bot))
+			}
 			continue
 		}
 		if len(l.top) > 0 {
@@ -238,64 +263,65 @@ func (l *ladderQueue) surface() {
 	}
 }
 
-// spread spawns a finer rung from bucket cur of rung ri.
-func (l *ladderQueue) spread(ri int) {
+// timeRange returns the earliest and latest timestamp in a non-empty
+// bucket.
+func timeRange(b []event) (lo, hi Time) {
+	lo, hi = b[0].at, b[0].at
+	for i := 1; i < len(b); i++ {
+		lo, hi = min(lo, b[i].at), max(hi, b[i].at)
+	}
+	return lo, hi
+}
+
+// spread spawns a finer rung over [lo, hi], the times bucket cur of rung
+// ri holds; its last bucket runs to the end of the spread bucket, so
+// later pushes into that bucket's interval still find a rung.
+func (l *ladderQueue) spread(ri int, lo, hi Time) {
 	r := &l.rungs[ri]
 	b := r.bkt[r.cur]
-	start := r.curStart()
-	width := (r.width + ladderBuckets - 1) / ladderBuckets
-	if width < 1 {
-		width = 1
-	}
-	nb := int((r.width + width - 1) / width)
 	r.bkt[r.cur] = b[:0]
 	r.n -= len(b)
 	r.cur++
-	nr := l.addRung(start, width, nb) // may grow l.rungs: r is dead now
-	for _, ev := range b {
-		idx := int((ev.at - start) / width)
-		if idx >= len(nr.bkt) {
-			idx = len(nr.bkt) - 1
-		}
-		nr.bkt[idx] = append(nr.bkt[idx], ev)
-	}
-	nr.n = len(b)
+	nr := l.addRung(lo, hi, r.curStart()) // may grow l.rungs: r is dead now
+	nr.fill(b)
+	l.moves += uint64(len(b))
 	clearEvents(b)
 }
 
 // spreadTop converts the unsorted top into rung 0 and re-arms the top
 // for events past the spread range.
 func (l *ladderQueue) spreadTop() {
-	span := l.topMax - l.topMin + 1
-	width := (span + ladderBuckets - 1) / ladderBuckets
-	if width < 1 {
-		width = 1
-	}
-	nb := int((span + width - 1) / width)
-	nr := l.addRung(l.topMin, width, nb)
-	for _, ev := range l.top {
-		idx := int((ev.at - nr.start) / nr.width)
-		if idx >= len(nr.bkt) {
-			idx = len(nr.bkt) - 1
-		}
-		nr.bkt[idx] = append(nr.bkt[idx], ev)
-	}
-	nr.n = len(l.top)
-	l.topStart = nr.start + nr.width*Time(nb)
+	nr := l.addRung(l.topMin, l.topMax, l.topMax+1)
+	nr.fill(l.top)
+	l.topStart = nr.end
+	l.moves += uint64(len(l.top))
 	clearEvents(l.top)
 	l.top = l.top[:0]
 }
 
-// addRung pushes a fresh rung, reviving a retired rung's bucket arrays
-// when the slice capacity holds one.
-func (l *ladderQueue) addRung(start, width Time, nb int) *ladderRung {
+// fill distributes events, in order, over the rung's buckets.
+func (r *ladderRung) fill(evs []event) {
+	for _, ev := range evs {
+		i := r.index(ev.at)
+		r.bkt[i] = append(r.bkt[i], ev)
+	}
+	r.n = len(evs)
+}
+
+// addRung pushes a fresh rung of at most ladderBuckets buckets over
+// [lo, hi], whose last bucket runs to end, reviving a retired rung's
+// bucket arrays when the slice capacity holds one.
+func (l *ladderQueue) addRung(lo, hi, end Time) *ladderRung {
+	span := hi - lo + 1
+	width := (span + ladderBuckets - 1) / ladderBuckets
+	nb := int((span + width - 1) / width)
 	if n := len(l.rungs); n < cap(l.rungs) {
 		l.rungs = l.rungs[:n+1]
 	} else {
 		l.rungs = append(l.rungs, ladderRung{})
 	}
 	r := &l.rungs[len(l.rungs)-1]
-	r.start, r.width, r.cur, r.n = start, width, 0, 0
+	r.start, r.width, r.end, r.cur, r.n = lo, width, end, 0, 0
 	if cap(r.bkt) >= nb {
 		r.bkt = r.bkt[:nb]
 	} else {
@@ -330,6 +356,7 @@ func (l *ladderQueue) reset() {
 	l.top = l.top[:0]
 	l.topStart = minTime
 	l.n = 0
+	l.moves, l.sorted = 0, 0
 }
 
 func clearEvents(s []event) {
@@ -338,29 +365,43 @@ func clearEvents(s []event) {
 	}
 }
 
-// sortEvents orders a bucket by the kernel's total (at, seq) order.
-func sortEvents(s []event) {
-	slices.SortFunc(s, func(a, b event) int {
-		switch {
-		case a.at != b.at:
-			if a.at < b.at {
-				return -1
+// sortEvents orders a bucket of more than one timestamp by the kernel's
+// total (at, seq) order and returns the events it shifted.  A bucket is
+// seq-ordered, so insertion sort moves only the events a later timestamp
+// preceded; a bucket past ladderSpread, left by the rung limit, takes a
+// comparison sort instead (counted as no shift).
+func sortEvents(s []event) int {
+	if len(s) > ladderSpread {
+		slices.SortFunc(s, func(a, b event) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
 			}
-			return 1
-		case a.seq < b.seq:
-			return -1
-		case a.seq > b.seq:
-			return 1
-		}
+			return cmp.Compare(a.seq, b.seq)
+		})
 		return 0
-	})
+	}
+	shifts := 0
+	for i := 1; i < len(s); i++ {
+		if !less(&s[i], &s[i-1]) {
+			continue
+		}
+		ev, j := s[i], i
+		for ; j > 0 && less(&ev, &s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = ev
+		shifts += i - j
+	}
+	return shifts
 }
 
 // escalate switches the sequential pending queue from the binary heap to
 // the ladder queue, migrating any queued events.  The pop order is
 // unchanged — both structures produce the same total (at, seq) order —
-// so escalation is invisible to results.
+// so escalation is invisible to results.  The events move in seq order,
+// the order the ladder's buckets keep.
 func (e *Engine) escalate() {
+	slices.SortFunc(e.heap.s, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
 	for i := range e.heap.s {
 		e.lad.push(e.heap.s[i])
 		e.heap.s[i] = event{}

@@ -122,6 +122,10 @@ type Work struct {
 	// Switches counts the coroutine switches of sequential dispatch, two
 	// per resume.
 	Switches uint64
+	// QueueMoves counts the event copies the ladder queue made after a
+	// push landed; QueueSorted the events that went through a bucket
+	// sort.  Both are zero on a run that stayed on the binary heap.
+	QueueMoves, QueueSorted uint64
 	// LinkSamples counts the per-link samples the profiler charged: one
 	// for each link of a message's route in each epoch its occupancy
 	// reaches, and one more where its departure epoch is not among them.

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"spasm/internal/report"
@@ -529,8 +530,18 @@ type typedModule struct {
 	conventions *types.Package         // errorsConventions
 }
 
+// loadModule returns the module, type-checked once for the package's
+// tests: each caller re-reports a load error as its own failure.
 func loadModule(t *testing.T) *typedModule {
 	t.Helper()
+	m, err := loadedModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+var loadedModule = sync.OnceValues(func() (*typedModule, error) {
 	fset := token.NewFileSet()
 	m := &typedModule{
 		fset: fset,
@@ -545,10 +556,10 @@ func loadModule(t *testing.T) *typedModule {
 	}
 	f, err := parser.ParseFile(fset, "errors.go", errorsConventions, 0)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if m.conventions, err = new(types.Config).Check("errors", fset, []*ast.File{f}, nil); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -568,10 +579,10 @@ func loadModule(t *testing.T) *typedModule {
 		return err
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return m
-}
+	return m, nil
+})
 
 // Import resolves spasm/... paths to the repository's directories and
 // everything else to the standard library.
